@@ -5,12 +5,22 @@ with either hard label indices or per-label probability vectors. A coalition's
 utility is its mean validation accuracy when prompts ensemble by plurality
 vote or by probability averaging followed by argmax. Both rules yield values
 that are exact multiples of 1/|validation|.
+
+Cost model of the ``matrix_utility`` oracle: its first non-empty call maps the
+validation ids to matrix columns and slices the matrix to them, once. The vote
+rule then keeps integer per-label counts for the last coalition scored and
+moves them by the prompt rows whose membership changed, so a call costs
+O(changed rows * K * |V|) plus the O(K * |V|) plurality; exact enumeration's
+ascending walk changes about two rows per step, an MC prefix one. The average
+rule recomputes the mean over all member rows on every call, in ascending row
+order, so its float results and argmax ties never depend on visit order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -108,12 +118,6 @@ class PredictionMatrix:
             return self.hard
         return np.argmax(self.prob, axis=2)
 
-    def column_index(self, instance_id: str) -> int:
-        try:
-            return self.instance_ids.index(instance_id)
-        except ValueError:
-            raise ConsistencyError(f"instance {instance_id!r} not in the matrix") from None
-
 
 def discriminant(predicted: Optional[int], gold: int) -> int:
     """1 iff a prediction is present and equals the gold label."""
@@ -128,12 +132,23 @@ def _check_coalition(matrix: PredictionMatrix, coalition: Coalition) -> None:
         )
 
 
-def _vote_columns(labels: np.ndarray, num_labels: int, tie: TieRule) -> np.ndarray:
-    """Plurality label per column; -1 encodes abstention on first-place ties."""
-    counts = np.zeros((num_labels, labels.shape[1]), dtype=np.int64)
-    cols = np.arange(labels.shape[1])
-    for row in labels:
-        counts[row, cols] += 1
+def _columns(matrix: PredictionMatrix, ids) -> list[int]:
+    """Matrix column of each instance id, in the order given."""
+    index = {iid: col for col, iid in enumerate(matrix.instance_ids)}
+    try:
+        return [index[iid] for iid in ids]
+    except KeyError as exc:
+        raise ConsistencyError(f"instance {exc.args[0]!r} not in the matrix") from None
+
+
+def _one_hot(labels: np.ndarray, num_labels: int) -> np.ndarray:
+    """(..., columns) label indices -> (..., labels, columns) int64 indicators."""
+    return (labels[..., None, :] == np.arange(num_labels)[:, None]).astype(np.int64)
+
+
+def _plurality(counts: np.ndarray, tie: TieRule) -> np.ndarray:
+    """Plurality label per column of a (labels, columns) vote-count array;
+    -1 encodes abstention on first-place ties."""
     winner = counts.argmax(axis=0)          # lowest label index on equal counts
     if tie is TieRule.LOWEST:
         return winner
@@ -147,9 +162,8 @@ def ensemble_vote(matrix: PredictionMatrix, coalition: Coalition, instance_id: s
     _check_coalition(matrix, coalition)
     if coalition.size == 0:
         raise PreconditionError("ensemble_vote needs a non-empty coalition")
-    col = matrix.column_index(instance_id)
-    labels = matrix.hard_view()[list(coalition.indices()), col:col + 1]
-    out = _vote_columns(labels, matrix.num_labels, tie)[0]
+    labels = matrix.hard_view()[np.ix_(coalition.indices(), _columns(matrix, [instance_id]))]
+    out = _plurality(_one_hot(labels, matrix.num_labels).sum(axis=0), tie)[0]
     return None if out < 0 else int(out)
 
 
@@ -160,37 +174,75 @@ def ensemble_average(matrix: PredictionMatrix, coalition: Coalition,
         raise PreconditionError("ensemble_average needs a non-empty coalition")
     if matrix.mode is not Mode.PROBABILISTIC:
         raise PreconditionError("ensemble_average requires a probabilistic matrix")
-    col = matrix.column_index(instance_id)
+    (col,) = _columns(matrix, [instance_id])
     return matrix.prob[list(coalition.indices()), col, :].mean(axis=0)
 
 
 def utility_accuracy(matrix: PredictionMatrix, validation: ValidationSet,
                      coalition: Coalition, rule: Rule,
                      tie: TieRule = TieRule.ABSTAIN, u_empty: float = 0.0) -> float:
-    _check_coalition(matrix, coalition)
-    if coalition.size == 0:
-        return u_empty
-    cols = [matrix.column_index(iid) for iid in validation.ids]
-    rows = list(coalition.indices())
-    golds = np.array(validation.golds)
-    if rule is Rule.VOTE:
-        labels = matrix.hard_view()[np.ix_(rows, cols)]
-        predicted = _vote_columns(labels, matrix.num_labels, tie)
-    else:
-        if matrix.mode is not Mode.PROBABILISTIC:
-            raise PreconditionError("average rule requires a probabilistic matrix")
-        means = matrix.prob[np.ix_(rows, cols)].mean(axis=0)
-        predicted = np.argmax(means, axis=1)
-    correct = int(np.count_nonzero(predicted == golds))
-    return correct / len(validation.instances)
+    return matrix_utility(matrix, validation, rule, tie, u_empty)(coalition)
+
+
+class _VoteCounts:
+    """Per-label vote counts of one coalition, moved to the next coalition by
+    adding or subtracting only the prompt rows whose membership differs.
+    Integer counts make the result independent of the order coalitions arrive in."""
+
+    def __init__(self, one_hot: np.ndarray):
+        self.one_hot = one_hot              # (prompts, labels, columns)
+        self.counts = np.zeros(one_hot.shape[1:], dtype=np.int64)
+        self.mask = 0
+
+    def move_to(self, mask: int) -> np.ndarray:
+        diff = mask ^ self.mask
+        while diff:
+            bit = diff & -diff
+            row = self.one_hot[bit.bit_length() - 1]
+            if mask & bit:
+                self.counts += row
+            else:
+                self.counts -= row
+            self.mask ^= bit
+            diff ^= bit
+        return self.counts
 
 
 def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Rule,
                    tie: TieRule = TieRule.ABSTAIN, u_empty: float = 0.0) -> UtilityFn:
-    """Close over the inputs as a deterministic Coalition -> accuracy oracle."""
+    """Close over the inputs as a deterministic, thread-safe Coalition -> accuracy oracle.
+
+    The first non-empty call resolves the validation columns and builds the
+    rule's tables, so input errors surface there as they would on any call.
+    """
+    lock = threading.Lock()
+    golds = np.array(validation.golds)
+    predict = None                          # non-empty Coalition -> label per validation column
+
+    def build():
+        cols = _columns(matrix, validation.ids)
+        if rule is Rule.VOTE:
+            votes = _VoteCounts(_one_hot(matrix.hard_view()[:, cols], matrix.num_labels))
+            return lambda coalition: _plurality(votes.move_to(coalition.mask), tie)
+        if matrix.mode is not Mode.PROBABILISTIC:
+            raise PreconditionError("average rule requires a probabilistic matrix")
+        prob = matrix.prob[:, cols]          # (prompts, columns, labels)
+        # a fresh mean over members in ascending order gives the same float sums,
+        # hence the same argmax ties, whatever order coalitions arrive in
+        return lambda coalition: np.argmax(
+            prob[list(coalition.indices())].mean(axis=0), axis=1
+        )
 
     def oracle(coalition: Coalition) -> float:
-        return utility_accuracy(matrix, validation, coalition, rule, tie, u_empty)
+        nonlocal predict
+        _check_coalition(matrix, coalition)
+        if coalition.size == 0:
+            return u_empty
+        with lock:
+            if predict is None:
+                predict = build()
+            correct = int(np.count_nonzero(predict(coalition) == golds))
+        return correct / len(validation.instances)
 
     return oracle
 

@@ -93,20 +93,17 @@ class ShapleyResult:
         return doc
 
 
-def _eval(game: GameSpec, coalition: Coalition, **context) -> float:
-    """Evaluate the oracle, attaching coalition context to any failure."""
+def _eval(game: GameSpec, coalition: Coalition) -> float:
+    """Evaluate the oracle, attaching the coalition to any failure."""
     try:
         return game.utility(coalition)
     except PromptShapError as exc:
         exc.details.setdefault("coalition", coalition.to_hex())
-        for key, value in context.items():
-            exc.details.setdefault(key, value)
         raise
     except Exception as exc:
         raise UtilityOracleError(
             f"utility oracle failed on coalition {coalition.to_hex()}: {exc}",
             coalition=coalition.to_hex(),
-            **context,
         ) from exc
 
 
@@ -221,12 +218,13 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
             if done:
                 break  # remaining marginals stay 0
             mask |= 1 << p
-            cur = _eval(
-                game,
-                Coalition(mask, n),
-                permutation_index=t,
-                prefix=tuple(perm[: pos + 1]),
-            )
+            try:
+                cur = _eval(game, Coalition(mask, n))
+            except PromptShapError as exc:
+                # built on failure only: this scan makes permutations * n evaluations
+                exc.details.setdefault("permutation_index", t)
+                exc.details.setdefault("prefix", tuple(perm[: pos + 1]))
+                raise
             marginals[t, p] = cur - prev
             prev = cur
             if truncate and abs(cur - u_full) <= truncation_tol:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +238,144 @@ def test_matrix_utility_closure(adversarial_fixture):
     oracle = matrix_utility(matrix, validation, Rule.VOTE)
     assert oracle(Coalition.from_indices([0], 6)) == 1.0
     assert oracle(Coalition.full(6)) == 0.0
+
+
+def test_oracle_input_errors_raise_on_call():
+    m = hard_matrix([[0, 1], [1, 1]])
+    unknown = ValidationSet(instances=(("q0", 0), ("nope", 1)), num_labels=2)
+    oracle = matrix_utility(m, unknown, Rule.VOTE, u_empty=0.25)
+    assert oracle(Coalition.empty(2)) == 0.25
+    with pytest.raises(ConsistencyError, match="nope"):
+        oracle(Coalition.full(2))
+    known = ValidationSet(instances=(("q0", 0),), num_labels=2)
+    oracle = matrix_utility(m, known, Rule.AVERAGE_ARGMAX)
+    with pytest.raises(ConsistencyError):
+        oracle(Coalition.full(3))
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            oracle(Coalition.full(2))
+
+
+# ---------------------------------------------------------------------------
+# the incremental oracle against a plain-Python reference
+
+
+def reference_utility(matrix, validation, mask, rule, tie, u_empty):
+    """Plurality vote or probability-average argmax, per instance in plain Python."""
+    members = [i for i in range(len(matrix.prompt_ids)) if mask >> i & 1]
+    if not members:
+        return u_empty
+    k = matrix.num_labels
+    correct = 0
+    for iid, gold in validation.instances:
+        col = list(matrix.instance_ids).index(iid)
+        if rule is Rule.VOTE:
+            counts = [0] * k
+            for i in members:
+                if matrix.mode is Mode.HARD_LABEL:
+                    counts[int(matrix.hard[i][col])] += 1
+                else:
+                    row = [float(x) for x in matrix.prob[i][col]]
+                    counts[row.index(max(row))] += 1
+            top = max(counts)
+            winner = counts.index(top)
+            if tie is TieRule.ABSTAIN and counts.count(top) > 1:
+                winner = None
+        else:
+            sums = [0.0] * k
+            for i in members:
+                for label in range(k):
+                    sums[label] += float(matrix.prob[i][col][label])
+            winner = sums.index(max(sums))
+        correct += winner == gold
+    return correct / len(validation.instances)
+
+
+def random_game(rng, n, k, v, probabilistic):
+    """n prompts and k labels over more instance columns than the v validation
+    instances use, validation ids shuffled; probabilities are multiples of 1/8,
+    so float sums are exact and first-place ties are common."""
+    columns = v + int(rng.integers(1, 4))
+    ids = tuple(f"q{j}" for j in range(columns))
+    if probabilistic:
+        prob = rng.multinomial(8, [1 / k] * k, size=(n, columns)) / 8
+        matrix = PredictionMatrix(tuple(f"p{i}" for i in range(n)), ids,
+                                  Mode.PROBABILISTIC, k, prob=prob)
+    else:
+        matrix = PredictionMatrix(tuple(f"p{i}" for i in range(n)), ids,
+                                  Mode.HARD_LABEL, k, hard=rng.integers(0, k, size=(n, columns)))
+    chosen = rng.permutation(columns)[:v]
+    validation = ValidationSet(
+        instances=tuple((ids[c], int(rng.integers(0, k))) for c in chosen), num_labels=k
+    )
+    return matrix, validation
+
+
+def mask_orders(n, rng):
+    full = 1 << n
+    return {
+        "ascending": list(range(full)),
+        "gray": [m ^ (m >> 1) for m in range(full)],
+        "descending": list(range(full))[::-1],
+        "random": [int(m) for m in rng.integers(0, full, size=3 * full)],
+    }
+
+
+RULES = [
+    (False, Rule.VOTE),
+    (True, Rule.VOTE),
+    (True, Rule.AVERAGE_ARGMAX),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(RULES),
+    st.sampled_from(list(TieRule)),
+)
+def test_oracle_matches_reference_in_any_visit_order(seed, rule_case, tie):
+    probabilistic, rule = rule_case
+    rng = np.random.default_rng(seed)
+    n, k, v = (int(x) for x in rng.integers(1, [7, 5, 8]))
+    matrix, validation = random_game(rng, n, k, v, probabilistic)
+    for name, masks in mask_orders(n, rng).items():
+        oracle = matrix_utility(matrix, validation, rule, tie, u_empty=0.125)
+        for mask in masks:
+            expected = reference_utility(matrix, validation, mask, rule, tie, 0.125)
+            assert oracle(Coalition(mask, n)) == expected, (name, mask)
+
+
+def test_shared_oracle_is_thread_safe():
+    n = 8
+    matrix, validation = random_game(np.random.default_rng(11), n, 3, 40, probabilistic=False)
+    expected = [reference_utility(matrix, validation, m, Rule.VOTE, TieRule.ABSTAIN, 0.0)
+                for m in range(1 << n)]
+    oracle = matrix_utility(matrix, validation, Rule.VOTE)
+    mismatches = []
+    done = []
+
+    def worker(worker_seed):
+        masks = np.random.default_rng(worker_seed).integers(0, 1 << n, size=2000)
+        for mask in masks:
+            got = oracle(Coalition(int(mask), n))
+            if got != expected[mask]:
+                mismatches.append((int(mask), got))
+        done.append(worker_seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from promptshap.coalition import Coalition
-from promptshap.errors import CapacityError, PreconditionError, UtilityOracleError
+from promptshap.errors import (
+    CapacityError,
+    ConsistencyError,
+    PreconditionError,
+    UtilityOracleError,
+)
 from promptshap.game import (
     GameSpec,
     Method,
@@ -117,6 +122,37 @@ def test_oracle_failure_is_wrapped():
     with pytest.raises(UtilityOracleError) as err:
         shapley_exact(GameSpec(n=3, utility=broken))
     assert "coalition" in err.value.details
+
+
+@pytest.mark.parametrize("error, raised", [
+    (ValueError("boom"), UtilityOracleError),
+    (ConsistencyError("boom"), ConsistencyError),
+])
+def test_montecarlo_failure_names_permutation_and_prefix(error, raised):
+    n, seed, t_fail, pos_fail = 5, 3, 2, 3
+    # u_full and u_empty come first, then n evaluations per permutation
+    fail_at = 2 + t_fail * n + pos_fail
+    calls = 0
+
+    def utility(coalition):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at + 1:
+            raise error
+        return 0.0
+
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    for _ in range(t_fail + 1):
+        rng.shuffle(perm)
+    prefix = tuple(perm[: pos_fail + 1])
+    with pytest.raises(raised) as err:
+        shapley_montecarlo(GameSpec(n=n, utility=utility), permutations=10, seed=seed)
+    assert list(err.value.details.items()) == [
+        ("coalition", Coalition.from_indices(prefix, n).to_hex()),
+        ("permutation_index", t_fail),
+        ("prefix", prefix),
+    ]
 
 
 def test_efficiency_on_seeded_games():
