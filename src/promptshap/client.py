@@ -9,20 +9,35 @@ Coalitions are sets, but few-shot order changes model output, so exemplars
 are always serialized in ascending manifest-index order. That makes the
 utility a well-defined set function and lets the response cache key on a
 digest of the exact payload fields.
+
+Both endpoints go through one POST path, ``_post_json``. It sends the JSON
+body with the bearer credential and classifies the reply: 401/403 raise
+``CredentialError`` at once; 429, 500, 502, 503, 504 and transport failures
+(refused or dropped connections, timeouts) are retried up to
+``api.attempts`` times, waiting ``backoff_base * 2**k`` seconds before retry
+k+1, or longer when a 429 carries a numeric ``Retry-After``; any other
+status raises ``ProtocolError``; running out of attempts raises
+``TransportError`` with the last status and error. Requests go through one
+``urllib.request`` opener built on first use, so proxy and ``no_proxy``
+settings are read from the environment once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
 import json
+import math
 import os
 import re
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .cache import ResponseCache
 from .coalition import Coalition
@@ -159,14 +174,79 @@ def _get_api_key() -> str:
     return key
 
 
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    return urllib.request.build_opener()
+
+
+def _send(request: urllib.request.Request, timeout: float):
+    """One POST: (status, headers, body), an HTTP error status returned, not raised."""
+    try:
+        resp = _opener().open(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:  # an OSError too, so caught before the caller's handler
+        resp = exc
+    with resp:
+        return resp.code, resp.headers, resp.read()
+
+
+def _retry_after(headers) -> float:
+    """Seconds a ``Retry-After`` header asks for; 0 unless it is a finite number."""
+    try:
+        seconds = float(headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0
+    return seconds if math.isfinite(seconds) else 0.0
+
+
+def _post_json(path: str, body: dict, api: ApiConfig):
+    """POST ``body`` to ``api.base_url + path`` with retries; the decoded 200 reply."""
+    key = _get_api_key()
+    if not api.base_url:
+        raise PreconditionError("api.base_url is not configured")
+    headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+    try:  # a non-finite number in the body, or a base_url that is not a URL
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        request = urllib.request.Request(api.base_url.rstrip("/") + path, data, headers)
+    except ValueError as exc:
+        raise PreconditionError(f"cannot build the request to {path}: {exc}") from exc
+    last_status = None
+    last_error = None
+    wait = 0.0
+    for attempt in range(api.attempts):
+        if attempt:
+            time.sleep(max(api.backoff_base * 2 ** (attempt - 1), wait))
+        try:
+            status, reply_headers, payload = _send(request, api.timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            last_status, last_error, wait = None, str(exc), 0.0
+            continue
+        if status in (401, 403):
+            raise CredentialError(
+                f"endpoint rejected the credential (HTTP {status})", status=status
+            )
+        if status in _RETRYABLE_STATUS:
+            last_status = status
+            last_error = payload[:200].decode("utf-8", "replace")
+            wait = _retry_after(reply_headers) if status == 429 else 0.0
+            continue
+        if status != 200:
+            raise ProtocolError(f"unexpected HTTP {status} from {path}", status=status)
+        try:
+            return json.loads(payload)
+        except ValueError as exc:
+            raise ProtocolError(f"{path} replied with a non-JSON body: {exc}") from exc
+    raise TransportError(
+        f"POST {path} failed after {api.attempts} attempts",
+        last_status=last_status,
+        last_error=last_error,
+    )
+
+
 def complete(req: CompletionRequest, cache: ResponseCache, api: ApiConfig) -> str:
     digest = request_digest(req)
     hit = cache.get(digest)
     if hit is not None:
         return hit
-    key = _get_api_key()
-    if not api.base_url:
-        raise PreconditionError("api.base_url is not configured")
     content = "\n\n".join([*req.exemplars, req.question])
     body = {
         "model": req.model,
@@ -174,44 +254,15 @@ def complete(req: CompletionRequest, cache: ResponseCache, api: ApiConfig) -> st
         "temperature": req.temperature,
         "max_tokens": req.max_tokens,
     }
-    url = api.base_url.rstrip("/") + "/v1/chat/completions"
-    headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-    last_status = None
-    last_error = None
-    for attempt in range(api.attempts):
-        if attempt:
-            time.sleep(api.backoff_base * 2 ** (attempt - 1))
-        try:
-            resp = requests.post(url, json=body, headers=headers, timeout=api.timeout)
-        except requests.RequestException as exc:
-            last_status, last_error = None, str(exc)
-            continue
-        if resp.status_code in (401, 403):
-            raise CredentialError(
-                f"endpoint rejected the credential (HTTP {resp.status_code})",
-                status=resp.status_code,
-            )
-        if resp.status_code in _RETRYABLE_STATUS:
-            last_status, last_error = resp.status_code, resp.text[:200]
-            continue
-        if resp.status_code != 200:
-            raise ProtocolError(
-                f"unexpected HTTP {resp.status_code} from chat completions",
-                status=resp.status_code,
-            )
-        try:
-            text = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"malformed chat completion body: {exc}") from exc
-        if not isinstance(text, str):
-            raise ProtocolError("chat completion content is not a string")
-        cache.put(digest, text)
-        return text
-    raise TransportError(
-        f"chat completion failed after {api.attempts} attempts",
-        last_status=last_status,
-        last_error=last_error,
-    )
+    doc = _post_json("/v1/chat/completions", body, api)
+    try:
+        text = doc["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"malformed chat completion body: {exc}") from exc
+    if not isinstance(text, str):
+        raise ProtocolError("chat completion content is not a string")
+    cache.put(digest, text)
+    return text
 
 
 _MC_PATTERN = re.compile(r"\b([A-Ea-e])\b")
@@ -273,31 +324,11 @@ def embed(texts: Sequence[str], api: ApiConfig, ids: Optional[Sequence[str]] = N
     else:
         if not texts:
             return np.zeros((0, 0), dtype=np.float64)
-        key = _get_api_key()
-        if not api.base_url:
-            raise PreconditionError("api.base_url is not configured")
         unique = list(dict.fromkeys(texts))
-        url = api.base_url.rstrip("/") + "/v1/embeddings"
-        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-        body = {"model": api.embeddings_model, "input": unique}
+        doc = _post_json("/v1/embeddings", {"model": api.embeddings_model, "input": unique}, api)
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=api.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"embeddings request failed: {exc}") from exc
-        if resp.status_code in (401, 403):
-            raise CredentialError(
-                f"endpoint rejected the credential (HTTP {resp.status_code})",
-                status=resp.status_code,
-            )
-        if resp.status_code != 200:
-            raise ProtocolError(
-                f"unexpected HTTP {resp.status_code} from embeddings",
-                status=resp.status_code,
-            )
-        try:
-            data = resp.json()["data"]
             rows = [None] * len(unique)
-            for item in data:
+            for item in doc["data"]:
                 rows[int(item["index"])] = [float(v) for v in item["embedding"]]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed embeddings body: {exc}") from exc

@@ -86,7 +86,10 @@ class StubState:
     def __init__(self):
         self.chat_requests = 0
         self.embed_requests = 0
-        self.fail_next = 0          # serve this many HTTP 500s before succeeding
+        self.fail_next = 0          # serve this many chat failures before succeeding
+        self.fail_next_embed = 0    # the same for embeddings
+        self.fail_status = 500      # status of an injected failure
+        self.retry_after = None     # Retry-After value sent with every non-200 reply, if set
         self.malformed_chat = False
         self.short_embedding_row = False
         self.embedding_dim = 8
@@ -99,6 +102,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     def _send(self, code: int, doc: dict) -> None:
         body = json.dumps(doc).encode("utf-8")
         self.send_response(code)
+        if code != 200 and self.server.state.retry_after is not None:
+            self.send_header("Retry-After", self.server.state.retry_after)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -119,7 +124,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             state.chat_requests += 1
             if state.fail_next > 0:
                 state.fail_next -= 1
-                self._send(500, {"error": {"message": "transient failure"}})
+                self._send(state.fail_status, {"error": {"message": "transient failure"}})
                 return
             if state.malformed_chat:
                 self._send(200, {"unexpected": "shape"})
@@ -142,6 +147,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             })
         elif self.path == "/v1/embeddings":
             state.embed_requests += 1
+            if state.fail_next_embed > 0:
+                state.fail_next_embed -= 1
+                self._send(state.fail_status, {"error": {"message": "transient failure"}})
+                return
             data = []
             for idx, text in enumerate(body["input"]):
                 digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -162,6 +171,7 @@ def stub_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture

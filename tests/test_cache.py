@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -55,6 +56,61 @@ def test_malformed_line_warns_and_is_skipped(tmp_path):
         cache = UtilityCache.load(path)
     assert len(cache) == 2
     assert cache.get("03") == 1.0
+
+
+def test_torn_tail_does_not_swallow_the_next_entry(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_text(json.dumps({"coalition": "01", "u": 0.5}) + "\n"
+                    + '{"coalition": "02", "u": 0.')
+    with pytest.warns(UserWarning):
+        cache = UtilityCache.load(path)
+    cache.put("03", 0.25)
+    with pytest.warns(UserWarning):
+        reloaded = UtilityCache.load(path)
+    assert reloaded.entries == {"01": 0.5, "03": 0.25}
+
+
+def test_complete_last_line_without_newline_is_kept(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_text(json.dumps({"coalition": "01", "u": 0.5}))
+    cache = UtilityCache.load(path)
+    cache.put("03", 0.25)
+    assert UtilityCache.load(path).entries == {"01": 0.5, "03": 0.25}
+
+
+@pytest.mark.parametrize("u", ['"oops"', "true", "null", "NaN", "Infinity", "[1]"])
+def test_non_numeric_utility_is_skipped(tmp_path, u):
+    path = tmp_path / "u.jsonl"
+    path.write_text('{"coalition": "01", "u": %s}\n{"coalition": "02", "u": 1}\n' % u)
+    with pytest.warns(UserWarning):
+        cache = UtilityCache.load(path)
+    assert cache.entries == {"02": 1}
+    wrapped = cached_utility(cache, lambda coalition: 0.75)
+    assert wrapped(Coalition.from_indices([0], 2)) == 0.75
+
+
+@pytest.mark.parametrize("row", [{"digest": "ab", "response": 5},
+                                 {"digest": "ab", "response": None},
+                                 {"digest": 7, "response": "x"}])
+def test_response_cache_skips_wrong_types(tmp_path, row):
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({"digest": "cd", "response": "y"}) + "\n")
+    with pytest.warns(UserWarning):
+        cache = ResponseCache.load(path)
+    assert cache.entries == {"cd": "y"}
+
+
+def test_failed_persist_leaves_the_file_intact(tmp_path):
+    path = tmp_path / "u.jsonl"
+    original = json.dumps({"coalition": "05", "u": 0.5}) + "\n"
+    path.write_text(original)
+    cache = UtilityCache()
+    cache.put("01", 0.25)
+    cache.put("02", object())               # not JSON-serializable: fails mid-write
+    with pytest.raises(TypeError):
+        cache.persist(path)
+    assert path.read_text() == original
+    assert os.listdir(tmp_path) == ["u.jsonl"]
 
 
 def test_append_degrades_to_memory_with_single_warning(tmp_path):
@@ -130,6 +186,16 @@ def test_inspect_file_counts(tmp_path):
     assert info["entries"] == 2
     assert info["duplicates"] == 1
     assert info["malformed"] == 1
+
+
+def test_inspect_counts_what_load_skips_as_malformed(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_text('{"coalition": "01", "u": "oops"}\n{"coalition": [1], "u": 1}\n'
+                    '{"coalition": "02", "u": 0.5}\n')
+    info = inspect_file(path)
+    assert (info["entries"], info["malformed"]) == (1, 2)
+    with pytest.warns(UserWarning):
+        assert compact_file(path)["entries_after"] == 1
 
 
 def test_compact_file_rewrites_first_wins(tmp_path):

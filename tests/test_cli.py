@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +372,14 @@ def test_locked_cache_is_reported(matrix_config, tmp_path, capsys):
         code, _, err = run_json(capsys, ["value", "--config", matrix_config])
     assert code == 1
     assert "in use" in json.loads(err)["message"]
+
+
+def test_cli_import_loads_no_third_party_http_stack():
+    src = Path(__file__).resolve().parents[1] / "src"
+    # only modules the import adds count: site hooks may preload some at startup
+    probe = ("import sys; before = set(sys.modules); import promptshap.cli; "
+             "added = set(sys.modules) - before; "
+             "print(sorted({'requests', 'urllib3', 'charset_normalizer', 'certifi'} & added))")
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

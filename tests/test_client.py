@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
 
+from promptshap import client
 from promptshap.cache import ResponseCache
 from promptshap.client import (
     CompletionRequest,
@@ -192,6 +196,92 @@ def test_exhausted_retries_raise_transport_error(stub, stub_api, manifest):
     assert info.value.payload()["last_status"] == 500
 
 
+@pytest.mark.parametrize("status, retry_after, slept", [
+    (429, "7", 7.0),                                  # Retry-After beats the backoff
+    (429, "0", 0.01),                                 # backoff beats Retry-After
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.01),     # not a number of seconds
+    (500, "7", 0.01),                                 # honoured on 429 only
+])
+def test_retry_waits_for_retry_after_on_429(stub, stub_api, manifest, monkeypatch,
+                                            status, retry_after, slept):
+    sleeps = []
+    monkeypatch.setattr(client.time, "sleep", sleeps.append)
+    stub.state.fail_next = 1
+    stub.state.fail_status = status
+    stub.state.retry_after = retry_after
+    req = build_completion_request(manifest, Coalition.empty(5), "Q [gold=A]", stub_api)
+    assert complete(req, ResponseCache(), stub_api) == "The answer is (A)."
+    assert stub.state.chat_requests == 2
+    assert sleeps == [slept]
+
+
+@contextlib.contextmanager
+def raw_server(reply):
+    """A TCP endpoint that reads each request, then sends ``reply`` and closes.
+
+    ``reply=None`` keeps every connection open without answering. Yields the
+    base URL and the list of accepted connections.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    accepted = []
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                continue
+            accepted.append(conn)
+            if reply is not None:
+                conn.recv(65536)
+                conn.sendall(reply)
+                conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", accepted
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        listener.close()
+        for conn in accepted:
+            conn.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"",
+    b"NOT-HTTP\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{",
+    None,
+], ids=["closed", "garbage", "truncated", "silent"])
+def test_broken_transport_is_retried_then_raises_transport_error(manifest, monkeypatch,
+                                                                 reply):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    with raw_server(reply) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=3, backoff_base=0.0, timeout=0.2)
+        req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+        with pytest.raises(TransportError) as info:
+            complete(req, ResponseCache(), api)
+        assert len(accepted) == 3
+    assert info.value.payload()["last_status"] is None
+    assert info.value.payload()["last_error"]
+
+
+def test_non_json_200_raises_protocol_error(manifest, monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+    with raw_server(reply) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", backoff_base=0.0)
+        req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+        with pytest.raises(ProtocolError):
+            complete(req, ResponseCache(), api)
+        assert len(accepted) == 1
+
+
 def test_rejected_credential_is_not_retried(stub, stub_api, manifest, monkeypatch):
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "wrong-key")
     req = build_completion_request(manifest, Coalition.empty(5), "Q", stub_api)
@@ -302,6 +392,19 @@ def test_dimension_mismatch_raises_protocol_error(stub, stub_api):
 def test_embed_empty_input(stub, stub_api):
     assert embed([], stub_api).shape == (0, 0)
     assert stub.state.embed_requests == 0
+
+
+def test_embed_retries_like_complete(stub, stub_api):
+    stub.state.fail_next_embed = 2
+    assert embed(["a", "b"], stub_api).shape == (2, 8)
+    assert stub.state.embed_requests == 3
+    stub.state.embed_requests = 0
+    stub.state.fail_next_embed = 99
+    api = dataclasses.replace(stub_api, attempts=3)
+    with pytest.raises(TransportError) as info:
+        embed(["a"], api)
+    assert stub.state.embed_requests == 3
+    assert info.value.payload()["last_status"] == 500
 
 
 def test_embed_rejected_credential(stub, stub_api, monkeypatch):
