@@ -17,28 +17,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from promptshap import (
-    BetaSpec,
-    LipschitzGame,
-    SplitMix64,
-    derive_seed,
-    ensemble_perturbation,
-    theorem1_experiment,
-)
-from promptshap.theory import beta_bounds_report, lemma1_sweep, make_affine_field, make_tanh_field
+from promptshap import BetaSpec, ensemble_perturbation, theorem1_experiment
+from promptshap.theory import beta_bounds_report, lemma1_sweep, theorem1_game
 
 
 def field_bound_report(kind: str, n: int, d: int, trials: int, seed: int) -> dict:
-    rng = SplitMix64(derive_seed(seed, "theorem1:field"))
-    w = np.array([2.0 * rng.uniform() - 1.0 for _ in range(d)])
-    make = make_affine_field if kind == "affine" else make_tanh_field
-    field, lipschitz_l = make(w)
-    erng = SplitMix64(derive_seed(seed, "theorem1:0"))
-    emb = np.array([[2.0 * erng.uniform() - 1.0 for _ in range(d)] for _ in range(n)])
-    game = LipschitzGame(emb, field, lipschitz_l)
-    report = theorem1_experiment(game, trials=trials, seed=seed)
+    report = theorem1_experiment(theorem1_game(n, d, seed, kind), trials=trials, seed=seed)
     report["field"] = kind
     return report
 

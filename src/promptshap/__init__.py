@@ -16,11 +16,7 @@ from .ensemble import (
     Rule,
     TieRule,
     ValidationSet,
-    discriminant,
-    ensemble_average,
-    ensemble_vote,
     matrix_utility,
-    utility_accuracy,
 )
 from .errors import (
     CapacityError,
@@ -41,7 +37,6 @@ from .game import (
     Method,
     ShapleyResult,
     loo_values,
-    marginal_contribution,
     shapley_exact,
     shapley_montecarlo,
     shapley_weight,
@@ -121,16 +116,12 @@ __all__ = [
     "beta_interval_poly",
     "cached_utility",
     "derive_seed",
-    "discriminant",
-    "ensemble_average",
     "ensemble_perturbation",
-    "ensemble_vote",
     "fit_regressor",
     "holdout_eval",
     "lemma1_identity",
     "load_config",
     "loo_values",
-    "marginal_contribution",
     "matrix_utility",
     "mean_field_shapley",
     "pearson",
@@ -144,5 +135,4 @@ __all__ = [
     "train_gp",
     "train_linear",
     "train_ridge",
-    "utility_accuracy",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import fcntl
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -45,17 +46,15 @@ from .learning import (
     predict_sv,
     save_model,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed
 from .selection import best_prefix, curve_to_csv, curve_to_json_dict, rank_add_curve
 from .theory import (
     BetaSpec,
-    LipschitzGame,
     beta_bounds_report,
     ensemble_perturbation,
     lemma1_sweep,
-    make_affine_field,
-    make_tanh_field,
     theorem1_experiment,
+    theorem1_game,
 )
 
 _EXIT_CODES_HELP = """\
@@ -112,13 +111,19 @@ def _values_from_doc(path: str):
     players = doc.get("players")
     if not isinstance(players, list) or not players:
         raise ConsistencyError(f"{path}: missing non-empty 'players' list")
+    u_full = doc.get("u_full")
     try:
         ids = [str(p["id"]) for p in players]
         values = [float(p["value"]) for p in players]
+        numbers = values if u_full is None else values + [float(u_full)]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConsistencyError(f"{path}: bad player entry: {exc}") from None
+        raise ConsistencyError(f"{path}: bad player entry or u_full: {exc}") from None
     if len(set(ids)) != len(ids):
         raise ConsistencyError(f"{path}: player ids must be unique")
+    # json.load parses NaN and Infinity; a NaN value would rank first and a
+    # NaN u_full would pass the curve's full-set check
+    if not all(math.isfinite(x) for x in numbers):
+        raise ConsistencyError(f"{path}: values and u_full must be finite numbers")
     return doc, ids, values
 
 
@@ -319,15 +324,7 @@ def cmd_verify(args) -> int:
             )
         return 0
     if args.check == "theorem1":
-        weight_rng = SplitMix64(derive_seed(args.seed, "theorem1:field"))
-        w = np.array([2.0 * weight_rng.uniform() - 1.0 for _ in range(args.d)])
-        make = make_affine_field if args.field == "affine" else make_tanh_field
-        field, lipschitz_l = make(w)
-        emb_rng = SplitMix64(derive_seed(args.seed, "theorem1:0"))
-        embeddings = np.array(
-            [[2.0 * emb_rng.uniform() - 1.0 for _ in range(args.d)] for _ in range(args.n)]
-        )
-        game = LipschitzGame(embeddings, field, lipschitz_l)
+        game = theorem1_game(args.n, args.d, args.seed, args.field)
         report = theorem1_experiment(game, args.trials, args.seed)
         report["field"] = args.field
         _emit(report, None)

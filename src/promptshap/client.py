@@ -90,15 +90,11 @@ class PromptManifest:
 
 
 def load_manifest(path: str) -> PromptManifest:
-    entries = []
-    for row in read_jsonl(path):
-        entries.append(
-            PromptEntry(
-                prompt_id=str(row["id"]),
-                text=str(row["text"]),
-                rationale_included=bool(row.get("rationale", False)),
-            )
-        )
+    entries = read_jsonl(path, lambda row: PromptEntry(
+        prompt_id=str(row["id"]),
+        text=str(row["text"]),
+        rationale_included=bool(row.get("rationale", False)),
+    ))
     return PromptManifest(prompts=tuple(entries))
 
 
@@ -110,11 +106,9 @@ class Question:
 
 
 def load_questions(path: str) -> tuple[Question, ...]:
-    rows = read_jsonl(path)
-    out = tuple(
-        Question(question_id=str(r["id"]), question=str(r["question"]), gold=str(r["gold"]))
-        for r in rows
-    )
+    out = tuple(read_jsonl(path, lambda r: Question(
+        question_id=str(r["id"]), question=str(r["question"]), gold=str(r["gold"])
+    )))
     ids = [q.question_id for q in out]
     if len(set(ids)) != len(ids):
         raise ConsistencyError(f"{path}: question ids must be unique")

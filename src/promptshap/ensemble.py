@@ -3,8 +3,10 @@
 The matrix holds one row per prompt and one column per validation instance,
 with either hard label indices or per-label probability vectors. A coalition's
 utility is its mean validation accuracy when prompts ensemble by plurality
-vote or by probability averaging followed by argmax. Both rules yield values
-that are exact multiples of 1/|validation|.
+vote or by probability averaging followed by argmax; an instance counts as
+correct only when the ensemble names its gold label, so a vote that abstains
+on a tie counts as wrong. Both rules yield values that are exact multiples of
+1/|validation|.
 
 Cost model of the ``matrix_utility`` oracle: its first non-empty call maps the
 validation ids to matrix columns and slices the matrix to them, once. The vote
@@ -106,6 +108,9 @@ class PredictionMatrix:
                     f"matrix shape {self.prob.shape} != {shape + (self.num_labels,)}"
                 )
             if self.prob.size:
+                # NaN fails every comparison, so it would pass both checks below
+                if not np.isfinite(self.prob).all():
+                    raise ConsistencyError("probability entries must be finite")
                 if self.prob.min() < 0:
                     raise ConsistencyError("probability entries must be nonnegative")
                 sums = self.prob.sum(axis=2)
@@ -117,11 +122,6 @@ class PredictionMatrix:
         if self.mode is Mode.HARD_LABEL:
             return self.hard
         return np.argmax(self.prob, axis=2)
-
-
-def discriminant(predicted: Optional[int], gold: int) -> int:
-    """1 iff a prediction is present and equals the gold label."""
-    return 1 if predicted is not None and predicted == gold else 0
 
 
 def _check_coalition(matrix: PredictionMatrix, coalition: Coalition) -> None:
@@ -148,40 +148,13 @@ def _one_hot(labels: np.ndarray, num_labels: int) -> np.ndarray:
 
 def _plurality(counts: np.ndarray, tie: TieRule) -> np.ndarray:
     """Plurality label per column of a (labels, columns) vote-count array;
-    -1 encodes abstention on first-place ties."""
+    -1 encodes abstention on first-place ties, which no gold label matches."""
     winner = counts.argmax(axis=0)          # lowest label index on equal counts
     if tie is TieRule.LOWEST:
         return winner
     top = counts.max(axis=0)
     tied = (counts == top).sum(axis=0) > 1
     return np.where(tied, -1, winner)
-
-
-def ensemble_vote(matrix: PredictionMatrix, coalition: Coalition, instance_id: str,
-                  tie: TieRule = TieRule.ABSTAIN) -> Optional[int]:
-    _check_coalition(matrix, coalition)
-    if coalition.size == 0:
-        raise PreconditionError("ensemble_vote needs a non-empty coalition")
-    labels = matrix.hard_view()[np.ix_(coalition.indices(), _columns(matrix, [instance_id]))]
-    out = _plurality(_one_hot(labels, matrix.num_labels).sum(axis=0), tie)[0]
-    return None if out < 0 else int(out)
-
-
-def ensemble_average(matrix: PredictionMatrix, coalition: Coalition,
-                     instance_id: str) -> np.ndarray:
-    _check_coalition(matrix, coalition)
-    if coalition.size == 0:
-        raise PreconditionError("ensemble_average needs a non-empty coalition")
-    if matrix.mode is not Mode.PROBABILISTIC:
-        raise PreconditionError("ensemble_average requires a probabilistic matrix")
-    (col,) = _columns(matrix, [instance_id])
-    return matrix.prob[list(coalition.indices()), col, :].mean(axis=0)
-
-
-def utility_accuracy(matrix: PredictionMatrix, validation: ValidationSet,
-                     coalition: Coalition, rule: Rule,
-                     tie: TieRule = TieRule.ABSTAIN, u_empty: float = 0.0) -> float:
-    return matrix_utility(matrix, validation, rule, tie, u_empty)(coalition)
 
 
 class _VoteCounts:

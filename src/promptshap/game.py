@@ -13,7 +13,8 @@ Three estimators share the ``ShapleyResult`` container:
   keeping the estimator unbiased.
 - ``loo_values``: leave-one-out differences, exactly n+1 oracle calls.
 
-Exact rational variants back the test suite's permutation-equivalence checks.
+``shapley_exact_rational`` runs the same enumeration in ``Fraction`` arithmetic,
+for games whose utilities are rational.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations as _all_permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -114,44 +114,39 @@ def shapley_weight(n: int, s: int) -> Fraction:
     return Fraction(1, n * math.comb(n - 1, s))
 
 
-def marginal_contribution(game: GameSpec, coalition: Coalition, i: int) -> float:
-    """U(S + {i}) - U(S) for i not already in S."""
-    if i in coalition:
-        raise PreconditionError(f"player {i} is already in the coalition")
-    with_i = coalition.add(i)
-    return _eval(game, with_i) - _eval(game, coalition)
-
-
-def _utility_table(game: GameSpec) -> list[float]:
-    # ascending mask order is the documented deterministic iteration order
-    return [_eval(game, Coalition(mask, game.n)) for mask in range(1 << game.n)]
+def _enumerate(n: int, utility: Callable[[Coalition], object], number: type,
+               total: Callable, cap: int) -> tuple[list, list]:
+    """The utility table over all 2^n coalitions in ascending mask order (the
+    documented deterministic evaluation order) and each player's weighted sum
+    of marginals, with the weights taken as ``number`` and summed by ``total``."""
+    if n > cap:
+        raise CapacityError(
+            f"n={n} exceeds the exact enumeration cap {cap}; "
+            "use shapley_montecarlo for larger games",
+            n=n,
+            exact_cap=cap,
+        )
+    table = [utility(Coalition(mask, n)) for mask in range(1 << n)]
+    weights = [number(shapley_weight(n, s)) for s in range(n)]
+    popcount = [mask.bit_count() for mask in range(1 << n)]
+    values = [
+        total(
+            weights[popcount[mask]] * (table[mask | bit] - table[mask])
+            for mask in range(1 << n)
+            if not mask & bit
+        )
+        for bit in (1 << i for i in range(n))
+    ]
+    return table, values
 
 
 def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> ShapleyResult:
-    n = game.n
-    if n > exact_cap:
-        raise CapacityError(
-            f"n={n} exceeds the exact enumeration cap {exact_cap}; "
-            "use shapley_montecarlo for larger games",
-            n=n,
-            exact_cap=exact_cap,
-        )
-    table = _utility_table(game)
-    weights = [float(shapley_weight(n, s)) for s in range(n)]
-    popcount = [mask.bit_count() for mask in range(1 << n)]
-    values = []
-    for i in range(n):
-        bit = 1 << i
-        values.append(
-            math.fsum(
-                weights[popcount[mask]] * (table[mask | bit] - table[mask])
-                for mask in range(1 << n)
-                if not mask & bit
-            )
-        )
+    table, values = _enumerate(
+        game.n, lambda coalition: _eval(game, coalition), float, math.fsum, exact_cap
+    )
     return ShapleyResult(
         values=tuple(values),
-        stderr=(0.0,) * n,
+        stderr=(0.0,) * game.n,
         method=Method.EXACT,
         samples=0,
         seed=None,
@@ -163,37 +158,10 @@ def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> Shapley
 def shapley_exact_rational(n: int, utility: Callable[[Coalition], Fraction],
                            exact_cap: int = 16) -> list[Fraction]:
     """Exact-arithmetic twin of ``shapley_exact`` for reference checks."""
-    if n > exact_cap:
-        raise CapacityError(f"n={n} exceeds the rational enumeration cap {exact_cap}")
-    table = [Fraction(utility(Coalition(mask, n))) for mask in range(1 << n)]
-    weights = [shapley_weight(n, s) for s in range(n)]
-    values = []
-    for i in range(n):
-        bit = 1 << i
-        total = Fraction(0)
-        for mask in range(1 << n):
-            if not mask & bit:
-                total += weights[mask.bit_count()] * (table[mask | bit] - table[mask])
-        values.append(total)
+    _, values = _enumerate(
+        n, lambda coalition: Fraction(utility(coalition)), Fraction, sum, exact_cap
+    )
     return values
-
-
-def shapley_permutation_rational(n: int, utility: Callable[[Coalition], Fraction],
-                                 cap: int = 8) -> list[Fraction]:
-    """Brute-force average of per-permutation marginals over all n! orderings."""
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the n! brute-force cap {cap}")
-    totals = [Fraction(0)] * n
-    for perm in _all_permutations(range(n)):
-        mask = 0
-        prev = Fraction(utility(Coalition(0, n)))
-        for p in perm:
-            mask |= 1 << p
-            cur = Fraction(utility(Coalition(mask, n)))
-            totals[p] += cur - prev
-            prev = cur
-    count = math.factorial(n)
-    return [t / count for t in totals]
 
 
 def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float = 0.0,

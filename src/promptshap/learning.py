@@ -10,6 +10,7 @@ correlation and RMSE under a seeded shuffle split.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,13 +63,17 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(prompt_ids=tuple(ids), vectors=self.vectors[rows])
 
 
+def _embedding_row(row: dict) -> tuple[str, list[float]]:
+    vector = row["vector"]
+    if not isinstance(vector, list):
+        raise TypeError("'vector' must be an array of numbers")
+    return str(row["id"]), [float(x) for x in vector]
+
+
 def load_embeddings(path) -> EmbeddingMatrix:
-    rows = read_jsonl(path)
-    ids = []
-    vectors = []
-    for row in rows:
-        ids.append(str(row["id"]))
-        vectors.append([float(x) for x in row["vector"]])
+    rows = read_jsonl(path, _embedding_row)
+    ids = [pid for pid, _ in rows]
+    vectors = [vector for _, vector in rows]
     lengths = {len(v) for v in vectors}
     if len(lengths) > 1:
         raise ConsistencyError(f"{path}: embedding dimensions differ: {sorted(lengths)}")
@@ -388,14 +393,26 @@ def save_model(model: TrainedRegressor, path) -> None:
 
 
 def load_model(path) -> TrainedRegressor:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConsistencyError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConsistencyError(f"{path}: expected a JSON object")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ConsistencyError(
             f"{path}: unsupported model schema {doc.get('schema_version')!r}"
         )
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise ConsistencyError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConsistencyError(f"{path}: bad model field: {exc}") from None
+
+
+def _model_from_doc(doc: dict) -> TrainedRegressor:
     kind = RegressorKind(doc["kind"])
     params = doc["parameters"]
     if kind in (RegressorKind.LINEAR, RegressorKind.RIDGE):

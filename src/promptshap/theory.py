@@ -178,8 +178,25 @@ def mean_field_shapley(gvals) -> np.ndarray:
     return (g + (g - rest_mean) * (harmonic - 1.0)) / n
 
 
-def theorem1_experiment(game: LipschitzGame, trials: int, seed: int,
-                        exact_cap: int = 20) -> dict:
+def _uniform_embeddings(seed: int, purpose: str, n: int, d: int) -> np.ndarray:
+    """n points drawn uniformly from [-1, 1]^d on the SplitMix64 stream for purpose."""
+    rng = SplitMix64(derive_seed(seed, purpose))
+    return np.array([[2.0 * rng.uniform() - 1.0 for _ in range(d)] for _ in range(n)])
+
+
+def theorem1_game(n: int, d: int, seed: int, field: str = "affine") -> LipschitzGame:
+    """The seeded game that ``verify theorem1`` checks: weights w drawn from
+    [-1, 1]^d, the affine field w . e or the tanh field tanh(w . e), and the
+    trial-0 embeddings of ``theorem1_experiment``."""
+    if field not in ("affine", "tanh"):
+        raise PreconditionError(f"field must be 'affine' or 'tanh', got {field!r}")
+    (w,) = _uniform_embeddings(seed, "theorem1:field", 1, d)
+    make = make_affine_field if field == "affine" else make_tanh_field
+    g, lipschitz_l = make(w)
+    return LipschitzGame(_uniform_embeddings(seed, "theorem1:0", n, d), g, lipschitz_l)
+
+
+def theorem1_experiment(game: LipschitzGame, trials: int, seed: int) -> dict:
     """Exact Shapley values vs the L ||e_i - e_j|| bound, over resampled games.
 
     Trial 0 uses the provided embeddings; each later trial redraws embeddings
@@ -197,10 +214,9 @@ def theorem1_experiment(game: LipschitzGame, trials: int, seed: int,
         if t == 0:
             lg = game
         else:
-            rng = SplitMix64(derive_seed(seed, f"theorem1:{t}"))
-            emb = np.array([[2.0 * rng.uniform() - 1.0 for _ in range(d)] for _ in range(n)])
+            emb = _uniform_embeddings(seed, f"theorem1:{t}", n, d)
             lg = LipschitzGame(emb, game.field, game.lipschitz_l)
-        values = shapley_exact(lg.game(), exact_cap=exact_cap).values
+        values = shapley_exact(lg.game()).values
         for i in range(n):
             for j in range(i + 1, n):
                 dist = float(np.linalg.norm(lg.embeddings[i] - lg.embeddings[j]))

@@ -1,19 +1,25 @@
-"""Shared fixtures: deterministic games, the adversarial ensemble fixture, and
-an in-process stub HTTP server so every live-API code path runs offline."""
+"""Shared fixtures: deterministic games, the n! permutation reference for exact
+Shapley values, the adversarial ensemble fixture, and an in-process stub HTTP
+server so every live-API code path runs offline."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import threading
+from fractions import Fraction
+from itertools import permutations
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from promptshap.coalition import Coalition
 from promptshap.config import ApiConfig
 from promptshap.ensemble import Mode, PredictionMatrix, ValidationSet
+from promptshap.errors import CapacityError
 from promptshap.game import GameSpec
 from promptshap.rng import SplitMix64
 
@@ -44,6 +50,24 @@ def random_table_game(n: int, seed: int) -> GameSpec:
         return table[coalition.mask]
 
     return GameSpec(n=n, utility=utility, u_empty=table[0])
+
+
+def shapley_permutation_rational(n: int, utility, cap: int = 8) -> list[Fraction]:
+    """Brute-force average of per-permutation marginals over all n! orderings:
+    an independent reference for the library's subset-weighted enumeration."""
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds the n! brute-force cap {cap}")
+    totals = [Fraction(0)] * n
+    for perm in permutations(range(n)):
+        mask = 0
+        prev = Fraction(utility(Coalition(0, n)))
+        for p in perm:
+            mask |= 1 << p
+            cur = Fraction(utility(Coalition(mask, n)))
+            totals[p] += cur - prev
+            prev = cur
+    count = math.factorial(n)
+    return [t / count for t in totals]
 
 
 def make_adversarial_fixture():

@@ -21,7 +21,6 @@ from promptshap.game import (
     shapley_exact,
     shapley_exact_rational,
     shapley_montecarlo,
-    shapley_permutation_rational,
 )
 from promptshap.jsonio import write_jsonl
 from promptshap.learning import RegressorKind, RegressorSpec, holdout_eval
@@ -29,22 +28,21 @@ from promptshap.rng import SplitMix64, derive_seed
 from promptshap.selection import best_prefix, rank_add_curve
 from promptshap.theory import (
     BetaSpec,
-    LipschitzGame,
     beta_interval_exact,
     beta_interval_normal,
     beta_interval_poly,
     ensemble_perturbation,
     lemma1_sweep,
-    make_affine_field,
-    make_tanh_field,
     mean_field_shapley,
     theorem1_experiment,
+    theorem1_game,
 )
 
 from conftest import (
     glove_utility,
     make_adversarial_fixture,
     random_table_game,
+    shapley_permutation_rational,
     stub_manifest_rows,
     stub_question_rows,
 )
@@ -191,15 +189,7 @@ def test_acceptance_05_value_difference_bound(capsys):
     problems = []
     n, d, trials, seed = 6, 4, 100, 0
     for field_kind in ("affine", "tanh"):
-        weight_rng = SplitMix64(derive_seed(seed, "theorem1:field"))
-        w = np.array([2.0 * weight_rng.uniform() - 1.0 for _ in range(d)])
-        make = make_affine_field if field_kind == "affine" else make_tanh_field
-        field, lipschitz_l = make(w)
-        emb_rng = SplitMix64(derive_seed(seed, "theorem1:0"))
-        embeddings = np.array(
-            [[2.0 * emb_rng.uniform() - 1.0 for _ in range(d)] for _ in range(n)]
-        )
-        game = LipschitzGame(embeddings, field, lipschitz_l)
+        game = theorem1_game(n, d, seed, field_kind)
         report = theorem1_experiment(game, trials=trials, seed=seed)
         if report["violations"] != 0:
             problems.append(f"{field_kind}: {report['violations']} violations")

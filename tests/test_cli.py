@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from promptshap.cli import _own_caches, main
+from promptshap.client import load_manifest, load_questions
 from promptshap.ensemble import write_matrix, write_validation
+from promptshap.errors import ConsistencyError
 from promptshap.jsonio import write_jsonl
-from promptshap.learning import EmbeddingMatrix, save_embeddings
+from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model, save_embeddings
 
 from conftest import make_adversarial_fixture, stub_manifest_rows, stub_question_rows
 
@@ -236,6 +238,96 @@ def test_learn_then_predict_round_trip(learn_inputs, tmp_path, capsys):
     assert [p["id"] for p in doc["predictions"]] == learn_inputs["ids"]
     predicted = np.array([p["value"] for p in doc["predictions"]])
     assert np.allclose(predicted, learn_inputs["true_values"], atol=1e-6)
+
+
+@pytest.mark.parametrize("command, field", [
+    ("curve", "value"),
+    ("curve", "u_full"),
+    ("learn", "value"),
+])
+def test_non_finite_number_in_values_file_is_rejected(command, field, matrix_config,
+                                                       learn_inputs, tmp_path, capsys):
+    ids = ["c0", "c1", "c2", "x0", "x1", "x2"]
+    doc = {"u_full": 0.0, "players": [{"id": pid, "value": 0.1} for pid in ids]}
+    if field == "u_full":
+        doc["u_full"] = float("nan")
+    else:
+        doc["players"][0]["value"] = float("nan")
+    values_path = tmp_path / "nan_values.json"
+    values_path.write_text(json.dumps(doc))   # json writes the bare token NaN
+    if command == "curve":
+        argv = ["curve", "--config", matrix_config, "--out-dir", str(tmp_path / "c")]
+    else:
+        argv = ["learn", "--config", learn_inputs["config"],
+                "--embeddings", learn_inputs["embeddings"], "--out", str(tmp_path / "m.json")]
+    code, out, err = run_json(capsys, argv + ["--values", str(values_path)])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert "finite" in payload["message"]
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+def _linear_model(parameters=None, kind="linear"):
+    if parameters is None:
+        parameters = {"weights": [0.5], "intercept": 0.0}
+    return json.dumps({"schema_version": 1, "kind": kind, "d": 1, "parameters": parameters})
+
+
+@pytest.mark.parametrize("load, bad_line", [
+    pytest.param(load_manifest, '["p", "text"]', id="manifest-row-not-object"),
+    pytest.param(load_manifest, '{"text": "x"}', id="manifest-no-id"),
+    pytest.param(load_manifest, '{"id": "p", "text"', id="manifest-not-json"),
+    pytest.param(load_questions, '{"id": "q", "question": "2+2?"}', id="questions-no-gold"),
+    pytest.param(load_questions, '"q"', id="questions-row-not-object"),
+    pytest.param(load_embeddings, '{"id": "e", "vector": [1.0, "x"]}', id="embeddings-string"),
+    pytest.param(load_embeddings, '{"id": "e", "vector": 3}', id="embeddings-not-array"),
+    pytest.param(load_embeddings, '{"vector": [1.0, 2.0]}', id="embeddings-no-id"),
+    pytest.param(load_model, "[]", id="model-not-object"),
+    pytest.param(load_model, '{"schema_version": 1, "kind": "linear"', id="model-not-json"),
+    pytest.param(load_model, _linear_model([]), id="model-parameters-not-object"),
+    pytest.param(load_model, _linear_model(kind="svm"), id="model-unknown-kind"),
+    pytest.param(load_model, _linear_model({"weights": ["x"], "intercept": 0.0}),
+                 id="model-string-weight"),
+    pytest.param(load_model, _linear_model({"weights": [0.5], "intercept": None}),
+                 id="model-null-intercept"),
+])
+def test_malformed_input_file_raises_consistency_error(load, bad_line, tmp_path):
+    path = tmp_path / "input"
+    if load is load_model:
+        path.write_text(bad_line)
+        where = str(path)
+    else:
+        good = {load_manifest: '{"id": "p0", "text": "t"}',
+                load_questions: '{"id": "q0", "question": "1+1?", "gold": "2"}',
+                load_embeddings: '{"id": "e0", "vector": [0.5, 0.5]}'}[load]
+        path.write_text(good + "\n\n" + bad_line + "\n")
+        where = f"{path}:3"
+    with pytest.raises(ConsistencyError) as info:
+        load(str(path))
+    assert where in str(info.value)
+
+
+def test_predict_reports_a_bad_manifest_row(learn_inputs, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["learn", "--config", learn_inputs["config"],
+                 "--embeddings", learn_inputs["embeddings"], "--values", learn_inputs["values"],
+                 "--model", "linear", "--fraction", "0.34", "--out", str(model_path)]) == 0
+    manifest = tmp_path / "bad_manifest.jsonl"
+    manifest.write_text('{"text": "x"}\n')
+    capsys.readouterr()
+    code, out, err = run_json(capsys, [
+        "predict", "--config", learn_inputs["config"],
+        "--model", str(model_path), "--manifest", str(manifest),
+    ])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert f"{manifest}:1" in payload["message"]
 
 
 # ---------------------------------------------------------------------------

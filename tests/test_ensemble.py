@@ -1,5 +1,6 @@
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +13,9 @@ from promptshap.ensemble import (
     Rule,
     TieRule,
     ValidationSet,
-    discriminant,
-    ensemble_average,
-    ensemble_vote,
     load_matrix,
     load_validation,
     matrix_utility,
-    utility_accuracy,
     write_matrix,
     write_validation,
 )
@@ -49,98 +46,129 @@ def prob_matrix(rows):
     )
 
 
+def one_instance_utility(matrix, gold, coalition=None, rule=Rule.VOTE, tie=TieRule.ABSTAIN,
+                         instance="q0"):
+    """The oracle's utility on a validation set holding one instance."""
+    if coalition is None:
+        coalition = Coalition.full(len(matrix.prompt_ids))
+    validation = ValidationSet(instances=((instance, gold),), num_labels=matrix.num_labels)
+    return matrix_utility(matrix, validation, rule, tie)(coalition)
+
+
+def predicted(matrix, coalition=None, rule=Rule.VOTE, tie=TieRule.ABSTAIN):
+    """The ensemble's label on instance q0: the one gold label the oracle scores
+    as correct, or None when it scores every gold label wrong (an abstention)."""
+    hits = [g for g in range(matrix.num_labels)
+            if one_instance_utility(matrix, g, coalition, rule, tie) == 1.0]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
 # ---------------------------------------------------------------------------
 # discriminant
 
 
 def test_discriminant():
-    assert discriminant(2, 2) == 1
-    assert discriminant(0, 2) == 0
-    assert discriminant(None, 1) == 0
+    # an instance is correct iff a prediction is present and equals the gold label
+    m = hard_matrix([[2]], num_labels=3)
+    assert one_instance_utility(m, 2) == 1.0
+    assert one_instance_utility(m, 0) == 0.0
+    tie = hard_matrix([[0], [1]])
+    assert one_instance_utility(tie, 0) == one_instance_utility(tie, 1) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# voting
+# voting, one validation instance
 
 
 def test_vote_strict_majority():
     m = hard_matrix([[0], [0], [1]])  # votes A, A, B
-    assert ensemble_vote(m, Coalition.full(3), "q0") == 0
+    assert predicted(m) == 0
 
 
 def test_vote_tie_abstains_by_default():
     m = hard_matrix([[0], [1]])
-    assert ensemble_vote(m, Coalition.full(2), "q0") is None
-    assert ensemble_vote(m, Coalition.full(2), "q0", tie=TieRule.LOWEST) == 0
+    assert predicted(m) is None
+    assert predicted(m, tie=TieRule.LOWEST) == 0
 
 
 def test_vote_plurality():
     m = hard_matrix([[0], [1], [1], [1]])  # A, B, B, B
-    assert ensemble_vote(m, Coalition.full(4), "q0") == 1
-
-
-def test_vote_empty_coalition_raises():
-    m = hard_matrix([[0], [1]])
-    with pytest.raises(PreconditionError):
-        ensemble_vote(m, Coalition.empty(2), "q0")
+    assert predicted(m) == 1
 
 
 def test_vote_unknown_instance():
     m = hard_matrix([[0], [1]])
     with pytest.raises(ConsistencyError):
-        ensemble_vote(m, Coalition.full(2), "nope")
+        one_instance_utility(m, 0, instance="nope")
 
 
 def test_vote_on_probabilistic_argmaxes_rows_first():
     # row ties argmax to the lowest label index
     m = prob_matrix([[[0.5, 0.5]], [[0.2, 0.8]], [[0.9, 0.1]]])
     assert m.hard_view().tolist() == [[0], [1], [0]]
-    assert ensemble_vote(m, Coalition.full(3), "q0") == 0
+    assert predicted(m) == 0
 
 
 # ---------------------------------------------------------------------------
-# averaging
+# averaging, one validation instance
 
 
 def test_average_hand_example():
+    # means (0.6, 0.4): label 0, where the two row votes tie and abstain
     m = prob_matrix([[[0.8, 0.2]], [[0.4, 0.6]]])
-    out = ensemble_average(m, Coalition.full(2), "q0")
-    assert np.allclose(out, [0.6, 0.4])
-    assert abs(out.sum() - 1.0) < 1e-6
+    assert predicted(m, rule=Rule.AVERAGE_ARGMAX) == 0
+    assert predicted(m) is None
+    # means (17/30, 13/30): label 0, where the row votes elect label 1
+    m = prob_matrix([[[0.9, 0.1]], [[0.4, 0.6]], [[0.4, 0.6]]])
+    assert predicted(m, rule=Rule.AVERAGE_ARGMAX) == 0
+    assert predicted(m) == 1
 
 
 def test_average_singleton_identity():
     m = prob_matrix([[[0.7, 0.3]], [[0.1, 0.9]]])
-    assert np.allclose(ensemble_average(m, Coalition.from_indices([0], 2), "q0"), [0.7, 0.3])
+    assert predicted(m, Coalition.from_indices([0], 2), Rule.AVERAGE_ARGMAX) == 0
+    assert predicted(m, Coalition.from_indices([1], 2), Rule.AVERAGE_ARGMAX) == 1
 
 
 def test_average_of_identical_rows():
-    m = prob_matrix([[[0.65, 0.35]]] * 4)
-    assert np.allclose(ensemble_average(m, Coalition.full(4), "q0"), [0.65, 0.35])
+    m = prob_matrix([[[0.35, 0.65]]] * 4)
+    assert predicted(m, rule=Rule.AVERAGE_ARGMAX) == 1
 
 
 def test_average_requires_probabilistic():
     m = hard_matrix([[0], [1]])
     with pytest.raises(PreconditionError):
-        ensemble_average(m, Coalition.full(2), "q0")
-    p = prob_matrix([[[0.7, 0.3]]])
-    with pytest.raises(PreconditionError):
-        ensemble_average(p, Coalition.empty(1), "q0")
+        one_instance_utility(m, 0, rule=Rule.AVERAGE_ARGMAX)
+    # the empty coalition needs no matrix: it scores the declared u_empty
+    assert one_instance_utility(m, 0, Coalition.empty(2), Rule.AVERAGE_ARGMAX) == 0.0
 
 
 def test_single_classifier_perturbation_is_exact():
-    # replacing one row's vector changes the average by exactly (1/|S|)|h' - h|
-    # elementwise; dyadic entries and |S| = 4 keep the float arithmetic exact
-    rows = [[[0.75, 0.25]], [[0.5, 0.5]], [[0.25, 0.75]], [[0.5, 0.5]]]
-    m = prob_matrix(rows)
-    perturbed_rows = [row[:] for row in rows]
-    perturbed_rows[1] = [[0.25, 0.75]]
-    m2 = prob_matrix(perturbed_rows)
-    s = Coalition.full(4)
-    before = ensemble_average(m, s, "q0")
-    after = ensemble_average(m2, s, "q0")
-    delta = np.abs(np.array(rows[1][0]) - np.array(perturbed_rows[1][0]))
-    assert np.array_equal(np.abs(after - before), delta / 4.0)
+    # lowering row 0's label-0 probability by delta lowers the 4-row mean by
+    # exactly delta/4, so exactly the instances whose mean lies in
+    # [1/2, 1/2 + delta/4) flip from label 0 (gold) to label 1; dyadic entries
+    # keep the float arithmetic exact
+    delta = Fraction(1, 2)
+    row0 = [Fraction(k, 8) for k in range(4, 9)]    # label-0 probability per instance
+    others = [Fraction(1, 2)] * 3
+
+    def matrix(first):
+        rows = [first] + [[p] * len(first) for p in others]
+        return prob_matrix([[[float(p), float(1 - p)] for p in row] for row in rows])
+
+    validation = ValidationSet(
+        instances=tuple((f"q{j}", 0) for j in range(len(row0))), num_labels=2
+    )
+    full = Coalition.full(4)
+    before = matrix_utility(matrix(row0), validation, Rule.AVERAGE_ARGMAX)(full)
+    after = matrix_utility(matrix([p - delta for p in row0]), validation,
+                           Rule.AVERAGE_ARGMAX)(full)
+    means = [(p + sum(others)) / 4 for p in row0]
+    flips = sum(Fraction(1, 2) <= m < Fraction(1, 2) + delta / 4 for m in means)
+    assert before == 1.0
+    assert flips == 4
+    assert after == (len(row0) - flips) / len(row0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,36 +181,32 @@ def test_always_correct_prompts_give_unit_utility():
         instances=tuple((f"q{i}", g) for i, g in enumerate(golds)), num_labels=3
     )
     m = hard_matrix([list(golds)] * 3, num_labels=3)
+    oracle = matrix_utility(m, validation, Rule.VOTE)
     for mask in range(1, 8):
-        assert utility_accuracy(m, validation, Coalition(mask, 3), Rule.VOTE) == 1.0
+        assert oracle(Coalition(mask, 3)) == 1.0
 
 
 def test_adversarial_fixture_utilities(adversarial_fixture):
     matrix, validation = adversarial_fixture
-    full = utility_accuracy(matrix, validation, Coalition.full(6), Rule.VOTE)
-    assert full == 0.0  # 3-vs-3 tie abstains everywhere
-    correct_only = utility_accuracy(
-        matrix, validation, Coalition.from_indices([0, 1, 2], 6), Rule.VOTE
-    )
-    assert correct_only == 1.0
+    oracle = matrix_utility(matrix, validation, Rule.VOTE)
+    assert oracle(Coalition.full(6)) == 0.0  # 3-vs-3 tie abstains everywhere
+    assert oracle(Coalition.from_indices([0, 1, 2], 6)) == 1.0
     # with the lowest-label tie rule the full set is no longer 0
-    assert utility_accuracy(
-        matrix, validation, Coalition.full(6), Rule.VOTE, tie=TieRule.LOWEST
-    ) == 0.5
+    lowest = matrix_utility(matrix, validation, Rule.VOTE, tie=TieRule.LOWEST)
+    assert lowest(Coalition.full(6)) == 0.5
 
 
 def test_empty_coalition_returns_declared_u_empty(adversarial_fixture):
     matrix, validation = adversarial_fixture
-    assert utility_accuracy(matrix, validation, Coalition.empty(6), Rule.VOTE) == 0.0
-    assert utility_accuracy(
-        matrix, validation, Coalition.empty(6), Rule.VOTE, u_empty=0.75
-    ) == 0.75
+    empty = Coalition.empty(6)
+    assert matrix_utility(matrix, validation, Rule.VOTE)(empty) == 0.0
+    assert matrix_utility(matrix, validation, Rule.VOTE, u_empty=0.75)(empty) == 0.75
 
 
 def test_coalition_size_must_match_matrix(adversarial_fixture):
     matrix, validation = adversarial_fixture
     with pytest.raises(ConsistencyError):
-        utility_accuracy(matrix, validation, Coalition.full(5), Rule.VOTE)
+        matrix_utility(matrix, validation, Rule.VOTE)(Coalition.full(5))
 
 
 def test_average_rule_utility():
@@ -195,18 +219,18 @@ def test_average_rule_utility():
         [[0.3, 0.7], [0.4, 0.6]],
     ])
     # averages: q0 -> (0.6, 0.4) argmax 0 == gold; q1 -> (0.3, 0.7) argmax 1 == gold
-    assert utility_accuracy(m, validation, Coalition.full(2), Rule.AVERAGE_ARGMAX) == 1.0
+    oracle = matrix_utility(m, validation, Rule.AVERAGE_ARGMAX)
+    assert oracle(Coalition.full(2)) == 1.0
     # row 1 alone: q0 -> argmax 1 != 0, q1 -> argmax 1 == 1
-    assert utility_accuracy(
-        m, validation, Coalition.from_indices([1], 2), Rule.AVERAGE_ARGMAX
-    ) == 0.5
+    assert oracle(Coalition.from_indices([1], 2)) == 0.5
 
 
 def test_utility_values_are_multiples_of_one_over_v(adversarial_fixture):
     matrix, validation = adversarial_fixture
     v = len(validation.instances)
+    oracle = matrix_utility(matrix, validation, Rule.VOTE)
     for mask in range(1 << 6):
-        u = utility_accuracy(matrix, validation, Coalition(mask, 6), Rule.VOTE)
+        u = oracle(Coalition(mask, 6))
         assert abs(u * v - round(u * v)) < 1e-12
 
 
@@ -228,8 +252,8 @@ def test_utility_is_permutation_invariant(seed):
         mask = 1
     members = [i for i in range(n) if mask >> i & 1]
     relabeled = [int(np.where(perm == i)[0][0]) for i in members]
-    u1 = utility_accuracy(m1, validation, Coalition.from_indices(members, n), Rule.VOTE)
-    u2 = utility_accuracy(m2, validation, Coalition.from_indices(relabeled, n), Rule.VOTE)
+    u1 = matrix_utility(m1, validation, Rule.VOTE)(Coalition.from_indices(members, n))
+    u2 = matrix_utility(m2, validation, Rule.VOTE)(Coalition.from_indices(relabeled, n))
     assert u1 == u2
 
 
@@ -404,6 +428,17 @@ def test_matrix_validation_rules():
             hard=np.zeros((1, 1), dtype=np.int64),
             prob=np.ones((1, 1, 2)) / 2,
         )
+
+
+def test_nan_probability_rejected(tmp_path):
+    # NaN passes both the sign and the row-sum check, and the average rule
+    # would take it for the row maximum
+    with pytest.raises(ConsistencyError, match="finite"):
+        prob_matrix([[[float("nan"), 1.0]]])
+    path = tmp_path / "nan.csv"
+    path.write_text('prompt_id,q0,q1\np0,"[NaN, 1.0]","[0.5, 0.5]"\n')
+    with pytest.raises(ConsistencyError, match="finite"):
+        load_matrix(path)
 
 
 def test_matrix_is_read_only():

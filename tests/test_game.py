@@ -15,16 +15,14 @@ from promptshap.game import (
     GameSpec,
     Method,
     loo_values,
-    marginal_contribution,
     shapley_exact,
     shapley_exact_rational,
     shapley_montecarlo,
-    shapley_permutation_rational,
     shapley_weight,
 )
 from promptshap.rng import SplitMix64
 
-from conftest import glove_utility, random_table_game
+from conftest import glove_utility, random_table_game, shapley_permutation_rational
 
 
 class CountingOracle:
@@ -45,7 +43,7 @@ def additive_game(weights):
 
 
 # ---------------------------------------------------------------------------
-# weights and marginals
+# weights
 
 
 def test_shapley_weight_values():
@@ -71,13 +69,6 @@ def test_weights_sum_to_one_over_subsets():
             for mask in range(1 << (n - 1))
         )
         assert total == 1
-
-
-def test_marginal_contribution(glove_game):
-    assert marginal_contribution(glove_game, Coalition.from_indices([1], 3), 0) == 1.0
-    assert marginal_contribution(glove_game, Coalition.empty(3), 0) == 0.0
-    with pytest.raises(PreconditionError):
-        marginal_contribution(glove_game, Coalition.from_indices([0], 3), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +217,10 @@ def test_exact_equals_permutation_bruteforce_rationally():
 
 
 def test_rational_caps():
+    oracle = CountingOracle(lambda c: Fraction(0))
     with pytest.raises(CapacityError):
-        shapley_exact_rational(17, lambda c: Fraction(0))
+        shapley_exact_rational(17, oracle)
+    assert oracle.calls == 0
     with pytest.raises(CapacityError):
         shapley_permutation_rational(9, lambda c: Fraction(0))
 
