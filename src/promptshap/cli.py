@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import json
 import math
 import os
 import sys
@@ -25,19 +24,15 @@ from dataclasses import replace
 import numpy as np
 
 from .cache import ResponseCache, UtilityCache, cached_utility, compact_file, inspect_file
-from .client import (
-    augmentation_utility,
-    embedding_matrix_for,
-    load_manifest,
-    load_questions,
-)
+from .client import augmentation_utility, embed, load_manifest, load_questions
 from .coalition import Coalition
 from .config import RunConfig, UtilityMode, load_config
 from .ensemble import load_matrix, load_validation, matrix_utility
-from .errors import ConfigError, ConsistencyError, PromptShapError
+from .errors import ConfigError, ConsistencyError, PromptShapError, ProtocolError
 from .game import GameSpec, Method, loo_values, shapley_exact, shapley_montecarlo
-from .jsonio import dumps
+from .jsonio import dumps, read_json
 from .learning import (
+    EmbeddingMatrix,
     RegressorKind,
     fit_regressor,
     holdout_eval,
@@ -93,37 +88,21 @@ def _emit(doc: dict, out_path=None) -> None:
         sys.stdout.write(text)
 
 
-def _read_json_doc(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConsistencyError(f"input file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConsistencyError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConsistencyError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _values_from_doc(path: str):
-    doc = _read_json_doc(path)
+def _values_from_doc(doc: dict):
+    """Parser for ``read_json`` over a values file: (doc, player ids, values)."""
     players = doc.get("players")
     if not isinstance(players, list) or not players:
-        raise ConsistencyError(f"{path}: missing non-empty 'players' list")
+        raise ValueError("missing non-empty 'players' list")
     u_full = doc.get("u_full")
-    try:
-        ids = [str(p["id"]) for p in players]
-        values = [float(p["value"]) for p in players]
-        numbers = values if u_full is None else values + [float(u_full)]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConsistencyError(f"{path}: bad player entry or u_full: {exc}") from None
+    ids = [str(p["id"]) for p in players]
+    values = [float(p["value"]) for p in players]
+    numbers = values if u_full is None else values + [float(u_full)]
     if len(set(ids)) != len(ids):
-        raise ConsistencyError(f"{path}: player ids must be unique")
+        raise ValueError("player ids must be unique")
     # json.load parses NaN and Infinity; a NaN value would rank first and a
     # NaN u_full would pass the curve's full-set check
     if not all(math.isfinite(x) for x in numbers):
-        raise ConsistencyError(f"{path}: values and u_full must be finite numbers")
+        raise ValueError("values and u_full must be finite numbers")
     return doc, ids, values
 
 
@@ -212,7 +191,7 @@ def cmd_value(args) -> int:
 
 def cmd_curve(args) -> int:
     cfg = load_config(args.config)
-    values_doc, doc_ids, doc_values = _values_from_doc(args.values)
+    values_doc, doc_ids, doc_values = read_json(args.values, _values_from_doc)
     with _own_caches(cfg.paths.utility_cache, cfg.paths.response_cache):
         game, ids = _build_game(cfg)
         if sorted(doc_ids) != sorted(ids):
@@ -270,7 +249,7 @@ def cmd_curve(args) -> int:
 def cmd_learn(args) -> int:
     cfg = load_config(args.config)
     embeddings = load_embeddings(args.embeddings)
-    _, ids, values = _values_from_doc(args.values)
+    _, ids, values = read_json(args.values, _values_from_doc)
     X = embeddings.select(ids)
     kind = RegressorKind(args.model) if args.model else cfg.regressor.kind
     spec = replace(cfg.regressor, kind=kind)
@@ -294,13 +273,17 @@ def cmd_predict(args) -> int:
     cfg = load_config(args.config)
     model = load_model(args.model)
     manifest = load_manifest(args.manifest)
-    X = embedding_matrix_for(
-        manifest,
-        cfg.api,
-        unit_norm=cfg.api.embeddings_unit_norm,
-        embeddings_path=cfg.paths.embeddings,
-    )
-    predictions = predict_sv(model, X.vectors)
+    if cfg.paths.embeddings is not None:
+        X = load_embeddings(cfg.paths.embeddings).select(manifest.ids)
+    else:  # EmbeddingMatrix rejects a non-finite vector from the endpoint
+        X = EmbeddingMatrix(manifest.ids, embed(manifest.texts, cfg.api))
+    vectors = X.vectors
+    if cfg.api.embeddings_unit_norm:
+        norms = np.linalg.norm(vectors, axis=1)
+        if np.any(norms == 0):
+            raise ProtocolError("cannot unit-normalize a zero embedding vector")
+        vectors = vectors / norms[:, None]
+    predictions = predict_sv(model, vectors)
     _emit(
         {
             "kind": model.kind.value,

@@ -20,6 +20,9 @@ status raises ``ProtocolError``; running out of attempts raises
 ``TransportError`` with the last status and error. Requests go through one
 ``urllib.request`` opener built on first use, so proxy and ``no_proxy``
 settings are read from the environment once per process.
+
+``embed`` only talks HTTP; precomputed embedding files are read with
+``learning.load_embeddings``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .errors import (
     TransportError,
 )
 from .jsonio import read_jsonl
-from .learning import EmbeddingMatrix, load_embeddings
 
 API_KEY_ENV = "PROMPTSHAP_API_KEY"
 
@@ -61,7 +63,6 @@ _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 class PromptEntry:
     prompt_id: str
     text: str
-    rationale_included: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,7 @@ class PromptManifest:
 
 def load_manifest(path: str) -> PromptManifest:
     entries = read_jsonl(path, lambda row: PromptEntry(
-        prompt_id=str(row["id"]),
-        text=str(row["text"]),
-        rationale_included=bool(row.get("rationale", False)),
+        prompt_id=str(row["id"]), text=str(row["text"])
     ))
     return PromptManifest(prompts=tuple(entries))
 
@@ -122,7 +121,6 @@ class CompletionRequest:
     exemplars: tuple[str, ...] = ()
     temperature: float = 0.0
     max_tokens: int = 256
-    coalition: Optional[Coalition] = None
 
 
 def build_completion_request(manifest: PromptManifest, coalition: Coalition,
@@ -139,7 +137,6 @@ def build_completion_request(manifest: PromptManifest, coalition: Coalition,
         exemplars=exemplars,
         temperature=api.temperature,
         max_tokens=api.max_tokens,
-        coalition=coalition,
     )
 
 
@@ -301,54 +298,24 @@ def augmentation_utility(manifest: PromptManifest, questions: Sequence[Question]
     return oracle
 
 
-def embed(texts: Sequence[str], api: ApiConfig, ids: Optional[Sequence[str]] = None,
-          unit_norm: bool = False, embeddings_path: Optional[str] = None) -> np.ndarray:
-    """One vector per input text, order preserved.
-
-    With ``embeddings_path`` the vectors come from a precomputed file keyed by
-    id (no network); otherwise each distinct text is embedded once over HTTP
-    and duplicates share the result.
-    """
+def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:
+    """One vector per input text, order preserved; each distinct text is
+    embedded once over HTTP and duplicates share the result."""
     texts = list(texts)
-    if embeddings_path is not None:
-        if ids is None:
-            raise PreconditionError("precomputed embeddings need prompt ids to select rows")
-        matrix = load_embeddings(embeddings_path).select(list(ids))
-        vectors = matrix.vectors.copy()
-    else:
-        if not texts:
-            return np.zeros((0, 0), dtype=np.float64)
-        unique = list(dict.fromkeys(texts))
-        doc = _post_json("/v1/embeddings", {"model": api.embeddings_model, "input": unique}, api)
-        try:
-            rows = [None] * len(unique)
-            for item in doc["data"]:
-                rows[int(item["index"])] = [float(v) for v in item["embedding"]]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"malformed embeddings body: {exc}") from exc
-        if any(r is None for r in rows):
-            raise ProtocolError("embeddings response is missing rows")
-        dims = {len(r) for r in rows}
-        if len(dims) != 1:
-            raise ProtocolError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        by_text = dict(zip(unique, rows))
-        vectors = np.array([by_text[t] for t in texts], dtype=np.float64)
-    if unit_norm:
-        norms = np.linalg.norm(vectors, axis=1)
-        if np.any(norms == 0):
-            raise ProtocolError("cannot unit-normalize a zero embedding vector")
-        vectors = vectors / norms[:, None]
-    return vectors
-
-
-def embedding_matrix_for(manifest: PromptManifest, api: ApiConfig,
-                         unit_norm: bool = False,
-                         embeddings_path: Optional[str] = None) -> EmbeddingMatrix:
-    vectors = embed(
-        manifest.texts,
-        api,
-        ids=manifest.ids,
-        unit_norm=unit_norm,
-        embeddings_path=embeddings_path,
-    )
-    return EmbeddingMatrix(prompt_ids=manifest.ids, vectors=vectors)
+    if not texts:
+        return np.zeros((0, 0), dtype=np.float64)
+    unique = list(dict.fromkeys(texts))
+    doc = _post_json("/v1/embeddings", {"model": api.embeddings_model, "input": unique}, api)
+    try:
+        rows = [None] * len(unique)
+        for item in doc["data"]:
+            rows[int(item["index"])] = [float(v) for v in item["embedding"]]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"malformed embeddings body: {exc}") from exc
+    if any(r is None for r in rows):
+        raise ProtocolError("embeddings response is missing rows")
+    dims = {len(r) for r in rows}
+    if len(dims) != 1:
+        raise ProtocolError(f"inconsistent embedding dimensions: {sorted(dims)}")
+    by_text = dict(zip(unique, rows))
+    return np.array([by_text[t] for t in texts], dtype=np.float64)

@@ -9,15 +9,15 @@ them on demand.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
 from .ensemble import Rule, TieRule
-from .errors import ConfigError
+from .errors import ConfigError, ConsistencyError
 from .game import Method
+from .jsonio import read_json
 from .learning import RegressorKind, RegressorSpec
 
 CONFIG_SCHEMA_VERSION = 1
@@ -130,15 +130,9 @@ def _section(doc: dict, name: str, cls, enum_fields: dict, path: str):
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    doc = dict(doc)
+        doc = read_json(path, dict)
+    except ConsistencyError as exc:
+        raise ConfigError(str(exc)) from None
     version = doc.pop("schema_version", None)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(

@@ -295,25 +295,19 @@ def load_matrix(path, num_labels: Optional[int] = None) -> PredictionMatrix:
         k = lengths.pop()
         if num_labels is not None and num_labels != k:
             raise ConsistencyError(f"{path}: vectors have {k} labels, expected {num_labels}")
-        return PredictionMatrix(
-            prompt_ids=tuple(prompt_ids),
-            instance_ids=instance_ids,
-            mode=Mode.PROBABILISTIC,
-            num_labels=k,
-            prob=np.array(vectors, dtype=np.float64),
-        )
+        content = {"mode": Mode.PROBABILISTIC, "num_labels": k,
+                   "prob": np.array(vectors, dtype=np.float64)}
+    else:
+        try:
+            hard = np.array([[int(c) for c in row] for row in cells], dtype=np.int64)
+        except ValueError:
+            raise ConsistencyError(f"{path}: hard-label cells must be integers") from None
+        k = num_labels if num_labels is not None else int(hard.max()) + 1
+        content = {"mode": Mode.HARD_LABEL, "num_labels": k, "hard": hard}
     try:
-        hard = np.array([[int(c) for c in row] for row in cells], dtype=np.int64)
-    except ValueError:
-        raise ConsistencyError(f"{path}: hard-label cells must be integers") from None
-    k = num_labels if num_labels is not None else int(hard.max()) + 1
-    return PredictionMatrix(
-        prompt_ids=tuple(prompt_ids),
-        instance_ids=instance_ids,
-        mode=Mode.HARD_LABEL,
-        num_labels=k,
-        hard=hard,
-    )
+        return PredictionMatrix(prompt_ids=tuple(prompt_ids), instance_ids=instance_ids, **content)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{path}: {exc}") from None
 
 
 def _parse_prob_cell(path, cell: str) -> list[float]:

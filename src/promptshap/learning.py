@@ -10,7 +10,6 @@ correlation and RMSE under a seeded shuffle split.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,7 +24,7 @@ from .errors import (
     ShapeError,
     UndefinedCorrelationError,
 )
-from .jsonio import dumps, read_jsonl, write_jsonl
+from .jsonio import dumps, read_json, read_jsonl, write_jsonl
 from .rng import SplitMix64
 
 MODEL_SCHEMA_VERSION = 1
@@ -360,80 +359,58 @@ def holdout_eval(X, y, spec: RegressorSpec, split_seed: int = 0, fraction: float
 # model files
 
 
-def _array_field(value):
-    return None if value is None else [float(x) for x in np.asarray(value).ravel()]
+# the stored parameters of each model kind: (name, whether it is an array)
+_LINEAR_PARAMETERS = (("weights", True), ("intercept", False))
+_PARAMETERS = {
+    RegressorKind.LINEAR: _LINEAR_PARAMETERS,
+    RegressorKind.RIDGE: _LINEAR_PARAMETERS,
+    RegressorKind.GAUSSIAN_PROCESS: (
+        ("x_mean", True),
+        ("x_scale", True),
+        ("x_train", True),
+        ("y_mean", False),
+        ("alpha", True),
+        ("length_scale", False),
+        ("signal_var", False),
+        ("noise_var", False),
+        ("jitter_used", False),
+    ),
+}
 
 
 def save_model(model: TrainedRegressor, path) -> None:
+    parameters = {}
+    for name, is_array in _PARAMETERS[model.kind]:
+        value = getattr(model, name)
+        if is_array and value is not None:
+            value = np.asarray(value, dtype=np.float64).tolist()
+        parameters[name] = value
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind.value,
         "d": model.d,
         "metadata": model.metadata,
+        "parameters": parameters,
     }
-    if model.kind in (RegressorKind.LINEAR, RegressorKind.RIDGE):
-        doc["parameters"] = {
-            "weights": _array_field(model.weights),
-            "intercept": model.intercept,
-        }
-    else:
-        doc["parameters"] = {
-            "x_mean": _array_field(model.x_mean),
-            "x_scale": _array_field(model.x_scale),
-            "x_train": [[float(v) for v in row] for row in model.x_train],
-            "y_mean": model.y_mean,
-            "alpha": _array_field(model.alpha),
-            "length_scale": model.length_scale,
-            "signal_var": model.signal_var,
-            "noise_var": model.noise_var,
-            "jitter_used": model.jitter_used,
-        }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(doc))
 
 
 def load_model(path) -> TrainedRegressor:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConsistencyError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConsistencyError(f"{path}: expected a JSON object")
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ConsistencyError(
-            f"{path}: unsupported model schema {doc.get('schema_version')!r}"
-        )
-    try:
-        return _model_from_doc(doc)
-    except KeyError as exc:
-        raise ConsistencyError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConsistencyError(f"{path}: bad model field: {exc}") from None
+    return read_json(path, _model_from_doc)
 
 
 def _model_from_doc(doc: dict) -> TrainedRegressor:
+    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema {doc.get('schema_version')!r}")
     kind = RegressorKind(doc["kind"])
     params = doc["parameters"]
-    if kind in (RegressorKind.LINEAR, RegressorKind.RIDGE):
-        return TrainedRegressor(
-            kind=kind,
-            d=int(doc["d"]),
-            weights=np.array(params["weights"], dtype=np.float64),
-            intercept=float(params["intercept"]),
-            metadata=doc.get("metadata", {}),
-        )
     return TrainedRegressor(
         kind=kind,
         d=int(doc["d"]),
-        x_mean=np.array(params["x_mean"], dtype=np.float64),
-        x_scale=np.array(params["x_scale"], dtype=np.float64),
-        x_train=np.array(params["x_train"], dtype=np.float64),
-        y_mean=float(params["y_mean"]),
-        alpha=np.array(params["alpha"], dtype=np.float64),
-        length_scale=float(params["length_scale"]),
-        signal_var=float(params["signal_var"]),
-        noise_var=float(params["noise_var"]),
-        jitter_used=float(params["jitter_used"]),
         metadata=doc.get("metadata", {}),
+        **{
+            name: np.array(params[name], dtype=np.float64) if is_array else float(params[name])
+            for name, is_array in _PARAMETERS[kind]
+        },
     )

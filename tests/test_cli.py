@@ -278,9 +278,15 @@ def _linear_model(parameters=None, kind="linear"):
 
 
 @pytest.mark.parametrize("load, bad_line", [
+    pytest.param(load_manifest, None, id="manifest-missing"),
+    pytest.param(load_questions, None, id="questions-missing"),
+    pytest.param(load_embeddings, None, id="embeddings-missing"),
+    pytest.param(load_model, None, id="model-missing"),
     pytest.param(load_manifest, '["p", "text"]', id="manifest-row-not-object"),
     pytest.param(load_manifest, '{"text": "x"}', id="manifest-no-id"),
     pytest.param(load_manifest, '{"id": "p", "text"', id="manifest-not-json"),
+    # "\udcff" is written as the lone byte 0xff
+    pytest.param(load_manifest, '{"id": "p", "text": "\udcff"}', id="manifest-not-utf8"),
     pytest.param(load_questions, '{"id": "q", "question": "2+2?"}', id="questions-no-gold"),
     pytest.param(load_questions, '"q"', id="questions-row-not-object"),
     pytest.param(load_embeddings, '{"id": "e", "vector": [1.0, "x"]}', id="embeddings-string"),
@@ -288,6 +294,7 @@ def _linear_model(parameters=None, kind="linear"):
     pytest.param(load_embeddings, '{"vector": [1.0, 2.0]}', id="embeddings-no-id"),
     pytest.param(load_model, "[]", id="model-not-object"),
     pytest.param(load_model, '{"schema_version": 1, "kind": "linear"', id="model-not-json"),
+    pytest.param(load_model, '{"kind": "\udcff"}', id="model-not-utf8"),
     pytest.param(load_model, _linear_model([]), id="model-parameters-not-object"),
     pytest.param(load_model, _linear_model(kind="svm"), id="model-unknown-kind"),
     pytest.param(load_model, _linear_model({"weights": ["x"], "intercept": 0.0}),
@@ -297,18 +304,52 @@ def _linear_model(parameters=None, kind="linear"):
 ])
 def test_malformed_input_file_raises_consistency_error(load, bad_line, tmp_path):
     path = tmp_path / "input"
-    if load is load_model:
-        path.write_text(bad_line)
+    if bad_line is None:   # no file at all
+        where = str(path)
+    elif load is load_model:
+        path.write_bytes(bad_line.encode("utf-8", "surrogateescape"))
         where = str(path)
     else:
         good = {load_manifest: '{"id": "p0", "text": "t"}',
                 load_questions: '{"id": "q0", "question": "1+1?", "gold": "2"}',
                 load_embeddings: '{"id": "e0", "vector": [0.5, 0.5]}'}[load]
-        path.write_text(good + "\n\n" + bad_line + "\n")
+        path.write_bytes((good + "\n\n" + bad_line + "\n").encode("utf-8", "surrogateescape"))
         where = f"{path}:3"
     with pytest.raises(ConsistencyError) as info:
         load(str(path))
     assert where in str(info.value)
+
+
+@pytest.mark.parametrize("command, flag, code, error", [
+    pytest.param("predict", "--model", 1, "ConsistencyError", id="predict-model"),
+    pytest.param("predict", "--manifest", 1, "ConsistencyError", id="predict-manifest"),
+    pytest.param("learn", "--embeddings", 1, "ConsistencyError", id="learn-embeddings"),
+    pytest.param("learn", "--values", 1, "ConsistencyError", id="learn-values"),
+    pytest.param("value", "--config", 3, "ConfigError", id="value-config"),
+])
+def test_missing_input_file_is_reported(command, flag, code, error, learn_inputs,
+                                        tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    config = learn_inputs["config"]
+    assert main(["learn", "--config", config,
+                 "--embeddings", learn_inputs["embeddings"], "--values", learn_inputs["values"],
+                 "--model", "linear", "--fraction", "0.34", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    argv = {
+        "predict": ["predict", "--config", config, "--model", str(model_path),
+                    "--manifest", learn_inputs["manifest"]],
+        "learn": ["learn", "--config", config, "--embeddings", learn_inputs["embeddings"],
+                  "--values", learn_inputs["values"], "--out", str(tmp_path / "m.json")],
+        "value": ["value", "--config", config],
+    }[command]
+    missing = str(tmp_path / "missing.json")
+    argv[argv.index(flag) + 1] = missing
+    got, out, err = run_json(capsys, argv)
+    assert got == code
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert missing in payload["message"]
 
 
 def test_predict_reports_a_bad_manifest_row(learn_inputs, tmp_path, capsys):

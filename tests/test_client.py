@@ -9,6 +9,7 @@ import pytest
 
 from promptshap import client
 from promptshap.cache import ResponseCache
+from promptshap.cli import main
 from promptshap.client import (
     CompletionRequest,
     PromptEntry,
@@ -17,7 +18,6 @@ from promptshap.client import (
     build_completion_request,
     complete,
     embed,
-    embedding_matrix_for,
     extract_answer,
     load_manifest,
     load_questions,
@@ -33,7 +33,13 @@ from promptshap.errors import (
     TransportError,
 )
 from promptshap.jsonio import write_jsonl
-from promptshap.learning import EmbeddingMatrix, save_embeddings
+from promptshap.learning import (
+    EmbeddingMatrix,
+    RegressorKind,
+    TrainedRegressor,
+    save_embeddings,
+    save_model,
+)
 
 from conftest import stub_manifest_rows, stub_question_rows
 
@@ -59,8 +65,6 @@ def questions(tmp_path):
 def test_manifest_loading(manifest):
     assert manifest.n == 5
     assert manifest.ids == ("h0", "h1", "h2", "m0", "m1")
-    assert manifest.prompts[0].rationale_included is True
-    assert manifest.prompts[2].rationale_included is False
     assert all(t for t in manifest.texts)
 
 
@@ -71,11 +75,10 @@ def test_manifest_validation():
         PromptManifest(prompts=(PromptEntry("a", ""),))
 
 
-def test_manifest_rationale_defaults_false(tmp_path):
+def test_manifest_rationale_key_is_ignored(tmp_path):
     path = tmp_path / "m.jsonl"
-    path.write_text(json.dumps({"id": "a", "text": "hello"}) + "\n")
-    loaded = load_manifest(str(path))
-    assert loaded.prompts[0].rationale_included is False
+    path.write_text(json.dumps({"id": "a", "text": "hello", "rationale": True}) + "\n")
+    assert load_manifest(str(path)).prompts == (PromptEntry("a", "hello"),)
 
 
 def test_questions_loading(questions):
@@ -377,12 +380,6 @@ def test_duplicate_texts_share_one_row(stub, stub_api):
     assert stub.state.embed_requests == 1
 
 
-def test_unit_norm_vectors(stub, stub_api, manifest):
-    vectors = embed(manifest.texts, stub_api, unit_norm=True)
-    norms = np.linalg.norm(vectors, axis=1)
-    assert np.all(np.abs(norms - 1.0) < 1e-6)
-
-
 def test_dimension_mismatch_raises_protocol_error(stub, stub_api):
     stub.state.short_embedding_row = True
     with pytest.raises(ProtocolError):
@@ -413,35 +410,67 @@ def test_embed_rejected_credential(stub, stub_api, monkeypatch):
         embed(["a"], stub_api)
 
 
-def test_file_passthrough_skips_the_network(stub, stub_api, tmp_path, monkeypatch):
-    emb = EmbeddingMatrix(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]))
+def test_embed_keeps_manifest_order(stub, stub_api, manifest):
+    vectors = embed(manifest.texts, stub_api)
+    assert vectors.shape == (5, 8)
+    for text, row in zip(manifest.texts, vectors):
+        assert np.array_equal(embed([text], stub_api)[0], row)
+
+
+# ---------------------------------------------------------------------------
+# embeddings in `promptshap predict`
+
+
+def run_predict(tmp_path, capsys, api, weights, paths=None):
+    """``predict`` over the stub manifest with the linear model ``x @ weights``:
+    the exit code and the stdout or stderr JSON."""
+    manifest = tmp_path / "manifest.jsonl"
+    write_jsonl(manifest, stub_manifest_rows())
+    model = tmp_path / "model.json"
+    save_model(TrainedRegressor(kind=RegressorKind.LINEAR, d=len(weights),
+                                weights=np.array(weights), intercept=0.0), model)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "paths": paths or {},
+                                  "api": dataclasses.asdict(api)}))
+    code = main(["predict", "--config", str(config), "--model", str(model),
+                 "--manifest", str(manifest)])
+    out, err = capsys.readouterr()
+    return code, json.loads(out if code == 0 else err)
+
+
+def test_file_passthrough_skips_the_network(stub, stub_api, tmp_path, capsys, monkeypatch):
+    # rows out of manifest order, plus one the manifest does not name
+    ids = ("m1", "x", "h0", "m0", "h2", "h1")
+    emb = EmbeddingMatrix(ids, np.array([[float(i), 1.0] for i in range(len(ids))]))
     path = tmp_path / "emb.jsonl"
     save_embeddings(emb, path)
     monkeypatch.delenv("PROMPTSHAP_API_KEY", raising=False)   # no credential needed
-    vectors = embed(["text-a", "text-b"], stub_api, ids=["b", "a"],
-                    embeddings_path=str(path))
-    assert vectors.tolist() == [[3.0, 4.0], [1.0, 2.0]]
+    code, doc = run_predict(tmp_path, capsys, stub_api, [1.0, 0.0],
+                            paths={"embeddings": str(path)})
+    assert code == 0
+    assert [(p["id"], p["value"]) for p in doc["predictions"]] == [
+        ("h0", 2.0), ("h1", 5.0), ("h2", 4.0), ("m0", 3.0), ("m1", 0.0)]
     assert stub.state.embed_requests == 0
 
 
-def test_file_passthrough_requires_ids(stub, stub_api, tmp_path):
-    emb = EmbeddingMatrix(("a",), np.array([[1.0]]))
+def test_zero_vector_cannot_be_unit_normalized(stub, stub_api, tmp_path, capsys):
+    ids = ("h0", "h1", "h2", "m0", "m1")
+    emb = EmbeddingMatrix(ids, np.array([[1.0, 0.0]] * 4 + [[0.0, 0.0]]))
     path = tmp_path / "emb.jsonl"
     save_embeddings(emb, path)
-    with pytest.raises(PreconditionError):
-        embed(["text"], stub_api, embeddings_path=str(path))
+    api = dataclasses.replace(stub_api, embeddings_unit_norm=True)
+    code, doc = run_predict(tmp_path, capsys, api, [1.0, 0.0], paths={"embeddings": str(path)})
+    assert code == 1
+    assert doc["error"] == "ProtocolError"
 
 
-def test_zero_vector_cannot_be_unit_normalized(stub, stub_api, tmp_path):
-    emb = EmbeddingMatrix(("a",), np.array([[0.0, 0.0]]))
-    path = tmp_path / "emb.jsonl"
-    save_embeddings(emb, path)
-    with pytest.raises(ProtocolError):
-        embed(["text"], stub_api, ids=["a"], embeddings_path=str(path), unit_norm=True)
-
-
-def test_embedding_matrix_for_manifest(stub, stub_api, manifest):
-    matrix = embedding_matrix_for(manifest, stub_api)
-    assert matrix.prompt_ids == manifest.ids
-    assert matrix.vectors.shape == (5, 8)
-    assert matrix.d == 8
+def test_unit_norm_vectors(stub, stub_api, manifest, tmp_path, capsys):
+    raw = embed(manifest.texts, stub_api)
+    unit = raw / np.linalg.norm(raw, axis=1)[:, None]
+    api = dataclasses.replace(stub_api, embeddings_unit_norm=True)
+    # weights = the first unit vector, so each prediction is a cosine similarity
+    code, doc = run_predict(tmp_path, capsys, api, unit[0].tolist())
+    assert code == 0
+    predicted = np.array([p["value"] for p in doc["predictions"]])
+    assert abs(predicted[0] - 1.0) < 1e-12
+    assert np.allclose(predicted, unit @ unit[0], rtol=0, atol=1e-12)

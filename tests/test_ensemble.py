@@ -441,6 +441,20 @@ def test_nan_probability_rejected(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("cell, fault", [
+    pytest.param('"[NaN, 1.0]"', "finite", id="nan-cell"),
+    pytest.param('"[-0.5, 1.5]"', "nonnegative", id="negative-probability"),
+    pytest.param('"[0.5, 0.6]"', "sum to 1", id="bad-row-sum"),
+    pytest.param("5", "outside", id="label-out-of-range"),
+])
+def test_matrix_content_error_names_the_file(cell, fault, tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text(f"prompt_id,q0\np0,{cell}\n")
+    with pytest.raises(ConsistencyError, match=fault) as info:
+        load_matrix(path, num_labels=2)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_matrix_is_read_only():
     m = hard_matrix([[0, 1]])
     with pytest.raises(ValueError):
