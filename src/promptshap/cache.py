@@ -11,6 +11,17 @@ a key or value of the wrong type. A last line without its newline (a torn
 append) is newline-terminated before the next append, so the new entry starts
 on its own line. ``persist`` writes a temporary file beside the target and
 renames it into place, so a failed rewrite leaves the old file whole.
+
+A file-backed cache keeps one append handle, opened at the first ``put`` and
+flushed after every line, so a crash loses at most the line being written.
+``close`` (or leaving a ``with`` block) releases it; ``persist`` closes it
+first, so a later ``put`` reopens and appends to the rewritten file.
+
+Cost model: a Monte Carlo run asks ``cached_utility`` about the same few
+thousand coalitions hundreds of thousands of times. Its memo answers a repeat
+with one dict lookup on the integer mask; only the first two calls per
+coalition pay for the hex key and the locked ``get``, and only the first, on
+a miss, for the oracle and one appended line.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ class _JsonlCache:
         self.path = path
         self.entries: dict = {}
         self._lock = threading.Lock()
+        self._fh = None
         self._write_failed = False
         self._torn_tail = False
 
@@ -93,14 +105,34 @@ class _JsonlCache:
             return
         line = json.dumps(row, sort_keys=True) + "\n"
         try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("\n" + line if self._torn_tail else line)
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write("\n" + line if self._torn_tail else line)
+            self._fh.flush()
             self._torn_tail = False
         except OSError as exc:
             self._write_failed = True
+            self._close_handle()
             warnings.warn(
                 f"cache file {self.path} is not writable ({exc}); continuing in memory"
             )
+
+    def _close_handle(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            with contextlib.suppress(OSError):  # a failed flush was already reported
+                fh.close()
+
+    def close(self) -> None:
+        """Release the append handle; a later ``put`` opens it again."""
+        with self._lock:
+            self._close_handle()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def persist(self, path: Optional[str] = None) -> None:
         """Rewrite all entries (insertion order) to ``path`` or the bound file."""
@@ -109,6 +141,7 @@ class _JsonlCache:
             raise ValueError("no path bound to this cache")
         tmp = f"{target}.{os.getpid()}.tmp"
         with self._lock:
+            self._close_handle()  # the rename below replaces the file it appends to
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     for key, value in self.entries.items():
@@ -150,15 +183,37 @@ class ResponseCache(_JsonlCache):
 
 
 def cached_utility(cache: UtilityCache, inner: UtilityFn) -> UtilityFn:
-    """Memoize a deterministic utility oracle through the cache."""
+    """Memoize a deterministic utility oracle through the cache.
+
+    Values the cache serves are also kept in a dict keyed on the coalition's
+    mask, so later calls skip the hex key and the locked ``get``. A value
+    enters the memo on its first cache hit, not when the oracle computes it:
+    a run that evaluates each coalition once, such as exact enumeration,
+    keeps no second copy of its utilities. The memo holds the player count
+    of the first call and only serves coalitions with that count; others
+    always take the hex path, whose key depends on the count only through
+    its width.
+    """
+    memo: dict[int, float] = {}
+    # the first call's player count is memo_n[0]: under concurrent first calls
+    # each appends, and every caller then reads the same first entry
+    memo_n: list[int] = []
 
     def oracle(coalition: Coalition) -> float:
+        if not memo_n:
+            memo_n.append(coalition.n)
+        memoized = coalition.n == memo_n[0]
+        if memoized:
+            value = memo.get(coalition.mask)
+            if value is not None:
+                return value
         key = coalition.to_hex()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        value = inner(coalition)
-        cache.put(key, value)
+        value = cache.get(key)
+        if value is None:
+            cache.put(key, inner(coalition))
+            return cache.get(key)  # the first writer's value, if another got in first
+        if memoized:
+            memo[coalition.mask] = value
         return value
 
     return oracle

@@ -18,7 +18,7 @@ import fcntl
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -136,44 +136,49 @@ def _require_path(value, key: str) -> str:
     return value
 
 
-def _build_game(cfg: RunConfig):
-    """Construct (GameSpec, prompt ids) for the configured utility mode."""
-    if cfg.utility_mode is UtilityMode.LIVE_AUGMENTATION:
-        manifest = load_manifest(_require_path(cfg.paths.manifest, "manifest"))
-        questions = load_questions(_require_path(cfg.paths.questions, "questions"))
-        if cfg.paths.response_cache:
-            response_cache = ResponseCache.load(cfg.paths.response_cache)
+@contextmanager
+def _open_game(cfg: RunConfig):
+    """(GameSpec, prompt ids) for the configured utility mode, with the cache
+    files locked for this process and their append handles closed on exit."""
+    with _own_caches(cfg.paths.utility_cache, cfg.paths.response_cache), \
+            ExitStack() as caches:
+        if cfg.utility_mode is UtilityMode.LIVE_AUGMENTATION:
+            manifest = load_manifest(_require_path(cfg.paths.manifest, "manifest"))
+            questions = load_questions(_require_path(cfg.paths.questions, "questions"))
+            if cfg.paths.response_cache:
+                response_cache = caches.enter_context(
+                    ResponseCache.load(cfg.paths.response_cache))
+            else:
+                response_cache = ResponseCache()
+            oracle = augmentation_utility(manifest, questions, cfg.task, response_cache, cfg.api)
+            ids = list(manifest.ids)
         else:
-            response_cache = ResponseCache()
-        oracle = augmentation_utility(manifest, questions, cfg.task, response_cache, cfg.api)
-        ids = list(manifest.ids)
-    else:
-        validation = load_validation(_require_path(cfg.paths.validation, "validation"))
-        matrix = load_matrix(
-            _require_path(cfg.paths.matrix, "matrix"), num_labels=validation.num_labels
-        )
-        oracle = matrix_utility(
-            matrix, validation, cfg.utility_mode.rule, tie=cfg.tie_rule,
-            u_empty=cfg.game.u_empty,
-        )
-        ids = list(matrix.prompt_ids)
-    n = len(ids)
-    if cfg.paths.utility_cache:
-        oracle = cached_utility(UtilityCache.load(cfg.paths.utility_cache), oracle)
-    if cfg.utility_mode is UtilityMode.LIVE_AUGMENTATION:
-        # the augmentation oracle defines its own zero-shot U(empty)
-        u_empty = oracle(Coalition.empty(n))
-    else:
-        u_empty = cfg.game.u_empty
-    return GameSpec(n=n, utility=oracle, u_empty=u_empty), ids
+            validation = load_validation(_require_path(cfg.paths.validation, "validation"))
+            matrix = load_matrix(
+                _require_path(cfg.paths.matrix, "matrix"), num_labels=validation.num_labels
+            )
+            oracle = matrix_utility(
+                matrix, validation, cfg.utility_mode.rule, tie=cfg.tie_rule,
+                u_empty=cfg.game.u_empty,
+            )
+            ids = list(matrix.prompt_ids)
+        n = len(ids)
+        if cfg.paths.utility_cache:
+            utility_cache = caches.enter_context(UtilityCache.load(cfg.paths.utility_cache))
+            oracle = cached_utility(utility_cache, oracle)
+        if cfg.utility_mode is UtilityMode.LIVE_AUGMENTATION:
+            # the augmentation oracle defines its own zero-shot U(empty)
+            u_empty = oracle(Coalition.empty(n))
+        else:
+            u_empty = cfg.game.u_empty
+        yield GameSpec(n=n, utility=oracle, u_empty=u_empty), ids
 
 
 def cmd_value(args) -> int:
     cfg = load_config(args.config)
     method = _METHOD_ALIASES[args.method] if args.method else cfg.game.method
     seed = args.seed if args.seed is not None else cfg.game.seed
-    with _own_caches(cfg.paths.utility_cache, cfg.paths.response_cache):
-        game, ids = _build_game(cfg)
+    with _open_game(cfg) as (game, ids):
         if method is Method.EXACT:
             result = shapley_exact(game, exact_cap=cfg.game.exact_cap)
         elif method is Method.MONTE_CARLO:
@@ -192,8 +197,7 @@ def cmd_value(args) -> int:
 def cmd_curve(args) -> int:
     cfg = load_config(args.config)
     values_doc, doc_ids, doc_values = read_json(args.values, _values_from_doc)
-    with _own_caches(cfg.paths.utility_cache, cfg.paths.response_cache):
-        game, ids = _build_game(cfg)
+    with _open_game(cfg) as (game, ids):
         if sorted(doc_ids) != sorted(ids):
             raise ConsistencyError(
                 "player ids in the values file do not match the configured game",

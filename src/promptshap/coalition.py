@@ -4,6 +4,11 @@ A coalition over ``n`` players stores its members in an integer bitmask; bit i
 set means player i is a member. The canonical serialization is the lowercase
 hex of the mask's little-endian bytes, zero-padded to ceil(n/8) bytes, and
 round-trips losslessly.
+
+The public constructor checks ``n`` and the mask. The engines build one
+coalition per oracle call from masks they derived themselves, so they use the
+private ``Coalition._trusted``, which stores the two slots without the checks:
+on a Monte Carlo scan the checks would cost more than a cached oracle call.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coalition:
     mask: int
     n: int
@@ -25,6 +30,14 @@ class Coalition:
             raise PreconditionError(
                 f"coalition mask {self.mask:#x} has bits outside players 0..{self.n - 1}"
             )
+
+    @classmethod
+    def _trusted(cls, mask: int, n: int) -> "Coalition":
+        """A coalition from a mask the caller built over ``n >= 1`` players; unchecked."""
+        self = _new(cls)
+        _set_mask(self, mask)
+        _set_n(self, n)
+        return self
 
     @classmethod
     def empty(cls, n: int) -> "Coalition":
@@ -79,3 +92,9 @@ class Coalition:
                 f"coalition hex {s!r} has {len(raw)} bytes, expected {width} for n={n}"
             )
         return cls(int.from_bytes(raw, "little"), n)
+
+
+# the slots' own descriptors write past the frozen ``__setattr__``
+_new = object.__new__
+_set_mask = Coalition.mask.__set__
+_set_n = Coalition.n.__set__

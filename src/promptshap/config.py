@@ -9,16 +9,17 @@ them on demand.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .ensemble import Rule, TieRule
 from .errors import ConfigError, ConsistencyError
 from .game import Method
 from .jsonio import read_json
-from .learning import RegressorKind, RegressorSpec
+from .learning import RegressorSpec
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -103,7 +104,9 @@ class RunConfig:
         }
 
 
-def _section(doc: dict, name: str, cls, enum_fields: dict, path: str):
+def _section(doc: dict, name: str, cls, path: str):
+    """The dataclass ``cls`` from section ``name``, each value checked against
+    its field's type; enum fields are given by their string value."""
     raw = doc.pop(name, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: section {name!r} must be an object")
@@ -111,21 +114,44 @@ def _section(doc: dict, name: str, cls, enum_fields: dict, path: str):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys in {name!r}: {sorted(unknown)}")
+    hints = _field_types(cls)
     parsed = {}
     for key, value in raw.items():
-        if key in enum_fields and value is not None:
+        hint = hints[key]
+        if isinstance(hint, type) and issubclass(hint, Enum):
             try:
-                value = enum_fields[key](value)
+                value = hint(value)
             except ValueError:
-                allowed = [e.value for e in enum_fields[key]]
+                allowed = [e.value for e in hint]
                 raise ConfigError(
                     f"{path}: {name}.{key} must be one of {allowed}, got {value!r}"
                 ) from None
+        elif not _has_type(value, hint):
+            raise ConfigError(f"{path}: {name}.{key} must be {_type_name(hint)}, got {value!r}")
         parsed[key] = value
-    try:
-        return cls(**parsed)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad {name!r} section: {exc}") from None
+    return cls(**parsed)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    # resolving the string annotations costs about 0.2 ms per class
+    return get_type_hints(cls)
+
+
+def _has_type(value, hint) -> bool:
+    """``value`` fits a field annotated ``hint``: a plain class or an Optional
+    of one. A JSON integer is a valid float, and a bool is never a number."""
+    if get_origin(hint) is Union:
+        return any(_has_type(value, arm) for arm in get_args(hint))
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _type_name(hint) -> str:
+    if get_origin(hint) is Union:
+        return " or ".join(_type_name(arm) for arm in get_args(hint))
+    return "null" if hint is type(None) else hint.__name__
 
 
 def load_config(path: str) -> RunConfig:
@@ -152,10 +178,10 @@ def load_config(path: str) -> RunConfig:
     task = top_enum("task", Task, Task.MULTIPLE_CHOICE)
     utility_mode = top_enum("utility_mode", UtilityMode, UtilityMode.MATRIX_VOTE)
     tie_rule = top_enum("tie_rule", TieRule, TieRule.ABSTAIN)
-    paths = _section(doc, "paths", PathsConfig, {}, path)
-    game = _section(doc, "game", GameConfig, {"method": Method}, path)
-    regressor = _section(doc, "regressor", RegressorSpec, {"kind": RegressorKind}, path)
-    api = _section(doc, "api", ApiConfig, {}, path)
+    paths = _section(doc, "paths", PathsConfig, path)
+    game = _section(doc, "game", GameConfig, path)
+    regressor = _section(doc, "regressor", RegressorSpec, path)
+    api = _section(doc, "api", ApiConfig, path)
     if doc:
         raise ConfigError(f"{path}: unknown top-level keys: {sorted(doc)}")
 

@@ -248,7 +248,10 @@ def load_validation(path) -> ValidationSet:
                 instances.append((row[0], int(row[1])))
             except ValueError:
                 raise ConsistencyError(f"{path}: gold label {row[1]!r} is not an integer") from None
-    return ValidationSet(instances=tuple(instances), num_labels=num_labels)
+    try:
+        return ValidationSet(instances=tuple(instances), num_labels=num_labels)
+    except (ConsistencyError, PreconditionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_validation(validation: ValidationSet, path) -> None:

@@ -15,17 +15,25 @@ Three estimators share the ``ShapleyResult`` container:
 
 ``shapley_exact_rational`` runs the same enumeration in ``Fraction`` arithmetic,
 for games whose utilities are rational.
+
+Cost model: every engine makes one ``Coalition``-level oracle call per
+evaluated coalition (2^n exact, T*n+2 Monte Carlo, n+1 leave-one-out), and
+the bookkeeping around a call is kept well below a cached oracle's own cost.
+Engines build each coalition with the unchecked ``Coalition._trusted`` from a
+mask they derived themselves, draw permutations from the block-mixed
+SplitMix64, and store Monte Carlo marginals in one ``array('d')`` per player:
+8 bytes per marginal, and a store is a plain item write. A list of floats
+would hold a 24-byte object per marginal.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .coalition import Coalition
 from .errors import CapacityError, PreconditionError, PromptShapError, UtilityOracleError
@@ -93,18 +101,27 @@ class ShapleyResult:
         return doc
 
 
+def _failure(exc: Exception, coalition: Coalition, **context) -> PromptShapError:
+    """The error to raise for an oracle failure on ``coalition``: a
+    ``PromptShapError`` gains the coalition, then ``context``, as details it
+    lacks; any other exception is wrapped in a ``UtilityOracleError``."""
+    if not isinstance(exc, PromptShapError):
+        wrapped = UtilityOracleError(
+            f"utility oracle failed on coalition {coalition.to_hex()}: {exc}"
+        )
+        wrapped.__cause__ = exc
+        exc = wrapped
+    for key, value in {"coalition": coalition.to_hex(), **context}.items():
+        exc.details.setdefault(key, value)
+    return exc
+
+
 def _eval(game: GameSpec, coalition: Coalition) -> float:
     """Evaluate the oracle, attaching the coalition to any failure."""
     try:
         return game.utility(coalition)
-    except PromptShapError as exc:
-        exc.details.setdefault("coalition", coalition.to_hex())
-        raise
     except Exception as exc:
-        raise UtilityOracleError(
-            f"utility oracle failed on coalition {coalition.to_hex()}: {exc}",
-            coalition=coalition.to_hex(),
-        ) from exc
+        raise _failure(exc, coalition)
 
 
 def shapley_weight(n: int, s: int) -> Fraction:
@@ -126,7 +143,10 @@ def _enumerate(n: int, utility: Callable[[Coalition], object], number: type,
             n=n,
             exact_cap=cap,
         )
-    table = [utility(Coalition(mask, n)) for mask in range(1 << n)]
+    if n < 1:
+        raise PreconditionError(f"coalition needs a positive player count, got n={n}")
+    trusted = Coalition._trusted
+    table = [utility(trusted(mask, n)) for mask in range(1 << n)]
     weights = [number(shapley_weight(n, s)) for s in range(n)]
     popcount = [mask.bit_count() for mask in range(1 << n)]
     values = [
@@ -174,33 +194,32 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     u_full = _eval(game, Coalition.full(n))
     u_empty = _eval(game, Coalition.empty(n))
     truncate = truncation_tol > 0
+    utility, trusted = game.utility, Coalition._trusted
     rng = SplitMix64(seed)
     perm = list(range(n))
-    marginals = np.zeros((permutations, n), dtype=np.float64)
-    for t in range(permutations):
+    # marginals[p][t]: player p's marginal in permutation t; 0 where truncated
+    marginals = [array("d", [0.0]) * permutations for _ in range(n)]
+    # U(empty) already within the tolerance of U(full) truncates every scan at once
+    scanned = 0 if truncate and abs(u_empty - u_full) <= truncation_tol else permutations
+    for t in range(scanned):
         rng.shuffle(perm)
         mask = 0
         prev = u_empty
-        done = truncate and abs(prev - u_full) <= truncation_tol
         for pos, p in enumerate(perm):
-            if done:
-                break  # remaining marginals stay 0
             mask |= 1 << p
             try:
-                cur = _eval(game, Coalition(mask, n))
-            except PromptShapError as exc:
+                cur = utility(trusted(mask, n))
+            except Exception as exc:
                 # built on failure only: this scan makes permutations * n evaluations
-                exc.details.setdefault("permutation_index", t)
-                exc.details.setdefault("prefix", tuple(perm[: pos + 1]))
-                raise
-            marginals[t, p] = cur - prev
+                raise _failure(exc, trusted(mask, n), permutation_index=t,
+                               prefix=tuple(perm[: pos + 1]))
+            marginals[p][t] = cur - prev
             prev = cur
             if truncate and abs(cur - u_full) <= truncation_tol:
-                done = True
+                break  # remaining marginals stay 0
     values = []
     stderr = []
-    for i in range(n):
-        column = marginals[:, i]
+    for column in marginals:
         mean = math.fsum(column) / permutations
         values.append(mean)
         if permutations == 1:
@@ -225,7 +244,8 @@ def loo_values(game: GameSpec) -> ShapleyResult:
     n = game.n
     full = Coalition.full(n)
     u_full = _eval(game, full)
-    values = tuple(u_full - _eval(game, full.remove(i)) for i in range(n))
+    values = tuple(u_full - _eval(game, Coalition._trusted(full.mask & ~(1 << i), n))
+                   for i in range(n))
     return ShapleyResult(
         values=values,
         stderr=(0.0,) * n,

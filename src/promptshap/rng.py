@@ -5,13 +5,35 @@ with a published reference implementation and known-answer values, so that
 results files are reproducible across platforms and Python versions. Derived
 seeds are computed as ``(seed + first 8 bytes of sha256(purpose)) mod 2^64``,
 giving each consumer an independent, documented stream.
+
+Cost model: the k-th output mixes the state ``seed + k*gamma mod 2^64``, so
+outputs do not depend on each other and are mixed ``_BLOCK`` at a time in
+wrapping numpy ``uint64`` arithmetic, bit-identical to the scalar reference.
+A draw is then one list read, where mixing in Python integers costs about
+1 us. The rejection loop of ``randbelow`` and ``shuffle`` stays in Python,
+and every method reads the same buffer, so interleaved calls stay on one
+stream.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 256
+# k*gamma mod 2^64 for k = 1.._BLOCK: the state offsets of one block's outputs
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def _mix_block(base: int) -> list[int]:
+    """The ``_BLOCK`` outputs that follow state ``base``."""
+    z = _STEPS + np.uint64(base)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).tolist()
 
 
 class SplitMix64:
@@ -21,17 +43,29 @@ class SplitMix64:
     as its first three outputs; tests pin these known-answer values.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("_base", "_buf", "_pos")
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self._base = seed & _MASK64   # the state before ``_buf[0]`` was drawn
+        self._buf: list[int] = []
+        self._pos = 0                 # outputs of ``_buf`` already consumed
+
+    @property
+    def state(self) -> int:
+        """The state after the outputs drawn so far, as in the scalar generator."""
+        return (self._base + self._pos * _GAMMA) & _MASK64
+
+    def _refill(self) -> list[int]:
+        self._base = (self._base + len(self._buf) * _GAMMA) & _MASK64
+        self._buf = _mix_block(self._base)
+        self._pos = 0
+        return self._buf
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        buf = self._buf if self._pos < len(self._buf) else self._refill()
+        z = buf[self._pos]
+        self._pos += 1
+        return z
 
     def uniform(self) -> float:
         # 53-bit mantissa gives uniforms on [0, 1)
@@ -50,10 +84,23 @@ class SplitMix64:
                 return r
 
     def shuffle(self, xs: list) -> None:
-        """In-place Fisher-Yates, iterating from the highest index down."""
+        """In-place Fisher-Yates, iterating from the highest index down.
+
+        Index ``i`` swaps with ``randbelow(i + 1)``, drawn inline from the buffer.
+        """
+        buf, pos = self._buf, self._pos
+        end = len(buf)
         for i in range(len(xs) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            shift = 64 - i.bit_length()
+            while True:
+                if pos == end:
+                    buf, pos, end = self._refill(), 0, _BLOCK
+                j = buf[pos] >> shift
+                pos += 1
+                if j <= i:
+                    break
             xs[i], xs[j] = xs[j], xs[i]
+        self._pos = pos
 
     def permutation(self, n: int) -> list[int]:
         xs = list(range(n))

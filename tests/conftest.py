@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic games, the n! permutation reference for exact
-Shapley values, the adversarial ensemble fixture, and an in-process stub HTTP
-server so every live-API code path runs offline."""
+Shapley values, scalar references for SplitMix64 and the Monte Carlo engine,
+the adversarial ensemble fixture, and an in-process stub HTTP server so every
+live-API code path runs offline."""
 
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ import pytest
 from promptshap.coalition import Coalition
 from promptshap.config import ApiConfig
 from promptshap.ensemble import Mode, PredictionMatrix, ValidationSet
-from promptshap.errors import CapacityError
-from promptshap.game import GameSpec
+from promptshap.errors import CapacityError, PromptShapError, UtilityOracleError
+from promptshap.game import GameSpec, Method, ShapleyResult
 from promptshap.rng import SplitMix64
 
 STUB_KEY = "test-key-123"
@@ -68,6 +69,91 @@ def shapley_permutation_rational(n: int, utility, cap: int = 8) -> list[Fraction
             prev = cur
     count = math.factorial(n)
     return [t / count for t in totals]
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 one output at a time in Python integers: the published
+    algorithm, against which the block-mixed generator is checked."""
+
+    MASK64 = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def randbelow(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randbelow requires n >= 1")
+        if n == 1:
+            return 0
+        k = (n - 1).bit_length()
+        while True:
+            r = self.next_u64() >> (64 - k)
+            if r < n:
+                return r
+
+    def shuffle(self, xs: list) -> None:
+        for i in range(len(xs) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            xs[i], xs[j] = xs[j], xs[i]
+
+
+def reference_shapley_montecarlo(game: GameSpec, permutations: int,
+                                 truncation_tol: float = 0.0, seed: int = 0) -> ShapleyResult:
+    """Permutation sampling with checked coalitions, the scalar generator and a
+    (T, n) numpy table of marginals: the engine's output, bit for bit."""
+
+    def evaluate(coalition):
+        try:
+            return game.utility(coalition)
+        except PromptShapError as exc:
+            exc.details.setdefault("coalition", coalition.to_hex())
+            raise
+        except Exception as exc:
+            raise UtilityOracleError(str(exc), coalition=coalition.to_hex()) from exc
+
+    n = game.n
+    u_full = evaluate(Coalition.full(n))
+    u_empty = evaluate(Coalition.empty(n))
+    truncate = truncation_tol > 0
+    rng = ReferenceSplitMix64(seed)
+    perm = list(range(n))
+    marginals = np.zeros((permutations, n), dtype=np.float64)
+    for t in range(permutations):
+        rng.shuffle(perm)
+        mask = 0
+        prev = u_empty
+        done = truncate and abs(prev - u_full) <= truncation_tol
+        for p in perm:
+            if done:
+                break
+            mask |= 1 << p
+            cur = evaluate(Coalition(mask, n))
+            marginals[t, p] = cur - prev
+            prev = cur
+            if truncate and abs(cur - u_full) <= truncation_tol:
+                done = True
+    values, stderr = [], []
+    for i in range(n):
+        column = marginals[:, i]
+        mean = math.fsum(column) / permutations
+        values.append(mean)
+        if permutations == 1:
+            stderr.append(0.0)
+        else:
+            var = math.fsum((x - mean) ** 2 for x in column) / (permutations - 1)
+            stderr.append(math.sqrt(var / permutations))
+    return ShapleyResult(values=tuple(values), stderr=tuple(stderr), method=Method.MONTE_CARLO,
+                         samples=permutations, seed=seed, u_full=u_full, u_empty=u_empty)
 
 
 def make_adversarial_fixture():

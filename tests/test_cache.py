@@ -1,5 +1,8 @@
+import gc
 import json
 import os
+import sys
+import warnings
 
 import pytest
 
@@ -15,18 +18,18 @@ from promptshap.errors import ConsistencyError
 
 
 def test_put_get_round_trip(tmp_path):
-    cache = UtilityCache(tmp_path / "u.jsonl")
-    cache.put("05", 0.5)
-    assert cache.get("05") == 0.5
-    assert "05" in cache
-    assert len(cache) == 1
+    with UtilityCache(tmp_path / "u.jsonl") as cache:
+        cache.put("05", 0.5)
+        assert cache.get("05") == 0.5
+        assert "05" in cache
+        assert len(cache) == 1
 
 
 def test_first_writer_wins_in_memory(tmp_path):
-    cache = UtilityCache(tmp_path / "u.jsonl")
-    cache.put("05", 0.5)
-    cache.put("05", 0.9)
-    assert cache.get("05") == 0.5
+    with UtilityCache(tmp_path / "u.jsonl") as cache:
+        cache.put("05", 0.5)
+        cache.put("05", 0.9)
+        assert cache.get("05") == 0.5
 
 
 def test_first_writer_wins_on_disk(tmp_path):
@@ -40,9 +43,9 @@ def test_first_writer_wins_on_disk(tmp_path):
 
 def test_load_missing_path_gives_empty_bound_cache(tmp_path):
     path = tmp_path / "absent.jsonl"
-    cache = UtilityCache.load(path)
-    assert len(cache) == 0
-    cache.put("01", 1.0)
+    with UtilityCache.load(path) as cache:
+        assert len(cache) == 0
+        cache.put("01", 1.0)
     assert UtilityCache.load(path).get("01") == 1.0
 
 
@@ -64,7 +67,8 @@ def test_torn_tail_does_not_swallow_the_next_entry(tmp_path):
                     + '{"coalition": "02", "u": 0.')
     with pytest.warns(UserWarning):
         cache = UtilityCache.load(path)
-    cache.put("03", 0.25)
+    with cache:
+        cache.put("03", 0.25)
     with pytest.warns(UserWarning):
         reloaded = UtilityCache.load(path)
     assert reloaded.entries == {"01": 0.5, "03": 0.25}
@@ -73,8 +77,8 @@ def test_torn_tail_does_not_swallow_the_next_entry(tmp_path):
 def test_complete_last_line_without_newline_is_kept(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text(json.dumps({"coalition": "01", "u": 0.5}))
-    cache = UtilityCache.load(path)
-    cache.put("03", 0.25)
+    with UtilityCache.load(path) as cache:
+        cache.put("03", 0.25)
     assert UtilityCache.load(path).entries == {"01": 0.5, "03": 0.25}
 
 
@@ -85,8 +89,9 @@ def test_non_numeric_utility_is_skipped(tmp_path, u):
     with pytest.warns(UserWarning):
         cache = UtilityCache.load(path)
     assert cache.entries == {"02": 1}
-    wrapped = cached_utility(cache, lambda coalition: 0.75)
-    assert wrapped(Coalition.from_indices([0], 2)) == 0.75
+    with cache:
+        wrapped = cached_utility(cache, lambda coalition: 0.75)
+        assert wrapped(Coalition.from_indices([0], 2)) == 0.75
 
 
 @pytest.mark.parametrize("row", [{"digest": "ab", "response": 5},
@@ -139,8 +144,8 @@ def test_persist_then_load(tmp_path):
 
 def test_response_cache_round_trip(tmp_path):
     path = tmp_path / "r.jsonl"
-    cache = ResponseCache(path)
-    cache.put("deadbeef", "The answer is (C).")
+    with ResponseCache(path) as cache:
+        cache.put("deadbeef", "The answer is (C).")
     loaded = ResponseCache.load(path)
     assert loaded.get("deadbeef") == "The answer is (C)."
 
@@ -171,6 +176,100 @@ def test_cached_utility_serves_preloaded_values():
 
     wrapped = cached_utility(cache, oracle)
     assert wrapped(Coalition.from_indices([0], 3)) == 0.25
+
+
+def test_cached_utility_serves_loaded_entries_without_the_oracle(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_text(json.dumps({"coalition": "05", "u": 0.25}) + "\n")
+
+    def oracle(coalition):
+        raise AssertionError("oracle must not run on a hit")
+
+    wrapped = cached_utility(UtilityCache.load(path), oracle)
+    for _ in range(3):   # the first call reads the cache, the rest the memo
+        assert wrapped(Coalition(0b101, 3)) == 0.25
+
+
+def test_memo_never_serves_another_player_count():
+    calls = []
+
+    def oracle(coalition):
+        calls.append((coalition.mask, coalition.n))
+        return coalition.n / 100
+
+    cache = UtilityCache()
+    wrapped = cached_utility(cache, oracle)
+    assert wrapped(Coalition(1, 3)) == 0.03
+    assert wrapped(Coalition(1, 3)) == 0.03     # a cache hit: memoized for n=3
+    assert wrapped(Coalition(1, 9)) == 0.09     # same mask, wider hex key "0100"
+    assert wrapped(Coalition(1, 9)) == 0.09
+    assert wrapped(Coalition(1, 3)) == 0.03
+    assert calls == [(1, 3), (1, 9)]
+    assert cache.entries == {"01": 0.03, "0100": 0.09}
+
+
+def test_memo_serves_repeats_without_the_cache():
+    class CountingCache(UtilityCache):
+        gets = 0
+
+        def get(self, key):
+            CountingCache.gets += 1
+            return super().get(key)
+
+    wrapped = cached_utility(CountingCache(), lambda coalition: 0.5)
+    assert [wrapped(Coalition(0b11, 2)) for _ in range(5)] == [0.5] * 5
+    # the miss reads twice (before and after the put), the first hit once
+    assert CountingCache.gets == 3
+
+
+def test_memo_keeps_the_first_writers_value():
+    cache = UtilityCache()
+
+    def oracle(coalition):
+        cache.put(coalition.to_hex(), 0.5)   # another writer gets in first
+        return 0.75
+
+    wrapped = cached_utility(cache, oracle)
+    assert wrapped(Coalition(1, 2)) == 0.5
+    assert wrapped(Coalition(1, 2)) == 0.5
+    assert cache.get("01") == 0.5
+
+
+def test_appended_line_is_visible_before_close(tmp_path):
+    path = tmp_path / "u.jsonl"
+    with UtilityCache.load(path) as cache:
+        cache.put("01", 0.5)
+        assert UtilityCache.load(path).entries == {"01": 0.5}
+        cache.put("02", 0.25)
+        assert UtilityCache.load(path).entries == {"01": 0.5, "02": 0.25}
+
+
+def test_put_after_persist_reaches_the_new_file(tmp_path):
+    path = tmp_path / "u.jsonl"
+    with UtilityCache.load(path) as cache:
+        cache.put("01", 0.5)
+        cache.persist()
+        cache.put("02", 0.25)
+        assert UtilityCache.load(path).entries == {"01": 0.5, "02": 0.25}
+    assert path.read_text().count("\n") == 2
+
+
+def test_closing_releases_the_handle_and_a_put_reopens_it(tmp_path, monkeypatch):
+    leaks = []
+    monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+    path = tmp_path / "r.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        cache = ResponseCache.load(path)
+        cache.put("aa", "x")
+        cache.close()
+        cache.put("bb", "y")
+        cache.close()
+        cache.close()   # closing twice is harmless
+        del cache
+        gc.collect()
+    assert leaks == []
+    assert ResponseCache.load(path).entries == {"aa": "x", "bb": "y"}
 
 
 def test_inspect_file_counts(tmp_path):

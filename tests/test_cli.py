@@ -1,16 +1,21 @@
+import gc
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from promptshap import cli
+from promptshap.cache import UtilityCache
 from promptshap.cli import _own_caches, main
 from promptshap.client import load_manifest, load_questions
+from promptshap.coalition import Coalition
 from promptshap.ensemble import write_matrix, write_validation
-from promptshap.errors import ConsistencyError
+from promptshap.errors import ConsistencyError, UtilityOracleError
 from promptshap.jsonio import write_jsonl
 from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model, save_embeddings
 
@@ -497,6 +502,52 @@ def test_missing_credential_exits_4_without_network(tmp_path, capsys, monkeypatc
     payload = json.loads(err)
     assert payload["error"] == "CredentialError"
     assert "PROMPTSHAP_API_KEY" in payload["message"]
+
+
+@pytest.mark.parametrize("section, value", [
+    pytest.param("game", {"permutations": "many"}, id="permutations-string"),
+    pytest.param("game", {"exact_cap": "20"}, id="exact-cap-string"),
+    pytest.param("game", {"permutations": True}, id="permutations-bool"),
+    pytest.param("paths", {"matrix": ["a"]}, id="matrix-path-list"),
+])
+def test_mistyped_config_value_exits_3(section, value, tmp_path, capsys):
+    config = write_config(tmp_path, {section: value})
+    code, _, err = run_json(capsys, ["value", "--config", config, "--method", "mc"])
+    assert code == 3
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert f"{section}.{next(iter(value))} must be" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["value", "curve"])
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "error"])
+def test_commands_close_their_caches(command, fails, matrix_config, tmp_path, capsys,
+                                     monkeypatch):
+    values_path = tmp_path / "values.json"
+    assert main(["value", "--config", matrix_config, "--out", str(values_path)]) == 0
+    cache_path = tmp_path / "utility.jsonl"
+    cache_path.unlink()
+    if fails:   # the command stops after one evaluation has been appended
+        def stop_after_one_call(utility, n):
+            utility(Coalition.full(n))
+            raise UtilityOracleError("stopped")
+        monkeypatch.setattr(cli, "shapley_exact",
+                            lambda game, **kwargs: stop_after_one_call(game.utility, game.n))
+        monkeypatch.setattr(cli, "rank_add_curve",
+                            lambda values, ids, oracle: stop_after_one_call(oracle, len(ids)))
+    argv = {"value": ["value", "--config", matrix_config],
+            "curve": ["curve", "--config", matrix_config, "--values", str(values_path),
+                      "--out-dir", str(tmp_path / "curve")]}[command]
+    leaks = []
+    monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, _, _ = run_json(capsys, argv)
+        gc.collect()
+    assert code == (1 if fails else 0)
+    assert leaks == []
+    expected = 1 if fails else {"value": 64, "curve": 6}[command]
+    assert len(UtilityCache.load(cache_path)) == expected
 
 
 def test_locked_cache_is_reported(matrix_config, tmp_path, capsys):

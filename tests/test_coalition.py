@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,3 +73,21 @@ def test_indices_round_trip(n, data):
     c = Coalition(mask, n)
     assert Coalition.from_indices(c.indices(), n) == c
     assert c.size == len(c.indices())
+
+
+@given(st.integers(min_value=1, max_value=80), st.data())
+def test_trusted_equals_checked(n, data):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    trusted, checked = Coalition._trusted(mask, n), Coalition(mask, n)
+    assert type(trusted) is Coalition
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert {trusted: 1}[checked] == 1
+    assert (trusted.mask, trusted.n, trusted.to_hex()) == (checked.mask, checked.n, checked.to_hex())
+    assert trusted != Coalition(mask, n + 1)
+
+
+def test_trusted_coalition_is_frozen():
+    c = Coalition._trusted(0b11, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.mask = 0
+    assert not hasattr(c, "__dict__")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,31 @@ def test_bad_enum_values_rejected(tmp_path):
     ):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("game", {"permutations": "many"}, "game.permutations must be int, got 'many'"),
+    ("game", {"exact_cap": "20"}, "game.exact_cap must be int, got '20'"),
+    ("game", {"permutations": True}, "game.permutations must be int, got True"),
+    ("game", {"seed": 1.5}, "game.seed must be int"),
+    ("game", {"truncation_tol": False}, "game.truncation_tol must be float"),
+    ("game", {"method": None}, "game.method must be one of"),
+    ("paths", {"matrix": ["a"]}, "paths.matrix must be str or null, got ['a']"),
+    ("api", {"embeddings_unit_norm": 1}, "api.embeddings_unit_norm must be bool"),
+    ("regressor", {"gp_length_scale": "wide"}, "regressor.gp_length_scale must be float or null"),
+])
+def test_mistyped_values_rejected(tmp_path, section, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(write_config(tmp_path, {"schema_version": 1, section: value}))
+
+
+def test_integers_pass_as_floats_unchanged(tmp_path):
+    doc = {"schema_version": 1, "game": {"truncation_tol": 0, "u_empty": 1},
+           "regressor": {"gp_length_scale": 2, "standardize": None}}
+    cfg = load_config(write_config(tmp_path, doc))
+    assert (cfg.game.truncation_tol, cfg.game.u_empty) == (0, 1)
+    assert type(cfg.game.u_empty) is int
+    assert cfg.regressor.gp_length_scale == 2
 
 
 def test_section_must_be_object(tmp_path):

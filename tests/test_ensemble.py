@@ -478,6 +478,19 @@ def test_validation_file_round_trip(tmp_path):
     assert loaded == validation
 
 
+@pytest.mark.parametrize("rows, error, fault", [
+    pytest.param("q0,0\nq0,1\n", ConsistencyError, "not unique", id="repeated-id"),
+    pytest.param("q0,0\nq1,5\n", ConsistencyError, "gold label 5 outside", id="gold-out-of-range"),
+    pytest.param("", PreconditionError, "empty", id="no-instances"),
+])
+def test_validation_content_error_names_the_file(rows, error, fault, tmp_path):
+    path = tmp_path / "validation.csv"
+    path.write_text("#num_labels=2\ninstance_id,gold_label\n" + rows)
+    with pytest.raises(error, match=fault) as info:
+        load_validation(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_validation_file_requires_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("instance_id,gold_label\nq0,0\n")

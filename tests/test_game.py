@@ -22,7 +22,12 @@ from promptshap.game import (
 )
 from promptshap.rng import SplitMix64
 
-from conftest import glove_utility, random_table_game, shapley_permutation_rational
+from conftest import (
+    glove_utility,
+    random_table_game,
+    reference_shapley_montecarlo,
+    shapley_permutation_rational,
+)
 
 
 class CountingOracle:
@@ -304,6 +309,50 @@ def test_truncation_handles_empty_prefix():
     assert result.values == (0.0,) * 4
 
 
+def result_bits(result):
+    """Every field of a ShapleyResult, each float by its exact bits."""
+    floats = (*result.values, *result.stderr, result.u_full, result.u_empty)
+    return ([x.hex() for x in floats], result.method, result.samples, result.seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=60), st.sampled_from((0.0, 0.01)))
+def test_montecarlo_matches_the_scalar_reference_bit_for_bit(n, seed, permutations, tol):
+    game = random_table_game(n, seed)
+    got = shapley_montecarlo(game, permutations, truncation_tol=tol, seed=seed)
+    want = reference_shapley_montecarlo(game, permutations, truncation_tol=tol, seed=seed)
+    assert result_bits(got) == result_bits(want)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+def test_montecarlo_matches_the_scalar_reference_on_a_long_run(tol):
+    # table values drawn at a coarse grid, so truncation fires on some prefixes
+    base = random_table_game(7, 31)
+    game = GameSpec(n=7, utility=lambda c: round(base.utility(c) * 8) / 8,
+                    u_empty=round(base.u_empty * 8) / 8)
+    got = shapley_montecarlo(game, 3000, truncation_tol=tol, seed=2**64 - 1)
+    want = reference_shapley_montecarlo(game, 3000, truncation_tol=tol, seed=2**64 - 1)
+    assert result_bits(got) == result_bits(want)
+
+
+def test_engines_hand_the_oracle_ordinary_coalitions():
+    seen = []
+
+    def utility(coalition):
+        seen.append(coalition)
+        return 0.0
+
+    game = GameSpec(n=4, utility=utility)
+    shapley_exact(game)
+    shapley_montecarlo(game, permutations=3, seed=1)
+    loo_values(game)
+    for coalition in seen:
+        assert type(coalition) is Coalition
+        assert coalition == Coalition(coalition.mask, 4)
+        assert hash(coalition) == hash(Coalition(coalition.mask, 4))
+
+
 def test_montecarlo_efficiency_without_truncation():
     game = random_table_game(5, 123)
     result = shapley_montecarlo(game, permutations=300, seed=9)
@@ -356,3 +405,5 @@ def test_result_json_id_count_checked(glove_game):
 def test_game_needs_players():
     with pytest.raises(PreconditionError):
         GameSpec(n=0, utility=lambda c: 0.0)
+    with pytest.raises(PreconditionError):
+        shapley_exact_rational(0, lambda c: Fraction(0))

@@ -3,7 +3,27 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from promptshap.rng import SplitMix64, derive_seed
+from promptshap.rng import _BLOCK, SplitMix64, derive_seed
+
+from conftest import ReferenceSplitMix64
+
+EDGE_SEEDS = (0, 1, 2**64 - 1)
+seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(min_value=0, max_value=2**64 - 1))
+calls = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("randbelow"), st.integers(min_value=1, max_value=2**64)),
+    st.tuples(st.just("shuffle"), st.sampled_from((0, 1, 2, 3, 12, _BLOCK + 9))),
+)
+
+
+def call(rng, op: str, *arg):
+    """The output of one generator call; a shuffle's output is the permuted list."""
+    if op == "shuffle":
+        xs = list(range(arg[0]))
+        rng.shuffle(xs)
+        return xs
+    return getattr(rng, op)(*arg)
 
 
 def test_seed_zero_known_answers():
@@ -68,6 +88,33 @@ def test_permutation_matches_shuffle():
     xs = list(range(12))
     SplitMix64(5).shuffle(xs)
     assert SplitMix64(5).permutation(12) == xs
+
+
+@given(seeds, st.lists(calls, max_size=40))
+def test_block_mixing_matches_the_scalar_reference(seed, ops):
+    ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    assert ours.state == reference.state
+    for op in ops:
+        assert call(ours, *op) == call(reference, *op)
+        assert ours.state == reference.state
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("length", [0, 1, 2, _BLOCK + 9, 3 * _BLOCK])
+def test_shuffle_matches_the_scalar_reference_across_blocks(seed, length):
+    ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    for _ in range(3):
+        assert call(ours, "shuffle", length) == call(reference, "shuffle", length)
+        assert ours.state == reference.state
+        assert ours.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_draws_cross_block_boundaries_on_one_stream(seed):
+    ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    for _ in range(2 * _BLOCK + 3):
+        assert ours.next_u64() == reference.next_u64()
+        assert ours.state == reference.state
 
 
 def test_derive_seed_known_answers():
