@@ -139,6 +139,7 @@ class _JsonlCache:
         target = path if path is not None else self.path
         if target is None:
             raise ValueError("no path bound to this cache")
+        rewrites_bound = self.path is not None and os.path.abspath(target) == os.path.abspath(self.path)
         tmp = f"{target}.{os.getpid()}.tmp"
         with self._lock:
             self._close_handle()  # the rename below replaces the file it appends to
@@ -152,6 +153,8 @@ class _JsonlCache:
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, target)
+                if rewrites_bound:
+                    self._torn_tail = False  # every rewritten line ends in a newline
             finally:
                 with contextlib.suppress(OSError):  # gone already once replaced
                     os.remove(tmp)

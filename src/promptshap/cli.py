@@ -30,7 +30,7 @@ from .config import RunConfig, UtilityMode, load_config
 from .ensemble import load_matrix, load_validation, matrix_utility
 from .errors import ConfigError, ConsistencyError, PromptShapError, ProtocolError
 from .game import GameSpec, Method, loo_values, shapley_exact, shapley_montecarlo
-from .jsonio import dumps, read_json
+from .jsonio import dumps, read_json, write_json
 from .learning import (
     EmbeddingMatrix,
     RegressorKind,
@@ -80,12 +80,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: dict, out_path=None) -> None:
-    text = dumps(doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(out_path, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(doc))
 
 
 def _values_from_doc(doc: dict):
@@ -224,8 +222,7 @@ def cmd_curve(args) -> int:
     json_path = os.path.join(out_dir, "curve.json")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(curve_to_csv(curve))
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(curve_to_json_dict(curve, best)))
+    write_json(json_path, curve_to_json_dict(curve, best))
     if curve.error is not None:
         raise PromptShapError(
             f"utility oracle failed at k={curve.failed_k}; partial curve written",

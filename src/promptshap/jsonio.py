@@ -1,8 +1,12 @@
 """Canonical JSON and JSON Lines helpers.
 
-Every JSON document the package writes goes through ``dumps`` so that
-identical runs produce byte-identical files (sorted keys, fixed indentation,
-trailing newline, shortest-round-trip float rendering).
+Every JSON document the package writes uses one set of encoder settings, so
+identical runs produce byte-identical output (sorted keys, fixed indentation,
+trailing newline, shortest-round-trip float rendering): ``write_json`` for
+files, ``dumps`` for stdout and stderr. ``write_json`` streams the encoder's
+chunks into the file, because with indentation the encoder is the pure-Python
+one and joining its chunks for a model file holds hundreds of thousands of
+small strings at once.
 
 Every JSON input file is read through ``read_json`` or ``read_jsonl``, so a
 bad input fails the same way everywhere: a file that cannot be opened, text
@@ -43,8 +47,18 @@ def _parse_object(doc, parse):
     return parse(doc)
 
 
+_CANONICAL = {"sort_keys": True, "indent": 2}
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, **_CANONICAL) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path``, the same bytes as ``dumps(doc)``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, **_CANONICAL)
+        fh.write("\n")
 
 
 def read_json(path, parse):
@@ -71,8 +85,3 @@ def read_jsonl(path, parse) -> list:
                 raise _fault(f"{path}:{lineno}", exc) from None
     return rows
 
-
-def write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")

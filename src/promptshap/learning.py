@@ -6,6 +6,12 @@ intercept handled by centering, and Gaussian-process regression with an RBF
 kernel, median-heuristic length scale, and Cholesky fitting under escalating
 jitter. Predictions are deterministic; holdout evaluation reports Pearson
 correlation and RMSE under a seeded shuffle split.
+
+Cost model: a GP fit builds one O(N^2) squared-distance matrix, shared by the
+median-heuristic length scale and the kernel, and a prediction one O(N*M)
+matrix against the training rows. Each matrix is filled one row at a time
+through one reused O(M*d) difference, never the O(N*M*d) broadcast. The
+model file is streamed to disk rather than built as one string.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (
     ShapeError,
     UndefinedCorrelationError,
 )
-from .jsonio import dumps, read_json, read_jsonl, write_jsonl
+from .jsonio import read_json, read_jsonl, write_json
 from .rng import SplitMix64
 
 MODEL_SCHEMA_VERSION = 1
@@ -77,13 +83,6 @@ def load_embeddings(path) -> EmbeddingMatrix:
     if len(lengths) > 1:
         raise ConsistencyError(f"{path}: embedding dimensions differ: {sorted(lengths)}")
     return EmbeddingMatrix(prompt_ids=tuple(ids), vectors=np.array(vectors, dtype=np.float64))
-
-
-def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:
-    write_jsonl(path, [
-        {"id": pid, "vector": [float(x) for x in vec]}
-        for pid, vec in zip(embeddings.prompt_ids, embeddings.vectors)
-    ])
 
 
 class RegressorKind(str, Enum):
@@ -199,8 +198,19 @@ def _rbf(sq_dists: np.ndarray, signal_var: float, length_scale: float) -> np.nda
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """``out[i, j] = |A[i] - B[j]|^2``, one row of ``A`` at a time.
+
+    Each row sums the same differences in the same order as the broadcast
+    ``A[:, None, :] - B[None, :, :]`` form, so the result is bit-identical
+    while the only temporary is one reused (M, d) difference instead of the
+    (N, M, d) one.
+    """
+    out = np.empty((A.shape[0], B.shape[0]))
+    diff = np.empty(B.shape)
+    for i, a in enumerate(A):
+        np.subtract(a, B, out=diff)
+        np.einsum("jk,jk->j", diff, diff, out=out[i])
+    return out
 
 
 def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[float] = None,
@@ -217,6 +227,8 @@ def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[fl
         raise PreconditionError(f"noise variance must be >= 0, got {noise_var}")
     if jitter <= 0:
         raise PreconditionError(f"jitter must be positive, got {jitter}")
+    if length_scale is not None and length_scale <= 0:
+        raise PreconditionError(f"length scale must be positive, got {length_scale}")
     X = _as_array(X)
     y = np.asarray(y, dtype=np.float64)
     _check_training(X, y, min_rows=1)
@@ -224,18 +236,16 @@ def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[fl
     scale = X.std(axis=0) if standardize else np.ones(X.shape[1])
     scale = np.where(scale == 0.0, 1.0, scale)
     Z = (X - x_mean) / scale
+    sq = _pairwise_sq_dists(Z, Z)
     if length_scale is None:
-        sq = _pairwise_sq_dists(Z, Z)
         upper = np.sqrt(sq[np.triu_indices(Z.shape[0], k=1)])
         median = float(np.median(upper)) if upper.size else 0.0
         length_scale = median if median > 0 else 1.0
-    elif length_scale <= 0:
-        raise PreconditionError(f"length scale must be positive, got {length_scale}")
     if signal_var is None:
         var = float(y.var())
         signal_var = var if var > 0 else 1.0
     y_mean = float(y.mean())
-    K = _rbf(_pairwise_sq_dists(Z, Z), signal_var, length_scale)
+    K = _rbf(sq, signal_var, length_scale)
     current = jitter
     chol = None
     while True:
@@ -392,8 +402,7 @@ def save_model(model: TrainedRegressor, path) -> None:
         "metadata": model.metadata,
         "parameters": parameters,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+    write_json(path, doc)
 
 
 def load_model(path) -> TrainedRegressor:

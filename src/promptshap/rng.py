@@ -73,8 +73,8 @@ class SplitMix64:
 
     def randbelow(self, n: int) -> int:
         """Unbiased integer in [0, n) via top-bits rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("randbelow requires 1 <= n <= 2**64")
         if n == 1:
             return 0
         k = (n - 1).bit_length()

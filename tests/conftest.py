@@ -1,7 +1,7 @@
 """Shared fixtures: deterministic games, the n! permutation reference for exact
 Shapley values, scalar references for SplitMix64 and the Monte Carlo engine,
-the adversarial ensemble fixture, and an in-process stub HTTP server so every
-live-API code path runs offline."""
+the adversarial ensemble fixture, JSON Lines and embedding file writers, and
+an in-process stub HTTP server so every live-API code path runs offline."""
 
 from __future__ import annotations
 
@@ -180,6 +180,24 @@ def make_adversarial_fixture():
 @pytest.fixture
 def adversarial_fixture():
     return make_adversarial_fixture()
+
+
+# ---------------------------------------------------------------------------
+# input file writers
+
+
+def write_jsonl(path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def save_embeddings(embeddings, path) -> None:
+    """An embeddings file ``promptshap.learning.load_embeddings`` reads back."""
+    write_jsonl(path, [
+        {"id": pid, "vector": [float(x) for x in vec]}
+        for pid, vec in zip(embeddings.prompt_ids, embeddings.vectors)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from promptshap.game import (
     shapley_exact_rational,
     shapley_montecarlo,
 )
-from promptshap.jsonio import write_jsonl
 from promptshap.learning import RegressorKind, RegressorSpec, holdout_eval
 from promptshap.rng import SplitMix64, derive_seed
 from promptshap.selection import best_prefix, rank_add_curve
@@ -45,6 +44,7 @@ from conftest import (
     shapley_permutation_rational,
     stub_manifest_rows,
     stub_question_rows,
+    write_jsonl,
 )
 
 

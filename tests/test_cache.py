@@ -74,6 +74,21 @@ def test_torn_tail_does_not_swallow_the_next_entry(tmp_path):
     assert reloaded.entries == {"01": 0.5, "03": 0.25}
 
 
+def test_persist_clears_the_torn_tail(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_text(json.dumps({"coalition": "01", "u": 0.5}) + "\n"
+                    + '{"coalition": "02", "u": 0.')
+    with pytest.warns(UserWarning):
+        cache = UtilityCache.load(path)
+    with cache:
+        cache.persist()
+        cache.put("03", 0.25)
+    assert path.read_text() == "".join(
+        json.dumps(row, sort_keys=True) + "\n"
+        for row in ({"coalition": "01", "u": 0.5}, {"coalition": "03", "u": 0.25})
+    )
+
+
 def test_complete_last_line_without_newline_is_kept(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text(json.dumps({"coalition": "01", "u": 0.5}))

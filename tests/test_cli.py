@@ -16,10 +16,15 @@ from promptshap.client import load_manifest, load_questions
 from promptshap.coalition import Coalition
 from promptshap.ensemble import write_matrix, write_validation
 from promptshap.errors import ConsistencyError, UtilityOracleError
-from promptshap.jsonio import write_jsonl
-from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model, save_embeddings
+from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model
 
-from conftest import make_adversarial_fixture, stub_manifest_rows, stub_question_rows
+from conftest import (
+    make_adversarial_fixture,
+    save_embeddings,
+    stub_manifest_rows,
+    stub_question_rows,
+    write_jsonl,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):

@@ -32,16 +32,14 @@ from promptshap.errors import (
     ProtocolError,
     TransportError,
 )
-from promptshap.jsonio import write_jsonl
 from promptshap.learning import (
     EmbeddingMatrix,
     RegressorKind,
     TrainedRegressor,
-    save_embeddings,
     save_model,
 )
 
-from conftest import stub_manifest_rows, stub_question_rows
+from conftest import save_embeddings, stub_manifest_rows, stub_question_rows, write_jsonl
 
 
 @pytest.fixture

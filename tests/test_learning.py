@@ -1,10 +1,11 @@
 import json
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from promptshap.errors import (
     ConditioningError,
@@ -13,6 +14,7 @@ from promptshap.errors import (
     ShapeError,
     UndefinedCorrelationError,
 )
+from promptshap import learning
 from promptshap.learning import (
     EmbeddingMatrix,
     RegressorKind,
@@ -24,13 +26,14 @@ from promptshap.learning import (
     load_model,
     pearson,
     predict_sv,
-    save_embeddings,
     save_model,
     train_gp,
     train_linear,
     train_ridge,
 )
 from promptshap.rng import SplitMix64
+
+from conftest import save_embeddings
 
 
 def uniform_matrix(rows, cols, seed, lo=-1.0, hi=1.0):
@@ -171,6 +174,59 @@ def test_gp_parameter_validation():
         train_gp(X, y, jitter=0.0)
     with pytest.raises(PreconditionError):
         train_gp(X, y, length_scale=-1.0)
+
+
+def test_gp_parameters_are_checked_before_the_distances(monkeypatch):
+    def no_distances(A, B):
+        raise AssertionError("distances computed before the parameter checks")
+
+    monkeypatch.setattr(learning, "_pairwise_sq_dists", no_distances)
+    X, y = [[0.0], [1.0]], [0.0, 1.0]
+    for bad in ({"noise_var": -1.0}, {"jitter": 0.0}, {"length_scale": 0.0}):
+        with pytest.raises(PreconditionError):
+            train_gp(X, y, **bad)
+
+
+def broadcast_sq_dists(A, B):
+    """The (N, M, d) broadcast form the row-wise kernel must match bit for bit."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows_a=st.integers(min_value=0, max_value=7),
+    rows_b=st.integers(min_value=0, max_value=7),
+    d=st.integers(min_value=1, max_value=40),
+    exponent=st.integers(min_value=-100, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(rows_a=0, rows_b=3, d=4, exponent=0, seed=1)
+@example(rows_a=3, rows_b=0, d=4, exponent=0, seed=1)
+@example(rows_a=5, rows_b=2, d=1, exponent=0, seed=1)
+def test_pairwise_sq_dists_matches_the_broadcast_form(rows_a, rows_b, d, exponent, seed):
+    A = uniform_matrix(rows_a, d, seed) * 10.0 ** exponent
+    B = uniform_matrix(rows_b, d, seed + 1) * 10.0 ** exponent
+    A, B = A.reshape(rows_a, d), B.reshape(rows_b, d)
+    out = learning._pairwise_sq_dists(A, B)
+    expected = broadcast_sq_dists(A, B)
+    assert out.shape == expected.shape == (rows_a, rows_b)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_gp_fit_and_predict_hold_no_n_by_m_by_d_temporary():
+    # the broadcast difference alone is 200 * 200 * 768 * 8 B = 245 MB
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((200, 768))
+    y = X[:, 0] - 0.5 * X[:, 1]
+    X_new = rng.standard_normal((100, 768))
+    tracemalloc.start()
+    try:
+        predict_sv(train_gp(X, y), X_new)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_fit_regressor_dispatch():

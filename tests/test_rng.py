@@ -70,6 +70,14 @@ def test_randbelow_rejects_nonpositive():
         SplitMix64(0).randbelow(0)
 
 
+def test_randbelow_bounds_n_to_the_64_bit_range():
+    # n = 2**64 keeps every bit of one draw; one more has no top-bits form
+    assert SplitMix64(5).randbelow(2**64) == ReferenceSplitMix64(5).next_u64()
+    for n in (2**64 + 1, 0):
+        with pytest.raises(ValueError, match=r"randbelow requires 1 <= n <= 2\*\*64"):
+            SplitMix64(5).randbelow(n)
+
+
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=40))
 def test_shuffle_is_a_permutation(seed, n):
     xs = list(range(n))
