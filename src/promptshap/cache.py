@@ -6,8 +6,10 @@ Two concrete caches share one implementation: coalition-utility entries
 different value; concurrent writers race under first-writer-wins. A failed
 append degrades the cache to memory-only with a single warning.
 
-Loading warns about and skips a line that is not JSON, lacks a field, or holds
-a key or value of the wrong type. A last line without its newline (a torn
+Loading warns about and skips a line that is not UTF-8, is not JSON, lacks a
+field, or holds a key or value of the wrong type; ``inspect_file`` counts
+exactly those lines as malformed. A file that exists but cannot be read is a
+``ConsistencyError`` naming it. A last line without its newline (a torn
 append) is newline-terminated before the next append, so the new entry starts
 on its own line. ``persist`` writes a temporary file beside the target and
 renames it into place, so a failed rewrite leaves the old file whole.
@@ -37,6 +39,7 @@ from typing import Callable, Optional
 from .coalition import Coalition
 from .errors import ConsistencyError
 from .game import UtilityFn
+from .jsonio import _open
 
 
 # json.loads without its wrapper and whitespace scans, which on a short
@@ -57,14 +60,15 @@ class _JsonlCache:
         self._torn_tail = False
 
     @classmethod
-    def _parse(cls, line: str):
+    def _parse(cls, line: bytes):
         """(key, value) of a well-formed stripped cache line; None otherwise."""
         try:
-            row, end = _decode(line)
+            text = line.decode("utf-8")
+            row, end = _decode(text)
             key, value = row[cls.key_field], row[cls.value_field]
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
             return None
-        if end == len(line) and isinstance(key, str) and cls._valid_value(value):
+        if end == len(text) and isinstance(key, str) and cls._valid_value(value):
             return key, value
         return None
 
@@ -72,13 +76,11 @@ class _JsonlCache:
     def load(cls, path: str):
         """Bind to ``path``, reading existing entries; a missing file is an empty cache."""
         cache = cls(path=path)
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except FileNotFoundError:
+        if not os.path.exists(path):
             return cache
-        with fh:
+        with _open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
-                cache._torn_tail = not raw.endswith("\n")
+                cache._torn_tail = not raw.endswith(b"\n")
                 line = raw.strip()
                 if not line:
                     continue
@@ -162,9 +164,6 @@ class _JsonlCache:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, key) -> bool:
-        return key in self.entries
-
 
 class UtilityCache(_JsonlCache):
     key_field = "coalition"
@@ -232,7 +231,7 @@ def inspect_file(path: str) -> dict:
     malformed = 0
     keys: set = set()
     kind = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:

@@ -335,10 +335,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    if args.op == "inspect":
-        _emit(inspect_file(args.path), None)
-    else:
-        _emit(compact_file(args.path), None)
+    info = inspect_file(args.path)  # an unreadable path fails before a lock file is made
+    if args.op == "compact":
+        # the lock keeps a running value or curve from appending to the replaced file
+        with _own_caches(args.path):
+            info = compact_file(args.path)
+    _emit(info, None)
     return 0
 
 

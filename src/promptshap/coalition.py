@@ -2,8 +2,8 @@
 
 A coalition over ``n`` players stores its members in an integer bitmask; bit i
 set means player i is a member. The canonical serialization is the lowercase
-hex of the mask's little-endian bytes, zero-padded to ceil(n/8) bytes, and
-round-trips losslessly.
+hex of the mask's little-endian bytes, zero-padded to ceil(n/8) bytes; it is
+the key of the utility cache.
 
 The public constructor checks ``n`` and the mask. The engines build one
 coalition per oracle call from masks they derived themselves, so they use the
@@ -47,15 +47,6 @@ class Coalition:
     def full(cls, n: int) -> "Coalition":
         return cls((1 << n) - 1, n)
 
-    @classmethod
-    def from_indices(cls, indices, n: int) -> "Coalition":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise PreconditionError(f"player index {i} out of range for n={n}")
-            mask |= 1 << i
-        return cls(mask, n)
-
     @property
     def size(self) -> int:
         return self.mask.bit_count()
@@ -63,35 +54,9 @@ class Coalition:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.mask >> i & 1)
 
-    def __iter__(self):
-        return iter(self.indices())
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.n and bool(self.mask >> i & 1)
-
-    def add(self, i: int) -> "Coalition":
-        if not 0 <= i < self.n:
-            raise PreconditionError(f"player index {i} out of range for n={self.n}")
-        return Coalition(self.mask | 1 << i, self.n)
-
-    def remove(self, i: int) -> "Coalition":
-        if i not in self:
-            raise PreconditionError(f"player {i} is not a member")
-        return Coalition(self.mask & ~(1 << i), self.n)
-
     def to_hex(self) -> str:
         width = (self.n + 7) // 8
         return self.mask.to_bytes(width, "little").hex()
-
-    @classmethod
-    def from_hex(cls, s: str, n: int) -> "Coalition":
-        width = (n + 7) // 8
-        raw = bytes.fromhex(s)
-        if len(raw) != width:
-            raise PreconditionError(
-                f"coalition hex {s!r} has {len(raw)} bytes, expected {width} for n={n}"
-            )
-        return cls(int.from_bytes(raw, "little"), n)
 
 
 # the slots' own descriptors write past the frozen ``__setattr__``

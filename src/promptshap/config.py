@@ -10,6 +10,7 @@ them on demand.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -84,25 +85,6 @@ class RunConfig:
     regressor: RegressorSpec = field(default_factory=RegressorSpec)
     api: ApiConfig = field(default_factory=ApiConfig)
 
-    def to_json_dict(self) -> dict:
-        def plain(value):
-            if isinstance(value, Enum):
-                return value.value
-            return value
-
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "task": self.task.value,
-            "utility_mode": self.utility_mode.value,
-            "tie_rule": self.tie_rule.value,
-            "paths": {f.name: getattr(self.paths, f.name) for f in fields(self.paths)},
-            "game": {f.name: plain(getattr(self.game, f.name)) for f in fields(self.game)},
-            "regressor": {
-                f.name: plain(getattr(self.regressor, f.name)) for f in fields(self.regressor)
-            },
-            "api": {f.name: getattr(self.api, f.name) for f in fields(self.api)},
-        }
-
 
 def _section(doc: dict, name: str, cls, path: str):
     """The dataclass ``cls`` from section ``name``, each value checked against
@@ -119,17 +101,20 @@ def _section(doc: dict, name: str, cls, path: str):
     for key, value in raw.items():
         hint = hints[key]
         if isinstance(hint, type) and issubclass(hint, Enum):
-            try:
-                value = hint(value)
-            except ValueError:
-                allowed = [e.value for e in hint]
-                raise ConfigError(
-                    f"{path}: {name}.{key} must be one of {allowed}, got {value!r}"
-                ) from None
+            value = _enum(hint, value, f"{path}: {name}.{key}")
         elif not _has_type(value, hint):
             raise ConfigError(f"{path}: {name}.{key} must be {_type_name(hint)}, got {value!r}")
         parsed[key] = value
     return cls(**parsed)
+
+
+def _enum(enum_cls, value, where: str):
+    """The member of ``enum_cls`` whose value is ``value``, for the key named by ``where``."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        allowed = [e.value for e in enum_cls]
+        raise ConfigError(f"{where} must be one of {allowed}, got {value!r}") from None
 
 
 @functools.cache
@@ -165,25 +150,23 @@ def load_config(path: str) -> RunConfig:
             f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
         )
 
-    def top_enum(key: str, enum_cls, default):
+    top = {}
+    for key, enum_cls in (("task", Task), ("utility_mode", UtilityMode), ("tie_rule", TieRule)):
         value = doc.pop(key, None)
-        if value is None:
-            return default
-        try:
-            return enum_cls(value)
-        except ValueError:
-            allowed = [e.value for e in enum_cls]
-            raise ConfigError(f"{path}: {key} must be one of {allowed}, got {value!r}") from None
-
-    task = top_enum("task", Task, Task.MULTIPLE_CHOICE)
-    utility_mode = top_enum("utility_mode", UtilityMode, UtilityMode.MATRIX_VOTE)
-    tie_rule = top_enum("tie_rule", TieRule, TieRule.ABSTAIN)
+        if value is not None:  # a null keeps the default
+            top[key] = _enum(enum_cls, value, f"{path}: {key}")
     paths = _section(doc, "paths", PathsConfig, path)
     game = _section(doc, "game", GameConfig, path)
     regressor = _section(doc, "regressor", RegressorSpec, path)
     api = _section(doc, "api", ApiConfig, path)
     if doc:
         raise ConfigError(f"{path}: unknown top-level keys: {sorted(doc)}")
+    # either would fail every request only once the run had started
+    if api.attempts < 1:
+        raise ConfigError(f"{path}: api.attempts must be at least 1, got {api.attempts!r}")
+    if not 0 < api.timeout < math.inf:
+        raise ConfigError(f"{path}: api.timeout must be a positive finite number, "
+                          f"got {api.timeout!r}")
 
     # input files must exist up front; cache files are created by the run
     input_fields = ("manifest", "matrix", "validation", "questions", "embeddings")
@@ -194,12 +177,4 @@ def load_config(path: str) -> RunConfig:
     ]
     if missing:
         raise ConfigError(f"{path}: referenced input files do not exist: {missing}")
-    return RunConfig(
-        task=task,
-        utility_mode=utility_mode,
-        tie_rule=tie_rule,
-        paths=paths,
-        game=game,
-        regressor=regressor,
-        api=api,
-    )
+    return RunConfig(**top, paths=paths, game=game, regressor=regressor, api=api)

@@ -254,15 +254,6 @@ def load_validation(path) -> ValidationSet:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def write_validation(validation: ValidationSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"#num_labels={validation.num_labels}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "gold_label"])
-        for iid, gold in validation.instances:
-            writer.writerow([iid, gold])
-
-
 def load_matrix(path, num_labels: Optional[int] = None) -> PredictionMatrix:
     """CSV with header 'prompt_id,<instance ids...>'; cells are either bare integers
     (hard labels) or JSON arrays (probability vectors). Mixed files are rejected."""
@@ -322,15 +313,3 @@ def _parse_prob_cell(path, cell: str) -> list[float]:
         raise ConsistencyError(f"{path}: probability cell {cell!r} is not a number array")
     return [float(x) for x in vec]
 
-
-def write_matrix(matrix: PredictionMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prompt_id", *matrix.instance_ids])
-        for r, pid in enumerate(matrix.prompt_ids):
-            if matrix.mode is Mode.HARD_LABEL:
-                writer.writerow([pid, *(int(x) for x in matrix.hard[r])])
-            else:
-                writer.writerow(
-                    [pid, *(json.dumps([float(x) for x in vec]) for vec in matrix.prob[r])]
-                )

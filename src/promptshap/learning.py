@@ -55,10 +55,6 @@ class EmbeddingMatrix:
         if vectors.size and not np.isfinite(vectors).all():
             raise ConsistencyError("embedding vectors contain non-finite entries")
 
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
     def select(self, ids: Sequence[str]) -> "EmbeddingMatrix":
         index = {pid: i for i, pid in enumerate(self.prompt_ids)}
         missing = [pid for pid in ids if pid not in index]

@@ -10,9 +10,8 @@ Cost model: the k-th output mixes the state ``seed + k*gamma mod 2^64``, so
 outputs do not depend on each other and are mixed ``_BLOCK`` at a time in
 wrapping numpy ``uint64`` arithmetic, bit-identical to the scalar reference.
 A draw is then one list read, where mixing in Python integers costs about
-1 us. The rejection loop of ``randbelow`` and ``shuffle`` stays in Python,
-and every method reads the same buffer, so interleaved calls stay on one
-stream.
+1 us. The rejection loop of ``shuffle`` stays in Python, and every method
+reads the same buffer, so interleaved calls stay on one stream.
 """
 
 from __future__ import annotations
@@ -71,22 +70,11 @@ class SplitMix64:
         # 53-bit mantissa gives uniforms on [0, 1)
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def randbelow(self, n: int) -> int:
-        """Unbiased integer in [0, n) via top-bits rejection sampling."""
-        if not 1 <= n <= 1 << 64:
-            raise ValueError("randbelow requires 1 <= n <= 2**64")
-        if n == 1:
-            return 0
-        k = (n - 1).bit_length()
-        while True:
-            r = self.next_u64() >> (64 - k)
-            if r < n:
-                return r
-
     def shuffle(self, xs: list) -> None:
         """In-place Fisher-Yates, iterating from the highest index down.
 
-        Index ``i`` swaps with ``randbelow(i + 1)``, drawn inline from the buffer.
+        Index ``i`` swaps with an unbiased ``j`` in [0, i]: the top
+        ``i.bit_length()`` bits of one output, redrawn while they exceed ``i``.
         """
         buf, pos = self._buf, self._pos
         end = len(buf)
@@ -101,11 +89,6 @@ class SplitMix64:
                     break
             xs[i], xs[j] = xs[j], xs[i]
         self._pos = pos
-
-    def permutation(self, n: int) -> list[int]:
-        xs = list(range(n))
-        self.shuffle(xs)
-        return xs
 
 
 def derive_seed(seed: int, purpose: str) -> int:

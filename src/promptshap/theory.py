@@ -120,10 +120,6 @@ class LipschitzGame:
     def n(self) -> int:
         return self.embeddings.shape[0]
 
-    @property
-    def gvals(self) -> np.ndarray:
-        return self._gvals
-
     def game(self) -> GameSpec:
         gvals = self._gvals
 

@@ -1,10 +1,11 @@
 """Shared fixtures: deterministic games, the n! permutation reference for exact
 Shapley values, scalar references for SplitMix64 and the Monte Carlo engine,
-the adversarial ensemble fixture, JSON Lines and embedding file writers, and
-an in-process stub HTTP server so every live-API code path runs offline."""
+the adversarial ensemble fixture, writers for the JSON Lines, embedding,
+validation and prediction matrix input files, and an in-process stub HTTP server so every live-API code path runs offline."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -198,6 +199,30 @@ def save_embeddings(embeddings, path) -> None:
         {"id": pid, "vector": [float(x) for x in vec]}
         for pid, vec in zip(embeddings.prompt_ids, embeddings.vectors)
     ])
+
+
+def write_validation(validation: ValidationSet, path) -> None:
+    """A validation file ``promptshap.ensemble.load_validation`` reads back."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"#num_labels={validation.num_labels}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["instance_id", "gold_label"])
+        for iid, gold in validation.instances:
+            writer.writerow([iid, gold])
+
+
+def write_matrix(matrix: PredictionMatrix, path) -> None:
+    """A matrix file ``promptshap.ensemble.load_matrix`` reads back."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["prompt_id", *matrix.instance_ids])
+        for r, pid in enumerate(matrix.prompt_ids):
+            if matrix.mode is Mode.HARD_LABEL:
+                writer.writerow([pid, *(int(x) for x in matrix.hard[r])])
+            else:
+                writer.writerow(
+                    [pid, *(json.dumps([float(x) for x in vec]) for vec in matrix.prob[r])]
+                )
 
 
 # ---------------------------------------------------------------------------

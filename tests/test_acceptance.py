@@ -38,6 +38,7 @@ from promptshap.theory import (
 )
 
 from conftest import (
+    ReferenceSplitMix64,
     glove_utility,
     make_adversarial_fixture,
     random_table_game,
@@ -122,7 +123,7 @@ def test_acceptance_02_rational_equivalence(capsys):
     problems = []
     for seed in range(25):
         n = 2 + seed % 5
-        rng = SplitMix64(4000 + seed)
+        rng = ReferenceSplitMix64(4000 + seed)
         table = [Fraction(rng.randbelow(1000), 1000) for _ in range(1 << n)]
 
         def frac_utility(c, _t=table):

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -21,7 +22,7 @@ def test_put_get_round_trip(tmp_path):
     with UtilityCache(tmp_path / "u.jsonl") as cache:
         cache.put("05", 0.5)
         assert cache.get("05") == 0.5
-        assert "05" in cache
+        assert cache.entries == {"05": 0.5}
         assert len(cache) == 1
 
 
@@ -59,6 +60,31 @@ def test_malformed_line_warns_and_is_skipped(tmp_path):
         cache = UtilityCache.load(path)
     assert len(cache) == 2
     assert cache.get("03") == 1.0
+
+
+def test_undecodable_line_warns_and_is_skipped(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_bytes(b'{"coalition": "05", "u": 0.5}\n'
+                     b'{"coalition": "\xff", "u": 1.0}\n'
+                     b'{"coalition": "03", "u": 1.0}\n')
+    with pytest.warns(UserWarning, match=r"u\.jsonl:2: skipping malformed cache line"):
+        cache = UtilityCache.load(path)
+    assert cache.entries == {"05": 0.5, "03": 1.0}
+
+
+def test_undecodable_last_line_still_gets_its_newline(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_bytes(b'{"coalition": "05", "u": 0.5}\n\xfe\xff')
+    with pytest.warns(UserWarning):
+        cache = UtilityCache.load(path)
+    with cache:
+        cache.put("03", 1.0)
+    assert path.read_bytes().endswith(b'\xfe\xff\n{"coalition": "03", "u": 1.0}\n')
+
+
+def test_load_of_an_unreadable_path_names_it(tmp_path):
+    with pytest.raises(ConsistencyError, match=re.escape(str(tmp_path))):
+        UtilityCache.load(tmp_path)
 
 
 def test_torn_tail_does_not_swallow_the_next_entry(tmp_path):
@@ -106,7 +132,7 @@ def test_non_numeric_utility_is_skipped(tmp_path, u):
     assert cache.entries == {"02": 1}
     with cache:
         wrapped = cached_utility(cache, lambda coalition: 0.75)
-        assert wrapped(Coalition.from_indices([0], 2)) == 0.75
+        assert wrapped(Coalition(0b1, 2)) == 0.75
 
 
 @pytest.mark.parametrize("row", [{"digest": "ab", "response": 5},
@@ -174,23 +200,23 @@ def test_cached_utility_memoizes():
 
     cache = UtilityCache()
     wrapped = cached_utility(cache, oracle)
-    s = Coalition.from_indices([0, 2], 4)
+    s = Coalition(0b101, 4)
     assert wrapped(s) == 0.2
     assert wrapped(s) == 0.2
-    assert wrapped(Coalition.from_indices([2, 0], 4)) == 0.2
+    assert wrapped(Coalition(0b101, 4)) == 0.2
     assert calls == [s.mask]
     assert len(cache) == 1
 
 
 def test_cached_utility_serves_preloaded_values():
     cache = UtilityCache()
-    cache.put(Coalition.from_indices([0], 3).to_hex(), 0.25)
+    cache.put(Coalition(0b1, 3).to_hex(), 0.25)
 
     def oracle(coalition):
         raise AssertionError("oracle must not run on a hit")
 
     wrapped = cached_utility(cache, oracle)
-    assert wrapped(Coalition.from_indices([0], 3)) == 0.25
+    assert wrapped(Coalition(0b1, 3)) == 0.25
 
 
 def test_cached_utility_serves_loaded_entries_without_the_oracle(tmp_path):
@@ -310,6 +336,26 @@ def test_inspect_counts_what_load_skips_as_malformed(tmp_path):
     assert (info["entries"], info["malformed"]) == (1, 2)
     with pytest.warns(UserWarning):
         assert compact_file(path)["entries_after"] == 1
+
+
+def test_inspect_counts_an_undecodable_line_as_malformed(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.write_bytes(b'{"coalition": "05", "u": 0.5}\n\xc3\x28\n\n{"coalition": "03", "u": 1.0}\n')
+    info = inspect_file(path)
+    assert (info["lines"], info["entries"], info["malformed"]) == (3, 2, 1)
+    with pytest.warns(UserWarning):
+        assert compact_file(path)["entries_after"] == 2
+    assert b"\xc3" not in path.read_bytes()
+
+
+@pytest.mark.parametrize("op", [inspect_file, compact_file])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_path_is_a_consistency_error(tmp_path, op, kind):
+    path = tmp_path / "cache"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ConsistencyError, match=re.escape(str(path))):
+        op(path)
 
 
 def test_compact_file_rewrites_first_wins(tmp_path):

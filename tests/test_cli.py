@@ -14,7 +14,6 @@ from promptshap.cache import UtilityCache
 from promptshap.cli import _own_caches, main
 from promptshap.client import load_manifest, load_questions
 from promptshap.coalition import Coalition
-from promptshap.ensemble import write_matrix, write_validation
 from promptshap.errors import ConsistencyError, UtilityOracleError
 from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model
 
@@ -24,6 +23,8 @@ from conftest import (
     stub_manifest_rows,
     stub_question_rows,
     write_jsonl,
+    write_matrix,
+    write_validation,
 )
 
 
@@ -449,6 +450,43 @@ def test_cache_inspect_and_compact(tmp_path, capsys):
     code, out, _ = run_json(capsys, ["cache", "compact", str(path)])
     assert code == 0
     assert len(path.read_text().splitlines()) == 1
+
+
+def test_cache_compact_waits_for_no_lock(tmp_path, capsys):
+    path = tmp_path / "u.jsonl"
+    before = (json.dumps({"coalition": "05", "u": 0.5}) + "\n") * 2
+    path.write_text(before)
+    with _own_caches(str(path)):
+        code, out, err = run_json(capsys, ["cache", "compact", str(path)])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "PromptShapError"
+    assert payload["message"] == f"cache file {path} is in use by another process"
+    assert path.read_text() == before
+
+
+@pytest.mark.parametrize("op", ["inspect", "compact"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cache_commands_report_an_unreadable_path(tmp_path, capsys, op, kind):
+    path = tmp_path / "cache"
+    if kind == "directory":
+        path.mkdir()
+    code, out, err = run_json(capsys, ["cache", op, str(path)])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert str(path) in payload["message"]
+    assert not (tmp_path / "cache.lock").exists()
+
+
+def test_value_skips_an_undecodable_cache_line(matrix_config, tmp_path, capsys):
+    assert main(["value", "--config", matrix_config]) == 0
+    expected = capsys.readouterr().out
+    cache_path = tmp_path / "utility.jsonl"
+    cache_path.write_bytes(b"\xff\xfe\n" + cache_path.read_bytes())
+    with pytest.warns(UserWarning, match="utility.jsonl:1: skipping malformed cache line"):
+        code, out, err = run_json(capsys, ["value", "--config", matrix_config])
+    assert (code, out, err) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------

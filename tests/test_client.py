@@ -100,7 +100,7 @@ def test_questions_require_unique_ids(tmp_path):
 def test_exemplars_follow_manifest_order(manifest):
     api = ApiConfig(model="m")
     req = build_completion_request(
-        manifest, Coalition.from_indices([2, 0], 5), "Q?", api
+        manifest, Coalition(0b101, 5), "Q?", api
     )
     assert req.exemplars == (manifest.texts[0], manifest.texts[2])
     assert req.model == "m"
@@ -119,15 +119,15 @@ def test_coalition_size_checked_against_manifest(manifest):
 
 def test_request_digest_keys_on_payload_fields(manifest):
     api = ApiConfig(model="m")
-    req1 = build_completion_request(manifest, Coalition.from_indices([0], 5), "Q?", api)
-    req2 = build_completion_request(manifest, Coalition.from_indices([0], 5), "Q?", api)
+    req1 = build_completion_request(manifest, Coalition(0b1, 5), "Q?", api)
+    req2 = build_completion_request(manifest, Coalition(0b1, 5), "Q?", api)
     assert request_digest(req1) == request_digest(req2)
     assert len(request_digest(req1)) == 64
     other_question = build_completion_request(
-        manifest, Coalition.from_indices([0], 5), "different?", api
+        manifest, Coalition(0b1, 5), "different?", api
     )
     other_coalition = build_completion_request(
-        manifest, Coalition.from_indices([1], 5), "Q?", api
+        manifest, Coalition(0b10, 5), "Q?", api
     )
     assert request_digest(other_question) != request_digest(req1)
     assert request_digest(other_coalition) != request_digest(req1)
@@ -169,7 +169,7 @@ def test_extract_numeric_is_idempotent():
 def test_identical_requests_hit_the_network_once(stub, stub_api, manifest):
     cache = ResponseCache()
     req = build_completion_request(
-        manifest, Coalition.from_indices([0, 1], 5), "Question [k=0] pick [gold=A]", stub_api
+        manifest, Coalition(0b11, 5), "Question [k=0] pick [gold=A]", stub_api
     )
     first = complete(req, cache, stub_api)
     second = complete(req, cache, stub_api)
@@ -330,8 +330,8 @@ def test_augmentation_utility_frozen_values(stub, stub_api, manifest, questions)
     )
     assert oracle(Coalition.empty(5)) == pytest.approx(1 / 3)
     assert oracle(Coalition.full(5)) == pytest.approx(2 / 3)
-    assert oracle(Coalition.from_indices([0, 1], 5)) == 1.0
-    assert oracle(Coalition.from_indices([3], 5)) == 0.0
+    assert oracle(Coalition(0b11, 5)) == 1.0
+    assert oracle(Coalition(0b1000, 5)) == 0.0
 
 
 def test_augmentation_utility_reuses_the_cache(stub, stub_api, manifest, questions):

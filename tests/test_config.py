@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+from enum import Enum
 
 import pytest
 
@@ -66,18 +68,22 @@ def test_full_config_round_trip(tmp_path):
     assert cfg.regressor.gp_noise_var == 0.01
     assert cfg.api.attempts == 2
 
-    # serialize and reload: the loaded config equals the original
-    redumped = write_config(tmp_path, cfg.to_json_dict(), name="round.json")
+    # every field written back, defaults included, loads to the same config
+    redumped = write_config(tmp_path, config_doc(cfg), name="round.json")
     assert load_config(redumped) == cfg
 
 
-def test_to_json_dict_serializes_enums_as_strings():
-    doc = RunConfig().to_json_dict()
-    assert doc["schema_version"] == CONFIG_SCHEMA_VERSION
-    assert doc["task"] == "multiple_choice"
-    assert doc["game"]["method"] == "exact"
-    assert doc["regressor"]["kind"] == "ridge"
-    json.dumps(doc)   # must be JSON-serializable as-is
+def config_doc(cfg: RunConfig) -> dict:
+    """The config file that spells out every field of ``cfg``."""
+    def plain(value):
+        return value.value if isinstance(value, Enum) else value
+
+    doc = {"schema_version": CONFIG_SCHEMA_VERSION}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        doc[f.name] = ({g.name: plain(getattr(value, g.name)) for g in dataclasses.fields(value)}
+                       if dataclasses.is_dataclass(value) else plain(value))
+    return doc
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -131,6 +137,34 @@ def test_bad_enum_values_rejected(tmp_path):
             load_config(write_config(tmp_path, doc))
 
 
+def test_top_level_null_means_the_default(tmp_path):
+    doc = {"schema_version": 1, "task": None, "utility_mode": None, "tie_rule": None}
+    assert load_config(write_config(tmp_path, doc)) == RunConfig()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("attempts", 0, "api.attempts must be at least 1, got 0"),
+    ("attempts", -3, "api.attempts must be at least 1, got -3"),
+    ("timeout", 0, "api.timeout must be a positive finite number, got 0"),
+    ("timeout", -1, "api.timeout must be a positive finite number, got -1"),
+    ("timeout", -0.5, "api.timeout must be a positive finite number, got -0.5"),
+    ("timeout", float("nan"), "api.timeout must be a positive finite number, got nan"),
+    ("timeout", float("inf"), "api.timeout must be a positive finite number, got inf"),
+])
+def test_api_settings_out_of_range_rejected(tmp_path, key, value, message):
+    path = write_config(tmp_path, {"schema_version": 1, "api": {key: value}})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert err.value.exit_code == 3
+
+
+def test_smallest_api_settings_accepted(tmp_path):
+    doc = {"schema_version": 1, "api": {"attempts": 1, "timeout": 0.001}}
+    cfg = load_config(write_config(tmp_path, doc))
+    assert (cfg.api.attempts, cfg.api.timeout) == (1, 0.001)
+
+
 @pytest.mark.parametrize("section, value, message", [
     ("game", {"permutations": "many"}, "game.permutations must be int, got 'many'"),
     ("game", {"exact_cap": "20"}, "game.exact_cap must be int, got '20'"),
@@ -141,6 +175,9 @@ def test_bad_enum_values_rejected(tmp_path):
     ("paths", {"matrix": ["a"]}, "paths.matrix must be str or null, got ['a']"),
     ("api", {"embeddings_unit_norm": 1}, "api.embeddings_unit_norm must be bool"),
     ("regressor", {"gp_length_scale": "wide"}, "regressor.gp_length_scale must be float or null"),
+    ("game", {"method": "approximate"},
+     "game.method must be one of ['exact', 'montecarlo', 'loo'], got 'approximate'"),
+    ("task", "trivia", ": task must be one of ['multiple_choice', 'date', 'numeric'], got 'trivia'"),
 ])
 def test_mistyped_values_rejected(tmp_path, section, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

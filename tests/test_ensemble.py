@@ -16,12 +16,10 @@ from promptshap.ensemble import (
     load_matrix,
     load_validation,
     matrix_utility,
-    write_matrix,
-    write_validation,
 )
 from promptshap.errors import ConsistencyError, PreconditionError
 
-from conftest import make_adversarial_fixture
+from conftest import make_adversarial_fixture, write_matrix, write_validation
 
 
 def hard_matrix(rows, num_labels=None, instance_prefix="q"):
@@ -127,8 +125,8 @@ def test_average_hand_example():
 
 def test_average_singleton_identity():
     m = prob_matrix([[[0.7, 0.3]], [[0.1, 0.9]]])
-    assert predicted(m, Coalition.from_indices([0], 2), Rule.AVERAGE_ARGMAX) == 0
-    assert predicted(m, Coalition.from_indices([1], 2), Rule.AVERAGE_ARGMAX) == 1
+    assert predicted(m, Coalition(0b1, 2), Rule.AVERAGE_ARGMAX) == 0
+    assert predicted(m, Coalition(0b10, 2), Rule.AVERAGE_ARGMAX) == 1
 
 
 def test_average_of_identical_rows():
@@ -190,7 +188,7 @@ def test_adversarial_fixture_utilities(adversarial_fixture):
     matrix, validation = adversarial_fixture
     oracle = matrix_utility(matrix, validation, Rule.VOTE)
     assert oracle(Coalition.full(6)) == 0.0  # 3-vs-3 tie abstains everywhere
-    assert oracle(Coalition.from_indices([0, 1, 2], 6)) == 1.0
+    assert oracle(Coalition(0b111, 6)) == 1.0
     # with the lowest-label tie rule the full set is no longer 0
     lowest = matrix_utility(matrix, validation, Rule.VOTE, tie=TieRule.LOWEST)
     assert lowest(Coalition.full(6)) == 0.5
@@ -222,7 +220,7 @@ def test_average_rule_utility():
     oracle = matrix_utility(m, validation, Rule.AVERAGE_ARGMAX)
     assert oracle(Coalition.full(2)) == 1.0
     # row 1 alone: q0 -> argmax 1 != 0, q1 -> argmax 1 == 1
-    assert oracle(Coalition.from_indices([1], 2)) == 0.5
+    assert oracle(Coalition(0b10, 2)) == 0.5
 
 
 def test_utility_values_are_multiples_of_one_over_v(adversarial_fixture):
@@ -251,16 +249,16 @@ def test_utility_is_permutation_invariant(seed):
     if mask == 0:
         mask = 1
     members = [i for i in range(n) if mask >> i & 1]
-    relabeled = [int(np.where(perm == i)[0][0]) for i in members]
-    u1 = matrix_utility(m1, validation, Rule.VOTE)(Coalition.from_indices(members, n))
-    u2 = matrix_utility(m2, validation, Rule.VOTE)(Coalition.from_indices(relabeled, n))
+    relabeled = sum(1 << int(np.where(perm == i)[0][0]) for i in members)
+    u1 = matrix_utility(m1, validation, Rule.VOTE)(Coalition(mask, n))
+    u2 = matrix_utility(m2, validation, Rule.VOTE)(Coalition(relabeled, n))
     assert u1 == u2
 
 
 def test_matrix_utility_closure(adversarial_fixture):
     matrix, validation = adversarial_fixture
     oracle = matrix_utility(matrix, validation, Rule.VOTE)
-    assert oracle(Coalition.from_indices([0], 6)) == 1.0
+    assert oracle(Coalition(0b1, 6)) == 1.0
     assert oracle(Coalition.full(6)) == 0.0
 
 

@@ -23,6 +23,7 @@ from promptshap.game import (
 from promptshap.rng import SplitMix64
 
 from conftest import (
+    ReferenceSplitMix64,
     glove_utility,
     random_table_game,
     reference_shapley_montecarlo,
@@ -145,7 +146,7 @@ def test_montecarlo_failure_names_permutation_and_prefix(error, raised):
     with pytest.raises(raised) as err:
         shapley_montecarlo(GameSpec(n=n, utility=utility), permutations=10, seed=seed)
     assert list(err.value.details.items()) == [
-        ("coalition", Coalition.from_indices(prefix, n).to_hex()),
+        ("coalition", Coalition(sum(1 << i for i in prefix), n).to_hex()),
         ("permutation_index", t_fail),
         ("prefix", prefix),
     ]
@@ -207,7 +208,7 @@ def test_efficiency_property(seed, n):
 
 
 def rational_table_game(n, seed):
-    rng = SplitMix64(seed)
+    rng = ReferenceSplitMix64(seed)
     table = [Fraction(rng.randbelow(1000), 1000) for _ in range(1 << n)]
     return lambda coalition: table[coalition.mask]
 

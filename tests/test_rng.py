@@ -12,7 +12,6 @@ seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(min_value=0, max_valu
 calls = st.one_of(
     st.tuples(st.just("next_u64")),
     st.tuples(st.just("uniform")),
-    st.tuples(st.just("randbelow"), st.integers(min_value=1, max_value=2**64)),
     st.tuples(st.just("shuffle"), st.sampled_from((0, 1, 2, 3, 12, _BLOCK + 9))),
 )
 
@@ -52,32 +51,6 @@ def test_uniform_in_unit_interval(seed):
         assert 0.0 <= x < 1.0
 
 
-@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=1000))
-def test_randbelow_in_range(seed, n):
-    rng = SplitMix64(seed)
-    for _ in range(10):
-        assert 0 <= rng.randbelow(n) < n
-
-
-def test_randbelow_one_consumes_no_state():
-    rng = SplitMix64(3)
-    assert rng.randbelow(1) == 0
-    assert rng.next_u64() == SplitMix64(3).next_u64()
-
-
-def test_randbelow_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        SplitMix64(0).randbelow(0)
-
-
-def test_randbelow_bounds_n_to_the_64_bit_range():
-    # n = 2**64 keeps every bit of one draw; one more has no top-bits form
-    assert SplitMix64(5).randbelow(2**64) == ReferenceSplitMix64(5).next_u64()
-    for n in (2**64 + 1, 0):
-        with pytest.raises(ValueError, match=r"randbelow requires 1 <= n <= 2\*\*64"):
-            SplitMix64(5).randbelow(n)
-
-
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=40))
 def test_shuffle_is_a_permutation(seed, n):
     xs = list(range(n))
@@ -90,12 +63,6 @@ def test_shuffle_deterministic():
     SplitMix64(77).shuffle(xs)
     SplitMix64(77).shuffle(ys)
     assert xs == ys
-
-
-def test_permutation_matches_shuffle():
-    xs = list(range(12))
-    SplitMix64(5).shuffle(xs)
-    assert SplitMix64(5).permutation(12) == xs
 
 
 @given(seeds, st.lists(calls, max_size=40))

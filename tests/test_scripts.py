@@ -1,8 +1,10 @@
 """Smoke tests: each script in scripts/ runs with small arguments, exits 0 and
-prints JSON; the theory report agrees with ``promptshap verify theorem1``."""
+prints JSON; the theory report agrees with ``promptshap verify theorem1``; the
+README's library example runs."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,17 +14,21 @@ from promptshap.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
+    """stdout of a Python process run with ``src`` on its path; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def run_script(name, *args):
+    return json.loads(run_python(str(ROOT / "scripts" / name), *args))
 
 
 def test_fewer_prompts_demo():
@@ -51,3 +57,11 @@ def test_theory_report_matches_verify_theorem1(capsys):
     for row in rows:
         assert main(["verify", "theorem1", *argv, "--field", row["field"]]) == 0
         assert json.loads(capsys.readouterr().out) == row
+
+
+def test_readme_library_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick tour", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 1
+    assert "BestPrefix(" in run_python("-c", blocks[0])
