@@ -30,7 +30,7 @@ from .config import RunConfig, UtilityMode, load_config
 from .ensemble import load_matrix, load_validation, matrix_utility
 from .errors import ConfigError, ConsistencyError, PromptShapError, ProtocolError
 from .game import GameSpec, Method, loo_values, shapley_exact, shapley_montecarlo
-from .jsonio import dumps, read_json, write_json
+from .jsonio import all_numbers, dumps, read_json, write_json
 from .learning import (
     EmbeddingMatrix,
     RegressorKind,
@@ -93,15 +93,15 @@ def _values_from_doc(doc: dict):
         raise ValueError("missing non-empty 'players' list")
     u_full = doc.get("u_full")
     ids = [str(p["id"]) for p in players]
-    values = [float(p["value"]) for p in players]
-    numbers = values if u_full is None else values + [float(u_full)]
+    values = [p["value"] for p in players]
+    numbers = values if u_full is None else values + [u_full]
     if len(set(ids)) != len(ids):
         raise ValueError("player ids must be unique")
     # json.load parses NaN and Infinity; a NaN value would rank first and a
     # NaN u_full would pass the curve's full-set check
-    if not all(math.isfinite(x) for x in numbers):
+    if not all_numbers(numbers) or not all(math.isfinite(x) for x in numbers):
         raise ValueError("values and u_full must be finite numbers")
-    return doc, ids, values
+    return doc, ids, [float(x) for x in values]
 
 
 @contextmanager
@@ -112,7 +112,12 @@ def _own_caches(*paths):
         for path in paths:
             if path is None:
                 continue
-            fh = open(path + ".lock", "w")
+            try:
+                fh = open(path + ".lock", "w")
+            except OSError as exc:
+                raise ConsistencyError(
+                    f"cannot create the lock file of cache {path}: {exc.strerror}", path=path
+                ) from None
             try:
                 fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except OSError:

@@ -17,7 +17,9 @@ body with the bearer credential and classifies the reply: 401/403 raise
 ``api.attempts`` times, waiting ``backoff_base * 2**k`` seconds before retry
 k+1, or longer when a 429 carries a numeric ``Retry-After``; any other
 status raises ``ProtocolError``; running out of attempts raises
-``TransportError`` with the last status and error. Requests go through one
+``TransportError`` with the last status and error. Every wait is capped at
+``config.MAX_WAIT_S`` (an hour): a longer backoff or ``Retry-After`` waits
+that long and then retries. Requests go through one
 ``urllib.request`` opener built on first use, so proxy and ``no_proxy``
 settings are read from the environment once per process.
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from .cache import ResponseCache
 from .coalition import Coalition
-from .config import ApiConfig, Task
+from .config import MAX_WAIT_S, ApiConfig, Task
 from .errors import (
     ConsistencyError,
     CredentialError,
@@ -203,9 +205,11 @@ def _post_json(path: str, body: dict, api: ApiConfig):
     last_status = None
     last_error = None
     wait = 0.0
+    backoff = api.backoff_base   # doubled after every retry; a float saturates at inf
     for attempt in range(api.attempts):
         if attempt:
-            time.sleep(max(api.backoff_base * 2 ** (attempt - 1), wait))
+            time.sleep(min(max(backoff, wait), MAX_WAIT_S))
+            backoff *= 2
         try:
             status, reply_headers, payload = _send(request, api.timeout)
         except (OSError, http.client.HTTPException) as exc:

@@ -24,6 +24,11 @@ from .learning import RegressorSpec
 
 CONFIG_SCHEMA_VERSION = 1
 
+# the longest a request may wait for its reply (api.timeout) and the longest
+# wait before a retry, in seconds; socket timeouts and time.sleep overflow
+# near 1e10 s
+MAX_WAIT_S = 3600.0
+
 
 class Task(str, Enum):
     MULTIPLE_CHOICE = "multiple_choice"
@@ -161,12 +166,18 @@ def load_config(path: str) -> RunConfig:
     api = _section(doc, "api", ApiConfig, path)
     if doc:
         raise ConfigError(f"{path}: unknown top-level keys: {sorted(doc)}")
-    # either would fail every request only once the run had started
+    # each would fail every request only once the run had started
     if api.attempts < 1:
         raise ConfigError(f"{path}: api.attempts must be at least 1, got {api.attempts!r}")
     if not 0 < api.timeout < math.inf:
         raise ConfigError(f"{path}: api.timeout must be a positive finite number, "
                           f"got {api.timeout!r}")
+    if api.timeout > MAX_WAIT_S:
+        raise ConfigError(f"{path}: api.timeout must be at most {MAX_WAIT_S:g} seconds, "
+                          f"got {api.timeout!r}")
+    if not 0 <= api.backoff_base < math.inf:
+        raise ConfigError(f"{path}: api.backoff_base must be a finite number >= 0, "
+                          f"got {api.backoff_base!r}")
 
     # input files must exist up front; cache files are created by the run
     input_fields = ("manifest", "matrix", "validation", "questions", "embeddings")

@@ -10,8 +10,12 @@ correlation and RMSE under a seeded shuffle split.
 Cost model: a GP fit builds one O(N^2) squared-distance matrix, shared by the
 median-heuristic length scale and the kernel, and a prediction one O(N*M)
 matrix against the training rows. Each matrix is filled one row at a time
-through one reused O(M*d) difference, never the O(N*M*d) broadcast. The
-model file is streamed to disk rather than built as one string.
+through one reused O(M*d) difference, never the O(N*M*d) broadcast; the fit's
+symmetric matrix fills only its upper triangle, N(N+1)/2 distances, and
+mirrors it. The model file is streamed to disk by ``jsonio.write_json`` one
+row of floats at a time, each row one join of float reprs; for a 200 x 768
+GP those reprs cost more than the fit itself. Loading a model checks every
+array's shape and that every entry is a JSON number.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     ShapeError,
     UndefinedCorrelationError,
 )
-from .jsonio import read_json, read_jsonl, write_json
+from .jsonio import all_numbers, read_json, read_jsonl, write_json
 from .rng import SplitMix64
 
 MODEL_SCHEMA_VERSION = 1
@@ -64,11 +68,11 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(prompt_ids=tuple(ids), vectors=self.vectors[rows])
 
 
-def _embedding_row(row: dict) -> tuple[str, list[float]]:
+def _embedding_row(row: dict) -> tuple[str, list]:
     vector = row["vector"]
-    if not isinstance(vector, list):
+    if not isinstance(vector, list) or not all_numbers(vector):
         raise TypeError("'vector' must be an array of numbers")
-    return str(row["id"]), [float(x) for x in vector]
+    return str(row["id"]), vector
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
@@ -193,19 +197,29 @@ def _rbf(sq_dists: np.ndarray, signal_var: float, length_scale: float) -> np.nda
     return signal_var * np.exp(-sq_dists / (2.0 * length_scale * length_scale))
 
 
-def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``out[i, j] = |A[i] - B[j]|^2``, one row of ``A`` at a time.
+def _pairwise_sq_dists(A: np.ndarray, B: Optional[np.ndarray] = None) -> np.ndarray:
+    """``out[i, j] = |A[i] - B[j]|^2``, one row of ``A`` at a time; without
+    ``B``, the self-distances of ``A``.
 
     Each row sums the same differences in the same order as the broadcast
     ``A[:, None, :] - B[None, :, :]`` form, so the result is bit-identical
     while the only temporary is one reused (M, d) difference instead of the
-    (N, M, d) one.
+    (N, M, d) one. ``a - b`` is exactly ``-(b - a)`` in IEEE arithmetic, so
+    the self-distances fill row i for the columns j >= i only and mirror them
+    into column i, half the work with the same bits.
     """
+    same = B is None
+    if same:
+        B = A
     out = np.empty((A.shape[0], B.shape[0]))
     diff = np.empty(B.shape)
     for i, a in enumerate(A):
-        np.subtract(a, B, out=diff)
-        np.einsum("jk,jk->j", diff, diff, out=out[i])
+        first = i if same else 0
+        row_diff = diff[first:]
+        np.subtract(a, B[first:], out=row_diff)
+        np.einsum("jk,jk->j", row_diff, row_diff, out=out[i, first:])
+        if same:
+            out[first:, i] = out[i, first:]
     return out
 
 
@@ -232,7 +246,7 @@ def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[fl
     scale = X.std(axis=0) if standardize else np.ones(X.shape[1])
     scale = np.where(scale == 0.0, 1.0, scale)
     Z = (X - x_mean) / scale
-    sq = _pairwise_sq_dists(Z, Z)
+    sq = _pairwise_sq_dists(Z)
     if length_scale is None:
         upper = np.sqrt(sq[np.triu_indices(Z.shape[0], k=1)])
         median = float(np.median(upper)) if upper.size else 0.0
@@ -365,30 +379,31 @@ def holdout_eval(X, y, spec: RegressorSpec, split_seed: int = 0, fraction: float
 # model files
 
 
-# the stored parameters of each model kind: (name, whether it is an array)
-_LINEAR_PARAMETERS = (("weights", True), ("intercept", False))
+# the stored parameters of each model kind: (name, shape), where the shape
+# () is a number, "d" the input dimension and "n" the number of training rows
+_LINEAR_PARAMETERS = (("weights", ("d",)), ("intercept", ()))
 _PARAMETERS = {
     RegressorKind.LINEAR: _LINEAR_PARAMETERS,
     RegressorKind.RIDGE: _LINEAR_PARAMETERS,
     RegressorKind.GAUSSIAN_PROCESS: (
-        ("x_mean", True),
-        ("x_scale", True),
-        ("x_train", True),
-        ("y_mean", False),
-        ("alpha", True),
-        ("length_scale", False),
-        ("signal_var", False),
-        ("noise_var", False),
-        ("jitter_used", False),
+        ("x_mean", ("d",)),
+        ("x_scale", ("d",)),
+        ("x_train", ("n", "d")),
+        ("y_mean", ()),
+        ("alpha", ("n",)),
+        ("length_scale", ()),
+        ("signal_var", ()),
+        ("noise_var", ()),
+        ("jitter_used", ()),
     ),
 }
 
 
 def save_model(model: TrainedRegressor, path) -> None:
     parameters = {}
-    for name, is_array in _PARAMETERS[model.kind]:
+    for name, shape in _PARAMETERS[model.kind]:
         value = getattr(model, name)
-        if is_array and value is not None:
+        if shape and value is not None:
             value = np.asarray(value, dtype=np.float64).tolist()
         parameters[name] = value
     doc = {
@@ -405,17 +420,42 @@ def load_model(path) -> TrainedRegressor:
     return read_json(path, _model_from_doc)
 
 
+def _parameter(value, name: str, shape: tuple[int, ...]):
+    """A stored parameter as a float for the shape (), else as a float64 array
+    of ``shape``; every entry must be a JSON number."""
+    what = f"parameter {name!r}"
+    if not shape:
+        if not all_numbers([value]):
+            raise TypeError(f"{what} must be a number, got {value!r}")
+        return float(value)
+    rows = value if len(shape) == 2 else [value]
+    # x_train sets "n", so only the widths of the rows are left to check
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and len(row) == shape[-1] and all_numbers(row)
+            for row in rows)):
+        size = " x ".join(map(str, shape))
+        raise ValueError(f"{what} must be an array of {size} numbers")
+    return np.array(value, dtype=np.float64).reshape(shape)
+
+
 def _model_from_doc(doc: dict) -> TrainedRegressor:
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema {doc.get('schema_version')!r}")
     kind = RegressorKind(doc["kind"])
+    d = doc["d"]
+    if type(d) is not int or d < 0:
+        raise ValueError(f"'d' must be a non-negative integer, got {d!r}")
     params = doc["parameters"]
+    if not isinstance(params, dict):
+        raise TypeError("'parameters' must be an object")
+    x_train = params.get("x_train")
+    sizes = {"d": d, "n": len(x_train) if isinstance(x_train, list) else 0}
     return TrainedRegressor(
         kind=kind,
-        d=int(doc["d"]),
+        d=d,
         metadata=doc.get("metadata", {}),
         **{
-            name: np.array(params[name], dtype=np.float64) if is_array else float(params[name])
-            for name, is_array in _PARAMETERS[kind]
+            name: _parameter(params[name], name, tuple(sizes[dim] for dim in shape))
+            for name, shape in _PARAMETERS[kind]
         },
     )

@@ -279,6 +279,36 @@ def test_non_finite_number_in_values_file_is_rejected(command, field, matrix_con
     assert "finite" in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["curve", "learn"])
+@pytest.mark.parametrize("field, bad", [
+    ("value", "0.1"),
+    ("value", True),
+    ("u_full", "0.0"),
+    ("u_full", False),
+])
+def test_values_file_entries_must_be_json_numbers(command, field, bad, matrix_config,
+                                                  learn_inputs, tmp_path, capsys):
+    ids = ["c0", "c1", "c2", "x0", "x1", "x2"]
+    doc = {"u_full": 0.0, "players": [{"id": pid, "value": 0.1} for pid in ids]}
+    if field == "u_full":
+        doc["u_full"] = bad
+    else:
+        doc["players"][2]["value"] = bad
+    values_path = tmp_path / "typed_values.json"
+    values_path.write_text(json.dumps(doc))
+    if command == "curve":
+        argv = ["curve", "--config", matrix_config, "--out-dir", str(tmp_path / "c")]
+    else:
+        argv = ["learn", "--config", learn_inputs["config"],
+                "--embeddings", learn_inputs["embeddings"], "--out", str(tmp_path / "m.json")]
+    code, out, err = run_json(capsys, argv + ["--values", str(values_path)])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert payload["message"] == (
+        f"{values_path}: values and u_full must be finite numbers")
+
+
 # ---------------------------------------------------------------------------
 # malformed input files
 
@@ -599,6 +629,36 @@ def test_locked_cache_is_reported(matrix_config, tmp_path, capsys):
         code, _, err = run_json(capsys, ["value", "--config", matrix_config])
     assert code == 1
     assert "in use" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["value", "curve"])
+def test_cache_in_a_missing_directory_is_reported(command, matrix_config, tmp_path, capsys):
+    cache_path = tmp_path / "nodir" / "utility.jsonl"
+    config = json.loads(Path(matrix_config).read_text())
+    config["paths"]["utility_cache"] = str(cache_path)
+    Path(matrix_config).write_text(json.dumps(config))
+    values_path = tmp_path / "values.json"
+    values_path.write_text(json.dumps({"players": [
+        {"id": pid, "value": 0.1} for pid in ["c0", "c1", "c2", "x0", "x1", "x2"]]}))
+    argv = {"value": ["value", "--config", matrix_config],
+            "curve": ["curve", "--config", matrix_config, "--values", str(values_path),
+                      "--out-dir", str(tmp_path / "c")]}[command]
+    code, out, err = run_json(capsys, argv)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert payload["path"] == str(cache_path)
+    assert payload["message"] == (f"cannot create the lock file of cache {cache_path}: "
+                                  "No such file or directory")
+
+
+def test_a_failed_lock_releases_the_locks_before_it(tmp_path):
+    first = str(tmp_path / "utility.jsonl")
+    with pytest.raises(ConsistencyError, match="responses.jsonl"):
+        with _own_caches(first, str(tmp_path / "nodir" / "responses.jsonl")):
+            pass
+    with _own_caches(first):   # would raise "in use" if the first lock were kept
+        pass
 
 
 def test_cli_import_loads_no_third_party_http_stack():

@@ -24,7 +24,7 @@ from promptshap.client import (
     request_digest,
 )
 from promptshap.coalition import Coalition
-from promptshap.config import ApiConfig, Task
+from promptshap.config import MAX_WAIT_S, ApiConfig, Task
 from promptshap.errors import (
     ConsistencyError,
     CredentialError,
@@ -270,6 +270,47 @@ def test_broken_transport_is_retried_then_raises_transport_error(manifest, monke
         assert len(accepted) == 3
     assert info.value.payload()["last_status"] is None
     assert info.value.payload()["last_error"]
+
+
+@pytest.mark.parametrize("retry_after, backoff_base, slept", [
+    ("1e300", 0.0, [MAX_WAIT_S, MAX_WAIT_S]),          # time.sleep(1e300) overflows
+    ("1e10", 0.0, [MAX_WAIT_S, MAX_WAIT_S]),
+    ("120", 0.0, [120.0, 120.0]),
+    ("", 1e308, [MAX_WAIT_S, MAX_WAIT_S]),
+])
+def test_every_wait_is_capped(manifest, monkeypatch, retry_after, backoff_base, slept):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr(client.time, "sleep", sleeps.append)
+    reply = (b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: " + retry_after.encode()
+             + b"\r\nContent-Length: 4\r\n\r\nbusy")
+    with raw_server(reply) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=3, backoff_base=backoff_base,
+                        timeout=5.0)
+        req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+        with pytest.raises(TransportError) as info:
+            complete(req, ResponseCache(), api)
+        assert len(accepted) == 3
+    assert sleeps == slept
+    assert info.value.payload()["last_status"] == 429
+
+
+def test_backoff_past_a_thousand_attempts_is_capped(manifest, monkeypatch):
+    # the backoff passes the cap at 2**12 s and reaches inf after 1024 doublings
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr(client.time, "sleep", sleeps.append)
+
+    def refused(request, timeout):
+        raise ConnectionRefusedError("refused")
+
+    monkeypatch.setattr(client, "_send", refused)
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m", attempts=1100, backoff_base=1.0)
+    req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+    with pytest.raises(TransportError):
+        complete(req, ResponseCache(), api)
+    assert sleeps[:3] == [1.0, 2.0, 4.0]
+    assert sleeps[12:] == [MAX_WAIT_S] * (1099 - 12)
 
 
 def test_non_json_200_raises_protocol_error(manifest, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from promptshap.config import (
     CONFIG_SCHEMA_VERSION,
+    MAX_WAIT_S,
     ApiConfig,
     GameConfig,
     PathsConfig,
@@ -150,6 +151,11 @@ def test_top_level_null_means_the_default(tmp_path):
     ("timeout", -0.5, "api.timeout must be a positive finite number, got -0.5"),
     ("timeout", float("nan"), "api.timeout must be a positive finite number, got nan"),
     ("timeout", float("inf"), "api.timeout must be a positive finite number, got inf"),
+    ("timeout", 3600.5, "api.timeout must be at most 3600 seconds, got 3600.5"),
+    ("timeout", 1e10, "api.timeout must be at most 3600 seconds, got 10000000000.0"),
+    ("backoff_base", -0.001, "api.backoff_base must be a finite number >= 0, got -0.001"),
+    ("backoff_base", float("nan"), "api.backoff_base must be a finite number >= 0, got nan"),
+    ("backoff_base", float("inf"), "api.backoff_base must be a finite number >= 0, got inf"),
 ])
 def test_api_settings_out_of_range_rejected(tmp_path, key, value, message):
     path = write_config(tmp_path, {"schema_version": 1, "api": {key: value}})
@@ -163,6 +169,14 @@ def test_smallest_api_settings_accepted(tmp_path):
     doc = {"schema_version": 1, "api": {"attempts": 1, "timeout": 0.001}}
     cfg = load_config(write_config(tmp_path, doc))
     assert (cfg.api.attempts, cfg.api.timeout) == (1, 0.001)
+
+
+def test_extreme_accepted_api_settings(tmp_path):
+    doc = {"schema_version": 1, "api": {"timeout": 3600, "backoff_base": 0}}
+    cfg = load_config(write_config(tmp_path, doc))
+    assert (cfg.api.timeout, cfg.api.backoff_base) == (MAX_WAIT_S, 0)
+    doc["api"]["backoff_base"] = 1e300   # every wait is capped at MAX_WAIT_S instead
+    assert load_config(write_config(tmp_path, doc)).api.backoff_base == 1e300
 
 
 @pytest.mark.parametrize("section, value, message", [

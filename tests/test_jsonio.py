@@ -1,27 +1,75 @@
-from hypothesis import given, settings, strategies as st
+import json
 
-from promptshap.jsonio import dumps, write_json
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from promptshap import jsonio
+from promptshap.jsonio import all_numbers, dumps, write_json
+
+floats = st.floats()   # NaN, infinities and -0.0 included
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.floats(allow_nan=False),
+    floats,
     st.text(),   # non-ASCII included
 )
+# lists the encoder writes in one piece (every float finite) and lists it
+# must hand on item by item (non-finite floats, ints and bools mixed in)
+float_lists = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    st.lists(floats, max_size=8),
+    st.lists(st.one_of(floats, st.integers(), st.booleans()), max_size=8),
+)
 documents = st.recursive(
-    scalars,
+    st.one_of(scalars, float_lists),
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(st.text(), inner, max_size=5),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), inner, max_size=3),
     ),
     max_leaves=30,
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(doc=documents)
+@example(doc={"parameters": {"x_train": [[0.5, -0.0, 1e300], [2.0, 3.0, 5e-324]]},
+              "d": 3, "kind": "gp", "é": "\n "})
+@example(doc=[[], {}, (), [[]], [1e308, 1e308], [float("nan"), 1.0], [True, 1.0, 2]])
+@example(doc={1: [1.0], 2: {"b": [2.5], "a": ()}})
 def test_write_json_writes_the_bytes_of_dumps(tmp_path_factory, doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert dumps(doc) == expected
     path = tmp_path_factory.mktemp("doc") / "doc.json"
     write_json(path, doc)
-    assert path.read_bytes() == dumps(doc).encode("utf-8")
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_a_float_list_is_one_chunk():
+    rows = [[float(i + j) for j in range(50)] for i in range(4)]
+    chunks = list(jsonio._encode({"rows": rows}))
+    assert len([c for c in chunks if c.count(",") == 49]) == len(rows)
+    assert max(map(len, chunks)) < len("".join(chunks)) / 2
+
+
+def test_encoder_errors_match_json():
+    for doc in ({"a": {1, 2}}, [object()], {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            dumps(doc)
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], True),
+    ([1, 2.5, -0.0, float("nan")], True),
+    ([1.0, True], False),
+    ([1.0, "2.0"], False),
+    ([None], False),
+    ([[1.0]], False),
+])
+def test_all_numbers(values, expected):
+    assert all_numbers(values) is expected

@@ -214,6 +214,23 @@ def test_pairwise_sq_dists_matches_the_broadcast_form(rows_a, rows_b, d, exponen
     assert out.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=40),
+    exponent=st.integers(min_value=-100, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(rows=1, d=1, exponent=0, seed=1)
+@example(rows=7, d=768, exponent=0, seed=1)
+def test_self_sq_dists_on_one_triangle_match_the_broadcast_form(rows, d, exponent, seed):
+    A = uniform_matrix(rows, d, seed).reshape(rows, d) * 10.0 ** exponent
+    out = learning._pairwise_sq_dists(A)
+    expected = broadcast_sq_dists(A, A)
+    assert out.shape == (rows, rows)
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_gp_fit_and_predict_hold_no_n_by_m_by_d_temporary():
     # the broadcast difference alone is 200 * 200 * 768 * 8 B = 245 MB
     rng = np.random.default_rng(7)
@@ -415,6 +432,93 @@ def test_gp_model_round_trip(tmp_path):
     assert np.allclose(predict_sv(loaded, probe), predict_sv(model, probe), atol=1e-12)
 
 
+def test_save_model_never_holds_the_document_text(tmp_path):
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((200, 768))
+    model = train_gp(X, X[:, 0] - 0.5 * X[:, 1])
+    path = tmp_path / "model.json"
+    # what save_model must hold anyway: its arrays as lists of floats
+    tracemalloc.start()
+    try:
+        arrays = [getattr(model, name).tolist()
+                  for name in ("x_mean", "x_scale", "x_train", "alpha")]
+        _, arrays_peak = tracemalloc.get_traced_memory()
+        del arrays
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the text is about 4.2 MB; holding it would add all of it to the peak
+    assert peak < arrays_peak + path.stat().st_size / 4
+
+
+def gp_model_doc():
+    return {
+        "schema_version": 1, "kind": "gp", "d": 2, "metadata": {},
+        "parameters": {
+            "x_mean": [0.0, 0.0], "x_scale": [1.0, 1.0],
+            "x_train": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "y_mean": 0.5,
+            "alpha": [0.1, -0.2, 0.3], "length_scale": 1.0, "signal_var": 1.0,
+            "noise_var": 1e-4, "jitter_used": 1e-10,
+        },
+    }
+
+
+def test_a_valid_model_file_loads(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(gp_model_doc()))
+    model = load_model(path)
+    assert model.x_train.shape == (3, 2)
+    assert model.alpha.shape == (3,)
+    assert predict_sv(model, [[0.5, 0.5]]).shape == (1,)
+
+
+@pytest.mark.parametrize("name, value, named", [
+    ("alpha", [0.1, -0.2], "alpha"),                        # one short of x_train's rows
+    ("alpha", [0.1, -0.2, 0.3, 0.4], "alpha"),
+    ("x_train", [[0.0, 1.0], [1.0, 0.0], [1.0]], "x_train"),  # a ragged row
+    ("x_train", [[0.0, "2.0"], [1.0, 0.0], [1.0, 1.0]], "x_train"),
+    ("x_train", [0.0, 1.0, 1.0], "x_train"),
+    ("x_train", "[[0.0, 1.0]]", "x_train"),
+    ("x_mean", [0.0], "x_mean"),
+    ("x_scale", [1.0, True], "x_scale"),
+    ("y_mean", "0.5", "y_mean"),
+    ("length_scale", None, "length_scale"),
+    ("noise_var", [1e-4], "noise_var"),
+    ("d", 3, "x_mean"),                                     # every array is 2 wide
+    ("d", "2", "d"),
+    ("d", 2.0, "d"),
+    ("d", True, "d"),
+])
+def test_malformed_model_file_names_the_file(tmp_path, name, value, named):
+    doc = gp_model_doc()
+    if name == "d":
+        doc["d"] = value
+    else:
+        doc["parameters"][name] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConsistencyError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert repr(named) in str(info.value)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0], [1.0, False], ["1.0", 2.0]])
+def test_linear_model_weights_must_be_d_numbers(tmp_path, weights):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "kind": "ridge", "d": 2,
+        "parameters": {"weights": weights, "intercept": 0.0},
+    }))
+    with pytest.raises(ConsistencyError, match="'weights'"):
+        load_model(path)
+
+
 def test_load_model_rejects_unknown_schema(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"schema_version": 99, "kind": "linear"}))
@@ -453,6 +557,24 @@ def test_embeddings_file_round_trip(tmp_path):
     loaded = load_embeddings(path)
     assert loaded.prompt_ids == emb.prompt_ids
     assert np.array_equal(loaded.vectors, emb.vectors)
+
+
+@pytest.mark.parametrize("vector", [["1.5", 2.0], [1.5, True], [None, 1.0]])
+def test_embedding_entries_must_be_json_numbers(tmp_path, vector):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        json.dumps({"id": "a", "vector": [0.1, 0.2]}) + "\n"
+        + json.dumps({"id": "b", "vector": vector}) + "\n"
+    )
+    with pytest.raises(ConsistencyError, match="must be an array of numbers") as info:
+        load_embeddings(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+
+
+def test_integer_embedding_entries_are_read_as_floats(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps({"id": "a", "vector": [1, 2.5, -3]}) + "\n")
+    assert load_embeddings(path).vectors.tolist() == [[1.0, 2.5, -3.0]]
 
 
 def test_load_embeddings_rejects_ragged_rows(tmp_path):
