@@ -34,7 +34,7 @@ import math
 import os
 import threading
 import warnings
-from typing import Callable, Optional
+from typing import Optional
 
 from .coalition import Coalition
 from .errors import ConsistencyError
@@ -136,13 +136,11 @@ class _JsonlCache:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def persist(self, path: Optional[str] = None) -> None:
-        """Rewrite all entries (insertion order) to ``path`` or the bound file."""
-        target = path if path is not None else self.path
-        if target is None:
+    def persist(self) -> None:
+        """Rewrite all entries (insertion order) to the bound file."""
+        if self.path is None:
             raise ValueError("no path bound to this cache")
-        rewrites_bound = self.path is not None and os.path.abspath(target) == os.path.abspath(self.path)
-        tmp = f"{target}.{os.getpid()}.tmp"
+        tmp = f"{self.path}.{os.getpid()}.tmp"
         with self._lock:
             self._close_handle()  # the rename below replaces the file it appends to
             try:
@@ -154,9 +152,8 @@ class _JsonlCache:
                         )
                     fh.flush()
                     os.fsync(fh.fileno())
-                os.replace(tmp, target)
-                if rewrites_bound:
-                    self._torn_tail = False  # every rewritten line ends in a newline
+                os.replace(tmp, self.path)
+                self._torn_tail = False  # every rewritten line ends in a newline
             finally:
                 with contextlib.suppress(OSError):  # gone already once replaced
                     os.remove(tmp)

@@ -252,23 +252,34 @@ def cmd_curve(args) -> int:
     return 0
 
 
+def _features(cfg: RunConfig, X: EmbeddingMatrix) -> np.ndarray:
+    """What learn fits and predict applies: unit vectors under ``api.embeddings_unit_norm``."""
+    vectors = X.vectors
+    if cfg.api.embeddings_unit_norm:
+        norms = np.linalg.norm(vectors, axis=1)
+        if np.any(norms == 0):
+            raise ProtocolError("cannot unit-normalize a zero embedding vector")
+        vectors = vectors / norms[:, None]
+    return vectors
+
+
 def cmd_learn(args) -> int:
     cfg = load_config(args.config)
     embeddings = load_embeddings(args.embeddings)
     _, ids, values = read_json(args.values, _values_from_doc)
-    X = embeddings.select(ids)
+    X = _features(cfg, embeddings.select(ids))
     kind = RegressorKind(args.model) if args.model else cfg.regressor.kind
     spec = replace(cfg.regressor, kind=kind)
     y = np.asarray(values, dtype=np.float64)
     report = holdout_eval(
-        X.vectors,
+        X,
         y,
         spec,
         split_seed=derive_seed(cfg.game.seed, "learn:holdout"),
         fraction=args.fraction,
         ids=ids,
     )
-    model = fit_regressor(X.vectors, y, spec)
+    model = fit_regressor(X, y, spec)
     save_model(model, args.out)
     report["model_path"] = args.out
     _emit(report, None)
@@ -283,13 +294,7 @@ def cmd_predict(args) -> int:
         X = load_embeddings(cfg.paths.embeddings).select(manifest.ids)
     else:  # EmbeddingMatrix rejects a non-finite vector from the endpoint
         X = EmbeddingMatrix(manifest.ids, embed(manifest.texts, cfg.api))
-    vectors = X.vectors
-    if cfg.api.embeddings_unit_norm:
-        norms = np.linalg.norm(vectors, axis=1)
-        if np.any(norms == 0):
-            raise ProtocolError("cannot unit-normalize a zero embedding vector")
-        vectors = vectors / norms[:, None]
-    predictions = predict_sv(model, vectors)
+    predictions = predict_sv(model, _features(cfg, X))
     _emit(
         {
             "kind": model.kind.value,

@@ -39,7 +39,7 @@ import re
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,7 +54,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .jsonio import read_jsonl
+from .jsonio import read_jsonl, reading
 
 API_KEY_ENV = "PROMPTSHAP_API_KEY"
 
@@ -96,7 +96,8 @@ def load_manifest(path: str) -> PromptManifest:
     entries = read_jsonl(path, lambda row: PromptEntry(
         prompt_id=str(row["id"]), text=str(row["text"])
     ))
-    return PromptManifest(prompts=tuple(entries))
+    with reading(path):
+        return PromptManifest(prompts=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,9 @@ def load_questions(path: str) -> tuple[Question, ...]:
     out = tuple(read_jsonl(path, lambda r: Question(
         question_id=str(r["id"]), question=str(r["question"]), gold=str(r["gold"])
     )))
-    ids = [q.question_id for q in out]
-    if len(set(ids)) != len(ids):
-        raise ConsistencyError(f"{path}: question ids must be unique")
+    with reading(path):
+        if len({q.question_id for q in out}) != len(out):
+            raise ValueError("question ids must be unique")
     return out
 
 

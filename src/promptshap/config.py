@@ -91,24 +91,24 @@ class RunConfig:
     api: ApiConfig = field(default_factory=ApiConfig)
 
 
-def _section(doc: dict, name: str, cls, path: str):
+def _section(doc: dict, name: str, cls):
     """The dataclass ``cls`` from section ``name``, each value checked against
     its field's type; enum fields are given by their string value."""
     raw = doc.pop(name, {})
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: section {name!r} must be an object")
+        raise ConfigError(f"section {name!r} must be an object")
     known = {f.name for f in fields(cls)}
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"{path}: unknown keys in {name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
     hints = _field_types(cls)
     parsed = {}
     for key, value in raw.items():
         hint = hints[key]
         if isinstance(hint, type) and issubclass(hint, Enum):
-            value = _enum(hint, value, f"{path}: {name}.{key}")
+            value = _enum(hint, value, f"{name}.{key}")
         elif not _has_type(value, hint):
-            raise ConfigError(f"{path}: {name}.{key} must be {_type_name(hint)}, got {value!r}")
+            raise ConfigError(f"{name}.{key} must be {_type_name(hint)}, got {value!r}")
         parsed[key] = value
     return cls(**parsed)
 
@@ -145,38 +145,39 @@ def _type_name(hint) -> str:
 
 
 def load_config(path: str) -> RunConfig:
+    """The config in ``path``; every fault is a ``ConfigError`` naming the file."""
     try:
-        doc = read_json(path, dict)
-    except ConsistencyError as exc:
+        return read_json(path, _config_from_doc)
+    except ConsistencyError as exc:   # the file itself: unreadable, not JSON
         raise ConfigError(str(exc)) from None
+
+
+def _config_from_doc(doc: dict) -> RunConfig:
     version = doc.pop("schema_version", None)
     if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
-        )
+        raise ConfigError(f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
 
     top = {}
     for key, enum_cls in (("task", Task), ("utility_mode", UtilityMode), ("tie_rule", TieRule)):
         value = doc.pop(key, None)
         if value is not None:  # a null keeps the default
-            top[key] = _enum(enum_cls, value, f"{path}: {key}")
-    paths = _section(doc, "paths", PathsConfig, path)
-    game = _section(doc, "game", GameConfig, path)
-    regressor = _section(doc, "regressor", RegressorSpec, path)
-    api = _section(doc, "api", ApiConfig, path)
+            top[key] = _enum(enum_cls, value, key)
+    paths = _section(doc, "paths", PathsConfig)
+    game = _section(doc, "game", GameConfig)
+    regressor = _section(doc, "regressor", RegressorSpec)
+    api = _section(doc, "api", ApiConfig)
     if doc:
-        raise ConfigError(f"{path}: unknown top-level keys: {sorted(doc)}")
+        raise ConfigError(f"unknown top-level keys: {sorted(doc)}")
     # each would fail every request only once the run had started
     if api.attempts < 1:
-        raise ConfigError(f"{path}: api.attempts must be at least 1, got {api.attempts!r}")
+        raise ConfigError(f"api.attempts must be at least 1, got {api.attempts!r}")
     if not 0 < api.timeout < math.inf:
-        raise ConfigError(f"{path}: api.timeout must be a positive finite number, "
-                          f"got {api.timeout!r}")
+        raise ConfigError(f"api.timeout must be a positive finite number, got {api.timeout!r}")
     if api.timeout > MAX_WAIT_S:
-        raise ConfigError(f"{path}: api.timeout must be at most {MAX_WAIT_S:g} seconds, "
+        raise ConfigError(f"api.timeout must be at most {MAX_WAIT_S:g} seconds, "
                           f"got {api.timeout!r}")
     if not 0 <= api.backoff_base < math.inf:
-        raise ConfigError(f"{path}: api.backoff_base must be a finite number >= 0, "
+        raise ConfigError(f"api.backoff_base must be a finite number >= 0, "
                           f"got {api.backoff_base!r}")
 
     # input files must exist up front; cache files are created by the run
@@ -187,5 +188,5 @@ def load_config(path: str) -> RunConfig:
         if getattr(paths, name) is not None and not os.path.exists(getattr(paths, name))
     ]
     if missing:
-        raise ConfigError(f"{path}: referenced input files do not exist: {missing}")
+        raise ConfigError(f"referenced input files do not exist: {missing}")
     return RunConfig(**top, paths=paths, game=game, regressor=regressor, api=api)

@@ -20,7 +20,6 @@ order, so its float results and argmax ties never depend on visit order.
 
 from __future__ import annotations
 
-import csv
 import json
 import threading
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ import numpy as np
 from .coalition import Coalition
 from .errors import ConsistencyError, PreconditionError
 from .game import UtilityFn
+from .jsonio import all_numbers, read_csv
 
 
 class Mode(str, Enum):
@@ -226,90 +226,63 @@ def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Ru
 
 def load_validation(path) -> ValidationSet:
     """CSV with a '#num_labels=K' first line, then an instance_id,gold_label table."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("#num_labels="):
-            raise ConsistencyError(f"{path}: first line must be '#num_labels=K', got {first!r}")
-        try:
-            num_labels = int(first.split("=", 1)[1])
-        except ValueError:
-            raise ConsistencyError(f"{path}: cannot parse num_labels from {first!r}") from None
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["instance_id", "gold_label"]:
-            raise ConsistencyError(f"{path}: expected header instance_id,gold_label, got {header}")
-        instances = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ConsistencyError(f"{path}: malformed row {row}")
-            try:
-                instances.append((row[0], int(row[1])))
-            except ValueError:
-                raise ConsistencyError(f"{path}: gold label {row[1]!r} is not an integer") from None
-    try:
-        return ValidationSet(instances=tuple(instances), num_labels=num_labels)
-    except (ConsistencyError, PreconditionError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return read_csv(path, _validation_from_rows)
 
 
-def load_matrix(path, num_labels: Optional[int] = None) -> PredictionMatrix:
-    """CSV with header 'prompt_id,<instance ids...>'; cells are either bare integers
-    (hard labels) or JSON arrays (probability vectors). Mixed files are rejected."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip() != "prompt_id" or len(header) < 2:
-            raise ConsistencyError(f"{path}: expected header 'prompt_id,<instance ids>'")
-        instance_ids = tuple(h.strip() for h in header[1:])
-        prompt_ids: list[str] = []
-        cells: list[list[str]] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConsistencyError(
-                    f"{path}: prompt {row[0]!r} has {len(row) - 1} cells, "
-                    f"expected {len(instance_ids)}"
-                )
-            prompt_ids.append(row[0])
-            cells.append([c.strip() for c in row[1:]])
-    if not cells:
-        raise ConsistencyError(f"{path}: matrix has no prompt rows")
+def _validation_from_rows(reader) -> ValidationSet:
+    first = ",".join(next(reader, [])).strip()   # the first line, which csv split on commas
+    if not first.startswith("#num_labels="):
+        raise ValueError(f"first line must be '#num_labels=K', got {first!r}")
+    num_labels = int(first.split("=", 1)[1])
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["instance_id", "gold_label"]:
+        raise ValueError(f"expected header instance_id,gold_label, got {header}")
+    rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != 2:
+            raise ValueError(f"malformed row {row}")
+    return ValidationSet(instances=tuple((iid, int(gold)) for iid, gold in rows),
+                         num_labels=num_labels)
+
+
+def load_matrix(path, num_labels: int) -> PredictionMatrix:
+    """CSV with header 'prompt_id,<instance ids...>'; cells are either bare integer
+    labels or JSON arrays of ``num_labels`` probabilities, never both."""
+    return read_csv(path, lambda reader: _matrix_from_rows(reader, num_labels))
+
+
+def _matrix_from_rows(reader, num_labels: int) -> PredictionMatrix:
+    header = next(reader, None)
+    if not header or header[0].strip() != "prompt_id" or len(header) < 2:
+        raise ValueError("expected header 'prompt_id,<instance ids>'")
+    rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(
+                f"prompt {row[0]!r} has {len(row) - 1} cells, expected {len(header) - 1}")
+    if not rows:
+        raise ValueError("matrix has no prompt rows")
+    cells = [[c.strip() for c in row[1:]] for row in rows]
     probabilistic = cells[0][0].startswith("[")
-    flat = [c for row in cells for c in row]
-    if any(c.startswith("[") != probabilistic for c in flat):
-        raise ConsistencyError(f"{path}: mixed hard-label and probability cells")
+    if any(c.startswith("[") != probabilistic for row in cells for c in row):
+        raise ValueError("mixed hard-label and probability cells")
     if probabilistic:
-        vectors = [[_parse_prob_cell(path, c) for c in row] for row in cells]
+        vectors = [[_parse_prob_cell(c) for c in row] for row in cells]
         lengths = {len(v) for row in vectors for v in row}
-        if len(lengths) != 1:
-            raise ConsistencyError(f"{path}: probability vectors differ in length: {lengths}")
-        k = lengths.pop()
-        if num_labels is not None and num_labels != k:
-            raise ConsistencyError(f"{path}: vectors have {k} labels, expected {num_labels}")
-        content = {"mode": Mode.PROBABILISTIC, "num_labels": k,
-                   "prob": np.array(vectors, dtype=np.float64)}
+        if lengths != {num_labels}:
+            raise ValueError(
+                f"probability vectors have {sorted(lengths)} labels, expected {num_labels}")
+        content = {"mode": Mode.PROBABILISTIC, "prob": np.array(vectors, dtype=np.float64)}
     else:
-        try:
-            hard = np.array([[int(c) for c in row] for row in cells], dtype=np.int64)
-        except ValueError:
-            raise ConsistencyError(f"{path}: hard-label cells must be integers") from None
-        k = num_labels if num_labels is not None else int(hard.max()) + 1
-        content = {"mode": Mode.HARD_LABEL, "num_labels": k, "hard": hard}
-    try:
-        return PredictionMatrix(prompt_ids=tuple(prompt_ids), instance_ids=instance_ids, **content)
-    except ConsistencyError as exc:
-        raise ConsistencyError(f"{path}: {exc}") from None
+        content = {"mode": Mode.HARD_LABEL,
+                   "hard": np.array([[int(c) for c in row] for row in cells], dtype=np.int64)}
+    return PredictionMatrix(prompt_ids=tuple(row[0] for row in rows),
+                            instance_ids=tuple(h.strip() for h in header[1:]),
+                            num_labels=num_labels, **content)
 
 
-def _parse_prob_cell(path, cell: str) -> list[float]:
-    try:
-        vec = json.loads(cell)
-    except json.JSONDecodeError:
-        raise ConsistencyError(f"{path}: cannot parse probability cell {cell!r}") from None
-    if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
-        raise ConsistencyError(f"{path}: probability cell {cell!r} is not a number array")
+def _parse_prob_cell(cell: str) -> list[float]:
+    vec = json.loads(cell)
+    if not isinstance(vec, list) or not all_numbers(vec):
+        raise ValueError(f"probability cell {cell!r} is not a number array")
     return [float(x) for x in vec]
-

@@ -20,25 +20,33 @@ more than ``json`` alone would take (0.17-0.20 ms against 0.08 ms for a
 the file, one innermost list at a time, so it never holds the document's
 text.
 
-Every JSON input file is read through ``read_json`` or ``read_jsonl``, so a
-bad input fails the same way everywhere: a file that cannot be opened, text
-that is not UTF-8, invalid JSON, a document or row that is not an object, and
-any KeyError, TypeError or ValueError from the caller's parser become a
-``ConsistencyError`` naming the file, and for JSON Lines also the line.
+Every input file is read through ``read_json``, ``read_jsonl`` or
+``read_csv``, and a loader's step on the whole file runs inside
+``reading(path)``, so a bad input fails the same way everywhere: a file that
+cannot be opened, text that is not UTF-8, invalid JSON, a document or row that
+is not an object, and any KeyError, TypeError, ValueError or OverflowError
+from the caller's code become a ``ConsistencyError`` naming the file (for a
+JSON Lines row also the line); a ``PromptShapError`` keeps its class and
+details under the same prefix.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+from contextlib import contextmanager
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, PromptShapError
 
-# what a parser or the decoder raises on a bad input; ConsistencyError is none of them
-_FAULTS = (KeyError, TypeError, ValueError)
+# what a parser, a checked constructor or the decoder raises on a bad input
+_FAULTS = (KeyError, TypeError, ValueError, OverflowError, PromptShapError)
 
 
-def _fault(where, exc: Exception) -> ConsistencyError:
+def _fault(where, exc: Exception) -> PromptShapError:
+    if isinstance(exc, PromptShapError):
+        return type(exc)(f"{where}: {exc}", **exc.details)
     if isinstance(exc, json.JSONDecodeError):
         return ConsistencyError(f"{where}: invalid JSON: {exc}")
     if isinstance(exc, KeyError):
@@ -51,7 +59,7 @@ def _open(path):
     try:
         return open(path, "rb")
     except OSError as exc:
-        raise ConsistencyError(f"cannot read input file {path}: {exc.strerror}") from None
+        raise ConsistencyError(f"{path}: cannot read input file: {exc.strerror}") from None
 
 
 _NUMBER_TYPES = frozenset({int, float})
@@ -116,14 +124,29 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def reading(where):
+    """Scope of a step on the input ``where`` (a file, or a JSON Lines row as
+    ``path:line``); faults as in the module docstring, naming ``where``."""
+    try:
+        yield
+    except _FAULTS as exc:
+        raise _fault(where, exc) from None
+
+
 def read_json(path, parse):
     """``parse`` applied to the JSON object in ``path``; faults as in the module
     docstring, naming the file."""
-    with _open(path) as fh:
-        try:
-            return _parse_object(json.loads(fh.read().decode("utf-8")), parse)
-        except _FAULTS as exc:
-            raise _fault(path, exc) from None
+    with _open(path) as fh, reading(path):
+        return _parse_object(json.loads(fh.read().decode("utf-8")), parse)
+
+
+def read_csv(path, parse):
+    """``parse`` applied to a ``csv.reader`` over the UTF-8 text of ``path``;
+    faults as in the module docstring, naming the file."""
+    with _open(path) as fh, reading(path):
+        # newline="" splits lines as csv expects and leaves quoted newlines whole
+        return parse(csv.reader(io.StringIO(fh.read().decode("utf-8"), newline="")))
 
 
 def read_jsonl(path, parse) -> list:
@@ -132,11 +155,8 @@ def read_jsonl(path, parse) -> list:
     rows = []
     with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(_parse_object(json.loads(line.decode("utf-8")), parse))
-            except _FAULTS as exc:
-                raise _fault(f"{path}:{lineno}", exc) from None
+            if line.strip():
+                with reading(f"{path}:{lineno}"):
+                    rows.append(_parse_object(json.loads(line.decode("utf-8")), parse))
     return rows
 

@@ -34,10 +34,11 @@ from .errors import (
     ShapeError,
     UndefinedCorrelationError,
 )
-from .jsonio import all_numbers, read_json, read_jsonl, write_json
+from .jsonio import all_numbers, read_json, read_jsonl, reading, write_json
 from .rng import SplitMix64
 
 MODEL_SCHEMA_VERSION = 1
+_MAX_JITTER = 1e-4   # train_gp gives up on the kernel above this jitter
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,12 @@ def _embedding_row(row: dict) -> tuple[str, list]:
 
 def load_embeddings(path) -> EmbeddingMatrix:
     rows = read_jsonl(path, _embedding_row)
-    ids = [pid for pid, _ in rows]
-    vectors = [vector for _, vector in rows]
-    lengths = {len(v) for v in vectors}
-    if len(lengths) > 1:
-        raise ConsistencyError(f"{path}: embedding dimensions differ: {sorted(lengths)}")
-    return EmbeddingMatrix(prompt_ids=tuple(ids), vectors=np.array(vectors, dtype=np.float64))
+    with reading(path):
+        lengths = {len(vector) for _, vector in rows}
+        if len(lengths) > 1:
+            raise ValueError(f"embedding dimensions differ: {sorted(lengths)}")
+        return EmbeddingMatrix(prompt_ids=tuple(pid for pid, _ in rows),
+                               vectors=np.array([vector for _, vector in rows], dtype=np.float64))
 
 
 class RegressorKind(str, Enum):
@@ -225,12 +226,12 @@ def _pairwise_sq_dists(A: np.ndarray, B: Optional[np.ndarray] = None) -> np.ndar
 
 def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[float] = None,
              noise_var: float = 1e-4, jitter: float = 1e-10,
-             standardize: bool = True, max_jitter: float = 1e-4) -> TrainedRegressor:
+             standardize: bool = True) -> TrainedRegressor:
     """RBF-kernel Gaussian process regression around the training mean.
 
     Stores alpha = (K + (noise_var + jitter) I)^{-1} (y - mean(y)) from a
     Cholesky factorization, escalating jitter tenfold on failure up to
-    ``max_jitter``. The default length scale is the median pairwise distance
+    ``_MAX_JITTER``. The default length scale is the median pairwise distance
     of the (standardized) inputs; the default signal variance is var(y).
     """
     if noise_var < 0:
@@ -264,7 +265,7 @@ def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[fl
             break
         except np.linalg.LinAlgError:
             current *= 10.0
-            if current > max_jitter:
+            if current > _MAX_JITTER:
                 raise ConditioningError(
                     f"kernel factorization failed up to jitter {current / 10.0:g}",
                     final_jitter=current / 10.0,

@@ -153,8 +153,9 @@ def test_failed_persist_leaves_the_file_intact(tmp_path):
     cache = UtilityCache()
     cache.put("01", 0.25)
     cache.put("02", object())               # not JSON-serializable: fails mid-write
+    cache.path = path                       # bound after the puts, so only persist writes
     with pytest.raises(TypeError):
-        cache.persist(path)
+        cache.persist()
     assert path.read_text() == original
     assert os.listdir(tmp_path) == ["u.jsonl"]
 
@@ -176,7 +177,8 @@ def test_persist_then_load(tmp_path):
     cache.put("05", 0.5)
     cache.put("00", 0.0)
     path = tmp_path / "u.jsonl"
-    cache.persist(path)
+    cache.path = path                       # bound after the puts, so only persist writes
+    cache.persist()
     loaded = UtilityCache.load(path)
     assert loaded.get("05") == 0.5
     assert loaded.get("00") == 0.0

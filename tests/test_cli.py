@@ -11,11 +11,13 @@ import pytest
 
 from promptshap import cli
 from promptshap.cache import UtilityCache
-from promptshap.cli import _own_caches, main
+from promptshap.cli import _own_caches, _values_from_doc, main
 from promptshap.client import load_manifest, load_questions
 from promptshap.coalition import Coalition
+from promptshap.ensemble import load_matrix, load_validation
 from promptshap.errors import ConsistencyError, UtilityOracleError
-from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model
+from promptshap.jsonio import read_json
+from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model, predict_sv
 
 from conftest import (
     make_adversarial_fixture,
@@ -318,47 +320,91 @@ def _linear_model(parameters=None, kind="linear"):
     return json.dumps({"schema_version": 1, "kind": kind, "d": 1, "parameters": parameters})
 
 
-@pytest.mark.parametrize("load, bad_line", [
-    pytest.param(load_manifest, None, id="manifest-missing"),
-    pytest.param(load_questions, None, id="questions-missing"),
-    pytest.param(load_embeddings, None, id="embeddings-missing"),
-    pytest.param(load_model, None, id="model-missing"),
-    pytest.param(load_manifest, '["p", "text"]', id="manifest-row-not-object"),
-    pytest.param(load_manifest, '{"text": "x"}', id="manifest-no-id"),
-    pytest.param(load_manifest, '{"id": "p", "text"', id="manifest-not-json"),
+def load_values(path):
+    return read_json(path, _values_from_doc)
+
+
+def load_matrix2(path):   # a two-label matrix
+    return load_matrix(path, num_labels=2)
+
+
+# the line of a bad JSON Lines row written after a good row and a blank line
+ROW = 3
+DIRECTORY = "<directory>"
+HUGE = "1" + "0" * 400   # a JSON integer too large for a float
+GOOD_ROW = {load_manifest: '{"id": "p0", "text": "t"}',
+            load_questions: '{"id": "q0", "question": "1+1?", "gold": "2"}',
+            load_embeddings: '{"id": "e0", "vector": [0.5, 0.5]}'}
+
+
+@pytest.mark.parametrize("load, line, content", [
+    pytest.param(load_manifest, None, None, id="manifest-missing"),
+    pytest.param(load_questions, None, None, id="questions-missing"),
+    pytest.param(load_embeddings, None, None, id="embeddings-missing"),
+    pytest.param(load_model, None, None, id="model-missing"),
+    pytest.param(load_manifest, ROW, '["p", "text"]', id="manifest-row-not-object"),
+    pytest.param(load_manifest, ROW, '{"text": "x"}', id="manifest-no-id"),
+    pytest.param(load_manifest, ROW, '{"id": "p", "text"', id="manifest-not-json"),
     # "\udcff" is written as the lone byte 0xff
-    pytest.param(load_manifest, '{"id": "p", "text": "\udcff"}', id="manifest-not-utf8"),
-    pytest.param(load_questions, '{"id": "q", "question": "2+2?"}', id="questions-no-gold"),
-    pytest.param(load_questions, '"q"', id="questions-row-not-object"),
-    pytest.param(load_embeddings, '{"id": "e", "vector": [1.0, "x"]}', id="embeddings-string"),
-    pytest.param(load_embeddings, '{"id": "e", "vector": 3}', id="embeddings-not-array"),
-    pytest.param(load_embeddings, '{"vector": [1.0, 2.0]}', id="embeddings-no-id"),
-    pytest.param(load_model, "[]", id="model-not-object"),
-    pytest.param(load_model, '{"schema_version": 1, "kind": "linear"', id="model-not-json"),
-    pytest.param(load_model, '{"kind": "\udcff"}', id="model-not-utf8"),
-    pytest.param(load_model, _linear_model([]), id="model-parameters-not-object"),
-    pytest.param(load_model, _linear_model(kind="svm"), id="model-unknown-kind"),
-    pytest.param(load_model, _linear_model({"weights": ["x"], "intercept": 0.0}),
+    pytest.param(load_manifest, ROW, '{"id": "p", "text": "\udcff"}', id="manifest-not-utf8"),
+    pytest.param(load_questions, ROW, '{"id": "q", "question": "2+2?"}', id="questions-no-gold"),
+    pytest.param(load_questions, ROW, '"q"', id="questions-row-not-object"),
+    pytest.param(load_embeddings, ROW, '{"id": "e", "vector": [1.0, "x"]}',
+                 id="embeddings-string"),
+    pytest.param(load_embeddings, ROW, '{"id": "e", "vector": 3}', id="embeddings-not-array"),
+    pytest.param(load_embeddings, ROW, '{"vector": [1.0, 2.0]}', id="embeddings-no-id"),
+    pytest.param(load_model, None, "[]", id="model-not-object"),
+    pytest.param(load_model, None, '{"schema_version": 1, "kind": "linear"', id="model-not-json"),
+    pytest.param(load_model, None, '{"kind": "\udcff"}', id="model-not-utf8"),
+    pytest.param(load_model, None, _linear_model([]), id="model-parameters-not-object"),
+    pytest.param(load_model, None, _linear_model(kind="svm"), id="model-unknown-kind"),
+    pytest.param(load_model, None, _linear_model({"weights": ["x"], "intercept": 0.0}),
                  id="model-string-weight"),
-    pytest.param(load_model, _linear_model({"weights": [0.5], "intercept": None}),
+    pytest.param(load_model, None, _linear_model({"weights": [0.5], "intercept": None}),
                  id="model-null-intercept"),
+    # the CSV inputs and every loader's whole-file step
+    pytest.param(load_validation, None, None, id="validation-missing"),
+    pytest.param(load_validation, None, DIRECTORY, id="validation-directory"),
+    pytest.param(load_validation, None, "#num_labels=2\ninstance_id,gold_label\nq\udcff,0\n",
+                 id="validation-not-utf8"),
+    pytest.param(load_validation, None, "#num_labels=2\nid,label\nq0,0\n",
+                 id="validation-bad-header"),
+    pytest.param(load_matrix2, None, None, id="matrix-missing"),
+    pytest.param(load_matrix2, None, DIRECTORY, id="matrix-directory"),
+    pytest.param(load_matrix2, None, "prompt_id,q0\np\udcff,1\n", id="matrix-not-utf8"),
+    pytest.param(load_matrix2, None, 'prompt_id,q0\np0,"[true, false]"\n', id="matrix-bool-cell"),
+    pytest.param(load_matrix2, None, 'prompt_id,q0\np0,"[0.5, 0.5"\n', id="matrix-bad-cell"),
+    pytest.param(load_matrix2, None, "prompt_id,q0\np0,one\n", id="matrix-hard-not-integer"),
+    pytest.param(load_model, None, DIRECTORY, id="model-directory"),
+    pytest.param(load_embeddings, None, DIRECTORY, id="embeddings-directory"),
+    pytest.param(load_embeddings, None, f'{{"id": "e", "vector": [{HUGE}, 1.0]}}',
+                 id="embeddings-huge-integer"),
+    pytest.param(load_values, None, f'{{"players": [{{"id": "p", "value": {HUGE}}}]}}',
+                 id="values-huge-integer"),
+    pytest.param(load_model, None, _linear_model({"weights": [0.5], "intercept": int(HUGE)}),
+                 id="model-huge-integer"),
+    pytest.param(load_embeddings, None,
+                 '{"id": "e", "vector": [1.0]}\n{"id": "e", "vector": [2.0]}',
+                 id="embeddings-duplicate-ids"),
+    pytest.param(load_embeddings, None, '{"id": "e", "vector": [NaN, 1.0]}',
+                 id="embeddings-nan-entry"),
+    pytest.param(load_manifest, None, '{"id": "p", "text": "a"}\n{"id": "p", "text": "b"}',
+                 id="manifest-duplicate-ids"),
+    pytest.param(load_manifest, None, '{"id": "p", "text": ""}', id="manifest-empty-text"),
 ])
-def test_malformed_input_file_raises_consistency_error(load, bad_line, tmp_path):
+def test_malformed_input_file_raises_consistency_error(load, line, content, tmp_path):
+    """The fault names the file first, and the line of a bad JSON Lines row."""
     path = tmp_path / "input"
-    if bad_line is None:   # no file at all
-        where = str(path)
-    elif load is load_model:
-        path.write_bytes(bad_line.encode("utf-8", "surrogateescape"))
-        where = str(path)
-    else:
-        good = {load_manifest: '{"id": "p0", "text": "t"}',
-                load_questions: '{"id": "q0", "question": "1+1?", "gold": "2"}',
-                load_embeddings: '{"id": "e0", "vector": [0.5, 0.5]}'}[load]
-        path.write_bytes((good + "\n\n" + bad_line + "\n").encode("utf-8", "surrogateescape"))
-        where = f"{path}:3"
+    if content == DIRECTORY:
+        path.mkdir()
+    elif content is not None:   # None: no file at all
+        if line is not None:    # a bad row after a good one
+            content = GOOD_ROW[load] + "\n\n" + content
+        path.write_bytes((content + "\n").encode("utf-8", "surrogateescape"))
+    where = str(path) if line is None else f"{path}:{line}"
     with pytest.raises(ConsistencyError) as info:
         load(str(path))
-    assert where in str(info.value)
+    assert str(info.value).startswith(f"{where}: ")
 
 
 @pytest.mark.parametrize("command, flag, code, error", [
@@ -410,6 +456,49 @@ def test_predict_reports_a_bad_manifest_row(learn_inputs, tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ConsistencyError"
     assert f"{manifest}:1" in payload["message"]
+
+
+def test_learn_and_predict_read_unit_norm_features_alike(learn_inputs, tmp_path, capsys):
+    # the values are linear in the unit-length vectors, not in the raw ones
+    raw = load_embeddings(learn_inputs["embeddings"]).vectors
+    unit = raw / np.linalg.norm(raw, axis=1)[:, None]
+    true_values = unit @ np.array([0.25, 0.15]) + 0.05
+    values_path = tmp_path / "unit_values.json"
+    values_path.write_text(json.dumps({"players": [
+        {"id": pid, "value": float(v)} for pid, v in zip(learn_inputs["ids"], true_values)]}))
+    config = write_config(tmp_path, {
+        "paths": {"embeddings": learn_inputs["embeddings"]},
+        "api": {"embeddings_unit_norm": True},
+    }, name="unit.json")
+    model_path = tmp_path / "model.json"
+    code, out, _ = run_json(capsys, [
+        "learn", "--config", config, "--embeddings", learn_inputs["embeddings"],
+        "--values", str(values_path), "--model", "linear", "--fraction", "0.34",
+        "--out", str(model_path),
+    ])
+    assert code == 0
+    assert json.loads(out)["rmse"] < 1e-8
+    code, out, _ = run_json(capsys, [
+        "predict", "--config", config, "--model", str(model_path),
+        "--manifest", learn_inputs["manifest"],
+    ])
+    assert code == 0
+    predicted = np.array([p["value"] for p in json.loads(out)["predictions"]])
+    assert np.array_equal(predicted, predict_sv(load_model(str(model_path)), unit))
+    assert np.allclose(predicted, true_values, atol=1e-6)
+
+
+def test_value_reports_a_directory_matrix(matrix_config, tmp_path, capsys):
+    doc = json.loads(Path(matrix_config).read_text())
+    directory = tmp_path / "matrix_dir"
+    directory.mkdir()
+    doc["paths"]["matrix"] = str(directory)
+    config = write_config(tmp_path, doc, name="dir.json")
+    code, out, err = run_json(capsys, ["value", "--config", config])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert payload["message"].startswith(f"{directory}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -436,7 +436,7 @@ def test_nan_probability_rejected(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text('prompt_id,q0,q1\np0,"[NaN, 1.0]","[0.5, 0.5]"\n')
     with pytest.raises(ConsistencyError, match="finite"):
-        load_matrix(path)
+        load_matrix(path, num_labels=2)
 
 
 @pytest.mark.parametrize("cell, fault", [
@@ -517,7 +517,7 @@ def test_prob_matrix_file_round_trip(tmp_path):
     ])
     path = tmp_path / "matrix.csv"
     write_matrix(m, path)
-    loaded = load_matrix(path)
+    loaded = load_matrix(path, num_labels=2)
     assert loaded.mode is Mode.PROBABILISTIC
     assert np.allclose(loaded.prob, m.prob)
 
@@ -526,11 +526,11 @@ def test_mixed_matrix_rejected(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text('prompt_id,q0,q1\np0,1,"[0.5, 0.5]"\n')
     with pytest.raises(ConsistencyError):
-        load_matrix(path)
+        load_matrix(path, num_labels=2)
 
 
 def test_matrix_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,q0\np0,1\n")
     with pytest.raises(ConsistencyError):
-        load_matrix(path)
+        load_matrix(path, num_labels=2)

@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import promptshap
 from promptshap import jsonio
 from promptshap.jsonio import all_numbers, dumps, write_json
 
@@ -73,3 +76,36 @@ def test_encoder_errors_match_json():
 ])
 def test_all_numbers(values, expected):
     assert all_numbers(values) is expected
+
+
+def _read_opens(source: str) -> list[int]:
+    """Lines of ``source`` that open a file for reading: ``open`` or
+    ``io.open`` without a write-only mode, or ``read_text``/``read_bytes``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
+            lines.append(node.lineno)
+            continue
+        is_open = (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id == "io")
+        if not is_open:
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        mode = modes[0] if modes else ast.Constant("r")
+        # a mode that is not a literal might read
+        if (not isinstance(mode, ast.Constant) or "+" in mode.value
+                or not set(mode.value) & set("wax")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_jsonio_opens_files_for_reading():
+    package = Path(promptshap.__file__).parent
+    readers = {path.name: _read_opens(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    assert readers.pop("jsonio.py"), "the scan must find jsonio's own reader"
+    assert {name: lines for name, lines in readers.items() if lines} == {}
