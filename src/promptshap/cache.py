@@ -18,12 +18,6 @@ A file-backed cache keeps one append handle, opened at the first ``put`` and
 flushed after every line, so a crash loses at most the line being written.
 ``close`` (or leaving a ``with`` block) releases it; ``persist`` closes it
 first, so a later ``put`` reopens and appends to the rewritten file.
-
-Cost model: a Monte Carlo run asks ``cached_utility`` about the same few
-thousand coalitions hundreds of thousands of times. Its memo answers a repeat
-with one dict lookup on the integer mask; only the first two calls per
-coalition pay for the hex key and the locked ``get``, and only the first, on
-a miss, for the oracle and one appended line.
 """
 
 from __future__ import annotations
@@ -182,37 +176,14 @@ class ResponseCache(_JsonlCache):
 
 
 def cached_utility(cache: UtilityCache, inner: UtilityFn) -> UtilityFn:
-    """Memoize a deterministic utility oracle through the cache.
-
-    Values the cache serves are also kept in a dict keyed on the coalition's
-    mask, so later calls skip the hex key and the locked ``get``. A value
-    enters the memo on its first cache hit, not when the oracle computes it:
-    a run that evaluates each coalition once, such as exact enumeration,
-    keeps no second copy of its utilities. The memo holds the player count
-    of the first call and only serves coalitions with that count; others
-    always take the hex path, whose key depends on the count only through
-    its width.
-    """
-    memo: dict[int, float] = {}
-    # the first call's player count is memo_n[0]: under concurrent first calls
-    # each appends, and every caller then reads the same first entry
-    memo_n: list[int] = []
+    """Memoize a deterministic utility oracle through the cache."""
 
     def oracle(coalition: Coalition) -> float:
-        if not memo_n:
-            memo_n.append(coalition.n)
-        memoized = coalition.n == memo_n[0]
-        if memoized:
-            value = memo.get(coalition.mask)
-            if value is not None:
-                return value
         key = coalition.to_hex()
         value = cache.get(key)
         if value is None:
             cache.put(key, inner(coalition))
             return cache.get(key)  # the first writer's value, if another got in first
-        if memoized:
-            memo[coalition.mask] = value
         return value
 
     return oracle

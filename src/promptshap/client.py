@@ -97,6 +97,8 @@ def load_manifest(path: str) -> PromptManifest:
         prompt_id=str(row["id"]), text=str(row["text"])
     ))
     with reading(path):
+        if not entries:
+            raise ValueError("manifest has no prompt rows")
         return PromptManifest(prompts=tuple(entries))
 
 
@@ -112,6 +114,8 @@ def load_questions(path: str) -> tuple[Question, ...]:
         question_id=str(r["id"]), question=str(r["question"]), gold=str(r["gold"])
     )))
     with reading(path):
+        if not out:
+            raise ValueError("question set has no rows")
         if len({q.question_id for q in out}) != len(out):
             raise ValueError("question ids must be unique")
     return out
@@ -314,7 +318,10 @@ def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:
     try:
         rows = [None] * len(unique)
         for item in doc["data"]:
-            rows[int(item["index"])] = [float(v) for v in item["embedding"]]
+            index = item["index"]
+            if type(index) is not int or not 0 <= index < len(unique):
+                raise ValueError(f"index {index!r} is not an integer in 0..{len(unique) - 1}")
+            rows[index] = [float(v) for v in item["embedding"]]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"malformed embeddings body: {exc}") from exc
     if any(r is None for r in rows):

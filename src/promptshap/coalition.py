@@ -3,12 +3,7 @@
 A coalition over ``n`` players stores its members in an integer bitmask; bit i
 set means player i is a member. The canonical serialization is the lowercase
 hex of the mask's little-endian bytes, zero-padded to ceil(n/8) bytes; it is
-the key of the utility cache.
-
-The public constructor checks ``n`` and the mask. The engines build one
-coalition per oracle call from masks they derived themselves, so they use the
-private ``Coalition._trusted``, which stores the two slots without the checks:
-on a Monte Carlo scan the checks would cost more than a cached oracle call.
+the key of the utility cache. The constructor checks ``n`` and the mask.
 """
 
 from __future__ import annotations
@@ -32,14 +27,6 @@ class Coalition:
             )
 
     @classmethod
-    def _trusted(cls, mask: int, n: int) -> "Coalition":
-        """A coalition from a mask the caller built over ``n >= 1`` players; unchecked."""
-        self = _new(cls)
-        _set_mask(self, mask)
-        _set_n(self, n)
-        return self
-
-    @classmethod
     def empty(cls, n: int) -> "Coalition":
         return cls(0, n)
 
@@ -58,8 +45,3 @@ class Coalition:
         width = (self.n + 7) // 8
         return self.mask.to_bytes(width, "little").hex()
 
-
-# the slots' own descriptors write past the frozen ``__setattr__``
-_new = object.__new__
-_set_mask = Coalition.mask.__set__
-_set_n = Coalition.n.__set__

@@ -17,13 +17,14 @@ Three estimators share the ``ShapleyResult`` container:
 for games whose utilities are rational.
 
 Cost model: every engine makes one ``Coalition``-level oracle call per
-evaluated coalition (2^n exact, T*n+2 Monte Carlo, n+1 leave-one-out), and
-the bookkeeping around a call is kept well below a cached oracle's own cost.
-Engines build each coalition with the unchecked ``Coalition._trusted`` from a
-mask they derived themselves, draw permutations from the block-mixed
-SplitMix64, and store Monte Carlo marginals in one ``array('d')`` per player:
-8 bytes per marginal, and a store is a plain item write. A list of floats
-would hold a 24-byte object per marginal.
+distinct coalition it evaluates: 2^n exact, n+1 leave-one-out, and for Monte
+Carlo U(full), U(empty), then each prefix the first time a permutation
+reaches it. The oracle is deterministic, so Monte Carlo keeps each utility it
+asked for in a dict keyed on the mask: at most min(2^n, T*n+2) floats for T
+permutations, no more than a configured utility cache already holds.
+Permutations come from the block-mixed SplitMix64, and Monte Carlo marginals
+live in one ``array('d')`` per player: 8 bytes per marginal, and a store is a
+plain item write. A list of floats would hold a 24-byte object per marginal.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ def _enumerate(n: int, utility: Callable[[Coalition], object], number: type,
         )
     if n < 1:
         raise PreconditionError(f"coalition needs a positive player count, got n={n}")
-    trusted = Coalition._trusted
-    table = [utility(trusted(mask, n)) for mask in range(1 << n)]
+    table = [utility(Coalition(mask, n)) for mask in range(1 << n)]
     weights = [number(shapley_weight(n, s)) for s in range(n)]
     popcount = [mask.bit_count() for mask in range(1 << n)]
     values = [
@@ -188,13 +188,15 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
                        seed: int = 0) -> ShapleyResult:
     if permutations < 1:
         raise PreconditionError(f"permutation count must be >= 1, got {permutations}")
-    if truncation_tol < 0:
+    if not truncation_tol >= 0:  # NaN fails this too
         raise PreconditionError(f"truncation_tol must be >= 0, got {truncation_tol}")
     n = game.n
     u_full = _eval(game, Coalition.full(n))
     u_empty = _eval(game, Coalition.empty(n))
     truncate = truncation_tol > 0
-    utility, trusted = game.utility, Coalition._trusted
+    utility = game.utility
+    # utilities by mask: each distinct coalition is asked for once
+    seen = {(1 << n) - 1: u_full, 0: u_empty}
     rng = SplitMix64(seed)
     perm = list(range(n))
     # marginals[p][t]: player p's marginal in permutation t; 0 where truncated
@@ -207,12 +209,14 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
         prev = u_empty
         for pos, p in enumerate(perm):
             mask |= 1 << p
-            try:
-                cur = utility(trusted(mask, n))
-            except Exception as exc:
-                # built on failure only: this scan makes permutations * n evaluations
-                raise _failure(exc, trusted(mask, n), permutation_index=t,
-                               prefix=tuple(perm[: pos + 1]))
+            cur = seen.get(mask)
+            if cur is None:
+                coalition = Coalition(mask, n)
+                try:
+                    cur = seen[mask] = utility(coalition)
+                except Exception as exc:
+                    raise _failure(exc, coalition, permutation_index=t,
+                                   prefix=tuple(perm[: pos + 1]))
             marginals[p][t] = cur - prev
             prev = cur
             if truncate and abs(cur - u_full) <= truncation_tol:
@@ -244,7 +248,7 @@ def loo_values(game: GameSpec) -> ShapleyResult:
     n = game.n
     full = Coalition.full(n)
     u_full = _eval(game, full)
-    values = tuple(u_full - _eval(game, Coalition._trusted(full.mask & ~(1 << i), n))
+    values = tuple(u_full - _eval(game, Coalition(full.mask & ~(1 << i), n))
                    for i in range(n))
     return ShapleyResult(
         values=values,

@@ -65,7 +65,7 @@ def rank_add_curve(values, prompt_ids: Sequence[str], oracle: UtilityFn) -> Curv
     for k, idx in enumerate(order, start=1):
         mask |= 1 << idx
         try:
-            utility = float(oracle(Coalition._trusted(mask, n)))
+            utility = float(oracle(Coalition(mask, n)))
         except Exception as exc:
             points.append(CurvePoint(k=k, added_prompt_id=prompt_ids[idx], utility=None))
             return Curve(points=tuple(points), error=str(exc), failed_k=k)

@@ -229,11 +229,11 @@ def test_cached_utility_serves_loaded_entries_without_the_oracle(tmp_path):
         raise AssertionError("oracle must not run on a hit")
 
     wrapped = cached_utility(UtilityCache.load(path), oracle)
-    for _ in range(3):   # the first call reads the cache, the rest the memo
+    for _ in range(3):   # every call reads the cache
         assert wrapped(Coalition(0b101, 3)) == 0.25
 
 
-def test_memo_never_serves_another_player_count():
+def test_hex_key_width_keeps_player_counts_apart():
     calls = []
 
     def oracle(coalition):
@@ -243,26 +243,12 @@ def test_memo_never_serves_another_player_count():
     cache = UtilityCache()
     wrapped = cached_utility(cache, oracle)
     assert wrapped(Coalition(1, 3)) == 0.03
-    assert wrapped(Coalition(1, 3)) == 0.03     # a cache hit: memoized for n=3
+    assert wrapped(Coalition(1, 3)) == 0.03     # a cache hit on key "01"
     assert wrapped(Coalition(1, 9)) == 0.09     # same mask, wider hex key "0100"
     assert wrapped(Coalition(1, 9)) == 0.09
     assert wrapped(Coalition(1, 3)) == 0.03
     assert calls == [(1, 3), (1, 9)]
     assert cache.entries == {"01": 0.03, "0100": 0.09}
-
-
-def test_memo_serves_repeats_without_the_cache():
-    class CountingCache(UtilityCache):
-        gets = 0
-
-        def get(self, key):
-            CountingCache.gets += 1
-            return super().get(key)
-
-    wrapped = cached_utility(CountingCache(), lambda coalition: 0.5)
-    assert [wrapped(Coalition(0b11, 2)) for _ in range(5)] == [0.5] * 5
-    # the miss reads twice (before and after the put), the first hit once
-    assert CountingCache.gets == 3
 
 
 def test_memo_keeps_the_first_writers_value():

@@ -501,6 +501,25 @@ def test_value_reports_a_directory_matrix(matrix_config, tmp_path, capsys):
     assert payload["message"].startswith(f"{directory}: ")
 
 
+@pytest.mark.parametrize("empty", ["manifest", "questions"])
+def test_value_reports_an_empty_live_input(empty, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PROMPTSHAP_API_KEY", raising=False)   # reaching the API exits 4
+    paths = {"manifest": tmp_path / "manifest.jsonl", "questions": tmp_path / "questions.jsonl"}
+    write_jsonl(paths["manifest"], stub_manifest_rows())
+    write_jsonl(paths["questions"], stub_question_rows())
+    paths[empty].write_text("")
+    config = write_config(tmp_path, {
+        "utility_mode": "live-augmentation",
+        "paths": {name: str(path) for name, path in paths.items()},
+        "api": {"base_url": "http://127.0.0.1:9", "model": "m"},
+    })
+    code, out, err = run_json(capsys, ["value", "--config", config])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert payload["message"].startswith(f"{paths[empty]}: ")
+
+
 # ---------------------------------------------------------------------------
 # verify / simulate / cache
 

@@ -425,6 +425,21 @@ def test_dimension_mismatch_raises_protocol_error(stub, stub_api):
         embed(["a", "b"], stub_api)
 
 
+@pytest.mark.parametrize("indices, bad", [
+    ([-1, 0], "-1"),    # fills both rows if -1 wraps onto the last one
+    ([0, 2], "2"),
+    ([0.9, 1], "0.9"),  # fills both rows if 0.9 is truncated to 0
+    (["0", "1"], "'0'"),
+])
+def test_embed_rejects_a_reply_index_that_names_no_input(indices, bad, monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = json.dumps({"data": [{"index": i, "embedding": [1.0, 0.0]} for i in indices]})
+    monkeypatch.setattr(client, "_send", lambda request, timeout: (200, {}, reply.encode()))
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
+    with pytest.raises(ProtocolError, match=f"index {bad} is not an integer in 0..1"):
+        embed(["a", "b"], api)
+
+
 def test_embed_empty_input(stub, stub_api):
     assert embed([], stub_api).shape == (0, 0)
     assert stub.state.embed_requests == 0

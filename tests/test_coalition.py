@@ -13,6 +13,7 @@ def test_constructors_and_membership():
     assert c.indices() == (0, 2)
     assert Coalition.empty(4).size == 0
     assert Coalition.full(4).mask == 0b1111
+    assert Coalition(0b101, 3) == Coalition(0b101, 3) != Coalition(0b101, 4)
 
 
 def test_validation():
@@ -51,19 +52,8 @@ def test_indices_round_trip(n, data):
     assert c.size == len(c.indices())
 
 
-@given(st.integers(min_value=1, max_value=80), st.data())
-def test_trusted_equals_checked(n, data):
-    mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    trusted, checked = Coalition._trusted(mask, n), Coalition(mask, n)
-    assert type(trusted) is Coalition
-    assert trusted == checked and hash(trusted) == hash(checked)
-    assert {trusted: 1}[checked] == 1
-    assert (trusted.mask, trusted.n, trusted.to_hex()) == (checked.mask, checked.n, checked.to_hex())
-    assert trusted != Coalition(mask, n + 1)
-
-
-def test_trusted_coalition_is_frozen():
-    c = Coalition._trusted(0b11, 2)
+def test_coalition_is_frozen():
+    c = Coalition(0b11, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.mask = 0
     assert not hasattr(c, "__dict__")

@@ -20,7 +20,6 @@ from promptshap.game import (
     shapley_montecarlo,
     shapley_weight,
 )
-from promptshap.rng import SplitMix64
 
 from conftest import (
     ReferenceSplitMix64,
@@ -121,32 +120,44 @@ def test_oracle_failure_is_wrapped():
     assert "coalition" in err.value.details
 
 
+def prefix_scan(n, permutations, seed, depth=None):
+    """Each prefix mask of the seeded permutations (the first ``depth`` prefixes
+    of each) mapped to (permutation index, prefix) where it first appears."""
+    rng = ReferenceSplitMix64(seed)
+    perm = list(range(n))
+    first = {}
+    for t in range(permutations):
+        rng.shuffle(perm)
+        mask = 0
+        for pos, p in enumerate(perm[:depth]):
+            mask |= 1 << p
+            first.setdefault(mask, (t, tuple(perm[: pos + 1])))
+    return first
+
+
 @pytest.mark.parametrize("error, raised", [
     (ValueError("boom"), UtilityOracleError),
     (ConsistencyError("boom"), ConsistencyError),
 ])
 def test_montecarlo_failure_names_permutation_and_prefix(error, raised):
-    n, seed, t_fail, pos_fail = 5, 3, 2, 3
-    # u_full and u_empty come first, then n evaluations per permutation
-    fail_at = 2 + t_fail * n + pos_fail
-    calls = 0
+    n, seed, permutations = 5, 3, 10
+    first = prefix_scan(n, permutations, seed)
+    # a coalition the third permutation is the first to reach
+    target = next(mask for mask, (t, _) in first.items() if t == 2)
+    calls = []
 
     def utility(coalition):
-        nonlocal calls
-        calls += 1
-        if calls == fail_at + 1:
+        calls.append(coalition.mask)
+        if coalition.mask == target:
             raise error
         return 0.0
 
-    rng = SplitMix64(seed)
-    perm = list(range(n))
-    for _ in range(t_fail + 1):
-        rng.shuffle(perm)
-    prefix = tuple(perm[: pos_fail + 1])
     with pytest.raises(raised) as err:
-        shapley_montecarlo(GameSpec(n=n, utility=utility), permutations=10, seed=seed)
+        shapley_montecarlo(GameSpec(n=n, utility=utility), permutations, seed=seed)
+    assert calls.count(target) == 1
+    t_fail, prefix = first[target]
     assert list(err.value.details.items()) == [
-        ("coalition", Coalition(sum(1 << i for i in prefix), n).to_hex()),
+        ("coalition", Coalition(target, n).to_hex()),
         ("permutation_index", t_fail),
         ("prefix", prefix),
     ]
@@ -264,8 +275,9 @@ def test_montecarlo_single_permutation_stderr_zero(glove_game):
 def test_montecarlo_parameter_validation(glove_game):
     with pytest.raises(PreconditionError):
         shapley_montecarlo(glove_game, permutations=0)
-    with pytest.raises(PreconditionError):
-        shapley_montecarlo(glove_game, permutations=10, truncation_tol=-0.1)
+    for tol in (-0.1, math.nan):
+        with pytest.raises(PreconditionError):
+            shapley_montecarlo(glove_game, permutations=10, truncation_tol=tol)
 
 
 def test_truncation_skips_saturated_tail():
@@ -281,9 +293,11 @@ def test_truncation_skips_saturated_tail():
     result = shapley_montecarlo(
         GameSpec(n=n, utility=truncated), permutations=T, seed=5, truncation_tol=1e-9
     )
-    # full scan: T*n + 2 evaluations; truncated: first member only, T + 2
-    assert plain.calls == T * n + 2
-    assert truncated.calls == T + 2
+    # each distinct coalition once: U(full), U(empty), then the scanned prefixes;
+    # truncated scans stop at their first member
+    assert plain.calls == len(prefix_scan(n, T, seed=5).keys() | {0})
+    assert truncated.calls == len(prefix_scan(n, T, seed=5, depth=1).keys() | {0, (1 << n) - 1})
+    assert truncated.calls < plain.calls
     # estimates stay unbiased: each player's value is 1/n
     assert abs(math.fsum(result.values) - 1.0) < 1e-12
 
@@ -296,7 +310,7 @@ def test_truncation_tol_zero_disables_truncation():
     result = shapley_montecarlo(
         GameSpec(n=n, utility=oracle), permutations=T, seed=1, truncation_tol=0.0
     )
-    assert oracle.calls == T * n + 2
+    assert oracle.calls == len(prefix_scan(n, T, seed=1).keys() | {0}) > 2
     assert result.values == (0.0,) * n
 
 
@@ -324,6 +338,27 @@ def test_montecarlo_matches_the_scalar_reference_bit_for_bit(n, seed, permutatio
     got = shapley_montecarlo(game, permutations, truncation_tol=tol, seed=seed)
     want = reference_shapley_montecarlo(game, permutations, truncation_tol=tol, seed=seed)
     assert result_bits(got) == result_bits(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=60), st.sampled_from((0.0, 0.01)))
+def test_montecarlo_asks_each_distinct_coalition_once_in_first_order(n, seed, permutations,
+                                                                       tol):
+    base = random_table_game(n, seed)
+    engine, reference = [], []
+
+    def recording(masks):
+        def utility(coalition):
+            masks.append(coalition.mask)
+            return round(base.utility(coalition) * 8) / 8   # coarse, so truncation fires
+
+        return GameSpec(n=n, utility=utility, u_empty=base.u_empty)
+
+    shapley_montecarlo(recording(engine), permutations, truncation_tol=tol, seed=seed)
+    reference_shapley_montecarlo(recording(reference), permutations, truncation_tol=tol,
+                                 seed=seed)
+    assert engine == list(dict.fromkeys(reference))
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.01])
