@@ -39,6 +39,8 @@ from .jsonio import _open
 # json.loads without its wrapper and whitespace scans, which on a short
 # stripped line cost about twice the parse; ``end`` exposes trailing data
 _decode = json.JSONDecoder().raw_decode
+# the bytes of json.dumps(row, sort_keys=True) without building an encoder per line
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class _JsonlCache:
@@ -90,6 +92,12 @@ class _JsonlCache:
             return self.entries.get(key)
 
     def put(self, key, value) -> None:
+        """Store and append ``value`` unless ``key`` is taken; a value that
+        ``load`` would skip is a ``ConsistencyError``, stored nowhere."""
+        if not self._valid_value(value):
+            raise ConsistencyError(
+                f"cannot cache {value!r} as {self.value_field!r} for {key!r}"
+            )
         with self._lock:
             if key in self.entries:
                 return
@@ -99,7 +107,7 @@ class _JsonlCache:
     def _append(self, row: dict) -> None:
         if self.path is None or self._write_failed:
             return
-        line = json.dumps(row, sort_keys=True) + "\n"
+        line = _encode(row) + "\n"
         try:
             if self._fh is None:
                 self._fh = open(self.path, "a", encoding="utf-8")
@@ -140,10 +148,7 @@ class _JsonlCache:
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     for key, value in self.entries.items():
-                        fh.write(
-                            json.dumps({self.key_field: key, self.value_field: value},
-                                       sort_keys=True) + "\n"
-                        )
+                        fh.write(_encode({self.key_field: key, self.value_field: value}) + "\n")
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)

@@ -10,12 +10,13 @@ on a tie counts as wrong. Both rules yield values that are exact multiples of
 
 Cost model of the ``matrix_utility`` oracle: its first non-empty call maps the
 validation ids to matrix columns and slices the matrix to them, once. The vote
-rule then keeps integer per-label counts for the last coalition scored and
-moves them by the prompt rows whose membership changed, so a call costs
-O(changed rows * K * |V|) plus the O(K * |V|) plurality; exact enumeration's
-ascending walk changes about two rows per step, an MC prefix one. The average
-rule recomputes the mean over all member rows on every call, in ascending row
-order, so its float results and argmax ties never depend on visit order.
+rule then keeps integer gold and rival vote counts for the last coalition
+scored and moves them by the prompt rows whose membership changed, so a call
+costs O(changed rows * K * |V|) for the moves plus one K x |V| max and one
+|V| compare; exact enumeration's ascending walk changes about two rows per
+step, an MC prefix one. The average rule recomputes the mean over all member
+rows on every call, in ascending row order, so its float results and argmax
+ties never depend on visit order.
 """
 
 from __future__ import annotations
@@ -141,44 +142,46 @@ def _columns(matrix: PredictionMatrix, ids) -> list[int]:
         raise ConsistencyError(f"instance {exc.args[0]!r} not in the matrix") from None
 
 
-def _one_hot(labels: np.ndarray, num_labels: int) -> np.ndarray:
-    """(..., columns) label indices -> (..., labels, columns) int64 indicators."""
-    return (labels[..., None, :] == np.arange(num_labels)[:, None]).astype(np.int64)
+class _MarginScorer:
+    """Correct-instance count of one coalition under plurality vote, moved to
+    the next coalition by adding or subtracting only the prompt rows whose
+    membership differs. Integer counts make the result independent of the
+    order coalitions arrive in.
 
+    ``g`` holds the gold label's votes per column and ``rival`` every label's
+    votes with the gold slot held at 0, so gold wins a column exactly when
+    ``g > rival.max(axis=0)``. The tie rule only sets where ``rival`` starts:
+    at 0 for ``abstain``, so gold must beat every other label strictly; at -1
+    on the labels above gold for ``lowest``, so gold also wins a tie with a
+    higher label, as argmax keeps the lowest index on ties."""
 
-def _plurality(counts: np.ndarray, tie: TieRule) -> np.ndarray:
-    """Plurality label per column of a (labels, columns) vote-count array;
-    -1 encodes abstention on first-place ties, which no gold label matches."""
-    winner = counts.argmax(axis=0)          # lowest label index on equal counts
-    if tie is TieRule.LOWEST:
-        return winner
-    top = counts.max(axis=0)
-    tied = (counts == top).sum(axis=0) > 1
-    return np.where(tied, -1, winner)
-
-
-class _VoteCounts:
-    """Per-label vote counts of one coalition, moved to the next coalition by
-    adding or subtracting only the prompt rows whose membership differs.
-    Integer counts make the result independent of the order coalitions arrive in."""
-
-    def __init__(self, one_hot: np.ndarray):
-        self.one_hot = one_hot              # (prompts, labels, columns)
-        self.counts = np.zeros(one_hot.shape[1:], dtype=np.int64)
+    def __init__(self, labels: np.ndarray, golds: np.ndarray, num_labels: int,
+                 tie: TieRule):
+        label_ids = np.arange(num_labels)[:, None]
+        votes = labels[:, None, :] == label_ids           # (prompts, labels, columns)
+        is_gold = label_ids == golds                      # (labels, columns)
+        # one (1 + labels, columns) array, gold on top, so a moved prompt is one add
+        self.rows = np.concatenate(
+            [(labels == golds)[:, None, :], votes & ~is_gold], axis=1
+        ).astype(np.int64)
+        self.counts = np.zeros(self.rows.shape[1:], dtype=np.int64)
+        self.g, self.rival = self.counts[0], self.counts[1:]
+        if tie is TieRule.LOWEST:
+            self.rival -= label_ids > golds
         self.mask = 0
 
-    def move_to(self, mask: int) -> np.ndarray:
+    def correct(self, mask: int) -> int:
         diff = mask ^ self.mask
         while diff:
             bit = diff & -diff
-            row = self.one_hot[bit.bit_length() - 1]
+            row = self.rows[bit.bit_length() - 1]
             if mask & bit:
                 self.counts += row
             else:
                 self.counts -= row
             self.mask ^= bit
             diff ^= bit
-        return self.counts
+        return int(np.count_nonzero(self.g > self.rival.max(axis=0)))
 
 
 def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Rule,
@@ -190,32 +193,32 @@ def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Ru
     """
     lock = threading.Lock()
     golds = np.array(validation.golds)
-    predict = None                          # non-empty Coalition -> label per validation column
+    correct = None                          # non-empty Coalition -> correct instances
 
     def build():
         cols = _columns(matrix, validation.ids)
         if rule is Rule.VOTE:
-            votes = _VoteCounts(_one_hot(matrix.hard_view()[:, cols], matrix.num_labels))
-            return lambda coalition: _plurality(votes.move_to(coalition.mask), tie)
+            scorer = _MarginScorer(matrix.hard_view()[:, cols], golds, matrix.num_labels, tie)
+            return lambda coalition: scorer.correct(coalition.mask)
         if matrix.mode is not Mode.PROBABILISTIC:
             raise PreconditionError("average rule requires a probabilistic matrix")
         prob = matrix.prob[:, cols]          # (prompts, columns, labels)
         # a fresh mean over members in ascending order gives the same float sums,
         # hence the same argmax ties, whatever order coalitions arrive in
-        return lambda coalition: np.argmax(
-            prob[list(coalition.indices())].mean(axis=0), axis=1
-        )
+        return lambda coalition: int(np.count_nonzero(
+            np.argmax(prob[list(coalition.indices())].mean(axis=0), axis=1) == golds
+        ))
 
     def oracle(coalition: Coalition) -> float:
-        nonlocal predict
+        nonlocal correct
         _check_coalition(matrix, coalition)
         if coalition.size == 0:
             return u_empty
         with lock:
-            if predict is None:
-                predict = build()
-            correct = int(np.count_nonzero(predict(coalition) == golds))
-        return correct / len(validation.instances)
+            if correct is None:
+                correct = build()
+            hits = correct(coalition)
+        return hits / len(validation.instances)
 
     return oracle
 

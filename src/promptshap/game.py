@@ -13,9 +13,6 @@ Three estimators share the ``ShapleyResult`` container:
   keeping the estimator unbiased.
 - ``loo_values``: leave-one-out differences, exactly n+1 oracle calls.
 
-``shapley_exact_rational`` runs the same enumeration in ``Fraction`` arithmetic,
-for games whose utilities are rational.
-
 Cost model: every engine makes one ``Coalition``-level oracle call per
 distinct coalition it evaluates: 2^n exact, n+1 leave-one-out, and for Monte
 Carlo U(full), U(empty), then each prefix the first time a permutation
@@ -132,56 +129,38 @@ def shapley_weight(n: int, s: int) -> Fraction:
     return Fraction(1, n * math.comb(n - 1, s))
 
 
-def _enumerate(n: int, utility: Callable[[Coalition], object], number: type,
-               total: Callable, cap: int) -> tuple[list, list]:
-    """The utility table over all 2^n coalitions in ascending mask order (the
-    documented deterministic evaluation order) and each player's weighted sum
-    of marginals, with the weights taken as ``number`` and summed by ``total``."""
-    if n > cap:
+def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> ShapleyResult:
+    """Evaluate all 2^n coalitions in ascending mask order (the documented
+    deterministic evaluation order), then sum each player's weighted marginals
+    with ``math.fsum``."""
+    n = game.n
+    if n > exact_cap:
         raise CapacityError(
-            f"n={n} exceeds the exact enumeration cap {cap}; "
+            f"n={n} exceeds the exact enumeration cap {exact_cap}; "
             "use shapley_montecarlo for larger games",
             n=n,
-            exact_cap=cap,
+            exact_cap=exact_cap,
         )
-    if n < 1:
-        raise PreconditionError(f"coalition needs a positive player count, got n={n}")
-    table = [utility(Coalition(mask, n)) for mask in range(1 << n)]
-    weights = [number(shapley_weight(n, s)) for s in range(n)]
+    table = [_eval(game, Coalition(mask, n)) for mask in range(1 << n)]
+    weights = [float(shapley_weight(n, s)) for s in range(n)]
     popcount = [mask.bit_count() for mask in range(1 << n)]
-    values = [
-        total(
+    values = tuple(
+        math.fsum(
             weights[popcount[mask]] * (table[mask | bit] - table[mask])
             for mask in range(1 << n)
             if not mask & bit
         )
         for bit in (1 << i for i in range(n))
-    ]
-    return table, values
-
-
-def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> ShapleyResult:
-    table, values = _enumerate(
-        game.n, lambda coalition: _eval(game, coalition), float, math.fsum, exact_cap
     )
     return ShapleyResult(
-        values=tuple(values),
-        stderr=(0.0,) * game.n,
+        values=values,
+        stderr=(0.0,) * n,
         method=Method.EXACT,
         samples=0,
         seed=None,
         u_full=table[-1],
         u_empty=table[0],
     )
-
-
-def shapley_exact_rational(n: int, utility: Callable[[Coalition], Fraction],
-                           exact_cap: int = 16) -> list[Fraction]:
-    """Exact-arithmetic twin of ``shapley_exact`` for reference checks."""
-    _, values = _enumerate(
-        n, lambda coalition: Fraction(utility(coalition)), Fraction, sum, exact_cap
-    )
-    return values
 
 
 def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float = 0.0,

@@ -54,6 +54,19 @@ def random_table_game(n: int, seed: int) -> GameSpec:
     return GameSpec(n=n, utility=utility, u_empty=table[0])
 
 
+def shapley_subset_rational(n: int, utility) -> list[Fraction]:
+    """The subset formula in exact arithmetic: each player's marginals over the
+    coalitions without it, weighted 1/(n*C(n-1,|S|)) as Fractions."""
+    table = [Fraction(utility(Coalition(mask, n))) for mask in range(1 << n)]
+    values = [Fraction(0)] * n
+    for i in range(n):
+        for mask in range(1 << n):
+            if not mask >> i & 1:
+                weight = Fraction(1, n * math.comb(n - 1, mask.bit_count()))
+                values[i] += weight * (table[mask | 1 << i] - table[mask])
+    return values
+
+
 def shapley_permutation_rational(n: int, utility, cap: int = 8) -> list[Fraction]:
     """Brute-force average of per-permutation marginals over all n! orderings:
     an independent reference for the library's subset-weighted enumeration."""

@@ -19,7 +19,6 @@ from promptshap.ensemble import Rule, matrix_utility
 from promptshap.game import (
     GameSpec,
     shapley_exact,
-    shapley_exact_rational,
     shapley_montecarlo,
 )
 from promptshap.learning import RegressorKind, RegressorSpec, holdout_eval
@@ -43,6 +42,7 @@ from conftest import (
     make_adversarial_fixture,
     random_table_game,
     shapley_permutation_rational,
+    shapley_subset_rational,
     stub_manifest_rows,
     stub_question_rows,
     write_jsonl,
@@ -129,7 +129,7 @@ def test_acceptance_02_rational_equivalence(capsys):
         def frac_utility(c, _t=table):
             return _t[c.mask]
 
-        subset_form = shapley_exact_rational(n, frac_utility)
+        subset_form = shapley_subset_rational(n, frac_utility)
         permutation_form = shapley_permutation_rational(n, frac_utility)
         if subset_form != permutation_form:
             problems.append(f"seed {seed}: rational forms disagree")

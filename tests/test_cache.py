@@ -1,11 +1,14 @@
 import gc
 import json
+import math
 import os
 import re
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promptshap.cache import (
     ResponseCache,
@@ -16,6 +19,7 @@ from promptshap.cache import (
 )
 from promptshap.coalition import Coalition
 from promptshap.errors import ConsistencyError
+from promptshap.game import GameSpec, shapley_exact
 
 
 def test_put_get_round_trip(tmp_path):
@@ -146,13 +150,92 @@ def test_response_cache_skips_wrong_types(tmp_path, row):
     assert cache.entries == {"cd": "y"}
 
 
+BAD_UTILITIES = [math.nan, math.inf, -math.inf, True, "0.5"]
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["file", "memory"])
+@pytest.mark.parametrize("u", BAD_UTILITIES, ids=repr)
+def test_put_refuses_a_utility_load_would_skip(tmp_path, bound, u):
+    path = tmp_path / "u.jsonl"
+    original = json.dumps({"coalition": "05", "u": 0.5}) + "\n"
+    path.write_text(original)
+    with (UtilityCache.load(path) if bound else UtilityCache()) as cache:
+        before = dict(cache.entries)
+        with pytest.raises(ConsistencyError):
+            cache.put("01", u)
+        assert cache.entries == before
+        assert cache.get("01") is None
+        cache.put("02", 0.25)               # the cache still works afterwards
+    expected = original + ('{"coalition": "02", "u": 0.25}\n' if bound else "")
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("response", [5, None, b"x"], ids=repr)
+def test_response_cache_put_refuses_a_non_string(tmp_path, response):
+    path = tmp_path / "r.jsonl"
+    with ResponseCache(path) as cache:
+        with pytest.raises(ConsistencyError):
+            cache.put("ab", response)
+        assert cache.entries == {}
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["file", "memory"])
+@pytest.mark.parametrize("u", BAD_UTILITIES, ids=repr)
+def test_engine_names_the_coalition_a_bad_utility_came_from(tmp_path, bound, u):
+    path = tmp_path / "u.jsonl"
+    with UtilityCache(path if bound else None) as cache:
+        oracle = cached_utility(cache, lambda c: u if c.mask == 0b10 else c.size / 2)
+        with pytest.raises(ConsistencyError) as info:
+            shapley_exact(GameSpec(n=2, utility=oracle))
+    assert info.value.details["coalition"] == "02"
+    assert cache.entries == {"00": 0.0, "01": 0.5}
+    if bound:
+        assert path.read_text() == ('{"coalition": "00", "u": 0.0}\n'
+                                    '{"coalition": "01", "u": 0.5}\n')
+
+
+# every character but surrogates, which no UTF-8 file can hold, with the ones
+# JSON escapes drawn often
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u2028\u00e9\U0001f600'),
+                              st.characters(exclude_categories=("Cs",))))
+FINITE_UTILITY = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(min_value=-(10**30), max_value=10**30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(UtilityCache), st.dictionaries(JSON_TEXT, FINITE_UTILITY, max_size=4)),
+    st.tuples(st.just(ResponseCache), st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=4)),
+))
+def test_lines_are_the_bytes_of_json_dumps(case):
+    cls, entries = case
+    rows = [{cls.key_field: key, cls.value_field: value} for key, value in entries.items()]
+    expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        appended = cls(os.path.join(tmp, "appended.jsonl"))
+        with appended:
+            for key, value in entries.items():
+                appended.put(key, value)
+        persisted = cls(os.path.join(tmp, "persisted.jsonl"))
+        persisted.entries.update(entries)
+        persisted.persist()
+        for cache in (appended, persisted):
+            written = b""
+            if os.path.exists(cache.path):    # no put, no append handle, no file
+                with open(cache.path, "rb") as fh:
+                    written = fh.read()
+            assert written == expected
+
+
 def test_failed_persist_leaves_the_file_intact(tmp_path):
     path = tmp_path / "u.jsonl"
     original = json.dumps({"coalition": "05", "u": 0.5}) + "\n"
     path.write_text(original)
     cache = UtilityCache()
     cache.put("01", 0.25)
-    cache.put("02", object())               # not JSON-serializable: fails mid-write
+    cache.entries["02"] = object()          # past put's check; not JSON-serializable,
+                                            # so persist fails mid-write
     cache.path = path                       # bound after the puts, so only persist writes
     with pytest.raises(TypeError):
         cache.persist()

@@ -368,6 +368,61 @@ def test_oracle_matches_reference_in_any_visit_order(seed, rule_case, tie):
             assert oracle(Coalition(mask, n)) == expected, (name, mask)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=30),
+    st.booleans(),
+    st.sampled_from(list(TieRule)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_vote_matches_plain_plurality_in_engine_orders(n, k, v, probabilistic, tie, seed):
+    # a stale running count would show as a wrong utility on some later mask
+    rng = np.random.default_rng(seed)
+    matrix, validation = random_game(rng, n, k, v, probabilistic)
+    full = 1 << n
+    prefixes = []                       # Monte Carlo scans: each permutation's prefixes
+    for _ in range(max(2, 48 // n)):
+        mask = 0
+        for p in rng.permutation(n):
+            mask |= 1 << int(p)
+            prefixes.append(mask)
+    orders = {
+        "ascending": range(full),
+        "shuffled, repeats": [int(m) for m in rng.permutation(np.repeat(np.arange(full), 2))],
+        "mc prefixes": prefixes,
+    }
+    expected = {}
+    for name, masks in orders.items():
+        oracle = matrix_utility(matrix, validation, Rule.VOTE, tie)
+        for mask in masks:
+            if mask not in expected:
+                expected[mask] = reference_utility(matrix, validation, mask, Rule.VOTE, tie, 0.0)
+            assert oracle(Coalition(mask, n)) == expected[mask], (name, mask)
+
+
+def test_lowest_tie_rule_fixture():
+    # votes per instance (rows are prompts), then the gold label
+    m = hard_matrix([[1, 1, 0, 2],
+                     [1, 1, 1, 2],
+                     [2, 2, 2, 2],
+                     [2, 2, 1, 0],
+                     [0, 0, 2, 0]], num_labels=3)
+    golds = [1,   # ties the higher label 2: correct
+             2,   # ties the lower label 1: wrong
+             1,   # ties the higher label 2, beats the lower label 0: correct
+             0]   # loses 2 to 3: wrong
+    validation = ValidationSet(instances=tuple((f"q{j}", g) for j, g in enumerate(golds)),
+                               num_labels=3)
+    full = Coalition.full(5)
+    assert matrix_utility(m, validation, Rule.VOTE, TieRule.LOWEST)(full) == 0.5
+    assert matrix_utility(m, validation, Rule.VOTE, TieRule.ABSTAIN)(full) == 0.0
+    for j, (gold, expected) in enumerate(zip(golds, [1.0, 0.0, 1.0, 0.0])):
+        single = hard_matrix([[row[j]] for row in m.hard.tolist()], num_labels=3)
+        assert one_instance_utility(single, gold, tie=TieRule.LOWEST) == expected
+
+
 def test_shared_oracle_is_thread_safe():
     n = 8
     matrix, validation = random_game(np.random.default_rng(11), n, 3, 40, probabilistic=False)

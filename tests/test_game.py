@@ -16,7 +16,6 @@ from promptshap.game import (
     Method,
     loo_values,
     shapley_exact,
-    shapley_exact_rational,
     shapley_montecarlo,
     shapley_weight,
 )
@@ -27,6 +26,7 @@ from conftest import (
     random_table_game,
     reference_shapley_montecarlo,
     shapley_permutation_rational,
+    shapley_subset_rational,
 )
 
 
@@ -228,16 +228,16 @@ def test_exact_equals_permutation_bruteforce_rationally():
     for seed in (0, 1, 2):
         n = 2 + seed
         utility = rational_table_game(n, seed)
-        direct = shapley_exact_rational(n, utility)
+        direct = shapley_subset_rational(n, utility)
         brute = shapley_permutation_rational(n, utility)
         assert direct == brute  # exact Fraction equality
+        game = GameSpec(n=n, utility=lambda c, u=utility: float(u(c)),
+                        u_empty=float(utility(Coalition(0, n))))
+        assert shapley_exact(game).values == pytest.approx([float(v) for v in brute],
+                                                           abs=1e-12)
 
 
 def test_rational_caps():
-    oracle = CountingOracle(lambda c: Fraction(0))
-    with pytest.raises(CapacityError):
-        shapley_exact_rational(17, oracle)
-    assert oracle.calls == 0
     with pytest.raises(CapacityError):
         shapley_permutation_rational(9, lambda c: Fraction(0))
 
@@ -441,5 +441,3 @@ def test_result_json_id_count_checked(glove_game):
 def test_game_needs_players():
     with pytest.raises(PreconditionError):
         GameSpec(n=0, utility=lambda c: 0.0)
-    with pytest.raises(PreconditionError):
-        shapley_exact_rational(0, lambda c: Fraction(0))

@@ -5,7 +5,7 @@ import pytest
 from promptshap.coalition import Coalition
 from promptshap.ensemble import Rule, matrix_utility
 from promptshap.errors import PreconditionError
-from promptshap.game import GameSpec, shapley_exact, shapley_exact_rational
+from promptshap.game import GameSpec, shapley_exact
 from promptshap.selection import (
     BestPrefix,
     Curve,
@@ -16,6 +16,8 @@ from promptshap.selection import (
     rank_add_curve,
     rank_order,
 )
+
+from conftest import shapley_subset_rational
 
 
 def test_rank_order_sorts_by_value_then_id():
@@ -47,7 +49,7 @@ def test_adversarial_fixture_ranking_and_curve(adversarial_fixture):
     matrix, validation = adversarial_fixture
     oracle = matrix_utility(matrix, validation, Rule.VOTE)
     game = GameSpec(n=6, utility=oracle)
-    rational = shapley_exact_rational(6, oracle)
+    rational = shapley_subset_rational(6, oracle)
     assert rational[:3] == [Fraction(11, 30)] * 3
     assert rational[3:] == [Fraction(-11, 30)] * 3
     result = shapley_exact(game)
