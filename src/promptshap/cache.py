@@ -39,8 +39,8 @@ from .jsonio import _open
 # json.loads without its wrapper and whitespace scans, which on a short
 # stripped line cost about twice the parse; ``end`` exposes trailing data
 _decode = json.JSONDecoder().raw_decode
-# the bytes of json.dumps(row, sort_keys=True) without building an encoder per line
-_encode = json.JSONEncoder(sort_keys=True).encode
+# the C string escaper behind json.dumps (ensure_ascii)
+_quote = json.encoder.encode_basestring_ascii
 
 
 class _JsonlCache:
@@ -92,8 +92,10 @@ class _JsonlCache:
             return self.entries.get(key)
 
     def put(self, key, value) -> None:
-        """Store and append ``value`` unless ``key`` is taken; a value that
-        ``load`` would skip is a ``ConsistencyError``, stored nowhere."""
+        """Store and append ``value`` unless ``key`` is taken; a key or value
+        that ``load`` would skip is a ``ConsistencyError``, stored nowhere."""
+        if not isinstance(key, str):
+            raise ConsistencyError(f"cannot cache under {key!r}: a key must be a str")
         if not self._valid_value(value):
             raise ConsistencyError(
                 f"cannot cache {value!r} as {self.value_field!r} for {key!r}"
@@ -102,12 +104,19 @@ class _JsonlCache:
             if key in self.entries:
                 return
             self.entries[key] = value
-            self._append({self.key_field: key, self.value_field: value})
+            self._append(key, value)
 
-    def _append(self, row: dict) -> None:
+    def _line(self, key: str, value) -> str:
+        """``json.dumps(row, sort_keys=True)`` and a newline, for the row
+        ``{key_field: key, value_field: value}``: both kinds name the key
+        field first in sorted order, and ``_dump`` writes the value as json
+        does, raising ``TypeError`` for a value json cannot write."""
+        return f'{{"{self.key_field}": {_quote(key)}, "{self.value_field}": {self._dump(value)}}}\n'
+
+    def _append(self, key: str, value) -> None:
         if self.path is None or self._write_failed:
             return
-        line = _encode(row) + "\n"
+        line = self._line(key, value)
         try:
             if self._fh is None:
                 self._fh = open(self.path, "a", encoding="utf-8")
@@ -148,7 +157,7 @@ class _JsonlCache:
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     for key, value in self.entries.items():
-                        fh.write(_encode({self.key_field: key, self.value_field: value}) + "\n")
+                        fh.write(self._line(key, value))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)
@@ -170,6 +179,12 @@ class UtilityCache(_JsonlCache):
         return (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and math.isfinite(value))
 
+    @staticmethod
+    def _dump(value) -> str:
+        # the base-class repr, as json writes it: repr(np.float64(0.5)) is
+        # "np.float64(0.5)"; int.__repr__ raises TypeError on a non-int
+        return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
 
 class ResponseCache(_JsonlCache):
     key_field = "digest"
@@ -178,6 +193,8 @@ class ResponseCache(_JsonlCache):
     @staticmethod
     def _valid_value(value) -> bool:
         return isinstance(value, str)
+
+    _dump = staticmethod(_quote)
 
 
 def cached_utility(cache: UtilityCache, inner: UtilityFn) -> UtilityFn:

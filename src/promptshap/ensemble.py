@@ -10,18 +10,20 @@ on a tie counts as wrong. Both rules yield values that are exact multiples of
 
 Cost model of the ``matrix_utility`` oracle: its first non-empty call maps the
 validation ids to matrix columns and slices the matrix to them, once. The vote
-rule then keeps integer gold and rival vote counts for the last coalition
-scored and moves them by the prompt rows whose membership changed, so a call
-costs O(changed rows * K * |V|) for the moves plus one K x |V| max and one
-|V| compare; exact enumeration's ascending walk changes about two rows per
-step, an MC prefix one. The average rule recomputes the mean over all member
-rows on every call, in ascending row order, so its float results and argmax
-ties never depend on visit order.
+rule then keeps, for the last coalition scored, one Python int per label that
+packs the gold-minus-rival vote margin of every validation column into a
+w-bit field (w = 8 bits while there are fewer than 128 prompts), and moves
+them by the prompt rows whose membership changed. A call costs K big-int adds
+of |V| * w bits per changed row, K ANDs and one popcount; exact enumeration's
+ascending walk changes about two rows per step, an MC prefix one. The average
+rule recomputes the mean over all member rows on every call, in ascending row
+order, so its float results and argmax ties never depend on visit order.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -148,40 +150,58 @@ class _MarginScorer:
     membership differs. Integer counts make the result independent of the
     order coalitions arrive in.
 
-    ``g`` holds the gold label's votes per column and ``rival`` every label's
-    votes with the gold slot held at 0, so gold wins a column exactly when
-    ``g > rival.max(axis=0)``. The tie rule only sets where ``rival`` starts:
-    at 0 for ``abstain``, so gold must beat every other label strictly; at -1
-    on the labels above gold for ``lowest``, so gold also wins a tie with a
-    higher label, as argmax keeps the lowest index on ties."""
+    Each validation column owns one w-bit field of a Python int, column j at
+    bits [w*j, w*(j+1)), where w in (8, 16, 32, 64) is the smallest width with
+    ``prompts < 2**(w-1)``. For each label l, ``margins[l]`` holds in every
+    column ``c + g - r``: ``g`` is the gold label's votes, ``r`` label l's
+    votes with the gold slot held at 0, and ``c`` is ``2**(w-1) - 1``, plus 1
+    on the labels above gold under ``lowest``. A field's top bit is then set
+    exactly when ``g > r``, or ``g >= r`` on those higher labels, as argmax
+    keeps the lowest index on ties; on the gold slot it asks for one gold
+    vote. Gold wins a column when every label's top bit is set, so a
+    coalition scores ``(top & margins[0] & ... & margins[K-1]).bit_count()``.
+
+    No carry or borrow crosses a field: ``g + r`` is at most the prompt
+    count P, so a field stays in ``[c - P, c + 1 + P]``, inside ``[0, 2**w)``
+    because ``P < 2**(w-1)``; a packed int is then exactly the sum of its
+    shifted fields, after any sequence of moves. Moving prompt p adds or
+    subtracts its packed per-label delta, ``pack(p votes gold) - pack(p votes
+    l, gold slot 0)``. The tables take P * K * |V| * w/8 bytes."""
 
     def __init__(self, labels: np.ndarray, golds: np.ndarray, num_labels: int,
                  tie: TieRule):
+        width = next(w for w in (8, 16, 32, 64) if labels.shape[0] < 2 ** (w - 1))
+        field = np.dtype(f"<u{width // 8}")     # little-endian: column 0 in the low bits
+
+        def pack(fields: np.ndarray) -> int:
+            return int.from_bytes(fields.astype(field).tobytes(), "little")
+
         label_ids = np.arange(num_labels)[:, None]
-        votes = labels[:, None, :] == label_ids           # (prompts, labels, columns)
-        is_gold = label_ids == golds                      # (labels, columns)
-        # one (1 + labels, columns) array, gold on top, so a moved prompt is one add
-        self.rows = np.concatenate(
-            [(labels == golds)[:, None, :], votes & ~is_gold], axis=1
-        ).astype(np.int64)
-        self.counts = np.zeros(self.rows.shape[1:], dtype=np.int64)
-        self.g, self.rival = self.counts[0], self.counts[1:]
+        not_gold = label_ids != golds                     # (labels, columns)
+        start = np.full(not_gold.shape, 2 ** (width - 1) - 1, dtype=field)
         if tie is TieRule.LOWEST:
-            self.rival -= label_ids > golds
+            start += label_ids > golds
+        self.top = pack(np.full(len(golds), 2 ** (width - 1), dtype=field))
+        self.margins = [pack(row) for row in start]
+        self.deltas = []                                  # per prompt, one delta per label
+        for row in labels:
+            gold = pack(row == golds)
+            self.deltas.append([gold - pack(votes) for votes in (row == label_ids) & not_gold])
         self.mask = 0
 
     def correct(self, mask: int) -> int:
+        margins = self.margins
         diff = mask ^ self.mask
         while diff:
             bit = diff & -diff
-            row = self.rows[bit.bit_length() - 1]
-            if mask & bit:
-                self.counts += row
-            else:
-                self.counts -= row
-            self.mask ^= bit
+            move = operator.add if mask & bit else operator.sub
+            margins = list(map(move, margins, self.deltas[bit.bit_length() - 1]))
             diff ^= bit
-        return int(np.count_nonzero(self.g > self.rival.max(axis=0)))
+        self.margins, self.mask = margins, mask
+        wins = self.top
+        for m in margins:
+            wins &= m
+        return wins.bit_count()
 
 
 def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Rule,

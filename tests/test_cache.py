@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +182,21 @@ def test_response_cache_put_refuses_a_non_string(tmp_path, response):
 
 
 @pytest.mark.parametrize("bound", [True, False], ids=["file", "memory"])
+@pytest.mark.parametrize("cls, value", [(UtilityCache, 0.5), (ResponseCache, "y")],
+                         ids=["utility", "response"])
+@pytest.mark.parametrize("key", [5, None, b"01", ("01",)], ids=repr)
+def test_put_refuses_a_key_load_would_skip(tmp_path, bound, cls, value, key):
+    path = tmp_path / "c.jsonl"
+    with (cls(path) if bound else cls()) as cache:
+        with pytest.raises(ConsistencyError):
+            cache.put(key, value)
+        assert cache.entries == {}
+        cache.put("01", value)              # the cache still works afterwards
+    if bound:
+        assert path.read_text() == json.dumps({cls.key_field: "01", cls.value_field: value}) + "\n"
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["file", "memory"])
 @pytest.mark.parametrize("u", BAD_UTILITIES, ids=repr)
 def test_engine_names_the_coalition_a_bad_utility_came_from(tmp_path, bound, u):
     path = tmp_path / "u.jsonl"
@@ -199,8 +215,19 @@ def test_engine_names_the_coalition_a_bad_utility_came_from(tmp_path, bound, u):
 # JSON escapes drawn often
 JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u2028\u00e9\U0001f600'),
                               st.characters(exclude_categories=("Cs",))))
+
+
+class _Count(int):
+    """An int subclass whose repr is not its JSON text."""
+
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
 FINITE_UTILITY = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                           st.integers(min_value=-(10**30), max_value=10**30))
+                           st.integers(min_value=-(10**30), max_value=10**30),
+                           st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                           st.integers(min_value=-(10**30), max_value=10**30).map(_Count))
 
 
 @settings(max_examples=60, deadline=None)

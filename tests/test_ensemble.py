@@ -423,6 +423,41 @@ def test_lowest_tie_rule_fixture():
         assert one_instance_utility(single, gold, tie=TieRule.LOWEST) == expected
 
 
+@pytest.mark.parametrize("tie", list(TieRule))
+@pytest.mark.parametrize("n", [126, 127, 128, 129])
+def test_vote_fields_stay_exact_across_the_width_boundary(n, tie):
+    # 127 prompts still fit 8-bit margin fields, 128 need 16; the unanimous
+    # matrix drives every field to its extreme on the full coalition: gold
+    # gets all n votes, or one rival does, below or above gold
+    rng = np.random.default_rng(n)
+    random_matrix, random_validation = random_game(rng, n, 3, 12, probabilistic=False)
+    unanimous = hard_matrix([[0, 1, 2, 0, 1, 2]] * n, num_labels=3)
+    unanimous_validation = ValidationSet(
+        instances=tuple((f"q{j}", g) for j, g in enumerate([0, 1, 2, 1, 2, 0])), num_labels=3)
+    full = (1 << n) - 1
+    prefixes = []
+    for _ in range(2):
+        mask = 0
+        for p in rng.permutation(n):
+            mask |= 1 << int(p)
+            prefixes.append(mask)
+    orders = {
+        "ascending": [*range(64), *range(full - 63, full + 1)],
+        "random": [int.from_bytes(rng.bytes(17), "little") & full for _ in range(64)],
+        "mc prefixes": prefixes,
+    }
+    for matrix, validation in [(random_matrix, random_validation),
+                               (unanimous, unanimous_validation)]:
+        for name, masks in orders.items():
+            oracle = matrix_utility(matrix, validation, Rule.VOTE, tie)
+            for mask in masks:
+                expected = reference_utility(matrix, validation, mask, Rule.VOTE, tie, 0.0)
+                assert oracle(Coalition(mask, n)) == expected, (name, mask)
+    # no ties when all n agree: exactly the three columns voting gold are right
+    assert matrix_utility(unanimous, unanimous_validation, Rule.VOTE, tie)(
+        Coalition(full, n)) == 0.5
+
+
 def test_shared_oracle_is_thread_safe():
     n = 8
     matrix, validation = random_game(np.random.default_rng(11), n, 3, 40, probabilistic=False)
