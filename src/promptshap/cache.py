@@ -14,10 +14,19 @@ append) is newline-terminated before the next append, so the new entry starts
 on its own line. ``persist`` writes a temporary file beside the target and
 renames it into place, so a failed rewrite leaves the old file whole.
 
-A file-backed cache keeps one append handle, opened at the first ``put`` and
-flushed after every line, so a crash loses at most the line being written.
-``close`` (or leaving a ``with`` block) releases it; ``persist`` closes it
-first, so a later ``put`` reopens and appends to the rewritten file.
+A file-backed cache keeps one append handle, opened at the first ``put``. A
+``put`` flushes its line at once, so a crash loses at most the line being
+written. Inside an ``appending()`` block a ``put`` flushes only when
+``FLUSH_S`` seconds have passed since the last flush, and leaving the block
+flushes, so a crash loses at most the lines put within ``FLUSH_S`` of each
+other. ``close`` (or leaving a ``with`` block) releases the handle;
+``persist`` closes it first, so a later ``put`` reopens and appends to the
+rewritten file.
+
+Cost model of ``cached_utility``'s batch: one hex key per mask, one dict
+lookup per key, one inner batch call for the distinct misses in
+first-appearance order, and one buffered line per miss, flushed at the end of
+the batch (and every ``FLUSH_S`` seconds within it) instead of per line.
 """
 
 from __future__ import annotations
@@ -27,13 +36,17 @@ import json
 import math
 import os
 import threading
+import time
 import warnings
-from typing import Optional
+from typing import Optional, Sequence
 
 from .coalition import Coalition
-from .errors import ConsistencyError
-from .game import UtilityFn
+from .errors import ConsistencyError, UtilityOracleError
+from .game import UtilityFn, batch_of
 from .jsonio import _open
+
+# seconds an ``appending()`` block may hold written lines before flushing them
+FLUSH_S = 0.1
 
 
 # json.loads without its wrapper and whitespace scans, which on a short
@@ -54,6 +67,8 @@ class _JsonlCache:
         self._fh = None
         self._write_failed = False
         self._torn_tail = False
+        self._appending = 0             # open ``appending()`` blocks
+        self._flush_due = 0.0
 
     @classmethod
     def _parse(cls, line: bytes):
@@ -121,14 +136,39 @@ class _JsonlCache:
             if self._fh is None:
                 self._fh = open(self.path, "a", encoding="utf-8")
             self._fh.write("\n" + line if self._torn_tail else line)
-            self._fh.flush()
             self._torn_tail = False
+            if not self._appending or time.monotonic() >= self._flush_due:
+                self._flush()
         except OSError as exc:
-            self._write_failed = True
-            self._close_handle()
-            warnings.warn(
-                f"cache file {self.path} is not writable ({exc}); continuing in memory"
-            )
+            self._give_up(exc)
+
+    def _flush(self) -> None:
+        self._fh.flush()
+        self._flush_due = time.monotonic() + FLUSH_S
+
+    def _give_up(self, exc: OSError) -> None:
+        self._write_failed = True
+        self._close_handle()
+        warnings.warn(f"cache file {self.path} is not writable ({exc}); continuing in memory")
+
+    @contextlib.contextmanager
+    def appending(self):
+        """A block whose ``put`` calls leave their lines in the append
+        buffer, flushed by the first ``put`` ``FLUSH_S`` seconds after the
+        last flush and when the block ends."""
+        with self._lock:
+            self._appending += 1
+            self._flush_due = time.monotonic() + FLUSH_S
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._appending -= 1
+                if self._fh is not None:
+                    try:
+                        self._flush()
+                    except OSError as exc:
+                        self._give_up(exc)
 
     def _close_handle(self) -> None:
         fh, self._fh = self._fh, None
@@ -197,17 +237,41 @@ class ResponseCache(_JsonlCache):
     _dump = staticmethod(_quote)
 
 
+_END = object()
+
+
 def cached_utility(cache: UtilityCache, inner: UtilityFn) -> UtilityFn:
-    """Memoize a deterministic utility oracle through the cache."""
+    """Memoize a deterministic utility oracle through the cache.
+
+    The result is a per-coalition oracle whose ``batch`` serves the hits and
+    asks ``inner``'s batch (see ``batch_of``) for the distinct misses in one
+    call, storing each new utility as it arrives, so a failure leaves the
+    cache holding exactly the utilities computed before it."""
+    inner_batch = batch_of(inner)
+
+    def batch(masks: Sequence[int], n: int):
+        width = (n + 7) // 8
+        keys = [mask.to_bytes(width, "little").hex() for mask in masks]
+        entries = cache.entries
+        # key -> mask of each miss, in first-appearance order
+        misses = {key: mask for key, mask in zip(keys, masks) if key not in entries}
+        fresh = iter(inner_batch(list(misses.values()), n) if misses else ())
+        with cache.appending():
+            for key in keys:
+                if key in misses:
+                    del misses[key]
+                    value = next(fresh, _END)
+                    if value is _END:
+                        raise UtilityOracleError("inner batch oracle ended early")
+                    cache.put(key, value)
+                # the first writer's value, if another got in first
+                yield entries[key]
 
     def oracle(coalition: Coalition) -> float:
-        key = coalition.to_hex()
-        value = cache.get(key)
-        if value is None:
-            cache.put(key, inner(coalition))
-            return cache.get(key)  # the first writer's value, if another got in first
+        [value] = batch([coalition.mask], coalition.n)
         return value
 
+    oracle.batch = batch
     return oracle
 
 

@@ -8,26 +8,30 @@ correct only when the ensemble names its gold label, so a vote that abstains
 on a tie counts as wrong. Both rules yield values that are exact multiples of
 1/|validation|.
 
-Cost model of the ``matrix_utility`` oracle: its first non-empty call maps the
-validation ids to matrix columns and slices the matrix to them, once. The vote
-rule then keeps, for the last coalition scored, one Python int per label that
-packs the gold-minus-rival vote margin of every validation column into a
-w-bit field (w = 8 bits while there are fewer than 128 prompts), and moves
-them by the prompt rows whose membership changed. A call costs K big-int adds
-of |V| * w bits per changed row, K ANDs and one popcount; exact enumeration's
-ascending walk changes about two rows per step, an MC prefix one. The average
-rule recomputes the mean over all member rows on every call, in ascending row
-order, so its float results and argmax ties never depend on visit order.
+Cost model of the ``matrix_utility`` oracle's mask-level ``batch``: the first
+batch holding a non-empty coalition maps the validation ids to matrix columns,
+slices the matrix to them and builds the rule's subset-sum tables, once. A
+table covers a block of at most 8 prompts, so it has at most 2^8 entries.
+
+- Vote: every block keeps, for each subset of its prompts, the packed
+  gold-minus-rival vote margins (one Python int of K * |V| w-bit fields,
+  w = 5 for 8 to 15 prompts), built by doubling. A mask costs one big-int
+  add per further block, ceil(log2(K)) shifts and ANDs and one popcount,
+  whatever order the masks come in.
+- Average: one table of the per-label probability sums of each subset of the
+  low prompts, built by doubling and kept within ``_TABLE_BYTES``. Masks are
+  grouped by their high prompts; a group gathers its low sums, adds the high
+  rows in ascending order and divides by the member count, so every mean has
+  the bits of ``prob[rows].mean(axis=0)``, and no intermediate holds more
+  than 2^lo * |V| * K floats.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,10 +131,10 @@ class PredictionMatrix:
         return np.argmax(self.prob, axis=2)
 
 
-def _check_coalition(matrix: PredictionMatrix, coalition: Coalition) -> None:
-    if coalition.n != len(matrix.prompt_ids):
+def _check_players(matrix: PredictionMatrix, n: int) -> None:
+    if n != len(matrix.prompt_ids):
         raise ConsistencyError(
-            f"coalition is over {coalition.n} players but the matrix has "
+            f"coalition is over {n} players but the matrix has "
             f"{len(matrix.prompt_ids)} prompts"
         )
 
@@ -144,102 +148,190 @@ def _columns(matrix: PredictionMatrix, ids) -> list[int]:
         raise ConsistencyError(f"instance {exc.args[0]!r} not in the matrix") from None
 
 
-class _MarginScorer:
-    """Correct-instance count of one coalition under plurality vote, moved to
-    the next coalition by adding or subtracting only the prompt rows whose
-    membership differs. Integer counts make the result independent of the
-    order coalitions arrive in.
+# players per subset-sum table: at most 2**8 entries each
+_BLOCK_PLAYERS = 8
+# bytes of the average rule's low-player table, at most
+_TABLE_BYTES = 1 << 18
 
-    Each validation column owns one w-bit field of a Python int, column j at
-    bits [w*j, w*(j+1)), where w in (8, 16, 32, 64) is the smallest width with
-    ``prompts < 2**(w-1)``. For each label l, ``margins[l]`` holds in every
-    column ``c + g - r``: ``g`` is the gold label's votes, ``r`` label l's
-    votes with the gold slot held at 0, and ``c`` is ``2**(w-1) - 1``, plus 1
-    on the labels above gold under ``lowest``. A field's top bit is then set
-    exactly when ``g > r``, or ``g >= r`` on those higher labels, as argmax
-    keeps the lowest index on ties; on the gold slot it asks for one gold
-    vote. Gold wins a column when every label's top bit is set, so a
-    coalition scores ``(top & margins[0] & ... & margins[K-1]).bit_count()``.
 
-    No carry or borrow crosses a field: ``g + r`` is at most the prompt
-    count P, so a field stays in ``[c - P, c + 1 + P]``, inside ``[0, 2**w)``
-    because ``P < 2**(w-1)``; a packed int is then exactly the sum of its
-    shifted fields, after any sequence of moves. Moving prompt p adds or
-    subtracts its packed per-label delta, ``pack(p votes gold) - pack(p votes
-    l, gold slot 0)``. The tables take P * K * |V| * w/8 bytes."""
+def _vote_scorer(labels: np.ndarray, golds: np.ndarray, num_labels: int, tie: TieRule):
+    """masks -> correct-instance counts under plurality vote, from integer
+    subset sums, so the result never depends on the order masks arrive in.
 
-    def __init__(self, labels: np.ndarray, golds: np.ndarray, num_labels: int,
-                 tie: TieRule):
-        width = next(w for w in (8, 16, 32, 64) if labels.shape[0] < 2 ** (w - 1))
-        field = np.dtype(f"<u{width // 8}")     # little-endian: column 0 in the low bits
+    A coalition's margins are one Python int of K segments of |V| w-bit
+    fields: label l's segment sits at bits [l*S, (l+1)*S), S = |V| * w, and
+    column j's field within it at [w*j, w*(j+1)); w is the smallest width
+    with ``prompts < 2**(w-1)``. Label l's field holds ``c + g - r``: ``g``
+    is the gold label's votes, ``r`` label l's votes with the gold slot held
+    at 0, and ``c`` is ``2**(w-1) - 1``, plus 1 on the labels above gold
+    under ``lowest``. A field's top bit is then set exactly when ``g > r``,
+    or ``g >= r`` on those higher labels, as argmax keeps the lowest index on
+    ties; on the gold slot it asks for one gold vote. Gold wins a column when
+    every label's top bit is set: shifting the int down by whole segments and
+    ANDing folds the K segments onto label 0's, and the coalition scores
+    ``(top & folded).bit_count()``, ``top`` holding label 0's top bits.
 
-        def pack(fields: np.ndarray) -> int:
-            return int.from_bytes(fields.astype(field).tobytes(), "little")
+    The margins are a sum of per-prompt deltas, ``pack(p votes gold) -
+    pack(p votes l, gold slot 0)`` in every segment, plus ``pack(c)``. Each
+    block of at most ``_BLOCK_PLAYERS`` prompts keeps the sum over every
+    subset of its prompts, built by doubling (each prompt adds its delta to
+    every sum so far), the first block's sums including ``pack(c)``; a mask
+    adds one entry per block. The sum is exact integer arithmetic, and no
+    carry or borrow crosses a field of the total: ``g + r`` is at most the
+    prompt count P, so a field stays in ``[c - P, c + 1 + P]``, inside
+    ``[0, 2**w)`` because ``P < 2**(w-1)``. The P prompts split into
+    ``ceil(P/8)`` blocks of equal size, up to one, so the tables hold at most
+    ``ceil(P/8) * 2**8`` ints of ``K * |V| * w`` bits: two of 64 at P = 12."""
+    prompts = labels.shape[0]
+    width = prompts.bit_length() + 1
 
-        label_ids = np.arange(num_labels)[:, None]
-        not_gold = label_ids != golds                     # (labels, columns)
-        start = np.full(not_gold.shape, 2 ** (width - 1) - 1, dtype=field)
-        if tie is TieRule.LOWEST:
-            start += label_ids > golds
-        self.top = pack(np.full(len(golds), 2 ** (width - 1), dtype=field))
-        self.margins = [pack(row) for row in start]
-        self.deltas = []                                  # per prompt, one delta per label
-        for row in labels:
-            gold = pack(row == golds)
-            self.deltas.append([gold - pack(votes) for votes in (row == label_ids) & not_gold])
-        self.mask = 0
+    def pack(fields: np.ndarray) -> int:
+        """Fields in [0, 2**width), the first in the low bits."""
+        fields = np.asarray(fields, dtype=np.int64)
+        bits = (fields[..., None] >> np.arange(width) & 1).astype(np.uint8)
+        return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(),
+                              "little")
 
-    def correct(self, mask: int) -> int:
-        margins = self.margins
-        diff = mask ^ self.mask
-        while diff:
-            bit = diff & -diff
-            move = operator.add if mask & bit else operator.sub
-            margins = list(map(move, margins, self.deltas[bit.bit_length() - 1]))
-            diff ^= bit
-        self.margins, self.mask = margins, mask
-        wins = self.top
-        for m in margins:
-            wins &= m
-        return wins.bit_count()
+    label_ids = np.arange(num_labels)[:, None]
+    not_gold = label_ids != golds                     # (labels, columns)
+    start = np.full(not_gold.shape, 2 ** (width - 1) - 1)
+    if tie is TieRule.LOWEST:
+        start += label_ids > golds
+    top = pack(np.full(len(golds), 2 ** (width - 1)))
+    blocks = -(-prompts // _BLOCK_PLAYERS)
+    size = -(-prompts // blocks)                      # players per block, balanced
+    tables = []
+    for first in range(0, prompts, size):
+        table = [pack(start) if first == 0 else 0]
+        for row in labels[first:first + size]:
+            delta = pack(np.broadcast_to(row == golds, not_gold.shape)) - \
+                pack((row == label_ids) & not_gold)
+            table += [total + delta for total in table]
+        tables.append((first, table))
+    (_, base), *rest = tables
+    low = (1 << size) - 1
+    segment = len(golds) * width
+    folds = []                                        # shifts that AND all K segments onto 0
+    covered = 1
+    while covered < num_labels:
+        step = min(covered, num_labels - covered)
+        folds.append(step * segment)
+        covered += step
+
+    def score(masks: Sequence[int]) -> list[int]:
+        hits = []
+        for mask in masks:
+            total = base[mask & low]
+            for shift, table in rest:
+                total += table[mask >> shift & low]
+            for fold in folds:
+                total &= total >> fold
+            hits.append((top & total).bit_count())
+        return hits
+
+    return score
+
+
+def _average_sums(prob: np.ndarray, lo: int):
+    """masks -> (positions, sums) per group of masks sharing their prompts
+    from ``lo`` up: ``sums[i]`` is the per-label probability sum of the mask
+    at ``positions[i]``, the ascending fold ``prob[rows].sum(axis=0)``
+    computes, ``((0.0 + r_1) + r_2) + ...`` over its member rows. (With one
+    instance and one label numpy sums pairwise instead; every coalition then
+    names label 0, the gold label, whatever the sum.)
+
+    The sums over the first ``lo`` prompts come from one table built by
+    doubling: entry ``s + 2**j`` is entry ``s`` plus row j, so each entry is
+    the ascending fold of its rows. A group gathers its low sums and adds its
+    high rows in ascending order, continuing the same fold, so no
+    intermediate holds more than 2**lo * |V| * K floats."""
+    table = np.empty((1 << lo, *prob.shape[1:]))
+    table[0] = 0.0
+    for j in range(lo):
+        np.add(table[: 1 << j], prob[j], out=table[1 << j: 2 << j])
+    low = (1 << lo) - 1
+
+    def sums(masks: Sequence[int]):
+        groups: dict[int, list[int]] = {}
+        for i, mask in enumerate(masks):
+            groups.setdefault(mask >> lo, []).append(i)
+        for high, positions in groups.items():
+            total = table[[masks[i] & low for i in positions]]
+            row = lo
+            while high:
+                if high & 1:
+                    total += prob[row]
+                high >>= 1
+                row += 1
+            yield positions, total
+
+    return sums
+
+
+def _average_scorer(prob: np.ndarray, golds: np.ndarray):
+    """masks -> correct-instance counts under probability averaging. Each
+    mean is ``_average_sums``'s fold divided by the member count, as
+    ``prob[rows].mean(axis=0)`` computes it, so its float results and argmax
+    ties never depend on the order masks arrive in. The low table covers the
+    most prompts, at most ``_BLOCK_PLAYERS``, that fit ``_TABLE_BYTES``."""
+    prompts = prob.shape[0]
+    lo = max(0, min(prompts, _BLOCK_PLAYERS, (_TABLE_BYTES // prob[0].nbytes).bit_length() - 1))
+    sums_of = _average_sums(prob, lo)
+
+    def score(masks: Sequence[int]) -> list[int]:
+        hits = [0] * len(masks)
+        for positions, sums in sums_of(masks):
+            sums /= np.array([masks[i].bit_count() for i in positions],
+                             dtype=np.float64)[:, None, None]
+            correct = np.count_nonzero(np.argmax(sums, axis=2) == golds, axis=1)
+            for i, count in zip(positions, correct.tolist()):
+                hits[i] = count
+        return hits
+
+    return score
 
 
 def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Rule,
                    tie: TieRule = TieRule.ABSTAIN, u_empty: float = 0.0) -> UtilityFn:
-    """Close over the inputs as a deterministic, thread-safe Coalition -> accuracy oracle.
+    """Close over the inputs as a deterministic Coalition -> accuracy oracle,
+    with a mask-level ``batch`` attribute that scores many coalitions at once.
 
-    The first non-empty call resolves the validation columns and builds the
-    rule's tables, so input errors surface there as they would on any call.
+    The first batch holding a non-empty coalition resolves the validation
+    columns and builds the rule's tables, so input errors surface on that
+    coalition. A built scorer holds no per-call state, so concurrent calls
+    are safe; two first calls may both build it, to the same tables.
     """
-    lock = threading.Lock()
     golds = np.array(validation.golds)
-    correct = None                          # non-empty Coalition -> correct instances
+    instances = len(validation.instances)
+    score = None                            # masks of non-empty coalitions -> correct counts
 
     def build():
         cols = _columns(matrix, validation.ids)
         if rule is Rule.VOTE:
-            scorer = _MarginScorer(matrix.hard_view()[:, cols], golds, matrix.num_labels, tie)
-            return lambda coalition: scorer.correct(coalition.mask)
+            return _vote_scorer(matrix.hard_view()[:, cols], golds, matrix.num_labels, tie)
         if matrix.mode is not Mode.PROBABILISTIC:
             raise PreconditionError("average rule requires a probabilistic matrix")
-        prob = matrix.prob[:, cols]          # (prompts, columns, labels)
-        # a fresh mean over members in ascending order gives the same float sums,
-        # hence the same argmax ties, whatever order coalitions arrive in
-        return lambda coalition: int(np.count_nonzero(
-            np.argmax(prob[list(coalition.indices())].mean(axis=0), axis=1) == golds
-        ))
+        return _average_scorer(matrix.prob[:, cols], golds)
+
+    def batch(masks: Sequence[int], n: int):
+        nonlocal score
+        _check_players(matrix, n)
+        hits = None
+        for i, mask in enumerate(masks):
+            if not mask:
+                yield u_empty
+                continue
+            if hits is None:
+                if score is None:
+                    score = build()
+                hits = iter(score([m for m in masks[i:] if m]))
+            yield next(hits) / instances
 
     def oracle(coalition: Coalition) -> float:
-        nonlocal correct
-        _check_coalition(matrix, coalition)
-        if coalition.size == 0:
-            return u_empty
-        with lock:
-            if correct is None:
-                correct = build()
-            hits = correct(coalition)
-        return hits / len(validation.instances)
+        [utility] = batch([coalition.mask], coalition.n)
+        return utility
 
+    oracle.batch = batch
     return oracle
 
 

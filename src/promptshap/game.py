@@ -11,17 +11,23 @@ Three estimators share the ``ShapleyResult`` container:
   remaining marginals once a prefix utility is within ``truncation_tol`` of
   the full-set utility. ``truncation_tol = 0`` disables truncation entirely,
   keeping the estimator unbiased.
-- ``loo_values``: leave-one-out differences, exactly n+1 oracle calls.
+- ``loo_values``: leave-one-out differences over n+1 coalitions.
 
-Cost model: every engine makes one ``Coalition``-level oracle call per
-distinct coalition it evaluates: 2^n exact, n+1 leave-one-out, and for Monte
-Carlo U(full), U(empty), then each prefix the first time a permutation
-reaches it. The oracle is deterministic, so Monte Carlo keeps each utility it
-asked for in a dict keyed on the mask: at most min(2^n, T*n+2) floats for T
-permutations, no more than a configured utility cache already holds.
-Permutations come from the block-mixed SplitMix64, and Monte Carlo marginals
-live in one ``array('d')`` per player: 8 bytes per marginal, and a store is a
-plain item write. A list of floats would hold a 24-byte object per marginal.
+Cost model: an engine asks the game's mask-level ``batch`` for every
+coalition it needs in one call, each distinct coalition once: exact all 2^n
+masks in ascending order, leave-one-out the full set and then the full set
+minus each player, and Monte Carlo U(full), U(empty), then every distinct
+prefix in first-appearance order. Without truncation Monte Carlo scans twice:
+the first pass shuffles, records each permutation (one byte per player while
+n <= 256) and collects the new prefixes; after the one batch call the second
+pass fills the marginals from a dict keyed on the mask, which holds at most
+min(2^n, T*n+2) floats for T permutations. With truncation on, whether a
+prefix is needed depends on the utilities before it, so each new prefix is
+asked for as a batch of one when the scan reaches it. A per-coalition oracle
+without a batch of its own is mapped over the masks. Permutations come from
+the block-mixed SplitMix64, and Monte Carlo marginals live in one
+``array('d')`` per player: 8 bytes per marginal, and a store is a plain item
+write. A list of floats would hold a 24-byte object per marginal.
 """
 
 from __future__ import annotations
@@ -31,13 +37,17 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .coalition import Coalition
 from .errors import CapacityError, PreconditionError, PromptShapError, UtilityOracleError
 from .rng import SplitMix64
 
 UtilityFn = Callable[[Coalition], float]
+# (masks, n) -> the utility of each mask, in order. A failure is raised after
+# the utilities of the masks before it, so a generator names the failing
+# coalition by how far it got.
+BatchFn = Callable[[Sequence[int], int], Iterable[float]]
 
 DEFAULT_EXACT_CAP = 20
 
@@ -48,18 +58,38 @@ class Method(str, Enum):
     LEAVE_ONE_OUT = "loo"
 
 
+def batch_of(utility: UtilityFn) -> BatchFn:
+    """``utility.batch`` if the oracle has one, else ``utility`` mapped over the masks."""
+    batch = getattr(utility, "batch", None)
+    if batch is not None:
+        return batch
+
+    def mapped(masks: Sequence[int], n: int):
+        for mask in masks:
+            yield utility(Coalition(mask, n))
+
+    return mapped
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A cooperative game: player count, deterministic utility oracle, and the
-    declared utility of the empty coalition (the oracle must agree on it)."""
+    declared utility of the empty coalition (the oracle must agree on it).
+
+    The engines call only ``batch``, which defaults to ``batch_of(utility)``.
+    ``dataclasses.replace(game, utility=...)`` copies the batch already set,
+    so it keeps the fast path of the oracle it replaces."""
 
     n: int
     utility: UtilityFn
     u_empty: float = 0.0
+    batch: Optional[BatchFn] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise PreconditionError(f"game needs at least one player, got n={self.n}")
+        if self.batch is None:
+            object.__setattr__(self, "batch", batch_of(self.utility))
 
 
 @dataclass(frozen=True)
@@ -114,12 +144,32 @@ def _failure(exc: Exception, coalition: Coalition, **context) -> PromptShapError
     return exc
 
 
-def _eval(game: GameSpec, coalition: Coalition) -> float:
-    """Evaluate the oracle, attaching the coalition to any failure."""
+def run_batch(batch: BatchFn, masks: Sequence[int], n: int) -> tuple[list, Optional[Exception]]:
+    """``batch(masks, n)`` as a list, and the exception that cut it short, if
+    any. The utilities before a failure are kept, so ``masks[len(values)]`` is
+    the coalition that failed; a batch that yields too few or too many
+    utilities fails on the first coalition without one, or on the last."""
+    values: list = []
     try:
-        return game.utility(coalition)
+        values.extend(batch(masks, n))
     except Exception as exc:
-        raise _failure(exc, coalition)
+        return values, exc
+    if len(values) == len(masks):
+        return values, None
+    exc = UtilityOracleError(
+        f"batch oracle gave {len(values)} utilities for {len(masks)} coalitions")
+    del values[len(masks) - 1:]
+    return values, exc
+
+
+def _utilities(game: GameSpec, masks: Sequence[int], context=None) -> list:
+    """The game's utilities of ``masks`` from one batch call; a failure names
+    its coalition, plus the details ``context(mask)`` gives."""
+    values, exc = run_batch(game.batch, masks, game.n)
+    if exc is not None:
+        mask = masks[len(values)]
+        raise _failure(exc, Coalition(mask, game.n), **(context(mask) if context else {}))
+    return values
 
 
 def shapley_weight(n: int, s: int) -> Fraction:
@@ -141,7 +191,7 @@ def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> Shapley
             n=n,
             exact_cap=exact_cap,
         )
-    table = [_eval(game, Coalition(mask, n)) for mask in range(1 << n)]
+    table = _utilities(game, range(1 << n))
     weights = [float(shapley_weight(n, s)) for s in range(n)]
     popcount = [mask.bit_count() for mask in range(1 << n)]
     values = tuple(
@@ -170,36 +220,56 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     if not truncation_tol >= 0:  # NaN fails this too
         raise PreconditionError(f"truncation_tol must be >= 0, got {truncation_tol}")
     n = game.n
-    u_full = _eval(game, Coalition.full(n))
-    u_empty = _eval(game, Coalition.empty(n))
-    truncate = truncation_tol > 0
-    utility = game.utility
-    # utilities by mask: each distinct coalition is asked for once
-    seen = {(1 << n) - 1: u_full, 0: u_empty}
+    full = (1 << n) - 1
     rng = SplitMix64(seed)
-    perm = list(range(n))
+    players = list(range(n))
     # marginals[p][t]: player p's marginal in permutation t; 0 where truncated
     marginals = [array("d", [0.0]) * permutations for _ in range(n)]
-    # U(empty) already within the tolerance of U(full) truncates every scan at once
-    scanned = 0 if truncate and abs(u_empty - u_full) <= truncation_tol else permutations
-    for t in range(scanned):
-        rng.shuffle(perm)
-        mask = 0
-        prev = u_empty
-        for pos, p in enumerate(perm):
-            mask |= 1 << p
-            cur = seen.get(mask)
-            if cur is None:
-                coalition = Coalition(mask, n)
-                try:
-                    cur = seen[mask] = utility(coalition)
-                except Exception as exc:
-                    raise _failure(exc, coalition, permutation_index=t,
-                                   prefix=tuple(perm[: pos + 1]))
-            marginals[p][t] = cur - prev
-            prev = cur
-            if truncate and abs(cur - u_full) <= truncation_tol:
-                break  # remaining marginals stay 0
+    if truncation_tol > 0:
+        u_full, u_empty = _utilities(game, [full, 0])
+        # utilities by mask: each distinct coalition is asked for once
+        seen = {full: u_full, 0: u_empty}
+        # U(empty) already within the tolerance of U(full) truncates every scan at once
+        scanned = 0 if abs(u_empty - u_full) <= truncation_tol else permutations
+        for t in range(scanned):
+            rng.shuffle(players)
+            mask = 0
+            prev = u_empty
+            for pos, p in enumerate(players):
+                mask |= 1 << p
+                cur = seen.get(mask)
+                if cur is None:     # whether a prefix is needed depends on those before it
+                    [cur] = _utilities(game, [mask], lambda m: {
+                        "permutation_index": t, "prefix": tuple(players[: pos + 1])})
+                    seen[mask] = cur
+                marginals[p][t] = cur - prev
+                prev = cur
+                if abs(cur - u_full) <= truncation_tol:
+                    break  # remaining marginals stay 0
+    else:
+        # first pass: the permutations, and each new prefix in first-appearance order
+        order = array("B" if n <= 256 else "L")
+        seen = dict.fromkeys((full, 0))
+        for _ in range(permutations):
+            rng.shuffle(players)
+            order.extend(players)
+            mask = 0
+            for p in players:
+                mask |= 1 << p
+                if mask not in seen:
+                    seen[mask] = None
+        masks = list(seen)
+        seen = dict(zip(masks, _utilities(game, masks, lambda m: _first_reach(order, n, m))))
+        u_full, u_empty = seen[full], seen[0]
+        # second pass: the marginals, over the recorded permutations
+        for t, perm in enumerate(zip(*[iter(order)] * n)):
+            mask = 0
+            prev = u_empty
+            for p in perm:
+                mask |= 1 << p
+                cur = seen[mask]
+                marginals[p][t] = cur - prev
+                prev = cur
     values = []
     stderr = []
     for column in marginals:
@@ -221,14 +291,29 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     )
 
 
+def _first_reach(order: array, n: int, target: int) -> dict:
+    """Where the permutations recorded in ``order`` first reach ``target``:
+    the permutation index and its prefix; none for U(full) and U(empty), which
+    are asked for before any scan."""
+    if target in (0, (1 << n) - 1):
+        return {}
+    for t, perm in enumerate(zip(*[iter(order)] * n)):
+        mask = 0
+        for pos, p in enumerate(perm):
+            mask |= 1 << p
+            if mask == target:
+                return {"permutation_index": t, "prefix": perm[: pos + 1]}
+    return {}
+
+
 def loo_values(game: GameSpec) -> ShapleyResult:
-    """U(full) - U(full minus i) per player; never evaluates the empty coalition,
-    so the result echoes the game's declared u_empty."""
+    """U(full) - U(full minus i) per player, from one batch of the n+1
+    coalitions. The result echoes the game's declared u_empty. Only at n = 1
+    is the empty coalition evaluated, as the full set minus player 0."""
     n = game.n
-    full = Coalition.full(n)
-    u_full = _eval(game, full)
-    values = tuple(u_full - _eval(game, Coalition(full.mask & ~(1 << i), n))
-                   for i in range(n))
+    full = (1 << n) - 1
+    u_full, *rest = _utilities(game, [full, *(full & ~(1 << i) for i in range(n))])
+    values = tuple(u_full - u for u in rest)
     return ShapleyResult(
         values=values,
         stderr=(0.0,) * n,

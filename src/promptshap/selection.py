@@ -9,12 +9,13 @@ never below the full-set utility.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .coalition import Coalition
 from .errors import PreconditionError
-from .game import ShapleyResult, UtilityFn
+from .game import ShapleyResult, UtilityFn, batch_of, run_batch
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ def rank_order(values: Sequence[float], prompt_ids: Sequence[str]) -> list[int]:
 
 
 def rank_add_curve(values, prompt_ids: Sequence[str], oracle: UtilityFn) -> Curve:
-    """Evaluate prefix utilities in rank order; n oracle evaluations.
+    """Evaluate prefix utilities in rank order: one batch of the n prefixes
+    (see ``batch_of``).
 
     On an oracle failure the curve is returned up to the failed prefix, with
     the failure recorded instead of raised.
@@ -59,18 +61,22 @@ def rank_add_curve(values, prompt_ids: Sequence[str], oracle: UtilityFn) -> Curv
     if not values:
         raise PreconditionError("rank_add_curve needs at least one player")
     order = rank_order(values, prompt_ids)
-    n = len(order)
+    masks = list(accumulate((1 << idx for idx in order), operator.or_))
+    utilities, error = run_batch(batch_of(oracle), masks, len(order))
     points: list[CurvePoint] = []
-    mask = 0
-    for k, idx in enumerate(order, start=1):
-        mask |= 1 << idx
+    for idx, utility in zip(order, utilities):
         try:
-            utility = float(oracle(Coalition(mask, n)))
+            utility = float(utility)
         except Exception as exc:
-            points.append(CurvePoint(k=k, added_prompt_id=prompt_ids[idx], utility=None))
-            return Curve(points=tuple(points), error=str(exc), failed_k=k)
-        points.append(CurvePoint(k=k, added_prompt_id=prompt_ids[idx], utility=utility))
-    return Curve(points=tuple(points))
+            error = exc
+            break
+        points.append(CurvePoint(k=len(points) + 1, added_prompt_id=prompt_ids[idx],
+                                 utility=utility))
+    if error is None:
+        return Curve(points=tuple(points))
+    k = len(points) + 1
+    points.append(CurvePoint(k=k, added_prompt_id=prompt_ids[order[k - 1]], utility=None))
+    return Curve(points=tuple(points), error=str(error), failed_k=k)
 
 
 def best_prefix(curve: Curve) -> BestPrefix:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from promptshap import cache as cache_module
 from promptshap.cache import (
     ResponseCache,
     UtilityCache,
@@ -19,8 +20,11 @@ from promptshap.cache import (
     inspect_file,
 )
 from promptshap.coalition import Coalition
-from promptshap.errors import ConsistencyError
-from promptshap.game import GameSpec, shapley_exact
+from promptshap.errors import ConsistencyError, PromptShapError, UtilityOracleError
+from promptshap.game import GameSpec, loo_values, shapley_exact, shapley_montecarlo
+from promptshap.selection import rank_add_curve
+
+from conftest import ReferenceSplitMix64
 
 
 def test_put_get_round_trip(tmp_path):
@@ -485,3 +489,170 @@ def test_inspect_file_recognizes_response_cache(tmp_path):
     info = inspect_file(path)
     assert info["kind"] == "response"
     assert info["entries"] == 1
+
+
+# ---------------------------------------------------------------------------
+# batches through the cache
+
+
+def test_appending_flushes_when_the_block_ends(tmp_path):
+    path = tmp_path / "u.jsonl"
+    with UtilityCache.load(path) as cache:
+        with cache.appending():
+            cache.put("01", 0.5)
+            cache.put("02", 0.25)
+            assert path.read_text() == ""          # still in the append buffer
+        assert path.read_text() == ('{"coalition": "01", "u": 0.5}\n'
+                                    '{"coalition": "02", "u": 0.25}\n')
+        cache.put("03", 0.75)                      # outside a block every put flushes
+        assert path.read_text().endswith('{"coalition": "03", "u": 0.75}\n')
+
+
+def test_appending_flushes_once_the_interval_has_passed(tmp_path, monkeypatch):
+    clock = [100.0]
+    monkeypatch.setattr(cache_module.time, "monotonic", lambda: clock[0])
+    path = tmp_path / "u.jsonl"
+    with UtilityCache.load(path) as cache, cache.appending():
+        cache.put("01", 0.5)
+        clock[0] += cache_module.FLUSH_S
+        cache.put("02", 0.25)                      # due: both lines reach the file
+        cache.put("04", 1.0)
+        assert path.read_text() == ('{"coalition": "01", "u": 0.5}\n'
+                                    '{"coalition": "02", "u": 0.25}\n')
+
+
+def test_batch_asks_the_inner_batch_once_for_the_distinct_misses():
+    calls = []
+
+    def batch(masks, n):
+        calls.append(list(masks))
+        return [mask / 10 for mask in masks]
+
+    def inner(coalition):
+        raise AssertionError("a batch inner is asked through its batch")
+
+    inner.batch = batch
+    cache = UtilityCache()
+    cache.put("02", 0.75)
+    wrapped = cached_utility(cache, inner)
+    assert list(wrapped.batch([3, 2, 1, 3, 0, 1], 4)) == [0.3, 0.75, 0.1, 0.3, 0.0, 0.1]
+    assert calls == [[3, 1, 0]]
+    assert list(wrapped.batch([2, 3], 4)) == [0.75, 0.3]   # all hits: no inner call
+    assert calls == [[3, 1, 0]]
+    assert cache.entries == {"02": 0.75, "03": 0.3, "01": 0.1, "00": 0.0}
+
+
+def test_batch_refuses_an_inner_batch_that_ends_early():
+    def inner(coalition):
+        raise AssertionError("unused")
+
+    inner.batch = lambda masks, n: [0.5]
+    cache = UtilityCache()
+    batch = cached_utility(cache, inner).batch(range(3), 2)
+    assert next(batch) == 0.5
+    with pytest.raises(UtilityOracleError, match="ended early"):
+        next(batch)
+    assert cache.entries == {"00": 0.5}
+
+
+N = 5
+PRELOADED = '{"coalition": "03", "u": 0.25}\n{"coalition": "1f", "u": 0.625}\n'
+
+
+def table_utility(mask):
+    return mask.bit_count() / 8
+
+
+def failing_oracle(target, fault, asked):
+    """A batch oracle over ``table_utility`` that raises, or yields NaN, on
+    ``target``; ``asked`` records every mask it is asked for."""
+
+    def batch(masks, n):
+        for mask in masks:
+            asked.append(mask)
+            if mask == target and fault == "raise":
+                raise ValueError("boom")
+            yield math.nan if mask == target else table_utility(mask)
+
+    def oracle(coalition):
+        raise AssertionError("a batch oracle is asked through its batch")
+
+    oracle.batch = batch
+    return oracle
+
+
+ENGINES = {
+    "exact": lambda game: shapley_exact(game),
+    "mc": lambda game: shapley_montecarlo(game, 12, seed=3),
+    # every scan stops at its third player, within 0.25 of U(full) = 5/8
+    "mc-truncated": lambda game: shapley_montecarlo(game, 12, truncation_tol=0.26, seed=3),
+    "loo": lambda game: loo_values(game),
+    "curve": lambda game: rank_add_curve([0.3, 0.1, 0.5, 0.2, 0.4], list("abcde"),
+                                         game.utility),
+}
+
+
+def run_engine(engine, path, inner):
+    """(outcome, masks asked of the cache in order) of ``engine`` on a game
+    cached in ``path``; the outcome is the engine's result or its error."""
+    order = []
+    with UtilityCache.load(path) as cache:
+        cached = cached_utility(cache, inner)
+
+        def batch(masks, n):
+            order.extend(masks)
+            return cached.batch(masks, n)
+
+        def utility(coalition):                    # the curve's oracle
+            return cached(coalition)
+
+        utility.batch = batch
+        try:
+            return ENGINES[engine](GameSpec(n=N, utility=utility, batch=batch)), order
+        except PromptShapError as exc:
+            return exc, order
+
+
+def first_reach(target, permutations=12, seed=3):
+    """The permutation index and prefix where the seeded scan first reaches ``target``."""
+    rng, perm = ReferenceSplitMix64(seed), list(range(N))
+    for t in range(permutations):
+        rng.shuffle(perm)
+        for pos in range(N):
+            if sum(1 << p for p in perm[: pos + 1]) == target:
+                return {"permutation_index": t, "prefix": tuple(perm[: pos + 1])}
+    raise AssertionError(f"no permutation reaches {target:#x}")
+
+
+@pytest.mark.parametrize("fault", ["raise", "nan"])
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_a_failure_in_a_batch_leaves_the_cache_of_a_per_coalition_run(engine, fault, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text(PRELOADED)
+    _, order = run_engine(engine, clean, failing_oracle(None, fault, []))
+    preloaded = {0b11, 0b11111}
+    misses = [m for m in dict.fromkeys(order) if m not in preloaded]
+    target = misses[len(misses) // 2]
+    path = tmp_path / "u.jsonl"
+    path.write_text(PRELOADED)
+    asked = []
+    outcome, order = run_engine(engine, path, failing_oracle(target, fault, asked))
+    failed_at = order.index(target)
+    assert asked == misses[: misses.index(target) + 1]
+
+    if engine == "curve":
+        message = "boom" if fault == "raise" else \
+            f"cannot cache nan as 'u' for '{Coalition(target, N).to_hex()}'"
+        assert (outcome.failed_k, outcome.error) == (failed_at + 1, message)
+        assert outcome.points[-1].utility is None
+    else:
+        assert isinstance(outcome, UtilityOracleError if fault == "raise" else ConsistencyError)
+        context = first_reach(target) if engine.startswith("mc") else {}
+        assert outcome.details == {"coalition": Coalition(target, N).to_hex(), **context}
+
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(PRELOADED)
+    with UtilityCache.load(replay) as cache:       # one coalition at a time, each flushed
+        for mask in order[:failed_at]:
+            cache.put(Coalition(mask, N).to_hex(), table_utility(mask))
+    assert path.read_bytes() == replay.read_bytes()

@@ -1,10 +1,12 @@
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from promptshap.coalition import Coalition
 from promptshap.ensemble import (
@@ -13,11 +15,13 @@ from promptshap.ensemble import (
     Rule,
     TieRule,
     ValidationSet,
+    _average_sums,
     load_matrix,
     load_validation,
     matrix_utility,
 )
 from promptshap.errors import ConsistencyError, PreconditionError
+from promptshap.game import run_batch
 
 from conftest import make_adversarial_fixture, write_matrix, write_validation
 
@@ -279,7 +283,7 @@ def test_oracle_input_errors_raise_on_call():
 
 
 # ---------------------------------------------------------------------------
-# the incremental oracle against a plain-Python reference
+# the oracle against a plain-Python reference
 
 
 def reference_utility(matrix, validation, mask, rule, tie, u_empty):
@@ -378,7 +382,7 @@ def test_oracle_matches_reference_in_any_visit_order(seed, rule_case, tie):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_vote_matches_plain_plurality_in_engine_orders(n, k, v, probabilistic, tie, seed):
-    # a stale running count would show as a wrong utility on some later mask
+    # per coalition and as one batch, in each order an engine asks in
     rng = np.random.default_rng(seed)
     matrix, validation = random_game(rng, n, k, v, probabilistic)
     full = 1 << n
@@ -400,6 +404,8 @@ def test_vote_matches_plain_plurality_in_engine_orders(n, k, v, probabilistic, t
             if mask not in expected:
                 expected[mask] = reference_utility(matrix, validation, mask, Rule.VOTE, tie, 0.0)
             assert oracle(Coalition(mask, n)) == expected[mask], (name, mask)
+        fresh = matrix_utility(matrix, validation, Rule.VOTE, tie)
+        assert list(fresh.batch(masks, n)) == [expected[mask] for mask in masks], name
 
 
 def test_lowest_tie_rule_fixture():
@@ -426,7 +432,7 @@ def test_lowest_tie_rule_fixture():
 @pytest.mark.parametrize("tie", list(TieRule))
 @pytest.mark.parametrize("n", [126, 127, 128, 129])
 def test_vote_fields_stay_exact_across_the_width_boundary(n, tie):
-    # 127 prompts still fit 8-bit margin fields, 128 need 16; the unanimous
+    # 127 prompts still fit 8-bit margin fields, 128 need 9 bits; the unanimous
     # matrix drives every field to its extreme on the full coalition: gold
     # gets all n votes, or one rival does, below or above gold
     rng = np.random.default_rng(n)
@@ -488,6 +494,92 @@ def test_shared_oracle_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert sorted(done) == [0, 1, 2, 3]
     assert mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# batch scoring from subset-sum tables
+
+
+@pytest.mark.parametrize("tie", list(TieRule))
+@pytest.mark.parametrize("n", [*range(1, 17), 126, 127, 128, 129])
+def test_vote_tables_match_the_reference_across_blocks(n, tie):
+    # players split into blocks of at most 8, so 8/9 and 16 sit on block
+    # boundaries; margin fields widen at 2, 4, 8, 16 and 128 prompts
+    rng = np.random.default_rng(7000 + n)
+    matrix, validation = random_game(rng, n, 3, 12, probabilistic=n % 2 == 1)
+    full = (1 << n) - 1
+    masks = list(range(1 << n)) if n <= 8 else [
+        *range(64), *range(full - 63, full + 1),
+        *(int.from_bytes(rng.bytes(17), "little") & full for _ in range(64))]
+    mask = 0
+    for p in rng.permutation(n):        # one Monte Carlo scan's prefixes
+        mask |= 1 << int(p)
+        masks.append(mask)
+    oracle = matrix_utility(matrix, validation, Rule.VOTE, tie, u_empty=0.125)
+    expected = [reference_utility(matrix, validation, m, Rule.VOTE, tie, 0.125) for m in masks]
+    assert list(oracle.batch(masks, n)) == expected
+
+
+def _rows(mask, n):
+    return [i for i in range(n) if mask >> i & 1]
+
+
+PROBABILITY = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, -0.0, 0.5, 1.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4), st.data())
+def test_average_fold_is_numpys_sum_and_mean_bit_for_bit(n, v, k, data):
+    # With one instance and one label numpy sums the reduced axis pairwise,
+    # not as a fold; there every coalition scores 1, the only label being gold.
+    assume(v * k > 1)
+    prob = data.draw(arrays(np.float64, (n, v, k), elements=PROBABILITY))
+    lo = data.draw(st.integers(min_value=0, max_value=n), label="lo")
+    drawn = data.draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=30))
+    masks = [*(1 << i for i in range(n)), *drawn]       # every one-member coalition
+    seen = set()
+    for positions, sums in _average_sums(prob, lo)(masks):
+        for i, total in zip(positions, sums):
+            rows = prob[_rows(masks[i], n)]
+            assert total.tobytes() == rows.sum(axis=0).tobytes(), (masks[i], lo)
+            mean = total / masks[i].bit_count()
+            assert mean.tobytes() == rows.mean(axis=0).tobytes(), (masks[i], lo)
+            seen.add(i)
+    assert seen == set(range(len(masks)))
+
+
+@pytest.mark.parametrize("rule, instances", [(Rule.AVERAGE_ARGMAX, 100), (Rule.VOTE, 400)])
+def test_scoring_every_coalition_stays_small(rule, instances):
+    # a 2**12 x 100 x 4 float table would take 13 MB
+    n, k = 12, 4
+    rng = np.random.default_rng(5)
+    ids = tuple(f"q{j}" for j in range(instances))
+    prob = rng.dirichlet(np.ones(k), size=(n, instances))
+    matrix = PredictionMatrix(tuple(f"p{i}" for i in range(n)), ids, Mode.PROBABILISTIC, k,
+                              prob=prob)
+    validation = ValidationSet(tuple((iid, int(g)) for iid, g in
+                                     zip(ids, rng.integers(0, k, size=instances))), k)
+    oracle = matrix_utility(matrix, validation, rule)
+    tracemalloc.start()
+    try:
+        utilities = list(oracle.batch(range(1 << n), n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(utilities) == 1 << n
+    assert peak < 2 * 2**20, peak
+
+
+def test_batch_fails_on_the_first_coalition_that_needs_the_inputs():
+    m = hard_matrix([[0, 1], [1, 1]])
+    unknown = ValidationSet(instances=(("q0", 0), ("nope", 1)), num_labels=2)
+    oracle = matrix_utility(m, unknown, Rule.VOTE, u_empty=0.25)
+    values, error = run_batch(oracle.batch, [0, 0, 3, 1], 2)
+    assert values == [0.25, 0.25]
+    assert isinstance(error, ConsistencyError) and "nope" in str(error)
+    values, error = run_batch(oracle.batch, [0, 1], 3)    # the wrong player count
+    assert values == [] and isinstance(error, ConsistencyError)
 
 
 # ---------------------------------------------------------------------------

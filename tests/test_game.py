@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -414,6 +415,80 @@ def test_loo_call_count_and_declared_u_empty():
     assert oracle.calls == 7  # n + 1, never the empty coalition
     assert result.u_empty == 0.25
     assert result.values == (1.0,) * 6
+
+
+# ---------------------------------------------------------------------------
+# the batch protocol
+
+
+def recording_game(n, table, calls, u_empty=0.0):
+    """A game whose batch reads ``table`` (mask -> utility) and records the
+    masks of each call; its per-coalition oracle must never be called."""
+
+    def batch(masks, n):
+        calls.append(list(masks))
+        for mask in masks:
+            yield table[mask]
+
+    def utility(coalition):
+        raise AssertionError("the engines call the batch")
+
+    return GameSpec(n=n, utility=utility, u_empty=u_empty, batch=batch)
+
+
+def test_engines_ask_for_every_coalition_in_one_batch():
+    n, seed, permutations = 4, 3, 10
+    table = {mask: mask.bit_count() / n for mask in range(1 << n)}
+    full = (1 << n) - 1
+    calls = []
+    game = recording_game(n, table, calls)
+    shapley_exact(game)
+    assert calls == [list(range(1 << n))]
+    calls.clear()
+    loo_values(game)
+    assert calls == [[full, full - 1, full - 2, full - 4, full - 8]]
+    calls.clear()
+    shapley_montecarlo(game, permutations, seed=seed)
+    prefixes = [m for m in prefix_scan(n, permutations, seed) if m != full]
+    assert calls == [[full, 0, *prefixes]]
+
+
+def test_truncated_montecarlo_asks_for_each_new_prefix_alone():
+    n, seed, permutations = 4, 3, 10
+    # a coalition of two or more is worth U(full), so every scan stops there
+    table = {mask: float(mask.bit_count() >= 2) for mask in range(1 << n)}
+    calls = []
+    shapley_montecarlo(recording_game(n, table, calls), permutations, truncation_tol=0.1,
+                       seed=seed)
+    first = prefix_scan(n, permutations, seed, depth=2)
+    assert calls == [[(1 << n) - 1, 0], *([m] for m in first if m != (1 << n) - 1)]
+
+
+def test_replacing_the_utility_keeps_the_batch():
+    calls = []
+    game = recording_game(3, {mask: mask / 7 for mask in range(8)}, calls)
+    replaced = dataclasses.replace(game, utility=lambda coalition: 1 / 0)
+    assert replaced.batch is game.batch
+    assert shapley_exact(replaced) == shapley_exact(game)
+    assert GameSpec(n=3, utility=game.utility).batch is not game.batch
+
+
+def test_loo_of_one_player_asks_for_the_empty_coalition():
+    calls = []
+    game = recording_game(1, {0: 0.125, 1: 0.75}, calls, u_empty=0.25)
+    result = loo_values(game)
+    assert calls == [[1, 0]]    # the full set minus player 0 is the empty coalition
+    assert result.values == (0.75 - 0.125,)
+    assert result.u_empty == 0.25
+
+
+@pytest.mark.parametrize("yielded, failing", [(3, 3), (0, 0), (5, 3)])
+def test_a_batch_of_the_wrong_length_fails_on_a_coalition(yielded, failing):
+    # too few utilities fail on the first coalition without one, too many on the last
+    game = GameSpec(n=2, utility=None, batch=lambda masks, n: [0.5] * yielded)
+    with pytest.raises(UtilityOracleError, match=f"gave {yielded} utilities") as err:
+        shapley_exact(game)
+    assert err.value.details["coalition"] == Coalition(failing, 2).to_hex()
 
 
 # ---------------------------------------------------------------------------

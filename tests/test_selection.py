@@ -103,6 +103,30 @@ def test_oracle_failure_yields_partial_curve():
     assert best == BestPrefix(k=1, utility=1.0, prompt_ids=("a",))
 
 
+def test_curve_asks_for_its_prefixes_in_one_batch():
+    calls = []
+
+    def utility(coalition):
+        raise AssertionError("a batch oracle is asked through its batch")
+
+    def batch(masks, n):
+        calls.append((list(masks), n))
+        return [mask.bit_count() / 4 for mask in masks]
+
+    utility.batch = batch
+    curve = rank_add_curve([0.1, 0.4, 0.3, 0.2], list("abcd"), utility)
+    assert calls == [([0b0010, 0b0110, 0b1110, 0b1111], 4)]
+    assert [(p.k, p.added_prompt_id, p.utility) for p in curve.points] == [
+        (1, "b", 0.25), (2, "c", 0.5), (3, "d", 0.75), (4, "a", 1.0)]
+
+
+def test_a_utility_that_is_no_number_fails_its_point():
+    curve = rank_add_curve([0.3, 0.2, 0.1], list("abc"),
+                           lambda c: "oops" if c.size == 2 else 0.5)
+    assert (curve.failed_k, [p.utility for p in curve.points]) == (2, [0.5, None])
+    assert "oops" in curve.error
+
+
 def test_best_prefix_needs_an_evaluated_point():
     curve = Curve(points=(CurvePoint(k=1, added_prompt_id="a", utility=None),),
                   error="x", failed_k=1)
