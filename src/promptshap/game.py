@@ -17,27 +17,35 @@ Cost model: an engine asks the game's mask-level ``batch`` for every
 coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
-prefix in first-appearance order. Without truncation Monte Carlo scans twice:
-the first pass shuffles, records each permutation (one byte per player while
-n <= 256) and collects the new prefixes; after the one batch call the second
-pass fills the marginals from a dict keyed on the mask, which holds at most
-min(2^n, T*n+2) floats for T permutations. With truncation on, whether a
-prefix is needed depends on the utilities before it, so each new prefix is
-asked for as a batch of one when the scan reaches it. A per-coalition oracle
-without a batch of its own is mapped over the masks. Permutations come from
-the block-mixed SplitMix64, and Monte Carlo marginals live in one
-``array('d')`` per player: 8 bytes per marginal, and a store is a plain item
-write. A list of floats would hold a 24-byte object per marginal.
+prefix in first-appearance order. A per-coalition oracle without a batch of
+its own is mapped over the masks. Exact sums each player's terms as numpy
+arrays over the masks without it, into one ``math.fsum``.
+
+Monte Carlo draws all T permutations at once as a (T, n) table of small
+unsigned ints (``SplitMix64.shuffles``), then makes numpy passes over it in
+chunks of ``_CHUNK`` permutations. Without truncation the first pass turns
+each chunk into prefix masks by a cumulative sum of ``1 << player`` (int64 up
+to 63 players, Python ints beyond) and collects the distinct ones; after the
+one batch call the second pass finds each prefix's utility by binary search
+in the sorted masks, differences it along the permutation and scatters the
+marginals into one (n, T) float64 table: 8 bytes per marginal, plus chunk
+temporaries of about ``_CHUNK * n`` items. With truncation on, whether a
+prefix is needed depends on the utilities before it, so each scan walks its
+permutation in Python and asks for each new prefix as a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .coalition import Coalition
 from .errors import CapacityError, PreconditionError, PromptShapError, UtilityOracleError
@@ -50,6 +58,8 @@ UtilityFn = Callable[[Coalition], float]
 BatchFn = Callable[[Sequence[int], int], Iterable[float]]
 
 DEFAULT_EXACT_CAP = 20
+# permutations per chunk of the Monte Carlo array passes
+_CHUNK = 512
 
 
 class Method(str, Enum):
@@ -184,6 +194,7 @@ def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> Shapley
     deterministic evaluation order), then sum each player's weighted marginals
     with ``math.fsum``."""
     n = game.n
+    exact_cap = _integer("exact_cap", exact_cap)
     if n > exact_cap:
         raise CapacityError(
             f"n={n} exceeds the exact enumeration cap {exact_cap}; "
@@ -192,18 +203,20 @@ def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> Shapley
             exact_cap=exact_cap,
         )
     table = _utilities(game, range(1 << n))
-    weights = [float(shapley_weight(n, s)) for s in range(n)]
-    popcount = [mask.bit_count() for mask in range(1 << n)]
-    values = tuple(
-        math.fsum(
-            weights[popcount[mask]] * (table[mask | bit] - table[mask])
-            for mask in range(1 << n)
-            if not mask & bit
-        )
-        for bit in (1 << i for i in range(n))
-    )
+    utilities = np.array(table, dtype=np.float64)
+    weights = np.array([float(shapley_weight(n, s)) for s in range(n)])
+    masks = np.arange(1 << n)
+    popcount = np.zeros(1 << n, dtype=np.intp)
+    for i in range(n):
+        popcount += masks >> i & 1
+    values = []
+    for i in range(n):
+        lo = masks[masks >> i & 1 == 0]
+        # elementwise IEEE operations: each term has the bits of the scalar formula
+        terms = weights[popcount[lo]] * (utilities[lo | 1 << i] - utilities[lo])
+        values.append(math.fsum(terms.tolist()))
     return ShapleyResult(
-        values=values,
+        values=tuple(values),
         stderr=(0.0,) * n,
         method=Method.EXACT,
         samples=0,
@@ -213,26 +226,56 @@ def shapley_exact(game: GameSpec, exact_cap: int = DEFAULT_EXACT_CAP) -> Shapley
     )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integer is a ``PreconditionError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
 def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float = 0.0,
                        seed: int = 0) -> ShapleyResult:
+    """The permutation estimator: each player's mean marginal over
+    ``permutations`` orderings, drawn as successive shuffles of one list from
+    ``SplitMix64(seed)``, with the standard error of that mean.
+
+    Evaluation order: one batch asks for U(full), U(empty), then every other
+    distinct prefix in the order the permutations first reach it, row by row.
+    With ``truncation_tol > 0`` a scan stops at the first prefix whose utility
+    is within the tolerance of U(full), and the players after it get a
+    marginal of 0; whether a prefix is needed then depends on the utilities
+    before it, so each new prefix is a batch of one, asked for when its scan
+    reaches it. ``truncation_tol = 0`` scans every permutation in full and
+    keeps the estimator unbiased.
+
+    The standard error sums squared deviations made by C ``pow``, as
+    ``(x - mean) ** 2`` on floats does; numpy's ``** 2`` multiplies ``x * x``,
+    which rounds some squares differently.
+    """
+    permutations = _integer("permutation count", permutations)
+    seed = _integer("seed", seed)
     if permutations < 1:
         raise PreconditionError(f"permutation count must be >= 1, got {permutations}")
+    if isinstance(truncation_tol, bool) or not isinstance(truncation_tol, numbers.Real):
+        raise PreconditionError(f"truncation_tol must be a number, got {truncation_tol!r}")
     if not truncation_tol >= 0:  # NaN fails this too
         raise PreconditionError(f"truncation_tol must be >= 0, got {truncation_tol}")
     n = game.n
     full = (1 << n) - 1
     rng = SplitMix64(seed)
-    players = list(range(n))
-    # marginals[p][t]: player p's marginal in permutation t; 0 where truncated
-    marginals = [array("d", [0.0]) * permutations for _ in range(n)]
     if truncation_tol > 0:
         u_full, u_empty = _utilities(game, [full, 0])
+        # marginals[p, t]: player p's marginal in permutation t; 0 where truncated
+        marginals = np.zeros((n, permutations))
         # utilities by mask: each distinct coalition is asked for once
         seen = {full: u_full, 0: u_empty}
         # U(empty) already within the tolerance of U(full) truncates every scan at once
         scanned = 0 if abs(u_empty - u_full) <= truncation_tol else permutations
-        for t in range(scanned):
-            rng.shuffle(players)
+        for t, row in enumerate(rng.shuffles(n, scanned)):
+            players = row.tolist()
             mask = 0
             prev = u_empty
             for pos, p in enumerate(players):
@@ -242,43 +285,39 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
                     [cur] = _utilities(game, [mask], lambda m: {
                         "permutation_index": t, "prefix": tuple(players[: pos + 1])})
                     seen[mask] = cur
-                marginals[p][t] = cur - prev
+                marginals[p, t] = cur - prev
                 prev = cur
                 if abs(cur - u_full) <= truncation_tol:
                     break  # remaining marginals stay 0
     else:
-        # first pass: the permutations, and each new prefix in first-appearance order
-        order = array("B" if n <= 256 else "L")
-        seen = dict.fromkeys((full, 0))
-        for _ in range(permutations):
-            rng.shuffle(players)
-            order.extend(players)
-            mask = 0
-            for p in players:
-                mask |= 1 << p
-                if mask not in seen:
-                    seen[mask] = None
-        masks = list(seen)
-        seen = dict(zip(masks, _utilities(game, masks, lambda m: _first_reach(order, n, m))))
-        u_full, u_empty = seen[full], seen[0]
-        # second pass: the marginals, over the recorded permutations
-        for t, perm in enumerate(zip(*[iter(order)] * n)):
-            mask = 0
-            prev = u_empty
-            for p in perm:
-                mask |= 1 << p
-                cur = seen[mask]
-                marginals[p][t] = cur - prev
-                prev = cur
+        order = rng.shuffles(n, permutations)
+        # first pass: each distinct prefix in first-appearance order
+        masks = list(dict.fromkeys(chain((full, 0), chain.from_iterable(
+            prefixes.ravel().tolist() for _, prefixes in _prefixes(order)))))
+        utilities = _utilities(game, masks, lambda m: _first_reach(order, m))
+        u_full, u_empty = utilities[0], utilities[1]
+        # the utilities in ascending mask order, for a binary search per prefix
+        keys = np.array(masks, dtype=_mask_dtype(n))
+        rank = np.argsort(keys)
+        keys, by_key = keys[rank], np.array(utilities, dtype=np.float64)[rank]
+        del masks, utilities, rank  # the marginals below take their room
+        # second pass: gather each prefix's utility, difference along the
+        # permutation, and scatter each marginal to its player
+        marginals = np.empty((n, permutations))
+        for start, prefixes in _prefixes(order):
+            cur = by_key[np.searchsorted(keys, prefixes)]
+            rows = order[start:start + len(cur)]
+            cols = np.arange(start, start + len(cur))[:, None]
+            marginals[rows, cols] = np.diff(cur, axis=1, prepend=u_empty)
     values = []
     stderr = []
     for column in marginals:
-        mean = math.fsum(column) / permutations
+        mean = math.fsum(_floats(column)) / permutations
         values.append(mean)
         if permutations == 1:
             stderr.append(0.0)
         else:
-            var = math.fsum((x - mean) ** 2 for x in column) / (permutations - 1)
+            var = math.fsum(map(pow, _floats(column - mean), repeat(2))) / (permutations - 1)
             stderr.append(math.sqrt(var / permutations))
     return ShapleyResult(
         values=tuple(values),
@@ -291,18 +330,41 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     )
 
 
-def _first_reach(order: array, n: int, target: int) -> dict:
-    """Where the permutations recorded in ``order`` first reach ``target``:
-    the permutation index and its prefix; none for U(full) and U(empty), which
+def _mask_dtype(n: int):
+    """int64 while every mask of n players fits in one, else Python ints."""
+    return np.int64 if n <= 63 else object
+
+
+def _prefixes(order: np.ndarray):
+    """(start, masks) per chunk of at most ``_CHUNK`` rows of the permutation
+    table ``order``: ``masks[t, k]`` is the set of the first k + 1 players of
+    permutation ``start + t``."""
+    dtype = _mask_dtype(order.shape[1])
+    for start in range(0, len(order), _CHUNK):
+        masks = order[start:start + _CHUNK].astype(dtype)
+        np.left_shift(1, masks, out=masks)
+        yield start, np.cumsum(masks, axis=1, out=masks)
+
+
+def _floats(column: np.ndarray):
+    """The items of ``column`` as Python floats, converted a chunk at a time."""
+    return chain.from_iterable(
+        column[start:start + _CHUNK].tolist() for start in range(0, len(column), _CHUNK))
+
+
+def _first_reach(order: np.ndarray, target: int) -> dict:
+    """Where the permutations in ``order`` first reach ``target``: the
+    permutation index and its prefix; none for U(full) and U(empty), which
     are asked for before any scan."""
+    n = order.shape[1]
     if target in (0, (1 << n) - 1):
         return {}
-    for t, perm in enumerate(zip(*[iter(order)] * n)):
-        mask = 0
-        for pos, p in enumerate(perm):
-            mask |= 1 << p
-            if mask == target:
-                return {"permutation_index": t, "prefix": perm[: pos + 1]}
+    for start, prefixes in _prefixes(order):
+        hits = np.flatnonzero(prefixes == target)
+        if len(hits):
+            t, pos = divmod(int(hits[0]), n)
+            return {"permutation_index": start + t,
+                    "prefix": tuple(order[start + t, :pos + 1].tolist())}
     return {}
 
 

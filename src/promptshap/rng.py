@@ -10,13 +10,17 @@ Cost model: the k-th output mixes the state ``seed + k*gamma mod 2^64``, so
 outputs do not depend on each other and are mixed ``_BLOCK`` at a time in
 wrapping numpy ``uint64`` arithmetic, bit-identical to the scalar reference.
 A draw is then one list read, where mixing in Python integers costs about
-1 us. The rejection loop of ``shuffle`` stays in Python, and every method
-reads the same buffer, so interleaved calls stay on one stream.
+1 us. Every method reads the same buffer, so interleaved calls stay on one
+stream. The rejection loop of Fisher-Yates is written once, in Python, with
+its (index, shift) steps computed once per call: ``shuffle`` runs it once,
+and ``shuffles`` runs it T times on one list and records each result in a
+(T, n) table, converting the rows a block of shuffles at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 
 import numpy as np
 
@@ -76,18 +80,38 @@ class SplitMix64:
         Index ``i`` swaps with an unbiased ``j`` in [0, i]: the top
         ``i.bit_length()`` bits of one output, redrawn while they exceed ``i``.
         """
+        self._shuffle(xs, 1)
+
+    def shuffles(self, n: int, count: int) -> np.ndarray:
+        """``count`` successive ``shuffle`` calls on one list ``range(n)``, as
+        a (count, n) table of the smallest unsigned type that holds n - 1: row
+        t is the list after call t + 1."""
+        table = array(np.min_scalar_type(max(n - 1, 0)).char)
+        players, rows = list(range(n)), []
+        for start in range(0, count, _BLOCK):
+            # rows reach the table _BLOCK shuffles at a time, one conversion each
+            self._shuffle(players, min(_BLOCK, count - start), rows.extend)
+            table.extend(rows)
+            rows.clear()
+        return np.frombuffer(table, dtype=table.typecode).reshape(count, n)
+
+    def _shuffle(self, xs: list, times: int, record=None) -> None:
+        """``shuffle(xs)`` ``times`` over, handing ``xs`` to ``record`` after each."""
+        steps = [(i, 64 - i.bit_length()) for i in range(len(xs) - 1, 0, -1)]
         buf, pos = self._buf, self._pos
         end = len(buf)
-        for i in range(len(xs) - 1, 0, -1):
-            shift = 64 - i.bit_length()
-            while True:
-                if pos == end:
-                    buf, pos, end = self._refill(), 0, _BLOCK
-                j = buf[pos] >> shift
-                pos += 1
-                if j <= i:
-                    break
-            xs[i], xs[j] = xs[j], xs[i]
+        for _ in range(times):
+            for i, shift in steps:
+                while True:
+                    if pos == end:
+                        buf, pos, end = self._refill(), 0, _BLOCK
+                    j = buf[pos] >> shift
+                    pos += 1
+                    if j <= i:
+                        break
+                xs[i], xs[j] = xs[j], xs[i]
+            if record is not None:
+                record(xs)
         self._pos = pos
 
 

@@ -121,10 +121,10 @@ class ReferenceSplitMix64:
             xs[i], xs[j] = xs[j], xs[i]
 
 
-def reference_shapley_montecarlo(game: GameSpec, permutations: int,
-                                 truncation_tol: float = 0.0, seed: int = 0) -> ShapleyResult:
-    """Permutation sampling with checked coalitions, the scalar generator and a
-    (T, n) numpy table of marginals: the engine's output, bit for bit."""
+def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float = 0.0,
+                        seed: int = 0) -> tuple[np.ndarray, float, float]:
+    """Permutation sampling with checked coalitions and the scalar generator:
+    the (T, n) numpy table of marginals, U(full) and U(empty)."""
 
     def evaluate(coalition):
         try:
@@ -156,16 +156,26 @@ def reference_shapley_montecarlo(game: GameSpec, permutations: int,
             prev = cur
             if truncate and abs(cur - u_full) <= truncation_tol:
                 done = True
-    values, stderr = [], []
-    for i in range(n):
-        column = marginals[:, i]
-        mean = math.fsum(column) / permutations
-        values.append(mean)
-        if permutations == 1:
-            stderr.append(0.0)
-        else:
-            var = math.fsum((x - mean) ** 2 for x in column) / (permutations - 1)
-            stderr.append(math.sqrt(var / permutations))
+    return marginals, u_full, u_empty
+
+
+def reference_stderr(column, mean: float, square=lambda x: x ** 2) -> float:
+    """The standard error of ``mean``, the mean of ``column``, from squared
+    deviations made by ``square``: a float's ``** 2`` by default."""
+    column = [float(x) for x in column]
+    if len(column) == 1:
+        return 0.0
+    var = math.fsum(square(x - mean) for x in column) / (len(column) - 1)
+    return math.sqrt(var / len(column))
+
+
+def reference_shapley_montecarlo(game: GameSpec, permutations: int,
+                                 truncation_tol: float = 0.0, seed: int = 0) -> ShapleyResult:
+    """``reference_marginals`` and each player's mean and standard error: the
+    engine's output, bit for bit."""
+    marginals, u_full, u_empty = reference_marginals(game, permutations, truncation_tol, seed)
+    values = [math.fsum(column) / permutations for column in marginals.T]
+    stderr = [reference_stderr(column, mean) for column, mean in zip(marginals.T, values)]
     return ShapleyResult(values=tuple(values), stderr=tuple(stderr), method=Method.MONTE_CARLO,
                          samples=permutations, seed=seed, u_full=u_full, u_empty=u_empty)
 

@@ -1,7 +1,10 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +28,9 @@ from conftest import (
     ReferenceSplitMix64,
     glove_utility,
     random_table_game,
+    reference_marginals,
     reference_shapley_montecarlo,
+    reference_stderr,
     shapley_permutation_rational,
     shapley_subset_rational,
 )
@@ -371,6 +376,111 @@ def test_montecarlo_matches_the_scalar_reference_on_a_long_run(tol):
     got = shapley_montecarlo(game, 3000, truncation_tol=tol, seed=2**64 - 1)
     want = reference_shapley_montecarlo(game, 3000, truncation_tol=tol, seed=2**64 - 1)
     assert result_bits(got) == result_bits(want)
+
+
+def hashed_game(n, seed):
+    """A game of any size: each coalition's utility is mixed from its mask onto
+    a grid of 1/1024, so a 0.01 truncation fires on some prefixes."""
+
+    def utility(coalition):
+        return ((coalition.mask + seed) * 0x9E3779B97F4A7C15 >> 32) % 1024 / 1024
+
+    return GameSpec(n=n, utility=utility, u_empty=utility(Coalition(0, n)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+@pytest.mark.parametrize("n, permutations", [
+    # the chunk edges of the array passes, at few players
+    (4, 2047), (4, 2048), (3, 2049), (5, 4097),
+    # mask widths: int64 masks up to 63 players, Python ints beyond
+    (1, 3), (2, 5), (63, 3), (64, 3), (257, 2),
+])
+def test_montecarlo_matches_the_scalar_reference_at_chunk_edges_and_mask_widths(
+        n, permutations, tol):
+    seed = 2**64 - permutations
+    base = hashed_game(n, seed)
+    engine, reference = [], []
+
+    def recording(masks):
+        def utility(coalition):
+            masks.append(coalition.mask)
+            return base.utility(coalition)
+
+        return GameSpec(n=n, utility=utility, u_empty=base.u_empty)
+
+    got = shapley_montecarlo(recording(engine), permutations, truncation_tol=tol, seed=seed)
+    want = reference_shapley_montecarlo(recording(reference), permutations,
+                                        truncation_tol=tol, seed=seed)
+    assert result_bits(got) == result_bits(want)
+    assert engine == list(dict.fromkeys(reference))
+
+
+def test_montecarlo_squares_deviations_with_pow():
+    # seeded so that x * x, numpy's square, would change a standard error bit
+    n, permutations, seed = 8, 4, 33
+    game = random_table_game(n, seed)
+    marginals, _, _ = reference_marginals(game, permutations, seed=seed)
+    means = [math.fsum(column) / permutations for column in marginals.T]
+    by_pow = [reference_stderr(c, mean) for c, mean in zip(marginals.T, means)]
+    by_mul = [reference_stderr(c, mean, lambda x: x * x) for c, mean in zip(marginals.T, means)]
+    if by_pow == by_mul:
+        pytest.skip("this C library's pow squares these deviations as x * x does")
+    assert shapley_montecarlo(game, permutations, seed=seed).stderr == tuple(by_pow)
+
+
+def test_montecarlo_memory_is_the_marginals_and_little_more():
+    n, permutations = 12, 20_000
+    table = [mask / (1 << n) for mask in range(1 << n)]
+    game = GameSpec(n=n, utility=None, batch=lambda masks, n: [table[m] for m in masks])
+    tracemalloc.start()
+    try:
+        shapley_montecarlo(game, permutations, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (n, T) float64 marginals alone take 1.92 MB
+    assert peak <= 3_000_000
+
+
+@pytest.mark.parametrize("arguments", [
+    {"permutations": True},
+    {"permutations": 2.0},
+    {"permutations": "3"},
+    {"seed": 1.5},
+    {"seed": False},
+    {"seed": None},
+    {"truncation_tol": "0.1"},
+    {"truncation_tol": True},
+])
+def test_montecarlo_refuses_mistyped_arguments(glove_game, arguments):
+    with pytest.raises(PreconditionError):
+        shapley_montecarlo(glove_game, **{"permutations": 3, **arguments})
+
+
+def test_montecarlo_takes_any_integer_as_an_int(glove_game):
+    result = shapley_montecarlo(glove_game, np.int64(3), seed=np.uint64(5))
+    assert type(result.samples) is int and type(result.seed) is int
+    assert result == shapley_montecarlo(glove_game, 3, seed=5)
+    assert json.loads(json.dumps(result.to_json_dict()))["samples"] == 3
+
+
+@pytest.mark.parametrize("cap", [True, 20.0, "20"])
+def test_exact_refuses_a_mistyped_cap(glove_game, cap):
+    with pytest.raises(PreconditionError):
+        shapley_exact(glove_game, exact_cap=cap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_exact_sums_match_the_scalar_formula_bit_for_bit(n):
+    game = random_table_game(n, 100 + n)
+    table = [game.utility(Coalition(mask, n)) for mask in range(1 << n)]
+    weights = [float(shapley_weight(n, s)) for s in range(n)]
+    want = [
+        math.fsum(weights[mask.bit_count()] * (table[mask | 1 << i] - table[mask])
+                  for mask in range(1 << n) if not mask >> i & 1)
+        for i in range(n)
+    ]
+    assert [x.hex() for x in shapley_exact(game).values] == [x.hex() for x in want]
 
 
 def test_engines_hand_the_oracle_ordinary_coalitions():

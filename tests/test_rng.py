@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +83,22 @@ def test_shuffle_matches_the_scalar_reference_across_blocks(seed, length):
         assert call(ours, "shuffle", length) == call(reference, "shuffle", length)
         assert ours.state == reference.state
         assert ours.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("n, count", [(4, 0), (1, 3), (2, 300), (12, 500), (_BLOCK + 9, 3)])
+def test_recorded_shuffles_match_successive_reference_shuffles(seed, n, count):
+    ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    table = ours.shuffles(n, count)
+    players, rows = list(range(n)), []
+    for _ in range(count):
+        reference.shuffle(players)
+        rows.append(list(players))
+    assert table.shape == (count, n)
+    assert table.dtype == (np.uint8 if n <= 256 else np.uint16)
+    assert table.tolist() == rows
+    assert ours.state == reference.state
+    assert ours.next_u64() == reference.next_u64()
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
