@@ -18,20 +18,29 @@ coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
 prefix in first-appearance order. A per-coalition oracle without a batch of
-its own is mapped over the masks. Exact sums each player's terms as numpy
-arrays over the masks without it, into one ``math.fsum``.
+its own is mapped over the masks. Every utility must be a finite real number
+(not a bool); any other fails as a ``UtilityOracleError`` naming its
+coalition. Exact sums each player's terms as numpy arrays over the masks
+without it, into one ``math.fsum``.
 
 Monte Carlo draws all T permutations at once as a (T, n) table of small
 unsigned ints (``SplitMix64.shuffles``), then makes numpy passes over it in
-chunks of ``_CHUNK`` permutations. Without truncation the first pass turns
-each chunk into prefix masks by a cumulative sum of ``1 << player`` (int64 up
-to 63 players, Python ints beyond) and collects the distinct ones; after the
-one batch call the second pass finds each prefix's utility by binary search
-in the sorted masks, differences it along the permutation and scatters the
-marginals into one (n, T) float64 table: 8 bytes per marginal, plus chunk
-temporaries of about ``_CHUNK * n`` items. With truncation on, whether a
-prefix is needed depends on the utilities before it, so each scan walks its
-permutation in Python and asks for each new prefix as a batch of one.
+chunks of ``_CHUNK`` permutations. A marginal U(S + p) - U(S) depends only on
+the player p and the set S of players before it, so without truncation one
+pass turns each chunk into prefix masks by a cumulative sum of
+``1 << player`` (int64 up to 63 players, Python ints beyond), collects the
+distinct ones, and counts each step by the key ``p << n | S`` (int64 up to 57
+players, Python ints beyond), merging each chunk's counts into one sorted
+array. After the one batch call each distinct key's marginal is found by
+binary search in the sorted masks, once. Each player's mean and squared
+deviations then come from (distinct marginal, count) pairs, summed exactly
+and rounded once, which gives the bits ``math.fsum`` gives over all T
+marginals. Memory is the permutation table, the distinct masks and keys, and
+chunk temporaries of about ``_CHUNK * n`` items: nothing of size n * T. With
+truncation on, whether a prefix is needed depends on the utilities before
+it, so each scan walks its permutation in Python, asks for each new prefix as
+a batch of one and records its marginals in an (n, T) table, whose columns
+go through the same statistics.
 """
 
 from __future__ import annotations
@@ -173,13 +182,36 @@ def run_batch(batch: BatchFn, masks: Sequence[int], n: int) -> tuple[list, Optio
 
 
 def _utilities(game: GameSpec, masks: Sequence[int], context=None) -> list:
-    """The game's utilities of ``masks`` from one batch call; a failure names
-    its coalition, plus the details ``context(mask)`` gives."""
+    """The game's utilities of ``masks`` from one batch call; a failure, or a
+    utility that is not a finite real number, names its coalition, plus the
+    details ``context(mask)`` gives."""
     values, exc = run_batch(game.batch, masks, game.n)
+    bad = _first_unfit(values)
+    if bad is not None:
+        exc = UtilityOracleError(
+            f"utility oracle gave {values[bad]!r} on coalition "
+            f"{Coalition(masks[bad], game.n).to_hex()}, not a finite real number")
+        del values[bad:]
     if exc is not None:
         mask = masks[len(values)]
         raise _failure(exc, Coalition(mask, game.n), **(context(mask) if context else {}))
     return values
+
+
+def _first_unfit(values: list) -> Optional[int]:
+    """The index of the first utility that is not a finite real number (a
+    bool is not one), or None."""
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return None
+    return next((i for i, value in enumerate(values) if not _finite_real(value)), None)
+
+
+def _finite_real(value) -> bool:
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:   # an int past the float range
+        return False
 
 
 def shapley_weight(n: int, s: int) -> Fraction:
@@ -251,9 +283,20 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     reaches it. ``truncation_tol = 0`` scans every permutation in full and
     keeps the estimator unbiased.
 
-    The standard error sums squared deviations made by C ``pow``, as
-    ``(x - mean) ** 2`` on floats does; numpy's ``** 2`` multiplies ``x * x``,
-    which rounds some squares differently.
+    The statistics are those of the T marginals of each player, bit for bit:
+    the mean is their ``math.fsum`` divided by T, and the standard error sums
+    squared deviations made by C ``pow``, as ``(x - mean) ** 2`` on floats
+    does (numpy's ``** 2`` multiplies ``x * x``, which rounds some squares
+    differently). Without truncation the engine gets them from counts: how
+    many permutations place each player p right after each set S, so each
+    distinct marginal is computed, squared and summed once, times its count.
+    ``math.fsum`` is correctly rounded whatever the order of its terms, so an
+    exact sum of (value, count) pairs, rounded once, is the same float.
+
+    A utility that is not a finite real number fails as a
+    ``UtilityOracleError`` naming its coalition, its permutation index and
+    prefix; a player whose sums leave the float range, from finite but huge
+    utilities, fails as a ``PreconditionError`` naming the player.
     """
     permutations = _integer("permutation count", permutations)
     seed = _integer("seed", seed)
@@ -289,36 +332,43 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
                 prev = cur
                 if abs(cur - u_full) <= truncation_tol:
                     break  # remaining marginals stay 0
+        columns = ((column, None) for column in marginals)
     else:
         order = rng.shuffles(n, permutations)
-        # first pass: each distinct prefix in first-appearance order
-        masks = list(dict.fromkeys(chain((full, 0), chain.from_iterable(
-            prefixes.ravel().tolist() for _, prefixes in _prefixes(order)))))
+        # one pass: each distinct prefix in first-appearance order, and how
+        # many permutations place player p right after the set S, counted by
+        # the key p << n | S in ascending order
+        dtype = _int_dtype(n + (n - 1).bit_length())
+        keys, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
+
+        def chunks():
+            nonlocal keys, counts
+            for start, prefixes in _prefixes(order):
+                steps = order[start:start + len(prefixes)].astype(dtype)
+                steps <<= n
+                steps[:, 1:] |= prefixes[:, :-1].astype(dtype, copy=False)
+                keys, counts = _merge(keys, counts, *np.unique(steps, return_counts=True))
+                yield prefixes.ravel().tolist()
+
+        masks = list(dict.fromkeys(chain((full, 0), chain.from_iterable(chunks()))))
         utilities = _utilities(game, masks, lambda m: _first_reach(order, m))
         u_full, u_empty = utilities[0], utilities[1]
-        # the utilities in ascending mask order, for a binary search per prefix
-        keys = np.array(masks, dtype=_mask_dtype(n))
-        rank = np.argsort(keys)
-        keys, by_key = keys[rank], np.array(utilities, dtype=np.float64)[rank]
-        del masks, utilities, rank  # the marginals below take their room
-        # second pass: gather each prefix's utility, difference along the
-        # permutation, and scatter each marginal to its player
-        marginals = np.empty((n, permutations))
-        for start, prefixes in _prefixes(order):
-            cur = by_key[np.searchsorted(keys, prefixes)]
-            rows = order[start:start + len(cur)]
-            cols = np.arange(start, start + len(cur))[:, None]
-            marginals[rows, cols] = np.diff(cur, axis=1, prepend=u_empty)
-    values = []
-    stderr = []
-    for column in marginals:
-        mean = math.fsum(_floats(column)) / permutations
+        # the utilities in ascending mask order, for a binary search per coalition
+        sorted_masks = np.array(masks, dtype=_int_dtype(n))
+        rank = np.argsort(sorted_masks)
+        sorted_masks, by_mask = sorted_masks[rank], np.array(utilities, dtype=np.float64)[rank]
+        del masks, utilities, rank
+        columns = _key_columns(n, keys, counts, sorted_masks, by_mask)
+    values, stderr = [], []
+    for player, (column, weights) in enumerate(columns):
+        try:
+            mean, error = _statistics(column, weights, permutations)
+        except OverflowError:
+            raise PreconditionError(
+                f"player {player}'s Monte Carlo sums overflow float64; "
+                "the utilities are too large to average", player=player) from None
         values.append(mean)
-        if permutations == 1:
-            stderr.append(0.0)
-        else:
-            var = math.fsum(map(pow, _floats(column - mean), repeat(2))) / (permutations - 1)
-            stderr.append(math.sqrt(var / permutations))
+        stderr.append(error)
     return ShapleyResult(
         values=tuple(values),
         stderr=tuple(stderr),
@@ -330,26 +380,101 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     )
 
 
-def _mask_dtype(n: int):
-    """int64 while every mask of n players fits in one, else Python ints."""
-    return np.int64 if n <= 63 else object
+def _int_dtype(bits: int):
+    """int64 while every value of ``bits`` bits fits in one, else Python ints."""
+    return np.int64 if bits <= 63 else object
 
 
 def _prefixes(order: np.ndarray):
     """(start, masks) per chunk of at most ``_CHUNK`` rows of the permutation
     table ``order``: ``masks[t, k]`` is the set of the first k + 1 players of
     permutation ``start + t``."""
-    dtype = _mask_dtype(order.shape[1])
+    dtype = _int_dtype(order.shape[1])
     for start in range(0, len(order), _CHUNK):
         masks = order[start:start + _CHUNK].astype(dtype)
         np.left_shift(1, masks, out=masks)
         yield start, np.cumsum(masks, axis=1, out=masks)
 
 
-def _floats(column: np.ndarray):
-    """The items of ``column`` as Python floats, converted a chunk at a time."""
-    return chain.from_iterable(
-        column[start:start + _CHUNK].tolist() for start in range(0, len(column), _CHUNK))
+def _merge(keys: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray):
+    """The sorted distinct ``keys`` with their ``counts``, after adding the
+    sorted distinct ``more`` with theirs."""
+    at = np.searchsorted(keys, more)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == more[found]
+    counts[at[found]] += more_counts[found]
+    new = ~found
+    if new.any():
+        keys = np.insert(keys, at[new], more[new])
+        counts = np.insert(counts, at[new], more_counts[new])
+    return keys, counts
+
+
+def _key_columns(n: int, keys: np.ndarray, counts: np.ndarray, masks: np.ndarray,
+                 utilities: np.ndarray):
+    """Per player p, the marginal U(S + p) - U(S) of each of its sorted keys
+    ``p << n | S``, once per key, and the keys' counts; ``utilities[i]`` is
+    U(``masks[i]``), with ``masks`` ascending."""
+    full = (1 << n) - 1
+    bounds = np.searchsorted(keys, [p << n for p in range(n + 1)]).tolist()
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        before = (keys[lo:hi] & full).astype(masks.dtype)
+        marginals = utilities[np.searchsorted(masks, before | 1 << p)]
+        with np.errstate(over="ignore"):    # an inf marginal fails in _statistics
+            marginals -= utilities[np.searchsorted(masks, before)]
+        yield marginals, counts[lo:hi]
+
+
+def _statistics(marginals: np.ndarray, counts: Optional[np.ndarray],
+                permutations: int) -> tuple[float, float]:
+    """One player's mean marginal over ``permutations`` and its standard
+    error, where marginal ``marginals[i]`` occurs ``counts[i]`` times (once
+    each if ``counts`` is None); ``OverflowError`` if a marginal or a sum
+    leaves the float range.
+
+    Equal marginals merge into one (value, count) pair. Each sum is exact and
+    rounded once (``_exact_sum``), which is what ``math.fsum`` over every
+    marginal returns, and each squared deviation is C ``pow`` of ``value -
+    mean``, as ``(x - mean) ** 2`` on floats is, once per distinct value."""
+    if not np.isfinite(marginals).all():
+        raise OverflowError("a marginal past the float range")
+    if counts is None:
+        marginals, weights = np.unique(marginals, return_counts=True)
+    else:
+        marginals, inverse = np.unique(marginals, return_inverse=True)
+        weights = np.bincount(inverse, counts)
+    weights = weights.astype(np.float64)
+    mean = _exact_sum(marginals, weights) / permutations
+    if permutations == 1:
+        return mean, 0.0
+    squares = np.array(list(map(pow, (marginals - mean).tolist(), repeat(2))))
+    return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
+
+
+def _exact_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """The sum of ``weights * values`` rounded once to the nearest float;
+    ``OverflowError`` if it, or a term of it, leaves the float range. The
+    weights are integers of at most 2^36: permutation counts, far below that
+    for any permutation table that fits in memory.
+
+    Each value's 53-bit significand splits into three signed parts of at
+    most 2^17 in magnitude, so each weight times each part is exact, and so
+    is its scaling, because every finite float is a multiple of 2^-1074.
+    ``math.fsum`` of these exact terms is their correctly rounded sum, in any
+    order (Shewchuk 1997)."""
+    significands, exponents = np.frexp(values)
+    rest = np.ldexp(significands, 53)            # integers below 2^53 in magnitude
+    terms = []
+    with np.errstate(over="ignore"):             # a term past the float range is inf
+        for shift in (36, 18):
+            part = np.round(np.ldexp(rest, -shift))
+            rest -= np.ldexp(part, shift)
+            terms.append(np.ldexp(weights * part, exponents + (shift - 53)))
+        terms.append(np.ldexp(weights * rest, exponents - 53))
+    terms = np.concatenate(terms)
+    if not np.isfinite(terms).all():
+        raise OverflowError("a weighted term past the float range")
+    return math.fsum(terms.tolist())    # of finite terms: OverflowError past the range
 
 
 def _first_reach(order: np.ndarray, target: int) -> dict:

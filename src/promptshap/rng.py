@@ -12,15 +12,17 @@ wrapping numpy ``uint64`` arithmetic, bit-identical to the scalar reference.
 A draw is then one list read, where mixing in Python integers costs about
 1 us. Every method reads the same buffer, so interleaved calls stay on one
 stream. The rejection loop of Fisher-Yates is written once, in Python, with
-its (index, shift) steps computed once per call: ``shuffle`` runs it once,
-and ``shuffles`` runs it T times on one list and records each result in a
-(T, n) table, converting the rows a block of shuffles at a time.
+its (index, shift) steps computed once per list length and kept for the
+next call of that length: ``shuffle`` runs it once, and ``shuffles`` runs it
+T times on one list and records each result in a (T, n) table, converting
+the rows a block of shuffles at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,7 +99,7 @@ class SplitMix64:
 
     def _shuffle(self, xs: list, times: int, record=None) -> None:
         """``shuffle(xs)`` ``times`` over, handing ``xs`` to ``record`` after each."""
-        steps = [(i, 64 - i.bit_length()) for i in range(len(xs) - 1, 0, -1)]
+        steps = _steps(len(xs))
         buf, pos = self._buf, self._pos
         end = len(buf)
         for _ in range(times):
@@ -113,6 +115,13 @@ class SplitMix64:
             if record is not None:
                 record(xs)
         self._pos = pos
+
+
+@lru_cache(maxsize=16)
+def _steps(length: int) -> tuple:
+    """The (index, shift) steps of a Fisher-Yates pass over ``length`` items:
+    index ``i`` draws the top ``i.bit_length()`` bits of one output."""
+    return tuple((i, 64 - i.bit_length()) for i in range(length - 1, 0, -1))
 
 
 def derive_seed(seed: int, purpose: str) -> int:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ from promptshap.errors import (
     CapacityError,
     ConsistencyError,
     PreconditionError,
+    PromptShapError,
     UtilityOracleError,
 )
 from promptshap.game import (
     GameSpec,
     Method,
+    _exact_sum,
     loo_values,
     shapley_exact,
     shapley_montecarlo,
@@ -428,18 +431,183 @@ def test_montecarlo_squares_deviations_with_pow():
     assert shapley_montecarlo(game, permutations, seed=seed).stderr == tuple(by_pow)
 
 
-def test_montecarlo_memory_is_the_marginals_and_little_more():
-    n, permutations = 12, 20_000
+def engine_peak(permutations):
+    """Traced peak bytes of the engine alone on a 12-player game whose batch
+    reads a ready table."""
+    n = 12
     table = [mask / (1 << n) for mask in range(1 << n)]
     game = GameSpec(n=n, utility=None, batch=lambda masks, n: [table[m] for m in masks])
     tracemalloc.start()
     try:
         shapley_montecarlo(game, permutations, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (n, T) float64 marginals alone take 1.92 MB
-    assert peak <= 3_000_000
+
+
+def test_montecarlo_memory_holds_no_table_of_marginals():
+    # 1.55 MB measured; an (n, T) float64 table of marginals alone takes 1.92 MB
+    small = engine_peak(20_000)
+    assert small <= 1_800_000
+    # four times the permutations add only the (T, n) uint8 permutation table
+    assert engine_peak(80_000) - small <= 60_000 * 12 + 50_000
+
+
+def scaled_game(n, seed, scale, levels=None):
+    """``random_table_game`` times ``scale``: continuous utilities, or with
+    ``levels`` drawn from a grid of that many steps in [0, 1)."""
+    base = random_table_game(n, seed)
+
+    def utility(coalition):
+        u = base.utility(coalition)
+        return (math.floor(u * levels) / levels if levels else u) * scale
+
+    return GameSpec(n=n, utility=utility, u_empty=utility(Coalition(0, n)))
+
+
+def signed_zero_game(n, seed):
+    """Utilities of -0.0, 0.0, -0.5 and 0.5 by a hash of the mask, so most
+    marginals repeat and some are -0.0."""
+
+    def utility(coalition):
+        return (-0.0, 0.0, -0.5, 0.5)[(coalition.mask * 0x9E3779B97F4A7C15 + seed) >> 20 & 3]
+
+    return GameSpec(n=n, utility=utility, u_empty=utility(Coalition(0, n)))
+
+
+def mixed_magnitude_game(n, seed):
+    """Player 0 adds 2^995, which absorbs a small grid of utilities: its
+    marginal is always 2^995, the others' are 0 or small."""
+    base = random_table_game(n, seed)
+
+    def utility(coalition):
+        return 2.0 ** 995 * (coalition.mask & 1) + round(base.utility(coalition) * 64) / 64
+
+    return GameSpec(n=n, utility=utility, u_empty=utility(Coalition(0, n)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+@pytest.mark.parametrize("game, permutations", [
+    # continuous utilities: almost every marginal distinct
+    (random_table_game(10, 5), 2000),
+    # heavy repeats, with signed zeros among them
+    (signed_zero_game(6, 11), 3000),
+    (scaled_game(8, 4, 1.0, levels=4), 2049),
+    # one permutation
+    (random_table_game(7, 8), 1),
+    (random_table_game(1, 8), 1),
+    # the top and the bottom of the float range: squares near 1e300, sums of
+    # 2^995, subnormal utilities and subnormal squares
+    (scaled_game(6, 9, 1e150), 500),
+    (mixed_magnitude_game(6, 10), 1000),
+    (scaled_game(6, 12, 2.0 ** -1074, levels=2 ** 20), 500),
+    (scaled_game(6, 13, 2.0 ** -530), 500),
+])
+def test_montecarlo_statistics_match_the_scalar_reference_bit_for_bit(game, permutations, tol):
+    got = shapley_montecarlo(game, permutations, truncation_tol=tol, seed=permutations)
+    want = reference_shapley_montecarlo(game, permutations, truncation_tol=tol,
+                                        seed=permutations)
+    assert result_bits(got) == result_bits(want)
+
+
+@pytest.mark.parametrize("n", [57, 58, 63, 64])
+def test_montecarlo_matches_the_scalar_reference_at_the_key_width(n):
+    # a key p << n | S fits an int64 up to 57 players
+    seed, permutations = 2**63 + 5, 40
+    base = hashed_game(n, seed)
+    engine, reference = [], []
+
+    def recording(masks):
+        def utility(coalition):
+            masks.append(coalition.mask)
+            return base.utility(coalition)
+
+        return GameSpec(n=n, utility=utility, u_empty=base.u_empty)
+
+    got = shapley_montecarlo(recording(engine), permutations, seed=seed)
+    want = reference_shapley_montecarlo(recording(reference), permutations, seed=seed)
+    assert result_bits(got) == result_bits(want)
+    assert engine == list(dict.fromkeys(reference))
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 1], [2**34, 3, 2**35 - 1], [5, 2**26 + 1, 2**27]])
+@pytest.mark.parametrize("values", [
+    [0.1, -0.30000000000000004, 1e-17],
+    [1.7e308, -1.6e308, 1e292],
+    [5e-324, -2.5e-323, 2.0 ** -1022],
+    [-0.0, 0.0, 3.0],
+])
+def test_exact_sum_is_the_correctly_rounded_weighted_sum(values, weights):
+    want = sum(Fraction(v) * w for v, w in zip(values, weights))
+    values, weights = np.array(values), np.array(weights, dtype=np.float64)
+    if abs(want) > Fraction(sys.float_info.max):
+        with pytest.raises(OverflowError):
+            _exact_sum(values, weights)
+    else:   # int / int rounds once, to nearest
+        assert _exact_sum(values, weights).hex() == (want.numerator / want.denominator).hex()
+
+
+def target_game(n, target, bad):
+    """Utilities 0.25 * |S|, except ``bad`` on coalition ``target``."""
+    return GameSpec(n=n, utility=lambda c: bad if c.mask == target else 0.25 * c.size)
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf, 10 ** 400])
+@pytest.mark.parametrize("engine", ["exact", "loo", "mc", "mc-truncated"])
+def test_a_utility_that_is_not_a_finite_real_fails_naming_its_coalition(engine, bad):
+    n, seed, permutations = 4, 3, 10
+    full = (1 << n) - 1
+    target = full - 1          # the full set minus player 0, which loo asks for
+    game = target_game(n, target, bad)
+    run = {
+        "exact": lambda: shapley_exact(game),
+        "loo": lambda: loo_values(game),
+        "mc": lambda: shapley_montecarlo(game, permutations, seed=seed),
+        "mc-truncated": lambda: shapley_montecarlo(game, permutations, truncation_tol=0.01,
+                                                   seed=seed),
+    }[engine]
+    with pytest.raises(UtilityOracleError, match="not a finite real number") as err:
+        run()
+    details = err.value.details
+    assert details["coalition"] == Coalition(target, n).to_hex()
+    if engine.startswith("mc"):
+        t, prefix = prefix_scan(n, permutations, seed)[target]
+        assert (details["permutation_index"], details["prefix"]) == (t, prefix)
+
+
+def test_infinite_utilities_of_both_signs_fail_on_the_first():
+    game = GameSpec(n=3, utility=lambda c: math.inf if c.mask & 1 else -math.inf)
+    with pytest.raises(UtilityOracleError) as err:
+        shapley_montecarlo(game, 5, seed=1)
+    assert err.value.details["coalition"] == Coalition(7, 3).to_hex()   # U(full) comes first
+
+
+def test_numeric_utility_types_are_accepted():
+    values = {0: 0, 1: np.float64(0.5), 2: Fraction(1, 4), 3: np.float32(1.0)}
+    game = GameSpec(n=2, utility=lambda c: values[c.mask])
+    floats = GameSpec(n=2, utility=lambda c: float(values[c.mask]))
+    assert shapley_exact(game).values == (0.625, 0.375)
+    for tol in (0.0, 0.01):
+        got = shapley_montecarlo(game, 4, truncation_tol=tol, seed=1)
+        want = shapley_montecarlo(floats, 4, truncation_tol=tol, seed=1)
+        assert (got.values, got.stderr) == (want.values, want.stderr)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+@pytest.mark.parametrize("utility", [
+    # finite utilities whose marginals sum past the float range
+    lambda c: 1.7e308 * (c.mask & 1),
+    # marginals 1e200 apart, whose squared deviations overflow
+    lambda c: 1e200 * (c.mask & 1) * (1 + (c.mask >> 1 & 1)),
+    # a marginal that is itself past the float range
+    lambda c: 1.7e308 if c.mask & 1 else -1.7e308 * (c.mask > 0),
+])
+def test_montecarlo_sums_past_the_float_range_fail_as_a_typed_error(utility, tol):
+    game = GameSpec(n=3, utility=utility, u_empty=utility(Coalition(0, 3)))
+    with pytest.raises(PromptShapError) as err:
+        shapley_montecarlo(game, 8, truncation_tol=tol, seed=2)
+    assert isinstance(err.value, PreconditionError)
+    assert err.value.details == {"player": 0}
 
 
 @pytest.mark.parametrize("arguments", [

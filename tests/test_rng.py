@@ -102,6 +102,24 @@ def test_recorded_shuffles_match_successive_reference_shuffles(seed, n, count):
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_shuffles_of_many_lengths_in_turn_match_the_reference(seed):
+    # more lengths than the kept step tables, each visited twice, so some
+    # steps are rebuilt and some reused
+    lengths = [*range(0, 40, 2), *range(39, 0, -3), 12, 200, 12, 200]
+    ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    for length in lengths:
+        assert call(ours, "shuffle", length) == call(reference, "shuffle", length)
+        assert ours.state == reference.state
+        rows = []
+        players = list(range(length))
+        for _ in range(3):
+            reference.shuffle(players)
+            rows.append(list(players))
+        assert ours.shuffles(length, 3).tolist() == rows
+        assert ours.state == reference.state
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_draws_cross_block_boundaries_on_one_stream(seed):
     ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
     for _ in range(2 * _BLOCK + 3):
