@@ -15,7 +15,6 @@ import json
 import numpy as np
 
 from promptshap import (
-    Coalition,
     GameSpec,
     Mode,
     PredictionMatrix,
@@ -51,13 +50,12 @@ def main() -> int:
     args = parser.parse_args()
 
     matrix, validation = build_fixture()
-    oracle = matrix_utility(matrix, validation, Rule.VOTE)
-    game = GameSpec(n=6, utility=oracle)
+    game = GameSpec(n=6, utility=matrix_utility(matrix, validation, Rule.VOTE))
     ids = list(matrix.prompt_ids)
 
     shapley = shapley_exact(game)
     loo = loo_values(game)
-    curve = rank_add_curve(shapley, ids, oracle)
+    curve = rank_add_curve(shapley, ids, game.batch)
     best = best_prefix(curve)
 
     if args.json:
@@ -75,7 +73,7 @@ def main() -> int:
         return 0
 
     print(f"full-set accuracy U(N) = {shapley.u_full}")
-    print(f"empty-set accuracy U(0) = {oracle(Coalition.empty(6))}")
+    print(f"empty-set accuracy U(0) = {shapley.u_empty}")
     print()
     print(f"{'prompt':<8}{'shapley':>10}{'loo':>10}")
     for i, pid in enumerate(ids):

@@ -23,8 +23,9 @@ other. ``close`` (or leaving a ``with`` block) releases the handle;
 ``persist`` closes it first, so a later ``put`` reopens and appends to the
 rewritten file.
 
-Cost model of ``cached_utility``'s batch: one hex key per mask, one dict
-lookup per key, one inner batch call for the distinct misses in
+``cached_utility`` wraps a mask-level batch oracle in a utility cache and
+returns a batch. Its cost model: one hex key per mask (``hex_keys``), one
+dict lookup per key, one inner batch call for the distinct misses in
 first-appearance order, and one buffered line per miss, flushed at the end of
 the batch (and every ``FLUSH_S`` seconds within it) instead of per line.
 """
@@ -40,9 +41,9 @@ import time
 import warnings
 from typing import Optional, Sequence
 
-from .coalition import Coalition
+from .coalition import hex_keys
 from .errors import ConsistencyError, UtilityOracleError
-from .game import UtilityFn, batch_of
+from .game import BatchFn
 from .jsonio import _open
 
 # seconds an ``appending()`` block may hold written lines before flushing them
@@ -240,18 +241,16 @@ class ResponseCache(_JsonlCache):
 _END = object()
 
 
-def cached_utility(cache: UtilityCache, inner: UtilityFn) -> UtilityFn:
-    """Memoize a deterministic utility oracle through the cache.
+def cached_utility(cache: UtilityCache, inner_batch: BatchFn) -> BatchFn:
+    """Memoize a deterministic mask-level batch oracle through the cache.
 
-    The result is a per-coalition oracle whose ``batch`` serves the hits and
-    asks ``inner``'s batch (see ``batch_of``) for the distinct misses in one
-    call, storing each new utility as it arrives, so a failure leaves the
-    cache holding exactly the utilities computed before it."""
-    inner_batch = batch_of(inner)
+    The result is a batch that serves the hits and asks ``inner_batch`` for
+    the distinct misses in one call, storing each new utility as it arrives,
+    so a failure leaves the cache holding exactly the utilities computed
+    before it."""
 
     def batch(masks: Sequence[int], n: int):
-        width = (n + 7) // 8
-        keys = [mask.to_bytes(width, "little").hex() for mask in masks]
+        keys = hex_keys(masks, n)
         entries = cache.entries
         # key -> mask of each miss, in first-appearance order
         misses = {key: mask for key, mask in zip(keys, masks) if key not in entries}
@@ -267,12 +266,7 @@ def cached_utility(cache: UtilityCache, inner: UtilityFn) -> UtilityFn:
                 # the first writer's value, if another got in first
                 yield entries[key]
 
-    def oracle(coalition: Coalition) -> float:
-        [value] = batch([coalition.mask], coalition.n)
-        return value
-
-    oracle.batch = batch
-    return oracle
+    return batch
 
 
 def inspect_file(path: str) -> dict:

@@ -25,11 +25,10 @@ import numpy as np
 
 from .cache import ResponseCache, UtilityCache, cached_utility, compact_file, inspect_file
 from .client import augmentation_utility, embed, load_manifest, load_questions
-from .coalition import Coalition
 from .config import RunConfig, UtilityMode, load_config
 from .ensemble import load_matrix, load_validation, matrix_utility
 from .errors import ConfigError, ConsistencyError, PromptShapError, ProtocolError
-from .game import GameSpec, Method, loo_values, shapley_exact, shapley_montecarlo
+from .game import GameSpec, Method, batch_of, loo_values, shapley_exact, shapley_montecarlo
 from .jsonio import all_numbers, dumps, read_json, write_json
 from .learning import (
     EmbeddingMatrix,
@@ -166,15 +165,16 @@ def _open_game(cfg: RunConfig):
             )
             ids = list(matrix.prompt_ids)
         n = len(ids)
+        batch = batch_of(oracle)
         if cfg.paths.utility_cache:
             utility_cache = caches.enter_context(UtilityCache.load(cfg.paths.utility_cache))
-            oracle = cached_utility(utility_cache, oracle)
+            batch = cached_utility(utility_cache, batch)
         if cfg.utility_mode is UtilityMode.LIVE_AUGMENTATION:
             # the augmentation oracle defines its own zero-shot U(empty)
-            u_empty = oracle(Coalition.empty(n))
+            [u_empty] = batch([0], n)
         else:
             u_empty = cfg.game.u_empty
-        yield GameSpec(n=n, utility=oracle, u_empty=u_empty), ids
+        yield GameSpec(n=n, batch=batch, u_empty=u_empty), ids
 
 
 def cmd_value(args) -> int:
@@ -208,7 +208,7 @@ def cmd_curve(args) -> int:
                 game_ids=sorted(ids),
             )
         by_id = dict(zip(doc_ids, doc_values))
-        curve = rank_add_curve([by_id[i] for i in ids], ids, game.utility)
+        curve = rank_add_curve([by_id[i] for i in ids], ids, game.batch)
     best = None
     if curve.error is None:
         last_utility = curve.points[-1].utility

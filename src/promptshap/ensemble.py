@@ -8,10 +8,11 @@ correct only when the ensemble names its gold label, so a vote that abstains
 on a tie counts as wrong. Both rules yield values that are exact multiples of
 1/|validation|.
 
-Cost model of the ``matrix_utility`` oracle's mask-level ``batch``: the first
-batch holding a non-empty coalition maps the validation ids to matrix columns,
-slices the matrix to them and builds the rule's subset-sum tables, once. A
-table covers a block of at most 8 prompts, so it has at most 2^8 entries.
+``matrix_utility`` returns the game's ``Oracle``. Cost model of its
+mask-level ``batch``: the first batch holding a non-empty coalition maps the
+validation ids to matrix columns, slices the matrix to them and builds the
+rule's subset-sum tables, once. A table covers a block of at most 8 prompts,
+so it has at most 2^8 entries.
 
 - Vote: every block keeps, for each subset of its prompts, the packed
   gold-minus-rival vote margins (one Python int of K * |V| w-bit fields,
@@ -35,9 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coalition import Coalition
 from .errors import ConsistencyError, PreconditionError
-from .game import UtilityFn
+from .game import Oracle
 from .jsonio import all_numbers, read_csv
 
 
@@ -292,9 +292,10 @@ def _average_scorer(prob: np.ndarray, golds: np.ndarray):
 
 
 def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Rule,
-                   tie: TieRule = TieRule.ABSTAIN, u_empty: float = 0.0) -> UtilityFn:
-    """Close over the inputs as a deterministic Coalition -> accuracy oracle,
-    with a mask-level ``batch`` attribute that scores many coalitions at once.
+                   tie: TieRule = TieRule.ABSTAIN, u_empty: float = 0.0) -> Oracle:
+    """Close over the inputs as a deterministic accuracy ``Oracle``, whose
+    ``batch(masks, n)`` scores many coalitions at once and gives ``u_empty``
+    for the empty one.
 
     The first batch holding a non-empty coalition resolves the validation
     columns and builds the rule's tables, so input errors surface on that
@@ -327,12 +328,7 @@ def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Ru
                 hits = iter(score([m for m in masks[i:] if m]))
             yield next(hits) / instances
 
-    def oracle(coalition: Coalition) -> float:
-        [utility] = batch([coalition.mask], coalition.n)
-        return utility
-
-    oracle.batch = batch
-    return oracle
+    return Oracle(batch)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ Cost model: an engine asks the game's mask-level ``batch`` for every
 coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
-prefix in first-appearance order. A per-coalition oracle without a batch of
-its own is mapped over the masks. Every utility must be a finite real number
-(not a bool); any other fails as a ``UtilityOracleError`` naming its
-coalition. Exact sums each player's terms as numpy arrays over the masks
-without it, into one ``math.fsum``.
+prefix in first-appearance order. ``matrix_utility`` returns an ``Oracle``,
+whose ``batch`` the game takes as it is; any other per-coalition ``utility``
+(the live oracle, or a wrapper around an ``Oracle``) is mapped over the
+masks one coalition at a time (``batch_of``), so a wrapper sees every call.
+Every utility must be a finite real number (not a bool); any other fails as
+a ``UtilityOracleError`` naming its coalition. Exact sums each player's terms
+as numpy arrays over the masks without it, into one ``math.fsum``.
 
 Monte Carlo draws all T permutations at once as a (T, n) table of small
 unsigned ints (``SplitMix64.shuffles``), then makes numpy passes over it in
@@ -77,11 +79,23 @@ class Method(str, Enum):
     LEAVE_ONE_OUT = "loo"
 
 
+@dataclass(frozen=True, slots=True)
+class Oracle:
+    """A utility oracle built on a mask-level ``batch``. Called on one
+    coalition it gives that coalition's utility through the batch; a wrapper
+    around it is a plain function, which ``batch_of`` maps instead."""
+
+    batch: BatchFn
+
+    def __call__(self, coalition: Coalition) -> float:
+        [utility] = self.batch([coalition.mask], coalition.n)
+        return utility
+
+
 def batch_of(utility: UtilityFn) -> BatchFn:
-    """``utility.batch`` if the oracle has one, else ``utility`` mapped over the masks."""
-    batch = getattr(utility, "batch", None)
-    if batch is not None:
-        return batch
+    """The ``batch`` of an ``Oracle``; any other oracle mapped over the masks."""
+    if isinstance(utility, Oracle):
+        return utility.batch
 
     def mapped(masks: Sequence[int], n: int):
         for mask in masks:
@@ -95,12 +109,13 @@ class GameSpec:
     """A cooperative game: player count, deterministic utility oracle, and the
     declared utility of the empty coalition (the oracle must agree on it).
 
-    The engines call only ``batch``, which defaults to ``batch_of(utility)``.
-    ``dataclasses.replace(game, utility=...)`` copies the batch already set,
-    so it keeps the fast path of the oracle it replaces."""
+    The oracle is a mask-level ``batch``, or a ``utility`` whose batch
+    ``batch_of`` finds when no batch is given; a game with neither is a
+    ``PreconditionError``. The engines call only ``batch``, so
+    ``dataclasses.replace(game, utility=...)`` keeps the batch already set."""
 
     n: int
-    utility: UtilityFn
+    utility: Optional[UtilityFn] = None
     u_empty: float = 0.0
     batch: Optional[BatchFn] = None
 
@@ -108,6 +123,8 @@ class GameSpec:
         if self.n < 1:
             raise PreconditionError(f"game needs at least one player, got n={self.n}")
         if self.batch is None:
+            if self.utility is None:
+                raise PreconditionError("game needs a utility or a batch oracle")
             object.__setattr__(self, "batch", batch_of(self.utility))
 
 
@@ -167,31 +184,32 @@ def run_batch(batch: BatchFn, masks: Sequence[int], n: int) -> tuple[list, Optio
     """``batch(masks, n)`` as a list, and the exception that cut it short, if
     any. The utilities before a failure are kept, so ``masks[len(values)]`` is
     the coalition that failed; a batch that yields too few or too many
-    utilities fails on the first coalition without one, or on the last."""
+    utilities fails on the first coalition without one, or on the last, and
+    a utility that is not a finite real number fails on its own coalition."""
     values: list = []
+    exc = None
     try:
         values.extend(batch(masks, n))
-    except Exception as exc:
-        return values, exc
-    if len(values) == len(masks):
-        return values, None
-    exc = UtilityOracleError(
-        f"batch oracle gave {len(values)} utilities for {len(masks)} coalitions")
-    del values[len(masks) - 1:]
-    return values, exc
-
-
-def _utilities(game: GameSpec, masks: Sequence[int], context=None) -> list:
-    """The game's utilities of ``masks`` from one batch call; a failure, or a
-    utility that is not a finite real number, names its coalition, plus the
-    details ``context(mask)`` gives."""
-    values, exc = run_batch(game.batch, masks, game.n)
+    except Exception as caught:
+        exc = caught
+    else:
+        if len(values) != len(masks):
+            exc = UtilityOracleError(
+                f"batch oracle gave {len(values)} utilities for {len(masks)} coalitions")
+            del values[len(masks) - 1:]
     bad = _first_unfit(values)
     if bad is not None:
         exc = UtilityOracleError(
             f"utility oracle gave {values[bad]!r} on coalition "
-            f"{Coalition(masks[bad], game.n).to_hex()}, not a finite real number")
+            f"{Coalition(masks[bad], n).to_hex()}, not a finite real number")
         del values[bad:]
+    return values, exc
+
+
+def _utilities(game: GameSpec, masks: Sequence[int], context=None) -> list:
+    """The game's utilities of ``masks`` from one batch call (``run_batch``);
+    a failure names its coalition, plus the details ``context(mask)`` gives."""
+    values, exc = run_batch(game.batch, masks, game.n)
     if exc is not None:
         mask = masks[len(values)]
         raise _failure(exc, Coalition(mask, game.n), **(context(mask) if context else {}))

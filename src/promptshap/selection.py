@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .game import ShapleyResult, UtilityFn, batch_of, run_batch
+from .game import BatchFn, ShapleyResult, run_batch
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,13 @@ def rank_order(values: Sequence[float], prompt_ids: Sequence[str]) -> list[int]:
     return sorted(range(len(values)), key=lambda i: (-values[i], prompt_ids[i]))
 
 
-def rank_add_curve(values, prompt_ids: Sequence[str], oracle: UtilityFn) -> Curve:
-    """Evaluate prefix utilities in rank order: one batch of the n prefixes
-    (see ``batch_of``).
+def rank_add_curve(values, prompt_ids: Sequence[str], batch: BatchFn) -> Curve:
+    """Evaluate prefix utilities in rank order: one call of the mask-level
+    ``batch`` for the n prefixes (see ``run_batch``).
 
-    On an oracle failure the curve is returned up to the failed prefix, with
-    the failure recorded instead of raised.
+    On an oracle failure, or a utility that is not a finite real number, the
+    curve is returned up to the failed prefix, with the failure recorded
+    instead of raised.
     """
     if isinstance(values, ShapleyResult):
         values = values.values
@@ -62,16 +63,9 @@ def rank_add_curve(values, prompt_ids: Sequence[str], oracle: UtilityFn) -> Curv
         raise PreconditionError("rank_add_curve needs at least one player")
     order = rank_order(values, prompt_ids)
     masks = list(accumulate((1 << idx for idx in order), operator.or_))
-    utilities, error = run_batch(batch_of(oracle), masks, len(order))
-    points: list[CurvePoint] = []
-    for idx, utility in zip(order, utilities):
-        try:
-            utility = float(utility)
-        except Exception as exc:
-            error = exc
-            break
-        points.append(CurvePoint(k=len(points) + 1, added_prompt_id=prompt_ids[idx],
-                                 utility=utility))
+    utilities, error = run_batch(batch, masks, len(order))
+    points = [CurvePoint(k=k, added_prompt_id=prompt_ids[idx], utility=float(utility))
+              for k, (idx, utility) in enumerate(zip(order, utilities), start=1)]
     if error is None:
         return Curve(points=tuple(points))
     k = len(points) + 1

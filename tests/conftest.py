@@ -33,6 +33,12 @@ LETTERS = "ABCDE"
 # deterministic games
 
 
+def utility_of(batch, mask: int, n: int) -> float:
+    """The utility a mask-level batch oracle gives one coalition."""
+    [value] = batch([mask], n)
+    return value
+
+
 def glove_utility(coalition) -> float:
     members = set(coalition.indices())
     return 1.0 if 0 in members and (1 in members or 2 in members) else 0.0
@@ -128,7 +134,7 @@ def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float
 
     def evaluate(coalition):
         try:
-            return game.utility(coalition)
+            return utility_of(game.batch, coalition.mask, coalition.n)
         except PromptShapError as exc:
             exc.details.setdefault("coalition", coalition.to_hex())
             raise
@@ -136,8 +142,8 @@ def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float
             raise UtilityOracleError(str(exc), coalition=coalition.to_hex()) from exc
 
     n = game.n
-    u_full = evaluate(Coalition.full(n))
-    u_empty = evaluate(Coalition.empty(n))
+    u_full = evaluate(Coalition((1 << n) - 1, n))
+    u_empty = evaluate(Coalition(0, n))
     truncate = truncation_tol > 0
     rng = ReferenceSplitMix64(seed)
     perm = list(range(n))

@@ -78,7 +78,7 @@ def test_acceptance_01_shapley_axioms(capsys):
             return _g.utility(Coalition(c.mask & ~1, _n))
 
         null_game = GameSpec(n=n, utility=null_utility,
-                             u_empty=game.utility(Coalition.empty(n)))
+                             u_empty=game.utility(Coalition(0, n)))
         null_sv = shapley_exact(null_game).values[0]
         if abs(null_sv) > 1e-9:
             problems.append(f"seed {s}: null player got {null_sv:.3g}")
@@ -105,7 +105,7 @@ def test_acceptance_01_shapley_axioms(capsys):
             return _g1.utility(c) + 2.0 * _g2.utility(c)
 
         combo = shapley_exact(GameSpec(n=n, utility=combo_utility,
-                                       u_empty=combo_utility(Coalition.empty(n)))).values
+                                       u_empty=combo_utility(Coalition(0, n)))).values
         v1 = shapley_exact(g1).values
         v2 = shapley_exact(g2).values
         lin_gap = max(abs(combo[i] - (v1[i] + 2.0 * v2[i])) for i in range(n))
@@ -257,7 +257,7 @@ def test_acceptance_08_adversarial_ranking(capsys):
     best_adversarial = max(result.values[3:])
     if worst_correct <= best_adversarial:
         problems.append("correct prompts do not outrank adversarial ones")
-    curve = rank_add_curve(result, list(matrix.prompt_ids), oracle)
+    curve = rank_add_curve(result, list(matrix.prompt_ids), game.batch)
     best = best_prefix(curve)
     if best.utility != 1.0:
         problems.append(f"best prefix utility {best.utility} != 1.0")

@@ -24,7 +24,7 @@ from promptshap.errors import ConsistencyError, PromptShapError, UtilityOracleEr
 from promptshap.game import GameSpec, loo_values, shapley_exact, shapley_montecarlo
 from promptshap.selection import rank_add_curve
 
-from conftest import ReferenceSplitMix64
+from conftest import ReferenceSplitMix64, utility_of
 
 
 def test_put_get_round_trip(tmp_path):
@@ -140,8 +140,8 @@ def test_non_numeric_utility_is_skipped(tmp_path, u):
         cache = UtilityCache.load(path)
     assert cache.entries == {"02": 1}
     with cache:
-        wrapped = cached_utility(cache, lambda coalition: 0.75)
-        assert wrapped(Coalition(0b1, 2)) == 0.75
+        wrapped = cached_utility(cache, lambda masks, n: [0.75] * len(masks))
+        assert utility_of(wrapped, 0b1, 2) == 0.75
 
 
 @pytest.mark.parametrize("row", [{"digest": "ab", "response": 5},
@@ -205,9 +205,10 @@ def test_put_refuses_a_key_load_would_skip(tmp_path, bound, cls, value, key):
 def test_engine_names_the_coalition_a_bad_utility_came_from(tmp_path, bound, u):
     path = tmp_path / "u.jsonl"
     with UtilityCache(path if bound else None) as cache:
-        oracle = cached_utility(cache, lambda c: u if c.mask == 0b10 else c.size / 2)
+        batch = cached_utility(cache, lambda masks, n: [
+            u if mask == 0b10 else mask.bit_count() / 2 for mask in masks])
         with pytest.raises(ConsistencyError) as info:
-            shapley_exact(GameSpec(n=2, utility=oracle))
+            shapley_exact(GameSpec(n=2, batch=batch))
     assert info.value.details["coalition"] == "02"
     assert cache.entries == {"00": 0.0, "01": 0.5}
     if bound:
@@ -310,17 +311,15 @@ def test_response_cache_round_trip(tmp_path):
 def test_cached_utility_memoizes():
     calls = []
 
-    def oracle(coalition):
-        calls.append(coalition.mask)
-        return coalition.size / 10
+    def inner(masks, n):
+        calls.append(list(masks))
+        return [mask.bit_count() / 10 for mask in masks]
 
     cache = UtilityCache()
-    wrapped = cached_utility(cache, oracle)
-    s = Coalition(0b101, 4)
-    assert wrapped(s) == 0.2
-    assert wrapped(s) == 0.2
-    assert wrapped(Coalition(0b101, 4)) == 0.2
-    assert calls == [s.mask]
+    wrapped = cached_utility(cache, inner)
+    for _ in range(3):
+        assert utility_of(wrapped, 0b101, 4) == 0.2
+    assert calls == [[0b101]]
     assert len(cache) == 1
 
 
@@ -328,53 +327,54 @@ def test_cached_utility_serves_preloaded_values():
     cache = UtilityCache()
     cache.put(Coalition(0b1, 3).to_hex(), 0.25)
 
-    def oracle(coalition):
-        raise AssertionError("oracle must not run on a hit")
+    def inner(masks, n):
+        raise AssertionError("the inner batch must not run on a hit")
 
-    wrapped = cached_utility(cache, oracle)
-    assert wrapped(Coalition(0b1, 3)) == 0.25
+    wrapped = cached_utility(cache, inner)
+    assert utility_of(wrapped, 0b1, 3) == 0.25
 
 
 def test_cached_utility_serves_loaded_entries_without_the_oracle(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text(json.dumps({"coalition": "05", "u": 0.25}) + "\n")
 
-    def oracle(coalition):
-        raise AssertionError("oracle must not run on a hit")
+    def inner(masks, n):
+        raise AssertionError("the inner batch must not run on a hit")
 
-    wrapped = cached_utility(UtilityCache.load(path), oracle)
+    wrapped = cached_utility(UtilityCache.load(path), inner)
     for _ in range(3):   # every call reads the cache
-        assert wrapped(Coalition(0b101, 3)) == 0.25
+        assert utility_of(wrapped, 0b101, 3) == 0.25
 
 
 def test_hex_key_width_keeps_player_counts_apart():
     calls = []
 
-    def oracle(coalition):
-        calls.append((coalition.mask, coalition.n))
-        return coalition.n / 100
+    def inner(masks, n):
+        calls.append((list(masks), n))
+        return [n / 100 for _ in masks]
 
     cache = UtilityCache()
-    wrapped = cached_utility(cache, oracle)
-    assert wrapped(Coalition(1, 3)) == 0.03
-    assert wrapped(Coalition(1, 3)) == 0.03     # a cache hit on key "01"
-    assert wrapped(Coalition(1, 9)) == 0.09     # same mask, wider hex key "0100"
-    assert wrapped(Coalition(1, 9)) == 0.09
-    assert wrapped(Coalition(1, 3)) == 0.03
-    assert calls == [(1, 3), (1, 9)]
+    wrapped = cached_utility(cache, inner)
+    assert utility_of(wrapped, 1, 3) == 0.03
+    assert utility_of(wrapped, 1, 3) == 0.03     # a cache hit on key "01"
+    assert utility_of(wrapped, 1, 9) == 0.09     # same mask, wider hex key "0100"
+    assert utility_of(wrapped, 1, 9) == 0.09
+    assert utility_of(wrapped, 1, 3) == 0.03
+    assert calls == [([1], 3), ([1], 9)]
     assert cache.entries == {"01": 0.03, "0100": 0.09}
 
 
 def test_memo_keeps_the_first_writers_value():
     cache = UtilityCache()
 
-    def oracle(coalition):
-        cache.put(coalition.to_hex(), 0.5)   # another writer gets in first
-        return 0.75
+    def inner(masks, n):
+        for mask in masks:
+            cache.put(Coalition(mask, n).to_hex(), 0.5)   # another writer gets in first
+            yield 0.75
 
-    wrapped = cached_utility(cache, oracle)
-    assert wrapped(Coalition(1, 2)) == 0.5
-    assert wrapped(Coalition(1, 2)) == 0.5
+    wrapped = cached_utility(cache, inner)
+    assert utility_of(wrapped, 1, 2) == 0.5
+    assert utility_of(wrapped, 1, 2) == 0.5
     assert cache.get("01") == 0.5
 
 
@@ -524,31 +524,23 @@ def test_appending_flushes_once_the_interval_has_passed(tmp_path, monkeypatch):
 def test_batch_asks_the_inner_batch_once_for_the_distinct_misses():
     calls = []
 
-    def batch(masks, n):
+    def inner(masks, n):
         calls.append(list(masks))
         return [mask / 10 for mask in masks]
 
-    def inner(coalition):
-        raise AssertionError("a batch inner is asked through its batch")
-
-    inner.batch = batch
     cache = UtilityCache()
     cache.put("02", 0.75)
     wrapped = cached_utility(cache, inner)
-    assert list(wrapped.batch([3, 2, 1, 3, 0, 1], 4)) == [0.3, 0.75, 0.1, 0.3, 0.0, 0.1]
+    assert list(wrapped([3, 2, 1, 3, 0, 1], 4)) == [0.3, 0.75, 0.1, 0.3, 0.0, 0.1]
     assert calls == [[3, 1, 0]]
-    assert list(wrapped.batch([2, 3], 4)) == [0.75, 0.3]   # all hits: no inner call
+    assert list(wrapped([2, 3], 4)) == [0.75, 0.3]   # all hits: no inner call
     assert calls == [[3, 1, 0]]
     assert cache.entries == {"02": 0.75, "03": 0.3, "01": 0.1, "00": 0.0}
 
 
 def test_batch_refuses_an_inner_batch_that_ends_early():
-    def inner(coalition):
-        raise AssertionError("unused")
-
-    inner.batch = lambda masks, n: [0.5]
     cache = UtilityCache()
-    batch = cached_utility(cache, inner).batch(range(3), 2)
+    batch = cached_utility(cache, lambda masks, n: [0.5])(range(3), 2)
     assert next(batch) == 0.5
     with pytest.raises(UtilityOracleError, match="ended early"):
         next(batch)
@@ -574,11 +566,7 @@ def failing_oracle(target, fault, asked):
                 raise ValueError("boom")
             yield math.nan if mask == target else table_utility(mask)
 
-    def oracle(coalition):
-        raise AssertionError("a batch oracle is asked through its batch")
-
-    oracle.batch = batch
-    return oracle
+    return batch
 
 
 ENGINES = {
@@ -588,7 +576,7 @@ ENGINES = {
     "mc-truncated": lambda game: shapley_montecarlo(game, 12, truncation_tol=0.26, seed=3),
     "loo": lambda game: loo_values(game),
     "curve": lambda game: rank_add_curve([0.3, 0.1, 0.5, 0.2, 0.4], list("abcde"),
-                                         game.utility),
+                                         game.batch),
 }
 
 
@@ -601,14 +589,10 @@ def run_engine(engine, path, inner):
 
         def batch(masks, n):
             order.extend(masks)
-            return cached.batch(masks, n)
+            return cached(masks, n)
 
-        def utility(coalition):                    # the curve's oracle
-            return cached(coalition)
-
-        utility.batch = batch
         try:
-            return ENGINES[engine](GameSpec(n=N, utility=utility, batch=batch)), order
+            return ENGINES[engine](GameSpec(n=N, batch=batch)), order
         except PromptShapError as exc:
             return exc, order
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import socket
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,6 @@ from promptshap import cli
 from promptshap.cache import UtilityCache
 from promptshap.cli import _own_caches, _values_from_doc, main
 from promptshap.client import load_manifest, load_questions
-from promptshap.coalition import Coalition
 from promptshap.ensemble import load_matrix, load_validation
 from promptshap.errors import ConsistencyError, UtilityOracleError
 from promptshap.jsonio import read_json
@@ -24,6 +24,7 @@ from conftest import (
     save_embeddings,
     stub_manifest_rows,
     stub_question_rows,
+    utility_of,
     write_jsonl,
     write_matrix,
     write_validation,
@@ -685,6 +686,36 @@ def test_missing_credential_exits_4_without_network(tmp_path, capsys, monkeypatc
     assert "PROMPTSHAP_API_KEY" in payload["message"]
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "utility-cache"])
+def test_a_failed_zero_shot_request_reports_the_transport_error(cached, tmp_path, capsys,
+                                                                 monkeypatch):
+    # U(empty) of the live game is asked for before any engine runs, so its
+    # failure is the transport error alone, with no coalition detail
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "any-key")
+    paths = {"manifest": tmp_path / "manifest.jsonl", "questions": tmp_path / "questions.jsonl"}
+    write_jsonl(paths["manifest"], stub_manifest_rows())
+    write_jsonl(paths["questions"], stub_question_rows())
+    if cached:
+        paths["utility_cache"] = tmp_path / "utility.jsonl"
+    with socket.socket() as refusing:
+        refusing.bind(("127.0.0.1", 0))     # bound, never listening: connections are refused
+        host, port = refusing.getsockname()
+        config = write_config(tmp_path, {
+            "utility_mode": "live-augmentation",
+            "paths": {name: str(path) for name, path in paths.items()},
+            "api": {"base_url": f"http://{host}:{port}", "model": "m", "attempts": 1},
+        })
+        code, out, err = run_json(capsys, ["value", "--config", config])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert sorted(payload) == ["error", "last_error", "last_status", "message"]
+    assert payload["error"] == "TransportError"
+    assert payload["message"] == "POST /v1/chat/completions failed after 1 attempts"
+    assert payload["last_status"] is None
+    if cached:
+        assert len(UtilityCache.load(paths["utility_cache"])) == 0
+
+
 @pytest.mark.parametrize("section, value", [
     pytest.param("game", {"permutations": "many"}, id="permutations-string"),
     pytest.param("game", {"exact_cap": "20"}, id="exact-cap-string"),
@@ -709,13 +740,13 @@ def test_commands_close_their_caches(command, fails, matrix_config, tmp_path, ca
     cache_path = tmp_path / "utility.jsonl"
     cache_path.unlink()
     if fails:   # the command stops after one evaluation has been appended
-        def stop_after_one_call(utility, n):
-            utility(Coalition.full(n))
+        def stop_after_one_call(batch, n):
+            utility_of(batch, (1 << n) - 1, n)
             raise UtilityOracleError("stopped")
         monkeypatch.setattr(cli, "shapley_exact",
-                            lambda game, **kwargs: stop_after_one_call(game.utility, game.n))
+                            lambda game, **kwargs: stop_after_one_call(game.batch, game.n))
         monkeypatch.setattr(cli, "rank_add_curve",
-                            lambda values, ids, oracle: stop_after_one_call(oracle, len(ids)))
+                            lambda values, ids, batch: stop_after_one_call(batch, len(ids)))
     argv = {"value": ["value", "--config", matrix_config],
             "curve": ["curve", "--config", matrix_config, "--values", str(values_path),
                       "--out-dir", str(tmp_path / "curve")]}[command]

@@ -108,13 +108,13 @@ def test_exemplars_follow_manifest_order(manifest):
 
 
 def test_empty_coalition_has_no_exemplars(manifest):
-    req = build_completion_request(manifest, Coalition.empty(5), "Q?", ApiConfig())
+    req = build_completion_request(manifest, Coalition(0, 5), "Q?", ApiConfig())
     assert req.exemplars == ()
 
 
 def test_coalition_size_checked_against_manifest(manifest):
     with pytest.raises(ConsistencyError):
-        build_completion_request(manifest, Coalition.empty(4), "Q?", ApiConfig())
+        build_completion_request(manifest, Coalition(0, 4), "Q?", ApiConfig())
 
 
 def test_request_digest_keys_on_payload_fields(manifest):
@@ -180,7 +180,7 @@ def test_identical_requests_hit_the_network_once(stub, stub_api, manifest):
 def test_retries_recover_from_transient_failures(stub, stub_api, manifest):
     stub.state.fail_next = 2
     req = build_completion_request(
-        manifest, Coalition.empty(5), "Question [k=0] pick [gold=B]", stub_api
+        manifest, Coalition(0, 5), "Question [k=0] pick [gold=B]", stub_api
     )
     text = complete(req, ResponseCache(), stub_api)
     assert text == "The answer is (B)."
@@ -190,7 +190,7 @@ def test_retries_recover_from_transient_failures(stub, stub_api, manifest):
 def test_exhausted_retries_raise_transport_error(stub, stub_api, manifest):
     stub.state.fail_next = 99
     api = dataclasses.replace(stub_api, attempts=3)
-    req = build_completion_request(manifest, Coalition.empty(5), "Q [gold=A]", api)
+    req = build_completion_request(manifest, Coalition(0, 5), "Q [gold=A]", api)
     with pytest.raises(TransportError) as info:
         complete(req, ResponseCache(), api)
     assert stub.state.chat_requests == 3
@@ -210,7 +210,7 @@ def test_retry_waits_for_retry_after_on_429(stub, stub_api, manifest, monkeypatc
     stub.state.fail_next = 1
     stub.state.fail_status = status
     stub.state.retry_after = retry_after
-    req = build_completion_request(manifest, Coalition.empty(5), "Q [gold=A]", stub_api)
+    req = build_completion_request(manifest, Coalition(0, 5), "Q [gold=A]", stub_api)
     assert complete(req, ResponseCache(), stub_api) == "The answer is (A)."
     assert stub.state.chat_requests == 2
     assert sleeps == [slept]
@@ -264,7 +264,7 @@ def test_broken_transport_is_retried_then_raises_transport_error(manifest, monke
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
     with raw_server(reply) as (url, accepted):
         api = ApiConfig(base_url=url, model="m", attempts=3, backoff_base=0.0, timeout=0.2)
-        req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
         with pytest.raises(TransportError) as info:
             complete(req, ResponseCache(), api)
         assert len(accepted) == 3
@@ -287,7 +287,7 @@ def test_every_wait_is_capped(manifest, monkeypatch, retry_after, backoff_base, 
     with raw_server(reply) as (url, accepted):
         api = ApiConfig(base_url=url, model="m", attempts=3, backoff_base=backoff_base,
                         timeout=5.0)
-        req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
         with pytest.raises(TransportError) as info:
             complete(req, ResponseCache(), api)
         assert len(accepted) == 3
@@ -306,7 +306,7 @@ def test_backoff_past_a_thousand_attempts_is_capped(manifest, monkeypatch):
 
     monkeypatch.setattr(client, "_send", refused)
     api = ApiConfig(base_url="http://127.0.0.1:9", model="m", attempts=1100, backoff_base=1.0)
-    req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+    req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
     with pytest.raises(TransportError):
         complete(req, ResponseCache(), api)
     assert sleeps[:3] == [1.0, 2.0, 4.0]
@@ -318,7 +318,7 @@ def test_non_json_200_raises_protocol_error(manifest, monkeypatch):
     reply = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
     with raw_server(reply) as (url, accepted):
         api = ApiConfig(base_url=url, model="m", backoff_base=0.0)
-        req = build_completion_request(manifest, Coalition.empty(5), "Q", api)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
         with pytest.raises(ProtocolError):
             complete(req, ResponseCache(), api)
         assert len(accepted) == 1
@@ -326,14 +326,14 @@ def test_non_json_200_raises_protocol_error(manifest, monkeypatch):
 
 def test_rejected_credential_is_not_retried(stub, stub_api, manifest, monkeypatch):
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "wrong-key")
-    req = build_completion_request(manifest, Coalition.empty(5), "Q", stub_api)
+    req = build_completion_request(manifest, Coalition(0, 5), "Q", stub_api)
     with pytest.raises(CredentialError):
         complete(req, ResponseCache(), stub_api)
 
 
 def test_missing_credential_fails_before_any_network(stub, stub_api, manifest, monkeypatch):
     monkeypatch.delenv("PROMPTSHAP_API_KEY", raising=False)
-    req = build_completion_request(manifest, Coalition.empty(5), "Q", stub_api)
+    req = build_completion_request(manifest, Coalition(0, 5), "Q", stub_api)
     with pytest.raises(CredentialError):
         complete(req, ResponseCache(), stub_api)
     assert stub.state.chat_requests == 0
@@ -341,7 +341,7 @@ def test_missing_credential_fails_before_any_network(stub, stub_api, manifest, m
 
 def test_malformed_body_raises_protocol_error(stub, stub_api, manifest):
     stub.state.malformed_chat = True
-    req = build_completion_request(manifest, Coalition.empty(5), "Q", stub_api)
+    req = build_completion_request(manifest, Coalition(0, 5), "Q", stub_api)
     with pytest.raises(ProtocolError):
         complete(req, ResponseCache(), stub_api)
 
@@ -354,7 +354,7 @@ def test_unconfigured_base_url_is_a_precondition(stub, manifest):
 
 def test_cache_hit_needs_no_credential(stub, stub_api, manifest, monkeypatch):
     cache = ResponseCache()
-    req = build_completion_request(manifest, Coalition.empty(5), "Q [gold=A]", stub_api)
+    req = build_completion_request(manifest, Coalition(0, 5), "Q [gold=A]", stub_api)
     cache.put(request_digest(req), "The answer is (A).")
     monkeypatch.delenv("PROMPTSHAP_API_KEY", raising=False)
     assert complete(req, cache, stub_api) == "The answer is (A)."
@@ -369,8 +369,8 @@ def test_augmentation_utility_frozen_values(stub, stub_api, manifest, questions)
     oracle = augmentation_utility(
         manifest, questions, Task.MULTIPLE_CHOICE, ResponseCache(), stub_api
     )
-    assert oracle(Coalition.empty(5)) == pytest.approx(1 / 3)
-    assert oracle(Coalition.full(5)) == pytest.approx(2 / 3)
+    assert oracle(Coalition(0, 5)) == pytest.approx(1 / 3)
+    assert oracle(Coalition(0b11111, 5)) == pytest.approx(2 / 3)
     assert oracle(Coalition(0b11, 5)) == 1.0
     assert oracle(Coalition(0b1000, 5)) == 0.0
 
@@ -379,10 +379,10 @@ def test_augmentation_utility_reuses_the_cache(stub, stub_api, manifest, questio
     oracle = augmentation_utility(
         manifest, questions, Task.MULTIPLE_CHOICE, ResponseCache(), stub_api
     )
-    oracle(Coalition.full(5))
+    oracle(Coalition(0b11111, 5))
     after_first = stub.state.chat_requests
     assert after_first == len(questions)
-    oracle(Coalition.full(5))
+    oracle(Coalition(0b11111, 5))
     assert stub.state.chat_requests == after_first
 
 
@@ -392,7 +392,7 @@ def test_augmentation_aborts_on_transport_failure(stub, stub_api, manifest, ques
                                   ResponseCache(), api)
     stub.state.fail_next = 1
     with pytest.raises(TransportError):
-        oracle(Coalition.full(5))
+        oracle(Coalition(0b11111, 5))
 
 
 def test_augmentation_needs_questions(stub, stub_api, manifest):

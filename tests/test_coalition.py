@@ -3,16 +3,15 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from promptshap.coalition import Coalition
+from promptshap.coalition import Coalition, hex_keys
 from promptshap.errors import PreconditionError
 
 
 def test_constructors_and_membership():
     c = Coalition(0b101, 3)
-    assert c.size == 2
     assert c.indices() == (0, 2)
-    assert Coalition.empty(4).size == 0
-    assert Coalition.full(4).mask == 0b1111
+    assert Coalition(0, 4).indices() == ()
+    assert Coalition(0b1111, 4).indices() == (0, 1, 2, 3)
     assert Coalition(0b101, 3) == Coalition(0b101, 3) != Coalition(0b101, 4)
 
 
@@ -31,7 +30,10 @@ def test_hex_known_values():
     assert Coalition(0, 3).to_hex() == "00"
     assert Coalition(255, 8).to_hex() == "ff"
     assert Coalition(1 << 8, 9).to_hex() == "0001"
-    assert Coalition.full(12).to_hex() == "ff0f"
+    assert Coalition(0xfff, 12).to_hex() == "ff0f"
+    # the list form the utility cache keys a batch with
+    assert hex_keys([0b101, 0, 1 << 8], 9) == ["0500", "0000", "0001"]
+    assert hex_keys([], 3) == []
 
 
 @given(st.integers(min_value=1, max_value=80), st.data())
@@ -41,6 +43,7 @@ def test_hex_round_trip(n, data):
     s = c.to_hex()
     assert len(s) == 2 * ((n + 7) // 8)
     assert int.from_bytes(bytes.fromhex(s), "little") == mask
+    assert hex_keys([mask, 0], n) == [s, Coalition(0, n).to_hex()]
 
 
 @given(st.integers(min_value=1, max_value=30), st.data())
@@ -49,7 +52,6 @@ def test_indices_round_trip(n, data):
     c = Coalition(mask, n)
     assert sum(1 << i for i in c.indices()) == mask
     assert list(c.indices()) == sorted(c.indices())
-    assert c.size == len(c.indices())
 
 
 def test_coalition_is_frozen():

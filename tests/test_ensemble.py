@@ -52,7 +52,8 @@ def one_instance_utility(matrix, gold, coalition=None, rule=Rule.VOTE, tie=TieRu
                          instance="q0"):
     """The oracle's utility on a validation set holding one instance."""
     if coalition is None:
-        coalition = Coalition.full(len(matrix.prompt_ids))
+        n = len(matrix.prompt_ids)
+        coalition = Coalition((1 << n) - 1, n)
     validation = ValidationSet(instances=((instance, gold),), num_labels=matrix.num_labels)
     return matrix_utility(matrix, validation, rule, tie)(coalition)
 
@@ -143,7 +144,7 @@ def test_average_requires_probabilistic():
     with pytest.raises(PreconditionError):
         one_instance_utility(m, 0, rule=Rule.AVERAGE_ARGMAX)
     # the empty coalition needs no matrix: it scores the declared u_empty
-    assert one_instance_utility(m, 0, Coalition.empty(2), Rule.AVERAGE_ARGMAX) == 0.0
+    assert one_instance_utility(m, 0, Coalition(0, 2), Rule.AVERAGE_ARGMAX) == 0.0
 
 
 def test_single_classifier_perturbation_is_exact():
@@ -162,7 +163,7 @@ def test_single_classifier_perturbation_is_exact():
     validation = ValidationSet(
         instances=tuple((f"q{j}", 0) for j in range(len(row0))), num_labels=2
     )
-    full = Coalition.full(4)
+    full = Coalition(0b1111, 4)
     before = matrix_utility(matrix(row0), validation, Rule.AVERAGE_ARGMAX)(full)
     after = matrix_utility(matrix([p - delta for p in row0]), validation,
                            Rule.AVERAGE_ARGMAX)(full)
@@ -191,16 +192,16 @@ def test_always_correct_prompts_give_unit_utility():
 def test_adversarial_fixture_utilities(adversarial_fixture):
     matrix, validation = adversarial_fixture
     oracle = matrix_utility(matrix, validation, Rule.VOTE)
-    assert oracle(Coalition.full(6)) == 0.0  # 3-vs-3 tie abstains everywhere
+    assert oracle(Coalition(0b111111, 6)) == 0.0  # 3-vs-3 tie abstains everywhere
     assert oracle(Coalition(0b111, 6)) == 1.0
     # with the lowest-label tie rule the full set is no longer 0
     lowest = matrix_utility(matrix, validation, Rule.VOTE, tie=TieRule.LOWEST)
-    assert lowest(Coalition.full(6)) == 0.5
+    assert lowest(Coalition(0b111111, 6)) == 0.5
 
 
 def test_empty_coalition_returns_declared_u_empty(adversarial_fixture):
     matrix, validation = adversarial_fixture
-    empty = Coalition.empty(6)
+    empty = Coalition(0, 6)
     assert matrix_utility(matrix, validation, Rule.VOTE)(empty) == 0.0
     assert matrix_utility(matrix, validation, Rule.VOTE, u_empty=0.75)(empty) == 0.75
 
@@ -208,7 +209,7 @@ def test_empty_coalition_returns_declared_u_empty(adversarial_fixture):
 def test_coalition_size_must_match_matrix(adversarial_fixture):
     matrix, validation = adversarial_fixture
     with pytest.raises(ConsistencyError):
-        matrix_utility(matrix, validation, Rule.VOTE)(Coalition.full(5))
+        matrix_utility(matrix, validation, Rule.VOTE)(Coalition(0b11111, 5))
 
 
 def test_average_rule_utility():
@@ -222,7 +223,7 @@ def test_average_rule_utility():
     ])
     # averages: q0 -> (0.6, 0.4) argmax 0 == gold; q1 -> (0.3, 0.7) argmax 1 == gold
     oracle = matrix_utility(m, validation, Rule.AVERAGE_ARGMAX)
-    assert oracle(Coalition.full(2)) == 1.0
+    assert oracle(Coalition(0b11, 2)) == 1.0
     # row 1 alone: q0 -> argmax 1 != 0, q1 -> argmax 1 == 1
     assert oracle(Coalition(0b10, 2)) == 0.5
 
@@ -263,23 +264,23 @@ def test_matrix_utility_closure(adversarial_fixture):
     matrix, validation = adversarial_fixture
     oracle = matrix_utility(matrix, validation, Rule.VOTE)
     assert oracle(Coalition(0b1, 6)) == 1.0
-    assert oracle(Coalition.full(6)) == 0.0
+    assert oracle(Coalition(0b111111, 6)) == 0.0
 
 
 def test_oracle_input_errors_raise_on_call():
     m = hard_matrix([[0, 1], [1, 1]])
     unknown = ValidationSet(instances=(("q0", 0), ("nope", 1)), num_labels=2)
     oracle = matrix_utility(m, unknown, Rule.VOTE, u_empty=0.25)
-    assert oracle(Coalition.empty(2)) == 0.25
+    assert oracle(Coalition(0, 2)) == 0.25
     with pytest.raises(ConsistencyError, match="nope"):
-        oracle(Coalition.full(2))
+        oracle(Coalition(0b11, 2))
     known = ValidationSet(instances=(("q0", 0),), num_labels=2)
     oracle = matrix_utility(m, known, Rule.AVERAGE_ARGMAX)
     with pytest.raises(ConsistencyError):
-        oracle(Coalition.full(3))
+        oracle(Coalition(0b111, 3))
     for _ in range(2):
         with pytest.raises(PreconditionError):
-            oracle(Coalition.full(2))
+            oracle(Coalition(0b11, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +422,7 @@ def test_lowest_tie_rule_fixture():
              0]   # loses 2 to 3: wrong
     validation = ValidationSet(instances=tuple((f"q{j}", g) for j, g in enumerate(golds)),
                                num_labels=3)
-    full = Coalition.full(5)
+    full = Coalition(0b11111, 5)
     assert matrix_utility(m, validation, Rule.VOTE, TieRule.LOWEST)(full) == 0.5
     assert matrix_utility(m, validation, Rule.VOTE, TieRule.ABSTAIN)(full) == 0.0
     for j, (gold, expected) in enumerate(zip(golds, [1.0, 0.0, 1.0, 0.0])):

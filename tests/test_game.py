@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from promptshap.coalition import Coalition
+from promptshap.ensemble import Rule, matrix_utility
 from promptshap.errors import (
     CapacityError,
     ConsistencyError,
@@ -26,6 +28,7 @@ from promptshap.game import (
     shapley_montecarlo,
     shapley_weight,
 )
+from promptshap.selection import rank_add_curve
 
 from conftest import (
     ReferenceSplitMix64,
@@ -120,7 +123,7 @@ def test_exact_cap():
 
 def test_oracle_failure_is_wrapped():
     def broken(coalition):
-        if coalition.size == 2:
+        if coalition.mask.bit_count() == 2:
             raise ValueError("boom")
         return 0.0
 
@@ -195,7 +198,7 @@ def test_symmetric_players_get_equal_values():
     # utility depends only on |S| and |S & {0, 1}|, so 0 and 1 are symmetric
     def utility(coalition):
         overlap = len({0, 1} & set(coalition.indices()))
-        return coalition.size * 0.25 + (0.4, 0.1, 0.9)[overlap]
+        return coalition.mask.bit_count() * 0.25 + (0.4, 0.1, 0.9)[overlap]
 
     values = shapley_exact(GameSpec(n=5, utility=utility)).values
     assert abs(values[0] - values[1]) < 1e-12
@@ -294,7 +297,7 @@ def test_truncation_skips_saturated_tail():
     n, T = 6, 50
 
     def saturating(coalition):
-        return 1.0 if coalition.size else 0.0
+        return 1.0 if coalition.mask.bit_count() else 0.0
 
     plain = CountingOracle(saturating)
     shapley_montecarlo(GameSpec(n=n, utility=plain), permutations=T, seed=5)
@@ -549,7 +552,7 @@ def test_exact_sum_is_the_correctly_rounded_weighted_sum(values, weights):
 
 def target_game(n, target, bad):
     """Utilities 0.25 * |S|, except ``bad`` on coalition ``target``."""
-    return GameSpec(n=n, utility=lambda c: bad if c.mask == target else 0.25 * c.size)
+    return GameSpec(n=n, utility=lambda c: bad if c.mask == target else 0.25 * c.mask.bit_count())
 
 
 @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf, 10 ** 400])
@@ -687,7 +690,7 @@ def test_loo_glove(glove_game):
 
 
 def test_loo_call_count_and_declared_u_empty():
-    oracle = CountingOracle(lambda c: float(c.size))
+    oracle = CountingOracle(lambda c: float(c.mask.bit_count()))
     game = GameSpec(n=6, utility=oracle, u_empty=0.25)
     result = loo_values(game)
     assert oracle.calls == 7  # n + 1, never the empty coalition
@@ -758,6 +761,49 @@ def test_loo_of_one_player_asks_for_the_empty_coalition():
     assert calls == [[1, 0]]    # the full set minus player 0 is the empty coalition
     assert result.values == (0.75 - 0.125,)
     assert result.u_empty == 0.25
+
+
+def test_a_wrapper_around_a_factory_oracle_sees_every_coalition(adversarial_fixture):
+    # a tracer wraps an oracle this way; functools.wraps copies the wrapped
+    # function's attributes, so an oracle that kept its batch in an attribute
+    # would hand that copy to the engines, past the wrapper
+    matrix, validation = adversarial_fixture
+    n = len(matrix.prompt_ids)
+    oracle = matrix_utility(matrix, validation, Rule.VOTE)
+    assert GameSpec(n=n, utility=oracle).batch is oracle.batch
+    through = []
+
+    @functools.wraps(oracle)
+    def counted(coalition):
+        through.append(coalition.mask)
+        return oracle(coalition)
+
+    @functools.wraps(oracle.batch)
+    def counted_batch(masks, n):
+        through.extend(masks)
+        return oracle.batch(masks, n)
+
+    table = dict(enumerate(oracle.batch(range(1 << n), n)))
+    runs = {
+        "exact": shapley_exact,
+        "loo": loo_values,
+        "mc": lambda game: shapley_montecarlo(game, 50, seed=4),
+        "mc-truncated": lambda game: shapley_montecarlo(game, 50, truncation_tol=0.1, seed=4),
+        "curve": lambda game: rank_add_curve([0.3, 0.1, 0.5, 0.2, 0.4, 0.0],
+                                             list(matrix.prompt_ids), game.batch),
+    }
+    for name, run in runs.items():
+        asked = []
+        expected = run(recording_game(n, table, asked))
+        for game in (GameSpec(n=n, utility=counted), GameSpec(n=n, batch=counted_batch)):
+            through.clear()
+            assert run(game) == expected, name
+            assert through == [mask for call in asked for mask in call] != [], name
+
+
+def test_a_game_needs_a_utility_or_a_batch():
+    with pytest.raises(PreconditionError, match="utility or a batch"):
+        GameSpec(n=2)
 
 
 @pytest.mark.parametrize("yielded, failing", [(3, 3), (0, 0), (5, 3)])

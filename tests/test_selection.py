@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,12 +38,12 @@ def test_rank_order_length_mismatch():
 
 def test_glove_curve(glove_game):
     result = shapley_exact(glove_game)
-    curve = rank_add_curve(result, ["g0", "g1", "g2"], glove_game.utility)
+    curve = rank_add_curve(result, ["g0", "g1", "g2"], glove_game.batch)
     assert [p.added_prompt_id for p in curve.points] == ["g0", "g1", "g2"]
     assert [p.utility for p in curve.points] == [0.0, 1.0, 1.0]
     best = best_prefix(curve)
     assert best == BestPrefix(k=2, utility=1.0, prompt_ids=("g0", "g1"))
-    assert curve.points[-1].utility == glove_game.utility(Coalition.full(3))
+    assert curve.points[-1].utility == glove_game.utility(Coalition(0b111, 3))
 
 
 def test_adversarial_fixture_ranking_and_curve(adversarial_fixture):
@@ -55,31 +56,31 @@ def test_adversarial_fixture_ranking_and_curve(adversarial_fixture):
     result = shapley_exact(game)
     assert all(result.values[i] > result.values[j] for i in range(3) for j in range(3, 6))
 
-    curve = rank_add_curve(result, list(matrix.prompt_ids), oracle)
+    curve = rank_add_curve(result, list(matrix.prompt_ids), game.batch)
     assert [p.added_prompt_id for p in curve.points] == ["c0", "c1", "c2", "x0", "x1", "x2"]
     assert [p.utility for p in curve.points] == [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
     best = best_prefix(curve)
     assert best.k == 1
     assert best.utility == 1.0
     assert best.prompt_ids == ("c0",)
-    assert curve.points[-1].utility == oracle(Coalition.full(6))
+    assert curve.points[-1].utility == oracle(Coalition(0b111111, 6))
 
 
 def test_single_player_curve():
-    game = GameSpec(n=1, utility=lambda s: float(s.size))
-    curve = rank_add_curve([0.5], ["only"], game.utility)
+    game = GameSpec(n=1, utility=lambda s: float(s.mask.bit_count()))
+    curve = rank_add_curve([0.5], ["only"], game.batch)
     assert curve.points == (CurvePoint(k=1, added_prompt_id="only", utility=1.0),)
     assert best_prefix(curve) == BestPrefix(k=1, utility=1.0, prompt_ids=("only",))
 
 
 def test_curve_accepts_plain_value_sequence(glove_game):
-    curve = rank_add_curve([0.9, 0.05, 0.05], ["a", "b", "c"], glove_game.utility)
+    curve = rank_add_curve([0.9, 0.05, 0.05], ["a", "b", "c"], glove_game.batch)
     assert [p.added_prompt_id for p in curve.points] == ["a", "b", "c"]
 
 
 def test_empty_values_rejected(glove_game):
     with pytest.raises(PreconditionError):
-        rank_add_curve([], [], glove_game.utility)
+        rank_add_curve([], [], glove_game.batch)
 
 
 def test_oracle_failure_yields_partial_curve():
@@ -87,11 +88,11 @@ def test_oracle_failure_yields_partial_curve():
 
     def oracle(coalition):
         calls.append(coalition.mask)
-        if coalition.size == 2:
+        if coalition.mask.bit_count() == 2:
             raise RuntimeError("backend down")
-        return float(coalition.size)
+        return float(coalition.mask.bit_count())
 
-    curve = rank_add_curve([0.3, 0.2, 0.1], ["a", "b", "c"], oracle)
+    curve = rank_add_curve([0.3, 0.2, 0.1], ["a", "b", "c"], GameSpec(n=3, utility=oracle).batch)
     assert curve.failed_k == 2
     assert curve.error == "backend down"
     assert len(curve.points) == 2
@@ -106,25 +107,45 @@ def test_oracle_failure_yields_partial_curve():
 def test_curve_asks_for_its_prefixes_in_one_batch():
     calls = []
 
-    def utility(coalition):
-        raise AssertionError("a batch oracle is asked through its batch")
-
     def batch(masks, n):
         calls.append((list(masks), n))
         return [mask.bit_count() / 4 for mask in masks]
 
-    utility.batch = batch
-    curve = rank_add_curve([0.1, 0.4, 0.3, 0.2], list("abcd"), utility)
+    curve = rank_add_curve([0.1, 0.4, 0.3, 0.2], list("abcd"), batch)
     assert calls == [([0b0010, 0b0110, 0b1110, 0b1111], 4)]
     assert [(p.k, p.added_prompt_id, p.utility) for p in curve.points] == [
         (1, "b", 0.25), (2, "c", 0.5), (3, "d", 0.75), (4, "a", 1.0)]
 
 
 def test_a_utility_that_is_no_number_fails_its_point():
-    curve = rank_add_curve([0.3, 0.2, 0.1], list("abc"),
-                           lambda c: "oops" if c.size == 2 else 0.5)
+    game = GameSpec(n=3, utility=lambda c: "oops" if c.mask.bit_count() == 2 else 0.5)
+    curve = rank_add_curve([0.3, 0.2, 0.1], list("abc"), game.batch)
     assert (curve.failed_k, [p.utility for p in curve.points]) == (2, [0.5, None])
     assert "oops" in curve.error
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.5"],
+                         ids=["nan", "inf", "-inf", "bool", "numeric-string"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_utility_that_is_not_a_finite_real_fails_its_point(bad, k):
+    # the engines refuse the same values (see test_game), so a curve never ranks them
+    def batch(masks, n):
+        return [bad if i == k - 1 else 0.25 * i for i in range(len(masks))]
+
+    curve = rank_add_curve([0.3, 0.2, 0.1], list("abc"), batch)
+    assert curve.failed_k == k
+    assert [p.utility for p in curve.points] == [0.25 * i for i in range(k - 1)] + [None]
+    assert curve.error == (f"utility oracle gave {bad!r} on coalition "
+                           f"{Coalition((1 << k) - 1, 3).to_hex()}, not a finite real number")
+    if k > 1:
+        assert best_prefix(curve).k == k - 1
+
+
+def test_curve_utilities_are_floats():
+    # an integer utility, as a cache file may hold, is written as a float
+    curve = rank_add_curve([0.2, 0.1], list("ab"), lambda masks, n: [0, 1])
+    assert [type(p.utility) for p in curve.points] == [float, float]
+    assert curve_to_csv(curve) == "k,added_prompt_id,utility\n1,a,0.0\n2,b,1.0\n"
 
 
 def test_best_prefix_needs_an_evaluated_point():
