@@ -3,7 +3,8 @@
 Talks to an OpenAI-compatible endpoint (``POST /v1/chat/completions`` and
 ``POST /v1/embeddings``). The credential is read from the environment
 variable ``PROMPTSHAP_API_KEY`` only, never from configuration files, and
-its absence is reported before any network traffic.
+its absence, or a CR, LF, NUL or non-latin-1 character in it, is reported
+before any network traffic.
 
 Coalitions are sets, but few-shot order changes model output, so exemplars
 are always serialized in ascending manifest-index order. That makes the
@@ -19,9 +20,18 @@ k+1, or longer when a 429 carries a numeric ``Retry-After``; any other
 status raises ``ProtocolError``; running out of attempts raises
 ``TransportError`` with the last status and error. Every wait is capped at
 ``config.MAX_WAIT_S`` (an hour): a longer backoff or ``Retry-After`` waits
-that long and then retries. Requests go through one
-``urllib.request`` opener built on first use, so proxy and ``no_proxy``
-settings are read from the environment once per process.
+that long and then retries.
+
+Each attempt is one exchange in ``_send``: open a socket (TLS for https),
+write the whole request at once with ``Connection: close``, and read one
+reply (interim 1xx replies skipped; the body chunked, ``Content-Length``
+bytes, or up to EOF). A broken reply raises ``OSError`` or an
+``http.client`` exception, so it is retried like a dropped connection. A
+``base_url`` that is not an ``http`` or ``https`` URL with a host, and no
+userinfo, query or fragment, is a ``PreconditionError`` before the first
+attempt. The endpoint of each ``base_url`` is worked out once per process,
+with the proxy and ``no_proxy`` settings the environment holds at that time;
+an https request goes through its proxy by ``CONNECT``.
 
 ``embed`` only talks HTTP; precomputed embedding files are read with
 ``learning.load_embeddings``.
@@ -29,6 +39,8 @@ settings are read from the environment once per process.
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import functools
 import hashlib
 import http.client
@@ -36,8 +48,10 @@ import json
 import math
 import os
 import re
+import socket
+import ssl
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -162,6 +176,9 @@ def request_digest(req: CompletionRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+_HEADER_UNSAFE = re.compile(r"[\r\n\0]|[^\x00-\xff]")
+
+
 def _get_api_key() -> str:
     key = os.environ.get(API_KEY_ENV, "")
     if not key:
@@ -169,28 +186,245 @@ def _get_api_key() -> str:
             f"set the {API_KEY_ENV} environment variable to use the live API",
             env_var=API_KEY_ENV,
         )
+    # the key goes into a header line, so it must not end that line or
+    # leave latin-1; the message never repeats the key
+    if _HEADER_UNSAFE.search(key):
+        raise CredentialError(
+            f"{API_KEY_ENV} holds a character an HTTP header cannot carry "
+            "(CR, LF, NUL or one outside latin-1)",
+            env_var=API_KEY_ENV,
+        )
     return key
 
 
+_USER_AGENT = f"Python-urllib/{urllib.request.__version__}"
+_URL_FORBIDDEN = re.compile(r"[^\x21-\x7e]")    # controls, space, DEL and non-ASCII
+
+
+@dataclass(frozen=True)
+class _Endpoint:
+    """Where the POSTs for one ``base_url`` go, worked out once."""
+    tls: bool
+    host: str
+    port: int
+    host_header: str                # the base URL's host[:port], as written
+    prefix: str                     # the base URL's path, without a trailing slash
+    proxy: Optional[tuple[str, int]]
+    proxy_auth: Optional[str]       # a Proxy-Authorization value
+
+
+@dataclass(frozen=True)
+class _Request:
+    """One POST, ready to send again on every retry."""
+    address: tuple[str, int]        # the socket's peer: the origin or its proxy
+    tls_host: Optional[str]         # the name TLS verifies, for https
+    tunnel: Optional[bytes]         # a CONNECT sent first, through an https proxy
+    message: bytes
+
+
+def _split_proxy(proxy: str) -> tuple[tuple[str, int], Optional[str]]:
+    """A proxy setting as urllib reads it: [scheme://][user:password@]host[:port]."""
+    parts = urllib.parse.urlsplit(proxy if "//" in proxy else "//" + proxy)
+    if not parts.hostname:
+        raise ValueError(f"proxy {proxy!r} names no host")
+    parts.hostname.encode("idna")
+    auth = None
+    if parts.username and parts.password:
+        user_pass = f"{urllib.parse.unquote(parts.username)}:{urllib.parse.unquote(parts.password)}"
+        auth = "Basic " + base64.b64encode(user_pass.encode()).decode("ascii")
+    return (parts.hostname, parts.port or 80), auth
+
+
 @functools.cache
-def _opener() -> urllib.request.OpenerDirector:
-    return urllib.request.build_opener()
-
-
-def _send(request: urllib.request.Request, timeout: float):
-    """One POST: (status, headers, body), an HTTP error status returned, not raised."""
+def _endpoint(base_url: str) -> _Endpoint:
+    """The endpoint of ``base_url``, with the environment's proxy for its
+    scheme unless ``no_proxy`` matches its host."""
+    base = base_url.rstrip("/")
     try:
-        resp = _opener().open(request, timeout=timeout)
-    except urllib.error.HTTPError as exc:  # an OSError too, so caught before the caller's handler
-        resp = exc
-    with resp:
-        return resp.code, resp.headers, resp.read()
+        if _URL_FORBIDDEN.search(base):
+            raise ValueError("it holds a space, a control or a non-ASCII character")
+        parts = urllib.parse.urlsplit(base)
+        if parts.scheme not in ("http", "https"):
+            raise ValueError("the scheme is not http or https")
+        if not parts.hostname:
+            raise ValueError("it names no host")
+        if "@" in parts.netloc:
+            raise ValueError("it holds userinfo")
+        if parts.query or parts.fragment or base.endswith(("?", "#")):
+            raise ValueError("it holds a query or fragment")
+        parts.hostname.encode("idna")   # a label longer than 63 characters fails here
+        tls = parts.scheme == "https"
+        port = parts.port or (443 if tls else 80)
+        proxy, proxy_auth = None, None
+        setting = urllib.request.getproxies().get(parts.scheme)
+        if setting and not urllib.request.proxy_bypass(parts.netloc):
+            proxy, proxy_auth = _split_proxy(setting)
+    except ValueError as exc:   # UnicodeError and a bad port are ValueErrors too
+        raise PreconditionError(f"api.base_url {base_url!r} is not usable: {exc}") from exc
+    return _Endpoint(tls, parts.hostname, port, parts.netloc, parts.path, proxy, proxy_auth)
+
+
+def _build_request(endpoint: _Endpoint, path: str, key: str, data: bytes) -> _Request:
+    target = endpoint.prefix + path
+    proxy_header = ""
+    if endpoint.proxy_auth is not None:
+        proxy_header = f"Proxy-Authorization: {endpoint.proxy_auth}\r\n"
+    tunnel = None
+    if endpoint.proxy is not None and endpoint.tls:
+        host = f"[{endpoint.host}]" if ":" in endpoint.host else endpoint.host
+        authority = f"{host}:{endpoint.port}"
+        tunnel = (f"CONNECT {authority} HTTP/1.1\r\nHost: {authority}\r\n"
+                  f"{proxy_header}\r\n").encode("latin-1")
+        proxy_header = ""
+    elif endpoint.proxy is not None:
+        target = f"http://{endpoint.host_header}{target}"
+    head = (f"POST {target} HTTP/1.1\r\n"
+            f"Host: {endpoint.host_header}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Authorization: Bearer {key}\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            "Accept-Encoding: identity\r\n"
+            "Connection: close\r\n"
+            f"User-Agent: {_USER_AGENT}\r\n"
+            f"{proxy_header}\r\n")
+    return _Request(endpoint.proxy or (endpoint.host, endpoint.port),
+                    endpoint.host if endpoint.tls else None, tunnel,
+                    head.encode("latin-1") + data)
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    return context
+
+
+_RECV_SIZE = 65536
+_MAX_HEAD = 65536       # bytes of status line and header fields in one reply
+
+
+class _Reader:
+    """The bytes of one reply, received into a buffer as they are needed."""
+
+    __slots__ = ("_sock", "_buf")
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = bytearray()
+
+    def _fill(self) -> bool:
+        chunk = self._sock.recv(_RECV_SIZE)
+        self._buf += chunk
+        return bool(chunk)
+
+    def until(self, sep: bytes) -> Optional[bytes]:
+        """The bytes before ``sep``, consumed with it; None if the peer closes first."""
+        start = 0
+        while (end := self._buf.find(sep, start)) < 0:
+            if len(self._buf) > _MAX_HEAD:
+                raise http.client.LineTooLong("reply head")
+            start = max(0, len(self._buf) - len(sep) + 1)
+            if not self._fill():
+                return None
+        out = bytes(self._buf[:end])
+        del self._buf[:end + len(sep)]
+        return out
+
+    def exactly(self, n: int) -> bytes:
+        while len(self._buf) < n:
+            if not self._fill():
+                raise http.client.IncompleteRead(bytes(self._buf), n - len(self._buf))
+        out = bytes(self._buf[:n])
+        del self._buf[:n]
+        return out
+
+    def rest(self) -> bytes:
+        while self._fill():
+            pass
+        return bytes(self._buf)
+
+    def head(self) -> tuple[int, dict]:
+        """The status and header fields of the next reply (1xx replies skipped).
+
+        Field names are lower-cased and the first of a repeated field wins.
+        """
+        while True:
+            head = self.until(b"\r\n\r\n")
+            if head is None:
+                raise http.client.RemoteDisconnected("remote end closed the connection "
+                                                     "before a whole reply head")
+            lines = head.split(b"\r\n")
+            parts = lines[0].split(None, 2)
+            if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                    or len(parts[1]) != 3 or not parts[1].isdigit()):
+                raise http.client.BadStatusLine(lines[0].decode("latin-1"))
+            status = int(parts[1])
+            if not 100 <= status < 200:
+                break
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            headers.setdefault(name.lower().decode("latin-1"), value.strip().decode("latin-1"))
+        return status, headers
+
+    def chunked(self) -> bytes:
+        parts = []
+        while True:
+            line = self.until(b"\r\n")
+            size = -1
+            if line is not None:   # a hex size, then any chunk extensions
+                with contextlib.suppress(ValueError):
+                    size = int(line.split(b";", 1)[0], 16)
+            if size < 0:
+                raise http.client.IncompleteRead(b"".join(parts))
+            if size == 0:
+                break
+            parts.append(self.exactly(size))
+            if self.exactly(2) != b"\r\n":
+                raise http.client.IncompleteRead(b"".join(parts))
+        while self.until(b"\r\n"):   # the trailer fields, up to an empty line or EOF
+            pass
+        return b"".join(parts)
+
+    def reply(self) -> tuple[int, dict, bytes]:
+        """(status, headers, body) of the final reply."""
+        status, headers = self.head()
+        if status in (204, 304):
+            return status, headers, b""
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            return status, headers, self.chunked()
+        length = headers.get("content-length", "")
+        if length.isascii() and length.isdigit():
+            return status, headers, self.exactly(int(length))
+        return status, headers, self.rest()
+
+
+def _send(request: _Request, timeout: float) -> tuple[int, dict, bytes]:
+    """One attempt: (status, headers, body), an HTTP error status returned, not raised.
+
+    Fails with ``OSError`` or an ``http.client.HTTPException``; the socket
+    is closed on every path.
+    """
+    with socket.create_connection(request.address, timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if request.tunnel is not None:
+            sock.sendall(request.tunnel)
+            status, _ = _Reader(sock).head()
+            if status != 200:
+                raise OSError(f"proxy refused the tunnel: HTTP {status}")
+        if request.tls_host is None:
+            sock.sendall(request.message)
+            return _Reader(sock).reply()
+        # the TLS socket takes over the descriptor; closing both is safe
+        with _tls_context().wrap_socket(sock, server_hostname=request.tls_host) as tls:
+            tls.sendall(request.message)
+            return _Reader(tls).reply()
 
 
 def _retry_after(headers) -> float:
     """Seconds a ``Retry-After`` header asks for; 0 unless it is a finite number."""
     try:
-        seconds = float(headers.get("Retry-After", ""))
+        seconds = float(headers.get("retry-after", ""))
     except ValueError:
         return 0.0
     return seconds if math.isfinite(seconds) else 0.0
@@ -201,12 +435,12 @@ def _post_json(path: str, body: dict, api: ApiConfig):
     key = _get_api_key()
     if not api.base_url:
         raise PreconditionError("api.base_url is not configured")
-    headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-    try:  # a non-finite number in the body, or a base_url that is not a URL
+    endpoint = _endpoint(api.base_url)
+    try:  # a non-finite number in the body
         data = json.dumps(body, allow_nan=False).encode("utf-8")
-        request = urllib.request.Request(api.base_url.rstrip("/") + path, data, headers)
     except ValueError as exc:
         raise PreconditionError(f"cannot build the request to {path}: {exc}") from exc
+    request = _build_request(endpoint, path, key, data)
     last_status = None
     last_error = None
     wait = 0.0

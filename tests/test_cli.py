@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptshap import cli
+from promptshap import cli, client
 from promptshap.cache import UtilityCache
 from promptshap.cli import _own_caches, _values_from_doc, main
 from promptshap.client import load_manifest, load_questions
@@ -664,13 +664,12 @@ def test_config_without_required_paths_exits_3(tmp_path, capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
-def test_missing_credential_exits_4_without_network(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("PROMPTSHAP_API_KEY", raising=False)
+def live_config_without_server(tmp_path) -> str:
     manifest_path = tmp_path / "manifest.jsonl"
     write_jsonl(manifest_path, stub_manifest_rows())
     questions_path = tmp_path / "questions.jsonl"
     write_jsonl(questions_path, stub_question_rows())
-    config = write_config(tmp_path, {
+    return write_config(tmp_path, {
         "utility_mode": "live-augmentation",
         "paths": {
             "manifest": str(manifest_path),
@@ -679,11 +678,38 @@ def test_missing_credential_exits_4_without_network(tmp_path, capsys, monkeypatc
         # port 9 is never contacted: the credential check runs first
         "api": {"base_url": "http://127.0.0.1:9", "model": "m"},
     })
+
+
+def test_missing_credential_exits_4_without_network(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PROMPTSHAP_API_KEY", raising=False)
+    config = live_config_without_server(tmp_path)
     code, _, err = run_json(capsys, ["value", "--config", config])
     assert code == 4
     payload = json.loads(err)
     assert payload["error"] == "CredentialError"
     assert "PROMPTSHAP_API_KEY" in payload["message"]
+
+
+@pytest.mark.parametrize("key", [
+    "sk-secret\r\nX-Injected: 1",
+    "sk-secret\n",
+    "sk-secret\r",
+    "sk-secret-\u043a\u043b\u044e\u0447",     # outside latin-1
+], ids=["crlf", "lf", "cr", "non-latin-1"])
+def test_a_credential_no_header_can_carry_exits_4_without_echoing_it(key, tmp_path, capsys,
+                                                                    monkeypatch):
+    # os.environ cannot hold NUL, so that case cannot reach the client from here
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", key)
+    sent = []
+    monkeypatch.setattr(client, "_send", lambda request, timeout: sent.append(request))
+    config = live_config_without_server(tmp_path)
+    code, out, err = run_json(capsys, ["value", "--config", config])
+    assert code == 4
+    payload = json.loads(err)
+    assert payload["error"] == "CredentialError"
+    assert payload["env_var"] == "PROMPTSHAP_API_KEY"
+    assert "sk-secret" not in out + err
+    assert sent == []
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "utility-cache"])

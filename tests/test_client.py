@@ -1,7 +1,13 @@
+import base64
 import contextlib
 import dataclasses
 import json
+import os
+import re
+import shutil
 import socket
+import ssl
+import subprocess
 import threading
 
 import numpy as np
@@ -216,12 +222,32 @@ def test_retry_waits_for_retry_after_on_429(stub, stub_api, manifest, monkeypatc
     assert sleeps == [slept]
 
 
+def read_request(conn) -> bytes:
+    """One request's bytes: the head, then as many body bytes as it declares."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+    length = re.search(rb"\r\ncontent-length: *(\d+)", data.partition(b"\r\n\r\n")[0], re.I)
+    while length and len(data.partition(b"\r\n\r\n")[2]) < int(length.group(1)):
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
 @contextlib.contextmanager
-def raw_server(reply):
+def raw_server(reply, received=None, tls=None, tunnel=False):
     """A TCP endpoint that reads each request, then sends ``reply`` and closes.
 
-    ``reply=None`` keeps every connection open without answering. Yields the
-    base URL and the list of accepted connections.
+    ``reply=None`` keeps every connection open without answering. Each
+    request's bytes are appended to the list ``received`` if one is given,
+    and ``tls``, a server-side ``ssl.SSLContext``, serves TLS. With
+    ``tunnel`` it first accepts a proxy's ``CONNECT``, as the proxy and the
+    origin in one. Yields the base URL and the list of accepted connections.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)
@@ -235,15 +261,29 @@ def raw_server(reply):
             except OSError:
                 continue
             accepted.append(conn)
-            if reply is not None:
-                conn.recv(65536)
+            if reply is None:
+                continue
+            conn.settimeout(5)
+            try:
+                if tunnel:
+                    received.append(read_request(conn))
+                    conn.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                if tls is not None:
+                    conn = tls.wrap_socket(conn, server_side=True)
+                request = read_request(conn)
+                if received is not None:
+                    received.append(request)
                 conn.sendall(reply)
+            except OSError:   # a client that refused the certificate
+                pass
+            finally:
                 conn.close()
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
+    scheme = "http" if tls is None else "https"
     try:
-        yield f"http://127.0.0.1:{listener.getsockname()[1]}", accepted
+        yield f"{scheme}://127.0.0.1:{listener.getsockname()[1]}", accepted
     finally:
         stop.set()
         thread.join(timeout=5)
@@ -258,7 +298,8 @@ def raw_server(reply):
     b"NOT-HTTP\r\n\r\n",
     b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{",
     None,
-], ids=["closed", "garbage", "truncated", "silent"])
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n{",
+], ids=["closed", "garbage", "truncated", "silent", "truncated-chunked"])
 def test_broken_transport_is_retried_then_raises_transport_error(manifest, monkeypatch,
                                                                  reply):
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
@@ -322,6 +363,233 @@ def test_non_json_200_raises_protocol_error(manifest, monkeypatch):
         with pytest.raises(ProtocolError):
             complete(req, ResponseCache(), api)
         assert len(accepted) == 1
+
+
+CHAT_REPLY = b'{"choices": [{"message": {"role": "assistant", "content": "The answer is (A)."}}]}'
+
+
+def with_length(head: bytes, body: bytes = CHAT_REPLY) -> bytes:
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+def test_a_request_is_one_well_formed_message(manifest, monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k-123")
+    received = []
+    with raw_server(with_length(b"HTTP/1.1 200 OK\r\n"), received) as (url, accepted):
+        api = ApiConfig(base_url=url + "/base/", model="m")
+        req = build_completion_request(manifest, Coalition(0b1, 5), "Q", api)
+        assert complete(req, ResponseCache(), api) == "The answer is (A)."
+    [message] = received
+    head, _, body = message.partition(b"\r\n\r\n")
+    request_line, *fields = head.split(b"\r\n")
+    assert request_line == b"POST /base/v1/chat/completions HTTP/1.1"
+    headers = dict(field.split(b": ", 1) for field in fields)
+    assert len(headers) == len(fields)
+    assert headers[b"Host"] == url.removeprefix("http://").encode()
+    assert headers[b"Content-Length"] == str(len(body)).encode()
+    assert headers[b"Authorization"] == b"Bearer k-123"
+    assert headers[b"Content-Type"] == b"application/json"
+    assert headers[b"Accept-Encoding"] == b"identity"
+    assert headers[b"Connection"] == b"close"
+    assert json.loads(body)["messages"][0]["content"] == "\n\n".join([*req.exemplars, "Q"])
+
+
+def chunked(body: bytes) -> bytes:
+    """``body`` as two chunks, the first with an extension, then a trailer."""
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"10;name=value\r\n" + body[:16] + b"\r\n"
+            + b"%x\r\n" % (len(body) - 16) + body[16:] + b"\r\n"
+            b"0\r\nX-Checksum: none\r\n\r\n")
+
+
+@pytest.mark.parametrize("reply", [
+    chunked(CHAT_REPLY),
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + CHAT_REPLY,
+    b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n"
+    + with_length(b"HTTP/1.1 200 OK\r\n"),
+    with_length(b"HTTP/1.1 200\r\n"),
+    with_length(b"HTTP/1.0 200 OK\r\n"),
+    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\ncontent-length: 3\r\n\r\n%s"
+    % (len(CHAT_REPLY), CHAT_REPLY),                                # the first wins
+], ids=["chunked", "to-eof", "interim-1xx", "no-reason", "http-1.0", "repeated-field"])
+def test_every_framing_of_a_reply_reads_the_same_body(manifest, monkeypatch, reply):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    with raw_server(reply) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=1)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        assert complete(req, ResponseCache(), api) == "The answer is (A)."
+        assert len(accepted) == 1
+
+
+def test_a_lower_case_retry_after_is_honoured(manifest, monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr(client.time, "sleep", sleeps.append)
+    reply = with_length(b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 7\r\n", b"busy")
+    with raw_server(reply) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=2, backoff_base=0.0)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        with pytest.raises(TransportError):
+            complete(req, ResponseCache(), api)
+    assert sleeps == [7.0]
+
+
+@pytest.mark.parametrize("base_url", [
+    "ftp://127.0.0.1/v1",
+    "file:///tmp",
+    "http://",
+    "127.0.0.1:9",
+    "http://user:pw@127.0.0.1:9",
+    "http://127.0.0.1:99999",
+    "http://127.0.0.1:9/a b",
+    "http://127.0.0.1:9/?q=1",
+    "http://" + "a" * 64 + ".example",
+], ids=["ftp", "file", "no-host", "no-scheme", "userinfo", "bad-port", "space", "query",
+        "long-label"])
+def test_a_base_url_that_is_not_an_http_url_fails_before_any_attempt(manifest, monkeypatch,
+                                                                    base_url):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    sent, sleeps = [], []
+    monkeypatch.setattr(client, "_send", lambda request, timeout: sent.append(request))
+    monkeypatch.setattr(client.time, "sleep", sleeps.append)
+    api = ApiConfig(base_url=base_url, model="m")
+    req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+    with pytest.raises(PreconditionError, match="api.base_url"):
+        complete(req, ResponseCache(), api)
+    assert sent == [] and sleeps == []
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """No proxy setting from outside, and no endpoint remembered from before."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    client._endpoint.cache_clear()
+    yield monkeypatch
+    client._endpoint.cache_clear()
+
+
+def test_http_goes_through_the_proxy_with_its_credentials(manifest, proxy_env):
+    received = []
+    with raw_server(with_length(b"HTTP/1.1 200 OK\r\n"), received) as (proxy, accepted):
+        proxy_env.setenv("http_proxy", proxy.replace("http://", "http://us%40er:p%3Ass@"))
+        api = ApiConfig(base_url="http://api.example:8080/base", model="m", attempts=1)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        assert complete(req, ResponseCache(), api) == "The answer is (A)."
+    [message] = received
+    assert message.startswith(b"POST http://api.example:8080/base/v1/chat/completions HTTP/1.1\r\n")
+    assert b"\r\nHost: api.example:8080\r\n" in message
+    assert (b"\r\nProxy-Authorization: Basic " + base64.b64encode(b"us@er:p:ss") + b"\r\n"
+            in message)
+
+
+def test_no_proxy_bypasses_the_proxy(manifest, proxy_env):
+    with raw_server(b"") as (proxy, proxied), \
+            raw_server(with_length(b"HTTP/1.1 200 OK\r\n")) as (url, direct):
+        proxy_env.setenv("http_proxy", proxy)
+        proxy_env.setenv("no_proxy", "localhost,127.0.0.1")
+        api = ApiConfig(base_url=url, model="m", attempts=1)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        assert complete(req, ResponseCache(), api) == "The answer is (A)."
+        assert (len(proxied), len(direct)) == (0, 1)
+
+
+def test_https_tunnels_through_the_proxy_and_a_refused_tunnel_is_retried(manifest, proxy_env):
+    received = []
+    reply = with_length(b"HTTP/1.1 407 Proxy Authentication Required\r\n", b"who?")
+    with raw_server(reply, received) as (proxy, accepted):
+        proxy_env.setenv("https_proxy", proxy.replace("http://", "http://u:p@"))
+        api = ApiConfig(base_url="https://api.example", model="m", attempts=2,
+                        backoff_base=0.0)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        with pytest.raises(TransportError, match="2 attempts") as info:
+            complete(req, ResponseCache(), api)
+        assert len(accepted) == 2
+    assert "407" in info.value.payload()["last_error"]
+    head = received[0].split(b"\r\n")
+    assert head[0] == b"CONNECT api.example:443 HTTP/1.1"
+    assert b"Proxy-Authorization: Basic " + base64.b64encode(b"u:p") in head
+
+
+@pytest.fixture(scope="module")
+def self_signed(tmp_path_factory):
+    """(certificate, key) PEM paths of a throwaway certificate for 127.0.0.1."""
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    if shutil.which("openssl"):
+        subprocess.run(["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+                        "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+                        "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                        "-keyout", str(key), "-out", str(cert)],
+                       check=True, capture_output=True, timeout=60)
+        return cert, key
+    x509 = pytest.importorskip("cryptography.x509", reason="needs openssl or cryptography")
+    import datetime
+    import ipaddress
+
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    private = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(x509.oid.NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    certificate = (
+        x509.CertificateBuilder().subject_name(name).issuer_name(name)
+        .public_key(private.public_key()).serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(minutes=5))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName(
+            [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+        .sign(private, hashes.SHA256()))
+    cert.write_bytes(certificate.public_bytes(serialization.Encoding.PEM))
+    key.write_bytes(private.private_bytes(serialization.Encoding.PEM,
+                                          serialization.PrivateFormat.PKCS8,
+                                          serialization.NoEncryption()))
+    return cert, key
+
+
+@pytest.mark.parametrize("trusted", [False, True], ids=["untrusted", "trusted"])
+def test_https_verifies_the_server_certificate(manifest, proxy_env, self_signed, trusted):
+    cert, key = self_signed
+    server = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server.load_cert_chain(cert, key)
+    if trusted:
+        context = client._tls_context.__wrapped__()
+        context.load_verify_locations(cert)
+        proxy_env.setattr(client, "_tls_context", lambda: context)
+    with raw_server(with_length(b"HTTP/1.1 200 OK\r\n"), tls=server) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=2, backoff_base=0.0)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        if trusted:
+            assert complete(req, ResponseCache(), api) == "The answer is (A)."
+        else:
+            with pytest.raises(TransportError) as info:
+                complete(req, ResponseCache(), api)
+            assert "CERTIFICATE_VERIFY_FAILED" in info.value.payload()["last_error"]
+        assert len(accepted) == 1 if trusted else 2
+
+
+def test_https_through_a_proxy_tunnel_reaches_the_origin(manifest, proxy_env, self_signed):
+    cert, key = self_signed
+    server = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server.load_cert_chain(cert, key)
+    context = client._tls_context.__wrapped__()
+    context.load_verify_locations(cert)
+    proxy_env.setattr(client, "_tls_context", lambda: context)
+    received = []
+    reply = with_length(b"HTTP/1.1 200 OK\r\n")
+    with raw_server(reply, received, tls=server, tunnel=True) as (url, accepted):
+        proxy_env.setenv("https_proxy", url.replace("https://", "http://"))
+        # the certificate names 127.0.0.1, so the origin is the proxy's own address
+        api = ApiConfig(base_url=url + "/base", model="m", attempts=1)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        assert complete(req, ResponseCache(), api) == "The answer is (A)."
+    connect, message = received
+    authority = url.removeprefix("https://").encode()
+    assert connect.startswith(b"CONNECT " + authority + b" HTTP/1.1\r\n")
+    assert message.startswith(b"POST /base/v1/chat/completions HTTP/1.1\r\n")
 
 
 def test_rejected_credential_is_not_retried(stub, stub_api, manifest, monkeypatch):
