@@ -14,20 +14,31 @@ append) is newline-terminated before the next append, so the new entry starts
 on its own line. ``persist`` writes a temporary file beside the target and
 renames it into place, so a failed rewrite leaves the old file whole.
 
+``load`` reads the file in one call. When the file ends in a newline, each
+line starts with ``{`` and ends with ``}``, and no other brace appears (so no
+line boundary can fall inside a row or a string), it parses the lines in
+16 KiB blocks, each one ``json.loads`` of its lines joined into an array,
+and type-checks all rows in one pass; a repeated key keeps its first value.
+Any other file, or a row that fails the checks, is parsed line by line
+instead, with the same entries, warnings and torn-tail rule. Both give the
+entries in file order.
+
 A file-backed cache keeps one append handle, opened at the first ``put``. A
-``put`` flushes its line at once, so a crash loses at most the line being
-written. Inside an ``appending()`` block a ``put`` flushes only when
-``FLUSH_S`` seconds have passed since the last flush, and leaving the block
-flushes, so a crash loses at most the lines put within ``FLUSH_S`` of each
-other. ``close`` (or leaving a ``with`` block) releases the handle;
-``persist`` closes it first, so a later ``put`` reopens and appends to the
-rewritten file.
+``put`` stores its value and queues its line; outside an ``appending()``
+block the line is written and flushed at once, so a crash loses at most the
+line being written. Inside a block the queued lines are written in one
+``write`` and flush once ``FLUSH_S`` seconds have passed since the last
+(checked after every ``put``) and when the block ends, so a crash loses at
+most the lines put within ``FLUSH_S`` of each other. ``close`` (or leaving a
+``with`` block) writes the queue and releases the handle; ``persist`` does
+the same first, so a later ``put`` reopens and appends to the rewritten file.
+``persist`` writes all its lines in one call too.
 
 ``cached_utility`` wraps a mask-level batch oracle in a utility cache and
 returns a batch. Its cost model: one hex key per mask (``hex_keys``), one
 dict lookup per key, one inner batch call for the distinct misses in
-first-appearance order, and one buffered line per miss, flushed at the end of
-the batch (and every ``FLUSH_S`` seconds within it) instead of per line.
+first-appearance order, and one ``put`` per miss inside an ``appending()``
+block, so the batch's new lines reach the file in one write per flush.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -44,9 +56,9 @@ from typing import Optional, Sequence
 from .coalition import hex_keys
 from .errors import ConsistencyError, UtilityOracleError
 from .game import BatchFn
-from .jsonio import _open
+from .jsonio import _open, all_numbers
 
-# seconds an ``appending()`` block may hold written lines before flushing them
+# seconds an ``appending()`` block may hold queued lines before writing them
 FLUSH_S = 0.1
 
 
@@ -55,6 +67,15 @@ FLUSH_S = 0.1
 _decode = json.JSONDecoder().raw_decode
 # the C string escaper behind json.dumps (ensure_ascii)
 _quote = json.encoder.encode_basestring_ascii
+_STR = frozenset({str})
+_FLOAT_MAX = sys.float_info.max
+# bytes of whole lines per ``json.loads`` in ``load``: a few hundred rows, so
+# the row dicts alive at once stay small however long the file
+_BLOCK = 1 << 14
+# what parsing and checking a row can raise: bad UTF-8 or JSON, an integer
+# of more digits than ``int`` parses, nesting too deep, a missing field, a
+# row that is not an object, an integer too large for ``math.fsum``
+_ROW_FAULTS = (ValueError, RecursionError, KeyError, TypeError, OverflowError)
 
 
 class _JsonlCache:
@@ -68,6 +89,7 @@ class _JsonlCache:
         self._fh = None
         self._write_failed = False
         self._torn_tail = False
+        self._queue = bytearray()       # lines put but not yet written
         self._appending = 0             # open ``appending()`` blocks
         self._flush_due = 0.0
 
@@ -78,7 +100,7 @@ class _JsonlCache:
             text = line.decode("utf-8")
             row, end = _decode(text)
             key, value = row[cls.key_field], row[cls.value_field]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+        except _ROW_FAULTS:
             return None
         if end == len(text) and isinstance(key, str) and cls._valid_value(value):
             return key, value
@@ -91,25 +113,76 @@ class _JsonlCache:
         if not os.path.exists(path):
             return cache
         with _open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                cache._torn_tail = not raw.endswith(b"\n")
-                line = raw.strip()
-                if not line:
-                    continue
-                parsed = cls._parse(line)
-                if parsed is None:
-                    warnings.warn(f"{path}:{lineno}: skipping malformed cache line")
-                    continue
-                cache.entries.setdefault(*parsed)
+            body = fh.read()
+        entries = cls._parse_block(body)
+        if entries is None:
+            entries = cache._parse_lines(body)
+        cache.entries = entries
         return cache
+
+    @classmethod
+    def _parse_block(cls, body: bytes) -> Optional[dict]:
+        """The entries of ``body`` parsed a block of lines per ``json.loads``;
+        None unless every line is one object and every row is well-formed.
+
+        Each line starting with ``{`` and ending with ``}``, with no other
+        brace in the file, pins every row to its line: a boundary inside a
+        string would put a raw newline in it, which the parser rejects, and
+        the line's opening brace can only close at its end."""
+        lines = body.count(b"\n")
+        if not (body.startswith(b"{") and body.endswith(b"}\n")
+                and body.count(b"}\n{") == lines - 1
+                and body.count(b"{") == lines == body.count(b"}")):
+            return None
+        keys: list = []
+        values: list = []
+        start = 0
+        try:
+            while start < len(body):
+                end = body.find(b"}\n{", start + _BLOCK)
+                end = len(body) if end < 0 else end + 2
+                block = body[start:end - 1].decode("utf-8").replace("\n", ",\n")
+                rows = json.loads(f"[{block}]")
+                keys += [row[cls.key_field] for row in rows]
+                values += [row[cls.value_field] for row in rows]
+                start = end
+            if not (len(keys) == lines and {*map(type, keys)} <= _STR
+                    and cls._all_valid(values)):
+                return None
+        except _ROW_FAULTS:
+            return None
+        entries = dict(zip(keys, values))
+        if len(entries) < lines:    # a repeated key: the first line's value wins
+            entries = {}
+            for key, value in zip(keys, values):
+                entries.setdefault(key, value)
+        return entries
+
+    def _parse_lines(self, body: bytes) -> dict:
+        """The entries of ``body`` read line by line, warning about and
+        skipping each malformed line; notes a last line without its newline."""
+        entries: dict = {}
+        lines = body.split(b"\n")
+        self._torn_tail = lines[-1] != b""
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parsed = self._parse(line)
+            if parsed is None:
+                warnings.warn(f"{self.path}:{lineno}: skipping malformed cache line")
+                continue
+            entries.setdefault(*parsed)
+        return entries
 
     def get(self, key):
         with self._lock:
             return self.entries.get(key)
 
     def put(self, key, value) -> None:
-        """Store and append ``value`` unless ``key`` is taken; a key or value
-        that ``load`` would skip is a ``ConsistencyError``, stored nowhere."""
+        """Store ``value`` and queue its line unless ``key`` is taken; a key
+        or value that ``load`` would skip is a ``ConsistencyError``, stored
+        nowhere."""
         if not isinstance(key, str):
             raise ConsistencyError(f"cannot cache under {key!r}: a key must be a str")
         if not self._valid_value(value):
@@ -120,7 +193,12 @@ class _JsonlCache:
             if key in self.entries:
                 return
             self.entries[key] = value
-            self._append(key, value)
+            if self.path is None or self._write_failed:
+                return
+            self._queue += self._line(key, value).encode()
+            due = not self._appending or time.monotonic() >= self._flush_due
+            if due or self._fh is None:
+                self._write(due)
 
     def _line(self, key: str, value) -> str:
         """``json.dumps(row, sort_keys=True)`` and a newline, for the row
@@ -129,34 +207,30 @@ class _JsonlCache:
         does, raising ``TypeError`` for a value json cannot write."""
         return f'{{"{self.key_field}": {_quote(key)}, "{self.value_field}": {self._dump(value)}}}\n'
 
-    def _append(self, key: str, value) -> None:
-        if self.path is None or self._write_failed:
-            return
-        line = self._line(key, value)
+    def _write(self, due: bool = True) -> None:
+        """Open the append handle if it is closed and, when ``due``, append
+        the queued lines in one write and flush them; a failure degrades the
+        cache to memory-only with one warning."""
         try:
             if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write("\n" + line if self._torn_tail else line)
-            self._torn_tail = False
-            if not self._appending or time.monotonic() >= self._flush_due:
-                self._flush()
+                self._fh = open(self.path, "ab")
+            if due:
+                data, self._queue = self._queue, bytearray()
+                self._fh.write(b"\n" + data if self._torn_tail else data)
+                self._torn_tail = False
+                self._fh.flush()
+                self._flush_due = time.monotonic() + FLUSH_S
         except OSError as exc:
-            self._give_up(exc)
-
-    def _flush(self) -> None:
-        self._fh.flush()
-        self._flush_due = time.monotonic() + FLUSH_S
-
-    def _give_up(self, exc: OSError) -> None:
-        self._write_failed = True
-        self._close_handle()
-        warnings.warn(f"cache file {self.path} is not writable ({exc}); continuing in memory")
+            self._queue = bytearray()
+            self._write_failed = True
+            self._close_handle()
+            warnings.warn(f"cache file {self.path} is not writable ({exc}); continuing in memory")
 
     @contextlib.contextmanager
     def appending(self):
-        """A block whose ``put`` calls leave their lines in the append
-        buffer, flushed by the first ``put`` ``FLUSH_S`` seconds after the
-        last flush and when the block ends."""
+        """A block whose ``put`` calls queue their lines, written by the
+        first ``put`` ``FLUSH_S`` seconds after the last write and when the
+        block ends."""
         with self._lock:
             self._appending += 1
             self._flush_due = time.monotonic() + FLUSH_S
@@ -165,11 +239,14 @@ class _JsonlCache:
         finally:
             with self._lock:
                 self._appending -= 1
-                if self._fh is not None:
-                    try:
-                        self._flush()
-                    except OSError as exc:
-                        self._give_up(exc)
+                if self._queue:
+                    self._write()
+
+    def _release(self) -> None:
+        """Write the queued lines, then close the append handle."""
+        if self._queue:
+            self._write()
+        self._close_handle()
 
     def _close_handle(self) -> None:
         fh, self._fh = self._fh, None
@@ -178,9 +255,10 @@ class _JsonlCache:
                 fh.close()
 
     def close(self) -> None:
-        """Release the append handle; a later ``put`` opens it again."""
+        """Write the queued lines and release the append handle; a later
+        ``put`` opens it again."""
         with self._lock:
-            self._close_handle()
+            self._release()
 
     def __enter__(self):
         return self
@@ -194,11 +272,11 @@ class _JsonlCache:
             raise ValueError("no path bound to this cache")
         tmp = f"{self.path}.{os.getpid()}.tmp"
         with self._lock:
-            self._close_handle()  # the rename below replaces the file it appends to
+            self._release()  # the rename below replaces the file it appends to
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    for key, value in self.entries.items():
-                        fh.write(self._line(key, value))
+                    fh.write("".join([self._line(key, value)
+                                      for key, value in self.entries.items()]))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)
@@ -217,8 +295,15 @@ class UtilityCache(_JsonlCache):
 
     @staticmethod
     def _valid_value(value) -> bool:
+        # compared, not converted: an int too large for a float is refused
         return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
+                and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+
+    @staticmethod
+    def _all_valid(values: list) -> bool:
+        # the rows of a JSON file hold exact types; a non-finite value makes
+        # the sum non-finite, an int too large for a float makes it raise
+        return all_numbers(values) and math.isfinite(math.fsum(values))
 
     @staticmethod
     def _dump(value) -> str:
@@ -234,6 +319,10 @@ class ResponseCache(_JsonlCache):
     @staticmethod
     def _valid_value(value) -> bool:
         return isinstance(value, str)
+
+    @staticmethod
+    def _all_valid(values: list) -> bool:
+        return {*map(type, values)} <= _STR
 
     _dump = staticmethod(_quote)
 

@@ -25,8 +25,10 @@ that long and then retries.
 Each attempt is one exchange in ``_send``: open a socket (TLS for https),
 write the whole request at once with ``Connection: close``, and read one
 reply (interim 1xx replies skipped; the body chunked, ``Content-Length``
-bytes, or up to EOF). A broken reply raises ``OSError`` or an
-``http.client`` exception, so it is retried like a dropped connection. A
+bytes, or up to EOF). ``api.timeout`` bounds the whole attempt, not each
+socket operation, so a reply that trickles in times out like a silent one.
+A broken reply raises ``OSError`` or an ``http.client`` exception, so it is
+retried like a dropped connection. A
 ``base_url`` that is not an ``http`` or ``https`` URL with a host, and no
 userinfo, query or fragment, is a ``PreconditionError`` before the first
 attempt. The endpoint of each ``base_url`` is worked out once per process,
@@ -303,17 +305,28 @@ _RECV_SIZE = 65536
 _MAX_HEAD = 65536       # bytes of status line and header fields in one reply
 
 
+def _until(sock: socket.socket, deadline: float) -> socket.socket:
+    """``sock`` with its timeout set to the time left before ``deadline``;
+    ``TimeoutError`` once none is left."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    sock.settimeout(left)
+    return sock
+
+
 class _Reader:
     """The bytes of one reply, received into a buffer as they are needed."""
 
-    __slots__ = ("_sock", "_buf")
+    __slots__ = ("_sock", "_deadline", "_buf")
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, deadline: float):
         self._sock = sock
+        self._deadline = deadline
         self._buf = bytearray()
 
     def _fill(self) -> bool:
-        chunk = self._sock.recv(_RECV_SIZE)
+        chunk = _until(self._sock, self._deadline).recv(_RECV_SIZE)
         self._buf += chunk
         return bool(chunk)
 
@@ -402,23 +415,27 @@ class _Reader:
 def _send(request: _Request, timeout: float) -> tuple[int, dict, bytes]:
     """One attempt: (status, headers, body), an HTTP error status returned, not raised.
 
-    Fails with ``OSError`` or an ``http.client.HTTPException``; the socket
-    is closed on every path.
+    The whole attempt, from connecting to the last byte of the reply, ends
+    within ``timeout`` seconds: each socket operation waits only for the
+    time left, and none left is a ``TimeoutError``. Fails with ``OSError``
+    or an ``http.client.HTTPException``; the socket is closed on every path.
     """
+    deadline = time.monotonic() + timeout
     with socket.create_connection(request.address, timeout) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if request.tunnel is not None:
-            sock.sendall(request.tunnel)
-            status, _ = _Reader(sock).head()
+            _until(sock, deadline).sendall(request.tunnel)
+            status, _ = _Reader(sock, deadline).head()
             if status != 200:
                 raise OSError(f"proxy refused the tunnel: HTTP {status}")
         if request.tls_host is None:
-            sock.sendall(request.message)
-            return _Reader(sock).reply()
+            _until(sock, deadline).sendall(request.message)
+            return _Reader(sock, deadline).reply()
         # the TLS socket takes over the descriptor; closing both is safe
-        with _tls_context().wrap_socket(sock, server_hostname=request.tls_host) as tls:
-            tls.sendall(request.message)
-            return _Reader(tls).reply()
+        with _tls_context().wrap_socket(_until(sock, deadline),
+                                        server_hostname=request.tls_host) as tls:
+            _until(tls, deadline).sendall(request.message)
+            return _Reader(tls, deadline).reply()
 
 
 def _retry_after(headers) -> float:

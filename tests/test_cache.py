@@ -5,7 +5,9 @@ import os
 import re
 import sys
 import tempfile
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +494,152 @@ def test_inspect_file_recognizes_response_cache(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the block-parsing load against the line-by-line reading
+
+
+def per_line_load(cls, path):
+    """(entries, warnings, torn tail) of ``path`` read one line at a time,
+    the reading ``load`` must match on every file."""
+    entries, warned, torn = {}, [], False
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            torn = not raw.endswith(b"\n")
+            line = raw.strip()
+            if not line:
+                continue
+            parsed = cls._parse(line)
+            if parsed is None:
+                warned.append(f"{path}:{lineno}: skipping malformed cache line")
+                continue
+            entries.setdefault(*parsed)
+    return entries, warned, torn
+
+
+# "@K" and "@V" stand for the kind's key and value fields and "@1" and "@2"
+# for two valid values; each kind then lists values it refuses
+KINDS = {
+    "utility": (UtilityCache, {b"@1": b"0.5", b"@2": b"1"},
+                {"nan": b"NaN", "inf": b"Infinity", "1e400": b"1e400", "true": b"true",
+                 "string": b'"0.5"', "null": b"null", "huge-int": b"1" + b"0" * 400,
+                 "too-many-digits": b"1" + b"0" * 5000}),
+    "response": (ResponseCache, {b"@1": b'"x"', b"@2": b'"y \\u00e9\\n"'},
+                 {"number": b"5", "null": b"null", "true": b"true", "list": b'["x"]',
+                  "object": b"{}"}),
+}
+ROW1, ROW2 = b'{"@K": "01", "@V": @1}', b'{"@K": "02", "@V": @2}'
+ADVERSARIAL = {
+    "clean": ROW1 + b"\n" + ROW2 + b"\n",
+    # the joined array holds two good rows, yet neither line is one object
+    "split-object": b'{"@K": "01", "@V": @1}, {"@K": "02"\n"@V": @2}\n',
+    # the same with every line starting with { and ending with }: a line
+    # boundary inside a nested list, made up by a line with two objects
+    "split-list": (b'{"@K": "01", "x": [{}\n{}], "@V": @1}\n'
+                   b'{"@K": "02", "@V": @1}, {"@K": "03", "@V": @2}\n'),
+    "split-string": b'{"@K": "0}\n{1", "@V": @1}\n' + ROW2 + b"\n",
+    "two-objects": ROW1 + b" " + ROW2 + b"\n" + ROW1 + b"\n",
+    "two-objects-comma": ROW1 + b", " + ROW2 + b"\n",
+    "blank-lines": b"\n" + ROW1 + b"\n\n  \n" + ROW2 + b"\n\n",
+    "crlf": ROW1 + b"\r\n" + ROW2 + b"\r\n",
+    "invalid-utf8": ROW1 + b'\n{"@K": "\xff", "@V": @2}\n' + ROW2 + b"\n",
+    "non-ascii": b'{"@K": "\xc3\xa9", "@V": @1}\n' + ROW2 + b"\n",
+    "bom": b"\xef\xbb\xbf" + ROW1 + b"\n" + ROW2 + b"\n",
+    "non-string-key": b'{"@K": 7, "@V": @1}\n' + ROW2 + b"\n",
+    "missing-field": b'{"@K": "01"}\n' + ROW2 + b"\n",
+    "not-an-object": b"[1, 2]\n" + ROW2 + b"\n",
+    "extra-fields": b'{"note": [1, 2], "@K": "01", "@V": @1, "z": null}\n' + ROW2 + b"\n",
+    "nested-extra-field": b'{"note": {"a": [2]}, "@K": "01", "@V": @1}\n' + ROW2 + b"\n",
+    "brace-in-key": b'{"@K": "{01}", "@V": @1}\n' + ROW2 + b"\n",
+    "repeated-field": b'{"@K": "01", "@V": @1, "@V": @2}\n' + ROW2 + b"\n",
+    "duplicate-keys": ROW1 + b"\n" + ROW2 + b'\n{"@K": "01", "@V": @2}\n',
+    "torn-tail": ROW1 + b'\n{"@K": "02", "@V": ',
+    "no-final-newline": ROW1 + b"\n" + ROW2,
+    "deep-nesting": b'{"@K": "01", "@V": @1, "x": ' + b"[" * 100_000 + b"]" * 100_000
+                    + b"}\n" + ROW2 + b"\n",
+    "empty": b"",
+}
+
+
+def kind_bytes(kind, template: bytes) -> bytes:
+    cls, good, _ = KINDS[kind]
+    out = template.replace(b"@K", cls.key_field.encode()).replace(b"@V", cls.value_field.encode())
+    for token, value in good.items():
+        out = out.replace(token, value)
+    return out
+
+
+ADVERSARIAL_CASES = [(kind, name, template) for kind in KINDS
+                     for name, template in ADVERSARIAL.items()] + [
+    (kind, f"bad-value-{name}", ROW1 + b"\n" + b'{"@K": "03", "@V": ' + bad + b"}\n" + ROW2 + b"\n")
+    for kind in KINDS for name, bad in KINDS[kind][2].items()
+]
+
+
+def assert_load_matches_per_line(kind, body, tmp_path):
+    cls = KINDS[kind][0]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(body)
+    entries, warned, torn = per_line_load(cls, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = cls.load(path)
+    assert [str(w.message) for w in caught] == warned
+    assert list(cache.entries.items()) == list(entries.items())
+    # a torn last line gets its newline before the next entry, and only then
+    value = 0.25 if cls is UtilityCache else "z"
+    with cache:
+        cache.put("zz", value)
+    line = json.dumps({cls.key_field: "zz", cls.value_field: value}).encode() + b"\n"
+    assert path.read_bytes() == body + (b"\n" if torn else b"") + line
+    info = inspect_file(path)
+    assert info["malformed"] == len(warned)
+    assert info["entries"] == len(entries) + 1
+
+
+# one line per ``json.loads`` block, or the whole file in one
+BLOCKS = pytest.mark.parametrize("block", [1, cache_module._BLOCK], ids=["lines", "file"])
+
+
+@BLOCKS
+@pytest.mark.parametrize("kind, name, template", ADVERSARIAL_CASES,
+                         ids=[f"{kind}-{name}" for kind, name, _ in ADVERSARIAL_CASES])
+def test_load_matches_the_per_line_reading(kind, name, template, block, tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "_BLOCK", block)
+    assert_load_matches_per_line(kind, kind_bytes(kind, template), tmp_path)
+
+
+FRAGMENTS = [b"{", b"}", b"[", b"]", b'"', b",", b":", b" ", b"\n", b"\r", b"\\", b"\xff",
+             b'"@K"', b'"@V"', b'"01"', b'"02"', b"@1", b"@2", b"NaN", b"7", ROW1, ROW2,
+             ROW1 + b"\n", ROW2 + b"\n", b'{"@K": "0}\n{1", "@V": @1}\n']
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(KINDS)), st.lists(st.sampled_from(FRAGMENTS), max_size=12),
+       st.sampled_from([1, 40, cache_module._BLOCK]))
+def test_load_matches_the_per_line_reading_on_any_file(kind, fragments, block):
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cache_module, "_BLOCK", block)
+        assert_load_matches_per_line(kind, kind_bytes(kind, b"".join(fragments)), Path(tmp))
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_a_well_formed_file_is_read_without_the_per_line_parser(kind, tmp_path, monkeypatch):
+    # several blocks, with a repeated key in the last
+    cls = KINDS[kind][0]
+    path = tmp_path / "c.jsonl"
+    body = b"".join(kind_bytes(kind, b'{"@K": "%04x", "@V": @1}\n' % i) for i in range(2000))
+    path.write_bytes(body + kind_bytes(kind, ROW1 + b"\n" + ROW2 + b"\n" + ROW1 + b"\n"))
+    assert path.stat().st_size > 3 * cache_module._BLOCK
+    expected = per_line_load(cls, path)[0]
+
+    def refuse(line):
+        raise AssertionError("the per-line parser must not run on a well-formed file")
+
+    monkeypatch.setattr(cls, "_parse", staticmethod(refuse))
+    assert list(cls.load(path).entries.items()) == list(expected.items())
+
+
+# ---------------------------------------------------------------------------
 # batches through the cache
 
 
@@ -519,6 +667,62 @@ def test_appending_flushes_once_the_interval_has_passed(tmp_path, monkeypatch):
         cache.put("04", 1.0)
         assert path.read_text() == ('{"coalition": "01", "u": 0.5}\n'
                                     '{"coalition": "02", "u": 0.25}\n')
+
+
+def slow_batch(values, failing_at=None, delay=0.005):
+    """An inner batch yielding ``values[mask]`` after ``delay`` seconds each,
+    raising on the mask ``failing_at``."""
+
+    def batch(masks, n):
+        for mask in masks:
+            time.sleep(delay)
+            if mask == failing_at:
+                raise ValueError("boom")
+            yield values[mask]
+
+    return batch
+
+
+def lines_of(cache_cls, pairs):
+    return "".join(json.dumps({cache_cls.key_field: key, cache_cls.value_field: value},
+                              sort_keys=True) + "\n" for key, value in pairs)
+
+
+MASKS = [5, 3, 5, 0, 2, 3, 6, 1]
+VALUES = {mask: mask / 8 for mask in range(8)}
+
+
+def test_a_slow_batch_writes_its_lines_before_it_ends(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "FLUSH_S", 0.001)
+    path = tmp_path / "u.jsonl"
+    path.write_text(lines_of(UtilityCache, [("02", 0.25)]))
+    with UtilityCache.load(path) as cache:
+        batch = cached_utility(cache, slow_batch(VALUES))(MASKS, 3)
+        seen = []
+        for mask in MASKS:
+            assert next(batch) == VALUES[mask]
+            seen.append(mask)
+            # every miss so far is on disk, in first-appearance order
+            fresh = [m for m in dict.fromkeys(seen) if m != 2]
+            assert path.read_text() == lines_of(UtilityCache, [("02", 0.25)] + [
+                (Coalition(m, 3).to_hex(), VALUES[m]) for m in fresh])
+        with pytest.raises(StopIteration):
+            next(batch)
+
+
+@pytest.mark.parametrize("flush_s", [0.001, 60.0], ids=["every-entry", "at-the-end"])
+def test_a_failing_batch_leaves_the_lines_written_before_it(tmp_path, monkeypatch, flush_s):
+    monkeypatch.setattr(cache_module, "FLUSH_S", flush_s)
+    path = tmp_path / "u.jsonl"
+    with UtilityCache.load(path) as cache:
+        batch = cached_utility(cache, slow_batch(VALUES, failing_at=2))
+        with pytest.raises(ValueError, match="boom"):
+            list(batch(MASKS, 3))
+        before = [5, 3, 0]          # the distinct misses before mask 2
+        expected = lines_of(UtilityCache, [(Coalition(m, 3).to_hex(), VALUES[m]) for m in before])
+        assert path.read_text() == expected
+        assert list(cache.entries) == [Coalition(m, 3).to_hex() for m in before]
+    assert path.read_text() == expected
 
 
 def test_batch_asks_the_inner_batch_once_for_the_distinct_misses():

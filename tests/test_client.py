@@ -9,6 +9,7 @@ import socket
 import ssl
 import subprocess
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -240,10 +241,11 @@ def read_request(conn) -> bytes:
 
 
 @contextlib.contextmanager
-def raw_server(reply, received=None, tls=None, tunnel=False):
+def raw_server(reply, received=None, tls=None, tunnel=False, drip=None):
     """A TCP endpoint that reads each request, then sends ``reply`` and closes.
 
-    ``reply=None`` keeps every connection open without answering. Each
+    ``reply=None`` keeps every connection open without answering, and
+    ``drip`` sends the reply one byte every ``drip`` seconds. Each
     request's bytes are appended to the list ``received`` if one is given,
     and ``tls``, a server-side ``ssl.SSLContext``, serves TLS. With
     ``tunnel`` it first accepts a proxy's ``CONNECT``, as the proxy and the
@@ -273,7 +275,14 @@ def raw_server(reply, received=None, tls=None, tunnel=False):
                 request = read_request(conn)
                 if received is not None:
                     received.append(request)
-                conn.sendall(reply)
+                if drip is None:
+                    conn.sendall(reply)
+                else:
+                    for i in range(len(reply)):
+                        if stop.is_set():
+                            break
+                        conn.sendall(reply[i:i + 1])
+                        time.sleep(drip)
             except OSError:   # a client that refused the certificate
                 pass
             finally:
@@ -370,6 +379,22 @@ CHAT_REPLY = b'{"choices": [{"message": {"role": "assistant", "content": "The an
 
 def with_length(head: bytes, body: bytes = CHAT_REPLY) -> bytes:
     return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+def test_a_dripping_reply_times_out_within_api_timeout(manifest, monkeypatch):
+    # the whole reply would take over 5 s, though each byte comes within 50 ms
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = with_length(b"HTTP/1.1 200 OK\r\n")
+    with raw_server(reply, drip=0.05) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=1, backoff_base=0.0, timeout=0.3)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        start = time.monotonic()
+        with pytest.raises(TransportError) as info:
+            complete(req, ResponseCache(), api)
+        elapsed = time.monotonic() - start
+    assert len(reply) * 0.05 > 5
+    assert elapsed < 0.3 + 0.25
+    assert info.value.payload()["last_error"] == "timed out"
 
 
 def test_a_request_is_one_well_formed_message(manifest, monkeypatch):
