@@ -11,9 +11,24 @@ are always serialized in ascending manifest-index order. That makes the
 utility a well-defined set function and lets the response cache key on a
 digest of the exact payload fields.
 
-Both endpoints go through one POST path, ``_post_json``. It sends the JSON
-body with the bearer credential and classifies the reply: 401/403 raise
-``CredentialError`` at once; 429, 500, 502, 503, 504 and transport failures
+``augmentation_utility`` returns a ``game.Oracle`` whose mask-level batch
+asks, for each mask in order, each question in file order. Its cost model:
+each prompt text and question is JSON-escaped once per factory call; each
+request is then one join of ready strings for its digest payload (the
+``sort_keys`` compact JSON of its fields) and one ``sha256``, plus, on a
+cache miss, one join for its wire body and one for its HTTP head. Both
+strings are byte-identical to what ``json.dumps`` writes (``_ChatFormat``),
+and ``request_digest`` and ``complete`` go through the same helper. The
+credential and endpoint are read at a batch's first miss, so a batch of
+cache hits needs neither. A batch's responses are put inside one
+``appending()`` block of the response cache, so they reach the file in one
+write per ``cache.FLUSH_S`` and at the batch's end, and a failure keeps
+every response received before it.
+
+Both endpoints go through one POST path, ``_post``: ``_post_json`` builds
+its body with ``json.dumps``, and the chat requests pass in ready bytes. It
+sends the body with the bearer credential and classifies the reply: 401/403
+raise ``CredentialError`` at once; 429, 500, 502, 503, 504 and transport failures
 (refused or dropped connections, timeouts) are retried up to
 ``api.attempts`` times, waiting ``backoff_base * 2**k`` seconds before retry
 k+1, or longer when a 429 carries a numeric ``Retry-After``; any other
@@ -36,7 +51,8 @@ with the proxy and ``no_proxy`` settings the environment holds at that time;
 an https request goes through its proxy by ``CONNECT``.
 
 ``embed`` only talks HTTP; precomputed embedding files are read with
-``learning.load_embeddings``.
+``learning.load_embeddings``. It refuses a reply row that is not an array of
+JSON numbers (a bool or a numeric string is not one), as that loader does.
 """
 
 from __future__ import annotations
@@ -56,7 +72,7 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +86,8 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .jsonio import read_jsonl, reading
+from .game import Oracle
+from .jsonio import all_numbers, read_jsonl, reading
 
 API_KEY_ENV = "PROMPTSHAP_API_KEY"
 
@@ -146,12 +163,14 @@ class CompletionRequest:
     max_tokens: int = 256
 
 
+def _check_players(n: int, manifest: PromptManifest) -> None:
+    if n != manifest.n:
+        raise ConsistencyError(f"coalition is over {n} players but the manifest has {manifest.n}")
+
+
 def build_completion_request(manifest: PromptManifest, coalition: Coalition,
                              question: str, api: ApiConfig) -> CompletionRequest:
-    if coalition.n != manifest.n:
-        raise ConsistencyError(
-            f"coalition is over {coalition.n} players but the manifest has {manifest.n}"
-        )
+    _check_players(coalition.n, manifest)
     # ascending manifest index: the canonical exemplar order
     exemplars = tuple(manifest.prompts[i].text for i in coalition.indices())
     return CompletionRequest(
@@ -163,19 +182,82 @@ def build_completion_request(manifest: PromptManifest, coalition: Coalition,
     )
 
 
+_CHAT = "/v1/chat/completions"
+# the C string escaper behind json.dumps (ensure_ascii): a quoted ASCII string
+_quote = json.encoder.encode_basestring_ascii
+_compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+class _ChatFormat:
+    """The two spellings of the chat requests over fixed exemplar texts and
+    questions, each built by joining JSON text escaped once per text here.
+
+    The digest payload of exemplars ``indices`` and question ``q`` is
+    ``json.dumps({"exemplars": ..., "max_tokens": ..., "model": ...,
+    "question": ..., "temperature": ...}, sort_keys=True, separators=(",",
+    ":"))``; its wire body is ``json.dumps({"model": ..., "messages":
+    [{"role": "user", "content": <exemplars and question joined by blank
+    lines>}], "temperature": ..., "max_tokens": ...}, allow_nan=False)``.
+    Escaping is per character, so the escape of a join is the join of the
+    escapes. The constant fields go through ``json.dumps`` itself; the
+    body's are encoded at the first body, so a non-finite temperature fails
+    only when a request has to go out.
+    """
+
+    __slots__ = ("_quoted", "_content", "_digest_ends", "_questions", "_fields", "_body")
+
+    def __init__(self, texts: Sequence[str], questions: Sequence[str],
+                 model, temperature, max_tokens):
+        self._quoted = [_quote(t) for t in texts]
+        # each text's escape inside the content string, with the blank line after it
+        self._content = [quoted[1:-1] + r"\n\n" for quoted in self._quoted]
+        self._questions = [_quote(q) for q in questions]
+        middle = f'],"max_tokens":{_compact(max_tokens)},"model":{_compact(model)},"question":'
+        end = f',"temperature":{_compact(temperature)}}}'
+        self._digest_ends = [middle + q + end for q in self._questions]
+        self._fields = (model, temperature, max_tokens)
+        self._body = None           # (head, end per question), built at the first body
+
+    @property
+    def questions(self) -> int:
+        return len(self._questions)
+
+    def digest_head(self, indices: Sequence[int]) -> str:
+        """The digest payload of exemplars ``indices`` up to its question."""
+        quoted = self._quoted
+        return '{"exemplars":[' + ",".join([quoted[i] for i in indices])
+
+    def payload(self, head: str, q: int) -> bytes:
+        """The digest payload of ``head``'s exemplars and question ``q``."""
+        return (head + self._digest_ends[q]).encode()
+
+    def body(self, indices: Sequence[int], q: int) -> bytes:
+        """The wire body of exemplars ``indices`` and question ``q``; a
+        ``PreconditionError`` if a constant field is not JSON (a non-finite
+        temperature)."""
+        if self._body is None:
+            model, temperature, max_tokens = self._fields
+            try:
+                head = f'{{"model": {json.dumps(model, allow_nan=False)}, ' \
+                       '"messages": [{"role": "user", "content": "'
+                end = (f'"}}], "temperature": {json.dumps(temperature, allow_nan=False)}, '
+                       f'"max_tokens": {json.dumps(max_tokens, allow_nan=False)}}}')
+            except ValueError as exc:
+                raise PreconditionError(f"cannot build the request to {_CHAT}: {exc}") from exc
+            self._body = head, [q[1:-1] + end for q in self._questions]
+        head, ends = self._body
+        content = self._content
+        return (head + "".join([content[i] for i in indices]) + ends[q]).encode()
+
+
+def _format_of(req: CompletionRequest) -> _ChatFormat:
+    return _ChatFormat(req.exemplars, [req.question], req.model, req.temperature,
+                       req.max_tokens)
+
+
 def request_digest(req: CompletionRequest) -> str:
-    payload = json.dumps(
-        {
-            "exemplars": list(req.exemplars),
-            "max_tokens": req.max_tokens,
-            "model": req.model,
-            "question": req.question,
-            "temperature": req.temperature,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    fmt = _format_of(req)
+    return hashlib.sha256(fmt.payload(fmt.digest_head(range(len(req.exemplars))), 0)).hexdigest()
 
 
 _HEADER_UNSAFE = re.compile(r"[\r\n\0]|[^\x00-\xff]")
@@ -266,7 +348,15 @@ def _endpoint(base_url: str) -> _Endpoint:
     return _Endpoint(tls, parts.hostname, port, parts.netloc, parts.path, proxy, proxy_auth)
 
 
-def _build_request(endpoint: _Endpoint, path: str, key: str, data: bytes) -> _Request:
+def _requests_to(path: str, api: ApiConfig) -> Callable[[bytes], _Request]:
+    """The POST of a body to ``api.base_url + path``, as a function of the
+    body's bytes. The credential and the endpoint are read and checked here,
+    before any network traffic, and the head around the body's length is
+    built once."""
+    key = _get_api_key()
+    if not api.base_url:
+        raise PreconditionError("api.base_url is not configured")
+    endpoint = _endpoint(api.base_url)
     target = endpoint.prefix + path
     proxy_header = ""
     if endpoint.proxy_auth is not None:
@@ -280,18 +370,22 @@ def _build_request(endpoint: _Endpoint, path: str, key: str, data: bytes) -> _Re
         proxy_header = ""
     elif endpoint.proxy is not None:
         target = f"http://{endpoint.host_header}{target}"
-    head = (f"POST {target} HTTP/1.1\r\n"
-            f"Host: {endpoint.host_header}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Authorization: Bearer {key}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            "Accept-Encoding: identity\r\n"
-            "Connection: close\r\n"
-            f"User-Agent: {_USER_AGENT}\r\n"
-            f"{proxy_header}\r\n")
-    return _Request(endpoint.proxy or (endpoint.host, endpoint.port),
-                    endpoint.host if endpoint.tls else None, tunnel,
-                    head.encode("latin-1") + data)
+    start = (f"POST {target} HTTP/1.1\r\n"
+             f"Host: {endpoint.host_header}\r\n"
+             "Content-Type: application/json\r\n"
+             f"Authorization: Bearer {key}\r\n"
+             "Content-Length: ").encode("latin-1")
+    end = ("\r\nAccept-Encoding: identity\r\n"
+           "Connection: close\r\n"
+           f"User-Agent: {_USER_AGENT}\r\n"
+           f"{proxy_header}\r\n").encode("latin-1")
+    address = endpoint.proxy or (endpoint.host, endpoint.port)
+    tls_host = endpoint.host if endpoint.tls else None
+
+    def request(data: bytes) -> _Request:
+        return _Request(address, tls_host, tunnel, b"%b%d%b%b" % (start, len(data), end, data))
+
+    return request
 
 
 @functools.cache
@@ -449,15 +543,16 @@ def _retry_after(headers) -> float:
 
 def _post_json(path: str, body: dict, api: ApiConfig):
     """POST ``body`` to ``api.base_url + path`` with retries; the decoded 200 reply."""
-    key = _get_api_key()
-    if not api.base_url:
-        raise PreconditionError("api.base_url is not configured")
-    endpoint = _endpoint(api.base_url)
+    request = _requests_to(path, api)
     try:  # a non-finite number in the body
         data = json.dumps(body, allow_nan=False).encode("utf-8")
     except ValueError as exc:
         raise PreconditionError(f"cannot build the request to {path}: {exc}") from exc
-    request = _build_request(endpoint, path, key, data)
+    return _post(request(data), path, api)
+
+
+def _post(request: _Request, path: str, api: ApiConfig):
+    """Send ``request`` with retries; the decoded 200 reply."""
     last_status = None
     last_error = None
     wait = 0.0
@@ -493,26 +588,37 @@ def _post_json(path: str, body: dict, api: ApiConfig):
     )
 
 
+def _replies(fmt: _ChatFormat, index_lists: Iterable[Sequence[int]],
+             cache: ResponseCache, api: ApiConfig):
+    """For each exemplar index list, the reply text to each of ``fmt``'s
+    questions, in order: a cache hit, or one POST whose reply is checked
+    and put in the cache. The credential and endpoint are read at the first
+    miss, so hits need neither."""
+    request = None
+    get, questions = cache.get, range(fmt.questions)
+    for indices in index_lists:
+        head = fmt.digest_head(indices)
+        texts = []
+        for q in questions:
+            digest = hashlib.sha256(fmt.payload(head, q)).hexdigest()
+            text = get(digest)
+            if text is None:
+                if request is None:
+                    request = _requests_to(_CHAT, api)
+                doc = _post(request(fmt.body(indices, q)), _CHAT, api)
+                try:
+                    text = doc["choices"][0]["message"]["content"]
+                except (KeyError, IndexError, TypeError) as exc:
+                    raise ProtocolError(f"malformed chat completion body: {exc}") from exc
+                if not isinstance(text, str):
+                    raise ProtocolError("chat completion content is not a string")
+                cache.put(digest, text)
+            texts.append(text)
+        yield texts
+
+
 def complete(req: CompletionRequest, cache: ResponseCache, api: ApiConfig) -> str:
-    digest = request_digest(req)
-    hit = cache.get(digest)
-    if hit is not None:
-        return hit
-    content = "\n\n".join([*req.exemplars, req.question])
-    body = {
-        "model": req.model,
-        "messages": [{"role": "user", "content": content}],
-        "temperature": req.temperature,
-        "max_tokens": req.max_tokens,
-    }
-    doc = _post_json("/v1/chat/completions", body, api)
-    try:
-        text = doc["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"malformed chat completion body: {exc}") from exc
-    if not isinstance(text, str):
-        raise ProtocolError("chat completion content is not a string")
-    cache.put(digest, text)
+    [[text]] = _replies(_format_of(req), [range(len(req.exemplars))], cache, api)
     return text
 
 
@@ -535,27 +641,31 @@ def extract_answer(text: str, task: Task) -> Optional[str]:
 
 
 def augmentation_utility(manifest: PromptManifest, questions: Sequence[Question],
-                         task: Task, cache: ResponseCache, api: ApiConfig):
-    """Coalition -> mean answer accuracy over the question set.
+                         task: Task, cache: ResponseCache, api: ApiConfig) -> Oracle:
+    """Coalition -> mean answer accuracy over the question set, as an
+    ``Oracle`` whose ``batch(masks, n)`` asks, for each mask in order, each
+    question in file order.
 
     The empty coalition runs zero-shot, so this oracle defines its own U(empty).
     A transport error aborts the whole coalition evaluation; partial accuracies
-    never escape.
+    never escape, but the responses received before it stay in the cache.
     """
     if not questions:
         raise PreconditionError("augmentation utility needs at least one question")
+    fmt = _ChatFormat(manifest.texts, [q.question for q in questions],
+                      api.model, api.temperature, api.max_tokens)
+    golds = [q.gold for q in questions]
 
-    def oracle(coalition: Coalition) -> float:
-        correct = 0
-        for q in questions:
-            req = build_completion_request(manifest, coalition, q.question, api)
-            text = complete(req, cache, api)
-            answer = extract_answer(text, task)
-            if answer is not None and answer == q.gold:
-                correct += 1
-        return correct / len(questions)
+    def batch(masks: Sequence[int], n: int):
+        _check_players(n, manifest)
+        index_lists = (Coalition(mask, n).indices() for mask in masks)
+        with cache.appending():
+            for texts in _replies(fmt, index_lists, cache, api):
+                correct = sum(extract_answer(text, task) == gold
+                              for text, gold in zip(texts, golds))
+                yield correct / len(golds)
 
-    return oracle
+    return Oracle(batch)
 
 
 def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:
@@ -572,7 +682,11 @@ def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:
             index = item["index"]
             if type(index) is not int or not 0 <= index < len(unique):
                 raise ValueError(f"index {index!r} is not an integer in 0..{len(unique) - 1}")
-            rows[index] = [float(v) for v in item["embedding"]]
+            row = item["embedding"]
+            # the rule learning.load_embeddings applies to a file's rows
+            if type(row) is not list or not all_numbers(row):
+                raise ValueError(f"the embedding of row {index} is not an array of numbers")
+            rows[index] = row
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"malformed embeddings body: {exc}") from exc
     if any(r is None for r in rows):
@@ -580,5 +694,9 @@ def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:
     dims = {len(r) for r in rows}
     if len(dims) != 1:
         raise ProtocolError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    by_text = dict(zip(unique, rows))
-    return np.array([by_text[t] for t in texts], dtype=np.float64)
+    try:
+        vectors = np.array(rows, dtype=np.float64)
+    except OverflowError as exc:    # an integer too large for a float
+        raise ProtocolError(f"malformed embeddings body: {exc}") from exc
+    position = {text: i for i, text in enumerate(unique)}
+    return vectors[[position[t] for t in texts]]

@@ -17,10 +17,11 @@ Cost model: an engine asks the game's mask-level ``batch`` for every
 coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
-prefix in first-appearance order. ``matrix_utility`` returns an ``Oracle``,
-whose ``batch`` the game takes as it is; any other per-coalition ``utility``
-(the live oracle, or a wrapper around an ``Oracle``) is mapped over the
-masks one coalition at a time (``batch_of``), so a wrapper sees every call.
+prefix in first-appearance order. ``matrix_utility`` and the live
+``augmentation_utility`` return an ``Oracle``, whose ``batch`` the game
+takes as it is; any other per-coalition ``utility`` (a user function, or a
+wrapper around an ``Oracle``) is mapped over the masks one coalition at a
+time (``batch_of``), so a wrapper sees every call.
 Every utility must be a finite real number (not a bool); any other fails as
 a ``UtilityOracleError`` naming its coalition. Exact sums each player's terms
 as numpy arrays over the masks without it, into one ``math.fsum``.

@@ -1,7 +1,9 @@
 import base64
 import contextlib
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -13,8 +15,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from promptshap import client
+from promptshap import cache as cache_module, client
 from promptshap.cache import ResponseCache
 from promptshap.cli import main
 from promptshap.client import (
@@ -693,6 +696,149 @@ def test_augmentation_needs_questions(stub, stub_api, manifest):
         augmentation_utility(manifest, [], Task.MULTIPLE_CHOICE, ResponseCache(), stub_api)
 
 
+def recorded_sends(monkeypatch, fail_after=None):
+    """The chat bodies ``_send`` is given, in order; with ``fail_after``,
+    every send after that many fails as a refused connection."""
+    bodies = []
+    send = client._send
+
+    def recording(request, timeout):
+        if fail_after is not None and len(bodies) >= fail_after:
+            raise ConnectionRefusedError("refused")
+        bodies.append(json.loads(request.message.partition(b"\r\n\r\n")[2]))
+        return send(request, timeout)
+
+    monkeypatch.setattr(client, "_send", recording)
+    return bodies
+
+
+def expected_contents(manifest, questions, masks):
+    """The chat content of every (mask, question) request, in batch order."""
+    return ["\n\n".join([*(manifest.texts[i] for i in Coalition(mask, manifest.n).indices()),
+                          q.question])
+            for mask in masks for q in questions]
+
+
+def test_a_batch_sends_each_uncached_request_once_in_mask_then_question_order(
+        stub, stub_api, manifest, questions, monkeypatch):
+    bodies = recorded_sends(monkeypatch)
+    oracle = augmentation_utility(manifest, questions, Task.MULTIPLE_CHOICE,
+                                  ResponseCache(), stub_api)
+    assert oracle(Coalition(0b11, 5)) == 1.0
+    del bodies[:]
+    masks = [0b11111, 0, 0b11, 0b1000]
+    assert list(oracle.batch(masks, 5)) == pytest.approx([2 / 3, 1 / 3, 1.0, 0.0])
+    assert stub.state.chat_requests == len(questions) * 4      # 0b11 was cached
+    uncached = [0b11111, 0, 0b1000]
+    assert [body["messages"][0]["content"] for body in bodies] == \
+        expected_contents(manifest, questions, uncached)
+    del bodies[:]
+    assert list(oracle.batch(masks, 5)) == pytest.approx([2 / 3, 1 / 3, 1.0, 0.0])
+    assert bodies == []
+
+
+def test_a_batch_of_hits_needs_no_credential_and_no_base_url(stub, stub_api, manifest,
+                                                             questions, monkeypatch):
+    cache = ResponseCache()
+    masks = [0b11111, 0, 0b11]
+    first = list(augmentation_utility(manifest, questions, Task.MULTIPLE_CHOICE, cache,
+                                      stub_api).batch(masks, 5))
+    sent = stub.state.chat_requests
+    monkeypatch.delenv("PROMPTSHAP_API_KEY")
+    offline = ApiConfig(model=stub_api.model)
+    oracle = augmentation_utility(manifest, questions, Task.MULTIPLE_CHOICE, cache, offline)
+    assert list(oracle.batch(masks, 5)) == first
+    assert stub.state.chat_requests == sent
+    with pytest.raises(CredentialError):    # a miss reads the credential
+        list(oracle.batch([0b100], 5))
+
+
+def test_a_transport_error_mid_batch_keeps_every_response_received_before_it(
+        stub, stub_api, manifest, questions, monkeypatch, tmp_path):
+    monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)    # only the block's end writes
+    bodies = recorded_sends(monkeypatch, fail_after=8)
+    api = dataclasses.replace(stub_api, attempts=1)
+    path = str(tmp_path / "responses.jsonl")
+    with ResponseCache.load(path) as cache:
+        oracle = augmentation_utility(manifest, questions, Task.MULTIPLE_CHOICE, cache, api)
+        utilities = oracle.batch([0, 0b11, 0b11111], 5)
+        assert next(utilities) == pytest.approx(1 / 3)
+        assert os.path.getsize(path) == 0      # queued, for one write at the block's end
+        with pytest.raises(TransportError):
+            next(utilities)
+        assert len(cache) == 8
+        kept = dict(cache.entries)
+    assert len(bodies) == 8
+    assert ResponseCache.load(path).entries == kept
+    requests = [build_completion_request(manifest, Coalition(mask, 5), q.question, api)
+                for mask in (0, 0b11) for q in questions][:8]
+    assert list(kept) == [request_digest(req) for req in requests]
+
+
+def test_a_batch_over_the_wrong_player_count_fails_before_any_request(stub, stub_api,
+                                                                      manifest, questions):
+    oracle = augmentation_utility(manifest, questions, Task.MULTIPLE_CHOICE,
+                                  ResponseCache(), stub_api)
+    with pytest.raises(ConsistencyError, match="coalition is over 6 players but the "
+                                               "manifest has 5"):
+        list(oracle.batch([0, 1], 6))
+    assert stub.state.chat_requests == 0
+
+
+def test_a_non_finite_temperature_fails_only_when_a_request_goes_out(stub, stub_api, manifest,
+                                                                    questions):
+    api = dataclasses.replace(stub_api, temperature=math.nan)
+    cache = ResponseCache()
+    for q in questions:      # the digest payload spells the temperature NaN
+        cache.put(request_digest(build_completion_request(manifest, Coalition(0, 5),
+                                                          q.question, api)), "(A)")
+    oracle = augmentation_utility(manifest, questions, Task.MULTIPLE_CHOICE, cache, api)
+    assert list(oracle.batch([0], 5)) == pytest.approx([2 / 6])    # golds A, B, C, D, A, B
+    with pytest.raises(ValueError) as dumped:
+        json.dumps({"temperature": math.nan}, allow_nan=False)
+    with pytest.raises(PreconditionError) as info:
+        list(oracle.batch([0, 0b1], 5))
+    assert str(info.value) == f"cannot build the request to /v1/chat/completions: {dumped.value}"
+    req = build_completion_request(manifest, Coalition(0b1, 5), questions[0].question, api)
+    with pytest.raises(PreconditionError) as single:
+        complete(req, cache, api)
+    assert str(single.value) == str(info.value)
+    assert stub.state.chat_requests == 0
+
+
+# Texts that exercise every branch of JSON string escaping: quotes,
+# backslashes, newlines, tabs and other controls, non-ASCII, non-BMP and a
+# lone surrogate.
+json_text = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
+                                     "\u2028", "\U0001f600", "\ud800", "a", " "])
+                    | st.characters(), max_size=12)
+
+
+@given(texts=st.lists(json_text.filter(bool), min_size=1, max_size=5),
+       question=json_text, model=json_text,
+       temperature=st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False),
+       max_tokens=st.integers(0, 10**6), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_chat_format_spells_each_request_as_json_dumps(texts, question, model, temperature,
+                                                          max_tokens, data):
+    n = len(texts)
+    mask = data.draw(st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1))
+    indices = Coalition(mask, n).indices()
+    exemplars = [texts[i] for i in indices]
+    fmt = client._ChatFormat(texts, ["unused", question], model, temperature, max_tokens)
+    payload = json.dumps({"exemplars": exemplars, "max_tokens": max_tokens, "model": model,
+                          "question": question, "temperature": temperature},
+                         sort_keys=True, separators=(",", ":"))
+    assert fmt.payload(fmt.digest_head(indices), 1) == payload.encode()
+    body = {"model": model,
+            "messages": [{"role": "user", "content": "\n\n".join([*exemplars, question])}],
+            "temperature": temperature, "max_tokens": max_tokens}
+    assert fmt.body(indices, 1) == json.dumps(body, allow_nan=False).encode()
+    req = CompletionRequest(question=question, model=model, exemplars=tuple(exemplars),
+                            temperature=temperature, max_tokens=max_tokens)
+    assert request_digest(req) == hashlib.sha256(payload.encode()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -731,6 +877,33 @@ def test_embed_rejects_a_reply_index_that_names_no_input(indices, bad, monkeypat
     api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
     with pytest.raises(ProtocolError, match=f"index {bad} is not an integer in 0..1"):
         embed(["a", "b"], api)
+
+
+@pytest.mark.parametrize("row", [
+    [0.5, True],        # a bool is not a number
+    ["0.5", 1.0],       # nor is a numeric string
+    "123",              # a string is not an array of its digits
+    {"0": 0.5, "1": 1.0},
+    [[0.5], [1.0]],
+    None,
+], ids=["bool", "string", "string-of-digits", "dict", "nested-list", "null"])
+def test_embed_refuses_a_row_that_is_not_an_array_of_numbers(row, monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = json.dumps({"data": [{"index": 0, "embedding": [0.5, 1.0]},
+                                 {"index": 1, "embedding": row}]})
+    monkeypatch.setattr(client, "_send", lambda request, timeout: (200, {}, reply.encode()))
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
+    with pytest.raises(ProtocolError, match="the embedding of row 1 is not an array of numbers"):
+        embed(["a", "b"], api)
+
+
+def test_embed_refuses_an_integer_too_large_for_a_float(monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = json.dumps({"data": [{"index": 0, "embedding": [1, 10**400]}]})
+    monkeypatch.setattr(client, "_send", lambda request, timeout: (200, {}, reply.encode()))
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
+    with pytest.raises(ProtocolError, match="malformed embeddings body"):
+        embed(["a"], api)
 
 
 def test_embed_empty_input(stub, stub_api):
