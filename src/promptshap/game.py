@@ -17,33 +17,35 @@ Cost model: an engine asks the game's mask-level ``batch`` for every
 coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
-prefix in first-appearance order. ``matrix_utility`` and the live
-``augmentation_utility`` return an ``Oracle``, whose ``batch`` the game
-takes as it is; any other per-coalition ``utility`` (a user function, or a
-wrapper around an ``Oracle``) is mapped over the masks one coalition at a
-time (``batch_of``), so a wrapper sees every call.
+prefix in first-appearance order (with truncation, each new prefix alone).
+``matrix_utility`` and the live ``augmentation_utility`` return an
+``Oracle``, whose ``batch`` the game takes as it is; any other per-coalition
+``utility`` (a user function, or a wrapper around an ``Oracle``) is mapped
+over the masks one coalition at a time (``batch_of``), so a wrapper sees
+every call.
 Every utility must be a finite real number (not a bool); any other fails as
 a ``UtilityOracleError`` naming its coalition. Exact sums each player's terms
 as numpy arrays over the masks without it, into one ``math.fsum``.
 
 Monte Carlo draws all T permutations at once as a (T, n) table of small
-unsigned ints (``SplitMix64.shuffles``), then makes numpy passes over it in
-chunks of ``_CHUNK`` permutations. A marginal U(S + p) - U(S) depends only on
-the player p and the set S of players before it, so without truncation one
-pass turns each chunk into prefix masks by a cumulative sum of
-``1 << player`` (int64 up to 63 players, Python ints beyond), collects the
-distinct ones, and counts each step by the key ``p << n | S`` (int64 up to 57
-players, Python ints beyond), merging each chunk's counts into one sorted
-array. After the one batch call each distinct key's marginal is found by
-binary search in the sorted masks, once. Each player's mean and squared
-deviations then come from (distinct marginal, count) pairs, summed exactly
-and rounded once, which gives the bits ``math.fsum`` gives over all T
-marginals. Memory is the permutation table, the distinct masks and keys, and
-chunk temporaries of about ``_CHUNK * n`` items: nothing of size n * T. With
-truncation on, whether a prefix is needed depends on the utilities before
-it, so each scan walks its permutation in Python, asks for each new prefix as
-a batch of one and records its marginals in an (n, T) table, whose columns
-go through the same statistics.
+unsigned ints (``SplitMix64.shuffles``). A marginal U(S + p) - U(S) depends
+only on the player p and the set S of players before it, so the engine keeps
+no marginals but counts the steps the scans take by the key ``p << n | S``
+(int64 up to 57 players, Python ints beyond), in one numpy pass over chunks
+of ``_CHUNK`` permutations: a cumulative sum of ``1 << player`` (int64 up to
+63 players, Python ints beyond) turns each chunk into prefix masks, whose
+distinct ones, without truncation, make the one batch call. With
+truncation, whether a prefix is needed depends on the utilities before it,
+so each scan first walks its permutation in Python, asking for each new
+prefix as a batch of one, to find where it stops, and the pass counts only
+the steps before the stops. The counts merge into one sorted array of
+distinct keys; each key's marginal is found once, by binary search in the
+sorted masks. Each player's mean and squared deviations come from (distinct
+marginal, count) pairs, plus one pair of 0 for the permutations that
+stopped before the player, summed exactly and rounded once: the bits
+``math.fsum`` gives over all T marginals. Memory is the permutation table,
+the distinct masks and keys, and chunk temporaries of about ``_CHUNK * n``
+items: nothing of size n * T.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ class GameSpec:
     batch: Optional[BatchFn] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("player count", self.n))
         if self.n < 1:
             raise PreconditionError(f"game needs at least one player, got n={self.n}")
         if self.batch is None:
@@ -293,24 +296,19 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     ``permutations`` orderings, drawn as successive shuffles of one list from
     ``SplitMix64(seed)``, with the standard error of that mean.
 
-    Evaluation order: one batch asks for U(full), U(empty), then every other
-    distinct prefix in the order the permutations first reach it, row by row.
-    With ``truncation_tol > 0`` a scan stops at the first prefix whose utility
-    is within the tolerance of U(full), and the players after it get a
-    marginal of 0; whether a prefix is needed then depends on the utilities
-    before it, so each new prefix is a batch of one, asked for when its scan
-    reaches it. ``truncation_tol = 0`` scans every permutation in full and
-    keeps the estimator unbiased.
+    Evaluation order: U(full), U(empty), then every other distinct prefix in
+    the order the permutations first reach it, row by row, in one batch. With
+    ``truncation_tol > 0`` a scan stops at the first prefix whose utility is
+    within the tolerance of U(full), and the players after it get a marginal
+    of 0; whether a prefix is needed then depends on the utilities before it,
+    so each new prefix is a batch of one. ``truncation_tol = 0`` scans every
+    permutation in full and keeps the estimator unbiased.
 
-    The statistics are those of the T marginals of each player, bit for bit:
-    the mean is their ``math.fsum`` divided by T, and the standard error sums
-    squared deviations made by C ``pow``, as ``(x - mean) ** 2`` on floats
-    does (numpy's ``** 2`` multiplies ``x * x``, which rounds some squares
-    differently). Without truncation the engine gets them from counts: how
-    many permutations place each player p right after each set S, so each
-    distinct marginal is computed, squared and summed once, times its count.
-    ``math.fsum`` is correctly rounded whatever the order of its terms, so an
-    exact sum of (value, count) pairs, rounded once, is the same float.
+    The statistics come from counts of the steps the scans take: how many
+    permutations place each player p right after each set S. Each distinct
+    marginal U(S + p) - U(S) is computed once and weighted by its count
+    (``_statistics``), which gives the mean and standard error of each
+    player's T marginals bit for bit.
 
     A utility that is not a finite real number fails as a
     ``UtilityOracleError`` naming its coalition, its permutation index and
@@ -328,18 +326,19 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     n = game.n
     full = (1 << n) - 1
     rng = SplitMix64(seed)
+    # the keys p << n | S of the steps taken, ascending, and their counts
+    tally = [np.empty(0, dtype=_int_dtype(n + (n - 1).bit_length())), np.empty(0, dtype=np.int64)]
     if truncation_tol > 0:
         u_full, u_empty = _utilities(game, [full, 0])
-        # marginals[p, t]: player p's marginal in permutation t; 0 where truncated
-        marginals = np.zeros((n, permutations))
         # utilities by mask: each distinct coalition is asked for once
         seen = {full: u_full, 0: u_empty}
         # U(empty) already within the tolerance of U(full) truncates every scan at once
-        scanned = 0 if abs(u_empty - u_full) <= truncation_tol else permutations
-        for t, row in enumerate(rng.shuffles(n, scanned)):
+        order = rng.shuffles(n, 0 if abs(u_empty - u_full) <= truncation_tol else permutations)
+        # lengths[t]: how many steps permutation t takes before its scan stops
+        lengths = np.empty(len(order), dtype=np.intp)
+        for t, row in enumerate(order):
             players = row.tolist()
             mask = 0
-            prev = u_empty
             for pos, p in enumerate(players):
                 mask |= 1 << p
                 cur = seen.get(mask)
@@ -347,41 +346,28 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
                     [cur] = _utilities(game, [mask], lambda m: {
                         "permutation_index": t, "prefix": tuple(players[: pos + 1])})
                     seen[mask] = cur
-                marginals[p, t] = cur - prev
-                prev = cur
                 if abs(cur - u_full) <= truncation_tol:
-                    break  # remaining marginals stay 0
-        columns = ((column, None) for column in marginals)
+                    break
+            lengths[t] = pos + 1
+        for _ in _steps(order, tally, lengths):
+            pass
+        masks, utilities = list(seen), list(seen.values())
     else:
         order = rng.shuffles(n, permutations)
-        # one pass: each distinct prefix in first-appearance order, and how
-        # many permutations place player p right after the set S, counted by
-        # the key p << n | S in ascending order
-        dtype = _int_dtype(n + (n - 1).bit_length())
-        keys, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
-
-        def chunks():
-            nonlocal keys, counts
-            for start, prefixes in _prefixes(order):
-                steps = order[start:start + len(prefixes)].astype(dtype)
-                steps <<= n
-                steps[:, 1:] |= prefixes[:, :-1].astype(dtype, copy=False)
-                keys, counts = _merge(keys, counts, *np.unique(steps, return_counts=True))
-                yield prefixes.ravel().tolist()
-
-        masks = list(dict.fromkeys(chain((full, 0), chain.from_iterable(chunks()))))
+        # each distinct prefix in first-appearance order
+        masks = list(dict.fromkeys(chain((full, 0), chain.from_iterable(
+            prefixes.ravel().tolist() for prefixes in _steps(order, tally)))))
         utilities = _utilities(game, masks, lambda m: _first_reach(order, m))
         u_full, u_empty = utilities[0], utilities[1]
-        # the utilities in ascending mask order, for a binary search per coalition
-        sorted_masks = np.array(masks, dtype=_int_dtype(n))
-        rank = np.argsort(sorted_masks)
-        sorted_masks, by_mask = sorted_masks[rank], np.array(utilities, dtype=np.float64)[rank]
-        del masks, utilities, rank
-        columns = _key_columns(n, keys, counts, sorted_masks, by_mask)
+    # the utilities in ascending mask order, for a binary search per coalition
+    sorted_masks = np.array(masks, dtype=_int_dtype(n))
+    rank = np.argsort(sorted_masks)
+    sorted_masks, by_mask = sorted_masks[rank], np.array(utilities, dtype=np.float64)[rank]
+    del masks, utilities, rank
     values, stderr = [], []
-    for player, (column, weights) in enumerate(columns):
+    for player, (marginals, counts) in enumerate(_key_columns(n, *tally, sorted_masks, by_mask)):
         try:
-            mean, error = _statistics(column, weights, permutations)
+            mean, error = _statistics(marginals, counts, permutations)
         except OverflowError:
             raise PreconditionError(
                 f"player {player}'s Monte Carlo sums overflow float64; "
@@ -415,6 +401,22 @@ def _prefixes(order: np.ndarray):
         yield start, np.cumsum(masks, axis=1, out=masks)
 
 
+def _steps(order: np.ndarray, tally: list, lengths: Optional[np.ndarray] = None):
+    """Each chunk's prefix masks, as ``_prefixes`` gives them, once the steps
+    its permutations take, the first ``lengths[t]`` of permutation t (all n
+    if None), are counted into ``tally``: the sorted distinct keys ``p << n |
+    S`` (player p placed right after the set S) and their counts."""
+    n = order.shape[1]
+    for start, prefixes in _prefixes(order):
+        steps = order[start:start + len(prefixes)].astype(tally[0].dtype)
+        steps <<= n
+        steps[:, 1:] |= prefixes[:, :-1].astype(steps.dtype, copy=False)
+        if lengths is not None:
+            steps = steps[np.arange(n) < lengths[start:start + len(steps), None]]
+        tally[:] = _merge(*tally, *np.unique(steps, return_counts=True))
+        yield prefixes
+
+
 def _merge(keys: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray):
     """The sorted distinct ``keys`` with their ``counts``, after adding the
     sorted distinct ``more`` with theirs."""
@@ -444,24 +446,25 @@ def _key_columns(n: int, keys: np.ndarray, counts: np.ndarray, masks: np.ndarray
         yield marginals, counts[lo:hi]
 
 
-def _statistics(marginals: np.ndarray, counts: Optional[np.ndarray],
+def _statistics(marginals: np.ndarray, counts: np.ndarray,
                 permutations: int) -> tuple[float, float]:
     """One player's mean marginal over ``permutations`` and its standard
-    error, where marginal ``marginals[i]`` occurs ``counts[i]`` times (once
-    each if ``counts`` is None); ``OverflowError`` if a marginal or a sum
-    leaves the float range.
+    error, where marginal ``marginals[i]`` occurs ``counts[i]`` times and the
+    permutations left over, whose scans stopped before the player, give 0;
+    ``OverflowError`` if a marginal or a sum leaves the float range.
 
     Equal marginals merge into one (value, count) pair. Each sum is exact and
-    rounded once (``_exact_sum``), which is what ``math.fsum`` over every
-    marginal returns, and each squared deviation is C ``pow`` of ``value -
-    mean``, as ``(x - mean) ** 2`` on floats is, once per distinct value."""
+    rounded once (``_exact_sum``): the float ``math.fsum`` over every marginal
+    returns, in any order. Each squared deviation is C ``pow`` of ``value -
+    mean`` once per distinct value, as ``(x - mean) ** 2`` on floats is
+    (numpy's ``** 2`` multiplies, which rounds some squares differently)."""
     if not np.isfinite(marginals).all():
         raise OverflowError("a marginal past the float range")
-    if counts is None:
-        marginals, weights = np.unique(marginals, return_counts=True)
-    else:
-        marginals, inverse = np.unique(marginals, return_inverse=True)
-        weights = np.bincount(inverse, counts)
+    truncated = permutations - int(counts.sum())
+    if truncated:
+        marginals, counts = np.append(marginals, 0.0), np.append(counts, truncated)
+    marginals, inverse = np.unique(marginals, return_inverse=True)
+    weights = np.bincount(inverse, counts)
     weights = weights.astype(np.float64)
     mean = _exact_sum(marginals, weights) / permutations
     if permutations == 1:

@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .game import BatchFn, ShapleyResult, run_batch
+from .game import BatchFn, ShapleyResult, _finite_real, run_batch
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,26 @@ class BestPrefix:
 
 
 def rank_order(values: Sequence[float], prompt_ids: Sequence[str]) -> list[int]:
-    """Player indices sorted by value descending, then prompt id ascending."""
+    """Player indices sorted by value descending, then prompt id ascending. A
+    value that is not a finite real number (NaN, an infinity, a bool or a
+    string) is a ``PreconditionError`` naming its prompt id."""
     if len(values) != len(prompt_ids):
         raise PreconditionError(
             f"{len(values)} values for {len(prompt_ids)} prompt ids"
         )
+    for value, prompt_id in zip(values, prompt_ids):
+        if not _finite_real(value):
+            raise PreconditionError(
+                f"rank value of prompt {prompt_id!r} is not a finite real number: {value!r}",
+                prompt_id=prompt_id)
+    values = [float(v) for v in values]     # a numpy unsigned int would wrap under -
     return sorted(range(len(values)), key=lambda i: (-values[i], prompt_ids[i]))
 
 
 def rank_add_curve(values, prompt_ids: Sequence[str], batch: BatchFn) -> Curve:
     """Evaluate prefix utilities in rank order: one call of the mask-level
-    ``batch`` for the n prefixes (see ``run_batch``).
+    ``batch`` for the n prefixes (see ``run_batch``), ranked by
+    ``rank_order``.
 
     On an oracle failure, or a utility that is not a finite real number, the
     curve is returned up to the failed prefix, with the failure recorded
@@ -58,7 +67,7 @@ def rank_add_curve(values, prompt_ids: Sequence[str], batch: BatchFn) -> Curve:
     """
     if isinstance(values, ShapleyResult):
         values = values.values
-    values = [float(v) for v in values]
+    values = list(values)
     if not values:
         raise PreconditionError("rank_add_curve needs at least one player")
     order = rank_order(values, prompt_ids)

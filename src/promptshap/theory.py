@@ -25,9 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .game import GameSpec, shapley_exact
-from .coalition import Coalition
 from .rng import SplitMix64, derive_seed
 from .special import beta_cdf, beta_mass_quad, normal_cdf
 
@@ -121,15 +120,19 @@ class LipschitzGame:
         return self.embeddings.shape[0]
 
     def game(self) -> GameSpec:
-        gvals = self._gvals
+        """The game as a mask-level batch: per mask, the ``math.fsum`` of its
+        members' field values in ascending player order over their count."""
+        gvals = self._gvals.tolist()
 
-        def utility(coalition: Coalition) -> float:
-            members = coalition.indices()
-            if not members:
-                return 0.0
-            return math.fsum(gvals[i] for i in members) / len(members)
+        def batch(masks, n):
+            if n != len(gvals):
+                raise ConsistencyError(
+                    f"coalition is over {n} players but the game has {len(gvals)}")
+            for mask in masks:
+                members = [g for i, g in enumerate(gvals) if mask >> i & 1]
+                yield math.fsum(members) / len(members) if members else 0.0
 
-        return GameSpec(n=self.n, utility=utility, u_empty=0.0)
+        return GameSpec(n=self.n, batch=batch, u_empty=0.0)
 
 
 def make_affine_field(w: np.ndarray, c: float = 0.0):

@@ -456,6 +456,21 @@ def test_montecarlo_memory_holds_no_table_of_marginals():
     assert engine_peak(80_000) - small <= 60_000 * 12 + 50_000
 
 
+def test_truncated_montecarlo_memory_holds_no_table_of_marginals():
+    # every scan stops at its second step, U(S) = min(|S|, 2) / 2: the steps
+    # cost counts of a few hundred keys, not an (n, T) table of marginals
+    n, permutations = 12, 20_000
+    game = GameSpec(n=n, batch=lambda masks, n: [min(m.bit_count(), 2) / 2 for m in masks])
+    tracemalloc.start()
+    try:
+        result = shapley_montecarlo(game, permutations, truncation_tol=1e-9, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * permutations
+    assert math.isclose(math.fsum(result.values), 1.0)
+
+
 def scaled_game(n, seed, scale, levels=None):
     """``random_table_game`` times ``scale``: continuous utilities, or with
     ``levels`` drawn from a grid of that many steps in [0, 1)."""
@@ -840,3 +855,17 @@ def test_result_json_id_count_checked(glove_game):
 def test_game_needs_players():
     with pytest.raises(PreconditionError):
         GameSpec(n=0, utility=lambda c: 0.0)
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, "3", None, Fraction(3)],
+                         ids=["float", "true", "false", "string", "none", "fraction"])
+def test_game_refuses_a_player_count_that_is_not_an_integer(n):
+    with pytest.raises(PreconditionError, match="player count must be an integer"):
+        GameSpec(n=n, utility=lambda c: 0.0)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
+def test_game_takes_any_integer_player_count_as_an_int(n):
+    game = GameSpec(n=n, utility=lambda c: float(c.mask.bit_count()))
+    assert type(game.n) is int and game.n == 3
+    assert shapley_exact(game).values == (1.0, 1.0, 1.0)

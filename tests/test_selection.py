@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from promptshap.coalition import Coalition
@@ -186,3 +187,27 @@ def test_curve_to_json_dict_shapes():
     doc = curve_to_json_dict(failed)
     assert doc["error"] == "boom"
     assert doc["failed_k"] == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.5", 10 ** 400],
+                         ids=["nan", "inf", "-inf", "bool", "numeric-string", "huge-int"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_rank_value_that_is_not_a_finite_real_is_refused(bad, at):
+    # a NaN used to rank by where it sat, so the best prefix was arbitrary
+    values = [0.1, 0.2, 0.3]
+    values[at] = bad
+    calls = []
+    for rank in (lambda: rank_order(values, list("abc")),
+                 lambda: rank_add_curve(values, list("abc"),
+                                        lambda masks, n: calls.append(masks) or [])):
+        with pytest.raises(PreconditionError) as err:
+            rank()
+        assert err.value.details == {"prompt_id": "abc"[at]}
+        assert repr(bad) in str(err.value)
+    assert not calls
+
+
+def test_rank_values_of_any_real_type_are_accepted():
+    values = [1, np.float64(0.5), Fraction(1, 4), np.float32(2.0), np.uint8(3)]
+    curve = rank_add_curve(values, list("abcde"), lambda masks, n: [0.5] * len(masks))
+    assert [p.added_prompt_id for p in curve.points] == list("edabc")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promptshap.errors import PreconditionError
+from promptshap.errors import ConsistencyError, PreconditionError
 from promptshap.game import shapley_exact
 from promptshap.rng import SplitMix64
 from promptshap.theory import (
@@ -297,3 +297,15 @@ def test_perturbation_argument_validation():
         ensemble_perturbation(spec, 5, 100, 0, 0.1, 0, 0)
     with pytest.raises(PreconditionError):
         perturbation_identity_max_error(spec, 5, 0, 0, 0.1, 0)
+
+
+def test_lipschitz_game_is_a_batch_of_member_means():
+    gvals = random_gvals(5, 7)
+    game = LipschitzGame(np.eye(5), lambda e: float(np.dot(gvals, e)), lipschitz_l=10.0)
+    spec = game.game()
+    masks = list(range(1 << 5))
+    want = [math.fsum(g for i, g in enumerate(gvals) if m >> i & 1) / m.bit_count() if m else 0.0
+            for m in masks]
+    assert list(spec.batch(masks, 5)) == want
+    with pytest.raises(ConsistencyError):
+        list(spec.batch([1], 4))
