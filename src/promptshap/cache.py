@@ -6,22 +6,22 @@ Two concrete caches share one implementation: coalition-utility entries
 different value; concurrent writers race under first-writer-wins. A failed
 append degrades the cache to memory-only with a single warning.
 
-Loading warns about and skips a line that is not UTF-8, is not JSON, lacks a
-field, or holds a key or value of the wrong type; ``inspect_file`` counts
-exactly those lines as malformed. A file that exists but cannot be read is a
-``ConsistencyError`` naming it. A last line without its newline (a torn
-append) is newline-terminated before the next append, so the new entry starts
-on its own line. ``persist`` writes a temporary file beside the target and
-renames it into place, so a failed rewrite leaves the old file whole.
-
-``load`` reads the file in one call. When the file ends in a newline, each
-line starts with ``{`` and ends with ``}``, and no other brace appears (so no
-line boundary can fall inside a row or a string), it parses the lines in
-16 KiB blocks, each one ``json.loads`` of its lines joined into an array,
-and type-checks all rows in one pass; a repeated key keeps its first value.
-Any other file, or a row that fails the checks, is parsed line by line
-instead, with the same entries, warnings and torn-tail rule. Both give the
-entries in file order.
+One reader, ``_read``, gives a file's entries in file order (a repeated key
+keeps its first value), its count of non-blank lines, its malformed lines'
+numbers and whether its last line is torn. A line is malformed when it is
+not UTF-8, is not JSON, lacks a field, or holds a key or value of the wrong
+type. When the file ends in a newline, each line starts with ``{`` and ends
+with ``}``, and no other brace appears (so no line boundary can fall inside
+a row or a string), it parses the lines in 16 KiB blocks, each one
+``json.loads`` of its lines joined into an array, and type-checks all rows
+in one pass; any other file, or a row that fails the checks, is read line by
+line. ``load`` warns about each malformed line. ``inspect_file`` counts with
+the ``_read`` of the kind of the first line either kind reads, so a line
+counts as malformed exactly when ``load`` skips it. A file that exists but
+cannot be read is a ``ConsistencyError`` naming it. A torn last line is
+newline-terminated before the next append. ``persist`` writes a temporary
+file in one call and renames it into place, so a failed rewrite leaves the
+old file whole.
 
 A file-backed cache keeps one append handle, opened at the first ``put``. A
 ``put`` stores its value and queues its line; outside an ``appending()``
@@ -32,13 +32,12 @@ line being written. Inside a block the queued lines are written in one
 most the lines put within ``FLUSH_S`` of each other. ``close`` (or leaving a
 ``with`` block) writes the queue and releases the handle; ``persist`` does
 the same first, so a later ``put`` reopens and appends to the rewritten file.
-``persist`` writes all its lines in one call too.
 
-``cached_utility`` wraps a mask-level batch oracle in a utility cache and
-returns a batch. Its cost model: one hex key per mask (``hex_keys``), one
-dict lookup per key, one inner batch call for the distinct misses in
-first-appearance order, and one ``put`` per miss inside an ``appending()``
-block, so the batch's new lines reach the file in one write per flush.
+Both caches memoize through one path, ``memoized(cache, keys, compute)``:
+one dict lookup per key, one ``compute`` call for the distinct misses in
+first-appearance order, and one ``put`` per value inside one ``appending()``
+block, so a batch's new lines reach the file in one write per flush. Both
+``cached_utility``'s batch and the live client's requests go through it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import sys
 import threading
 import time
 import warnings
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coalition import hex_keys
 from .errors import ConsistencyError, UtilityOracleError
@@ -113,11 +112,9 @@ class _JsonlCache:
         if not os.path.exists(path):
             return cache
         with _open(path) as fh:
-            body = fh.read()
-        entries = cls._parse_block(body)
-        if entries is None:
-            entries = cache._parse_lines(body)
-        cache.entries = entries
+            cache.entries, _, malformed, cache._torn_tail, _ = cls._read(fh.read())
+        for lineno in malformed:
+            warnings.warn(f"{path}:{lineno}: skipping malformed cache line")
         return cache
 
     @classmethod
@@ -158,22 +155,26 @@ class _JsonlCache:
                 entries.setdefault(key, value)
         return entries
 
-    def _parse_lines(self, body: bytes) -> dict:
-        """The entries of ``body`` read line by line, warning about and
-        skipping each malformed line; notes a last line without its newline."""
-        entries: dict = {}
+    @classmethod
+    def _read(cls, body: bytes) -> tuple:
+        """(entries, non-blank lines, malformed line numbers, torn tail, line
+        of the first entry or None) of ``body``: ``_parse_block``'s entries
+        when it is well-formed, else each line's ``_parse``."""
+        entries = cls._parse_block(body)
+        if entries is not None:
+            return entries, body.count(b"\n"), [], False, 1
+        entries, malformed, first = {}, [], None
         lines = body.split(b"\n")
-        self._torn_tail = lines[-1] != b""
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parsed = self._parse(line)
+        numbered = [(lineno, line) for lineno, raw in enumerate(lines, start=1)
+                    if (line := raw.strip())]
+        for lineno, line in numbered:
+            parsed = cls._parse(line)
             if parsed is None:
-                warnings.warn(f"{self.path}:{lineno}: skipping malformed cache line")
+                malformed.append(lineno)
                 continue
             entries.setdefault(*parsed)
-        return entries
+            first = first or lineno
+        return entries, len(numbered), malformed, lines[-1] != b"", first
 
     def get(self, key):
         with self._lock:
@@ -330,60 +331,64 @@ class ResponseCache(_JsonlCache):
 _END = object()
 
 
-def cached_utility(cache: UtilityCache, inner_batch: BatchFn) -> BatchFn:
-    """Memoize a deterministic mask-level batch oracle through the cache.
+def memoized(cache: _JsonlCache, keys: Sequence[str],
+             compute: Callable[[list], Iterable]) -> Iterator:
+    """The cached value of each of ``keys``, in order. One ``compute(at)``
+    call, made only if a key misses, gets the position of each distinct miss's
+    first appearance in ``keys``, in order, and yields a value per miss, put
+    as it arrives inside one ``appending()`` block; the cache's value is
+    yielded, so the first writer wins, and a failure keeps the values put
+    before it. Fewer or more values than misses are a ``UtilityOracleError``."""
+    entries = cache.entries
+    misses: dict = {}
+    for at, key in enumerate(keys):
+        if key not in entries:
+            misses.setdefault(key, at)
+    fresh = iter(compute(list(misses.values())) if misses else ())
+    with cache.appending():
+        for key in keys:
+            if key in misses:
+                del misses[key]
+                value = next(fresh, _END)
+                if value is _END:
+                    raise UtilityOracleError("inner batch oracle ended early")
+                cache.put(key, value)
+            yield entries[key]
+        if next(fresh, _END) is not _END:
+            raise UtilityOracleError("inner batch oracle gave more values than it was asked for")
 
-    The result is a batch that serves the hits and asks ``inner_batch`` for
-    the distinct misses in one call, storing each new utility as it arrives,
-    so a failure leaves the cache holding exactly the utilities computed
-    before it."""
+
+def cached_utility(cache: UtilityCache, inner_batch: BatchFn) -> BatchFn:
+    """Memoize a deterministic mask-level batch oracle through the cache: a
+    batch asking ``inner_batch`` once for the distinct misses (``memoized``)."""
 
     def batch(masks: Sequence[int], n: int):
-        keys = hex_keys(masks, n)
-        entries = cache.entries
-        # key -> mask of each miss, in first-appearance order
-        misses = {key: mask for key, mask in zip(keys, masks) if key not in entries}
-        fresh = iter(inner_batch(list(misses.values()), n) if misses else ())
-        with cache.appending():
-            for key in keys:
-                if key in misses:
-                    del misses[key]
-                    value = next(fresh, _END)
-                    if value is _END:
-                        raise UtilityOracleError("inner batch oracle ended early")
-                    cache.put(key, value)
-                # the first writer's value, if another got in first
-                yield entries[key]
+        return memoized(cache, hex_keys(masks, n),
+                        lambda at: inner_batch([masks[i] for i in at], n))
 
     return batch
 
 
-def inspect_file(path: str) -> dict:
-    """Line and entry counts plus the detected cache kind, for the CLI.
+_KINDS = {"utility": UtilityCache, "response": ResponseCache}
 
-    A line counts as malformed exactly when ``load`` would skip it.
-    """
-    kinds = {"utility": UtilityCache, "response": ResponseCache}
-    lines = 0
-    malformed = 0
-    keys: set = set()
-    kind = None
+
+def inspect_file(path: str) -> dict:
+    """Line and entry counts plus the detected cache kind, for the CLI: the
+    kind of the first line either kind reads, counted by its ``load`` reading,
+    so a line counts as malformed exactly when ``load`` would skip it."""
     with _open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            lines += 1
-            for name, cls in kinds.items():
-                parsed = cls._parse(line)
-                if parsed is not None:
-                    kind = kind or name
-                    keys.add(parsed[0])
-                    break
-            else:
-                malformed += 1
-    return {"path": str(path), "kind": kind, "lines": lines, "entries": len(keys),
-            "duplicates": lines - malformed - len(keys), "malformed": malformed}
+        body = fh.read()
+    reads = {}
+    for name, cls in _KINDS.items():
+        _, _, malformed, _, first = reads[name] = cls._read(body)
+        if first and not malformed:
+            break       # every non-blank line is of this kind
+    # the kind whose first entry comes first; ``min`` keeps utility on a tie
+    kind = min(reads, key=lambda name: reads[name][4] or math.inf)
+    entries, lines, malformed, _, first = reads[kind]
+    return {"path": str(path), "kind": kind if first else None, "lines": lines,
+            "entries": len(entries), "duplicates": lines - len(malformed) - len(entries),
+            "malformed": len(malformed)}
 
 
 def compact_file(path: str) -> dict:
@@ -391,8 +396,7 @@ def compact_file(path: str) -> dict:
     info = inspect_file(path)
     if info["kind"] is None:
         raise ConsistencyError(f"{path} is not a recognized cache file")
-    cls = UtilityCache if info["kind"] == "utility" else ResponseCache
-    cache = cls.load(path)
+    cache = _KINDS[info["kind"]].load(path)
     cache.persist()
     info["entries_after"] = len(cache)
     return info

@@ -18,12 +18,10 @@ request is then one join of ready strings for its digest payload (the
 ``sort_keys`` compact JSON of its fields) and one ``sha256``, plus, on a
 cache miss, one join for its wire body and one for its HTTP head. Both
 strings are byte-identical to what ``json.dumps`` writes (``_ChatFormat``),
-and ``request_digest`` and ``complete`` go through the same helper. The
-credential and endpoint are read at a batch's first miss, so a batch of
-cache hits needs neither. A batch's responses are put inside one
-``appending()`` block of the response cache, so they reach the file in one
-write per ``cache.FLUSH_S`` and at the batch's end, and a failure keeps
-every response received before it.
+and ``request_digest`` and ``complete`` go through the same helper. A batch's
+digests go through the response cache's memo path (``cache.memoized``), which
+POSTs each miss in order, reading the credential and endpoint at the first, so
+hits need neither and a failure keeps every response received before it.
 
 Both endpoints go through one POST path, ``_post``: ``_post_json`` builds
 its body with ``json.dumps``, and the chat requests pass in ready bytes. It
@@ -72,11 +70,11 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cache import ResponseCache
+from .cache import ResponseCache, memoized
 from .coalition import Coalition
 from .config import MAX_WAIT_S, ApiConfig, Task
 from .errors import (
@@ -588,37 +586,34 @@ def _post(request: _Request, path: str, api: ApiConfig):
     )
 
 
-def _replies(fmt: _ChatFormat, index_lists: Iterable[Sequence[int]],
+def _replies(fmt: _ChatFormat, index_lists: Sequence[Sequence[int]],
              cache: ResponseCache, api: ApiConfig):
-    """For each exemplar index list, the reply text to each of ``fmt``'s
-    questions, in order: a cache hit, or one POST whose reply is checked
-    and put in the cache. The credential and endpoint are read at the first
-    miss, so hits need neither."""
-    request = None
-    get, questions = cache.get, range(fmt.questions)
-    for indices in index_lists:
-        head = fmt.digest_head(indices)
-        texts = []
-        for q in questions:
-            digest = hashlib.sha256(fmt.payload(head, q)).hexdigest()
-            text = get(digest)
-            if text is None:
-                if request is None:
-                    request = _requests_to(_CHAT, api)
-                doc = _post(request(fmt.body(indices, q)), _CHAT, api)
-                try:
-                    text = doc["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, TypeError) as exc:
-                    raise ProtocolError(f"malformed chat completion body: {exc}") from exc
-                if not isinstance(text, str):
-                    raise ProtocolError("chat completion content is not a string")
-                cache.put(digest, text)
-            texts.append(text)
-        yield texts
+    """The reply text to each of ``fmt``'s questions for each exemplar index
+    list, in that order, through the response cache's memo path: each miss is
+    one POST, the first reading the credential and endpoint, so hits need neither."""
+    questions = fmt.questions
+    heads = [fmt.digest_head(indices) for indices in index_lists]
+    digests = [hashlib.sha256(fmt.payload(head, q)).hexdigest()
+               for head in heads for q in range(questions)]
+
+    def post(at: list):
+        request = _requests_to(_CHAT, api)
+        for i in at:
+            body = fmt.body(index_lists[i // questions], i % questions)
+            doc = _post(request(body), _CHAT, api)
+            try:
+                text = doc["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError) as exc:
+                raise ProtocolError(f"malformed chat completion body: {exc}") from exc
+            if not isinstance(text, str):
+                raise ProtocolError("chat completion content is not a string")
+            yield text
+
+    return memoized(cache, digests, post)
 
 
 def complete(req: CompletionRequest, cache: ResponseCache, api: ApiConfig) -> str:
-    [[text]] = _replies(_format_of(req), [range(len(req.exemplars))], cache, api)
+    [text] = _replies(_format_of(req), [range(len(req.exemplars))], cache, api)
     return text
 
 
@@ -658,12 +653,12 @@ def augmentation_utility(manifest: PromptManifest, questions: Sequence[Question]
 
     def batch(masks: Sequence[int], n: int):
         _check_players(n, manifest)
-        index_lists = (Coalition(mask, n).indices() for mask in masks)
-        with cache.appending():
-            for texts in _replies(fmt, index_lists, cache, api):
-                correct = sum(extract_answer(text, task) == gold
-                              for text, gold in zip(texts, golds))
-                yield correct / len(golds)
+        texts = _replies(fmt, [Coalition(mask, n).indices() for mask in masks], cache, api)
+        # one tuple of texts per mask; the zip runs the memo path to its end
+        for answers in zip(*[texts] * len(golds)):
+            correct = sum(extract_answer(text, task) == gold
+                          for text, gold in zip(answers, golds))
+            yield correct / len(golds)
 
     return Oracle(batch)
 

@@ -187,20 +187,20 @@ def _failure(exc: Exception, coalition: Coalition, **context) -> PromptShapError
 def run_batch(batch: BatchFn, masks: Sequence[int], n: int) -> tuple[list, Optional[Exception]]:
     """``batch(masks, n)`` as a list, and the exception that cut it short, if
     any. The utilities before a failure are kept, so ``masks[len(values)]`` is
-    the coalition that failed; a batch that yields too few or too many
-    utilities fails on the first coalition without one, or on the last, and
-    a utility that is not a finite real number fails on its own coalition."""
+    the coalition that failed: the first without a utility, the last when the
+    batch yields too many or fails after its last, or the first whose utility
+    is not a finite real number."""
     values: list = []
     exc = None
     try:
         values.extend(batch(masks, n))
-    except Exception as caught:
-        exc = caught
-    else:
         if len(values) != len(masks):
             exc = UtilityOracleError(
                 f"batch oracle gave {len(values)} utilities for {len(masks)} coalitions")
-            del values[len(masks) - 1:]
+    except Exception as caught:
+        exc = caught
+    if exc is not None:
+        del values[len(masks) - 1:]
     bad = _first_unfit(values)
     if bad is not None:
         exc = UtilityOracleError(

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .game import GameSpec, shapley_exact
+from .game import GameSpec, _finite_real, shapley_exact
 from .rng import SplitMix64, derive_seed
 from .special import beta_cdf, beta_mass_quad, normal_cdf
 
@@ -99,8 +99,9 @@ class LipschitzGame:
         emb = np.asarray(self.embeddings, dtype=np.float64)
         if emb.ndim != 2 or emb.shape[0] < 1:
             raise PreconditionError("embeddings must be a non-empty 2-D array")
-        if self.lipschitz_l <= 0:
-            raise PreconditionError(f"Lipschitz constant must be positive, got {self.lipschitz_l}")
+        if not (_finite_real(self.lipschitz_l) and self.lipschitz_l > 0):
+            raise PreconditionError(
+                f"Lipschitz constant must be a finite positive real, got {self.lipschitz_l}")
         object.__setattr__(self, "embeddings", emb)
         gvals = np.array([float(self.field(e)) for e in emb])
         object.__setattr__(self, "_gvals", gvals)

@@ -442,6 +442,22 @@ def test_inspect_counts_what_load_skips_as_malformed(tmp_path):
         assert compact_file(path)["entries_after"] == 1
 
 
+@pytest.mark.parametrize("body, kind", [
+    ('{"coalition": "02", "u": 0.5}\n{"digest": "ab", "response": "x"}\n', "utility"),
+    ('{"digest": "ab", "response": "x"}\n\n{"coalition": "02", "u": 0.5}\n', "response"),
+], ids=["utility-first", "response-first"])
+def test_inspect_counts_a_line_of_the_other_kind_as_malformed(tmp_path, body, kind):
+    # the kind is that of the first line either kind reads, and ``compact``
+    # warns about and drops exactly the lines ``inspect`` counts as malformed
+    path = tmp_path / "c.jsonl"
+    path.write_text(body)
+    info = inspect_file(path)
+    assert (info["kind"], info["lines"], info["entries"], info["malformed"]) == (kind, 2, 1, 1)
+    with pytest.warns(UserWarning, match="skipping malformed cache line") as caught:
+        assert compact_file(path)["entries_after"] == info["entries"]
+    assert len(caught) == info["malformed"]
+
+
 def test_inspect_counts_an_undecodable_line_as_malformed(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_bytes(b'{"coalition": "05", "u": 0.5}\n\xc3\x28\n\n{"coalition": "03", "u": 1.0}\n')
@@ -749,6 +765,17 @@ def test_batch_refuses_an_inner_batch_that_ends_early():
     with pytest.raises(UtilityOracleError, match="ended early"):
         next(batch)
     assert cache.entries == {"00": 0.5}
+
+
+def test_an_inner_batch_that_gives_too_many_fails_on_the_last_coalition():
+    cache = UtilityCache()
+    cache.put("01", 0.25)
+    batch = cached_utility(cache, lambda masks, n: [mask / 10 for mask in masks] + [0.9])
+    with pytest.raises(UtilityOracleError, match="more values") as err:
+        shapley_exact(GameSpec(n=2, batch=batch))
+    assert err.value.details["coalition"] == "03"
+    # only the misses' values are kept
+    assert cache.entries == {"01": 0.25, "00": 0.0, "02": 0.2, "03": 0.3}
 
 
 N = 5

@@ -830,6 +830,28 @@ def test_a_batch_of_the_wrong_length_fails_on_a_coalition(yielded, failing):
     assert err.value.details["coalition"] == Coalition(failing, 2).to_hex()
 
 
+def failing_after_the_last(masks, n):
+    yield from (mask.bit_count() / n for mask in masks)
+    raise ValueError("boom after the last utility")
+
+
+# exact asks for masks 0..3, leave-one-out for the full set and then each
+# set without one player, the last without player 1
+@pytest.mark.parametrize("engine, last", [(shapley_exact, 0b11), (loo_values, 0b01)])
+def test_a_batch_that_fails_after_its_last_utility_fails_on_the_last_coalition(engine, last):
+    game = GameSpec(n=2, batch=failing_after_the_last)
+    with pytest.raises(UtilityOracleError, match="boom after the last") as err:
+        engine(game)
+    assert err.value.details["coalition"] == Coalition(last, 2).to_hex()
+
+
+def test_a_curve_whose_batch_fails_after_its_last_utility_fails_at_k_n():
+    curve = rank_add_curve([0.2, 0.1, 0.3], list("abc"), failing_after_the_last)
+    assert (curve.failed_k, curve.error) == (3, "boom after the last utility")
+    assert [(p.added_prompt_id, p.utility) for p in curve.points] == [
+        ("c", 1 / 3), ("a", 2 / 3), ("b", None)]
+
+
 # ---------------------------------------------------------------------------
 # result serialization
 

@@ -94,6 +94,14 @@ def test_lipschitz_game_validation():
         LipschitzGame(np.zeros((2, 2)), lambda e: 0.0, 0.0)
 
 
+@pytest.mark.parametrize("constant", [math.nan, math.inf, -1.0, True, "1"],
+                         ids=["nan", "inf", "negative", "bool", "string"])
+def test_a_lipschitz_constant_must_be_a_finite_positive_real(constant):
+    # a NaN constant once passed, and the spot check then checked nothing
+    with pytest.raises(PreconditionError, match="finite positive real"):
+        LipschitzGame(np.array([[0.0], [1.0]]), lambda e: 100 * float(e[0]), constant)
+
+
 def test_affine_and_tanh_field_constants():
     w = np.array([3.0, 4.0])
     f, l = make_affine_field(w, c=0.5)
