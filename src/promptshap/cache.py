@@ -52,9 +52,9 @@ import time
 import warnings
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .coalition import hex_keys
+from .coalition import check_masks, hex_keys
 from .errors import ConsistencyError, UtilityOracleError
-from .game import BatchFn
+from .game import BatchFn, finite_utility
 from .jsonio import _open, all_numbers
 
 # seconds an ``appending()`` block may hold queued lines before writing them
@@ -360,11 +360,23 @@ def memoized(cache: _JsonlCache, keys: Sequence[str],
 
 def cached_utility(cache: UtilityCache, inner_batch: BatchFn) -> BatchFn:
     """Memoize a deterministic mask-level batch oracle through the cache: a
-    batch asking ``inner_batch`` once for the distinct misses (``memoized``)."""
+    batch asking ``inner_batch`` once for the distinct misses (``memoized``)
+    and storing each value as ``finite_utility`` gives it, so an unfit one
+    fails as it does without a cache. A bad mask fails ``check_masks`` before
+    any lookup; a wrong player count fails only if a miss reaches the oracle."""
 
     def batch(masks: Sequence[int], n: int):
-        return memoized(cache, hex_keys(masks, n),
-                        lambda at: inner_batch([masks[i] for i in at], n))
+        def compute(at: list):
+            asked = [masks[i] for i in at]
+            values = iter(inner_batch(asked, n))
+            for mask, value in zip(asked, values):
+                # a finite float is kept as it is, without a call
+                yield value if type(value) is float and math.isfinite(value) else \
+                    finite_utility(value, mask, n)
+            yield from values       # past the misses: ``memoized`` refuses it
+
+        check_masks(masks, n)
+        return memoized(cache, hex_keys(masks, n), compute)
 
     return batch
 

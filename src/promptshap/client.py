@@ -11,8 +11,10 @@ are always serialized in ascending manifest-index order. That makes the
 utility a well-defined set function and lets the response cache key on a
 digest of the exact payload fields.
 
-``augmentation_utility`` returns a ``game.Oracle`` whose mask-level batch
-asks, for each mask in order, each question in file order. Its cost model:
+``augmentation_utility`` returns a ``game.Oracle`` whose mask-level batch,
+behind ``game.checked_batch`` (the batch contract: its player count and
+masks, checked before any request), asks, for each mask in order, each
+question in file order. Its cost model:
 each prompt text and question is JSON-escaped once per factory call; each
 request is then one join of ready strings for its digest payload (the
 ``sort_keys`` compact JSON of its fields) and one ``sha256``, plus, on a
@@ -75,7 +77,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .cache import ResponseCache, memoized
-from .coalition import Coalition
+from .coalition import Coalition, indices
 from .config import MAX_WAIT_S, ApiConfig, Task
 from .errors import (
     ConsistencyError,
@@ -84,7 +86,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .game import Oracle
+from .game import Oracle, checked_batch
 from .jsonio import all_numbers, read_jsonl, reading
 
 API_KEY_ENV = "PROMPTSHAP_API_KEY"
@@ -161,14 +163,11 @@ class CompletionRequest:
     max_tokens: int = 256
 
 
-def _check_players(n: int, manifest: PromptManifest) -> None:
-    if n != manifest.n:
-        raise ConsistencyError(f"coalition is over {n} players but the manifest has {manifest.n}")
-
-
 def build_completion_request(manifest: PromptManifest, coalition: Coalition,
                              question: str, api: ApiConfig) -> CompletionRequest:
-    _check_players(coalition.n, manifest)
+    if coalition.n != manifest.n:
+        raise ConsistencyError(
+            f"coalition is over {coalition.n} players but the manifest has {manifest.n}")
     # ascending manifest index: the canonical exemplar order
     exemplars = tuple(manifest.prompts[i].text for i in coalition.indices())
     return CompletionRequest(
@@ -651,16 +650,15 @@ def augmentation_utility(manifest: PromptManifest, questions: Sequence[Question]
                       api.model, api.temperature, api.max_tokens)
     golds = [q.gold for q in questions]
 
-    def batch(masks: Sequence[int], n: int):
-        _check_players(n, manifest)
-        texts = _replies(fmt, [Coalition(mask, n).indices() for mask in masks], cache, api)
+    def scores(masks: Sequence[int]):
+        texts = _replies(fmt, [indices(mask, manifest.n) for mask in masks], cache, api)
         # one tuple of texts per mask; the zip runs the memo path to its end
         for answers in zip(*[texts] * len(golds)):
             correct = sum(extract_answer(text, task) == gold
                           for text, gold in zip(answers, golds))
             yield correct / len(golds)
 
-    return Oracle(batch)
+    return Oracle(checked_batch(manifest.n, f"the manifest has {manifest.n}", scores))
 
 
 def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:

@@ -8,8 +8,10 @@ correct only when the ensemble names its gold label, so a vote that abstains
 on a tie counts as wrong. Both rules yield values that are exact multiples of
 1/|validation|.
 
-``matrix_utility`` returns the game's ``Oracle``. Cost model of its
-mask-level ``batch``: the first batch holding a non-empty coalition maps the
+``matrix_utility`` returns the game's ``Oracle``; its mask-level ``batch`` is
+the rule's scorer behind ``game.checked_batch``, which holds the batch
+contract (the player count and the masks it accepts). Cost model of the
+batch: the first batch holding a non-empty coalition maps the
 validation ids to matrix columns, slices the matrix to them and builds the
 rule's subset-sum tables, once. A table covers a block of at most 8 prompts,
 so it has at most 2^8 entries.
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .game import Oracle
+from .game import Oracle, checked_batch
 from .jsonio import all_numbers, read_csv
 
 
@@ -129,14 +131,6 @@ class PredictionMatrix:
         if self.mode is Mode.HARD_LABEL:
             return self.hard
         return np.argmax(self.prob, axis=2)
-
-
-def _check_players(matrix: PredictionMatrix, n: int) -> None:
-    if n != len(matrix.prompt_ids):
-        raise ConsistencyError(
-            f"coalition is over {n} players but the matrix has "
-            f"{len(matrix.prompt_ids)} prompts"
-        )
 
 
 def _columns(matrix: PredictionMatrix, ids) -> list[int]:
@@ -314,9 +308,8 @@ def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Ru
             raise PreconditionError("average rule requires a probabilistic matrix")
         return _average_scorer(matrix.prob[:, cols], golds)
 
-    def batch(masks: Sequence[int], n: int):
+    def scores(masks: Sequence[int]):
         nonlocal score
-        _check_players(matrix, n)
         hits = None
         for i, mask in enumerate(masks):
             if not mask:
@@ -328,7 +321,8 @@ def matrix_utility(matrix: PredictionMatrix, validation: ValidationSet, rule: Ru
                 hits = iter(score([m for m in masks[i:] if m]))
             yield next(hits) / instances
 
-    return Oracle(batch)
+    prompts = len(matrix.prompt_ids)
+    return Oracle(checked_batch(prompts, f"the matrix has {prompts} prompts", scores))
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,22 @@ coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
 prefix in first-appearance order (with truncation, each new prefix alone).
-``matrix_utility`` and the live ``augmentation_utility`` return an
-``Oracle``, whose ``batch`` the game takes as it is; any other per-coalition
-``utility`` (a user function, or a wrapper around an ``Oracle``) is mapped
-over the masks one coalition at a time (``batch_of``), so a wrapper sees
-every call.
-Every utility must be a finite real number (not a bool); any other fails as
-a ``UtilityOracleError`` naming its coalition. Exact sums each player's terms
-as numpy arrays over the masks without it, into one ``math.fsum``.
+``matrix_utility``, the live ``augmentation_utility`` and
+``theory.LipschitzGame.game`` return an ``Oracle`` or a game whose ``batch``
+the game takes as it is; any other per-coalition ``utility`` (a user
+function, or a wrapper around an ``Oracle``) is mapped over the masks one
+coalition at a time (``batch_of``), so a wrapper sees every call.
+
+The batch contract lives here. Each library oracle's batch is its scorer of
+masks behind ``checked_batch``, which refuses a player count other than the
+oracle's (``ConsistencyError``) and then any mask with a bit outside its
+players (``coalition.check_masks``, ``PreconditionError``), before any
+scoring or request. Every utility goes through ``finite_utility``, in
+``run_batch`` and before ``cache.cached_utility`` stores it: a finite real
+number (not a bool), kept if an ``int`` or a ``float`` and made a ``float``
+otherwise; any other fails as a ``UtilityOracleError`` naming its coalition.
+Exact sums each player's terms as numpy arrays over the masks without it,
+into one ``math.fsum``.
 
 Monte Carlo draws all T permutations at once as a (T, n) table of small
 unsigned ints (``SplitMix64.shuffles``). A marginal U(S + p) - U(S) depends
@@ -61,8 +69,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .coalition import Coalition
-from .errors import CapacityError, PreconditionError, PromptShapError, UtilityOracleError
+from .coalition import Coalition, check_masks, hex_keys
+from .errors import (CapacityError, ConsistencyError, PreconditionError, PromptShapError,
+                     UtilityOracleError)
 from .rng import SplitMix64
 
 UtilityFn = Callable[[Coalition], float]
@@ -105,6 +114,20 @@ def batch_of(utility: UtilityFn) -> BatchFn:
             yield utility(Coalition(mask, n))
 
     return mapped
+
+
+def checked_batch(players: int, source: str,
+                  score: Callable[[Sequence[int]], Iterable[float]]) -> BatchFn:
+    """A library oracle's batch: ``score(masks)`` once ``n`` is ``players`` (else
+    a ``ConsistencyError`` naming ``source``) and ``check_masks`` passes."""
+
+    def batch(masks: Sequence[int], n: int):
+        if n != players:
+            raise ConsistencyError(f"coalition is over {n} players but {source}")
+        check_masks(masks, n)
+        return score(masks)
+
+    return batch
 
 
 @dataclass(frozen=True)
@@ -169,17 +192,15 @@ class ShapleyResult:
         return doc
 
 
-def _failure(exc: Exception, coalition: Coalition, **context) -> PromptShapError:
-    """The error to raise for an oracle failure on ``coalition``: a
-    ``PromptShapError`` gains the coalition, then ``context``, as details it
-    lacks; any other exception is wrapped in a ``UtilityOracleError``."""
+def _failure(exc: Exception, coalition: str, **context) -> PromptShapError:
+    """The error to raise for an oracle failure on the coalition of hex key
+    ``coalition``: a ``PromptShapError`` gains it, then ``context``, as details
+    it lacks; any other exception is wrapped in a ``UtilityOracleError``."""
     if not isinstance(exc, PromptShapError):
-        wrapped = UtilityOracleError(
-            f"utility oracle failed on coalition {coalition.to_hex()}: {exc}"
-        )
+        wrapped = UtilityOracleError(f"utility oracle failed on coalition {coalition}: {exc}")
         wrapped.__cause__ = exc
         exc = wrapped
-    for key, value in {"coalition": coalition.to_hex(), **context}.items():
+    for key, value in {"coalition": coalition, **context}.items():
         exc.details.setdefault(key, value)
     return exc
 
@@ -189,7 +210,8 @@ def run_batch(batch: BatchFn, masks: Sequence[int], n: int) -> tuple[list, Optio
     any. The utilities before a failure are kept, so ``masks[len(values)]`` is
     the coalition that failed: the first without a utility, the last when the
     batch yields too many or fails after its last, or the first whose utility
-    is not a finite real number."""
+    ``finite_utility`` refuses. Each utility kept is as ``finite_utility``
+    gives it."""
     values: list = []
     exc = None
     try:
@@ -201,12 +223,14 @@ def run_batch(batch: BatchFn, masks: Sequence[int], n: int) -> tuple[list, Optio
         exc = caught
     if exc is not None:
         del values[len(masks) - 1:]
-    bad = _first_unfit(values)
-    if bad is not None:
-        exc = UtilityOracleError(
-            f"utility oracle gave {values[bad]!r} on coalition "
-            f"{Coalition(masks[bad], n).to_hex()}, not a finite real number")
-        del values[bad:]
+    if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
+        for i, value in enumerate(values):
+            try:
+                values[i] = finite_utility(value, masks[i], n)
+            except UtilityOracleError as unfit:
+                exc = unfit
+                del values[i:]
+                break
     return values, exc
 
 
@@ -216,16 +240,21 @@ def _utilities(game: GameSpec, masks: Sequence[int], context=None) -> list:
     values, exc = run_batch(game.batch, masks, game.n)
     if exc is not None:
         mask = masks[len(values)]
-        raise _failure(exc, Coalition(mask, game.n), **(context(mask) if context else {}))
+        raise _failure(exc, hex_keys([mask], game.n)[0], **(context(mask) if context else {}))
     return values
 
 
-def _first_unfit(values: list) -> Optional[int]:
-    """The index of the first utility that is not a finite real number (a
-    bool is not one), or None."""
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-        return None
-    return next((i for i, value in enumerate(values) if not _finite_real(value)), None)
+def finite_utility(value, mask: int, n: int):
+    """``value`` as the utility of ``mask`` over ``n`` players: an ``int`` or
+    a ``float`` as it is, any other finite real number (a numpy scalar, a
+    ``Fraction``) as a ``float``; anything else, a bool included, is a
+    ``UtilityOracleError`` naming the coalition."""
+    if _finite_real(value):
+        return value if isinstance(value, (int, float)) else float(value)
+    [key] = hex_keys([mask], n)
+    raise UtilityOracleError(
+        f"utility oracle gave {value!r} on coalition {key}, not a finite real number",
+        coalition=key)
 
 
 def _finite_real(value) -> bool:

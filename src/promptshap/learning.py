@@ -5,7 +5,10 @@ squares (minimum-norm via a rank-revealing solve), ridge with an unpenalized
 intercept handled by centering, and Gaussian-process regression with an RBF
 kernel, median-heuristic length scale, and Cholesky fitting under escalating
 jitter. Predictions are deterministic; holdout evaluation reports Pearson
-correlation and RMSE under a seeded shuffle split.
+correlation and RMSE under a seeded shuffle split. A non-finite parameter
+(ridge lambda, a GP variance, length scale or jitter) or ``pearson`` input is
+a ``PreconditionError``, and so is ``standardize: true`` for the linear
+kind, whose least-squares fit does not depend on feature scale.
 
 Cost model: a GP fit builds one O(N^2) squared-distance matrix, shared by the
 median-heuristic length scale and the kernel, and a prediction one O(N*M)
@@ -34,6 +37,7 @@ from .errors import (
     ShapeError,
     UndefinedCorrelationError,
 )
+from .game import _finite_real
 from .jsonio import all_numbers, read_json, read_jsonl, reading, write_json
 from .rng import SplitMix64
 
@@ -167,8 +171,8 @@ def train_ridge(X, y, ridge_lambda: float = 1.0, standardize: bool = True) -> Tr
     z-scoring makes lambda comparable across feature scales. Weights are
     folded back into original units so prediction is always X @ w + b.
     """
-    if ridge_lambda < 0:
-        raise PreconditionError(f"ridge lambda must be >= 0, got {ridge_lambda}")
+    if not (_finite_real(ridge_lambda) and ridge_lambda >= 0):
+        raise PreconditionError(f"ridge lambda must be a finite real >= 0, got {ridge_lambda}")
     X = _as_array(X)
     y = np.asarray(y, dtype=np.float64)
     _check_training(X, y, min_rows=1)
@@ -234,12 +238,14 @@ def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[fl
     ``_MAX_JITTER``. The default length scale is the median pairwise distance
     of the (standardized) inputs; the default signal variance is var(y).
     """
-    if noise_var < 0:
-        raise PreconditionError(f"noise variance must be >= 0, got {noise_var}")
-    if jitter <= 0:
-        raise PreconditionError(f"jitter must be positive, got {jitter}")
-    if length_scale is not None and length_scale <= 0:
-        raise PreconditionError(f"length scale must be positive, got {length_scale}")
+    if not (_finite_real(noise_var) and noise_var >= 0):
+        raise PreconditionError(f"noise variance must be a finite real >= 0, got {noise_var}")
+    if not (_finite_real(jitter) and jitter > 0):
+        raise PreconditionError(f"jitter must be finite and positive, got {jitter}")
+    if length_scale is not None and not (_finite_real(length_scale) and length_scale > 0):
+        raise PreconditionError(f"length scale must be finite and positive, got {length_scale}")
+    if signal_var is not None and not _finite_real(signal_var):
+        raise PreconditionError(f"signal variance must be a finite real, got {signal_var}")
     X = _as_array(X)
     y = np.asarray(y, dtype=np.float64)
     _check_training(X, y, min_rows=1)
@@ -289,6 +295,8 @@ def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[fl
 
 def fit_regressor(X, y, spec: RegressorSpec) -> TrainedRegressor:
     if spec.kind is RegressorKind.LINEAR:
+        if spec.standardize:    # least squares gives the same fit on any feature scale
+            raise PreconditionError("regressor.standardize cannot be true for kind 'linear'")
         return train_linear(X, y)
     if spec.kind is RegressorKind.RIDGE:
         return train_ridge(X, y, spec.ridge_lambda, spec.resolve_standardize())
@@ -322,6 +330,8 @@ def pearson(a, b) -> float:
         raise PreconditionError(f"pearson needs equal-length 1-D inputs, got {a.shape}, {b.shape}")
     if a.shape[0] < 2:
         raise PreconditionError("pearson needs at least 2 samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise PreconditionError("pearson needs finite inputs")
     ac = a - a.mean()
     bc = b - b.mean()
     denom_sq = float(ac @ ac) * float(bc @ bc)

@@ -25,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
-from .game import GameSpec, _finite_real, shapley_exact
+from .errors import PreconditionError
+from .game import GameSpec, _finite_real, checked_batch, shapley_exact
 from .rng import SplitMix64, derive_seed
 from .special import beta_cdf, beta_mass_quad, normal_cdf
 
@@ -37,10 +37,9 @@ class BetaSpec:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise PreconditionError(
-                f"Beta shape parameters must be positive, got ({self.alpha}, {self.beta})"
-            )
+        if not all(_finite_real(p) and p > 0 for p in (self.alpha, self.beta)):
+            raise PreconditionError("Beta shape parameters must be finite and positive, "
+                                    f"got ({self.alpha}, {self.beta})")
 
     @property
     def mu(self) -> float:
@@ -125,15 +124,12 @@ class LipschitzGame:
         members' field values in ascending player order over their count."""
         gvals = self._gvals.tolist()
 
-        def batch(masks, n):
-            if n != len(gvals):
-                raise ConsistencyError(
-                    f"coalition is over {n} players but the game has {len(gvals)}")
+        def scores(masks):
             for mask in masks:
                 members = [g for i, g in enumerate(gvals) if mask >> i & 1]
                 yield math.fsum(members) / len(members) if members else 0.0
 
-        return GameSpec(n=self.n, batch=batch, u_empty=0.0)
+        return GameSpec(n=self.n, batch=checked_batch(self.n, f"the game has {self.n}", scores))
 
 
 def make_affine_field(w: np.ndarray, c: float = 0.0):

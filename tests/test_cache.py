@@ -7,13 +7,14 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promptshap import cache as cache_module
+from promptshap import cache as cache_module, jsonio
 from promptshap.cache import (
     ResponseCache,
     UtilityCache,
@@ -22,7 +23,8 @@ from promptshap.cache import (
     inspect_file,
 )
 from promptshap.coalition import Coalition
-from promptshap.errors import ConsistencyError, PromptShapError, UtilityOracleError
+from promptshap.errors import (ConsistencyError, PreconditionError, PromptShapError,
+                               UtilityOracleError)
 from promptshap.game import GameSpec, loo_values, shapley_exact, shapley_montecarlo
 from promptshap.selection import rank_add_curve
 
@@ -206,12 +208,19 @@ def test_put_refuses_a_key_load_would_skip(tmp_path, bound, cls, value, key):
 @pytest.mark.parametrize("u", BAD_UTILITIES, ids=repr)
 def test_engine_names_the_coalition_a_bad_utility_came_from(tmp_path, bound, u):
     path = tmp_path / "u.jsonl"
+
+    def inner(masks, n):
+        return [u if mask == 0b10 else mask.bit_count() / 2 for mask in masks]
+
+    with pytest.raises(UtilityOracleError) as uncached:
+        shapley_exact(GameSpec(n=2, batch=inner))
     with UtilityCache(path if bound else None) as cache:
-        batch = cached_utility(cache, lambda masks, n: [
-            u if mask == 0b10 else mask.bit_count() / 2 for mask in masks])
-        with pytest.raises(ConsistencyError) as info:
-            shapley_exact(GameSpec(n=2, batch=batch))
-    assert info.value.details["coalition"] == "02"
+        with pytest.raises(UtilityOracleError) as info:
+            shapley_exact(GameSpec(n=2, batch=cached_utility(cache, inner)))
+    # the same refusal with or without the cache
+    assert str(info.value) == str(uncached.value) == \
+        f"utility oracle gave {u!r} on coalition 02, not a finite real number"
+    assert info.value.details == uncached.value.details == {"coalition": "02"}
     assert cache.entries == {"00": 0.0, "01": 0.5}
     if bound:
         assert path.read_text() == ('{"coalition": "00", "u": 0.0}\n'
@@ -857,11 +866,12 @@ def test_a_failure_in_a_batch_leaves_the_cache_of_a_per_coalition_run(engine, fa
 
     if engine == "curve":
         message = "boom" if fault == "raise" else \
-            f"cannot cache nan as 'u' for '{Coalition(target, N).to_hex()}'"
+            f"utility oracle gave nan on coalition {Coalition(target, N).to_hex()}, " \
+            "not a finite real number"
         assert (outcome.failed_k, outcome.error) == (failed_at + 1, message)
         assert outcome.points[-1].utility is None
     else:
-        assert isinstance(outcome, UtilityOracleError if fault == "raise" else ConsistencyError)
+        assert isinstance(outcome, UtilityOracleError)
         context = first_reach(target) if engine.startswith("mc") else {}
         assert outcome.details == {"coalition": Coalition(target, N).to_hex(), **context}
 
@@ -871,3 +881,49 @@ def test_a_failure_in_a_batch_leaves_the_cache_of_a_per_coalition_run(engine, fa
         for mask in order[:failed_at]:
             cache.put(Coalition(mask, N).to_hex(), table_utility(mask))
     assert path.read_bytes() == replay.read_bytes()
+
+
+@pytest.mark.parametrize("kind, kept", [(int, int), (float, float), (np.int64, float),
+                                        (np.float32, float), (Fraction, float)],
+                         ids=["int", "float", "int64", "float32", "Fraction"])
+@pytest.mark.parametrize("bound", [False, True], ids=["uncached", "cached"])
+def test_a_finite_real_utility_is_kept_or_made_a_float(bound, kind, kept):
+    def inner(masks, n):
+        return [kind(mask.bit_count()) for mask in masks]
+
+    cache = UtilityCache()
+    result = shapley_exact(GameSpec(n=2, batch=cached_utility(cache, inner) if bound else inner))
+    assert (result.u_empty, result.u_full) == (0, 2)
+    assert type(result.u_empty) is kept and type(result.u_full) is kept
+    assert [type(u) for u in cache.entries.values()] == ([kept] * 4 if bound else [])
+    doc = json.loads(jsonio.dumps(result.to_json_dict()))
+    assert (doc["u_empty"], doc["u_full"]) == (0, 2)
+
+
+def test_an_unfit_utility_is_refused_before_the_cache_stores_it():
+    def inner(masks, n):
+        return [math.nan if mask == 0b11 else 0.5 for mask in masks]
+
+    with pytest.raises(UtilityOracleError) as uncached:
+        shapley_exact(GameSpec(n=2, batch=inner))
+    cache = UtilityCache()
+    with pytest.raises(UtilityOracleError) as cached:
+        shapley_exact(GameSpec(n=2, batch=cached_utility(cache, inner)))
+    assert str(cached.value) == str(uncached.value) == \
+        "utility oracle gave nan on coalition 03, not a finite real number"
+    assert cached.value.details == uncached.value.details == {"coalition": "03"}
+    assert cache.entries == {"00": 0.5, "01": 0.5, "02": 0.5}
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 9, 1 << 9 | 1], ids=["negative", "n", "n-and-0"])
+def test_a_cached_batch_refuses_a_mask_outside_its_players_before_any_lookup(bad):
+    asked = []
+
+    def inner(masks, n):
+        asked.extend(masks)
+        return [0.0] * len(masks)
+
+    batch = cached_utility(UtilityCache(), inner)
+    with pytest.raises(PreconditionError, match=f"coalition mask {bad:#x} has bits outside"):
+        list(batch([0b1, bad], 9))
+    assert asked == []

@@ -757,6 +757,43 @@ def test_mistyped_config_value_exits_3(section, value, tmp_path, capsys):
     assert f"{section}.{next(iter(value))} must be" in payload["message"]
 
 
+def test_curve_writes_the_partial_curve_when_the_oracle_fails(stub, stub_api, tmp_path, capsys):
+    paths = {"manifest": tmp_path / "manifest.jsonl", "questions": tmp_path / "questions.jsonl",
+             "utility_cache": tmp_path / "utility.jsonl",
+             "response_cache": tmp_path / "responses.jsonl"}
+    write_jsonl(paths["manifest"], stub_manifest_rows())
+    write_jsonl(paths["questions"], stub_question_rows())
+    config = write_config(tmp_path, {
+        "utility_mode": "live-augmentation",
+        "paths": {name: str(path) for name, path in paths.items()},
+        "api": {"base_url": stub_api.base_url, "model": stub_api.model,
+                "backoff_base": 0.01, "timeout": 10.0},
+    })
+    values_path = tmp_path / "values.json"
+    assert main(["value", "--config", config, "--method", "loo", "--out", str(values_path)]) == 0
+    capsys.readouterr()
+    # the caches hold the full set and the full set minus each prompt, not the top prompt alone
+    stub.state.fail_next, stub.state.fail_status = 1, 400
+    out_dir = tmp_path / "curve"
+    code, out, err = run_json(capsys, ["curve", "--config", config, "--values", str(values_path),
+                                       "--out-dir", str(out_dir)])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    csv_path, json_path = str(out_dir / "curve.csv"), str(out_dir / "curve.json")
+    assert payload["error"] == "PromptShapError"
+    assert payload["message"] == "utility oracle failed at k=1; partial curve written"
+    assert (payload["failed_k"], payload["curve_csv"], payload["curve_json"]) == \
+        (1, csv_path, json_path)
+    assert payload["oracle_error"] == "unexpected HTTP 400 from /v1/chat/completions"
+    players = json.loads(values_path.read_text())["players"]
+    top = min(players, key=lambda p: (-p["value"], p["id"]))["id"]
+    assert Path(csv_path).read_text() == f"k,added_prompt_id,utility\n1,{top},\n"
+    assert json.loads(Path(json_path).read_text()) == {
+        "points": [{"k": 1, "added_prompt_id": top, "utility": None}],
+        "error": payload["oracle_error"], "failed_k": 1}
+    assert stub.state.fail_next == 0
+
+
 @pytest.mark.parametrize("command", ["value", "curve"])
 @pytest.mark.parametrize("fails", [False, True], ids=["success", "error"])
 def test_commands_close_their_caches(command, fails, matrix_config, tmp_path, capsys,

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from promptshap.cache import ResponseCache
+from promptshap.client import augmentation_utility, load_manifest, load_questions
 from promptshap.coalition import Coalition
-from promptshap.ensemble import Rule, matrix_utility
+from promptshap.config import Task
+from promptshap.ensemble import Mode, PredictionMatrix, Rule, ValidationSet, matrix_utility
 from promptshap.errors import (
     CapacityError,
     ConsistencyError,
@@ -24,11 +27,13 @@ from promptshap.game import (
     Method,
     _exact_sum,
     loo_values,
+    run_batch,
     shapley_exact,
     shapley_montecarlo,
     shapley_weight,
 )
 from promptshap.selection import rank_add_curve
+from promptshap.theory import LipschitzGame
 
 from conftest import (
     ReferenceSplitMix64,
@@ -39,6 +44,9 @@ from conftest import (
     reference_stderr,
     shapley_permutation_rational,
     shapley_subset_rational,
+    stub_manifest_rows,
+    stub_question_rows,
+    write_jsonl,
 )
 
 
@@ -891,3 +899,56 @@ def test_game_takes_any_integer_player_count_as_an_int(n):
     game = GameSpec(n=n, utility=lambda c: float(c.mask.bit_count()))
     assert type(game.n) is int and game.n == 3
     assert shapley_exact(game).values == (1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the batch contract of the library oracles
+
+LIBRARY_ORACLES = ["vote", "average", "live", "lipschitz"]
+
+
+def library_batch(kind, request):
+    """(batch, source, requests) of a library oracle over 5 players: its
+    mask-level batch, how its player-count error names it, and a count of
+    the chat requests it has sent. A matrix oracle's first scoring fails, as
+    its validation set holds an instance the matrix lacks, so a refusal that
+    comes first is told apart from it."""
+    if kind == "live":
+        tmp_path, stub = request.getfixturevalue("tmp_path"), request.getfixturevalue("stub")
+        write_jsonl(tmp_path / "manifest.jsonl", stub_manifest_rows())
+        write_jsonl(tmp_path / "questions.jsonl", stub_question_rows())
+        oracle = augmentation_utility(load_manifest(str(tmp_path / "manifest.jsonl")),
+                                      load_questions(str(tmp_path / "questions.jsonl")),
+                                      Task.MULTIPLE_CHOICE, ResponseCache(),
+                                      request.getfixturevalue("stub_api"))
+        return oracle.batch, "the manifest has 5", lambda: stub.state.chat_requests
+    if kind == "lipschitz":
+        game = LipschitzGame(np.eye(5), lambda e: float(e[0]), 1.0).game()
+        return game.batch, "the game has 5", lambda: 0
+    matrix = PredictionMatrix(prompt_ids=tuple("abcde"), instance_ids=("q0",),
+                              mode=Mode.PROBABILISTIC, num_labels=2,
+                              prob=np.full((5, 1, 2), 0.5))
+    unknown = ValidationSet(instances=(("q0", 0), ("nope", 1)), num_labels=2)
+    rule = Rule.VOTE if kind == "vote" else Rule.AVERAGE_ARGMAX
+    return matrix_utility(matrix, unknown, rule).batch, "the matrix has 5 prompts", lambda: 0
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", LIBRARY_ORACLES)
+def test_a_library_batch_over_the_wrong_player_count_fails_before_scoring(kind, n, request):
+    batch, source, requests = library_batch(kind, request)
+    values, error = run_batch(batch, [0b1, 0b11], n)
+    assert values == [] and type(error) is ConsistencyError
+    assert str(error) == f"coalition is over {n} players but {source}"
+    assert requests() == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 5, 1 << 5 | 1], ids=["negative", "n", "n-and-0"])
+@pytest.mark.parametrize("kind", LIBRARY_ORACLES)
+def test_a_library_batch_refuses_a_mask_outside_its_players_before_scoring(kind, bad,
+                                                                            request):
+    batch, _, requests = library_batch(kind, request)
+    values, error = run_batch(batch, [0b1, bad], 5)
+    assert values == [] and type(error) is PreconditionError
+    assert str(error) == f"coalition mask {bad:#x} has bits outside players 0..4"
+    assert requests() == 0

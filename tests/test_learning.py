@@ -129,6 +129,12 @@ def test_ridge_rejects_negative_lambda():
         train_ridge([[1.0], [2.0]], [0.1, 0.2], ridge_lambda=-0.5)
 
 
+@pytest.mark.parametrize("ridge_lambda", [math.nan, math.inf], ids=["nan", "inf"])
+def test_ridge_rejects_a_non_finite_lambda(ridge_lambda):
+    with pytest.raises(PreconditionError, match="ridge lambda must be a finite real"):
+        train_ridge([[1.0], [2.0]], [0.1, 0.2], ridge_lambda=ridge_lambda)
+
+
 def test_ridge_accepts_single_sample():
     model = train_ridge([[2.0]], [0.5])
     assert abs(predict_sv(model, [[2.0]])[0] - 0.5) < 1e-12
@@ -185,6 +191,14 @@ def test_gp_parameters_are_checked_before_the_distances(monkeypatch):
     for bad in ({"noise_var": -1.0}, {"jitter": 0.0}, {"length_scale": 0.0}):
         with pytest.raises(PreconditionError):
             train_gp(X, y, **bad)
+
+
+@pytest.mark.parametrize("name", ["noise_var", "jitter", "length_scale", "signal_var"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_gp_rejects_a_non_finite_parameter(name, value):
+    # a NaN once gave a non-finite alpha without any error
+    with pytest.raises(PreconditionError, match="finite"):
+        train_gp([[0.0], [1.0]], [0.0, 1.0], **{name: value})
 
 
 def broadcast_sq_dists(A, B):
@@ -255,6 +269,18 @@ def test_fit_regressor_dispatch():
         assert model.d == 2
 
 
+def test_fit_regressor_refuses_standardize_for_linear():
+    X = uniform_matrix(10, 2, seed=9)
+    y = X @ np.array([1.0, 1.0])
+    spec = RegressorSpec(kind=RegressorKind.LINEAR, standardize=True)
+    with pytest.raises(PreconditionError, match="regressor.standardize"):
+        fit_regressor(X, y, spec)
+    for standardize in (None, False):
+        model = fit_regressor(X, y, RegressorSpec(kind=RegressorKind.LINEAR,
+                                                  standardize=standardize))
+        assert model.kind is RegressorKind.LINEAR
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -293,6 +319,15 @@ def test_pearson_undefined_for_zero_variance():
         pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(UndefinedCorrelationError):
         pearson([1, 2, 3], [5, 5, 5])
+
+
+@pytest.mark.parametrize("a, b", [([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+                                  ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf])],
+                         ids=["nan", "inf"])
+def test_pearson_refuses_non_finite_inputs(a, b):
+    # a NaN correlation was once clamped to 1.0
+    with pytest.raises(PreconditionError, match="finite"):
+        pearson(a, b)
 
 
 def test_pearson_shape_checks():

@@ -154,6 +154,15 @@ def test_beta_spec_moments():
         BetaSpec(0, 1)
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan),
+                                         (2.0, -math.inf), (True, 2.0)],
+                         ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-minus-inf", "bool"])
+def test_beta_shape_parameters_must_be_finite_and_positive(alpha, beta):
+    # a NaN or infinite shape once passed, and the interval quadrature never converged
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        BetaSpec(alpha, beta)
+
+
 def test_uniform_interval_is_linear():
     assert abs(beta_interval_exact(BetaSpec(1, 1), 0.1) - 0.2) < 1e-12
 
