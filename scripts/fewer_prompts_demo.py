@@ -50,7 +50,7 @@ def main() -> int:
     args = parser.parse_args()
 
     matrix, validation = build_fixture()
-    game = GameSpec(n=6, utility=matrix_utility(matrix, validation, Rule.VOTE))
+    game = GameSpec(n=6, batch=matrix_utility(matrix, validation, Rule.VOTE).batch)
     ids = list(matrix.prompt_ids)
 
     shapley = shapley_exact(game)

@@ -23,21 +23,27 @@ newline-terminated before the next append. ``persist`` writes a temporary
 file in one call and renames it into place, so a failed rewrite leaves the
 old file whole.
 
-A file-backed cache keeps one append handle, opened at the first ``put``. A
-``put`` stores its value and queues its line; outside an ``appending()``
-block the line is written and flushed at once, so a crash loses at most the
-line being written. Inside a block the queued lines are written in one
-``write`` and flush once ``FLUSH_S`` seconds have passed since the last
-(checked after every ``put``) and when the block ends, so a crash loses at
-most the lines put within ``FLUSH_S`` of each other. ``close`` (or leaving a
-``with`` block) writes the queue and releases the handle; ``persist`` does
-the same first, so a later ``put`` reopens and appends to the rewritten file.
+A file-backed cache keeps one append handle, opened at the first store.
+Every store is a ``put_many(keys, values)`` (``put`` is its one-entry
+case): it checks the chunk in one pass, takes the lock once, stores the
+values whose keys are not taken and queues their lines as one join. Outside
+an ``appending()`` block the lines are written and flushed at once, so a
+crash loses at most the lines being written. Inside a block the queued lines
+are written in one ``write`` and flush once ``FLUSH_S`` seconds have passed
+since the last (checked after every store) and when the block ends, so a
+crash loses at most the lines stored within ``FLUSH_S`` of each other.
+``close`` (or leaving a ``with`` block) writes the queue and releases the
+handle; ``persist`` does the same first, so a later store reopens and
+appends to the rewritten file.
 
 Both caches memoize through one path, ``memoized(cache, keys, compute)``:
-one dict lookup per key, one ``compute`` call for the distinct misses in
-first-appearance order, and one ``put`` per value inside one ``appending()``
-block, so a batch's new lines reach the file in one write per flush. Both
-``cached_utility``'s batch and the live client's requests go through it.
+one dict lookup per key and one ``compute`` call for the distinct misses in
+first-appearance order, inside one ``appending()`` block. The misses' values
+are stored a chunk at a time, one ``put_many`` once 512 are pending or
+``FLUSH_S`` seconds have passed since the last store, and each key's value
+is yielded once its chunk is stored. So a slow batch still reaches the file
+within ``FLUSH_S``, and a failure keeps the values that arrived before it.
+Both ``cached_utility``'s batch and the live client's requests go through it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import sys
 import threading
 import time
 import warnings
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coalition import check_masks, hex_keys
@@ -181,32 +188,53 @@ class _JsonlCache:
             return self.entries.get(key)
 
     def put(self, key, value) -> None:
-        """Store ``value`` and queue its line unless ``key`` is taken; a key
-        or value that ``load`` would skip is a ``ConsistencyError``, stored
-        nowhere."""
-        if not isinstance(key, str):
-            raise ConsistencyError(f"cannot cache under {key!r}: a key must be a str")
-        if not self._valid_value(value):
-            raise ConsistencyError(
-                f"cannot cache {value!r} as {self.value_field!r} for {key!r}"
-            )
+        """``put_many`` of one key and its value."""
+        self.put_many((key,), (value,))
+
+    def put_many(self, keys: Sequence, values: Sequence) -> None:
+        """Store each value under its key and queue its line, unless the key
+        is taken (the first writer wins, within the call too). A key or value
+        that ``load`` would skip is a ``ConsistencyError`` naming it, with the
+        values before it stored. The chunk is checked in one pass, the rule
+        ``load`` applies (``_all_valid``), and value by value only when that
+        pass fails; the lock is taken once and the new lines joined once."""
+        if not ({*map(type, keys)} <= _STR and self._all_valid(values)):
+            for at, (key, value) in enumerate(zip(keys, values)):
+                if not isinstance(key, str):
+                    refused = f"cannot cache under {key!r}: a key must be a str"
+                elif not self._valid_value(value):
+                    refused = f"cannot cache {value!r} as {self.value_field!r} for {key!r}"
+                else:
+                    continue
+                self._store(keys[:at], values[:at])
+                raise ConsistencyError(refused)
+        self._store(keys, values)
+
+    def _store(self, keys: Sequence, values: Sequence) -> None:
+        """``put_many`` of a checked chunk."""
+        entries = self.entries
         with self._lock:
-            if key in self.entries:
+            new_keys, new_values = [], []
+            for key, value in zip(keys, values):
+                if key not in entries:
+                    entries[key] = value
+                    new_keys.append(key)
+                    new_values.append(value)
+            if not new_keys or self.path is None or self._write_failed:
                 return
-            self.entries[key] = value
-            if self.path is None or self._write_failed:
-                return
-            self._queue += self._line(key, value).encode()
+            self._queue += self._lines(new_keys, new_values).encode()
             due = not self._appending or time.monotonic() >= self._flush_due
             if due or self._fh is None:
                 self._write(due)
 
-    def _line(self, key: str, value) -> str:
-        """``json.dumps(row, sort_keys=True)`` and a newline, for the row
-        ``{key_field: key, value_field: value}``: both kinds name the key
-        field first in sorted order, and ``_dump`` writes the value as json
-        does, raising ``TypeError`` for a value json cannot write."""
-        return f'{{"{self.key_field}": {_quote(key)}, "{self.value_field}": {self._dump(value)}}}\n'
+    def _lines(self, keys: Iterable[str], values: Iterable) -> str:
+        """``json.dumps(row, sort_keys=True)`` and a newline for each row
+        ``{key_field: key, value_field: value}``, joined: both kinds name the
+        key field first in sorted order, and ``_dump`` writes the value as
+        json does, raising ``TypeError`` for a value json cannot write."""
+        head, middle = f'{{"{self.key_field}": ', f', "{self.value_field}": '
+        return "".join([f"{head}{key}{middle}{value}}}\n"
+                        for key, value in zip(map(_quote, keys), map(self._dump, values))])
 
     def _write(self, due: bool = True) -> None:
         """Open the append handle if it is closed and, when ``due``, append
@@ -276,8 +304,7 @@ class _JsonlCache:
             self._release()  # the rename below replaces the file it appends to
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write("".join([self._line(key, value)
-                                      for key, value in self.entries.items()]))
+                    fh.write(self._lines(self.entries, self.entries.values()))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)
@@ -301,10 +328,14 @@ class UtilityCache(_JsonlCache):
                 and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
     @staticmethod
-    def _all_valid(values: list) -> bool:
-        # the rows of a JSON file hold exact types; a non-finite value makes
-        # the sum non-finite, an int too large for a float makes it raise
-        return all_numbers(values) and math.isfinite(math.fsum(values))
+    def _all_valid(values: Sequence) -> bool:
+        # exact types, as the rows of a JSON file hold; a non-finite value
+        # makes the sum non-finite, an int too large for a float makes it raise
+        # (left to the per-value check)
+        try:
+            return all_numbers(values) and math.isfinite(math.fsum(values))
+        except OverflowError:
+            return False
 
     @staticmethod
     def _dump(value) -> str:
@@ -322,12 +353,14 @@ class ResponseCache(_JsonlCache):
         return isinstance(value, str)
 
     @staticmethod
-    def _all_valid(values: list) -> bool:
+    def _all_valid(values: Sequence) -> bool:
         return {*map(type, values)} <= _STR
 
     _dump = staticmethod(_quote)
 
 
+# misses ``memoized`` stores at once when they arrive within ``FLUSH_S``
+_CHUNK = 512
 _END = object()
 
 
@@ -335,35 +368,66 @@ def memoized(cache: _JsonlCache, keys: Sequence[str],
              compute: Callable[[list], Iterable]) -> Iterator:
     """The cached value of each of ``keys``, in order. One ``compute(at)``
     call, made only if a key misses, gets the position of each distinct miss's
-    first appearance in ``keys``, in order, and yields a value per miss, put
-    as it arrives inside one ``appending()`` block; the cache's value is
-    yielded, so the first writer wins, and a failure keeps the values put
-    before it. Fewer or more values than misses are a ``UtilityOracleError``."""
+    first appearance in ``keys``, in order, and yields a value per miss.
+
+    Inside one ``appending()`` block the values arrive in a pending list,
+    which goes to ``put_many`` once ``_CHUNK`` values are pending or
+    ``FLUSH_S`` seconds have passed since the last store, so no value waits
+    unstored longer than that after the last store. Each key's value is
+    yielded once it is stored: the cache's value, so the first writer wins.
+    A failure of ``compute``, or fewer or more values than misses (a
+    ``UtilityOracleError``), stores the values before it, yields every key
+    they cover, then raises."""
     entries = cache.entries
     misses: dict = {}
     for at, key in enumerate(keys):
         if key not in entries:
             misses.setdefault(key, at)
-    fresh = iter(compute(list(misses.values())) if misses else ())
+    # the keys before ends[i] have their values once the first i misses are stored
+    ends = [*misses.values(), len(keys)]
+    misses = list(misses)
+    pending: list = []
+    stored = done = 0
+    due = time.monotonic() + FLUSH_S
+
+    def store() -> list:
+        """Store the pending values; the values of the keys they cover, to yield."""
+        nonlocal stored, done, due
+        chunk = pending[:]
+        pending.clear()
+        cache.put_many(misses[stored:stored + len(chunk)], chunk)
+        due = time.monotonic() + FLUSH_S
+        stored += len(chunk)
+        covered, done = keys[done:ends[stored]], ends[stored]
+        return [entries[key] for key in covered]
+
     with cache.appending():
-        for key in keys:
-            if key in misses:
-                del misses[key]
-                value = next(fresh, _END)
-                if value is _END:
-                    raise UtilityOracleError("inner batch oracle ended early")
-                cache.put(key, value)
-            yield entries[key]
-        if next(fresh, _END) is not _END:
-            raise UtilityOracleError("inner batch oracle gave more values than it was asked for")
+        try:
+            values = iter(compute(ends[:-1]) if misses else ())
+            for value in islice(values, len(misses)):
+                pending.append(value)
+                if len(pending) == _CHUNK or time.monotonic() >= due:
+                    yield from store()
+            if stored + len(pending) < len(misses):
+                raise UtilityOracleError("inner batch oracle ended early")
+            if next(values, _END) is not _END:
+                raise UtilityOracleError(
+                    "inner batch oracle gave more values than it was asked for")
+        except Exception:
+            yield from store()
+            raise
+        yield from store()
 
 
 def cached_utility(cache: UtilityCache, inner_batch: BatchFn) -> BatchFn:
     """Memoize a deterministic mask-level batch oracle through the cache: a
     batch asking ``inner_batch`` once for the distinct misses (``memoized``)
     and storing each value as ``finite_utility`` gives it, so an unfit one
-    fails as it does without a cache. A bad mask fails ``check_masks`` before
-    any lookup; a wrong player count fails only if a miss reaches the oracle."""
+    fails as it does without a cache. The first batch over each player count
+    first runs ``inner_batch([], n)``, so a library oracle refuses a count
+    other than its own before any lookup, as it does without a cache; a bad
+    mask fails ``check_masks`` before any lookup too."""
+    counts: set = set()     # the player counts the inner batch has taken
 
     def batch(masks: Sequence[int], n: int):
         def compute(at: list):
@@ -375,6 +439,10 @@ def cached_utility(cache: UtilityCache, inner_batch: BatchFn) -> BatchFn:
                     finite_utility(value, mask, n)
             yield from values       # past the misses: ``memoized`` refuses it
 
+        if n not in counts:
+            for _ in inner_batch([], n):
+                pass
+            counts.add(n)
         check_masks(masks, n)
         return memoized(cache, hex_keys(masks, n), compute)
 

@@ -21,11 +21,13 @@ from promptshap.cache import (
     cached_utility,
     compact_file,
     inspect_file,
+    memoized,
 )
 from promptshap.coalition import Coalition
+from promptshap.ensemble import Mode, PredictionMatrix, Rule, ValidationSet, matrix_utility
 from promptshap.errors import (ConsistencyError, PreconditionError, PromptShapError,
                                UtilityOracleError)
-from promptshap.game import GameSpec, loo_values, shapley_exact, shapley_montecarlo
+from promptshap.game import GameSpec, loo_values, run_batch, shapley_exact, shapley_montecarlo
 from promptshap.selection import rank_add_curve
 
 from conftest import ReferenceSplitMix64, utility_of
@@ -189,6 +191,34 @@ def test_response_cache_put_refuses_a_non_string(tmp_path, response):
     assert not path.exists()
 
 
+def test_put_many_keeps_the_first_writer_within_and_across_calls(tmp_path):
+    path = tmp_path / "u.jsonl"
+    with UtilityCache(path) as cache:
+        cache.put_many(["01", "02", "01"], [0.5, 0.25, 0.75])
+        cache.put_many(["02", "03"], [1.0, 0.125])
+        assert cache.entries == {"01": 0.5, "02": 0.25, "03": 0.125}
+    assert path.read_text() == ('{"coalition": "01", "u": 0.5}\n'
+                                '{"coalition": "02", "u": 0.25}\n'
+                                '{"coalition": "03", "u": 0.125}\n')
+
+
+@pytest.mark.parametrize("cls, keys, values, refused", [
+    (UtilityCache, ["01", "00", "02", "03"], [0.5, 0.25, True, 1.0], "cannot cache True as 'u' for '02'"),
+    (UtilityCache, ["01", "00", "02", "03"], [0.5, 0.25, math.nan, 1.0], "cannot cache nan as 'u' for '02'"),
+    (UtilityCache, ["01", "00", "02", "03"], [0.5, 0.25, 10**400, 1.0], "as 'u' for '02'"),
+    (UtilityCache, ["01", "00", 2, "03"], [0.5, 0.25, 0.75, 1.0], "cannot cache under 2"),
+    (ResponseCache, ["01", "00", "02", "03"], ["a", "b", 5, "d"], "cannot cache 5 as 'response' for '02'"),
+], ids=["bool", "nan", "past-float-range", "int-key", "non-string-response"])
+def test_put_many_refuses_a_value_and_keeps_the_ones_before_it(tmp_path, cls, keys, values, refused):
+    path = tmp_path / "c.jsonl"
+    with cls(path) as cache:
+        with pytest.raises(ConsistencyError, match=re.escape(refused)):
+            cache.put_many(keys, values)
+        assert cache.entries == dict(zip(keys[:2], values[:2]))
+        assert path.read_text() == lines_of(cls, zip(keys[:2], values[:2]))
+    assert path.read_text() == lines_of(cls, zip(keys[:2], values[:2]))
+
+
 @pytest.mark.parametrize("bound", [True, False], ids=["file", "memory"])
 @pytest.mark.parametrize("cls, value", [(UtilityCache, 0.5), (ResponseCache, "y")],
                          ids=["utility", "response"])
@@ -330,7 +360,7 @@ def test_cached_utility_memoizes():
     wrapped = cached_utility(cache, inner)
     for _ in range(3):
         assert utility_of(wrapped, 0b101, 4) == 0.2
-    assert calls == [[0b101]]
+    assert calls == [[], [0b101]]         # the player-count probe, then the one miss
     assert len(cache) == 1
 
 
@@ -339,7 +369,8 @@ def test_cached_utility_serves_preloaded_values():
     cache.put(Coalition(0b1, 3).to_hex(), 0.25)
 
     def inner(masks, n):
-        raise AssertionError("the inner batch must not run on a hit")
+        assert not masks, "the inner batch must not run on a hit"
+        return []
 
     wrapped = cached_utility(cache, inner)
     assert utility_of(wrapped, 0b1, 3) == 0.25
@@ -350,7 +381,8 @@ def test_cached_utility_serves_loaded_entries_without_the_oracle(tmp_path):
     path.write_text(json.dumps({"coalition": "05", "u": 0.25}) + "\n")
 
     def inner(masks, n):
-        raise AssertionError("the inner batch must not run on a hit")
+        assert not masks, "the inner batch must not run on a hit"
+        return []
 
     wrapped = cached_utility(UtilityCache.load(path), inner)
     for _ in range(3):   # every call reads the cache
@@ -371,7 +403,7 @@ def test_hex_key_width_keeps_player_counts_apart():
     assert utility_of(wrapped, 1, 9) == 0.09     # same mask, wider hex key "0100"
     assert utility_of(wrapped, 1, 9) == 0.09
     assert utility_of(wrapped, 1, 3) == 0.03
-    assert calls == [([1], 3), ([1], 9)]
+    assert calls == [([], 3), ([1], 3), ([], 9), ([1], 9)]   # one probe per count
     assert cache.entries == {"01": 0.03, "0100": 0.09}
 
 
@@ -761,9 +793,9 @@ def test_batch_asks_the_inner_batch_once_for_the_distinct_misses():
     cache.put("02", 0.75)
     wrapped = cached_utility(cache, inner)
     assert list(wrapped([3, 2, 1, 3, 0, 1], 4)) == [0.3, 0.75, 0.1, 0.3, 0.0, 0.1]
-    assert calls == [[3, 1, 0]]
+    assert calls == [[], [3, 1, 0]]      # the player-count probe, then the misses
     assert list(wrapped([2, 3], 4)) == [0.75, 0.3]   # all hits: no inner call
-    assert calls == [[3, 1, 0]]
+    assert calls == [[], [3, 1, 0]]
     assert cache.entries == {"02": 0.75, "03": 0.3, "01": 0.1, "00": 0.0}
 
 
@@ -785,6 +817,127 @@ def test_an_inner_batch_that_gives_too_many_fails_on_the_last_coalition():
     assert err.value.details["coalition"] == "03"
     # only the misses' values are kept
     assert cache.entries == {"01": 0.25, "00": 0.0, "02": 0.2, "03": 0.3}
+
+
+MEMO_KEYS = ["00", "01", "0a", 'q"\\', "\u00e9\n"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cls_values=st.one_of(
+           st.tuples(st.just(UtilityCache),
+                     st.lists(FINITE_UTILITY, min_size=len(MEMO_KEYS), max_size=len(MEMO_KEYS))),
+           st.tuples(st.just(ResponseCache),
+                     st.lists(JSON_TEXT, min_size=len(MEMO_KEYS), max_size=len(MEMO_KEYS)))),
+       keys=st.lists(st.sampled_from(MEMO_KEYS), max_size=12),
+       preloaded=st.sets(st.sampled_from(MEMO_KEYS), max_size=2),
+       chunk=st.sampled_from([1, 2, 3]), flush_s=st.sampled_from([0.0, 3600.0]))
+def test_memoized_stores_as_one_line_per_new_key(cls_values, keys, preloaded, chunk, flush_s):
+    cls, values = cls_values
+    value_of = dict(zip(MEMO_KEYS, values))
+    # the preloaded keys hold the values of their neighbours, so a hit is told from a miss
+    held = {key: values[MEMO_KEYS.index(key) - 1] for key in preloaded}
+    entries = dict(held)
+    for key in keys:
+        entries.setdefault(key, value_of[key])
+    misses = [key for key in dict.fromkeys(keys) if key not in held]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "_CHUNK", chunk)
+        patch.setattr(cache_module, "FLUSH_S", flush_s)
+        path = os.path.join(tmp, "c.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(lines_of(cls, held.items()))
+        asked = []
+
+        def compute(at):
+            asked.append(at)
+            return (value_of[keys[i]] for i in at)
+
+        with cls.load(path) as cache:
+            assert list(memoized(cache, keys, compute)) == [entries[key] for key in keys]
+            with open(path, encoding="utf-8") as fh:      # written when the batch ends
+                assert fh.read() == lines_of(cls, entries.items())
+        assert asked == ([[keys.index(key) for key in misses]] if misses else [])
+        assert cache.entries == entries
+
+
+def values_with_a_fault(fault, at):
+    """An inner batch yielding ``VALUES[mask]`` until the value at position
+    ``at``, where it raises or ends (``fault``); a ``long`` one yields one
+    value past the masks asked."""
+
+    def batch(masks, n):
+        for i, mask in enumerate(masks):
+            if i == at and fault == "raise":
+                raise ValueError("boom")
+            if i == at and fault == "short":
+                return
+            yield VALUES[mask]
+        yield 0.5
+
+    return batch
+
+
+MASKS_WITH_HITS = [4, 1, 4, 6, 2, 1, 5, 3, 7]       # 2 is preloaded
+
+
+@pytest.mark.parametrize("at", [1, 2, 3, 4], ids=lambda at: f"miss{at}")
+@pytest.mark.parametrize("fault", ["raise", "short"])
+def test_a_batch_failing_around_a_chunk_boundary_keeps_the_values_before_it(
+        tmp_path, monkeypatch, fault, at):
+    monkeypatch.setattr(cache_module, "_CHUNK", 2)          # boundaries after misses 2 and 4
+    monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)
+    path = tmp_path / "u.jsonl"
+    preloaded = lines_of(UtilityCache, [("02", VALUES[2])])
+    path.write_text(preloaded)
+    misses = [m for m in dict.fromkeys(MASKS_WITH_HITS) if m != 2]
+    with UtilityCache.load(path) as cache:
+        values, exc = run_batch(cached_utility(cache, values_with_a_fault(fault, at)),
+                                MASKS_WITH_HITS, 3)
+        assert path.read_text() == preloaded + lines_of(UtilityCache, [
+            (Coalition(m, 3).to_hex(), VALUES[m]) for m in misses[:at]])
+    failed = MASKS_WITH_HITS.index(misses[at])
+    assert MASKS_WITH_HITS[len(values)] == misses[at]        # the coalition run_batch names
+    assert values == [VALUES[m] for m in MASKS_WITH_HITS[:failed]]
+    assert isinstance(exc, ValueError) if fault == "raise" else \
+        isinstance(exc, UtilityOracleError) and "ended early" in str(exc)
+
+
+@pytest.mark.parametrize("preloaded", [[2], [2, 7]], ids=["7-misses", "6-misses"])
+def test_a_batch_giving_too_many_keeps_every_value_and_fails_on_the_last(
+        tmp_path, monkeypatch, preloaded):
+    monkeypatch.setattr(cache_module, "_CHUNK", 2)
+    monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)
+    path = tmp_path / "u.jsonl"
+    held = [(Coalition(m, 3).to_hex(), VALUES[m]) for m in preloaded]
+    path.write_text(lines_of(UtilityCache, held))
+    misses = [m for m in dict.fromkeys(MASKS_WITH_HITS) if m not in preloaded]
+    with UtilityCache.load(path) as cache:
+        values, exc = run_batch(cached_utility(cache, values_with_a_fault("long", None)),
+                                MASKS_WITH_HITS, 3)
+        assert path.read_text() == lines_of(UtilityCache, held + [
+            (Coalition(m, 3).to_hex(), VALUES[m]) for m in misses])
+    assert values == [VALUES[m] for m in MASKS_WITH_HITS[:-1]]
+    assert isinstance(exc, UtilityOracleError) and "more values" in str(exc)
+
+
+def five_prompt_vote():
+    golds = (0, 1, 1)
+    ids = tuple(f"q{i}" for i in range(len(golds)))
+    matrix = PredictionMatrix(tuple(f"p{i}" for i in range(5)), ids, Mode.HARD_LABEL, 2,
+                              hard=np.array([golds] * 5, dtype=np.int64))
+    return matrix_utility(matrix, ValidationSet(tuple(zip(ids, golds)), 2), Rule.VOTE)
+
+
+def test_a_cached_batch_refuses_a_wrong_player_count_on_a_hit():
+    batch = cached_utility(UtilityCache(), five_prompt_vote().batch)
+    assert list(batch([1, 3], 5)) == [1.0, 1.0]
+    for masks in ([1, 3], [1, 7], []):         # hits, a miss, nothing asked
+        with pytest.raises(ConsistencyError,
+                           match="coalition is over 6 players but the matrix has 5 prompts"):
+            batch(masks, 6)
+    assert list(batch([3, 1], 5)) == [1.0, 1.0]
+    values, exc = run_batch(batch, [1, 3], 6)
+    assert values == [] and isinstance(exc, ConsistencyError)
 
 
 N = 5
