@@ -26,24 +26,22 @@ old file whole.
 A file-backed cache keeps one append handle, opened at the first store.
 Every store is a ``put_many(keys, values)`` (``put`` is its one-entry
 case): it checks the chunk in one pass, takes the lock once, stores the
-values whose keys are not taken and queues their lines as one join. Outside
-an ``appending()`` block the lines are written and flushed at once, so a
-crash loses at most the lines being written. Inside a block the queued lines
-are written in one ``write`` and flush once ``FLUSH_S`` seconds have passed
-since the last (checked after every store) and when the block ends, so a
-crash loses at most the lines stored within ``FLUSH_S`` of each other.
-``close`` (or leaving a ``with`` block) writes the queue and releases the
-handle; ``persist`` does the same first, so a later store reopens and
-appends to the rewritten file.
+values whose keys are not taken and appends their lines in one ``write``
+and flush before it returns, so a crash loses at most the lines being
+written. ``close`` (or leaving a ``with`` block) releases the handle;
+``persist`` does the same first, so a later store reopens and appends to
+the rewritten file.
 
 Both caches memoize through one path, ``memoized(cache, keys, compute)``:
 one dict lookup per key and one ``compute`` call for the distinct misses in
-first-appearance order, inside one ``appending()`` block. The misses' values
-are stored a chunk at a time, one ``put_many`` once 512 are pending or
-``FLUSH_S`` seconds have passed since the last store, and each key's value
-is yielded once its chunk is stored. So a slow batch still reaches the file
-within ``FLUSH_S``, and a failure keeps the values that arrived before it.
-Both ``cached_utility``'s batch and the live client's requests go through it.
+first-appearance order. Its pending list is the only buffer between a batch
+and the file: the misses' values are stored a chunk at a time, one
+``put_many`` once 512 are pending or ``FLUSH_S`` seconds have passed since
+the last store, and each key's value is yielded once its chunk is stored.
+So a crash loses only the values that arrived within ``FLUSH_S`` of the last
+store, and a failure or an interrupt stores the values that arrived before
+it. Both ``cached_utility``'s batch and the live client's requests go
+through it.
 """
 
 from __future__ import annotations
@@ -64,7 +62,8 @@ from .errors import ConsistencyError, UtilityOracleError
 from .game import BatchFn, finite_utility
 from .jsonio import _open, all_numbers
 
-# seconds an ``appending()`` block may hold queued lines before writing them
+# seconds after its last store at which ``memoized`` stores the values
+# pending, whatever their number
 FLUSH_S = 0.1
 
 
@@ -95,9 +94,6 @@ class _JsonlCache:
         self._fh = None
         self._write_failed = False
         self._torn_tail = False
-        self._queue = bytearray()       # lines put but not yet written
-        self._appending = 0             # open ``appending()`` blocks
-        self._flush_due = 0.0
 
     @classmethod
     def _parse(cls, line: bytes):
@@ -192,12 +188,16 @@ class _JsonlCache:
         self.put_many((key,), (value,))
 
     def put_many(self, keys: Sequence, values: Sequence) -> None:
-        """Store each value under its key and queue its line, unless the key
-        is taken (the first writer wins, within the call too). A key or value
-        that ``load`` would skip is a ``ConsistencyError`` naming it, with the
-        values before it stored. The chunk is checked in one pass, the rule
-        ``load`` applies (``_all_valid``), and value by value only when that
-        pass fails; the lock is taken once and the new lines joined once."""
+        """Store each value under its key and append its line, unless the key
+        is taken (the first writer wins, within the call too). Keys and values
+        of different lengths, or a key or value that ``load`` would skip, are
+        a ``ConsistencyError``: the lengths before anything is stored, a
+        refused entry naming it, with the values before it stored. The chunk
+        is checked in one pass, the rule ``load`` applies (``_all_valid``),
+        and value by value only when that pass fails."""
+        if len(keys) != len(values):
+            raise ConsistencyError(
+                f"cannot cache {len(values)} values under {len(keys)} keys")
         if not ({*map(type, keys)} <= _STR and self._all_valid(values)):
             for at, (key, value) in enumerate(zip(keys, values)):
                 if not isinstance(key, str):
@@ -211,7 +211,9 @@ class _JsonlCache:
         self._store(keys, values)
 
     def _store(self, keys: Sequence, values: Sequence) -> None:
-        """``put_many`` of a checked chunk."""
+        """``put_many`` of a checked chunk: under the lock, store the new
+        values and append their lines in one write, then flush; a failed
+        write degrades the cache to memory-only with one warning."""
         entries = self.entries
         with self._lock:
             new_keys, new_values = [], []
@@ -222,10 +224,17 @@ class _JsonlCache:
                     new_values.append(value)
             if not new_keys or self.path is None or self._write_failed:
                 return
-            self._queue += self._lines(new_keys, new_values).encode()
-            due = not self._appending or time.monotonic() >= self._flush_due
-            if due or self._fh is None:
-                self._write(due)
+            data = self._lines(new_keys, new_values).encode()
+            try:
+                if self._fh is None:
+                    self._fh = open(self.path, "ab")
+                self._fh.write(b"\n" + data if self._torn_tail else data)
+                self._torn_tail = False
+                self._fh.flush()
+            except OSError as exc:
+                self._write_failed = True
+                self._close_handle()
+                warnings.warn(f"cache file {self.path} is not writable ({exc}); continuing in memory")
 
     def _lines(self, keys: Iterable[str], values: Iterable) -> str:
         """``json.dumps(row, sort_keys=True)`` and a newline for each row
@@ -236,47 +245,6 @@ class _JsonlCache:
         return "".join([f"{head}{key}{middle}{value}}}\n"
                         for key, value in zip(map(_quote, keys), map(self._dump, values))])
 
-    def _write(self, due: bool = True) -> None:
-        """Open the append handle if it is closed and, when ``due``, append
-        the queued lines in one write and flush them; a failure degrades the
-        cache to memory-only with one warning."""
-        try:
-            if self._fh is None:
-                self._fh = open(self.path, "ab")
-            if due:
-                data, self._queue = self._queue, bytearray()
-                self._fh.write(b"\n" + data if self._torn_tail else data)
-                self._torn_tail = False
-                self._fh.flush()
-                self._flush_due = time.monotonic() + FLUSH_S
-        except OSError as exc:
-            self._queue = bytearray()
-            self._write_failed = True
-            self._close_handle()
-            warnings.warn(f"cache file {self.path} is not writable ({exc}); continuing in memory")
-
-    @contextlib.contextmanager
-    def appending(self):
-        """A block whose ``put`` calls queue their lines, written by the
-        first ``put`` ``FLUSH_S`` seconds after the last write and when the
-        block ends."""
-        with self._lock:
-            self._appending += 1
-            self._flush_due = time.monotonic() + FLUSH_S
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._appending -= 1
-                if self._queue:
-                    self._write()
-
-    def _release(self) -> None:
-        """Write the queued lines, then close the append handle."""
-        if self._queue:
-            self._write()
-        self._close_handle()
-
     def _close_handle(self) -> None:
         fh, self._fh = self._fh, None
         if fh is not None:
@@ -284,10 +252,9 @@ class _JsonlCache:
                 fh.close()
 
     def close(self) -> None:
-        """Write the queued lines and release the append handle; a later
-        ``put`` opens it again."""
+        """Release the append handle; a later ``put`` opens it again."""
         with self._lock:
-            self._release()
+            self._close_handle()
 
     def __enter__(self):
         return self
@@ -301,7 +268,7 @@ class _JsonlCache:
             raise ValueError("no path bound to this cache")
         tmp = f"{self.path}.{os.getpid()}.tmp"
         with self._lock:
-            self._release()  # the rename below replaces the file it appends to
+            self._close_handle()  # the rename below replaces the file it appends to
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     fh.write(self._lines(self.entries, self.entries.values()))
@@ -370,14 +337,16 @@ def memoized(cache: _JsonlCache, keys: Sequence[str],
     call, made only if a key misses, gets the position of each distinct miss's
     first appearance in ``keys``, in order, and yields a value per miss.
 
-    Inside one ``appending()`` block the values arrive in a pending list,
-    which goes to ``put_many`` once ``_CHUNK`` values are pending or
-    ``FLUSH_S`` seconds have passed since the last store, so no value waits
-    unstored longer than that after the last store. Each key's value is
-    yielded once it is stored: the cache's value, so the first writer wins.
-    A failure of ``compute``, or fewer or more values than misses (a
-    ``UtilityOracleError``), stores the values before it, yields every key
-    they cover, then raises."""
+    The values arrive in a pending list, the only buffer between ``compute``
+    and the file, which goes to ``put_many`` once ``_CHUNK`` values are
+    pending or a value arrives ``FLUSH_S`` seconds or more after the last
+    store; so a crash loses only the values that arrived within ``FLUSH_S``
+    of the last store. Each key's value is yielded once it is stored: the
+    cache's value, so the first writer wins. A failure of ``compute``, or
+    fewer or more values than misses (a ``UtilityOracleError``), stores the
+    values before it, yields every key they cover, then raises; an interrupt
+    (a ``BaseException`` such as ``KeyboardInterrupt``) stores them and
+    raises without yielding."""
     entries = cache.entries
     misses: dict = {}
     for at, key in enumerate(keys):
@@ -401,22 +370,24 @@ def memoized(cache: _JsonlCache, keys: Sequence[str],
         covered, done = keys[done:ends[stored]], ends[stored]
         return [entries[key] for key in covered]
 
-    with cache.appending():
-        try:
-            values = iter(compute(ends[:-1]) if misses else ())
-            for value in islice(values, len(misses)):
-                pending.append(value)
-                if len(pending) == _CHUNK or time.monotonic() >= due:
-                    yield from store()
-            if stored + len(pending) < len(misses):
-                raise UtilityOracleError("inner batch oracle ended early")
-            if next(values, _END) is not _END:
-                raise UtilityOracleError(
-                    "inner batch oracle gave more values than it was asked for")
-        except Exception:
-            yield from store()
-            raise
+    try:
+        values = iter(compute(ends[:-1]) if misses else ())
+        for value in islice(values, len(misses)):
+            pending.append(value)
+            if len(pending) == _CHUNK or time.monotonic() >= due:
+                yield from store()
+        if stored + len(pending) < len(misses):
+            raise UtilityOracleError("inner batch oracle ended early")
+        if next(values, _END) is not _END:
+            raise UtilityOracleError(
+                "inner batch oracle gave more values than it was asked for")
+    except Exception:
         yield from store()
+        raise
+    except BaseException:
+        store()
+        raise
+    yield from store()
 
 
 def cached_utility(cache: UtilityCache, inner_batch: BatchFn) -> BatchFn:

@@ -219,6 +219,17 @@ def test_put_many_refuses_a_value_and_keeps_the_ones_before_it(tmp_path, cls, ke
     assert path.read_text() == lines_of(cls, zip(keys[:2], values[:2]))
 
 
+@pytest.mark.parametrize("keys, values", [(["01", "02"], [0.5]), (["01"], [0.5, 0.25])],
+                         ids=["more-keys", "more-values"])
+def test_put_many_refuses_keys_and_values_of_different_lengths(tmp_path, keys, values):
+    path = tmp_path / "u.jsonl"
+    with UtilityCache(path) as cache:
+        with pytest.raises(ConsistencyError, match=f"{len(values)} values under {len(keys)} keys"):
+            cache.put_many(keys, values)
+        assert cache.entries == {}
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bound", [True, False], ids=["file", "memory"])
 @pytest.mark.parametrize("cls, value", [(UtilityCache, 0.5), (ResponseCache, "y")],
                          ids=["utility", "response"])
@@ -700,30 +711,45 @@ def test_a_well_formed_file_is_read_without_the_per_line_parser(kind, tmp_path, 
 # batches through the cache
 
 
-def test_appending_flushes_when_the_block_ends(tmp_path):
+class RecordedFile:
+    """A file whose ``write`` calls are recorded in ``writes``."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_every_store_is_on_disk_before_it_returns_in_one_write(tmp_path, monkeypatch):
+    writes = []
+    monkeypatch.setattr(cache_module, "open",
+                        lambda *args, **kwargs: RecordedFile(open(*args, **kwargs), writes),
+                        raising=False)
     path = tmp_path / "u.jsonl"
     with UtilityCache.load(path) as cache:
-        with cache.appending():
-            cache.put("01", 0.5)
-            cache.put("02", 0.25)
-            assert path.read_text() == ""          # still in the append buffer
-        assert path.read_text() == ('{"coalition": "01", "u": 0.5}\n'
-                                    '{"coalition": "02", "u": 0.25}\n')
-        cache.put("03", 0.75)                      # outside a block every put flushes
-        assert path.read_text().endswith('{"coalition": "03", "u": 0.75}\n')
-
-
-def test_appending_flushes_once_the_interval_has_passed(tmp_path, monkeypatch):
-    clock = [100.0]
-    monkeypatch.setattr(cache_module.time, "monotonic", lambda: clock[0])
-    path = tmp_path / "u.jsonl"
-    with UtilityCache.load(path) as cache, cache.appending():
         cache.put("01", 0.5)
-        clock[0] += cache_module.FLUSH_S
-        cache.put("02", 0.25)                      # due: both lines reach the file
-        cache.put("04", 1.0)
-        assert path.read_text() == ('{"coalition": "01", "u": 0.5}\n'
-                                    '{"coalition": "02", "u": 0.25}\n')
+        assert path.read_text() == lines_of(UtilityCache, [("01", 0.5)])
+        cache.put_many(["02", "01", "03"], [0.25, 0.9, 0.75])
+        assert path.read_text() == lines_of(UtilityCache, [("01", 0.5), ("02", 0.25), ("03", 0.75)])
+        cache.put_many(["02"], [1.0])                  # no new key: nothing to write
+    assert writes == [lines_of(UtilityCache, [("01", 0.5)]).encode(),
+                      lines_of(UtilityCache, [("02", 0.25), ("03", 0.75)]).encode()]
+
+
+def test_an_unwritable_file_degrades_the_cache_to_memory_with_one_warning(tmp_path):
+    path = tmp_path / "u.jsonl"
+    path.mkdir()                                        # opening it to append fails
+    with UtilityCache(path) as cache:
+        with pytest.warns(UserWarning, match="not writable") as caught:
+            cache.put("01", 0.5)
+            cache.put_many(["02", "03"], [0.25, 0.75])
+        assert len(caught) == 1
+        assert cache.entries == {"01": 0.5, "02": 0.25, "03": 0.75}
 
 
 def slow_batch(values, failing_at=None, delay=0.005):
@@ -780,6 +806,26 @@ def test_a_failing_batch_leaves_the_lines_written_before_it(tmp_path, monkeypatc
         assert path.read_text() == expected
         assert list(cache.entries) == [Coalition(m, 3).to_hex() for m in before]
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_an_interrupted_batch_stores_the_values_before_it(tmp_path, monkeypatch, interrupt):
+    monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)    # only the interrupt stores
+
+    def inner(masks, n):
+        for i, mask in enumerate(masks):
+            if i == 3:
+                raise interrupt
+            yield VALUES[mask]
+
+    path = tmp_path / "u.jsonl"
+    with UtilityCache.load(path) as cache:
+        batch = cached_utility(cache, inner)(MASKS, 3)
+        with pytest.raises(interrupt):
+            next(batch)
+        before = [(Coalition(m, 3).to_hex(), VALUES[m]) for m in [5, 3, 0]]
+        assert path.read_text() == lines_of(UtilityCache, before)
+        assert cache.entries == dict(before)
 
 
 def test_batch_asks_the_inner_batch_once_for_the_distinct_misses():

@@ -755,7 +755,7 @@ def test_a_batch_of_hits_needs_no_credential_and_no_base_url(stub, stub_api, man
 
 def test_a_transport_error_mid_batch_keeps_every_response_received_before_it(
         stub, stub_api, manifest, questions, monkeypatch, tmp_path):
-    monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)    # only the block's end writes
+    monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)    # only the failure stores
     bodies = recorded_sends(monkeypatch, fail_after=8)
     api = dataclasses.replace(stub_api, attempts=1)
     path = str(tmp_path / "responses.jsonl")
@@ -763,11 +763,11 @@ def test_a_transport_error_mid_batch_keeps_every_response_received_before_it(
         oracle = augmentation_utility(manifest, questions, Task.MULTIPLE_CHOICE, cache, api)
         utilities = oracle.batch([0, 0b11, 0b11111], 5)
         assert next(utilities) == pytest.approx(1 / 3)
-        assert os.path.getsize(path) == 0      # queued, for one write at the block's end
         with pytest.raises(TransportError):
             next(utilities)
         assert len(cache) == 8
         kept = dict(cache.entries)
+        assert ResponseCache.load(path).entries == kept      # on disk before the close
     assert len(bodies) == 8
     assert ResponseCache.load(path).entries == kept
     requests = [build_completion_request(manifest, Coalition(mask, 5), q.question, api)
