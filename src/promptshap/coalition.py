@@ -33,10 +33,6 @@ class Coalition:
     def indices(self) -> tuple[int, ...]:
         return indices(self.mask, self.n)
 
-    def to_hex(self) -> str:
-        [key] = hex_keys([self.mask], self.n)
-        return key
-
 
 def hex_keys(masks: Iterable[int], n: int) -> list[str]:
     """The canonical serialization of each mask over ``n`` players, in order."""

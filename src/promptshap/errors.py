@@ -43,7 +43,9 @@ class UndefinedCorrelationError(PromptShapError):
 
 
 class ConditioningError(PromptShapError):
-    """Kernel matrix factorization failed after maximum jitter escalation."""
+    """A numerical method did not converge: a kernel factorization after the
+    maximum jitter, the incomplete-beta continued fraction, or the Beta
+    quadrature."""
 
 
 class TransportError(PromptShapError):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import PreconditionError
 from .game import GameSpec, _finite_real, checked_batch, shapley_exact
 from .rng import SplitMix64, derive_seed
-from .special import beta_cdf, beta_mass_quad, normal_cdf
+from .special import beta_mass_quad, betainc, normal_cdf
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,14 @@ class BetaSpec:
         if not all(_finite_real(p) and p > 0 for p in (self.alpha, self.beta)):
             raise PreconditionError("Beta shape parameters must be finite and positive, "
                                     f"got ({self.alpha}, {self.beta})")
+        try:   # shapes near 1e-300 or 1e300 underflow or overflow the moments
+            sigma, lipschitz_l = self.sigma, perturbation_lipschitz(self)
+        except ZeroDivisionError:
+            sigma = lipschitz_l = math.nan
+        if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(lipschitz_l)):
+            raise PreconditionError(
+                f"Beta shape ({self.alpha}, {self.beta}) needs a positive finite sigma and "
+                f"a finite flip constant L in floating point, got {sigma} and {lipschitz_l}")
 
     @property
     def mu(self) -> float:
@@ -246,7 +254,7 @@ def _check_eps(eps: float) -> None:
 
 def beta_interval_exact(spec: BetaSpec, eps: float) -> float:
     _check_eps(eps)
-    return beta_cdf(spec.alpha, spec.beta, 0.5 + eps) - beta_cdf(spec.alpha, spec.beta, 0.5 - eps)
+    return betainc(spec.alpha, spec.beta, 0.5 + eps) - betainc(spec.alpha, spec.beta, 0.5 - eps)
 
 
 def beta_interval_quad(spec: BetaSpec, eps: float) -> float:

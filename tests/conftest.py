@@ -18,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from promptshap.coalition import Coalition
+from promptshap.coalition import Coalition, hex_keys
 from promptshap.config import ApiConfig
 from promptshap.ensemble import Mode, PredictionMatrix, ValidationSet
 from promptshap.errors import CapacityError, PromptShapError, UtilityOracleError
@@ -37,6 +37,12 @@ def utility_of(batch, mask: int, n: int) -> float:
     """The utility a mask-level batch oracle gives one coalition."""
     [value] = batch([mask], n)
     return value
+
+
+def hex_key(mask: int, n: int) -> str:
+    """The cache key of one mask over ``n`` players."""
+    [key] = hex_keys([mask], n)
+    return key
 
 
 def glove_utility(coalition) -> float:
@@ -136,10 +142,10 @@ def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float
         try:
             return utility_of(game.batch, coalition.mask, coalition.n)
         except PromptShapError as exc:
-            exc.details.setdefault("coalition", coalition.to_hex())
+            exc.details.setdefault("coalition", hex_key(coalition.mask, coalition.n))
             raise
         except Exception as exc:
-            raise UtilityOracleError(str(exc), coalition=coalition.to_hex()) from exc
+            raise UtilityOracleError(str(exc), coalition=hex_key(coalition.mask, coalition.n)) from exc
 
     n = game.n
     u_full = evaluate(Coalition((1 << n) - 1, n))

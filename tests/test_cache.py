@@ -23,14 +23,13 @@ from promptshap.cache import (
     inspect_file,
     memoized,
 )
-from promptshap.coalition import Coalition
 from promptshap.ensemble import Mode, PredictionMatrix, Rule, ValidationSet, matrix_utility
 from promptshap.errors import (ConsistencyError, PreconditionError, PromptShapError,
                                UtilityOracleError)
 from promptshap.game import GameSpec, loo_values, run_batch, shapley_exact, shapley_montecarlo
 from promptshap.selection import rank_add_curve
 
-from conftest import ReferenceSplitMix64, utility_of
+from conftest import ReferenceSplitMix64, hex_key, utility_of
 
 
 def test_put_get_round_trip(tmp_path):
@@ -377,7 +376,7 @@ def test_cached_utility_memoizes():
 
 def test_cached_utility_serves_preloaded_values():
     cache = UtilityCache()
-    cache.put(Coalition(0b1, 3).to_hex(), 0.25)
+    cache.put(hex_key(0b1, 3), 0.25)
 
     def inner(masks, n):
         assert not masks, "the inner batch must not run on a hit"
@@ -423,7 +422,7 @@ def test_memo_keeps_the_first_writers_value():
 
     def inner(masks, n):
         for mask in masks:
-            cache.put(Coalition(mask, n).to_hex(), 0.5)   # another writer gets in first
+            cache.put(hex_key(mask, n), 0.5)   # another writer gets in first
             yield 0.75
 
     wrapped = cached_utility(cache, inner)
@@ -788,7 +787,7 @@ def test_a_slow_batch_writes_its_lines_before_it_ends(tmp_path, monkeypatch):
             # every miss so far is on disk, in first-appearance order
             fresh = [m for m in dict.fromkeys(seen) if m != 2]
             assert path.read_text() == lines_of(UtilityCache, [("02", 0.25)] + [
-                (Coalition(m, 3).to_hex(), VALUES[m]) for m in fresh])
+                (hex_key(m, 3), VALUES[m]) for m in fresh])
         with pytest.raises(StopIteration):
             next(batch)
 
@@ -802,9 +801,9 @@ def test_a_failing_batch_leaves_the_lines_written_before_it(tmp_path, monkeypatc
         with pytest.raises(ValueError, match="boom"):
             list(batch(MASKS, 3))
         before = [5, 3, 0]          # the distinct misses before mask 2
-        expected = lines_of(UtilityCache, [(Coalition(m, 3).to_hex(), VALUES[m]) for m in before])
+        expected = lines_of(UtilityCache, [(hex_key(m, 3), VALUES[m]) for m in before])
         assert path.read_text() == expected
-        assert list(cache.entries) == [Coalition(m, 3).to_hex() for m in before]
+        assert list(cache.entries) == [hex_key(m, 3) for m in before]
     assert path.read_text() == expected
 
 
@@ -823,7 +822,7 @@ def test_an_interrupted_batch_stores_the_values_before_it(tmp_path, monkeypatch,
         batch = cached_utility(cache, inner)(MASKS, 3)
         with pytest.raises(interrupt):
             next(batch)
-        before = [(Coalition(m, 3).to_hex(), VALUES[m]) for m in [5, 3, 0]]
+        before = [(hex_key(m, 3), VALUES[m]) for m in [5, 3, 0]]
         assert path.read_text() == lines_of(UtilityCache, before)
         assert cache.entries == dict(before)
 
@@ -940,7 +939,7 @@ def test_a_batch_failing_around_a_chunk_boundary_keeps_the_values_before_it(
         values, exc = run_batch(cached_utility(cache, values_with_a_fault(fault, at)),
                                 MASKS_WITH_HITS, 3)
         assert path.read_text() == preloaded + lines_of(UtilityCache, [
-            (Coalition(m, 3).to_hex(), VALUES[m]) for m in misses[:at]])
+            (hex_key(m, 3), VALUES[m]) for m in misses[:at]])
     failed = MASKS_WITH_HITS.index(misses[at])
     assert MASKS_WITH_HITS[len(values)] == misses[at]        # the coalition run_batch names
     assert values == [VALUES[m] for m in MASKS_WITH_HITS[:failed]]
@@ -954,14 +953,14 @@ def test_a_batch_giving_too_many_keeps_every_value_and_fails_on_the_last(
     monkeypatch.setattr(cache_module, "_CHUNK", 2)
     monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)
     path = tmp_path / "u.jsonl"
-    held = [(Coalition(m, 3).to_hex(), VALUES[m]) for m in preloaded]
+    held = [(hex_key(m, 3), VALUES[m]) for m in preloaded]
     path.write_text(lines_of(UtilityCache, held))
     misses = [m for m in dict.fromkeys(MASKS_WITH_HITS) if m not in preloaded]
     with UtilityCache.load(path) as cache:
         values, exc = run_batch(cached_utility(cache, values_with_a_fault("long", None)),
                                 MASKS_WITH_HITS, 3)
         assert path.read_text() == lines_of(UtilityCache, held + [
-            (Coalition(m, 3).to_hex(), VALUES[m]) for m in misses])
+            (hex_key(m, 3), VALUES[m]) for m in misses])
     assert values == [VALUES[m] for m in MASKS_WITH_HITS[:-1]]
     assert isinstance(exc, UtilityOracleError) and "more values" in str(exc)
 
@@ -1065,20 +1064,20 @@ def test_a_failure_in_a_batch_leaves_the_cache_of_a_per_coalition_run(engine, fa
 
     if engine == "curve":
         message = "boom" if fault == "raise" else \
-            f"utility oracle gave nan on coalition {Coalition(target, N).to_hex()}, " \
+            f"utility oracle gave nan on coalition {hex_key(target, N)}, " \
             "not a finite real number"
         assert (outcome.failed_k, outcome.error) == (failed_at + 1, message)
         assert outcome.points[-1].utility is None
     else:
         assert isinstance(outcome, UtilityOracleError)
         context = first_reach(target) if engine.startswith("mc") else {}
-        assert outcome.details == {"coalition": Coalition(target, N).to_hex(), **context}
+        assert outcome.details == {"coalition": hex_key(target, N), **context}
 
     replay = tmp_path / "replay.jsonl"
     replay.write_text(PRELOADED)
     with UtilityCache.load(replay) as cache:       # one coalition at a time, each flushed
         for mask in order[:failed_at]:
-            cache.put(Coalition(mask, N).to_hex(), table_utility(mask))
+            cache.put(hex_key(mask, N), table_utility(mask))
     assert path.read_bytes() == replay.read_bytes()
 
 

@@ -574,6 +574,51 @@ def test_simulate(capsys):
     assert doc["identity_max_abs_err"] <= 1e-12
 
 
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, which must end within 10 s."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "promptshap.cli", *argv],
+                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True,
+                          timeout=10)
+    assert "NaN" not in done.stdout and "Infinity" not in done.stdout
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_verify_beta_bounds_ends_on_a_large_shape():
+    # the continued fraction once gave up after 300 iterations here, and the
+    # quadrature fallback it handed the interval to never finished
+    code, out, err = run_cli("verify", "beta-bounds", "--alpha", "1e6", "--beta", "1e6",
+                             "--epsilon", "1e-7")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert all(math.isfinite(doc[key]) for key in ("exact", "quad", "normal", "poly"))
+    assert abs(doc["exact"] - doc["normal"]) / doc["normal"] < 1e-5
+
+
+def test_verify_beta_bounds_reports_a_quadrature_that_cannot_converge():
+    code, out, err = run_cli("verify", "beta-bounds", "--alpha", "1e5", "--beta", "1e5",
+                             "--epsilon", "0.1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "ConditioningError"
+
+
+SIMULATE_ARGS = ["--n-classifiers", "7", "--delta", "0.3", "--trials", "2",
+                 "--instances", "100"]
+
+
+@pytest.mark.parametrize("command", [["verify", "beta-bounds"], ["simulate", *SIMULATE_ARGS]],
+                         ids=["verify-beta-bounds", "simulate"])
+@pytest.mark.parametrize("shape", ["1e300", "1e-300"])
+def test_beta_commands_refuse_a_shape_without_a_finite_sigma(command, shape):
+    # sigma was NaN at 1e300, with a NaN bound that nothing exceeded, and a
+    # raw ZeroDivisionError at 1e-300
+    code, out, err = run_cli(*command, "--alpha", shape, "--beta", shape)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "PreconditionError"
+    assert "sigma" in payload["message"]
+
+
 def test_cache_inspect_and_compact(tmp_path, capsys):
     path = tmp_path / "u.jsonl"
     path.write_text(

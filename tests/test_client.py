@@ -244,15 +244,16 @@ def read_request(conn) -> bytes:
 
 
 @contextlib.contextmanager
-def raw_server(reply, received=None, tls=None, tunnel=False, drip=None):
+def raw_server(reply, received=None, tls=None, tunnel=False, drip=None, hold=False):
     """A TCP endpoint that reads each request, then sends ``reply`` and closes.
 
-    ``reply=None`` keeps every connection open without answering, and
-    ``drip`` sends the reply one byte every ``drip`` seconds. Each
-    request's bytes are appended to the list ``received`` if one is given,
-    and ``tls``, a server-side ``ssl.SSLContext``, serves TLS. With
-    ``tunnel`` it first accepts a proxy's ``CONNECT``, as the proxy and the
-    origin in one. Yields the base URL and the list of accepted connections.
+    ``reply=None`` keeps every connection open without answering, ``hold``
+    keeps it open after the reply, and ``drip`` sends the reply one byte
+    every ``drip`` seconds. Each request's bytes are appended to the list
+    ``received`` if one is given, and ``tls``, a server-side
+    ``ssl.SSLContext``, serves TLS. With ``tunnel`` it first accepts a
+    proxy's ``CONNECT``, as the proxy and the origin in one. Yields the base
+    URL and the list of accepted connections.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)
@@ -289,7 +290,8 @@ def raw_server(reply, received=None, tls=None, tunnel=False, drip=None):
             except OSError:   # a client that refused the certificate
                 pass
             finally:
-                conn.close()
+                if not hold:
+                    conn.close()
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -311,7 +313,12 @@ def raw_server(reply, received=None, tls=None, tunnel=False, drip=None):
     b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{",
     None,
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n{",
-], ids=["closed", "garbage", "truncated", "silent", "truncated-chunked"])
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}XX0\r\n\r\n",
+    # a whole reply with a valid body once the 64 KiB head limit is lifted
+    b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (1 << 18) + b"\r\nContent-Length: 2\r\n\r\n{}",
+], ids=["closed", "garbage", "truncated", "silent", "truncated-chunked",
+        "chunk-size-not-hex", "chunk-without-crlf", "head-too-long"])
 def test_broken_transport_is_retried_then_raises_transport_error(manifest, monkeypatch,
                                                                  reply):
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
@@ -323,6 +330,19 @@ def test_broken_transport_is_retried_then_raises_transport_error(manifest, monke
         assert len(accepted) == 3
     assert info.value.payload()["last_status"] is None
     assert info.value.payload()["last_error"]
+
+
+def test_a_204_on_a_held_connection_is_a_protocol_error_at_once(manifest, monkeypatch):
+    # a 204 has no body: reading one up to the close would wait out the timeout
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    with raw_server(b"HTTP/1.1 204 No Content\r\n\r\n", hold=True) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=3, backoff_base=0.0, timeout=5.0)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="unexpected HTTP 204"):
+            complete(req, ResponseCache(), api)
+        assert time.monotonic() - start < 2.5
+        assert len(accepted) == 1
 
 
 @pytest.mark.parametrize("retry_after, backoff_base, slept", [

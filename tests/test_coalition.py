@@ -26,12 +26,12 @@ def test_validation():
 
 def test_hex_known_values():
     # little-endian bytes, zero-padded to ceil(n/8), lowercase
-    assert Coalition(0b101, 3).to_hex() == "05"
-    assert Coalition(0, 3).to_hex() == "00"
-    assert Coalition(255, 8).to_hex() == "ff"
-    assert Coalition(1 << 8, 9).to_hex() == "0001"
-    assert Coalition(0xfff, 12).to_hex() == "ff0f"
-    # the list form the utility cache keys a batch with
+    assert hex_keys([0b101], 3) == ["05"]
+    assert hex_keys([0], 3) == ["00"]
+    assert hex_keys([255], 8) == ["ff"]
+    assert hex_keys([1 << 8], 9) == ["0001"]
+    assert hex_keys([0xfff], 12) == ["ff0f"]
+    # a batch is keyed in order
     assert hex_keys([0b101, 0, 1 << 8], 9) == ["0500", "0000", "0001"]
     assert hex_keys([], 3) == []
 
@@ -39,11 +39,11 @@ def test_hex_known_values():
 @given(st.integers(min_value=1, max_value=80), st.data())
 def test_hex_round_trip(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    c = Coalition(mask, n)
-    s = c.to_hex()
-    assert len(s) == 2 * ((n + 7) // 8)
+    width = (n + 7) // 8
+    [s] = hex_keys([mask], n)
+    assert len(s) == 2 * width
     assert int.from_bytes(bytes.fromhex(s), "little") == mask
-    assert hex_keys([mask, 0], n) == [s, Coalition(0, n).to_hex()]
+    assert hex_keys([mask, 0], n) == [s, "00" * width]
 
 
 @given(st.integers(min_value=1, max_value=30), st.data())

@@ -38,6 +38,7 @@ from promptshap.theory import LipschitzGame
 from conftest import (
     ReferenceSplitMix64,
     glove_utility,
+    hex_key,
     random_table_game,
     reference_marginals,
     reference_shapley_montecarlo,
@@ -177,7 +178,7 @@ def test_montecarlo_failure_names_permutation_and_prefix(error, raised):
     assert calls.count(target) == 1
     t_fail, prefix = first[target]
     assert list(err.value.details.items()) == [
-        ("coalition", Coalition(target, n).to_hex()),
+        ("coalition", hex_key(target, n)),
         ("permutation_index", t_fail),
         ("prefix", prefix),
     ]
@@ -595,7 +596,7 @@ def test_a_utility_that_is_not_a_finite_real_fails_naming_its_coalition(engine, 
     with pytest.raises(UtilityOracleError, match="not a finite real number") as err:
         run()
     details = err.value.details
-    assert details["coalition"] == Coalition(target, n).to_hex()
+    assert details["coalition"] == hex_key(target, n)
     if engine.startswith("mc"):
         t, prefix = prefix_scan(n, permutations, seed)[target]
         assert (details["permutation_index"], details["prefix"]) == (t, prefix)
@@ -605,7 +606,7 @@ def test_infinite_utilities_of_both_signs_fail_on_the_first():
     game = GameSpec(n=3, utility=lambda c: math.inf if c.mask & 1 else -math.inf)
     with pytest.raises(UtilityOracleError) as err:
         shapley_montecarlo(game, 5, seed=1)
-    assert err.value.details["coalition"] == Coalition(7, 3).to_hex()   # U(full) comes first
+    assert err.value.details["coalition"] == hex_key(7, 3)   # U(full) comes first
 
 
 def test_numeric_utility_types_are_accepted():
@@ -835,7 +836,7 @@ def test_a_batch_of_the_wrong_length_fails_on_a_coalition(yielded, failing):
     game = GameSpec(n=2, utility=None, batch=lambda masks, n: [0.5] * yielded)
     with pytest.raises(UtilityOracleError, match=f"gave {yielded} utilities") as err:
         shapley_exact(game)
-    assert err.value.details["coalition"] == Coalition(failing, 2).to_hex()
+    assert err.value.details["coalition"] == hex_key(failing, 2)
 
 
 def failing_after_the_last(masks, n):
@@ -850,7 +851,7 @@ def test_a_batch_that_fails_after_its_last_utility_fails_on_the_last_coalition(e
     game = GameSpec(n=2, batch=failing_after_the_last)
     with pytest.raises(UtilityOracleError, match="boom after the last") as err:
         engine(game)
-    assert err.value.details["coalition"] == Coalition(last, 2).to_hex()
+    assert err.value.details["coalition"] == hex_key(last, 2)
 
 
 def test_a_curve_whose_batch_fails_after_its_last_utility_fails_at_k_n():

@@ -19,7 +19,7 @@ from promptshap.selection import (
     rank_order,
 )
 
-from conftest import shapley_subset_rational
+from conftest import hex_key, shapley_subset_rational
 
 
 def test_rank_order_sorts_by_value_then_id():
@@ -137,7 +137,7 @@ def test_a_utility_that_is_not_a_finite_real_fails_its_point(bad, k):
     assert curve.failed_k == k
     assert [p.utility for p in curve.points] == [0.25 * i for i in range(k - 1)] + [None]
     assert curve.error == (f"utility oracle gave {bad!r} on coalition "
-                           f"{Coalition((1 << k) - 1, 3).to_hex()}, not a finite real number")
+                           f"{hex_key((1 << k) - 1, 3)}, not a finite real number")
     if k > 1:
         assert best_prefix(curve).k == k - 1
 

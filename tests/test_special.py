@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promptshap.errors import PreconditionError
+from promptshap import special
+from promptshap.errors import ConditioningError, PreconditionError
 from promptshap.special import (
-    beta_cdf,
     beta_mass_quad,
     beta_pdf,
     betainc,
@@ -88,9 +88,41 @@ def test_beta_mass_quad_known_interval():
     assert abs(beta_mass_quad(2, 2, 0.4, 0.6) - 0.296) < 1e-10
 
 
-def test_beta_cdf_agrees_with_betainc():
-    for a, b, x in ((2, 2, 0.3), (50, 50, 0.45), (0.7, 1.3, 0.2)):
-        assert abs(beta_cdf(a, b, x) - betainc(a, b, x)) < 1e-12
+def test_betainc_converges_on_large_shapes():
+    # the fraction needs 513 iterations at 1e6, 1,082 at 1e7 and 45,243 at
+    # 1e12; lgamma's rounding leaves 5e-10 and 8e-9 of error at the first two
+    for shape in (1e6, 1e7):
+        assert abs(betainc(shape, shape, 0.5) - 0.5) < 1e-7
+    sigma = math.sqrt(0.25 / (2e6 + 1.0))
+    mass = betainc(1e6, 1e6, 0.5 + 1e-7) - betainc(1e6, 1e6, 0.5 - 1e-7)
+    assert abs(mass - 2e-7 / (math.sqrt(2 * math.pi) * sigma)) / mass < 1e-5
+
+
+def test_betainc_raises_past_its_iteration_cap():
+    with pytest.raises(ConditioningError, match="did not converge"):
+        betainc(1e14, 1e14, 0.5)
+
+
+def test_quadrature_raises_past_its_evaluation_budget():
+    # the density's rounding noise outlasts every halved tolerance
+    with pytest.raises(ConditioningError, match="262144 density evaluations"):
+        beta_mass_quad(1e5, 1e5, 0.4, 0.6)
+
+
+def test_quadrature_budget_keeps_the_bits_of_a_case_under_it(monkeypatch):
+    # the widest case of the hypothesis ranges above takes 43,321 evaluations
+    value = beta_mass_quad(0.5, 20, 1e-9, 0.95)
+    monkeypatch.setattr(special, "_QUAD_BUDGET", 43_321)
+    assert beta_mass_quad(0.5, 20, 1e-9, 0.95) == value
+    monkeypatch.setattr(special, "_QUAD_BUDGET", 43_320)
+    with pytest.raises(ConditioningError):
+        beta_mass_quad(0.5, 20, 1e-9, 0.95)
+
+
+def test_an_overflowing_beta_term_is_a_conditioning_error():
+    # about a / x = 2e320 at the smallest float, past the float range
+    with pytest.raises(ConditioningError, match="overflows a float"):
+        beta_pdf(1e-3, 1.0, 5e-324)
 
 
 def test_log_beta():

@@ -163,6 +163,19 @@ def test_beta_shape_parameters_must_be_finite_and_positive(alpha, beta):
         BetaSpec(alpha, beta)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e300, 1e300), (1e-300, 1e-300), (1e-300, 1.0)],
+                         ids=["sigma-nan", "sigma-zero-division", "lipschitz-overflow"])
+def test_beta_shapes_need_a_finite_sigma_and_flip_constant(alpha, beta):
+    with pytest.raises(PreconditionError, match="positive finite sigma"):
+        BetaSpec(alpha, beta)
+
+
+def test_the_golden_beta_shapes_are_accepted():
+    for alpha, beta in ((3, 5), (20, 30)):
+        spec = BetaSpec(alpha, beta)
+        assert 0 < spec.sigma < 1 and math.isfinite(perturbation_lipschitz(spec))
+
+
 def test_uniform_interval_is_linear():
     assert abs(beta_interval_exact(BetaSpec(1, 1), 0.1) - 0.2) < 1e-12
 
