@@ -18,7 +18,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .ensemble import Rule, TieRule
 from .errors import ConfigError, ConsistencyError
-from .game import Method
+from .game import DEFAULT_EXACT_CAP, Method
 from .jsonio import read_json
 from .learning import RegressorSpec
 
@@ -65,7 +65,7 @@ class GameConfig:
     permutations: int = 10_000
     truncation_tol: float = 0.0
     seed: int = 0
-    exact_cap: int = 20
+    exact_cap: int = DEFAULT_EXACT_CAP
     u_empty: float = 0.0
 
 

@@ -50,10 +50,10 @@ the steps before the stops. The counts merge into one sorted array of
 distinct keys; each key's marginal is found once, by binary search in the
 sorted masks. Each player's mean and squared deviations come from (distinct
 marginal, count) pairs, plus one pair of 0 for the permutations that
-stopped before the player, summed exactly and rounded once: the bits
-``math.fsum`` gives over all T marginals. Memory is the permutation table,
-the distinct masks and keys, and chunk temporaries of about ``_CHUNK * n``
-items: nothing of size n * T.
+stopped before the player, summed exactly in Python integers and rounded
+once: the bits ``math.fsum`` gives over all T marginals. Memory is the
+permutation table, the distinct masks and keys, and chunk temporaries of
+about ``_CHUNK * n`` items: nothing of size n * T.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -482,50 +482,40 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     permutations left over, whose scans stopped before the player, give 0;
     ``OverflowError`` if a marginal or a sum leaves the float range.
 
-    Equal marginals merge into one (value, count) pair. Each sum is exact and
-    rounded once (``_exact_sum``): the float ``math.fsum`` over every marginal
-    returns, in any order. Each squared deviation is C ``pow`` of ``value -
-    mean`` once per distinct value, as ``(x - mean) ** 2`` on floats is
-    (numpy's ``** 2`` multiplies, which rounds some squares differently)."""
-    if not np.isfinite(marginals).all():
-        raise OverflowError("a marginal past the float range")
+    Equal marginals merge into one (value, count) pair. Each sum is exact in
+    Python integers and rounded once (``_exact_sum``): the float
+    ``math.fsum`` over every marginal returns, in any order. Each squared
+    deviation is C ``pow`` of ``value - mean`` once per distinct value, as
+    ``(x - mean) ** 2`` on floats is (numpy's ``** 2`` multiplies, which
+    rounds some squares differently)."""
     truncated = permutations - int(counts.sum())
     if truncated:
         marginals, counts = np.append(marginals, 0.0), np.append(counts, truncated)
     marginals, inverse = np.unique(marginals, return_inverse=True)
-    weights = np.bincount(inverse, counts)
-    weights = weights.astype(np.float64)
-    mean = _exact_sum(marginals, weights) / permutations
+    values = marginals.tolist()
+    weights = np.bincount(inverse, counts).astype(np.int64).tolist()
+    mean = _exact_sum(values, weights) / permutations
     if permutations == 1:
         return mean, 0.0
-    squares = np.array(list(map(pow, (marginals - mean).tolist(), repeat(2))))
+    squares = [pow(value - mean, 2) for value in values]
     return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
 
 
-def _exact_sum(values: np.ndarray, weights: np.ndarray) -> float:
-    """The sum of ``weights * values`` rounded once to the nearest float;
-    ``OverflowError`` if it, or a term of it, leaves the float range. The
-    weights are integers of at most 2^36: permutation counts, far below that
-    for any permutation table that fits in memory.
+def _exact_sum(values: Sequence[float], weights: Sequence[int]) -> float:
+    """The sum of ``weights * values`` (integer weights) rounded once to the
+    nearest float; ``OverflowError`` if a value is infinite or the sum leaves
+    the float range.
 
-    Each value's 53-bit significand splits into three signed parts of at
-    most 2^17 in magnitude, so each weight times each part is exact, and so
-    is its scaling, because every finite float is a multiple of 2^-1074.
-    ``math.fsum`` of these exact terms is their correctly rounded sum, in any
-    order (Shewchuk 1997)."""
-    significands, exponents = np.frexp(values)
-    rest = np.ldexp(significands, 53)            # integers below 2^53 in magnitude
-    terms = []
-    with np.errstate(over="ignore"):             # a term past the float range is inf
-        for shift in (36, 18):
-            part = np.round(np.ldexp(rest, -shift))
-            rest -= np.ldexp(part, shift)
-            terms.append(np.ldexp(weights * part, exponents + (shift - 53)))
-        terms.append(np.ldexp(weights * rest, exponents - 53))
-    terms = np.concatenate(terms)
-    if not np.isfinite(terms).all():
-        raise OverflowError("a weighted term past the float range")
-    return math.fsum(terms.tolist())    # of finite terms: OverflowError past the range
+    Each finite float is an integer over a power of two
+    (``float.as_integer_ratio``), so over the largest denominator the sum is
+    one exact integer numerator, and ``int / int`` rounds it once. The terms
+    are added by denominator first, which saves a big-int scaling per term."""
+    numerators = {}
+    for value, weight in zip(values, weights):
+        num, den = value.as_integer_ratio()
+        numerators[den] = numerators.get(den, 0) + num * weight
+    scale = max(numerators)
+    return sum(num * (scale // den) for den, num in numerators.items()) / scale
 
 
 def _first_reach(order: np.ndarray, target: int) -> dict:

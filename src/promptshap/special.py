@@ -44,7 +44,12 @@ def beta_pdf(a: float, b: float, x: float) -> float:
     """Density of Be(a, b) at interior x."""
     if not 0.0 < x < 1.0:
         raise PreconditionError(f"beta_pdf needs x in (0,1), got {x}")
-    return _exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - log_beta(a, b), a, b)
+    return _density(a, b, log_beta(a, b), x)
+
+
+def _density(a: float, b: float, ln_beta: float, x: float) -> float:
+    """Density of Be(a, b) at interior x, given ``ln_beta = log_beta(a, b)``."""
+    return _exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - ln_beta, a, b)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -118,13 +123,14 @@ def beta_mass_quad(a: float, b: float, lo: float, hi: float) -> float:
     if lo == hi:
         return 0.0
     calls = itertools.count(1)
+    ln_beta = log_beta(a, b)
 
     def density(x: float) -> float:
         if next(calls) > _QUAD_BUDGET:
             raise ConditioningError(
                 f"Beta quadrature did not converge within {_QUAD_BUDGET} density "
                 f"evaluations for a={a}, b={b} on [{lo}, {hi}]")
-        return beta_pdf(a, b, x)
+        return _density(a, b, ln_beta, x)
 
     mid = 0.5 * (lo + hi)
     fl, fm, fh = density(lo), density(mid), density(hi)

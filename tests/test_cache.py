@@ -114,6 +114,12 @@ def test_torn_tail_does_not_swallow_the_next_entry(tmp_path):
     assert reloaded.entries == {"01": 0.5, "03": 0.25}
 
 
+@pytest.mark.parametrize("cls", [UtilityCache, ResponseCache])
+def test_persist_needs_a_bound_path(cls):
+    with pytest.raises(ValueError, match="no path bound to this cache"):
+        cls().persist()
+
+
 def test_persist_clears_the_torn_tail(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text(json.dumps({"coalition": "01", "u": 0.5}) + "\n"

@@ -254,6 +254,22 @@ def test_learn_then_predict_round_trip(learn_inputs, tmp_path, capsys):
     assert np.allclose(predicted, learn_inputs["true_values"], atol=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["ridge", "gp"])
+def test_learn_keeps_an_explicit_standardize_false(kind, learn_inputs, tmp_path, capsys):
+    config = write_config(tmp_path, {"paths": {"embeddings": learn_inputs["embeddings"]},
+                                     "regressor": {"standardize": False}}, name="raw.json")
+    model_path = tmp_path / "model.json"
+    code, _, _ = run_json(capsys, [
+        "learn", "--config", config, "--embeddings", learn_inputs["embeddings"],
+        "--values", learn_inputs["values"], "--model", kind, "--fraction", "0.34",
+        "--out", str(model_path)])
+    assert code == 0
+    model = json.loads(model_path.read_text())
+    assert model["metadata"]["standardize"] is False
+    if kind == "gp":    # the embedding columns' standard deviations are not 1
+        assert model["parameters"]["x_scale"] == [1.0, 1.0]
+
+
 @pytest.mark.parametrize("command, field", [
     ("curve", "value"),
     ("curve", "u_full"),
@@ -382,6 +398,9 @@ GOOD_ROW = {load_manifest: '{"id": "p0", "text": "t"}',
                  id="embeddings-huge-integer"),
     pytest.param(load_values, None, f'{{"players": [{{"id": "p", "value": {HUGE}}}]}}',
                  id="values-huge-integer"),
+    pytest.param(load_values, None, '{"players": []}', id="values-no-players"),
+    pytest.param(load_values, None, '{"players": [{"id": "p", "value": 0.5}, '
+                                    '{"id": "p", "value": 0.25}]}', id="values-duplicate-ids"),
     pytest.param(load_model, None, _linear_model({"weights": [0.5], "intercept": int(HUGE)}),
                  id="model-huge-integer"),
     pytest.param(load_embeddings, None,

@@ -662,6 +662,17 @@ def test_malformed_body_raises_protocol_error(stub, stub_api, manifest):
         complete(req, ResponseCache(), stub_api)
 
 
+@pytest.mark.parametrize("content", [5, None, ["(A)"]], ids=repr)
+def test_chat_content_that_is_not_a_string_raises_protocol_error(manifest, monkeypatch, content):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+    monkeypatch.setattr(client, "_send", lambda request, timeout: (200, {}, reply.encode()))
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
+    req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+    with pytest.raises(ProtocolError, match="chat completion content is not a string"):
+        complete(req, ResponseCache(), api)
+
+
 def test_unconfigured_base_url_is_a_precondition(stub, manifest):
     req = CompletionRequest(question="Q", model="m")
     with pytest.raises(PreconditionError):
@@ -915,6 +926,22 @@ def test_embed_refuses_a_row_that_is_not_an_array_of_numbers(row, monkeypatch):
     api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
     with pytest.raises(ProtocolError, match="the embedding of row 1 is not an array of numbers"):
         embed(["a", "b"], api)
+
+
+def test_embed_refuses_a_reply_without_every_row(monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = json.dumps({"data": [{"index": 1, "embedding": [1.0, 0.0]}]})
+    monkeypatch.setattr(client, "_send", lambda request, timeout: (200, {}, reply.encode()))
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
+    with pytest.raises(ProtocolError, match="embeddings response is missing rows"):
+        embed(["a", "b"], api)
+
+
+def test_a_non_finite_number_in_the_embeddings_body_fails_before_any_request(stub, stub_api):
+    api = dataclasses.replace(stub_api, embeddings_model=math.nan)
+    with pytest.raises(PreconditionError, match="cannot build the request to /v1/embeddings"):
+        embed(["a"], api)
+    assert stub.state.embed_requests == 0
 
 
 def test_embed_refuses_an_integer_too_large_for_a_float(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -600,7 +601,7 @@ def test_matrix_validation_rules():
         )
     with pytest.raises(ConsistencyError):
         prob_matrix([[[0.5, 0.2]]])  # rows must sum to 1
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="exactly the hard field"):
         PredictionMatrix(
             prompt_ids=("a",),
             instance_ids=("q0",),
@@ -609,6 +610,19 @@ def test_matrix_validation_rules():
             hard=np.zeros((1, 1), dtype=np.int64),
             prob=np.ones((1, 1, 2)) / 2,
         )
+    with pytest.raises(ConsistencyError, match="instance ids are not unique"):
+        PredictionMatrix(prompt_ids=("a",), instance_ids=("q0", "q0"), mode=Mode.HARD_LABEL,
+                         num_labels=2, hard=np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(ConsistencyError, match=re.escape("matrix shape (1, 2) != (1, 1)")):
+        PredictionMatrix(prompt_ids=("a",), instance_ids=("q0",), mode=Mode.HARD_LABEL,
+                         num_labels=2, hard=np.zeros((1, 2), dtype=np.int64))
+    for fields in ({}, {"hard": np.zeros((1, 1), dtype=np.int64), "prob": np.ones((1, 1, 2)) / 2}):
+        with pytest.raises(ConsistencyError, match="exactly the prob field"):
+            PredictionMatrix(prompt_ids=("a",), instance_ids=("q0",), mode=Mode.PROBABILISTIC,
+                             num_labels=2, **fields)
+    with pytest.raises(ConsistencyError, match=re.escape("matrix shape (1, 1, 3) != (1, 1, 2)")):
+        PredictionMatrix(prompt_ids=("a",), instance_ids=("q0",), mode=Mode.PROBABILISTIC,
+                         num_labels=2, prob=np.ones((1, 1, 3)) / 3)
 
 
 def test_nan_probability_rejected(tmp_path):
@@ -627,6 +641,9 @@ def test_nan_probability_rejected(tmp_path):
     pytest.param('"[-0.5, 1.5]"', "nonnegative", id="negative-probability"),
     pytest.param('"[0.5, 0.6]"', "sum to 1", id="bad-row-sum"),
     pytest.param("5", "outside", id="label-out-of-range"),
+    pytest.param("1,0", "'p0' has 2 cells, expected 1", id="row-too-long"),
+    pytest.param('"[0.25, 0.25, 0.5]"', re.escape("have [3] labels, expected 2"),
+                 id="vector-length"),
 ])
 def test_matrix_content_error_names_the_file(cell, fault, tmp_path):
     path = tmp_path / "matrix.csv"
@@ -649,6 +666,8 @@ def test_validation_set_rules():
         ValidationSet(instances=(("a", 0), ("a", 1)), num_labels=2)
     with pytest.raises(ConsistencyError):
         ValidationSet(instances=(("a", 5),), num_labels=2)
+    with pytest.raises(PreconditionError, match="num_labels must be >= 1, got 0"):
+        ValidationSet(instances=(("a", 0),), num_labels=0)
 
 
 def test_validation_file_round_trip(tmp_path):
@@ -663,6 +682,7 @@ def test_validation_file_round_trip(tmp_path):
     pytest.param("q0,0\nq0,1\n", ConsistencyError, "not unique", id="repeated-id"),
     pytest.param("q0,0\nq1,5\n", ConsistencyError, "gold label 5 outside", id="gold-out-of-range"),
     pytest.param("", PreconditionError, "empty", id="no-instances"),
+    pytest.param("q0,0,1\n", ConsistencyError, "malformed row", id="malformed-row"),
 ])
 def test_validation_content_error_names_the_file(rows, error, fault, tmp_path):
     path = tmp_path / "validation.csv"
@@ -716,4 +736,7 @@ def test_matrix_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,q0\np0,1\n")
     with pytest.raises(ConsistencyError):
+        load_matrix(path, num_labels=2)
+    path.write_text("prompt_id,q0\n\n")
+    with pytest.raises(ConsistencyError, match="matrix has no prompt rows"):
         load_matrix(path, num_labels=2)

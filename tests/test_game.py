@@ -557,16 +557,20 @@ def test_montecarlo_matches_the_scalar_reference_at_the_key_width(n):
     assert engine == list(dict.fromkeys(reference))
 
 
-@pytest.mark.parametrize("weights", [[1, 1, 1], [2**34, 3, 2**35 - 1], [5, 2**26 + 1, 2**27]])
+@pytest.mark.parametrize("weights", [[1, 1, 1], [2**34, 3, 2**35 - 1], [5, 2**26 + 1, 2**27],
+                                     [2**62, 1, 2**40 + 7]])
 @pytest.mark.parametrize("values", [
     [0.1, -0.30000000000000004, 1e-17],
     [1.7e308, -1.6e308, 1e292],
     [5e-324, -2.5e-323, 2.0 ** -1022],
     [-0.0, 0.0, 3.0],
+    # terms at the float maximum, each weighted by the weight at its place:
+    # with weights of 1 the sums fit
+    [sys.float_info.max],
+    [sys.float_info.max, -1e308],
 ])
 def test_exact_sum_is_the_correctly_rounded_weighted_sum(values, weights):
     want = sum(Fraction(v) * w for v, w in zip(values, weights))
-    values, weights = np.array(values), np.array(weights, dtype=np.float64)
     if abs(want) > Fraction(sys.float_info.max):
         with pytest.raises(OverflowError):
             _exact_sum(values, weights)
@@ -635,6 +639,15 @@ def test_montecarlo_sums_past_the_float_range_fail_as_a_typed_error(utility, tol
         shapley_montecarlo(game, 8, truncation_tol=tol, seed=2)
     assert isinstance(err.value, PreconditionError)
     assert err.value.details == {"player": 0}
+
+
+def test_montecarlo_averages_a_marginal_at_the_float_maximum():
+    game = GameSpec(n=1, utility=lambda c: sys.float_info.max * c.mask)
+    result = shapley_montecarlo(game, 1)
+    assert result.values == shapley_exact(game).values == (sys.float_info.max,)
+    assert result.stderr == (0.0,)
+    with pytest.raises(PreconditionError, match="overflow"):   # 3 * max does not fit
+        shapley_montecarlo(game, 3)
 
 
 @pytest.mark.parametrize("arguments", [

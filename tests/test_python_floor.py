@@ -1,0 +1,21 @@
+"""The package declares ``requires-python = ">=3.10"``: every Python file in
+``src/``, ``tests/`` and ``scripts/`` must parse with the 3.10 grammar. This
+checks syntax only (``ast.parse`` with ``feature_version``, which is best
+effort), not the library APIs a file calls."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_python_file_parses_as_python_3_10():
+    files = sorted(p for top in ("src", "tests", "scripts") for p in (ROOT / top).rglob("*.py"))
+    assert files
+    failures = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failures == []
