@@ -50,9 +50,6 @@ from .learning import (
     holdout_eval,
     pearson,
     predict_sv,
-    train_gp,
-    train_linear,
-    train_ridge,
 )
 from .rng import SplitMix64, derive_seed
 from .selection import BestPrefix, Curve, CurvePoint, best_prefix, rank_add_curve, rank_order
@@ -132,7 +129,4 @@ __all__ = [
     "shapley_montecarlo",
     "shapley_weight",
     "theorem1_experiment",
-    "train_gp",
-    "train_linear",
-    "train_ridge",
 ]

@@ -1,14 +1,18 @@
 """Regression from prompt embeddings to Shapley values.
 
-Three regressors share the ``TrainedRegressor`` container: ordinary least
-squares (minimum-norm via a rank-revealing solve), ridge with an unpenalized
+``fit_regressor(X, y, spec)`` is the one trainer. A ``RegressorSpec`` names
+the model and holds every parameter and its default; the fit returns a
+``TrainedRegressor`` for any of the three kinds: ordinary least squares
+(minimum-norm via a rank-revealing solve), ridge with an unpenalized
 intercept handled by centering, and Gaussian-process regression with an RBF
 kernel, median-heuristic length scale, and Cholesky fitting under escalating
-jitter. Predictions are deterministic; holdout evaluation reports Pearson
-correlation and RMSE under a seeded shuffle split. A non-finite parameter
-(ridge lambda, a GP variance, length scale or jitter) or ``pearson`` input is
-a ``PreconditionError``, and so is ``standardize: true`` for the linear
-kind, whose least-squares fit does not depend on feature scale.
+jitter. The spec's parameters for its kind are checked before any arithmetic
+on the rows: a non-finite parameter (ridge lambda, a GP variance, length
+scale or jitter) is a ``PreconditionError``, and so is ``standardize: true``
+for the linear kind, whose least-squares fit does not depend on feature
+scale. Predictions are deterministic; holdout evaluation reports Pearson
+correlation and RMSE under a seeded shuffle split, and a non-finite
+``pearson`` input is a ``PreconditionError``.
 
 Cost model: a GP fit builds one O(N^2) squared-distance matrix, shared by the
 median-heuristic length scale and the kernel, and a prediction one O(N*M)
@@ -42,7 +46,7 @@ from .jsonio import all_numbers, read_json, read_jsonl, reading, write_json
 from .rng import SplitMix64
 
 MODEL_SCHEMA_VERSION = 1
-_MAX_JITTER = 1e-4   # train_gp gives up on the kernel above this jitter
+_MAX_JITTER = 1e-4   # a GP fit gives up on the kernel above this jitter
 
 
 @dataclass(frozen=True)
@@ -100,16 +104,11 @@ class RegressorKind(str, Enum):
 class RegressorSpec:
     kind: RegressorKind = RegressorKind.RIDGE
     ridge_lambda: float = 1.0
-    standardize: Optional[bool] = None   # None = kind default (off for linear)
+    standardize: Optional[bool] = None   # None = on for ridge and GP (linear never scales)
     gp_length_scale: Optional[float] = None   # None = median pairwise distance
     gp_signal_var: Optional[float] = None     # None = var(y)
     gp_noise_var: float = 1e-4
     gp_jitter: float = 1e-10
-
-    def resolve_standardize(self) -> bool:
-        if self.standardize is not None:
-            return self.standardize
-        return self.kind is not RegressorKind.LINEAR
 
 
 @dataclass(frozen=True)
@@ -148,56 +147,6 @@ def _check_training(X: np.ndarray, y: np.ndarray, min_rows: int = 2) -> None:
         )
 
 
-def train_linear(X, y) -> TrainedRegressor:
-    """Ordinary least squares with intercept; minimum-norm when rank-deficient."""
-    X = _as_array(X)
-    y = np.asarray(y, dtype=np.float64)
-    _check_training(X, y)
-    augmented = np.column_stack([X, np.ones(X.shape[0])])
-    coef, *_ = np.linalg.lstsq(augmented, y, rcond=None)
-    return TrainedRegressor(
-        kind=RegressorKind.LINEAR,
-        d=X.shape[1],
-        weights=coef[:-1],
-        intercept=float(coef[-1]),
-        metadata={"n_train": int(X.shape[0])},
-    )
-
-
-def train_ridge(X, y, ridge_lambda: float = 1.0, standardize: bool = True) -> TrainedRegressor:
-    """Minimize ||y - Xw - b||^2 + lambda ||w||^2 with the intercept unpenalized.
-
-    Centering removes the intercept from the penalized solve; optional
-    z-scoring makes lambda comparable across feature scales. Weights are
-    folded back into original units so prediction is always X @ w + b.
-    """
-    if not (_finite_real(ridge_lambda) and ridge_lambda >= 0):
-        raise PreconditionError(f"ridge lambda must be a finite real >= 0, got {ridge_lambda}")
-    X = _as_array(X)
-    y = np.asarray(y, dtype=np.float64)
-    _check_training(X, y, min_rows=1)
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
-    scale = X.std(axis=0) if standardize else np.ones(X.shape[1])
-    scale = np.where(scale == 0.0, 1.0, scale)
-    Xc = (X - x_mean) / scale
-    w_scaled = np.linalg.solve(
-        Xc.T @ Xc + ridge_lambda * np.eye(X.shape[1]), Xc.T @ (y - y_mean)
-    )
-    weights = w_scaled / scale
-    return TrainedRegressor(
-        kind=RegressorKind.RIDGE,
-        d=X.shape[1],
-        weights=weights,
-        intercept=y_mean - float(np.dot(weights, x_mean)),
-        metadata={
-            "n_train": int(X.shape[0]),
-            "ridge_lambda": ridge_lambda,
-            "standardize": standardize,
-        },
-    )
-
-
 def _rbf(sq_dists: np.ndarray, signal_var: float, length_scale: float) -> np.ndarray:
     return signal_var * np.exp(-sq_dists / (2.0 * length_scale * length_scale))
 
@@ -228,58 +177,96 @@ def _pairwise_sq_dists(A: np.ndarray, B: Optional[np.ndarray] = None) -> np.ndar
     return out
 
 
-def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[float] = None,
-             noise_var: float = 1e-4, jitter: float = 1e-10,
-             standardize: bool = True) -> TrainedRegressor:
-    """RBF-kernel Gaussian process regression around the training mean.
+def _check_parameters(spec: RegressorSpec) -> None:
+    """Refuse a parameter that ``spec.kind`` would use and could not fit with."""
+    if spec.kind is RegressorKind.LINEAR:
+        if spec.standardize:    # least squares gives the same fit on any feature scale
+            raise PreconditionError("regressor.standardize cannot be true for kind 'linear'")
+    elif spec.kind is RegressorKind.RIDGE:
+        ridge_lambda = spec.ridge_lambda
+        if not (_finite_real(ridge_lambda) and ridge_lambda >= 0):
+            raise PreconditionError(f"ridge lambda must be a finite real >= 0, got {ridge_lambda}")
+    else:
+        noise_var, jitter = spec.gp_noise_var, spec.gp_jitter
+        length_scale, signal_var = spec.gp_length_scale, spec.gp_signal_var
+        if not (_finite_real(noise_var) and noise_var >= 0):
+            raise PreconditionError(f"noise variance must be a finite real >= 0, got {noise_var}")
+        if not (_finite_real(jitter) and jitter > 0):
+            raise PreconditionError(f"jitter must be finite and positive, got {jitter}")
+        if length_scale is not None and not (_finite_real(length_scale) and length_scale > 0):
+            raise PreconditionError(f"length scale must be finite and positive, got {length_scale}")
+        if signal_var is not None and not _finite_real(signal_var):
+            raise PreconditionError(f"signal variance must be a finite real, got {signal_var}")
 
-    Stores alpha = (K + (noise_var + jitter) I)^{-1} (y - mean(y)) from a
-    Cholesky factorization, escalating jitter tenfold on failure up to
-    ``_MAX_JITTER``. The default length scale is the median pairwise distance
-    of the (standardized) inputs; the default signal variance is var(y).
+
+def fit_regressor(X, y, spec: RegressorSpec) -> TrainedRegressor:
+    """Fit the regressor that ``spec`` describes to rows ``X`` and targets ``y``.
+
+    Linear is ordinary least squares with an intercept, minimum-norm when
+    rank-deficient, and needs two rows. Ridge and GP need one; both center
+    the rows and, unless ``spec.standardize`` is false, z-score them. Ridge
+    minimizes ||y - Xw - b||^2 + lambda ||w||^2 with the intercept
+    unpenalized and folds its weights back into original units, so that
+    prediction is always X @ w + b. The GP stores
+    alpha = (K + (noise_var + jitter) I)^{-1} (y - mean(y)) from a Cholesky
+    factorization, escalating the jitter tenfold on failure up to
+    ``_MAX_JITTER``; its default length scale is the median pairwise distance
+    of the scaled rows and its default signal variance var(y).
     """
-    if not (_finite_real(noise_var) and noise_var >= 0):
-        raise PreconditionError(f"noise variance must be a finite real >= 0, got {noise_var}")
-    if not (_finite_real(jitter) and jitter > 0):
-        raise PreconditionError(f"jitter must be finite and positive, got {jitter}")
-    if length_scale is not None and not (_finite_real(length_scale) and length_scale > 0):
-        raise PreconditionError(f"length scale must be finite and positive, got {length_scale}")
-    if signal_var is not None and not _finite_real(signal_var):
-        raise PreconditionError(f"signal variance must be a finite real, got {signal_var}")
+    _check_parameters(spec)
     X = _as_array(X)
     y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    if spec.kind is RegressorKind.LINEAR:
+        _check_training(X, y, min_rows=2)
+        coef, *_ = np.linalg.lstsq(np.column_stack([X, np.ones(n)]), y, rcond=None)
+        return TrainedRegressor(kind=RegressorKind.LINEAR, d=d, weights=coef[:-1],
+                                intercept=float(coef[-1]), metadata={"n_train": n})
     _check_training(X, y, min_rows=1)
+    standardize = True if spec.standardize is None else spec.standardize
     x_mean = X.mean(axis=0)
-    scale = X.std(axis=0) if standardize else np.ones(X.shape[1])
+    scale = X.std(axis=0) if standardize else np.ones(d)
     scale = np.where(scale == 0.0, 1.0, scale)
     Z = (X - x_mean) / scale
+    y_mean = float(y.mean())
+    if spec.kind is RegressorKind.RIDGE:
+        ridge_lambda = spec.ridge_lambda
+        weights = np.linalg.solve(Z.T @ Z + ridge_lambda * np.eye(d), Z.T @ (y - y_mean)) / scale
+        return TrainedRegressor(
+            kind=RegressorKind.RIDGE,
+            d=d,
+            weights=weights,
+            intercept=y_mean - float(np.dot(weights, x_mean)),
+            metadata={"n_train": n, "ridge_lambda": ridge_lambda, "standardize": standardize},
+        )
     sq = _pairwise_sq_dists(Z)
+    length_scale = spec.gp_length_scale
     if length_scale is None:
-        upper = np.sqrt(sq[np.triu_indices(Z.shape[0], k=1)])
+        upper = np.sqrt(sq[np.triu_indices(n, k=1)])
         median = float(np.median(upper)) if upper.size else 0.0
         length_scale = median if median > 0 else 1.0
+    signal_var = spec.gp_signal_var
     if signal_var is None:
         var = float(y.var())
         signal_var = var if var > 0 else 1.0
-    y_mean = float(y.mean())
+    noise_var = spec.gp_noise_var
     K = _rbf(sq, signal_var, length_scale)
-    current = jitter
-    chol = None
+    jitter = spec.gp_jitter
     while True:
         try:
-            chol = np.linalg.cholesky(K + (noise_var + current) * np.eye(K.shape[0]))
+            chol = np.linalg.cholesky(K + (noise_var + jitter) * np.eye(n))
             break
         except np.linalg.LinAlgError:
-            current *= 10.0
-            if current > _MAX_JITTER:
+            jitter *= 10.0
+            if jitter > _MAX_JITTER:
                 raise ConditioningError(
-                    f"kernel factorization failed up to jitter {current / 10.0:g}",
-                    final_jitter=current / 10.0,
+                    f"kernel factorization failed up to jitter {jitter / 10.0:g}",
+                    final_jitter=jitter / 10.0,
                 ) from None
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y - y_mean))
     return TrainedRegressor(
         kind=RegressorKind.GAUSSIAN_PROCESS,
-        d=X.shape[1],
+        d=d,
         x_mean=x_mean,
         x_scale=scale,
         x_train=Z,
@@ -288,25 +275,8 @@ def train_gp(X, y, length_scale: Optional[float] = None, signal_var: Optional[fl
         length_scale=float(length_scale),
         signal_var=float(signal_var),
         noise_var=float(noise_var),
-        jitter_used=float(current),
-        metadata={"n_train": int(X.shape[0]), "standardize": standardize},
-    )
-
-
-def fit_regressor(X, y, spec: RegressorSpec) -> TrainedRegressor:
-    if spec.kind is RegressorKind.LINEAR:
-        if spec.standardize:    # least squares gives the same fit on any feature scale
-            raise PreconditionError("regressor.standardize cannot be true for kind 'linear'")
-        return train_linear(X, y)
-    if spec.kind is RegressorKind.RIDGE:
-        return train_ridge(X, y, spec.ridge_lambda, spec.resolve_standardize())
-    return train_gp(
-        X, y,
-        length_scale=spec.gp_length_scale,
-        signal_var=spec.gp_signal_var,
-        noise_var=spec.gp_noise_var,
-        jitter=spec.gp_jitter,
-        standardize=spec.resolve_standardize(),
+        jitter_used=float(jitter),
+        metadata={"n_train": n, "standardize": standardize},
     )
 
 

@@ -40,13 +40,6 @@ def _exp(value: float, a: float, b: float) -> float:
         raise ConditioningError(f"a Be({a}, {b}) term overflows a float") from None
 
 
-def beta_pdf(a: float, b: float, x: float) -> float:
-    """Density of Be(a, b) at interior x."""
-    if not 0.0 < x < 1.0:
-        raise PreconditionError(f"beta_pdf needs x in (0,1), got {x}")
-    return _density(a, b, log_beta(a, b), x)
-
-
 def _density(a: float, b: float, ln_beta: float, x: float) -> float:
     """Density of Be(a, b) at interior x, given ``ln_beta = log_beta(a, b)``."""
     return _exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - ln_beta, a, b)

@@ -94,8 +94,9 @@ def lemma1_sweep(n_max: int = 64) -> dict:
 class LipschitzGame:
     """Mean-field game over embeddings: U(S) = mean of g over members, U(empty) = 0.
 
-    The declared Lipschitz constant is spot-checked on every embedding pair at
-    construction; a violation means the caller's (g, L) declaration is wrong.
+    Every field value must be finite, and the declared Lipschitz constant is
+    spot-checked on every embedding pair at construction; a violation means
+    the caller's (g, L) declaration is wrong.
     """
 
     embeddings: np.ndarray
@@ -111,6 +112,10 @@ class LipschitzGame:
                 f"Lipschitz constant must be a finite positive real, got {self.lipschitz_l}")
         object.__setattr__(self, "embeddings", emb)
         gvals = np.array([float(self.field(e)) for e in emb])
+        bad = np.flatnonzero(~np.isfinite(gvals))
+        if bad.size:   # a NaN or infinite gap would pass the spot check below
+            raise PreconditionError(
+                f"field value at embedding {bad[0]} is {gvals[bad[0]]}, not a finite real")
         object.__setattr__(self, "_gvals", gvals)
         n = emb.shape[0]
         for i in range(n):

@@ -571,6 +571,25 @@ def test_verify_theorem1_tanh_field(capsys):
     assert json.loads(out)["violations"] == 0
 
 
+@pytest.mark.parametrize("check, patched, report, message", [
+    (["lemma1", "--n-max", "4"], "lemma1_sweep",
+     {"n_max": 4, "cases": 6, "equal": False,
+      "failures": [{"n": 3, "k": 0, "lhs": "1", "rhs": "2"}]},
+     "coefficient identity failed on 1 cases"),
+    (["theorem1", "--n", "3", "--d", "2", "--trials", "1"], "theorem1_experiment",
+     {"trials": 1, "violations": 2}, "2 Lipschitz bound violations"),
+], ids=["lemma1", "theorem1"])
+def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys, check, patched, report, message):
+    monkeypatch.setattr(cli, patched, lambda *args: dict(report))
+    code, out, err = run_json(capsys, ["verify", *check])
+    assert code == 1
+    doc = json.loads(out)   # the report is still written, with the failures in it
+    assert {key: doc[key] for key in report} == report
+    payload = json.loads(err)
+    assert payload["error"] == "PromptShapError"
+    assert payload["message"] == message
+
+
 def test_verify_beta_bounds(capsys):
     code, out, _ = run_json(capsys, [
         "verify", "beta-bounds", "--alpha", "2", "--beta", "2", "--epsilon", "0.1",

@@ -420,6 +420,14 @@ def test_a_dripping_reply_times_out_within_api_timeout(manifest, monkeypatch):
     assert info.value.payload()["last_error"] == "timed out"
 
 
+def test_a_spent_deadline_times_out_before_the_socket_waits():
+    with socket.socket() as sock:
+        sock.settimeout(5.0)
+        with pytest.raises(TimeoutError, match="timed out"):
+            client._until(sock, time.monotonic() - 1.0)
+        assert sock.gettimeout() == 5.0
+
+
 def test_a_request_is_one_well_formed_message(manifest, monkeypatch):
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "k-123")
     received = []
@@ -517,6 +525,18 @@ def proxy_env(monkeypatch):
     client._endpoint.cache_clear()
     yield monkeypatch
     client._endpoint.cache_clear()
+
+
+def test_a_proxy_that_names_no_host_fails_before_any_attempt(manifest, proxy_env):
+    sent = []
+    proxy_env.setattr(client, "_send", lambda request, timeout: sent.append(request))
+    proxy_env.setenv("http_proxy", "http://:3128")
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
+    req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "api.base_url 'http://127.0.0.1:9' is not usable: proxy 'http://:3128' names no host")):
+        complete(req, ResponseCache(), api)
+    assert sent == []
 
 
 def test_http_goes_through_the_proxy_with_its_credentials(manifest, proxy_env):

@@ -2,6 +2,7 @@ import json
 import math
 import statistics
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from promptshap.learning import (
     pearson,
     predict_sv,
     save_model,
-    train_gp,
-    train_linear,
-    train_ridge,
 )
 from promptshap.rng import SplitMix64
 
 from conftest import save_embeddings
+
+LINEAR = RegressorSpec(kind=RegressorKind.LINEAR)
+RIDGE = RegressorSpec(kind=RegressorKind.RIDGE)
+GP = RegressorSpec(kind=RegressorKind.GAUSSIAN_PROCESS)
 
 
 def uniform_matrix(rows, cols, seed, lo=-1.0, hi=1.0):
@@ -50,14 +52,14 @@ def test_linear_recovers_noiseless_affine():
     X = uniform_matrix(30, 4, seed=1)
     w = np.array([0.5, -1.25, 2.0, 0.75])
     y = X @ w + 0.3
-    model = train_linear(X, y)
+    model = fit_regressor(X, y, LINEAR)
     assert np.allclose(model.weights, w, atol=1e-8)
     assert abs(model.intercept - 0.3) < 1e-8
 
 
 def test_linear_constant_targets():
     X = uniform_matrix(20, 3, seed=2)
-    model = train_linear(X, np.full(20, 0.7))
+    model = fit_regressor(X, np.full(20, 0.7), LINEAR)
     assert np.allclose(model.weights, 0.0, atol=1e-10)
     assert abs(model.intercept - 0.7) < 1e-10
 
@@ -68,7 +70,7 @@ def test_linear_with_noise_matches_normal_equations():
     w = np.array([0.4, -0.2, 1.1, 0.0, -0.9, 0.3, 0.05, -0.5])
     clean = X @ w + 0.1
     y = clean + 0.01 * rng.standard_normal(200)
-    model = train_linear(X, y)
+    model = fit_regressor(X, y, LINEAR)
     predictions = predict_sv(model, X)
     assert float(np.sqrt(np.mean((predictions - clean) ** 2))) <= 0.02
     # independent normal-equations solve of the same problem
@@ -79,10 +81,10 @@ def test_linear_with_noise_matches_normal_equations():
 
 
 def test_linear_needs_two_samples():
-    with pytest.raises(PreconditionError):
-        train_linear([[1.0]], [0.5])
+    with pytest.raises(PreconditionError, match="at least 2 sample"):
+        fit_regressor([[1.0]], [0.5], LINEAR)
     with pytest.raises(ShapeError):
-        train_linear([[1.0], [2.0]], [0.5])
+        fit_regressor([[1.0], [2.0]], [0.5], LINEAR)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +94,9 @@ def test_linear_needs_two_samples():
 def test_ridge_zero_lambda_equals_ols():
     X = uniform_matrix(40, 5, seed=4)
     y = X @ np.array([1.0, -0.5, 0.25, 2.0, -1.5]) + 0.2
-    ols = train_linear(X, y)
+    ols = fit_regressor(X, y, LINEAR)
     for standardize in (False, True):
-        ridge = train_ridge(X, y, ridge_lambda=0.0, standardize=standardize)
+        ridge = fit_regressor(X, y, replace(RIDGE, ridge_lambda=0.0, standardize=standardize))
         assert np.allclose(ridge.weights, ols.weights, atol=1e-8)
         assert abs(ridge.intercept - ols.intercept) < 1e-8
 
@@ -102,14 +104,14 @@ def test_ridge_zero_lambda_equals_ols():
 def test_ridge_huge_lambda_predicts_the_mean():
     X = uniform_matrix(25, 3, seed=5)
     y = X @ np.array([1.0, 2.0, -1.0]) + 0.4
-    model = train_ridge(X, y, ridge_lambda=1e12)
+    model = fit_regressor(X, y, replace(RIDGE, ridge_lambda=1e12))
     assert np.allclose(predict_sv(model, X), y.mean(), atol=1e-4)
 
 
 def test_ridge_hand_solved_fixture():
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     y = np.array([0.5, -0.5, 0.3, -0.3])
-    model = train_ridge(X, y, ridge_lambda=1.0, standardize=False)
+    model = fit_regressor(X, y, replace(RIDGE, ridge_lambda=1.0, standardize=False))
     # centered system is diag(2,2) + I, so w = (1/3, 1/5), b = 0
     assert np.allclose(model.weights, [1 / 3, 1 / 5], atol=1e-12)
     assert abs(model.intercept) < 1e-12
@@ -119,24 +121,24 @@ def test_ridge_hand_solved_fixture():
 def test_ridge_is_continuous_in_lambda():
     X = uniform_matrix(30, 4, seed=6)
     y = X @ np.array([0.3, -0.7, 1.2, 0.1])
-    p0 = predict_sv(train_ridge(X, y, ridge_lambda=0.0), X)
-    p1 = predict_sv(train_ridge(X, y, ridge_lambda=1e-9), X)
+    p0 = predict_sv(fit_regressor(X, y, replace(RIDGE, ridge_lambda=0.0)), X)
+    p1 = predict_sv(fit_regressor(X, y, replace(RIDGE, ridge_lambda=1e-9)), X)
     assert float(np.max(np.abs(p1 - p0))) < 1e-6
 
 
 def test_ridge_rejects_negative_lambda():
-    with pytest.raises(PreconditionError):
-        train_ridge([[1.0], [2.0]], [0.1, 0.2], ridge_lambda=-0.5)
+    with pytest.raises(PreconditionError, match="ridge lambda must be a finite real >= 0"):
+        fit_regressor([[1.0], [2.0]], [0.1, 0.2], replace(RIDGE, ridge_lambda=-0.5))
 
 
 @pytest.mark.parametrize("ridge_lambda", [math.nan, math.inf], ids=["nan", "inf"])
 def test_ridge_rejects_a_non_finite_lambda(ridge_lambda):
     with pytest.raises(PreconditionError, match="ridge lambda must be a finite real"):
-        train_ridge([[1.0], [2.0]], [0.1, 0.2], ridge_lambda=ridge_lambda)
+        fit_regressor([[1.0], [2.0]], [0.1, 0.2], replace(RIDGE, ridge_lambda=ridge_lambda))
 
 
 def test_ridge_accepts_single_sample():
-    model = train_ridge([[2.0]], [0.5])
+    model = fit_regressor([[2.0]], [0.5], RIDGE)
     assert abs(predict_sv(model, [[2.0]])[0] - 0.5) < 1e-12
 
 
@@ -147,39 +149,37 @@ def test_ridge_accepts_single_sample():
 def test_gp_interpolates_noiseless_data():
     X = uniform_matrix(15, 2, seed=7)
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
-    model = train_gp(X, y, noise_var=0.0)
+    model = fit_regressor(X, y, replace(GP, gp_noise_var=0.0))
     assert np.allclose(predict_sv(model, X), y, atol=1e-6)
 
 
 def test_gp_reverts_to_mean_far_from_data():
     X = uniform_matrix(10, 2, seed=8, lo=-0.5, hi=0.5)
     y = X @ np.array([1.0, -1.0]) + 0.2
-    model = train_gp(X, y, length_scale=1.0, standardize=False)
+    model = fit_regressor(X, y, replace(GP, gp_length_scale=1.0, standardize=False))
     far = predict_sv(model, [[100.0, 100.0]])[0]
     assert abs(far - y.mean()) < 1e-3
 
 
 def test_gp_single_point_returns_its_target():
-    model = train_gp([[0.0]], [0.5])
+    model = fit_regressor([[0.0]], [0.5], GP)
     assert predict_sv(model, [[0.0]])[0] == 0.5
 
 
 def test_gp_conditioning_failure_is_reported():
     with pytest.raises(ConditioningError):
-        train_gp(
-            [[0.0], [0.0]], [0.0, 1.0],
-            signal_var=1e20, noise_var=0.0, standardize=False,
-        )
+        fit_regressor([[0.0], [0.0]], [0.0, 1.0], replace(
+            GP, gp_signal_var=1e20, gp_noise_var=0.0, standardize=False))
 
 
 def test_gp_parameter_validation():
     X, y = [[0.0], [1.0]], [0.0, 1.0]
-    with pytest.raises(PreconditionError):
-        train_gp(X, y, noise_var=-1.0)
-    with pytest.raises(PreconditionError):
-        train_gp(X, y, jitter=0.0)
-    with pytest.raises(PreconditionError):
-        train_gp(X, y, length_scale=-1.0)
+    with pytest.raises(PreconditionError, match="noise variance must be a finite real >= 0"):
+        fit_regressor(X, y, replace(GP, gp_noise_var=-1.0))
+    with pytest.raises(PreconditionError, match="jitter must be finite and positive"):
+        fit_regressor(X, y, replace(GP, gp_jitter=0.0))
+    with pytest.raises(PreconditionError, match="length scale must be finite and positive"):
+        fit_regressor(X, y, replace(GP, gp_length_scale=-1.0))
 
 
 def test_gp_parameters_are_checked_before_the_distances(monkeypatch):
@@ -188,17 +188,18 @@ def test_gp_parameters_are_checked_before_the_distances(monkeypatch):
 
     monkeypatch.setattr(learning, "_pairwise_sq_dists", no_distances)
     X, y = [[0.0], [1.0]], [0.0, 1.0]
-    for bad in ({"noise_var": -1.0}, {"jitter": 0.0}, {"length_scale": 0.0}):
+    for bad in ({"gp_noise_var": -1.0}, {"gp_jitter": 0.0}, {"gp_length_scale": 0.0}):
         with pytest.raises(PreconditionError):
-            train_gp(X, y, **bad)
+            fit_regressor(X, y, replace(GP, **bad))
 
 
 @pytest.mark.parametrize("name", ["noise_var", "jitter", "length_scale", "signal_var"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_gp_rejects_a_non_finite_parameter(name, value):
     # a NaN once gave a non-finite alpha without any error
-    with pytest.raises(PreconditionError, match="finite"):
-        train_gp([[0.0], [1.0]], [0.0, 1.0], **{name: value})
+    label = name.replace("_var", " variance").replace("_", " ")
+    with pytest.raises(PreconditionError, match=f"^{label} must be (a )?finite"):
+        fit_regressor([[0.0], [1.0]], [0.0, 1.0], replace(GP, **{"gp_" + name: value}))
 
 
 def broadcast_sq_dists(A, B):
@@ -253,7 +254,7 @@ def test_gp_fit_and_predict_hold_no_n_by_m_by_d_temporary():
     X_new = rng.standard_normal((100, 768))
     tracemalloc.start()
     try:
-        predict_sv(train_gp(X, y), X_new)
+        predict_sv(fit_regressor(X, y, GP), X_new)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -267,6 +268,9 @@ def test_fit_regressor_dispatch():
         model = fit_regressor(X, y, RegressorSpec(kind=kind))
         assert model.kind is kind
         assert model.d == 2
+        # standardize=None means on for ridge and GP; linear never records it
+        expected = None if kind is RegressorKind.LINEAR else True
+        assert model.metadata.get("standardize") is expected
 
 
 def test_fit_regressor_refuses_standardize_for_linear():
@@ -446,7 +450,7 @@ def test_nonlinear_values_are_learnable_by_gp():
 def test_linear_model_round_trip(tmp_path):
     X = uniform_matrix(20, 3, seed=19)
     y = X @ np.array([1.0, 2.0, 3.0]) + 0.5
-    model = train_linear(X, y)
+    model = fit_regressor(X, y, LINEAR)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -458,7 +462,7 @@ def test_linear_model_round_trip(tmp_path):
 def test_gp_model_round_trip(tmp_path):
     X = uniform_matrix(12, 2, seed=20)
     y = np.sin(X[:, 0]) * np.cos(X[:, 1])
-    model = train_gp(X, y)
+    model = fit_regressor(X, y, GP)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -470,7 +474,7 @@ def test_gp_model_round_trip(tmp_path):
 def test_save_model_never_holds_the_document_text(tmp_path):
     rng = np.random.default_rng(7)
     X = rng.standard_normal((200, 768))
-    model = train_gp(X, X[:, 0] - 0.5 * X[:, 1])
+    model = fit_regressor(X, X[:, 0] - 0.5 * X[:, 1], GP)
     path = tmp_path / "model.json"
     # what save_model must hold anyway: its arrays as lists of floats
     tracemalloc.start()

@@ -1,7 +1,8 @@
 """The package declares ``requires-python = ">=3.10"``: every Python file in
-``src/``, ``tests/`` and ``scripts/`` must parse with the 3.10 grammar. This
-checks syntax only (``ast.parse`` with ``feature_version``, which is best
-effort), not the library APIs a file calls."""
+``src/``, ``tests/``, ``scripts/`` and ``perfbench/`` must parse with the 3.10
+grammar. This checks syntax only (``ast.parse`` with ``feature_version``,
+which is best effort), not the library APIs a file calls. The files are only
+read."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_python_file_parses_as_python_3_10():
-    files = sorted(p for top in ("src", "tests", "scripts") for p in (ROOT / top).rglob("*.py"))
+    tops = ("src", "tests", "scripts", "perfbench")
+    files = sorted(p for top in tops for p in (ROOT / top).rglob("*.py"))
     assert files
     failures = []
     for path in files:

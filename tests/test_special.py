@@ -7,7 +7,6 @@ from promptshap import special
 from promptshap.errors import ConditioningError, PreconditionError
 from promptshap.special import (
     beta_mass_quad,
-    beta_pdf,
     betainc,
     log_beta,
     normal_cdf,
@@ -65,16 +64,6 @@ def test_betainc_symmetry(a, b, x):
     assert abs(betainc(a, b, x) + betainc(b, a, 1.0 - x) - 1.0) < 1e-12
 
 
-def test_beta_pdf_values_and_domain():
-    # Be(2,2) density is 6x(1-x)
-    assert abs(beta_pdf(2, 2, 0.5) - 1.5) < 1e-13
-    assert abs(beta_pdf(1, 1, 0.3) - 1.0) < 1e-13
-    with pytest.raises(PreconditionError):
-        beta_pdf(2, 2, 0.0)
-    with pytest.raises(PreconditionError):
-        beta_pdf(2, 2, 1.0)
-
-
 def test_beta_mass_quad_bounds_checked():
     with pytest.raises(PreconditionError):
         beta_mass_quad(2, 2, 0.0, 0.5)
@@ -120,9 +109,10 @@ def test_quadrature_budget_keeps_the_bits_of_a_case_under_it(monkeypatch):
 
 
 def test_an_overflowing_beta_term_is_a_conditioning_error():
-    # about a / x = 2e320 at the smallest float, past the float range
-    with pytest.raises(ConditioningError, match="overflows a float"):
-        beta_pdf(1e-3, 1.0, 5e-324)
+    # the density at lo is about a / x = 2e320 at the smallest float, past
+    # the float range
+    with pytest.raises(ConditioningError, match=r"a Be\(0.001, 1.0\) term overflows a float"):
+        beta_mass_quad(1e-3, 1.0, 5e-324, 0.5)
 
 
 def test_log_beta():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from promptshap.theory import (
     perturbation_identity_max_error,
     perturbation_lipschitz,
     theorem1_experiment,
+    theorem1_game,
 )
 
 
@@ -100,6 +102,27 @@ def test_a_lipschitz_constant_must_be_a_finite_positive_real(constant):
     # a NaN constant once passed, and the spot check then checked nothing
     with pytest.raises(PreconditionError, match="finite positive real"):
         LipschitzGame(np.array([[0.0], [1.0]]), lambda e: 100 * float(e[0]), constant)
+
+
+def test_a_field_that_returns_nan_is_refused_at_construction():
+    # the spot check's |nan - g| > allowed is never true, so the game once
+    # built and failed later as a utility oracle error on coalition 02
+    field = lambda e: math.nan if e[0] == 1.0 else float(e[0])
+    with pytest.raises(PreconditionError, match="embedding 1 is nan, not a finite real"):
+        LipschitzGame(np.array([[0.0], [1.0], [2.0]]), field, lipschitz_l=1.0)
+
+
+def test_a_field_that_returns_infinity_is_refused_at_construction():
+    # inf - inf once raised only a RuntimeWarning, and the game built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="embedding 0 is inf, not a finite real"):
+            LipschitzGame(np.array([[0.0], [1.0], [2.0]]), lambda e: math.inf, lipschitz_l=1.0)
+
+
+def test_theorem1_game_refuses_an_unknown_field():
+    with pytest.raises(PreconditionError, match="field must be 'affine' or 'tanh', got 'cubic'"):
+        theorem1_game(3, 2, seed=0, field="cubic")
 
 
 def test_affine_and_tanh_field_constants():
