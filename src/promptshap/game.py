@@ -492,30 +492,37 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     if truncated:
         marginals, counts = np.append(marginals, 0.0), np.append(counts, truncated)
     marginals, inverse = np.unique(marginals, return_inverse=True)
-    values = marginals.tolist()
-    weights = np.bincount(inverse, counts).astype(np.int64).tolist()
-    mean = _exact_sum(values, weights) / permutations
+    weights = np.bincount(inverse, counts).astype(np.int64)
+    mean = _exact_sum(marginals, weights) / permutations
     if permutations == 1:
         return mean, 0.0
-    squares = [pow(value - mean, 2) for value in values]
+    squares = [pow(value - mean, 2) for value in marginals.tolist()]
     return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
 
 
 def _exact_sum(values: Sequence[float], weights: Sequence[int]) -> float:
-    """The sum of ``weights * values`` (integer weights) rounded once to the
+    """The sum of ``weights * values`` (int64 weights) rounded once to the
     nearest float; ``OverflowError`` if a value is infinite or the sum leaves
     the float range.
 
-    Each finite float is an integer over a power of two
-    (``float.as_integer_ratio``), so over the largest denominator the sum is
-    one exact integer numerator, and ``int / int`` rounds it once. The terms
-    are added by denominator first, which saves a big-int scaling per term."""
-    numerators = {}
-    for value, weight in zip(values, weights):
-        num, den = value.as_integer_ratio()
-        numerators[den] = numerators.get(den, 0) + num * weight
-    scale = max(numerators)
-    return sum(num * (scale // den) for den, num in numerators.items()) / scale
+    Each finite float is m * 2**e with m * 2**53 an integer (``np.frexp``),
+    so over the lowest exponent the sum is one exact integer numerator, and
+    ``int / int`` rounds it once. The terms are sorted by exponent and
+    summed per exponent, which saves a big-int shift per term."""
+    mantissas, exponents = np.frexp(values)
+    if not np.isfinite(mantissas).all():
+        raise OverflowError("cannot sum an infinite float exactly")
+    order = np.argsort(exponents, kind="stable")
+    exponents = exponents[order]
+    digits = (mantissas[order] * 2.0 ** 53).astype(np.int64).tolist()
+    weights = np.asarray(weights, dtype=np.int64)[order].tolist()
+    starts = [0, *(np.flatnonzero(np.diff(exponents)) + 1).tolist()]
+    lowest, total = int(exponents[0]), 0
+    for lo, hi in zip(starts, [*starts[1:], len(digits)]):
+        group = sum(map(operator.mul, digits[lo:hi], weights[lo:hi]))
+        total += group << int(exponents[lo]) - lowest
+    shift = lowest - 53    # the sum is total * 2**shift
+    return (total << shift) / 1 if shift >= 0 else total / (1 << -shift)
 
 
 def _first_reach(order: np.ndarray, target: int) -> dict:

@@ -1,9 +1,10 @@
 """Regression from prompt embeddings to Shapley values.
 
 ``fit_regressor(X, y, spec)`` is the one trainer. A ``RegressorSpec`` names
-the model and holds every parameter and its default; the fit returns a
-``TrainedRegressor`` for any of the three kinds: ordinary least squares
-(minimum-norm via a rank-revealing solve), ridge with an unpenalized
+the model and holds every parameter and its default; its kind may be given
+by its value ("gp"), and an unknown kind is a ``PreconditionError``. The fit
+returns a ``TrainedRegressor`` for any of the three kinds: ordinary least
+squares (minimum-norm via a rank-revealing solve), ridge with an unpenalized
 intercept handled by centering, and Gaussian-process regression with an RBF
 kernel, median-heuristic length scale, and Cholesky fitting under escalating
 jitter. The spec's parameters for its kind are checked before any arithmetic
@@ -109,6 +110,15 @@ class RegressorSpec:
     gp_signal_var: Optional[float] = None     # None = var(y)
     gp_noise_var: float = 1e-4
     gp_jitter: float = 1e-10
+
+    def __post_init__(self):
+        # a kind given by its value ("linear") becomes the member the fit dispatches on
+        try:
+            object.__setattr__(self, "kind", RegressorKind(self.kind))
+        except ValueError:
+            allowed = [kind.value for kind in RegressorKind]
+            raise PreconditionError(
+                f"regressor kind must be one of {allowed}, got {self.kind!r}") from None
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,22 @@ seeds are computed as ``(seed + first 8 bytes of sha256(purpose)) mod 2^64``,
 giving each consumer an independent, documented stream.
 
 Cost model: the k-th output mixes the state ``seed + k*gamma mod 2^64``, so
-outputs do not depend on each other and are mixed ``_BLOCK`` at a time in
-wrapping numpy ``uint64`` arithmetic, bit-identical to the scalar reference.
-A draw is then one list read, where mixing in Python integers costs about
-1 us. Every method reads the same buffer, so interleaved calls stay on one
-stream. The rejection loop of Fisher-Yates is written once, in Python, with
-its (index, shift) steps computed once per list length and kept for the
-next call of that length: ``shuffle`` runs it once, and ``shuffles`` runs it
-T times on one list and records each result in a (T, n) table, converting
-the rows a block of shuffles at a time.
+outputs do not depend on each other and are mixed many at a time in wrapping
+numpy ``uint64`` arithmetic, bit-identical to the scalar reference, where
+mixing in Python integers costs about 1 us a draw. ``next_u64`` and
+``uniform`` read a buffer of ``_BLOCK`` outputs. The rejection loop of
+Fisher-Yates is written once, in Python. Over a list of n items every step
+reads symbols: the top b = (n - 1).bit_length() bits of each draw, shifted in
+numpy before ``tolist()`` so that the list holds small ints. Each step reads
+one iterator over a chunk of symbols until one falls below its threshold,
+and its (index, threshold, shift) triple is computed once per list length
+and kept for the next call of that length. A call mixes about twice the
+draws it expects as its first chunk, and ``_CHUNK`` more whenever a chunk
+runs out. At its end the state moves past exactly the draws used and the
+buffer is emptied, so interleaved calls stay on one stream. ``shuffle`` runs
+the loop once, so each call pays one numpy mix of a few microseconds, and
+``shuffles`` runs it T times on one list and records each result in a
+(T, n) table, converting the rows a block of shuffles at a time.
 """
 
 from __future__ import annotations
@@ -23,22 +30,35 @@ from __future__ import annotations
 import hashlib
 from array import array
 from functools import lru_cache
+from operator import length_hint
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 256
-# k*gamma mod 2^64 for k = 1.._BLOCK: the state offsets of one block's outputs
-_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_CHUNK = 4096
+# k*gamma mod 2^64 for k = 1.._CHUNK: the state offsets of one chunk's outputs
+_OFFSETS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def _mix(base: int, size: int) -> np.ndarray:
+    """The ``size`` (at most ``_CHUNK``) outputs that follow state ``base``."""
+    z = _OFFSETS[:size] + np.uint64(base & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _mix_block(base: int) -> list[int]:
     """The ``_BLOCK`` outputs that follow state ``base``."""
-    z = _STEPS + np.uint64(base)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))).tolist()
+    return _mix(base, _BLOCK).tolist()
+
+
+def _symbols(base: int, size: int, bits: int):
+    """An iterator over the top ``bits`` bits of the ``size`` outputs that
+    follow state ``base``, as small Python ints."""
+    return iter((_mix(base, size) >> np.uint64(64 - bits)).tolist())
 
 
 class SplitMix64:
@@ -98,30 +118,50 @@ class SplitMix64:
         return np.frombuffer(table, dtype=table.typecode).reshape(count, n)
 
     def _shuffle(self, xs: list, times: int, record=None) -> None:
-        """``shuffle(xs)`` ``times`` over, handing ``xs`` to ``record`` after each."""
-        steps = _steps(len(xs))
-        buf, pos = self._buf, self._pos
-        end = len(buf)
+        """``shuffle(xs)`` ``times`` over, handing ``xs`` to ``record`` after each.
+
+        The steps read symbols, the top bits of each draw, from one iterator
+        over a chunk of them: the first chunk holds about twice the draws the
+        call expects, and a step whose chunk runs out goes on in a next chunk
+        of ``_CHUNK``. The state then moves past exactly the draws used, and
+        the buffer is emptied, so ``next_u64`` goes on from there."""
+        steps, bits, draws = _steps(len(xs))
+        start = self.state
+        mixed = min(_CHUNK, int(2 * draws * times))
+        it = _symbols(start, mixed, bits)
         for _ in range(times):
-            for i, shift in steps:
+            for i, below, shift in steps:
                 while True:
-                    if pos == end:
-                        buf, pos, end = self._refill(), 0, _BLOCK
-                    j = buf[pos] >> shift
-                    pos += 1
-                    if j <= i:
-                        break
+                    for v in it:
+                        if v < below:
+                            break
+                    else:
+                        it = _symbols(start + mixed * _GAMMA, _CHUNK, bits)
+                        mixed += _CHUNK
+                        continue
+                    break
+                j = v >> shift
                 xs[i], xs[j] = xs[j], xs[i]
             if record is not None:
                 record(xs)
-        self._pos = pos
+        self._base = (start + (mixed - length_hint(it)) * _GAMMA) & _MASK64
+        self._buf, self._pos = [], 0
 
 
 @lru_cache(maxsize=16)
 def _steps(length: int) -> tuple:
-    """The (index, shift) steps of a Fisher-Yates pass over ``length`` items:
-    index ``i`` draws the top ``i.bit_length()`` bits of one output."""
-    return tuple((i, 64 - i.bit_length()) for i in range(length - 1, 0, -1))
+    """The Fisher-Yates steps over ``length`` items, the symbol width ``bits``
+    that they read and the draws that one pass takes on average.
+
+    A symbol is the top ``bits`` = (length - 1).bit_length() bits of one
+    output. Index ``i`` accepts its top ``i.bit_length()`` bits when they are
+    at most ``i``: a symbol below ``(i + 1) << shift``, where ``shift`` is
+    ``bits - i.bit_length()``; it then swaps with ``symbol >> shift``."""
+    bits, steps = max(length - 1, 0).bit_length(), []
+    for i in range(length - 1, 0, -1):
+        shift = bits - i.bit_length()
+        steps.append((i, (i + 1) << shift, shift))
+    return tuple(steps), bits, sum((1 << i.bit_length()) / (i + 1) for i in range(1, length))
 
 
 def derive_seed(seed: int, purpose: str) -> int:

@@ -285,6 +285,26 @@ def test_fit_regressor_refuses_standardize_for_linear():
         assert model.kind is RegressorKind.LINEAR
 
 
+@pytest.mark.parametrize("kind", list(RegressorKind))
+def test_a_kind_given_by_its_value_fits_that_kind(kind):
+    X = uniform_matrix(10, 2, seed=9)
+    y = X @ np.array([1.0, -0.5])
+    spec = RegressorSpec(kind=kind.value)
+    assert spec.kind is kind
+    model = fit_regressor(X, y, spec)
+    assert model.kind is kind
+    want = predict_sv(fit_regressor(X, y, RegressorSpec(kind=kind)), X)
+    assert predict_sv(model, X).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["lasso", "LINEAR", "", None, 3])
+def test_an_unknown_kind_is_refused_with_the_allowed_values(kind):
+    message = f"regressor kind must be one of ['linear', 'ridge', 'gp'], got {kind!r}"
+    with pytest.raises(PreconditionError) as refused:
+        RegressorSpec(kind=kind)
+    assert str(refused.value) == message
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -441,6 +461,14 @@ def test_nonlinear_values_are_learnable_by_gp():
         X, y, RegressorSpec(kind=RegressorKind.GAUSSIAN_PROCESS), split_seed=7
     )
     assert report["pearson"] >= 0.9
+
+
+def test_holdout_with_a_kind_given_by_its_value():
+    X = uniform_matrix(30, 3, seed=16)
+    y = X @ np.array([0.5, -1.0, 2.0]) + 0.1
+    report = holdout_eval(X, y, RegressorSpec(kind="linear"), split_seed=3)
+    assert report["kind"] == "linear"
+    assert report == holdout_eval(X, y, LINEAR, split_seed=3)
 
 
 # ---------------------------------------------------------------------------

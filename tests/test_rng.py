@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from promptshap.rng import _BLOCK, SplitMix64, derive_seed
+from promptshap.rng import _BLOCK, _CHUNK, _GAMMA, SplitMix64, derive_seed
 
 from conftest import ReferenceSplitMix64
 
@@ -14,16 +14,34 @@ calls = st.one_of(
     st.tuples(st.just("next_u64")),
     st.tuples(st.just("uniform")),
     st.tuples(st.just("shuffle"), st.sampled_from((0, 1, 2, 3, 12, _BLOCK + 9))),
+    st.tuples(st.just("shuffles"), st.sampled_from((0, 1, 2, 3, 12)), st.integers(0, 300)),
+    st.tuples(st.just("shuffles"), st.just(_BLOCK + 9), st.integers(0, 3)),
 )
 
 
 def call(rng, op: str, *arg):
-    """The output of one generator call; a shuffle's output is the permuted list."""
+    """The output of one generator call; a shuffle's output is the permuted
+    list, and the output of ``shuffles`` its table's shape, dtype and rows."""
     if op == "shuffle":
         xs = list(range(arg[0]))
         rng.shuffle(xs)
         return xs
+    if op == "shuffles":
+        return recorded_shuffles(rng, *arg)
     return getattr(rng, op)(*arg)
+
+
+def recorded_shuffles(rng, n: int, count: int) -> tuple:
+    """``shuffles(n, count)`` as (shape, dtype, rows); the scalar reference
+    shuffles one list ``count`` times and records it after each."""
+    if isinstance(rng, SplitMix64):
+        table = rng.shuffles(n, count)
+        return table.shape, table.dtype, table.tolist()
+    players, rows = list(range(n)), []
+    for _ in range(count):
+        rng.shuffle(players)
+        rows.append(list(players))
+    return (count, n), np.dtype(np.uint8 if n <= 256 else np.uint16), rows
 
 
 def test_seed_zero_known_answers():
@@ -99,6 +117,25 @@ def test_recorded_shuffles_match_successive_reference_shuffles(seed, n, count):
     assert table.tolist() == rows
     assert ours.state == reference.state
     assert ours.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("n, count, chunks", [(12, 2000, 5), (300, 60, 5), (257, 80, 5),
+                                              (2, 3000, 0)])
+def test_shuffles_whose_draws_span_symbol_chunks_match_the_reference(seed, n, count, chunks):
+    # n = 2 reads 1-bit symbols that every step accepts; n = 257 reads 9-bit
+    # symbols into a uint16 table
+    ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    # one draw first, so that the shuffles start inside a partly read buffer
+    assert ours.next_u64() == reference.next_u64()
+    assert call(ours, "shuffles", n, count) == call(reference, "shuffles", n, count)
+    assert ours.state == reference.state
+    # each draw moves the state by gamma
+    draws = (reference.state - seed) * pow(_GAMMA, -1, 2**64) % 2**64 - 1
+    assert draws >= chunks * _CHUNK
+    assert [ours.next_u64() for _ in range(_BLOCK + 1)] == \
+        [reference.next_u64() for _ in range(_BLOCK + 1)]
+    assert ours.state == reference.state
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
