@@ -341,8 +341,9 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
 
     A utility that is not a finite real number fails as a
     ``UtilityOracleError`` naming its coalition, its permutation index and
-    prefix; a player whose sums leave the float range, from finite but huge
-    utilities, fails as a ``PreconditionError`` naming the player.
+    prefix; a player with an infinite marginal, or whose squared deviations
+    sum past the float range, from finite but huge utilities, fails as a
+    ``PreconditionError`` naming the player.
     """
     permutations = _integer("permutation count", permutations)
     seed = _integer("seed", seed)
@@ -480,12 +481,16 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     """One player's mean marginal over ``permutations`` and its standard
     error, where marginal ``marginals[i]`` occurs ``counts[i]`` times and the
     permutations left over, whose scans stopped before the player, give 0;
-    ``OverflowError`` if a marginal or a sum leaves the float range.
+    ``OverflowError`` if a marginal or the sum of squares leaves the float
+    range.
 
     Equal marginals merge into one (value, count) pair. Each sum is exact in
     Python integers and rounded once (``_exact_sum``): the float
-    ``math.fsum`` over every marginal returns, in any order. Each squared
-    deviation is C ``pow`` of ``value - mean`` once per distinct value, as
+    ``math.fsum`` over every marginal returns, in any order. The mean is that
+    sum divided by ``permutations``; where the rounded sum does not fit, the
+    exact sum is divided and rounded once instead, which always fits, as a
+    mean of finite marginals lies between the least and the greatest. Each
+    squared deviation is C ``pow`` of ``value - mean`` once per distinct value, as
     ``(x - mean) ** 2`` on floats is (numpy's ``** 2`` multiplies, which
     rounds some squares differently)."""
     truncated = permutations - int(counts.sum())
@@ -493,17 +498,20 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
         marginals, counts = np.append(marginals, 0.0), np.append(counts, truncated)
     marginals, inverse = np.unique(marginals, return_inverse=True)
     weights = np.bincount(inverse, counts).astype(np.int64)
-    mean = _exact_sum(marginals, weights) / permutations
+    try:
+        mean = _exact_sum(marginals, weights) / permutations
+    except OverflowError:
+        mean = _exact_sum(marginals, weights, permutations)
     if permutations == 1:
         return mean, 0.0
     squares = [pow(value - mean, 2) for value in marginals.tolist()]
     return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
 
 
-def _exact_sum(values: Sequence[float], weights: Sequence[int]) -> float:
-    """The sum of ``weights * values`` (int64 weights) rounded once to the
-    nearest float; ``OverflowError`` if a value is infinite or the sum leaves
-    the float range.
+def _exact_sum(values: Sequence[float], weights: Sequence[int], divisor: int = 1) -> float:
+    """The sum of ``weights * values`` (int64 weights) over ``divisor``,
+    rounded once to the nearest float; ``OverflowError`` if a value is
+    infinite or the result leaves the float range.
 
     Each finite float is m * 2**e with m * 2**53 an integer (``np.frexp``),
     so over the lowest exponent the sum is one exact integer numerator, and
@@ -522,7 +530,7 @@ def _exact_sum(values: Sequence[float], weights: Sequence[int]) -> float:
         group = sum(map(operator.mul, digits[lo:hi], weights[lo:hi]))
         total += group << int(exponents[lo]) - lowest
     shift = lowest - 53    # the sum is total * 2**shift
-    return (total << shift) / 1 if shift >= 0 else total / (1 << -shift)
+    return (total << shift) / divisor if shift >= 0 else total / (divisor << -shift)
 
 
 def _first_reach(order: np.ndarray, target: int) -> dict:

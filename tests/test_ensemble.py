@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import re
 import sys
 import threading
@@ -23,6 +26,7 @@ from promptshap.ensemble import (
 )
 from promptshap.errors import ConsistencyError, PreconditionError
 from promptshap.game import run_batch
+from promptshap.jsonio import all_numbers, read_csv
 
 from conftest import make_adversarial_fixture, write_matrix, write_validation
 
@@ -740,3 +744,155 @@ def test_matrix_header_checked(tmp_path):
     path.write_text("prompt_id,q0\n\n")
     with pytest.raises(ConsistencyError, match="matrix has no prompt rows"):
         load_matrix(path, num_labels=2)
+
+
+# ---------------------------------------------------------------------------
+# the loader against the cell-by-cell parse it replaced, kept verbatim as the
+# reference: every file gives the same matrix bits or the same refusal
+
+
+def _matrix_from_rows(reader, num_labels: int) -> PredictionMatrix:
+    header = next(reader, None)
+    if not header or header[0].strip() != "prompt_id" or len(header) < 2:
+        raise ValueError("expected header 'prompt_id,<instance ids>'")
+    rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(
+                f"prompt {row[0]!r} has {len(row) - 1} cells, expected {len(header) - 1}")
+    if not rows:
+        raise ValueError("matrix has no prompt rows")
+    cells = [[c.strip() for c in row[1:]] for row in rows]
+    probabilistic = cells[0][0].startswith("[")
+    if any(c.startswith("[") != probabilistic for row in cells for c in row):
+        raise ValueError("mixed hard-label and probability cells")
+    if probabilistic:
+        vectors = [[_parse_prob_cell(c) for c in row] for row in cells]
+        lengths = {len(v) for row in vectors for v in row}
+        if lengths != {num_labels}:
+            raise ValueError(
+                f"probability vectors have {sorted(lengths)} labels, expected {num_labels}")
+        content = {"mode": Mode.PROBABILISTIC, "prob": np.array(vectors, dtype=np.float64)}
+    else:
+        content = {"mode": Mode.HARD_LABEL,
+                   "hard": np.array([[int(c) for c in row] for row in cells], dtype=np.int64)}
+    return PredictionMatrix(prompt_ids=tuple(row[0] for row in rows),
+                            instance_ids=tuple(h.strip() for h in header[1:]),
+                            num_labels=num_labels, **content)
+
+
+def _parse_prob_cell(cell: str) -> list[float]:
+    vec = json.loads(cell)
+    if not isinstance(vec, list) or not all_numbers(vec):
+        raise ValueError(f"probability cell {cell!r} is not a number array")
+    return [float(x) for x in vec]
+
+
+def loaded_or_refused(load, path, num_labels):
+    """What ``load`` makes of the file: the matrix's fields with its array's
+    dtype and bits, or the message it is refused with."""
+    try:
+        matrix = load(path, num_labels)
+    except ConsistencyError as exc:
+        return "refused", str(exc)
+    data = matrix.prob if matrix.mode is Mode.PROBABILISTIC else matrix.hard
+    return ("loaded", matrix.prompt_ids, matrix.instance_ids, matrix.mode, matrix.num_labels,
+            data.dtype, data.shape, data.tobytes())
+
+
+def reference_load_matrix(path, num_labels):
+    return read_csv(path, lambda reader: _matrix_from_rows(reader, num_labels))
+
+
+# probability vectors that pass the matrix checks, by label count
+SUMMING_TO_ONE = {
+    1: [[1.0], [1]],
+    2: [[0.5, 0.5], [0.9, 0.1], [1, 0], [0, 1.0], [0.25, 0.75], [-0.0, 1]],
+    3: [[0.2, 0.3, 0.5], [1, 0, 0], [0.1, 0.1, 0.8], [0.0, 0.5, 0.5]],
+}
+# spellings of a number that are not the vector's own
+ODD_NUMBERS = ["NaN", "Infinity", "-Infinity", "true", "false", "null", '"0.5"', "[0.5]",
+               "1e400", "1" + "0" * 400, "-1", "2", "0.5e0", "05", "+0.5", ".5"]
+# whole cells that do not hold a vector of the label count
+ODD_PROB_CELLS = ["[0.5, 0.5,]", "[]", "[0.5", "[0.5, 0.5]]", "[[0.5, 0.5]]", "[0.5, 0.5, 0.0, 0.0]",
+                  "[1]", "[0.5, 0.5] [0.5]", "[0.5, 0.5], [0.5, 0.5]", "1", "", "{}", "null",
+                  "[0.5,\n0.5]", "[ 0.5 ,\t0.5 ]", "[0.5;0.5]", "['0.5', 0.5]"]
+# pairs of neighbouring cells that split arrays between them
+SPLITS = [("[0.5, 0.5], [0.5", "0.5]"), ("[0.5, [0.5", "[0.5]]"), ("[0.5", "[0.5, 0.5]]"),
+          ("[1, 0], [0", "1]"), ("[0.5, 0.5]]", "[[0.5, 0.5]")]
+ODD_HARD_CELLS = ["-1", "1.5", "abc", "", "+1", "01", "1_0", " 1", "9" * 30, "1e2", "[1]",
+                  "[0.5, 0.5]", "true", "٣"]
+
+
+@st.composite
+def number_text(draw, x):
+    spellings = [json.dumps(x), f"{float(x):e}", f"{float(x):.3E}", f"{float(x)!r}"]
+    if float(x).is_integer():
+        spellings.append(str(int(x)))
+    if draw(st.integers(0, 14)) == 0:
+        spellings = ODD_NUMBERS
+    return draw(st.sampled_from(spellings))
+
+
+@st.composite
+def prob_cell(draw, labels):
+    kind = draw(st.integers(0, 9))
+    if kind == 9:
+        return draw(st.sampled_from(ODD_PROB_CELLS))
+    if kind == 8:   # a vector of another length
+        vector = draw(st.sampled_from(SUMMING_TO_ONE[draw(st.sampled_from(
+            [k for k in SUMMING_TO_ONE if k != labels]))]))
+    else:
+        vector = draw(st.sampled_from(SUMMING_TO_ONE[labels]))
+    comma = draw(st.sampled_from([",", ", ", " , ", ",\t"]))
+    left, right = draw(st.sampled_from([("[", "]"), ("[ ", " ]"), (" [", "] ")]))
+    return left + comma.join(draw(number_text(x)) for x in vector) + right
+
+
+@st.composite
+def hard_cell(draw, labels):
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from(ODD_HARD_CELLS))
+    return draw(st.sampled_from(["{}", " {} ", "{}\t"])).format(draw(st.integers(0, labels - 1)))
+
+
+@st.composite
+def matrix_texts(draw):
+    """(csv text, num_labels): 1-4 prompts, 1-5 instances, 1-3 labels."""
+    prompts, instances, labels = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    probabilistic = draw(st.booleans())
+    cell = prob_cell(labels) if probabilistic else hard_cell(labels)
+    cells = [draw(cell) for _ in range(prompts * instances)]
+    if draw(st.integers(0, 7)) == 0:   # a cell of the other kind
+        other = hard_cell(labels) if probabilistic else prob_cell(labels)
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(other)
+    if probabilistic and len(cells) > 1 and draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(cells) - 2))   # row-major, so a pair may span two rows
+        cells[at:at + 2] = draw(st.sampled_from(SPLITS))
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["prompt_id", *(f"q{j}" for j in range(instances))])
+    for i in range(prompts):
+        writer.writerow([f"p{i}", *cells[i * instances:(i + 1) * instances]])
+    return text.getvalue(), labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_texts())
+def test_load_matrix_matches_the_cell_by_cell_parse(tmp_path_factory, case):
+    text, labels = case
+    path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
+    path.write_text(text, encoding="utf-8")
+    want = loaded_or_refused(reference_load_matrix, path, labels)
+    assert loaded_or_refused(load_matrix, path, labels) == want
+
+
+def test_a_probability_array_split_across_cells_is_refused_as_mixed(tmp_path):
+    # the cells join into [[0.5, 0.5], [0.5, 0.5]], two vectors for two cells,
+    # but the second cell is not an array of its own
+    path = tmp_path / "split.csv"
+    path.write_text('prompt_id,q0,q1\np0,"[0.5, 0.5], [0.5","0.5]"\n')
+    with pytest.raises(ConsistencyError, match="mixed hard-label and probability cells"):
+        load_matrix(path, num_labels=2)
+    assert loaded_or_refused(load_matrix, path, 2) == loaded_or_refused(
+        reference_load_matrix, path, 2)

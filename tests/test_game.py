@@ -26,6 +26,7 @@ from promptshap.game import (
     GameSpec,
     Method,
     _exact_sum,
+    _statistics,
     loo_values,
     run_batch,
     shapley_exact,
@@ -578,6 +579,38 @@ def test_exact_sum_is_the_correctly_rounded_weighted_sum(values, weights):
         assert _exact_sum(values, weights).hex() == (want.numerator / want.denominator).hex()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=-sys.float_info.max, max_value=sys.float_info.max),
+                          st.integers(1, 2**40)), min_size=1, max_size=5),
+       st.integers(1, 2**62))
+def test_a_mean_whose_sum_leaves_the_float_range_is_rounded_once(terms, divisor):
+    values, weights = [v for v, _ in terms], [w for _, w in terms]
+    total = sum(Fraction(v) * w for v, w in zip(values, weights))
+    mean = total / divisor
+    try:
+        want = mean.numerator / mean.denominator
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exact_sum(values, weights, divisor)
+    else:
+        assert _exact_sum(values, weights, divisor).hex() == want.hex()
+    # the Monte Carlo mean: the rounded sum over the count where it fits, else
+    # the exact sum over the count, rounded once
+    count = sum(weights)
+    try:
+        want = (total.numerator / total.denominator) / count
+    except OverflowError:
+        want = (total / count).numerator / (total / count).denominator
+    try:
+        got, _ = _statistics(np.array(values), np.array(weights), count)
+    except OverflowError:   # only from the squared deviations from the mean
+        with pytest.raises(OverflowError):
+            squares = sum(Fraction(pow(v - want, 2)) * w for v, w in zip(values, weights))
+            squares.numerator / squares.denominator
+    else:
+        assert got.hex() == want.hex()
+
+
 def target_game(n, target, bad):
     """Utilities 0.25 * |S|, except ``bad`` on coalition ``target``."""
     return GameSpec(n=n, utility=lambda c: bad if c.mask == target else 0.25 * c.mask.bit_count())
@@ -625,9 +658,16 @@ def test_numeric_utility_types_are_accepted():
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.01])
+def test_montecarlo_averages_marginals_whose_sum_leaves_the_float_range(tol):
+    # player 0's eight marginals of 1.7e308 sum past the float range, but their mean fits
+    game = GameSpec(n=3, utility=lambda c: 1.7e308 * (c.mask & 1))
+    result = shapley_montecarlo(game, 8, truncation_tol=tol, seed=2)
+    assert result.values == (1.7e308, 0.0, 0.0)
+    assert result.stderr == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
 @pytest.mark.parametrize("utility", [
-    # finite utilities whose marginals sum past the float range
-    lambda c: 1.7e308 * (c.mask & 1),
     # marginals 1e200 apart, whose squared deviations overflow
     lambda c: 1e200 * (c.mask & 1) * (1 + (c.mask >> 1 & 1)),
     # a marginal that is itself past the float range
@@ -646,8 +686,9 @@ def test_montecarlo_averages_a_marginal_at_the_float_maximum():
     result = shapley_montecarlo(game, 1)
     assert result.values == shapley_exact(game).values == (sys.float_info.max,)
     assert result.stderr == (0.0,)
-    with pytest.raises(PreconditionError, match="overflow"):   # 3 * max does not fit
-        shapley_montecarlo(game, 3)
+    result = shapley_montecarlo(game, 3)   # 3 * max does not fit, its mean does
+    assert result.values == shapley_exact(game).values
+    assert result.stderr == (0.0,)
 
 
 @pytest.mark.parametrize("arguments", [
