@@ -668,9 +668,11 @@ def test_montecarlo_averages_marginals_whose_sum_leaves_the_float_range(tol):
 
 @pytest.mark.parametrize("tol", [0.0, 0.01])
 @pytest.mark.parametrize("utility", [
+    # a marginal that is itself past the float range, below -max
+    lambda c: -1.7e308 if c.mask & 1 else 1.7e308 * (c.mask > 0),
     # marginals 1e200 apart, whose squared deviations overflow
     lambda c: 1e200 * (c.mask & 1) * (1 + (c.mask >> 1 & 1)),
-    # a marginal that is itself past the float range
+    # a marginal that is itself past the float range, above max
     lambda c: 1.7e308 if c.mask & 1 else -1.7e308 * (c.mask > 0),
 ])
 def test_montecarlo_sums_past_the_float_range_fail_as_a_typed_error(utility, tol):
