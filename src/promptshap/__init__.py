@@ -56,9 +56,6 @@ from .selection import BestPrefix, Curve, CurvePoint, best_prefix, rank_add_curv
 from .theory import (
     BetaSpec,
     LipschitzGame,
-    beta_interval_exact,
-    beta_interval_normal,
-    beta_interval_poly,
     ensemble_perturbation,
     lemma1_identity,
     mean_field_shapley,
@@ -108,9 +105,6 @@ __all__ = [
     "UtilityOracleError",
     "ValidationSet",
     "best_prefix",
-    "beta_interval_exact",
-    "beta_interval_normal",
-    "beta_interval_poly",
     "cached_utility",
     "derive_seed",
     "ensemble_perturbation",

@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .coalition import check_masks, hex_keys
 from .errors import ConsistencyError, UtilityOracleError
 from .game import BatchFn, finite_utility
-from .jsonio import _open, all_numbers
+from .jsonio import FAULTS, _open, all_numbers
 
 # seconds after its last store at which ``memoized`` stores the values
 # pending, whatever their number
@@ -77,10 +77,6 @@ _FLOAT_MAX = sys.float_info.max
 # bytes of whole lines per ``json.loads`` in ``load``: a few hundred rows, so
 # the row dicts alive at once stay small however long the file
 _BLOCK = 1 << 14
-# what parsing and checking a row can raise: bad UTF-8 or JSON, an integer
-# of more digits than ``int`` parses, nesting too deep, a missing field, a
-# row that is not an object, an integer too large for ``math.fsum``
-_ROW_FAULTS = (ValueError, RecursionError, KeyError, TypeError, OverflowError)
 
 
 class _JsonlCache:
@@ -102,7 +98,7 @@ class _JsonlCache:
             text = line.decode("utf-8")
             row, end = _decode(text)
             key, value = row[cls.key_field], row[cls.value_field]
-        except _ROW_FAULTS:
+        except FAULTS:
             return None
         if end == len(text) and isinstance(key, str) and cls._valid_value(value):
             return key, value
@@ -149,7 +145,7 @@ class _JsonlCache:
             if not (len(keys) == lines and {*map(type, keys)} <= _STR
                     and cls._all_valid(values)):
                 return None
-        except _ROW_FAULTS:
+        except FAULTS:
             return None
         entries = dict(zip(keys, values))
         if len(entries) < lines:    # a repeated key: the first line's value wins

@@ -87,7 +87,7 @@ from .errors import (
     TransportError,
 )
 from .game import Oracle, checked_batch
-from .jsonio import all_numbers, read_jsonl, reading
+from .jsonio import FAULTS, all_numbers, read_jsonl, reading
 
 API_KEY_ENV = "PROMPTSHAP_API_KEY"
 
@@ -576,7 +576,7 @@ def _post(request: _Request, path: str, api: ApiConfig):
             raise ProtocolError(f"unexpected HTTP {status} from {path}", status=status)
         try:
             return json.loads(payload)
-        except ValueError as exc:
+        except FAULTS as exc:
             raise ProtocolError(f"{path} replied with a non-JSON body: {exc}") from exc
     raise TransportError(
         f"POST {path} failed after {api.attempts} attempts",

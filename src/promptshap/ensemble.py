@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
 from .game import Oracle, checked_batch
-from .jsonio import all_numbers, read_csv
+from .jsonio import FAULTS, all_numbers, read_csv
 
 
 class Mode(str, Enum):
@@ -425,7 +425,7 @@ def _joined_prob_cells(cells: list[str], num_labels: int) -> Optional[np.ndarray
             return None
         return np.fromiter(chain.from_iterable(items), dtype=np.float64,
                            count=len(cells) * num_labels)
-    except (ValueError, OverflowError, RecursionError):
+    except FAULTS:
         return None
 
 

@@ -481,8 +481,7 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     """One player's mean marginal over ``permutations`` and its standard
     error, where marginal ``marginals[i]`` occurs ``counts[i]`` times and the
     permutations left over, whose scans stopped before the player, give 0;
-    ``OverflowError`` if a marginal or the sum of squares leaves the float
-    range.
+    ``OverflowError`` if a marginal leaves the float range.
 
     Equal marginals merge into one (value, count) pair. Each sum is exact in
     Python integers and rounded once (``_exact_sum``): the float
@@ -492,7 +491,12 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     mean of finite marginals lies between the least and the greatest. Each
     squared deviation is C ``pow`` of ``value - mean`` once per distinct value, as
     ``(x - mean) ** 2`` on floats is (numpy's ``** 2`` multiplies, which
-    rounds some squares differently)."""
+    rounds some squares differently). Only where a square or their sum leaves
+    the float range is the same formula evaluated on the marginals and the
+    mean scaled by 2**-e, e the exponent of the largest |marginal|, and the
+    error scaled back by 2**e: a power of two rounds nothing away at that
+    scale, and the standard error of finite marginals is at most half their
+    range, so it fits."""
     truncated = permutations - int(counts.sum())
     if truncated:
         marginals, counts = np.append(marginals, 0.0), np.append(counts, truncated)
@@ -504,8 +508,15 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
         mean = _exact_sum(marginals, weights, permutations)
     if permutations == 1:
         return mean, 0.0
-    squares = [pow(value - mean, 2) for value in marginals.tolist()]
-    return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
+    try:
+        squares = [pow(value - mean, 2) for value in marginals.tolist()]
+        return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
+    except OverflowError:
+        e = math.frexp(float(np.abs(marginals).max()))[1]
+        scaled_mean = math.ldexp(mean, -e)
+        squares = [pow(math.ldexp(value, -e) - scaled_mean, 2) for value in marginals.tolist()]
+        return mean, math.ldexp(
+            math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations), e)
 
 
 def _exact_sum(values: Sequence[float], weights: Sequence[int], divisor: int = 1) -> float:

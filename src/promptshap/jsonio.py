@@ -23,11 +23,12 @@ text.
 Every input file is read through ``read_json``, ``read_jsonl`` or
 ``read_csv``, and a loader's step on the whole file runs inside
 ``reading(path)``, so a bad input fails the same way everywhere: a file that
-cannot be opened, text that is not UTF-8, invalid JSON, a document or row that
-is not an object, and any KeyError, TypeError, ValueError or OverflowError
-from the caller's code become a ``ConsistencyError`` naming the file (for a
-JSON Lines row also the line); a ``PromptShapError`` keeps its class and
-details under the same prefix.
+cannot be opened, text that is not UTF-8, invalid JSON (nesting too deep for
+the decoder included), a CSV field past ``csv``'s size limit, a document or
+row that is not an object, and any KeyError, TypeError, ValueError or
+OverflowError from the caller's code become a ``ConsistencyError`` naming the
+file (for a JSON Lines row also the line); a ``PromptShapError`` keeps its
+class and details under the same prefix.
 """
 
 from __future__ import annotations
@@ -40,8 +41,15 @@ from contextlib import contextmanager
 
 from .errors import ConsistencyError, PromptShapError
 
-# what a parser, a checked constructor or the decoder raises on a bad input
-_FAULTS = (KeyError, TypeError, ValueError, OverflowError, PromptShapError)
+# what a parser, a checked constructor or the decoder raises on a bad input:
+# bad UTF-8 or JSON and an integer of more digits than ``int`` parses
+# (ValueError), nesting deeper than the decoder's stack (RecursionError), a
+# CSV field past csv's size limit (csv.Error), a missing field, a value of
+# the wrong type, an integer too large for a float; the one list for every
+# parse of outside bytes (the readers here, cache lines, the joined
+# probability cells and the client's reply bodies)
+FAULTS = (KeyError, TypeError, ValueError, OverflowError, RecursionError, csv.Error,
+          PromptShapError)
 
 
 def _fault(where, exc: Exception) -> PromptShapError:
@@ -130,7 +138,7 @@ def reading(where):
     ``path:line``); faults as in the module docstring, naming ``where``."""
     try:
         yield
-    except _FAULTS as exc:
+    except FAULTS as exc:
         raise _fault(where, exc) from None
 
 

@@ -7,13 +7,16 @@ Four strands, each mirrored by an acceptance test:
 - a Lipschitz transfer bound: for mean-field games U(S) = mean of a scalar
   field g over member embeddings, |SV_i - SV_j| <= L ||e_i - e_j|| where L is
   the field's Lipschitz constant;
-- interval bounds P(0.5-eps <= X <= 0.5+eps) for X ~ Be(alpha, beta): exact
-  (incomplete beta), a normal approximation, and a linear Taylor polynomial
+- interval bounds P(0.5-eps <= X <= 0.5+eps) for X ~ Be(alpha, beta), all
+  computed by ``beta_bounds_report``: exact (a difference of incomplete beta
+  values), a quadrature of the density as an independent cross-check, a
+  normal approximation, and a linear Taylor polynomial
   (2 eps / (sqrt(2 pi) sigma)) (1 - (0.5-mu)^2 / (3 sigma^2)) with an
-  out-of-validity flag;
-- a single-classifier perturbation simulator: shifting one of N classifiers
-  by delta moves the ensemble mean by delta/N exactly (asserted per instance)
-  and flips at most L * delta / N of the decisions in expectation.
+  out-of-validity flag; each column is also a ``special`` function;
+- a single-classifier perturbation simulator, ``ensemble_perturbation``:
+  shifting one of N classifiers by delta moves the ensemble mean by delta/N
+  exactly (checked per instance) and flips at most L * delta / N of the
+  decisions in expectation.
 """
 
 from __future__ import annotations
@@ -252,82 +255,34 @@ def theorem1_experiment(game: LipschitzGame, trials: int, seed: int) -> dict:
 # Beta interval bounds
 
 
-def _check_eps(eps: float) -> None:
+def beta_bounds_report(spec: BetaSpec, eps: float) -> dict:
+    """The interval mass P(0.5-eps <= X <= 0.5+eps) for X ~ Be(alpha, beta), four ways.
+
+    The polynomial's flag fires when it cannot be trusted: leading factor
+    above 1, value outside [0, 1], or overshooting the exact or normal mass
+    by more than 10% relative.
+    """
     if not 0.0 < eps < 0.5:
         raise PreconditionError(f"epsilon must lie in (0, 0.5), got {eps}")
-
-
-def beta_interval_exact(spec: BetaSpec, eps: float) -> float:
-    _check_eps(eps)
-    return betainc(spec.alpha, spec.beta, 0.5 + eps) - betainc(spec.alpha, spec.beta, 0.5 - eps)
-
-
-def beta_interval_quad(spec: BetaSpec, eps: float) -> float:
-    """Independent quadrature evaluation of the same interval mass."""
-    _check_eps(eps)
-    return beta_mass_quad(spec.alpha, spec.beta, 0.5 - eps, 0.5 + eps)
-
-
-def beta_interval_normal(spec: BetaSpec, eps: float) -> float:
-    _check_eps(eps)
-    mu, sigma = spec.mu, spec.sigma
-    return normal_cdf((0.5 + eps - mu) / sigma) - normal_cdf((0.5 - eps - mu) / sigma)
-
-
-@dataclass(frozen=True)
-class PolyInterval:
-    value: float
-    leading_factor: float
-    correction: float
-    out_of_validity: bool
-    reference_exact: float
-    reference_normal: float
-
-
-def beta_interval_poly(spec: BetaSpec, eps: float) -> PolyInterval:
-    """Linear Taylor approximation of the interval mass, with a validity flag.
-
-    The flag fires when the approximation cannot be trusted: leading factor
-    above 1, value outside [0, 1], or overshooting the exact or normal
-    interval by more than 10% relative.
-    """
-    _check_eps(eps)
-    mu, sigma = spec.mu, spec.sigma
+    a, b, mu, sigma = spec.alpha, spec.beta, spec.mu, spec.sigma
+    exact = betainc(a, b, 0.5 + eps) - betainc(a, b, 0.5 - eps)
+    normal = normal_cdf((0.5 + eps - mu) / sigma) - normal_cdf((0.5 - eps - mu) / sigma)
     leading = 2.0 * eps / (math.sqrt(2.0 * math.pi) * sigma)
-    correction = 1.0 - (0.5 - mu) ** 2 / (3.0 * sigma * sigma)
-    value = leading * correction
-    exact = beta_interval_exact(spec, eps)
-    normal = beta_interval_normal(spec, eps)
-    flagged = (
-        leading > 1.0
-        or not 0.0 <= value <= 1.0
-        or value > 1.1 * normal
-        or value > 1.1 * exact
-    )
-    return PolyInterval(
-        value=value,
-        leading_factor=leading,
-        correction=correction,
-        out_of_validity=flagged,
-        reference_exact=exact,
-        reference_normal=normal,
-    )
-
-
-def beta_bounds_report(spec: BetaSpec, eps: float) -> dict:
-    poly = beta_interval_poly(spec, eps)
+    poly = leading * (1.0 - (0.5 - mu) ** 2 / (3.0 * sigma * sigma))
+    flagged = (leading > 1.0 or not 0.0 <= poly <= 1.0
+               or poly > 1.1 * normal or poly > 1.1 * exact)
     return {
-        "alpha": spec.alpha,
-        "beta": spec.beta,
+        "alpha": a,
+        "beta": b,
         "epsilon": eps,
-        "mu": spec.mu,
-        "sigma": spec.sigma,
-        "exact": poly.reference_exact,
-        "quad": beta_interval_quad(spec, eps),
-        "normal": poly.reference_normal,
-        "poly": poly.value,
-        "poly_leading_factor": poly.leading_factor,
-        "poly_out_of_validity": poly.out_of_validity,
+        "mu": mu,
+        "sigma": sigma,
+        "exact": exact,
+        "quad": beta_mass_quad(a, b, 0.5 - eps, 0.5 + eps),
+        "normal": normal,
+        "poly": poly,
+        "poly_leading_factor": leading,
+        "poly_out_of_validity": flagged,
     }
 
 
@@ -343,37 +298,6 @@ def perturbation_lipschitz(spec: BetaSpec) -> float:
     )
 
 
-def perturbation_identity_max_error(spec: BetaSpec, n_classifiers: int, instances: int,
-                                    k: int, delta: float, seed: int) -> float:
-    """Max deviation from |f' - f| = |h_k' - h_k| / N over sampled instances.
-
-    Classifier probabilities are drawn from Be(alpha, beta); classifier k is
-    shifted by delta and clipped to [0, 1]; the identity is evaluated against
-    the realized (post-clip) shift. The result is floating-point noise only,
-    a few 1e-16 in practice.
-    """
-    _check_perturbation_args(n_classifiers, k, delta)
-    if instances < 1:
-        raise PreconditionError(f"instances must be >= 1, got {instances}")
-    rng = np.random.default_rng(derive_seed(seed, "perturbation:identity"))
-    h = rng.beta(spec.alpha, spec.beta, size=(instances, n_classifiers))
-    f = h.mean(axis=1)
-    h_pert = h.copy()
-    h_pert[:, k] = np.minimum(1.0, h_pert[:, k] + delta)
-    f_pert = h_pert.mean(axis=1)
-    realized = np.abs(h_pert[:, k] - h[:, k])
-    return float(np.max(np.abs(np.abs(f_pert - f) - realized / n_classifiers)))
-
-
-def _check_perturbation_args(n_classifiers: int, k: int, delta: float) -> None:
-    if n_classifiers < 1:
-        raise PreconditionError(f"need at least one classifier, got {n_classifiers}")
-    if not 0 <= k < n_classifiers:
-        raise PreconditionError(f"classifier index {k} out of range for N={n_classifiers}")
-    if not 0.0 <= delta <= 1.0:
-        raise PreconditionError(f"delta must lie in [0, 1], got {delta}")
-
-
 def ensemble_perturbation(spec: BetaSpec, n_classifiers: int, num_instances: int,
                           k: int, delta: float, seed: int, trials: int) -> dict:
     """Simulated decision-flip fractions against the L * delta / N bound.
@@ -384,9 +308,17 @@ def ensemble_perturbation(spec: BetaSpec, n_classifiers: int, num_instances: int
     +delta shift, a down-flip from above under -delta. Each direction's flip
     fraction equals the observed |accuracy change| for that shift. The
     expected one-direction fraction is half the two-sided bound, reported as
-    predicted_flip_fraction.
+    predicted_flip_fraction. identity_max_abs_err is the largest deviation
+    from |f' - f| = |h_k' - h_k| / N over up to 10,000 instances of N
+    classifiers drawn from Be(alpha, beta), k shifted by +delta and clipped to
+    [0, 1]: rounding noise only, a few 1e-16 in practice.
     """
-    _check_perturbation_args(n_classifiers, k, delta)
+    if n_classifiers < 1:
+        raise PreconditionError(f"need at least one classifier, got {n_classifiers}")
+    if not 0 <= k < n_classifiers:
+        raise PreconditionError(f"classifier index {k} out of range for N={n_classifiers}")
+    if not 0.0 <= delta <= 1.0:
+        raise PreconditionError(f"delta must lie in [0, 1], got {delta}")
     if num_instances < 1:
         raise PreconditionError(f"num_instances must be >= 1, got {num_instances}")
     if trials < 1:
@@ -407,9 +339,13 @@ def ensemble_perturbation(spec: BetaSpec, n_classifiers: int, num_instances: int
         if up > bound or down > bound:
             exceed_count += 1
     identity_instances = min(num_instances, 10_000)
-    identity_err = perturbation_identity_max_error(
-        spec, n_classifiers, identity_instances, k, delta, seed
-    )
+    rng = np.random.default_rng(derive_seed(seed, "perturbation:identity"))
+    h = rng.beta(spec.alpha, spec.beta, size=(identity_instances, n_classifiers))
+    h_pert = h.copy()
+    h_pert[:, k] = np.minimum(1.0, h_pert[:, k] + delta)
+    realized = np.abs(h_pert[:, k] - h[:, k])
+    shift = np.abs(h_pert.mean(axis=1) - h.mean(axis=1))
+    identity_err = float(np.max(np.abs(shift - realized / n_classifiers)))
     return {
         "alpha": spec.alpha,
         "beta": spec.beta,

@@ -26,9 +26,7 @@ from promptshap.rng import SplitMix64, derive_seed
 from promptshap.selection import best_prefix, rank_add_curve
 from promptshap.theory import (
     BetaSpec,
-    beta_interval_exact,
-    beta_interval_normal,
-    beta_interval_poly,
+    beta_bounds_report,
     ensemble_perturbation,
     lemma1_sweep,
     mean_field_shapley,
@@ -203,20 +201,18 @@ def test_acceptance_05_value_difference_bound(capsys):
 def test_acceptance_06_beta_interval_bounds(capsys):
     start = time.perf_counter()
     problems = []
-    exact_22 = beta_interval_exact(BetaSpec(2, 2), 0.1)
+    exact_22 = beta_bounds_report(BetaSpec(2, 2), 0.1)["exact"]
     if abs(exact_22 - 0.2960) > 1e-6:
         problems.append(f"Be(2,2) exact {exact_22!r} != 0.2960")
-    exact_50 = beta_interval_exact(BetaSpec(50, 50), 0.01)
-    normal_50 = beta_interval_normal(BetaSpec(50, 50), 0.01)
-    rel_50 = abs(normal_50 - exact_50) / exact_50
+    be50 = beta_bounds_report(BetaSpec(50, 50), 0.01)
+    rel_50 = abs(be50["normal"] - be50["exact"]) / be50["exact"]
     if rel_50 >= 0.02:
         problems.append(f"Be(50,50) normal relative error {rel_50:.3%} >= 2%")
-    exact_500 = beta_interval_exact(BetaSpec(500, 500), 0.01)
-    normal_500 = beta_interval_normal(BetaSpec(500, 500), 0.01)
-    rel_500 = abs(normal_500 - exact_500) / exact_500
+    be500 = beta_bounds_report(BetaSpec(500, 500), 0.01)
+    rel_500 = abs(be500["normal"] - be500["exact"]) / be500["exact"]
     if rel_500 >= 0.005:
         problems.append(f"Be(500,500) normal relative error {rel_500:.3%} >= 0.5%")
-    if not beta_interval_poly(BetaSpec(1, 1), 0.1).out_of_validity:
+    if not beta_bounds_report(BetaSpec(1, 1), 0.1)["poly_out_of_validity"]:
         problems.append("poly validity flag did not fire on Be(1,1)")
     finish(capsys, 6, "Beta interval mass: exact value, normal error, poly flag",
            problems, start, 5.0)

@@ -973,6 +973,20 @@ def test_embed_refuses_an_integer_too_large_for_a_float(monkeypatch):
         embed(["a"], api)
 
 
+def test_predict_refuses_an_embeddings_reply_nested_past_the_decoder(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = b'{"data": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+    monkeypatch.setattr(client, "_send", lambda request, timeout: (200, {}, reply))
+    api = ApiConfig(base_url="http://127.0.0.1:9", model="m")
+    with pytest.raises(ProtocolError, match="/v1/embeddings replied with a non-JSON body"):
+        embed(["a"], api)
+    code, doc = run_predict(tmp_path, capsys, api, [1.0])
+    assert code == 1
+    assert doc["error"] == "ProtocolError"
+    assert doc["message"].startswith("/v1/embeddings replied with a non-JSON body: ")
+
+
 def test_embed_empty_input(stub, stub_api):
     assert embed([], stub_api).shape == (0, 0)
     assert stub.state.embed_requests == 0

@@ -601,14 +601,9 @@ def test_a_mean_whose_sum_leaves_the_float_range_is_rounded_once(terms, divisor)
         want = (total.numerator / total.denominator) / count
     except OverflowError:
         want = (total / count).numerator / (total / count).denominator
-    try:
-        got, _ = _statistics(np.array(values), np.array(weights), count)
-    except OverflowError:   # only from the squared deviations from the mean
-        with pytest.raises(OverflowError):
-            squares = sum(Fraction(pow(v - want, 2)) * w for v, w in zip(values, weights))
-            squares.numerator / squares.denominator
-    else:
-        assert got.hex() == want.hex()
+    got, error = _statistics(np.array(values), np.array(weights), count)
+    assert got.hex() == want.hex()
+    assert math.isfinite(error)   # squared deviations past the float range are scaled
 
 
 def target_game(n, target, bad):
@@ -666,12 +661,48 @@ def test_montecarlo_averages_marginals_whose_sum_leaves_the_float_range(tol):
     assert result.stderr == (0.0, 0.0, 0.0)
 
 
+def assert_near_exact_stderr(column, mean: float, error: float) -> None:
+    """``error`` is the standard error of ``mean`` over ``column`` to a few
+    roundings: its square against the formula's value in exact arithmetic."""
+    column = [Fraction(float(x)) for x in column]
+    t = len(column)
+    want = sum((x - Fraction(mean)) ** 2 for x in column) / (t - 1) / t
+    if want == 0:
+        assert error == 0.0
+    else:
+        assert abs(Fraction(error) ** 2 / want - 1) < Fraction(1, 10 ** 15)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+def test_montecarlo_errors_whose_squares_leave_the_float_range_fit(tol):
+    # marginals 1e200 apart: their squared deviations overflow, the errors do not
+    game = GameSpec(n=3, utility=lambda c: 1e200 * (c.mask & 1) * (1 + (c.mask >> 1 & 1)))
+    result = shapley_montecarlo(game, 8, truncation_tol=tol, seed=2)
+    marginals, _, _ = reference_marginals(game, 8, tol, seed=2)
+    assert result.values == tuple(math.fsum(column) / 8 for column in marginals.T)
+    for column, mean, error in zip(marginals.T, result.values, result.stderr):
+        assert_near_exact_stderr(column, mean, error)
+    assert result.stderr == (1.25e199, 1.25e199, 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+def test_montecarlo_equal_marginals_with_a_mean_one_ulp_off_have_an_error(tol):
+    # the double-rounded mean lands one ulp below the common marginal, and
+    # that ulp's square leaves the float range
+    u_full = 4.981543705727602e188
+    game = GameSpec(n=1, utility=lambda c: u_full * c.mask)
+    result = shapley_montecarlo(game, 589, truncation_tol=tol)
+    assert result.values == (4.981543705727601e188,)
+    assert result.stderr == (2.5499334619513413e171,)   # the ulp over sqrt(588)
+    assert_near_exact_stderr([u_full] * 589, *result.values, *result.stderr)
+
+
 @pytest.mark.parametrize("tol", [0.0, 0.01])
 @pytest.mark.parametrize("utility", [
     # a marginal that is itself past the float range, below -max
     lambda c: -1.7e308 if c.mask & 1 else 1.7e308 * (c.mask > 0),
-    # marginals 1e200 apart, whose squared deviations overflow
-    lambda c: 1e200 * (c.mask & 1) * (1 + (c.mask >> 1 & 1)),
+    # a marginal past the float range only where player 0 joins {1, 2}
+    lambda c: 1.7e308 * (c.mask & 1) - 1.7e308 * (c.mask == 6),
     # a marginal that is itself past the float range, above max
     lambda c: 1.7e308 if c.mask & 1 else -1.7e308 * (c.mask > 0),
 ])

@@ -7,7 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import promptshap
 from promptshap import jsonio
+from promptshap.cli import main
 from promptshap.jsonio import all_numbers, dumps, write_json
+
+from conftest import make_adversarial_fixture, write_matrix, write_validation
 
 floats = st.floats()   # NaN, infinities and -0.0 included
 scalars = st.one_of(
@@ -109,3 +112,124 @@ def test_only_jsonio_opens_files_for_reading():
                for path in sorted(package.glob("*.py"))}
     assert readers.pop("jsonio.py"), "the scan must find jsonio's own reader"
     assert {name: lines for name, lines in readers.items() if lines} == {}
+
+
+# ---------------------------------------------------------------------------
+# inputs past the parsers' limits, through the CLI
+
+DEEP = "[" * 5000 + "]" * 5000   # deeper than the JSON decoder's stack
+WIDE = "x" * 200_000             # longer than csv's field limit of 131,072
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+TOO_WIDE = "field larger than field limit (131072)"
+
+
+def _write(path, text) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _config(tmp_path, doc) -> str:
+    return _write(tmp_path / "config.json", json.dumps({"schema_version": 1, **doc}))
+
+
+def _matrix_config(tmp_path, matrix=None, validation=None, mode="matrix-vote") -> str:
+    good_matrix, good_validation = make_adversarial_fixture()
+    if matrix is None:
+        write_matrix(good_matrix, tmp_path / "matrix.csv")
+        matrix = str(tmp_path / "matrix.csv")
+    if validation is None:
+        write_validation(good_validation, tmp_path / "validation.csv")
+        validation = str(tmp_path / "validation.csv")
+    return _config(tmp_path, {
+        "utility_mode": mode, "paths": {"matrix": matrix, "validation": validation}})
+
+
+def _model(tmp_path) -> str:
+    return _write(tmp_path / "model.json", json.dumps({
+        "schema_version": 1, "kind": "linear", "d": 1,
+        "parameters": {"weights": [0.5], "intercept": 0.0}}))
+
+
+def _manifest(tmp_path) -> str:
+    return _write(tmp_path / "manifest.jsonl", '{"id": "a", "text": "one"}\n')
+
+
+def _values(tmp_path, players=None) -> str:
+    if players is None:
+        players = json.dumps([{"id": "a", "value": 0.1}, {"id": "b", "value": 0.2}])
+    return _write(tmp_path / "values.json", '{"players": %s}' % players)
+
+
+def deep_config(tmp_path):
+    path = _write(tmp_path / "config.json", '{"schema_version": 1, "game": {"seed": %s}}' % DEEP)
+    return ["value", "--config", path], path, 3, "ConfigError", TOO_DEEP
+
+
+def deep_values(tmp_path):
+    path = _values(tmp_path, DEEP)
+    argv = ["curve", "--config", _matrix_config(tmp_path), "--values", path,
+            "--out-dir", str(tmp_path / "curve")]
+    return argv, path, 1, "ConsistencyError", TOO_DEEP
+
+
+def deep_embeddings(tmp_path):
+    path = _write(tmp_path / "embeddings.jsonl",
+                  '{"id": "a", "vector": [1.0]}\n{"id": "b", "vector": %s}\n' % DEEP)
+    argv = ["learn", "--config", _config(tmp_path, {}), "--embeddings", path,
+            "--values", _values(tmp_path), "--out", str(tmp_path / "model.json")]
+    return argv, f"{path}:2", 1, "ConsistencyError", TOO_DEEP
+
+
+def deep_model(tmp_path):
+    path = _write(tmp_path / "model.json", '{"schema_version": 1, "kind": "linear", "d": 1, '
+                                           '"parameters": %s}' % DEEP)
+    argv = ["predict", "--config", _config(tmp_path, {}), "--model", path,
+            "--manifest", _manifest(tmp_path)]
+    return argv, path, 1, "ConsistencyError", TOO_DEEP
+
+
+def deep_manifest(tmp_path):
+    path = _write(tmp_path / "manifest.jsonl",
+                  '{"id": "a", "text": "one"}\n{"id": %s, "text": "two"}\n' % DEEP)
+    argv = ["predict", "--config", _config(tmp_path, {}), "--model", _model(tmp_path),
+            "--manifest", path]
+    return argv, f"{path}:2", 1, "ConsistencyError", TOO_DEEP
+
+
+def deep_questions(tmp_path):
+    path = _write(tmp_path / "questions.jsonl",
+                  '{"id": "q0", "question": "Q?", "gold": "A"}\n'
+                  '{"id": "q1", "question": %s, "gold": "A"}\n' % DEEP)
+    config = _config(tmp_path, {"utility_mode": "live-augmentation", "paths": {
+        "manifest": _manifest(tmp_path), "questions": path}})
+    return ["value", "--config", config], f"{path}:2", 1, "ConsistencyError", TOO_DEEP
+
+
+def deep_probability_cell(tmp_path):
+    path = _write(tmp_path / "deep.csv", 'prompt_id,q0\np0,"%s"\n' % DEEP)
+    config = _matrix_config(tmp_path, matrix=path, mode="matrix-average")
+    return ["value", "--config", config], path, 1, "ConsistencyError", TOO_DEEP
+
+
+def wide_matrix_field(tmp_path):
+    path = _write(tmp_path / "wide.csv", f'prompt_id,q0\np0,"{WIDE}"\n')
+    config = _matrix_config(tmp_path, matrix=path)
+    return ["value", "--config", config], path, 1, "ConsistencyError", TOO_WIDE
+
+
+def wide_validation_field(tmp_path):
+    path = _write(tmp_path / "wide.csv", f'#num_labels=2\ninstance_id,gold_label\n"{WIDE}",0\n')
+    config = _matrix_config(tmp_path, validation=path)
+    return ["value", "--config", config], path, 1, "ConsistencyError", TOO_WIDE
+
+
+@pytest.mark.parametrize("case", [
+    deep_config, deep_values, deep_embeddings, deep_model, deep_manifest, deep_questions,
+    deep_probability_cell, wide_matrix_field, wide_validation_field,
+], ids=lambda case: case.__name__.replace("_", "-"))
+def test_an_input_past_a_parser_limit_is_a_typed_error_naming_the_file(case, tmp_path, capsys):
+    argv, where, code, error, message = case(tmp_path)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": error, "message": f"{where}: {message}"}

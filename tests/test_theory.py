@@ -1,29 +1,28 @@
 import math
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promptshap.errors import ConsistencyError, PreconditionError
+from promptshap.errors import (
+    ConditioningError, ConsistencyError, PreconditionError, PromptShapError,
+)
 from promptshap.game import shapley_exact
 from promptshap.rng import SplitMix64
+from promptshap.special import beta_mass_quad, betainc, normal_cdf
 from promptshap.theory import (
     BetaSpec,
     LipschitzGame,
     beta_bounds_report,
-    beta_interval_exact,
-    beta_interval_normal,
-    beta_interval_poly,
-    beta_interval_quad,
     ensemble_perturbation,
     lemma1_identity,
     lemma1_sweep,
     make_affine_field,
     make_tanh_field,
     mean_field_shapley,
-    perturbation_identity_max_error,
     perturbation_lipschitz,
     theorem1_experiment,
     theorem1_game,
@@ -200,59 +199,59 @@ def test_the_golden_beta_shapes_are_accepted():
 
 
 def test_uniform_interval_is_linear():
-    assert abs(beta_interval_exact(BetaSpec(1, 1), 0.1) - 0.2) < 1e-12
+    assert abs(beta_bounds_report(BetaSpec(1, 1), 0.1)["exact"] - 0.2) < 1e-12
 
 
 def test_be22_interval_closed_form():
     # F(0.6) - F(0.4) for CDF 3x^2 - 2x^3
-    assert abs(beta_interval_exact(BetaSpec(2, 2), 0.1) - 0.296) < 1e-12
+    assert abs(beta_bounds_report(BetaSpec(2, 2), 0.1)["exact"] - 0.296) < 1e-12
 
 
 def test_exact_and_quadrature_agree():
     for spec, eps in ((BetaSpec(50, 50), 0.01), (BetaSpec(30, 70), 0.01), (BetaSpec(1, 1), 0.1)):
-        assert abs(beta_interval_exact(spec, eps) - beta_interval_quad(spec, eps)) < 1e-9
+        report = beta_bounds_report(spec, eps)
+        assert abs(report["exact"] - report["quad"]) < 1e-9
 
 
 def test_frozen_interval_values():
-    assert abs(beta_interval_exact(BetaSpec(50, 50), 0.01) - 0.15814447222588219) < 1e-11
-    assert abs(beta_interval_exact(BetaSpec(500, 500), 0.01) - 0.47284878328682906) < 1e-11
-    assert abs(beta_interval_normal(BetaSpec(1, 1), 0.1) - 0.270965510461196) < 1e-12
-    assert abs(beta_interval_normal(BetaSpec(50, 50), 0.01) - 0.159299480823972) < 1e-12
+    be50, be500 = (beta_bounds_report(BetaSpec(a, a), 0.01) for a in (50, 500))
+    assert abs(be50["exact"] - 0.15814447222588219) < 1e-11
+    assert abs(be500["exact"] - 0.47284878328682906) < 1e-11
+    assert abs(beta_bounds_report(BetaSpec(1, 1), 0.1)["normal"] - 0.270965510461196) < 1e-12
+    assert abs(be50["normal"] - 0.159299480823972) < 1e-12
 
 
 def test_normal_approximation_quality():
-    exact = beta_interval_exact(BetaSpec(50, 50), 0.01)
-    normal = beta_interval_normal(BetaSpec(50, 50), 0.01)
-    assert abs(normal - exact) / exact < 0.02
-    exact = beta_interval_exact(BetaSpec(500, 500), 0.01)
-    normal = beta_interval_normal(BetaSpec(500, 500), 0.01)
-    assert abs(normal - exact) / exact < 0.005
+    report = beta_bounds_report(BetaSpec(50, 50), 0.01)
+    assert abs(report["normal"] - report["exact"]) / report["exact"] < 0.02
+    report = beta_bounds_report(BetaSpec(500, 500), 0.01)
+    assert abs(report["normal"] - report["exact"]) / report["exact"] < 0.005
 
 
 def test_poly_interval_values_and_flags():
-    p = beta_interval_poly(BetaSpec(1, 1), 0.1)
-    assert abs(p.value - 0.276395319577068) < 1e-12
-    assert p.out_of_validity  # overshoots the exact mass 0.2 by far more than 10%
-    assert not beta_interval_poly(BetaSpec(50, 50), 0.01).out_of_validity
-    assert not beta_interval_poly(BetaSpec(500, 500), 0.01).out_of_validity
+    p = beta_bounds_report(BetaSpec(1, 1), 0.1)
+    assert abs(p["poly"] - 0.276395319577068) < 1e-12
+    assert p["poly_out_of_validity"]  # overshoots the exact mass 0.2 by far more than 10%
+    assert not beta_bounds_report(BetaSpec(50, 50), 0.01)["poly_out_of_validity"]
+    assert not beta_bounds_report(BetaSpec(500, 500), 0.01)["poly_out_of_validity"]
 
 
 def test_poly_flag_fires_on_leading_factor_above_one():
-    p = beta_interval_poly(BetaSpec(200, 200), 0.2)
-    assert p.leading_factor > 1.0
-    assert p.out_of_validity
+    p = beta_bounds_report(BetaSpec(200, 200), 0.2)
+    assert p["poly_leading_factor"] > 1.0
+    assert p["poly_out_of_validity"]
 
 
 def test_poly_flag_fires_on_negative_value():
-    p = beta_interval_poly(BetaSpec(30, 70), 0.01)
-    assert p.value < 0.0
-    assert p.out_of_validity
+    p = beta_bounds_report(BetaSpec(30, 70), 0.01)
+    assert p["poly"] < 0.0
+    assert p["poly_out_of_validity"]
 
 
 def test_interval_eps_domain():
     for eps in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(PreconditionError):
-            beta_interval_exact(BetaSpec(2, 2), eps)
+            beta_bounds_report(BetaSpec(2, 2), eps)
 
 
 def test_bounds_report_keys():
@@ -264,6 +263,120 @@ def test_bounds_report_keys():
     assert abs(report["exact"] - 0.296) < 1e-6
 
 
+# The per-column functions that beta_bounds_report once went through, kept
+# verbatim as the reference for the one-function report.
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 0.5:
+        raise PreconditionError(f"epsilon must lie in (0, 0.5), got {eps}")
+
+
+def beta_interval_exact(spec: BetaSpec, eps: float) -> float:
+    _check_eps(eps)
+    return betainc(spec.alpha, spec.beta, 0.5 + eps) - betainc(spec.alpha, spec.beta, 0.5 - eps)
+
+
+def beta_interval_quad(spec: BetaSpec, eps: float) -> float:
+    """Independent quadrature evaluation of the same interval mass."""
+    _check_eps(eps)
+    return beta_mass_quad(spec.alpha, spec.beta, 0.5 - eps, 0.5 + eps)
+
+
+def beta_interval_normal(spec: BetaSpec, eps: float) -> float:
+    _check_eps(eps)
+    mu, sigma = spec.mu, spec.sigma
+    return normal_cdf((0.5 + eps - mu) / sigma) - normal_cdf((0.5 - eps - mu) / sigma)
+
+
+@dataclass(frozen=True)
+class PolyInterval:
+    value: float
+    leading_factor: float
+    correction: float
+    out_of_validity: bool
+    reference_exact: float
+    reference_normal: float
+
+
+def beta_interval_poly(spec: BetaSpec, eps: float) -> PolyInterval:
+    """Linear Taylor approximation of the interval mass, with a validity flag.
+
+    The flag fires when the approximation cannot be trusted: leading factor
+    above 1, value outside [0, 1], or overshooting the exact or normal
+    interval by more than 10% relative.
+    """
+    _check_eps(eps)
+    mu, sigma = spec.mu, spec.sigma
+    leading = 2.0 * eps / (math.sqrt(2.0 * math.pi) * sigma)
+    correction = 1.0 - (0.5 - mu) ** 2 / (3.0 * sigma * sigma)
+    value = leading * correction
+    exact = beta_interval_exact(spec, eps)
+    normal = beta_interval_normal(spec, eps)
+    flagged = (
+        leading > 1.0
+        or not 0.0 <= value <= 1.0
+        or value > 1.1 * normal
+        or value > 1.1 * exact
+    )
+    return PolyInterval(
+        value=value,
+        leading_factor=leading,
+        correction=correction,
+        out_of_validity=flagged,
+        reference_exact=exact,
+        reference_normal=normal,
+    )
+
+
+def reference_beta_bounds_report(spec: BetaSpec, eps: float) -> dict:
+    poly = beta_interval_poly(spec, eps)
+    return {
+        "alpha": spec.alpha,
+        "beta": spec.beta,
+        "epsilon": eps,
+        "mu": spec.mu,
+        "sigma": spec.sigma,
+        "exact": poly.reference_exact,
+        "quad": beta_interval_quad(spec, eps),
+        "normal": poly.reference_normal,
+        "poly": poly.value,
+        "poly_leading_factor": poly.leading_factor,
+        "poly_out_of_validity": poly.out_of_validity,
+    }
+
+
+def report_outcome(report, spec, eps):
+    """Each column's type and bits in key order, or the error's class and message."""
+    try:
+        doc = report(spec, eps)
+    except PromptShapError as exc:
+        return type(exc), str(exc)
+    return [(key, type(v), v.hex() if isinstance(v, float) else v) for key, v in doc.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=0.5, max_value=500),
+    st.floats(min_value=0.5, max_value=500),
+    st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+)
+def test_the_report_matches_the_per_column_functions(a, b, eps):
+    spec = BetaSpec(a, b)
+    assert (report_outcome(beta_bounds_report, spec, eps)
+            == report_outcome(reference_beta_bounds_report, spec, eps))
+
+
+@pytest.mark.parametrize("shape, eps", [((2, 2), 0.0), ((2, 2), 0.5), ((2, 2), -0.1),
+                                        ((1e5, 1e5), 0.1)],
+                         ids=["eps-zero", "eps-half", "eps-negative", "quadrature-budget"])
+def test_the_report_refuses_as_the_per_column_functions_did(shape, eps):
+    spec = BetaSpec(*shape)
+    want = report_outcome(reference_beta_bounds_report, spec, eps)
+    assert want[0] in (PreconditionError, ConditioningError)
+    assert report_outcome(beta_bounds_report, spec, eps) == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.floats(min_value=1, max_value=100),
@@ -271,7 +384,7 @@ def test_bounds_report_keys():
     st.floats(min_value=0.005, max_value=0.45),
 )
 def test_interval_mass_is_a_probability(a, b, eps):
-    mass = beta_interval_exact(BetaSpec(a, b), eps)
+    mass = beta_bounds_report(BetaSpec(a, b), eps)["exact"]
     assert -1e-12 <= mass <= 1.0 + 1e-12
 
 
@@ -284,24 +397,33 @@ def test_perturbation_lipschitz_frozen():
 
 
 def test_perturbation_identity_is_machine_precision():
-    err = perturbation_identity_max_error(
-        BetaSpec(2, 2), n_classifiers=10, instances=1000, k=0, delta=0.3, seed=0
+    report = ensemble_perturbation(
+        BetaSpec(2, 2), n_classifiers=10, num_instances=1000, k=0, delta=0.3, seed=0, trials=1
     )
-    assert err <= 1e-12
+    assert report["identity_instances"] == 1000
+    assert report["identity_max_abs_err"] <= 1e-12
 
 
 def test_zero_delta_moves_nothing():
-    err = perturbation_identity_max_error(
-        BetaSpec(2, 2), n_classifiers=5, instances=200, k=2, delta=0.0, seed=1
-    )
-    assert err == 0.0
     report = ensemble_perturbation(
         BetaSpec(2, 2), n_classifiers=5, num_instances=200, k=2, delta=0.0, seed=1, trials=3
     )
+    assert report["identity_instances"] == 200
+    assert report["identity_max_abs_err"] == 0.0
     assert report["bound"] == 0.0
     assert report["up_flips"]["max"] == 0.0
     assert report["down_flips"]["max"] == 0.0
     assert report["exceed_count"] == 0
+
+
+def test_a_trial_above_the_flip_bound_is_counted():
+    # ten instances are too few for the expected fraction: two of twenty
+    # trials flip more than the bound in one direction
+    report = ensemble_perturbation(
+        BetaSpec(2, 2), n_classifiers=5, num_instances=10, k=0, delta=0.5, seed=0, trials=20
+    )
+    assert report["exceed_count"] == 2
+    assert max(report["up_flips"]["max"], report["down_flips"]["max"]) > report["bound"]
 
 
 def test_perturbation_report_shape_and_prediction():
@@ -348,8 +470,6 @@ def test_perturbation_argument_validation():
         ensemble_perturbation(spec, 5, 0, 0, 0.1, 0, 1)
     with pytest.raises(PreconditionError):
         ensemble_perturbation(spec, 5, 100, 0, 0.1, 0, 0)
-    with pytest.raises(PreconditionError):
-        perturbation_identity_max_error(spec, 5, 0, 0, 0.1, 0)
 
 
 def test_lipschitz_game_is_a_batch_of_member_means():
