@@ -492,11 +492,13 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     squared deviation is C ``pow`` of ``value - mean`` once per distinct value, as
     ``(x - mean) ** 2`` on floats is (numpy's ``** 2`` multiplies, which
     rounds some squares differently). Only where a square or their sum leaves
-    the float range is the same formula evaluated on the marginals and the
-    mean scaled by 2**-e, e the exponent of the largest |marginal|, and the
-    error scaled back by 2**e: a power of two rounds nothing away at that
-    scale, and the standard error of finite marginals is at most half their
-    range, so it fits."""
+    the float range, or the square of a nonzero deviation underflows to 0,
+    is the same formula evaluated on the marginals and the mean scaled by
+    2**-e, e the exponent of the largest |marginal|, and the error scaled
+    back by 2**e: a power of two rounds nothing away at that scale, and the
+    standard error of finite marginals is at most half their range, so it
+    fits. A square that underflows to a subnormal float keeps its rounding,
+    as ``(x - mean) ** 2`` does."""
     truncated = permutations - int(counts.sum())
     if truncated:
         marginals, counts = np.append(marginals, 0.0), np.append(counts, truncated)
@@ -509,14 +511,17 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     if permutations == 1:
         return mean, 0.0
     try:
-        squares = [pow(value - mean, 2) for value in marginals.tolist()]
-        return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
+        deviations = [value - mean for value in marginals.tolist()]
+        squares = [pow(deviation, 2) for deviation in deviations]
+        if squares.count(0.0) == deviations.count(0.0):    # no nonzero deviation squares to 0
+            return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
     except OverflowError:
-        e = math.frexp(float(np.abs(marginals).max()))[1]
-        scaled_mean = math.ldexp(mean, -e)
-        squares = [pow(math.ldexp(value, -e) - scaled_mean, 2) for value in marginals.tolist()]
-        return mean, math.ldexp(
-            math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations), e)
+        pass
+    e = math.frexp(float(np.abs(marginals).max()))[1]
+    scaled_mean = math.ldexp(mean, -e)
+    squares = [pow(math.ldexp(value, -e) - scaled_mean, 2) for value in marginals.tolist()]
+    return mean, math.ldexp(
+        math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations), e)
 
 
 def _exact_sum(values: Sequence[float], weights: Sequence[int], divisor: int = 1) -> float:

@@ -6,12 +6,15 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from promptshap import ensemble
 from promptshap.coalition import Coalition
 from promptshap.ensemble import (
     Mode,
@@ -19,6 +22,8 @@ from promptshap.ensemble import (
     Rule,
     TieRule,
     ValidationSet,
+    _TABLE_BYTES,
+    _average_scorer,
     _average_sums,
     load_matrix,
     load_validation,
@@ -293,7 +298,9 @@ def test_oracle_input_errors_raise_on_call():
 
 
 def reference_utility(matrix, validation, mask, rule, tie, u_empty):
-    """Plurality vote or probability-average argmax, per instance in plain Python."""
+    """Plurality vote or probability-average argmax, per instance in plain Python.
+    The average rule needs only ``prompt_ids``, ``instance_ids``, ``num_labels``
+    and ``prob`` of ``matrix``, so it also scores entries a matrix refuses."""
     members = [i for i in range(len(matrix.prompt_ids)) if mask >> i & 1]
     if not members:
         return u_empty
@@ -318,7 +325,8 @@ def reference_utility(matrix, validation, mask, rule, tie, u_empty):
             for i in members:
                 for label in range(k):
                     sums[label] += float(matrix.prob[i][col][label])
-            winner = sums.index(max(sums))
+            means = [total / len(members) for total in sums]
+            winner = means.index(max(means))
         correct += winner == gold
     return correct / len(validation.instances)
 
@@ -555,10 +563,58 @@ def test_average_fold_is_numpys_sum_and_mean_bit_for_bit(n, v, k, data):
     assert seen == set(range(len(masks)))
 
 
-@pytest.mark.parametrize("rule, instances", [(Rule.AVERAGE_ARGMAX, 100), (Rule.VOTE, 400)])
-def test_scoring_every_coalition_stays_small(rule, instances):
+# multiples of 1/8, so sums tie often, and entries whose sums overflow to +inf or -inf
+AVERAGE_ENTRY = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]) | \
+    st.sampled_from([1e308, -1e308, 1.5e308, -1.5e308])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1),
+       st.data())
+# sums past the float range warn: a matrix refuses such entries, the scorer does not check
+@np.errstate(over="ignore")
+def test_average_rule_matches_the_reference_across_buffers_and_orders(n, k, v, seed, data):
+    prob = data.draw(arrays(np.float64, (n, v, k), elements=AVERAGE_ENTRY), label="prob")
+    golds = data.draw(arrays(np.int64, v, elements=st.integers(0, k - 1)), label="golds")
+    # the real buffer, and buffers of one and of three coalitions
+    table_bytes = data.draw(st.sampled_from([_TABLE_BYTES, k * v * 8, 3 * k * v * 8 + 7]))
+    ids = tuple(f"q{j}" for j in range(v))
+    matrix = SimpleNamespace(prompt_ids=tuple(f"p{i}" for i in range(n)), instance_ids=ids,
+                             num_labels=k, prob=prob)
+    validation = ValidationSet(tuple(zip(ids, golds.tolist())), k)
+    expected = {mask: reference_utility(matrix, validation, mask, Rule.AVERAGE_ARGMAX,
+                                        TieRule.ABSTAIN, 0.0) for mask in range(1, 1 << n)}
+    with mock.patch.object(ensemble, "_TABLE_BYTES", table_bytes):
+        score = _average_scorer(prob, golds)
+    rng = np.random.default_rng(seed)
+    prefixes = []                       # Monte Carlo scans: each permutation's prefixes
+    for _ in range(max(2, 48 // n)):
+        mask = 0
+        for p in rng.permutation(n):
+            mask |= 1 << int(p)
+            prefixes.append(mask)
+    orders = {
+        "ascending": list(range(1, 1 << n)),
+        "random, repeats": [int(m) for m in rng.integers(1, 1 << n, size=2 << n)],
+        "mc prefixes": prefixes,
+    }
+    for name, masks in orders.items():
+        assert [hits / v for hits in score(masks)] == [expected[m] for m in masks], name
+    for mask in orders["random, repeats"][:16]:
+        assert [hits / v for hits in score([mask])] == [expected[mask]], mask
+
+
+@pytest.mark.parametrize("rule, instances, k", [
+    pytest.param(Rule.AVERAGE_ARGMAX, 100, 4, id="average-100"),
+    pytest.param(Rule.VOTE, 400, 4, id="vote-400"),
+    # the average rule's low table plus its buffer of means
+    (Rule.AVERAGE_ARGMAX, 400, 4),
+    (Rule.AVERAGE_ARGMAX, 400, 2),
+])
+def test_scoring_every_coalition_stays_small(rule, instances, k):
     # a 2**12 x 100 x 4 float table would take 13 MB
-    n, k = 12, 4
+    n = 12
     rng = np.random.default_rng(5)
     ids = tuple(f"q{j}" for j in range(instances))
     prob = rng.dirichlet(np.ones(k), size=(n, instances))

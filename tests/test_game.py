@@ -685,6 +685,19 @@ def test_montecarlo_errors_whose_squares_leave_the_float_range_fit(tol):
     assert result.stderr == (1.25e199, 1.25e199, 0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_montecarlo_errors_whose_squares_underflow_are_kept(tol):
+    # marginals 1e-200 apart: their squared deviations underflow to 0, the errors do not
+    game = GameSpec(n=2, utility=lambda c: 1e-200 * (c.mask & 1) * (1 + (c.mask >> 1 & 1)))
+    result = shapley_montecarlo(game, 8, truncation_tol=tol, seed=2)
+    marginals, _, _ = reference_marginals(game, 8, tol, seed=2)
+    assert result.values == tuple(math.fsum(column) / 8 for column in marginals.T)
+    for column, mean, error in zip(marginals.T, result.values, result.stderr):
+        assert error > 0.0
+        assert_near_exact_stderr(column, mean, error)
+    assert _statistics(np.array([1e-200, 2e-200]), np.array([1, 1]), 2) == (1.5e-200, 5e-201)
+
+
 @pytest.mark.parametrize("tol", [0.0, 0.01])
 def test_montecarlo_equal_marginals_with_a_mean_one_ulp_off_have_an_error(tol):
     # the double-rounded mean lands one ulp below the common marginal, and

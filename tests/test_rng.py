@@ -104,8 +104,10 @@ def test_shuffle_matches_the_scalar_reference_across_blocks(seed, length):
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
-@pytest.mark.parametrize("n, count", [(4, 0), (1, 3), (2, 300), (12, 500), (_BLOCK + 9, 3)])
+@pytest.mark.parametrize("n, count", [(4, 0), (1, 3), (2, 300), (12, 500), (_BLOCK + 9, 3),
+                                      (65_540, 3)])
 def test_recorded_shuffles_match_successive_reference_shuffles(seed, n, count):
+    # 65,540 players need a uint32 table
     ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
     table = ours.shuffles(n, count)
     players, rows = list(range(n)), []
@@ -113,7 +115,7 @@ def test_recorded_shuffles_match_successive_reference_shuffles(seed, n, count):
         reference.shuffle(players)
         rows.append(list(players))
     assert table.shape == (count, n)
-    assert table.dtype == (np.uint8 if n <= 256 else np.uint16)
+    assert table.dtype == (np.uint8 if n <= 256 else np.uint16 if n <= 65_536 else np.uint32)
     assert table.tolist() == rows
     assert ours.state == reference.state
     assert ours.next_u64() == reference.next_u64()
