@@ -235,11 +235,11 @@ class _JsonlCache:
     def _lines(self, keys: Iterable[str], values: Iterable) -> str:
         """``json.dumps(row, sort_keys=True)`` and a newline for each row
         ``{key_field: key, value_field: value}``, joined: both kinds name the
-        key field first in sorted order, and ``_dump`` writes the value as
+        key field first in sorted order, and ``_texts`` writes the values as
         json does, raising ``TypeError`` for a value json cannot write."""
         head, middle = f'{{"{self.key_field}": ', f', "{self.value_field}": '
-        return "".join([f"{head}{key}{middle}{value}}}\n"
-                        for key, value in zip(map(_quote, keys), map(self._dump, values))])
+        return "".join([f"{head}{key}{middle}{text}}}\n"
+                        for key, text in zip(map(_quote, keys), self._texts(values))])
 
     def _close_handle(self) -> None:
         fh, self._fh = self._fh, None
@@ -301,10 +301,15 @@ class UtilityCache(_JsonlCache):
             return False
 
     @staticmethod
-    def _dump(value) -> str:
-        # the base-class repr, as json writes it: repr(np.float64(0.5)) is
-        # "np.float64(0.5)"; int.__repr__ raises TypeError on a non-int
-        return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    def _texts(values: Iterable) -> Iterable:
+        # an exact int or float formats as its repr, the text json writes; a
+        # subclass is written by its base class's repr, as json does
+        # (repr(np.float64(0.5)) is "np.float64(0.5)"), and int.__repr__
+        # raises TypeError on a non-int
+        if all_numbers(values):
+            return values
+        return [float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+                for value in values]
 
 
 class ResponseCache(_JsonlCache):
@@ -319,7 +324,9 @@ class ResponseCache(_JsonlCache):
     def _all_valid(values: Sequence) -> bool:
         return {*map(type, values)} <= _STR
 
-    _dump = staticmethod(_quote)
+    @staticmethod
+    def _texts(values: Iterable) -> Iterable:
+        return map(_quote, values)
 
 
 # misses ``memoized`` stores at once when they arrive within ``FLUSH_S``

@@ -46,14 +46,21 @@ distinct ones, without truncation, make the one batch call. With
 truncation, whether a prefix is needed depends on the utilities before it,
 so each scan first walks its permutation in Python, asking for each new
 prefix as a batch of one, to find where it stops, and the pass counts only
-the steps before the stops. The counts merge into one sorted array of
-distinct keys; each key's marginal is found once, by binary search in the
-sorted masks. Each player's mean and squared deviations come from (distinct
+the steps before the stops. Each chunk's counts merge into one sorted array
+of distinct keys. Without truncation, each chunk's prefixes also join a
+first-appearance dict; once it holds all 2^n coalitions, no later prefix
+can be new, so the pass stops adding to it and counts the later chunks'
+steps into a table of ``n << n`` int64 slots indexed by key, seeded from
+the sorted array, whose nonzero slots are the same ascending keys and
+counts. Each key's marginal is found once, by binary search in the sorted
+masks. Each player's mean and squared deviations come from (distinct
 marginal, count) pairs, plus one pair of 0 for the permutations that
 stopped before the player, summed exactly in Python integers and rounded
 once: the bits ``math.fsum`` gives over all T marginals. Memory is the
-permutation table, the distinct masks and keys, and chunk temporaries of
-about ``_CHUNK * n`` items: nothing of size n * T.
+permutation table, the distinct masks and keys (or, once every coalition
+has appeared, the slot table: 393 KB at n = 12, about the size of the
+sorted keys and counts it replaces), and chunk temporaries of about
+``_CHUNK * n`` items: nothing of size n * T.
 """
 
 from __future__ import annotations
@@ -61,10 +68,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -83,6 +91,8 @@ BatchFn = Callable[[Sequence[int], int], Iterable[float]]
 DEFAULT_EXACT_CAP = 20
 # permutations per chunk of the Monte Carlo array passes
 _CHUNK = 512
+# the least normal float
+_TINY = sys.float_info.min
 
 
 class Method(str, Enum):
@@ -357,7 +367,8 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     full = (1 << n) - 1
     rng = SplitMix64(seed)
     # the keys p << n | S of the steps taken, ascending, and their counts
-    tally = [np.empty(0, dtype=_int_dtype(n + (n - 1).bit_length())), np.empty(0, dtype=np.int64)]
+    key_dtype = _int_dtype(n + (n - 1).bit_length())
+    tally = np.empty(0, dtype=key_dtype), np.empty(0, dtype=np.int64)
     if truncation_tol > 0:
         u_full, u_empty = _utilities(game, [full, 0])
         # utilities by mask: each distinct coalition is asked for once
@@ -379,14 +390,30 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
                 if abs(cur - u_full) <= truncation_tol:
                     break
             lengths[t] = pos + 1
-        for _ in _steps(order, tally, lengths):
-            pass
+        for _, keys, counts in _steps(order, key_dtype, lengths):
+            tally = _merge(*tally, keys, counts)
         masks, utilities = list(seen), list(seen.values())
     else:
         order = rng.shuffles(n, permutations)
         # each distinct prefix in first-appearance order
-        masks = list(dict.fromkeys(chain((full, 0), chain.from_iterable(
-            prefixes.ravel().tolist() for prefixes in _steps(order, tally)))))
+        seen = dict.fromkeys((full, 0))
+        dense = None
+        for prefixes, keys, counts in _steps(order, key_dtype):
+            if len(seen) < 1 << n:
+                tally = _merge(*tally, keys, counts)
+                deque(map(seen.setdefault, prefixes.ravel().tolist()), 0)
+                continue
+            if dense is None:   # every coalition seen: no prefix is new, count by slot
+                dense = np.zeros(n << n, dtype=np.int64)
+                dense[tally[0]] = tally[1]
+                del tally       # the table holds its counts now
+            dense[keys] += counts   # keys distinct, so no count is lost
+        if dense is not None:
+            keys = np.flatnonzero(dense)
+            tally = keys, dense[keys]
+            del dense
+        masks = list(seen)
+        del seen    # the list keeps the order: free the dict before the batch
         utilities = _utilities(game, masks, lambda m: _first_reach(order, m))
         u_full, u_empty = utilities[0], utilities[1]
     # the utilities in ascending mask order, for a binary search per coalition
@@ -431,25 +458,26 @@ def _prefixes(order: np.ndarray):
         yield start, np.cumsum(masks, axis=1, out=masks)
 
 
-def _steps(order: np.ndarray, tally: list, lengths: Optional[np.ndarray] = None):
-    """Each chunk's prefix masks, as ``_prefixes`` gives them, once the steps
-    its permutations take, the first ``lengths[t]`` of permutation t (all n
-    if None), are counted into ``tally``: the sorted distinct keys ``p << n |
-    S`` (player p placed right after the set S) and their counts."""
+def _steps(order: np.ndarray, dtype, lengths: Optional[np.ndarray] = None):
+    """Per chunk of the permutation table ``order``: its prefix masks, as
+    ``_prefixes`` gives them, then the sorted distinct keys ``p << n | S``
+    (player p placed right after the set S, of ``dtype``) of the steps its
+    permutations take, the first ``lengths[t]`` of permutation t (all n if
+    None), and how many times each is taken."""
     n = order.shape[1]
     for start, prefixes in _prefixes(order):
-        steps = order[start:start + len(prefixes)].astype(tally[0].dtype)
+        steps = order[start:start + len(prefixes)].astype(dtype)
         steps <<= n
-        steps[:, 1:] |= prefixes[:, :-1].astype(steps.dtype, copy=False)
+        steps[:, 1:] |= prefixes[:, :-1].astype(dtype, copy=False)
         if lengths is not None:
             steps = steps[np.arange(n) < lengths[start:start + len(steps), None]]
-        tally[:] = _merge(*tally, *np.unique(steps, return_counts=True))
-        yield prefixes
+        yield prefixes, *np.unique(steps, return_counts=True)
 
 
 def _merge(keys: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray):
     """The sorted distinct ``keys`` with their ``counts``, after adding the
-    sorted distinct ``more`` with theirs."""
+    sorted distinct ``more`` with theirs; ``counts`` is updated in place
+    where a key is already there."""
     at = np.searchsorted(keys, more)
     found = at < len(keys)
     found[found] = keys[at[found]] == more[found]
@@ -492,13 +520,12 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     squared deviation is C ``pow`` of ``value - mean`` once per distinct value, as
     ``(x - mean) ** 2`` on floats is (numpy's ``** 2`` multiplies, which
     rounds some squares differently). Only where a square or their sum leaves
-    the float range, or the square of a nonzero deviation underflows to 0,
-    is the same formula evaluated on the marginals and the mean scaled by
-    2**-e, e the exponent of the largest |marginal|, and the error scaled
-    back by 2**e: a power of two rounds nothing away at that scale, and the
-    standard error of finite marginals is at most half their range, so it
-    fits. A square that underflows to a subnormal float keeps its rounding,
-    as ``(x - mean) ** 2`` does."""
+    the float range, or the square of a nonzero deviation underflows to a
+    subnormal float or to 0, losing its digits, is the same formula evaluated
+    on the marginals and the mean scaled by 2**-e, e the exponent of the
+    largest |marginal|, and the error scaled back by 2**e: a power of two
+    rounds nothing away at that scale, and the standard error of finite
+    marginals is at most half their range, so it fits."""
     truncated = permutations - int(counts.sum())
     if truncated:
         marginals, counts = np.append(marginals, 0.0), np.append(counts, truncated)
@@ -513,7 +540,8 @@ def _statistics(marginals: np.ndarray, counts: np.ndarray,
     try:
         deviations = [value - mean for value in marginals.tolist()]
         squares = [pow(deviation, 2) for deviation in deviations]
-        if squares.count(0.0) == deviations.count(0.0):    # no nonzero deviation squares to 0
+        # no nonzero deviation squares to a subnormal or to 0
+        if min(squares) >= _TINY or sum(map(_TINY.__gt__, squares)) == deviations.count(0.0):
             return mean, math.sqrt(_exact_sum(squares, weights) / (permutations - 1) / permutations)
     except OverflowError:
         pass

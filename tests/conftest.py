@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import threading
 from fractions import Fraction
 from itertools import permutations
@@ -173,12 +174,19 @@ def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float
 
 def reference_stderr(column, mean: float, square=lambda x: x ** 2) -> float:
     """The standard error of ``mean``, the mean of ``column``, from squared
-    deviations made by ``square``: a float's ``** 2`` by default."""
+    deviations made by ``square``: a float's ``** 2`` by default. Where a
+    nonzero deviation squares below the least normal float, the same formula
+    on the column and the mean scaled by 2**-e, e the exponent of the largest
+    |x|, scaled back by 2**e."""
     column = [float(x) for x in column]
     if len(column) == 1:
         return 0.0
-    var = math.fsum(square(x - mean) for x in column) / (len(column) - 1)
-    return math.sqrt(var / len(column))
+    e = 0
+    if any(x != mean and square(x - mean) < sys.float_info.min for x in column):
+        e = math.frexp(max(map(abs, column)))[1]
+    scaled = math.ldexp(mean, -e)
+    var = math.fsum(square(math.ldexp(x, -e) - scaled) for x in column) / (len(column) - 1)
+    return math.ldexp(math.sqrt(var / len(column)), e)
 
 
 def reference_shapley_montecarlo(game: GameSpec, permutations: int,

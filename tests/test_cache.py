@@ -317,6 +317,24 @@ def test_lines_are_the_bytes_of_json_dumps(case):
             assert written == expected
 
 
+@pytest.mark.parametrize("values", [
+    [np.float64(0.5), np.float64(-1e-300)],
+    [0.25, np.float64(0.5), 3, _Count(7)],
+    [0.25, 1e16, -0.0, 3],
+])
+def test_a_chunk_of_utilities_is_written_as_json_writes_it(tmp_path, values):
+    # float and int subclasses reach put_many's per-value check and are
+    # written by their base class's repr, as json writes them
+    path = tmp_path / "u.jsonl"
+    keys = [f"{i:02x}" for i in range(len(values))]
+    with UtilityCache(str(path)) as cache:
+        cache.put_many(keys, values)
+    assert path.read_text() == "".join(
+        json.dumps({"coalition": key, "u": value}, sort_keys=True) + "\n"
+        for key, value in zip(keys, values))
+    assert "np." not in path.read_text() and "_Count" not in path.read_text()
+
+
 def test_failed_persist_leaves_the_file_intact(tmp_path):
     path = tmp_path / "u.jsonl"
     original = json.dumps({"coalition": "05", "u": 0.5}) + "\n"

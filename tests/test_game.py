@@ -5,11 +5,13 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from promptshap import game as game_module
 from promptshap.cache import ResponseCache
 from promptshap.client import augmentation_utility, load_manifest, load_questions
 from promptshap.coalition import Coalition
@@ -25,14 +27,21 @@ from promptshap.errors import (
 from promptshap.game import (
     GameSpec,
     Method,
+    ShapleyResult,
     _exact_sum,
+    _first_reach,
+    _int_dtype,
+    _key_columns,
+    _prefixes,
     _statistics,
+    _utilities,
     loo_values,
     run_batch,
     shapley_exact,
     shapley_montecarlo,
     shapley_weight,
 )
+from promptshap.rng import SplitMix64
 from promptshap.selection import rank_add_curve
 from promptshap.theory import LipschitzGame
 
@@ -444,10 +453,9 @@ def test_montecarlo_squares_deviations_with_pow():
     assert shapley_montecarlo(game, permutations, seed=seed).stderr == tuple(by_pow)
 
 
-def engine_peak(permutations):
-    """Traced peak bytes of the engine alone on a 12-player game whose batch
+def engine_peak(permutations, n=12):
+    """Traced peak bytes of the engine alone on an n-player game whose batch
     reads a ready table."""
-    n = 12
     table = [mask / (1 << n) for mask in range(1 << n)]
     game = GameSpec(n=n, utility=None, batch=lambda masks, n: [table[m] for m in masks])
     tracemalloc.start()
@@ -459,11 +467,20 @@ def engine_peak(permutations):
 
 
 def test_montecarlo_memory_holds_no_table_of_marginals():
-    # 1.55 MB measured; an (n, T) float64 table of marginals alone takes 1.92 MB
+    # 1.49 MB measured, with the 0.39 MB table of a count per key p << n | S
+    # that the scan keeps once all 4,096 coalitions have appeared; an (n, T)
+    # float64 table of marginals alone takes 1.92 MB
     small = engine_peak(20_000)
     assert small <= 1_800_000
     # four times the permutations add only the (T, n) uint8 permutation table
     assert engine_peak(80_000) - small <= 60_000 * 12 + 50_000
+
+
+def test_montecarlo_memory_of_a_scan_that_never_sees_every_coalition():
+    # 32,000 prefixes over 65,536 coalitions: the scan deduplicates every chunk
+    # and merges its counts into the sorted tally to the end. 2.18 MB measured
+    # before the scan stopped at all coalitions (2.11 MB since); bound: 10% more
+    assert engine_peak(2_000, n=16) <= 2_400_000
 
 
 def test_truncated_montecarlo_memory_holds_no_table_of_marginals():
@@ -556,6 +573,111 @@ def test_montecarlo_matches_the_scalar_reference_at_the_key_width(n):
     want = reference_shapley_montecarlo(recording(reference), permutations, seed=seed)
     assert result_bits(got) == result_bits(want)
     assert engine == list(dict.fromkeys(reference))
+
+
+# The untruncated Monte Carlo pass before the engine stopped deduplicating
+# prefixes once every coalition had appeared, kept verbatim as the reference
+# of that switch: every chunk's prefixes go through one dict.fromkeys, and
+# every chunk's step counts are merged into the sorted tally (the truncated
+# scan's step lengths left out).
+
+
+def dedupe_and_merge_steps(order: np.ndarray, tally: list):
+    n = order.shape[1]
+    for start, prefixes in _prefixes(order):
+        steps = order[start:start + len(prefixes)].astype(tally[0].dtype)
+        steps <<= n
+        steps[:, 1:] |= prefixes[:, :-1].astype(steps.dtype, copy=False)
+        tally[:] = dedupe_and_merge_merge(*tally, *np.unique(steps, return_counts=True))
+        yield prefixes
+
+
+def dedupe_and_merge_merge(keys, counts, more, more_counts):
+    at = np.searchsorted(keys, more)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == more[found]
+    counts[at[found]] += more_counts[found]
+    new = ~found
+    if new.any():
+        keys = np.insert(keys, at[new], more[new])
+        counts = np.insert(counts, at[new], more_counts[new])
+    return keys, counts
+
+
+def dedupe_and_merge_montecarlo(game: GameSpec, permutations: int, seed: int) -> ShapleyResult:
+    n = game.n
+    full = (1 << n) - 1
+    rng = SplitMix64(seed)
+    tally = [np.empty(0, dtype=_int_dtype(n + (n - 1).bit_length())), np.empty(0, dtype=np.int64)]
+    order = rng.shuffles(n, permutations)
+    masks = list(dict.fromkeys(chain((full, 0), chain.from_iterable(
+        prefixes.ravel().tolist() for prefixes in dedupe_and_merge_steps(order, tally)))))
+    utilities = _utilities(game, masks, lambda m: _first_reach(order, m))
+    u_full, u_empty = utilities[0], utilities[1]
+    sorted_masks = np.array(masks, dtype=_int_dtype(n))
+    rank = np.argsort(sorted_masks)
+    sorted_masks, by_mask = sorted_masks[rank], np.array(utilities, dtype=np.float64)[rank]
+    del masks, utilities, rank
+    values, stderr = [], []
+    for player, (marginals, counts) in enumerate(_key_columns(n, *tally, sorted_masks, by_mask)):
+        try:
+            mean, error = _statistics(marginals, counts, permutations)
+        except OverflowError:
+            raise PreconditionError(
+                f"player {player}'s Monte Carlo sums overflow float64; "
+                "the utilities are too large to average", player=player) from None
+        values.append(mean)
+        stderr.append(error)
+    return ShapleyResult(values=tuple(values), stderr=tuple(stderr), method=Method.MONTE_CARLO,
+                         samples=permutations, seed=seed, u_full=u_full, u_empty=u_empty)
+
+
+def recording_table_game(n, seed, asked, fail=None):
+    """``random_table_game`` as a batch that records the masks it is asked
+    for, failing on ``fail``."""
+    base = random_table_game(n, seed)
+
+    def batch(masks, n):
+        for mask in masks:
+            asked.append(mask)
+            if mask == fail:
+                raise ValueError("boom")
+            yield base.utility(Coalition(mask, n))
+
+    return GameSpec(n=n, batch=batch, u_empty=base.u_empty)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 512])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 10])
+def test_montecarlo_counts_the_same_once_every_coalition_has_appeared(monkeypatch, n, chunk):
+    monkeypatch.setattr(game_module, "_CHUNK", chunk)
+    seed = 7
+    first = prefix_scan(n, 4000, seed)
+    assert len(first) == (1 << n) - 1          # every coalition but the empty one appears
+    last = max(t for t, _ in first.values())   # the permutation that shows the last new one
+    # every coalition in before the first chunk (n = 1), by its end
+    # partway, only in the last chunk, or never
+    # (n = 2, 3 and 8 at chunks of 512), partway, only in the last chunk, or never
+    for permutations in sorted({last // chunk * chunk + 2 * chunk + 1, last + 1, last} - {0}):
+        seen = {mask: t for mask, (t, _) in first.items() if t < permutations}
+        targets = [None, max(seen, key=seen.get)]   # the last coalition to appear fails
+        for target in targets:
+            asked, want_asked = [], []
+            game = recording_table_game(n, seed, asked, target)
+            reference = recording_table_game(n, seed, want_asked, target)
+            if target is None:
+                got = shapley_montecarlo(game, permutations, seed=seed)
+                want = dedupe_and_merge_montecarlo(reference, permutations, seed)
+                assert result_bits(got) == result_bits(want)
+            else:
+                with pytest.raises(UtilityOracleError) as got:
+                    shapley_montecarlo(game, permutations, seed=seed)
+                with pytest.raises(UtilityOracleError) as want:
+                    dedupe_and_merge_montecarlo(reference, permutations, seed)
+                assert got.value.details == want.value.details
+                if target != (1 << n) - 1:     # U(full) is asked for before any scan
+                    assert got.value.details["permutation_index"] == seen[target]
+            assert asked == want_asked
 
 
 @pytest.mark.parametrize("weights", [[1, 1, 1], [2**34, 3, 2**35 - 1], [5, 2**26 + 1, 2**27],
@@ -696,6 +818,19 @@ def test_montecarlo_errors_whose_squares_underflow_are_kept(tol):
         assert error > 0.0
         assert_near_exact_stderr(column, mean, error)
     assert _statistics(np.array([1e-200, 2e-200]), np.array([1, 1]), 2) == (1.5e-200, 5e-201)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_montecarlo_errors_whose_squares_are_subnormal_keep_their_digits(tol):
+    # deviations near 1e-161 square to subnormal floats, which hold only a few
+    # significant bits: the errors are evaluated at a scale where they are normal
+    game = scaled_game(6, 13, 2.0 ** -530)
+    result = shapley_montecarlo(game, 500, truncation_tol=tol, seed=500)
+    marginals, _, _ = reference_marginals(game, 500, tol, seed=500)
+    assert result.values == tuple(math.fsum(column) / 500 for column in marginals.T)
+    for column, mean, error in zip(marginals.T, result.values, result.stderr):
+        assert error > 0.0
+        assert_near_exact_stderr(column, mean, error)
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.01])
