@@ -227,7 +227,8 @@ def cmd_curve(args) -> int:
     json_path = os.path.join(out_dir, "curve.json")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(curve_to_csv(curve))
-    write_json(json_path, curve_to_json_dict(curve, best))
+    doc = curve_to_json_dict(curve, best)
+    write_json(json_path, doc)
     if curve.error is not None:
         raise PromptShapError(
             f"utility oracle failed at k={curve.failed_k}; partial curve written",
@@ -238,11 +239,7 @@ def cmd_curve(args) -> int:
         )
     _emit(
         {
-            "best_prefix": {
-                "k": best.k,
-                "utility": best.utility,
-                "prompt_ids": list(best.prompt_ids),
-            },
+            "best_prefix": doc["best_prefix"],
             "curve_csv": csv_path,
             "curve_json": json_path,
             "u_full": curve.points[-1].utility,
@@ -451,7 +448,7 @@ def main(argv=None) -> int:
     except PromptShapError as exc:
         sys.stderr.write(dumps(exc.payload()))
         return exc.exit_code
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:  # last-resort guard
         sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 

@@ -31,11 +31,11 @@ so it has at most 2^8 entries.
   ``_TABLE_BYTES``, and each full buffer is compared at once: gold wins an
   instance when its mean beats every lower label's and is at least every
   higher label's, argmax's first-max rule, with the gold plane read through
-  a fixed index and no per-row argmax. A batch of one coalition is compared
-  where it was summed. Scoring all 4,095 coalitions at 12 prompts,
-  |V| = 100, K = 4 took about 10 ms against 16 ms with the per-row argmax,
-  and a batch of one coalition about 16.5 us against 19.5 us (2-core Xeon
-  VM, in-process medians).
+  a fixed index and no per-row argmax. Scoring all 4,095 coalitions at 12
+  prompts, |V| = 100, K = 4 took about 10 ms. A batch of one coalition, the
+  only call the truncated Monte Carlo scan makes, is compared where it was
+  summed: about 15 us a call, against 21 us through the buffer (2-core Xeon
+  VM, in-process).
 
 Cost model of ``load_matrix``: one pass strips the cells, and one count over
 their first characters tells how many start with ``[``. A hard-label matrix

@@ -9,22 +9,25 @@ giving each consumer an independent, documented stream.
 Cost model: the k-th output mixes the state ``seed + k*gamma mod 2^64``, so
 outputs do not depend on each other and are mixed many at a time in wrapping
 numpy ``uint64`` arithmetic, bit-identical to the scalar reference, where
-mixing in Python integers costs about 1 us a draw. ``next_u64`` and
-``uniform`` read a buffer of ``_BLOCK`` outputs. The rejection loop of
-Fisher-Yates is written once, in Python. Over a list of n items every step
-reads symbols: the top b = (n - 1).bit_length() bits of each draw, shifted in
-numpy before ``tolist()`` so that the list holds small ints. Each step reads
-one iterator over a chunk of symbols until one falls below its threshold,
-and its (index, threshold, shift) triple is computed once per list length
-and kept for the next call of that length. A call mixes about twice the
-draws it expects as its first chunk, and ``_CHUNK`` more whenever a chunk
-runs out. At its end the state moves past exactly the draws used and the
-buffer is emptied, so interleaved calls stay on one stream. ``shuffle`` runs
-the loop once, so each call pays one numpy mix of a few microseconds, and
-``shuffles`` runs it T times on one list and records each result in a
-(T, n) table: the rows of a block of ``_BLOCK`` shuffles collect in one list,
-which ``array.fromlist`` appends to the table at once (on one block of
-3,072 ints at n = 12 it took 65 us, where ``array.extend`` took 144 us).
+mixing in Python integers costs about 1 us a draw. The generator keeps one
+stream position: a base state, the outputs mixed from it and an iterator over
+those not yet drawn, so the state after the draws so far is ``base + (mixed -
+undrawn) * gamma``. ``next_u64`` and ``uniform`` read that iterator and mix
+``_BLOCK`` more outputs when it runs out. The rejection loop of Fisher-Yates
+is written once, in Python. Over a list of n items every step reads symbols:
+the top b = (n - 1).bit_length() bits of each draw, shifted in numpy before
+``tolist()`` so that the list holds small ints. Each step reads one iterator
+over a chunk of symbols until one falls below its threshold, and its (index,
+threshold, shift) triple is computed once per list length and kept for the
+next call of that length. A call mixes about twice the draws it expects as
+its first chunk, and ``_CHUNK`` more whenever a chunk runs out. It leaves the
+position at its start state with exactly the draws used and none undrawn, so
+interleaved calls stay on one stream. ``shuffle`` runs the loop once, so
+each call pays one numpy mix of a few microseconds, and ``shuffles`` runs it
+T times on one list and records each result in a (T, n) table: the rows of a
+block of ``_BLOCK`` shuffles collect in one list, which ``array.fromlist``
+appends to the table at once (on one block of 3,072 ints at n = 12 it took
+65 us, where ``array.extend`` took 144 us).
 """
 
 from __future__ import annotations
@@ -52,11 +55,6 @@ def _mix(base: int, size: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _mix_block(base: int) -> list[int]:
-    """The ``_BLOCK`` outputs that follow state ``base``."""
-    return _mix(base, _BLOCK).tolist()
-
-
 def _symbols(base: int, size: int, bits: int):
     """An iterator over the top ``bits`` bits of the ``size`` outputs that
     follow state ``base``, as small Python ints."""
@@ -70,29 +68,24 @@ class SplitMix64:
     as its first three outputs; tests pin these known-answer values.
     """
 
-    __slots__ = ("_base", "_buf", "_pos")
+    __slots__ = ("_base", "_mixed", "_outputs")
 
     def __init__(self, seed: int):
-        self._base = seed & _MASK64   # the state before ``_buf[0]`` was drawn
-        self._buf: list[int] = []
-        self._pos = 0                 # outputs of ``_buf`` already consumed
+        self._base = seed & _MASK64   # the state the outputs are mixed from
+        self._mixed = 0               # the outputs mixed from it
+        self._outputs = iter(())      # those not yet drawn
 
     @property
     def state(self) -> int:
         """The state after the outputs drawn so far, as in the scalar generator."""
-        return (self._base + self._pos * _GAMMA) & _MASK64
-
-    def _refill(self) -> list[int]:
-        self._base = (self._base + len(self._buf) * _GAMMA) & _MASK64
-        self._buf = _mix_block(self._base)
-        self._pos = 0
-        return self._buf
+        return (self._base + (self._mixed - length_hint(self._outputs)) * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        buf = self._buf if self._pos < len(self._buf) else self._refill()
-        z = buf[self._pos]
-        self._pos += 1
-        return z
+        for z in self._outputs:
+            return z
+        self._base, self._mixed = self.state, _BLOCK
+        self._outputs = _symbols(self._base, _BLOCK, 64)
+        return next(self._outputs)
 
     def uniform(self) -> float:
         # 53-bit mantissa gives uniforms on [0, 1)
@@ -125,8 +118,9 @@ class SplitMix64:
         The steps read symbols, the top bits of each draw, from one iterator
         over a chunk of them: the first chunk holds about twice the draws the
         call expects, and a step whose chunk runs out goes on in a next chunk
-        of ``_CHUNK``. The state then moves past exactly the draws used, and
-        the buffer is emptied, so ``next_u64`` goes on from there."""
+        of ``_CHUNK``. The call starts at the generator's position and leaves
+        it at ``start`` with ``mixed - undrawn`` outputs drawn and none left,
+        past exactly the draws used, where ``next_u64`` goes on."""
         steps, bits, draws = _steps(len(xs))
         start = self.state
         mixed = min(_CHUNK, int(2 * draws * times))
@@ -146,8 +140,7 @@ class SplitMix64:
                 xs[i], xs[j] = xs[j], xs[i]
             if record is not None:
                 record(xs)
-        self._base = (start + (mixed - length_hint(it)) * _GAMMA) & _MASK64
-        self._buf, self._pos = [], 0
+        self._base, self._mixed, self._outputs = start, mixed - length_hint(it), iter(())
 
 
 @lru_cache(maxsize=16)

@@ -160,12 +160,8 @@ def make_affine_field(w: np.ndarray, c: float = 0.0):
 
 def make_tanh_field(w: np.ndarray, c: float = 0.0):
     """g(e) = tanh(w . e + c); |tanh'| <= 1 gives Lipschitz constant ||w||."""
-    w = np.asarray(w, dtype=np.float64)
-
-    def field(e: np.ndarray) -> float:
-        return math.tanh(float(np.dot(w, e)) + c)
-
-    return field, float(np.linalg.norm(w))
+    affine, lipschitz_l = make_affine_field(w, c)
+    return (lambda e: math.tanh(affine(e))), lipschitz_l
 
 
 def mean_field_shapley(gvals) -> np.ndarray:

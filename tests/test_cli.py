@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptshap import cli, client
+from promptshap import cli, client, theory
 from promptshap.cache import UtilityCache
 from promptshap.cli import _own_caches, _values_from_doc, main
 from promptshap.client import load_manifest, load_questions
@@ -588,6 +589,37 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys, check, patched, r
     payload = json.loads(err)
     assert payload["error"] == "PromptShapError"
     assert payload["message"] == message
+
+
+def test_verify_theorem1_counts_every_pair_over_the_bound(monkeypatch, capsys):
+    # values a million apart per player break the bound on every pair
+    exact = theory.shapley_exact
+
+    def spread(game):
+        result = exact(game)
+        return dataclasses.replace(result, values=tuple(1e6 * i for i in range(result.n)))
+
+    monkeypatch.setattr(theory, "shapley_exact", spread)
+    report = theory.theorem1_experiment(theory.theorem1_game(3, 2, seed=4), trials=2, seed=4)
+    assert report["pairs_checked"] == 2 * 3
+    assert report["violations"] == report["pairs_checked"]
+    assert report["max_ratio"] > 1
+    code, out, err = run_json(capsys, ["verify", "theorem1", "--n", "3", "--d", "2",
+                                       "--trials", "2", "--seed", "4"])
+    assert code == 1
+    assert json.loads(out) == {**report, "field": "affine"}
+    assert json.loads(err)["message"] == "6 Lipschitz bound violations"
+
+
+def test_an_unexpected_exception_is_one_json_error_and_exit_1(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("not a PromptShapError")
+
+    monkeypatch.setattr(cli, "cmd_cache", broken)
+    code, out, err = run_json(capsys, ["cache", "inspect", "any.jsonl"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "RuntimeError", "message": "not a PromptShapError"}
 
 
 def test_verify_beta_bounds(capsys):

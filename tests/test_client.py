@@ -477,6 +477,17 @@ def test_every_framing_of_a_reply_reads_the_same_body(manifest, monkeypatch, rep
         assert len(accepted) == 1
 
 
+def test_a_reply_read_to_eof_over_many_reads_keeps_every_byte(monkeypatch):
+    # one byte per send, so the body after the head comes in many reads
+    monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
+    reply = b"HTTP/1.1 200 OK\r\n\r\n" + CHAT_REPLY
+    with raw_server(reply, drip=0.001) as (url, accepted):
+        api = ApiConfig(base_url=url, model="m", attempts=1)
+        request = client._requests_to("/v1/chat/completions", api)(b"{}")
+        status, headers, body = client._send(request, api.timeout)
+    assert (status, headers, body) == (200, {}, CHAT_REPLY)
+
+
 def test_a_lower_case_retry_after_is_honoured(manifest, monkeypatch):
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
     sleeps = []
