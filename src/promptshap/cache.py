@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .coalition import check_masks, hex_keys
 from .errors import ConsistencyError, UtilityOracleError
 from .game import BatchFn, finite_utility
-from .jsonio import FAULTS, _open, all_numbers
+from .jsonio import _NUMBER_TYPES, FAULTS, _open, all_numbers
 
 # seconds after its last store at which ``memoized`` stores the values
 # pending, whatever their number
@@ -292,12 +292,14 @@ class UtilityCache(_JsonlCache):
 
     @staticmethod
     def _all_valid(values: Sequence) -> bool:
-        # exact types, as the rows of a JSON file hold; a non-finite value
-        # makes the sum non-finite, an int too large for a float makes it raise
-        # (left to the per-value check)
+        # exact types, as the rows of a JSON file hold; a non-finite value makes
+        # the sum non-finite or raise, and ints are compared too, as the sum
+        # rounds one just past the float range to its edge
+        types = {*map(type, values)}
         try:
-            return all_numbers(values) and math.isfinite(math.fsum(values))
-        except OverflowError:
+            return (types <= _NUMBER_TYPES and math.isfinite(math.fsum(values)) and (
+                int not in types or -_FLOAT_MAX <= min(values) and max(values) <= _FLOAT_MAX))
+        except (OverflowError, ValueError):     # ValueError: inf + -inf
             return False
 
     @staticmethod

@@ -32,10 +32,7 @@ so it has at most 2^8 entries.
   instance when its mean beats every lower label's and is at least every
   higher label's, argmax's first-max rule, with the gold plane read through
   a fixed index and no per-row argmax. Scoring all 4,095 coalitions at 12
-  prompts, |V| = 100, K = 4 took about 10 ms. A batch of one coalition, the
-  only call the truncated Monte Carlo scan makes, is compared where it was
-  summed: about 15 us a call, against 21 us through the buffer (2-core Xeon
-  VM, in-process).
+  prompts, |V| = 100, K = 4 took about 10 ms (2-core Xeon VM, in-process).
 
 Cost model of ``load_matrix``: one pass strips the cells, and one count over
 their first characters tells how many start with ``[``. A hard-label matrix
@@ -297,8 +294,7 @@ def _average_scorer(prob: np.ndarray, golds: np.ndarray):
     The sums are label-major, (K, |V|) per coalition, and are compared on
     (K, coalitions * |V|) planes (``_gold_wins``). The means of several
     groups are divided into one such buffer, of at most ``_TABLE_BYTES``,
-    and compared once per full buffer; the mean of a batch of one coalition
-    is compared where it was summed. The gold plane is read through a flat
+    and compared once per full buffer. The gold plane is read through a flat
     index built once, and the labels that a tie leaves to gold are a mask
     built once."""
     prompts, instances, labels = prob.shape
@@ -306,17 +302,10 @@ def _average_scorer(prob: np.ndarray, golds: np.ndarray):
     sums_of = _average_sums(np.ascontiguousarray(prob.transpose(0, 2, 1)), lo)
     rows = max(1, _TABLE_BYTES // prob[0].nbytes)     # coalitions per buffer, at least 2**lo
     width = rows * instances
-    gold_one = golds * instances + np.arange(instances)       # gold in one (K, |V|) block
     gold_at = np.tile(golds, rows) * width + np.arange(width)   # gold in the (K, width) buffer
     ties = np.tile(np.arange(labels)[:, None] >= golds, rows)
 
     def score(masks: Sequence[int]) -> list[int]:
-        if len(masks) == 1:
-            [(_, sums)] = sums_of(masks)
-            means = sums[0]
-            means /= masks[0].bit_count()
-            return [np.count_nonzero(_gold_wins(means, means.take(gold_one),
-                                                ties[:, :instances]))]
         hits = [0] * len(masks)
         planes = np.empty((labels, width))
         held: list[int] = []                # positions of the coalitions in ``planes``

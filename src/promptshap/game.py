@@ -17,12 +17,13 @@ Cost model: an engine asks the game's mask-level ``batch`` for every
 coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
-prefix in first-appearance order (with truncation, each new prefix alone).
-``matrix_utility``, the live ``augmentation_utility`` and
-``theory.LipschitzGame.game`` return an ``Oracle`` or a game whose ``batch``
-the game takes as it is; any other per-coalition ``utility`` (a user
-function, or a wrapper around an ``Oracle``) is mapped over the masks one
-coalition at a time (``batch_of``), so a wrapper sees every call.
+prefix in first-appearance order (with truncation, one batch per prefix
+position per chunk of permutations). ``matrix_utility``, the live
+``augmentation_utility`` and ``theory.LipschitzGame.game`` return an
+``Oracle`` or a game whose ``batch`` the game takes as it is; any other
+per-coalition ``utility`` (a user function, or a wrapper around an
+``Oracle``) is mapped over the masks one coalition at a time (``batch_of``),
+so a wrapper sees every call.
 
 The batch contract lives here. Each library oracle's batch is its scorer of
 masks behind ``checked_batch``, which refuses a player count other than the
@@ -42,16 +43,17 @@ no marginals but counts the steps the scans take by the key ``p << n | S``
 (int64 up to 57 players, Python ints beyond), in one numpy pass over chunks
 of ``_CHUNK`` permutations: a cumulative sum of ``1 << player`` (int64 up to
 63 players, Python ints beyond) turns each chunk into prefix masks, whose
-distinct ones, without truncation, make the one batch call. With
-truncation, whether a prefix is needed depends on the utilities before it,
-so each scan first walks its permutation in Python, asking for each new
-prefix as a batch of one, to find where it stops, and the pass counts only
-the steps before the stops. Each chunk's counts merge into one sorted array
-of distinct keys. Without truncation, each chunk's prefixes also join a
-first-appearance dict; once it holds all 2^n coalitions, no later prefix
-can be new, so the pass stops adding to it and counts the later chunks'
-steps into a table of ``n << n`` int64 slots indexed by key, seeded from
-the sorted array, whose nonzero slots are the same ascending keys and
+distinct ones, without truncation, make the one batch call. With truncation,
+whether a prefix is needed depends on the utilities before it, so each
+chunk's scans first go forward together, position by position: the distinct
+new k-th prefixes of the scans still running are one batch, in row order,
+and a scan stops at the first prefix within the tolerance. The pass then
+counts only the steps before the stops. Each chunk's counts merge into one
+sorted array of distinct keys. Without truncation, each chunk's prefixes
+also join a first-appearance dict; once it holds all 2^n coalitions, no
+later prefix can be new, so the pass stops adding to it and counts the later
+chunks' steps into a table of ``n << n`` int64 slots indexed by key, seeded
+from the sorted array, whose nonzero slots are the same ascending keys and
 counts. Each key's marginal is found once, by binary search in the sorted
 masks. Each player's mean and squared deviations come from (distinct
 marginal, count) pairs, plus one pair of 0 for the permutations that
@@ -340,8 +342,10 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     ``truncation_tol > 0`` a scan stops at the first prefix whose utility is
     within the tolerance of U(full), and the players after it get a marginal
     of 0; whether a prefix is needed then depends on the utilities before it,
-    so each new prefix is a batch of one. ``truncation_tol = 0`` scans every
-    permutation in full and keeps the estimator unbiased.
+    so each chunk of ``_CHUNK`` permutations asks one batch per position k:
+    the distinct new k-th prefixes of its scans still running, in row order.
+    ``truncation_tol = 0`` scans every permutation in full and keeps the
+    estimator unbiased.
 
     The statistics come from counts of the steps the scans take: how many
     permutations place each player p right after each set S. Each distinct
@@ -375,21 +379,21 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
         seen = {full: u_full, 0: u_empty}
         # U(empty) already within the tolerance of U(full) truncates every scan at once
         order = rng.shuffles(n, 0 if abs(u_empty - u_full) <= truncation_tol else permutations)
-        # lengths[t]: how many steps permutation t takes before its scan stops
+        # lengths[t]: how many steps permutation t takes before its scan stops;
+        # every scan stops at the full set, within the tolerance of itself
         lengths = np.empty(len(order), dtype=np.intp)
-        for t, row in enumerate(order):
-            players = row.tolist()
-            mask = 0
-            for pos, p in enumerate(players):
-                mask |= 1 << p
-                cur = seen.get(mask)
-                if cur is None:     # whether a prefix is needed depends on those before it
-                    [cur] = _utilities(game, [mask], lambda m: {
-                        "permutation_index": t, "prefix": tuple(players[: pos + 1])})
-                    seen[mask] = cur
-                if abs(cur - u_full) <= truncation_tol:
-                    break
-            lengths[t] = pos + 1
+        for start, prefixes in _prefixes(order):
+            live = range(len(prefixes))     # the chunk's rows whose scans go on
+            for k, column in enumerate(prefixes.T.tolist()):
+                reached = dict.fromkeys(column[i] for i in live)    # in row order
+                new = [mask for mask in reached if mask not in seen]
+                if new:     # a failure names the first live row to reach its prefix
+                    seen.update(zip(new, _utilities(game, new, lambda m: {
+                        "permutation_index": (t := start + next(i for i in live if column[i] == m)),
+                        "prefix": tuple(order[t, :k + 1].tolist())})))
+                stops = {mask for mask in reached if abs(seen[mask] - u_full) <= truncation_tol}
+                lengths[[start + i for i in live if column[i] in stops]] = k + 1
+                live = [i for i in live if column[i] not in stops]
         for _, keys, counts in _steps(order, key_dtype, lengths):
             tally = _merge(*tally, keys, counts)
         masks, utilities = list(seen), list(seen.values())

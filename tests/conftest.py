@@ -19,6 +19,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from promptshap import game as game_module
 from promptshap.coalition import Coalition, hex_keys
 from promptshap.config import ApiConfig
 from promptshap.ensemble import Mode, PredictionMatrix, ValidationSet
@@ -170,6 +171,23 @@ def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float
             if truncate and abs(cur - u_full) <= truncation_tol:
                 done = True
     return marginals, u_full, u_empty
+
+
+def position_major(asked: list, n: int) -> list:
+    """The distinct coalitions of ``asked``, the evaluations of a truncated
+    ``reference_marginals`` run (U(full), U(empty), then each scan's prefixes,
+    row by row), in the order the engine asks for them: U(full), U(empty),
+    then per chunk of ``_CHUNK`` scans, position by position, rows ascending.
+    Each scan's prefixes start at its first player, a mask of one bit."""
+    rows: list[list[int]] = []
+    for mask in asked[2:]:
+        if mask.bit_count() == 1:
+            rows.append([])
+        rows[-1].append(mask)
+    chunk = game_module._CHUNK
+    ordered = [row[k] for start in range(0, len(rows), chunk) for k in range(n)
+               for row in rows[start:start + chunk] if k < len(row)]
+    return list(dict.fromkeys([(1 << n) - 1, 0, *ordered]))
 
 
 def reference_stderr(column, mean: float, square=lambda x: x ** 2) -> float:

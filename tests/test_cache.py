@@ -186,6 +186,29 @@ def test_put_refuses_a_utility_load_would_skip(tmp_path, bound, u):
     assert path.read_text() == expected
 
 
+TOP = sys.float_info.max
+
+
+# the sum of the first fits a float, so one pass checks the values; two
+# copies of the top overflow it, so each value is also checked alone
+@pytest.mark.parametrize("edges", [[TOP, -TOP, int(TOP)], [TOP, TOP, -TOP, int(TOP)]],
+                         ids=["one-pass", "value-by-value"])
+def test_utilities_at_the_edges_of_the_float_range_are_stored_and_reloaded(tmp_path, edges):
+    path = tmp_path / "u.jsonl"
+    keys = [f"{i:02x}" for i in range(len(edges))]
+    with UtilityCache(path) as cache:
+        cache.put_many(keys, edges)
+        with pytest.raises(ConsistencyError):
+            cache.put("ff", int(TOP) + 1)   # as a float it would round to the top
+        with pytest.raises(ConsistencyError):
+            cache.put_many(["fe", "ff"], [math.inf, -math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no line is skipped
+        loaded = UtilityCache.load(path).entries
+    assert loaded == dict(zip(keys, edges))
+    assert list(map(type, loaded.values())) == list(map(type, edges))
+
+
 @pytest.mark.parametrize("response", [5, None, b"x"], ids=repr)
 def test_response_cache_put_refuses_a_non_string(tmp_path, response):
     path = tmp_path / "r.jsonl"

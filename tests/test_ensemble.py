@@ -785,6 +785,20 @@ def test_prob_matrix_file_round_trip(tmp_path):
     assert np.allclose(loaded.prob, m.prob)
 
 
+def test_a_well_formed_prob_matrix_loads_in_one_pass(tmp_path, monkeypatch):
+    # the cell-by-cell parse serves only files the joined parse refuses
+    path = tmp_path / "matrix.csv"
+    write_matrix(prob_matrix([[[0.9, 0.1], [0.2, 0.8]], [[0.3, 0.7], [0.4, 0.6]]]), path)
+    want = load_matrix(path, num_labels=2)
+
+    def cell_by_cell(cells, num_labels):
+        raise AssertionError("a well-formed file took the cell-by-cell parse")
+
+    monkeypatch.setattr(ensemble, "_prob_cells", cell_by_cell)
+    loaded = load_matrix(path, num_labels=2)
+    assert loaded.prob.tobytes() == want.prob.tobytes()
+
+
 def test_mixed_matrix_rejected(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text('prompt_id,q0,q1\np0,1,"[0.5, 0.5]"\n')

@@ -49,6 +49,7 @@ from conftest import (
     ReferenceSplitMix64,
     glove_utility,
     hex_key,
+    position_major,
     random_table_game,
     reference_marginals,
     reference_shapley_montecarlo,
@@ -389,7 +390,10 @@ def test_montecarlo_asks_each_distinct_coalition_once_in_first_order(n, seed, pe
     shapley_montecarlo(recording(engine), permutations, truncation_tol=tol, seed=seed)
     reference_shapley_montecarlo(recording(reference), permutations, truncation_tol=tol,
                                  seed=seed)
-    assert engine == list(dict.fromkeys(reference))
+    if tol > 0:     # a truncated run asks position by position within a chunk
+        assert engine == position_major(reference, n)
+    else:
+        assert engine == list(dict.fromkeys(reference))
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.01])
@@ -437,7 +441,10 @@ def test_montecarlo_matches_the_scalar_reference_at_chunk_edges_and_mask_widths(
     want = reference_shapley_montecarlo(recording(reference), permutations,
                                         truncation_tol=tol, seed=seed)
     assert result_bits(got) == result_bits(want)
-    assert engine == list(dict.fromkeys(reference))
+    if tol > 0:     # a truncated run asks position by position within a chunk
+        assert engine == position_major(reference, n)
+    else:
+        assert engine == list(dict.fromkeys(reference))
 
 
 def test_montecarlo_squares_deviations_with_pow():
@@ -756,6 +763,19 @@ def test_a_utility_that_is_not_a_finite_real_fails_naming_its_coalition(engine, 
         assert (details["permutation_index"], details["prefix"]) == (t, prefix)
 
 
+@pytest.mark.parametrize("engine", ["mc", "mc-truncated"])
+def test_a_failing_full_set_carries_no_permutation_context(engine):
+    n, seed, permutations = 4, 3, 10
+    full = (1 << n) - 1
+    game = target_game(n, full, math.nan)
+    tol = 0.01 if engine == "mc-truncated" else 0.0
+    with pytest.raises(UtilityOracleError, match="not a finite real number") as err:
+        shapley_montecarlo(game, permutations, truncation_tol=tol, seed=seed)
+    details = err.value.details
+    assert details["coalition"] == hex_key(full, n)
+    assert "permutation_index" not in details and "prefix" not in details
+
+
 def test_infinite_utilities_of_both_signs_fail_on_the_first():
     game = GameSpec(n=3, utility=lambda c: math.inf if c.mask & 1 else -math.inf)
     with pytest.raises(UtilityOracleError) as err:
@@ -993,15 +1013,49 @@ def test_engines_ask_for_every_coalition_in_one_batch():
     assert calls == [[full, 0, *prefixes]]
 
 
-def test_truncated_montecarlo_asks_for_each_new_prefix_alone():
+def test_truncated_montecarlo_asks_one_batch_per_prefix_position():
     n, seed, permutations = 4, 3, 10
     # a coalition of two or more is worth U(full), so every scan stops there
     table = {mask: float(mask.bit_count() >= 2) for mask in range(1 << n)}
     calls = []
     shapley_montecarlo(recording_game(n, table, calls), permutations, truncation_tol=0.1,
                        seed=seed)
-    first = prefix_scan(n, permutations, seed, depth=2)
-    assert calls == [[(1 << n) - 1, 0], *([m] for m in first if m != (1 << n) - 1)]
+    first = prefix_scan(n, permutations, seed, depth=2)   # in row order
+    singletons = [m for m in first if m.bit_count() == 1]
+    pairs = [m for m in first if m.bit_count() == 2]
+    assert calls == [[(1 << n) - 1, 0], singletons, pairs]
+
+
+@pytest.mark.parametrize("n, permutations", [(5, 2049), (9, 1500)])
+def test_truncated_montecarlo_asks_at_most_one_batch_per_position_per_chunk(n, permutations):
+    base = hashed_game(n, permutations)
+    table = {mask: base.utility(Coalition(mask, n)) for mask in range(1 << n)}
+    calls = []
+    shapley_montecarlo(recording_game(n, table, calls), permutations, truncation_tol=0.01,
+                       seed=permutations)
+    assert calls[0] == [(1 << n) - 1, 0]
+    assert 1 < len(calls) <= 1 + n * -(-permutations // game_module._CHUNK)
+    for masks in calls[1:]:     # the prefixes of one position: one size, each asked once
+        assert masks and len({m.bit_count() for m in masks}) == 1
+    asked = list(chain.from_iterable(calls))
+    assert len(asked) == len(set(asked))
+
+
+@pytest.mark.parametrize("tol, depth", [(0.5, 0), (0.375, 1)], ids=["empty", "singletons"])
+def test_a_prefix_exactly_at_the_tolerance_stops_its_scan(tol, depth):
+    n, seed, permutations = 4, 3, 10
+    # U(S) = |S| / 8: U(empty) = 0 is exactly 0.5 from U(full) = 0.5, and
+    # each single player, at 0.125, exactly 0.375
+    table = {mask: mask.bit_count() / (2 * n) for mask in range(1 << n)}
+    calls = []
+    game = recording_game(n, table, calls)
+    result = shapley_montecarlo(game, permutations, truncation_tol=tol, seed=seed)
+    rounds = [list(prefix_scan(n, permutations, seed, depth=1))] if depth else []
+    assert calls == [[(1 << n) - 1, 0], *rounds]
+    want = reference_shapley_montecarlo(game, permutations, truncation_tol=tol, seed=seed)
+    assert result_bits(result) == result_bits(want)
+    if not depth:
+        assert result.values == result.stderr == (0.0,) * n
 
 
 def test_replacing_the_utility_keeps_the_batch():

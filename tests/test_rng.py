@@ -104,10 +104,10 @@ def test_shuffle_matches_the_scalar_reference_across_blocks(seed, length):
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
-@pytest.mark.parametrize("n, count", [(4, 0), (1, 3), (2, 300), (12, 500), (_BLOCK + 9, 3),
-                                      (65_540, 3)])
+@pytest.mark.parametrize("n, count", [(4, 0), (1, 3), (2, 300), (12, 500), (256, 3),
+                                      (_BLOCK + 9, 3), (65_540, 3)])
 def test_recorded_shuffles_match_successive_reference_shuffles(seed, n, count):
-    # 65,540 players need a uint32 table
+    # 256 players are the last a uint8 table holds; 65,540 need a uint32 table
     ours, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
     table = ours.shuffles(n, count)
     players, rows = list(range(n)), []
