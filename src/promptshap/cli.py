@@ -24,32 +24,15 @@ from dataclasses import replace
 import numpy as np
 
 from .cache import ResponseCache, UtilityCache, cached_utility, compact_file, inspect_file
-from .client import augmentation_utility, embed, load_manifest, load_questions
-from .config import RunConfig, UtilityMode, load_config
+from .config import RegressorKind, RunConfig, UtilityMode, load_config
 from .ensemble import load_matrix, load_validation, matrix_utility
 from .errors import ConfigError, ConsistencyError, PromptShapError, ProtocolError
 from .game import GameSpec, Method, batch_of, loo_values, shapley_exact, shapley_montecarlo
 from .jsonio import all_numbers, dumps, read_json, write_json
-from .learning import (
-    EmbeddingMatrix,
-    RegressorKind,
-    fit_regressor,
-    holdout_eval,
-    load_embeddings,
-    load_model,
-    predict_sv,
-    save_model,
-)
 from .rng import derive_seed
-from .selection import best_prefix, curve_to_csv, curve_to_json_dict, rank_add_curve
-from .theory import (
-    BetaSpec,
-    beta_bounds_report,
-    ensemble_perturbation,
-    lemma1_sweep,
-    theorem1_experiment,
-    theorem1_game,
-)
+
+# client, learning, selection and theory are imported by the commands that
+# use them, so a matrix command loads none of them (nor client's network stack)
 
 _EXIT_CODES_HELP = """\
 exit codes:
@@ -145,6 +128,8 @@ def _open_game(cfg: RunConfig):
     with _own_caches(cfg.paths.utility_cache, cfg.paths.response_cache), \
             ExitStack() as caches:
         if cfg.utility_mode is UtilityMode.LIVE_AUGMENTATION:
+            from .client import augmentation_utility, load_manifest, load_questions
+
             manifest = load_manifest(_require_path(cfg.paths.manifest, "manifest"))
             questions = load_questions(_require_path(cfg.paths.questions, "questions"))
             if cfg.paths.response_cache:
@@ -198,6 +183,8 @@ def cmd_value(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .selection import best_prefix, curve_to_csv, curve_to_json_dict, rank_add_curve
+
     cfg = load_config(args.config)
     values_doc, doc_ids, doc_values = read_json(args.values, _values_from_doc)
     with _open_game(cfg) as (game, ids):
@@ -249,9 +236,8 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _features(cfg: RunConfig, X: EmbeddingMatrix) -> np.ndarray:
+def _features(cfg: RunConfig, vectors: np.ndarray) -> np.ndarray:
     """What learn fits and predict applies: unit vectors under ``api.embeddings_unit_norm``."""
-    vectors = X.vectors
     if cfg.api.embeddings_unit_norm:
         norms = np.linalg.norm(vectors, axis=1)
         if np.any(norms == 0):
@@ -261,10 +247,12 @@ def _features(cfg: RunConfig, X: EmbeddingMatrix) -> np.ndarray:
 
 
 def cmd_learn(args) -> int:
+    from .learning import fit_regressor, holdout_eval, load_embeddings, save_model
+
     cfg = load_config(args.config)
     embeddings = load_embeddings(args.embeddings)
     _, ids, values = read_json(args.values, _values_from_doc)
-    X = _features(cfg, embeddings.select(ids))
+    X = _features(cfg, embeddings.select(ids).vectors)
     kind = RegressorKind(args.model) if args.model else cfg.regressor.kind
     spec = replace(cfg.regressor, kind=kind)
     y = np.asarray(values, dtype=np.float64)
@@ -284,6 +272,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .client import embed, load_manifest
+    from .learning import EmbeddingMatrix, load_embeddings, load_model, predict_sv
+
     cfg = load_config(args.config)
     model = load_model(args.model)
     manifest = load_manifest(args.manifest)
@@ -291,7 +282,7 @@ def cmd_predict(args) -> int:
         X = load_embeddings(cfg.paths.embeddings).select(manifest.ids)
     else:  # EmbeddingMatrix rejects a non-finite vector from the endpoint
         X = EmbeddingMatrix(manifest.ids, embed(manifest.texts, cfg.api))
-    predictions = predict_sv(model, _features(cfg, X))
+    predictions = predict_sv(model, _features(cfg, X.vectors))
     _emit(
         {
             "kind": model.kind.value,
@@ -306,6 +297,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .theory import (
+        BetaSpec,
+        beta_bounds_report,
+        lemma1_sweep,
+        theorem1_experiment,
+        theorem1_game,
+    )
+
     if args.check == "lemma1":
         report = lemma1_sweep(args.n_max)
         _emit(report, None)
@@ -328,6 +327,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .theory import BetaSpec, ensemble_perturbation
+
     report = ensemble_perturbation(
         BetaSpec(args.alpha, args.beta),
         args.n_classifiers,
@@ -351,33 +352,25 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="promptshap",
-        description="Shapley-value prompt valuation: exact, Monte Carlo, and "
-        "leave-one-out attribution over prompt coalitions, rank-and-add "
-        "selection curves, value regression, and theory checks.",
-        epilog=_EXIT_CODES_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("value", help="compute Shapley / LOO values for the configured game")
+def _value_arguments(p) -> None:
+    p.set_defaults(func=cmd_value)
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--method", choices=sorted(_METHOD_ALIASES), default=None,
                    help="override the configured method")
     p.add_argument("--seed", type=int, default=None, help="override the configured seed")
     p.add_argument("--out", default=None, help="write the result JSON here instead of stdout")
-    p.set_defaults(func=cmd_value)
 
-    p = sub.add_parser("curve", help="rank-and-add utility curve plus best prefix")
+
+def _curve_arguments(p) -> None:
+    p.set_defaults(func=cmd_curve)
     p.add_argument("--config", required=True)
     p.add_argument("--values", required=True, help="values JSON produced by the value command")
     p.add_argument("--out-dir", default=".", help="directory for curve.csv and curve.json")
     p.add_argument("--out", default=None, help="write the summary JSON here instead of stdout")
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("learn", help="fit a value regressor and report holdout quality")
+
+def _learn_arguments(p) -> None:
+    p.set_defaults(func=cmd_learn)
     p.add_argument("--config", required=True)
     p.add_argument("--embeddings", required=True, help="embeddings JSONL ({'id','vector'})")
     p.add_argument("--values", required=True, help="values JSON produced by the value command")
@@ -385,34 +378,35 @@ def build_parser() -> _Parser:
                    help="override the configured regressor kind")
     p.add_argument("--fraction", type=float, default=0.2, help="holdout fraction")
     p.add_argument("--out", default="model.json", help="trained model path")
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("predict", help="predict values for a new prompt manifest")
+
+def _predict_arguments(p) -> None:
+    p.set_defaults(func=cmd_predict)
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True, help="trained model JSON")
     p.add_argument("--manifest", required=True, help="prompt manifest JSONL")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("verify", help="numerical checks of the theory layer")
-    vsub = p.add_subparsers(dest="check", required=True, metavar="CHECK")
-    v = vsub.add_parser("lemma1", help="coefficient identity sweep in exact rationals")
+
+def _verify_arguments(p) -> None:
+    p.set_defaults(func=cmd_verify)
+    checks = p.add_subparsers(dest="check", required=True, metavar="CHECK")
+    v = checks.add_parser("lemma1", help="coefficient identity sweep in exact rationals")
     v.add_argument("--n-max", type=int, default=64)
-    v.set_defaults(func=cmd_verify)
-    v = vsub.add_parser("theorem1", help="Shapley Lipschitz bound on mean-field games")
+    v = checks.add_parser("theorem1", help="Shapley Lipschitz bound on mean-field games")
     v.add_argument("--n", type=int, default=6)
     v.add_argument("--d", type=int, default=4)
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--field", choices=["affine", "tanh"], default="affine")
-    v.set_defaults(func=cmd_verify)
-    v = vsub.add_parser("beta-bounds", help="exact vs normal vs polynomial interval mass")
+    v = checks.add_parser("beta-bounds", help="exact vs normal vs polynomial interval mass")
     v.add_argument("--alpha", type=float, required=True)
     v.add_argument("--beta", type=float, required=True)
     v.add_argument("--epsilon", type=float, default=0.1)
-    v.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="ensemble perturbation simulation")
+
+def _simulate_arguments(p) -> None:
+    p.set_defaults(func=cmd_simulate)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n-classifiers", type=int, required=True)
@@ -422,22 +416,55 @@ def build_parser() -> _Parser:
     p.add_argument("--instances", type=int, default=10_000,
                    help="validation instances per trial")
     p.add_argument("--k", type=int, default=0, help="index of the perturbed classifier")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("cache", help="inspect or compact cache files")
-    csub = p.add_subparsers(dest="op", required=True, metavar="OP")
-    c = csub.add_parser("inspect", help="count lines, entries, duplicates")
-    c.add_argument("path")
-    c.set_defaults(func=cmd_cache)
-    c = csub.add_parser("compact", help="rewrite keeping first-written entries")
-    c.add_argument("path")
-    c.set_defaults(func=cmd_cache)
 
+def _cache_arguments(p) -> None:
+    p.set_defaults(func=cmd_cache)
+    ops = p.add_subparsers(dest="op", required=True, metavar="OP")
+    ops.add_parser("inspect", help="count lines, entries, duplicates").add_argument("path")
+    ops.add_parser("compact", help="rewrite keeping first-written entries").add_argument("path")
+
+
+# name: (help, the function that adds its arguments and the command it runs)
+_COMMANDS = {
+    "value": ("compute Shapley / LOO values for the configured game", _value_arguments),
+    "curve": ("rank-and-add utility curve plus best prefix", _curve_arguments),
+    "learn": ("fit a value regressor and report holdout quality", _learn_arguments),
+    "predict": ("predict values for a new prompt manifest", _predict_arguments),
+    "verify": ("numerical checks of the theory layer", _verify_arguments),
+    "simulate": ("ensemble perturbation simulation", _simulate_arguments),
+    "cache": ("inspect or compact cache files", _cache_arguments),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The parser of every command by name and help, with the arguments of
+    ``command`` only: a process runs one command, and building every
+    command's arguments cost several times building one's."""
+    parser = _Parser(
+        prog="promptshap",
+        description="Shapley-value prompt valuation: exact, Monte Carlo, and "
+        "leave-one-out attribution over prompt coalitions, rank-and-add "
+        "selection curves, value regression, and theory checks.",
+        epilog=_EXIT_CODES_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
+        else:   # listed in the help and the choices, never parsed
+            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option with a value, so its first
+    # argument that is not an option is the command argparse will run
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,10 +17,9 @@ from enum import Enum
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .ensemble import Rule, TieRule
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, PreconditionError
 from .game import DEFAULT_EXACT_CAP, Method
 from .jsonio import read_json
-from .learning import RegressorSpec
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -44,6 +43,32 @@ class UtilityMode(str, Enum):
     @property
     def rule(self) -> Rule:
         return Rule.VOTE if self is UtilityMode.MATRIX_VOTE else Rule.AVERAGE_ARGMAX
+
+
+class RegressorKind(str, Enum):
+    LINEAR = "linear"
+    RIDGE = "ridge"
+    GAUSSIAN_PROCESS = "gp"
+
+
+@dataclass(frozen=True)
+class RegressorSpec:
+    kind: RegressorKind = RegressorKind.RIDGE
+    ridge_lambda: float = 1.0
+    standardize: Optional[bool] = None   # None = on for ridge and GP (linear never scales)
+    gp_length_scale: Optional[float] = None   # None = median pairwise distance
+    gp_signal_var: Optional[float] = None     # None = var(y)
+    gp_noise_var: float = 1e-4
+    gp_jitter: float = 1e-10
+
+    def __post_init__(self):
+        # a kind given by its value ("linear") becomes the member the fit dispatches on
+        try:
+            object.__setattr__(self, "kind", RegressorKind(self.kind))
+        except ValueError:
+            allowed = [kind.value for kind in RegressorKind]
+            raise PreconditionError(
+                f"regressor kind must be one of {allowed}, got {self.kind!r}") from None
 
 
 @dataclass(frozen=True)

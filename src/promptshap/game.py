@@ -95,6 +95,8 @@ DEFAULT_EXACT_CAP = 20
 _CHUNK = 512
 # the least normal float
 _TINY = sys.float_info.min
+# the largest finite float
+_MAX = sys.float_info.max
 
 
 class Method(str, Enum):
@@ -270,10 +272,13 @@ def finite_utility(value, mask: int, n: int):
 
 
 def _finite_real(value) -> bool:
+    if isinstance(value, int):
+        # compared, not converted: isfinite rounds an int just past the float
+        # range down to the float maximum
+        return not isinstance(value, bool) and -_MAX <= value <= _MAX
     try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:   # an int past the float range
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:   # a rational past the float range
         return False
 
 

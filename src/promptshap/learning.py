@@ -1,6 +1,7 @@
 """Regression from prompt embeddings to Shapley values.
 
-``fit_regressor(X, y, spec)`` is the one trainer. A ``RegressorSpec`` names
+``fit_regressor(X, y, spec)`` is the one trainer. A ``RegressorSpec`` (from
+``config``, where it is the run config's ``regressor`` section) names
 the model and holds every parameter and its default; its kind may be given
 by its value ("gp"), and an unknown kind is a ``PreconditionError``. The fit
 returns a ``TrainedRegressor`` for any of the three kinds: ordinary least
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import RegressorKind, RegressorSpec
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -93,32 +94,6 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise ValueError(f"embedding dimensions differ: {sorted(lengths)}")
         return EmbeddingMatrix(prompt_ids=tuple(pid for pid, _ in rows),
                                vectors=np.array([vector for _, vector in rows], dtype=np.float64))
-
-
-class RegressorKind(str, Enum):
-    LINEAR = "linear"
-    RIDGE = "ridge"
-    GAUSSIAN_PROCESS = "gp"
-
-
-@dataclass(frozen=True)
-class RegressorSpec:
-    kind: RegressorKind = RegressorKind.RIDGE
-    ridge_lambda: float = 1.0
-    standardize: Optional[bool] = None   # None = on for ridge and GP (linear never scales)
-    gp_length_scale: Optional[float] = None   # None = median pairwise distance
-    gp_signal_var: Optional[float] = None     # None = var(y)
-    gp_noise_var: float = 1e-4
-    gp_jitter: float = 1e-10
-
-    def __post_init__(self):
-        # a kind given by its value ("linear") becomes the member the fit dispatches on
-        try:
-            object.__setattr__(self, "kind", RegressorKind(self.kind))
-        except ValueError:
-            allowed = [kind.value for kind in RegressorKind]
-            raise PreconditionError(
-                f"regressor kind must be one of {allowed}, got {self.kind!r}") from None
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,22 @@ def test_utilities_at_the_edges_of_the_float_range_are_stored_and_reloaded(tmp_p
     assert list(map(type, loaded.values())) == list(map(type, edges))
 
 
+@pytest.mark.parametrize("past", [int(TOP) + 1, -int(TOP) - 1], ids=["above", "below"])
+def test_an_int_just_past_the_float_range_is_refused_alike_with_or_without_a_cache(tmp_path,
+                                                                                    past):
+    # as a float it would round to the edge of the range
+    def inner(masks, n):
+        return [past if mask == 0b11 else mask.bit_count() / 2 for mask in masks]
+
+    with pytest.raises(UtilityOracleError) as uncached:
+        shapley_exact(GameSpec(n=2, batch=inner))
+    with UtilityCache(tmp_path / "u.jsonl") as cache:
+        with pytest.raises(UtilityOracleError) as cached:
+            shapley_exact(GameSpec(n=2, batch=cached_utility(cache, inner)))
+        assert "03" not in cache.entries
+    assert cached.value.details == uncached.value.details == {"coalition": "03"}
+
+
 @pytest.mark.parametrize("response", [5, None, b"x"], ids=repr)
 def test_response_cache_put_refuses_a_non_string(tmp_path, response):
     path = tmp_path / "r.jsonl"
@@ -837,6 +853,25 @@ def test_a_slow_batch_writes_its_lines_before_it_ends(tmp_path, monkeypatch):
                 (hex_key(m, 3), VALUES[m]) for m in fresh])
         with pytest.raises(StopIteration):
             next(batch)
+
+
+def test_a_fast_batch_stores_its_misses_a_full_chunk_at_a_time(tmp_path, monkeypatch):
+    # only the cost shows the flush clock: stored one value at a time, every
+    # line would still be right
+    monkeypatch.setattr(cache_module, "FLUSH_S", 3600.0)
+    chunks = []
+    put_many = UtilityCache.put_many
+
+    def counted(self, keys, values):
+        chunks.append(len(keys))
+        put_many(self, keys, values)
+
+    monkeypatch.setattr(UtilityCache, "put_many", counted)
+    with UtilityCache(tmp_path / "u.jsonl") as cache:
+        masks = range(1 << 12)
+        assert list(cached_utility(cache, lambda masks, n: [m / 8 for m in masks])(masks, 12)) \
+            == [m / 8 for m in masks]
+    assert [size for size in chunks if size] == [cache_module._CHUNK] * 8
 
 
 @pytest.mark.parametrize("flush_s", [0.001, 60.0], ids=["every-entry", "at-the-end"])

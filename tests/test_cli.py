@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptshap import cli, client, theory
+from promptshap import cli, client, selection, theory
 from promptshap.cache import UtilityCache
 from promptshap.cli import _own_caches, _values_from_doc, main
 from promptshap.client import load_manifest, load_questions
@@ -581,7 +581,7 @@ def test_verify_theorem1_tanh_field(capsys):
      {"trials": 1, "violations": 2}, "2 Lipschitz bound violations"),
 ], ids=["lemma1", "theorem1"])
 def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys, check, patched, report, message):
-    monkeypatch.setattr(cli, patched, lambda *args: dict(report))
+    monkeypatch.setattr(theory, patched, lambda *args: dict(report))
     code, out, err = run_json(capsys, ["verify", *check])
     assert code == 1
     doc = json.loads(out)   # the report is still written, with the failures in it
@@ -923,7 +923,7 @@ def test_commands_close_their_caches(command, fails, matrix_config, tmp_path, ca
             raise UtilityOracleError("stopped")
         monkeypatch.setattr(cli, "shapley_exact",
                             lambda game, **kwargs: stop_after_one_call(game.batch, game.n))
-        monkeypatch.setattr(cli, "rank_add_curve",
+        monkeypatch.setattr(selection, "rank_add_curve",
                             lambda values, ids, batch: stop_after_one_call(batch, len(ids)))
     argv = {"value": ["value", "--config", matrix_config],
             "curve": ["curve", "--config", matrix_config, "--values", str(values_path),
@@ -987,3 +987,28 @@ def test_cli_import_loads_no_third_party_http_stack():
     out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_matrix_value_loads_no_module_it_does_not_run(matrix_config, tmp_path):
+    """``import promptshap``, ``import promptshap.cli`` and a matrix ``value``
+    load neither the live client nor learning, theory or selection."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = f"""
+import json, sys
+before = set(sys.modules)
+unused = {{"http.client", "ssl", "promptshap.client", "promptshap.learning",
+          "promptshap.theory", "promptshap.selection"}}
+steps = []
+import promptshap
+steps.append(sorted(unused & (set(sys.modules) - before)))
+import promptshap.cli
+steps.append(sorted(unused & (set(sys.modules) - before)))
+code = promptshap.cli.main(["value", "--config", {matrix_config!r},
+                            "--out", {str(tmp_path / "values.json")!r}])
+steps.append(sorted(unused & (set(sys.modules) - before)))
+print(json.dumps([code, steps]))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(out.stdout) == [0, [[], [], []]]
+    assert json.loads((tmp_path / "values.json").read_text())["players"]

@@ -1,7 +1,9 @@
 """No module in ``src/`` imports a name it never uses. No linter is part of
 the project, so this stdlib ``ast`` check stands in for that one rule: a name
-an import binds counts as used where the module reads it (attribute bases
-included), lists it in ``__all__`` or names it in a string annotation. The
+an import binds counts as used where its scope reads it (attribute bases
+included), lists it in a literal ``__all__`` or names it in a string
+annotation. The scope of an import inside a function is that function's
+body, nested functions included; of any other import, the whole module. The
 files are only read."""
 
 import ast
@@ -10,15 +12,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def imported_names(tree: ast.Module):
-    """(name, line) of each name the module's imports bind."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.partition(".")[0], node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield alias.asname or alias.name, node.lineno
+def scoped_imports(node: ast.AST, scope: ast.AST):
+    """(import, scope) of each import under ``node``: the innermost function
+    that holds it, or ``scope``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, scope
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from scoped_imports(child, inner)
+
+
+def imported_names(node: ast.AST):
+    """The names one import binds."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.asname or alias.name.partition(".")[0]
+    elif node.module != "__future__":
+        for alias in node.names:
+            yield alias.asname or alias.name
 
 
 def annotations(node: ast.AST):
@@ -39,7 +50,7 @@ def used_names(tree: ast.AST) -> set:
             names.add(node.id)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if node.value is not None and any(
+            if isinstance(node.value, (ast.List, ast.Tuple)) and any(
                     isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
                 names.update(ast.literal_eval(node.value))
         for annotation in annotations(node):
@@ -51,8 +62,14 @@ def used_names(tree: ast.AST) -> set:
 
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
-    used = used_names(tree)
-    return [(line, name) for name, line in imported_names(tree) if name not in used]
+    used = {}   # scope -> the names it reads
+    unused = []
+    for node, scope in scoped_imports(tree, tree):
+        if scope not in used:
+            used[scope] = used_names(scope)
+        unused += [(node.lineno, name) for name in imported_names(node)
+                   if name not in used[scope]]
+    return unused
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -76,3 +93,21 @@ def f(x: "Optional[int]") -> "Sequence":
     return os.path.join(js.dumps(x))
 '''
     assert unused_imports(source) == [(4, "Callable"), (5, "unused_one")]
+
+
+def test_an_import_in_a_function_counts_only_the_reads_of_that_function():
+    source = '''
+import json
+
+def loads(text):
+    from .sibling import elsewhere, parse
+    return parse(text)
+
+def dumps(doc):
+    from .sibling import closed
+
+    def inner():
+        return closed(elsewhere(json))
+    return inner
+'''
+    assert unused_imports(source) == [(5, "elsewhere")]
