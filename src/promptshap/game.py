@@ -17,13 +17,13 @@ Cost model: an engine asks the game's mask-level ``batch`` for every
 coalition it needs in one call, each distinct coalition once: exact all 2^n
 masks in ascending order, leave-one-out the full set and then the full set
 minus each player, and Monte Carlo U(full), U(empty), then every distinct
-prefix in first-appearance order (with truncation, one batch per prefix
-position per chunk of permutations). ``matrix_utility``, the live
-``augmentation_utility`` and ``theory.LipschitzGame.game`` return an
-``Oracle`` or a game whose ``batch`` the game takes as it is; any other
-per-coalition ``utility`` (a user function, or a wrapper around an
-``Oracle``) is mapped over the masks one coalition at a time (``batch_of``),
-so a wrapper sees every call.
+prefix in first-appearance order (with truncation, U(full) and U(empty) and
+then one batch per prefix position per chunk of permutations).
+``matrix_utility``, the live ``augmentation_utility`` and
+``theory.LipschitzGame.game`` return an ``Oracle`` or a game whose ``batch``
+the game takes as it is; any other per-coalition ``utility`` (a user
+function, or a wrapper around an ``Oracle``) is mapped over the masks one
+coalition at a time (``batch_of``), so a wrapper sees every call.
 
 The batch contract lives here. Each library oracle's batch is its scorer of
 masks behind ``checked_batch``, which refuses a player count other than the
@@ -37,32 +37,33 @@ Exact sums each player's terms as numpy arrays over the masks without it,
 into one ``math.fsum``.
 
 Monte Carlo draws all T permutations at once as a (T, n) table of small
-unsigned ints (``SplitMix64.shuffles``). A marginal U(S + p) - U(S) depends
-only on the player p and the set S of players before it, so the engine keeps
-no marginals but counts the steps the scans take by the key ``p << n | S``
-(int64 up to 57 players, Python ints beyond), in one numpy pass over chunks
-of ``_CHUNK`` permutations: a cumulative sum of ``1 << player`` (int64 up to
-63 players, Python ints beyond) turns each chunk into prefix masks, whose
-distinct ones, without truncation, make the one batch call. With truncation,
-whether a prefix is needed depends on the utilities before it, so each
-chunk's scans first go forward together, position by position: the distinct
-new k-th prefixes of the scans still running are one batch, in row order,
-and a scan stops at the first prefix within the tolerance. The pass then
-counts only the steps before the stops. Each chunk's counts merge into one
-sorted array of distinct keys. Without truncation, each chunk's prefixes
-also join a first-appearance dict; once it holds all 2^n coalitions, no
-later prefix can be new, so the pass stops adding to it and counts the later
-chunks' steps into a table of ``n << n`` int64 slots indexed by key, seeded
-from the sorted array, whose nonzero slots are the same ascending keys and
-counts. Each key's marginal is found once, by binary search in the sorted
-masks. Each player's mean and squared deviations come from (distinct
-marginal, count) pairs, plus one pair of 0 for the permutations that
-stopped before the player, summed exactly in Python integers and rounded
-once: the bits ``math.fsum`` gives over all T marginals. Memory is the
-permutation table, the distinct masks and keys (or, once every coalition
-has appeared, the slot table: 393 KB at n = 12, about the size of the
-sorted keys and counts it replaces), and chunk temporaries of about
-``_CHUNK * n`` items: nothing of size n * T.
+unsigned ints (``SplitMix64.shuffles``), asks for every utility it needs,
+then counts. A cumulative sum of ``1 << player`` (int64 up to 63 players,
+Python ints beyond) turns each chunk of ``_CHUNK`` permutations into prefix
+masks (``_prefixes``). Without truncation, one pass adds each chunk's
+prefixes to a first-appearance dict and stops once it holds all 2^n
+coalitions, as no later prefix can be new; the dict is the one batch. With
+truncation, whether a prefix is needed depends on the utilities before it,
+so each chunk's scans go forward together, position by position: the
+distinct new k-th prefixes of the scans still running are one batch, in row
+order, and a scan stops at the first prefix within the tolerance. Either way
+a failure names the first scan to reach its coalition (``_first_reach``).
+A marginal U(S + p) - U(S) depends only on the player p and the set S of
+players before it, so the engine keeps no marginals but counts the steps
+the scans take, up to where each stopped, by the key ``p << n | S`` (int64
+up to 57 players, Python ints beyond): one pass for both modes
+(``_tally``), one ``np.unique`` per chunk. When all 2^n coalitions were
+asked for, the counts go into a table of ``n << n`` int64 slots indexed by
+key, whose nonzero slots are the ascending keys and counts; otherwise each
+chunk's counts merge into one sorted array of distinct keys. Each key's
+marginal is found once, by binary search in the sorted masks. Each player's
+mean and squared deviations come from (distinct marginal, count) pairs,
+plus one pair of 0 for the permutations that stopped before the player,
+summed exactly in Python integers and rounded once: the bits ``math.fsum``
+gives over all T marginals. Memory is the permutation table, the distinct
+masks and their utilities, the keys and counts (or the slot table: 393 KB at
+n = 12, about the size of the sorted keys and counts it replaces), and
+chunk temporaries of about ``_CHUNK * n`` items: nothing of size n * T.
 """
 
 from __future__ import annotations
@@ -342,27 +343,29 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     ``permutations`` orderings, drawn as successive shuffles of one list from
     ``SplitMix64(seed)``, with the standard error of that mean.
 
-    Evaluation order: U(full), U(empty), then every other distinct prefix in
-    the order the permutations first reach it, row by row, in one batch. With
-    ``truncation_tol > 0`` a scan stops at the first prefix whose utility is
-    within the tolerance of U(full), and the players after it get a marginal
-    of 0; whether a prefix is needed then depends on the utilities before it,
-    so each chunk of ``_CHUNK`` permutations asks one batch per position k:
-    the distinct new k-th prefixes of its scans still running, in row order.
+    The engine asks first, then counts. Evaluation order: U(full),
+    U(empty), then every other distinct prefix in the order the permutations
+    first reach it, row by row, in one batch. With ``truncation_tol > 0`` a
+    scan stops at the first prefix whose utility is within the tolerance of
+    U(full), and the players after it get a marginal of 0; whether a prefix
+    is needed then depends on the utilities before it, so each chunk of
+    ``_CHUNK`` permutations asks one batch per position k: the distinct new
+    k-th prefixes of its scans still running, in row order.
     ``truncation_tol = 0`` scans every permutation in full and keeps the
     estimator unbiased.
 
-    The statistics come from counts of the steps the scans take: how many
-    permutations place each player p right after each set S. Each distinct
-    marginal U(S + p) - U(S) is computed once and weighted by its count
-    (``_statistics``), which gives the mean and standard error of each
-    player's T marginals bit for bit.
+    The statistics come from counts of the steps the scans take, taken once
+    every utility is in (``_tally``): how many permutations place each
+    player p right after each set S. Each distinct marginal U(S + p) - U(S)
+    is computed once and weighted by its count (``_statistics``), which gives
+    the mean and standard error of each player's T marginals bit for bit.
 
     A utility that is not a finite real number fails as a
-    ``UtilityOracleError`` naming its coalition, its permutation index and
-    prefix; a player with an infinite marginal, or whose squared deviations
-    sum past the float range, from finite but huge utilities, fails as a
-    ``PreconditionError`` naming the player.
+    ``UtilityOracleError`` naming its coalition and the index and prefix of
+    the first permutation whose scan reaches it (``_first_reach``); a player
+    with an infinite marginal, or whose squared deviations sum past the float
+    range, from finite but huge utilities, fails as a ``PreconditionError``
+    naming the player.
     """
     permutations = _integer("permutation count", permutations)
     seed = _integer("seed", seed)
@@ -375,61 +378,46 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
     n = game.n
     full = (1 << n) - 1
     rng = SplitMix64(seed)
-    # the keys p << n | S of the steps taken, ascending, and their counts
-    key_dtype = _int_dtype(n + (n - 1).bit_length())
-    tally = np.empty(0, dtype=key_dtype), np.empty(0, dtype=np.int64)
     if truncation_tol > 0:
         u_full, u_empty = _utilities(game, [full, 0])
         # utilities by mask: each distinct coalition is asked for once
         seen = {full: u_full, 0: u_empty}
         # U(empty) already within the tolerance of U(full) truncates every scan at once
         order = rng.shuffles(n, 0 if abs(u_empty - u_full) <= truncation_tol else permutations)
-        # lengths[t]: how many steps permutation t takes before its scan stops;
+        # lengths[t]: how many steps permutation t takes, n until its scan stops;
         # every scan stops at the full set, within the tolerance of itself
-        lengths = np.empty(len(order), dtype=np.intp)
+        lengths = np.full(len(order), n)
         for start, prefixes in _prefixes(order):
             live = range(len(prefixes))     # the chunk's rows whose scans go on
             for k, column in enumerate(prefixes.T.tolist()):
                 reached = dict.fromkeys(column[i] for i in live)    # in row order
                 new = [mask for mask in reached if mask not in seen]
-                if new:     # a failure names the first live row to reach its prefix
-                    seen.update(zip(new, _utilities(game, new, lambda m: {
-                        "permutation_index": (t := start + next(i for i in live if column[i] == m)),
-                        "prefix": tuple(order[t, :k + 1].tolist())})))
+                if new:
+                    seen.update(zip(new, _utilities(
+                        game, new, lambda m: _first_reach(order, m, lengths))))
                 stops = {mask for mask in reached if abs(seen[mask] - u_full) <= truncation_tol}
                 lengths[[start + i for i in live if column[i] in stops]] = k + 1
                 live = [i for i in live if column[i] not in stops]
-        for _, keys, counts in _steps(order, key_dtype, lengths):
-            tally = _merge(*tally, keys, counts)
         masks, utilities = list(seen), list(seen.values())
     else:
-        order = rng.shuffles(n, permutations)
-        # each distinct prefix in first-appearance order
+        order, lengths = rng.shuffles(n, permutations), None
+        # each distinct prefix in first-appearance order, until every coalition is in
         seen = dict.fromkeys((full, 0))
-        dense = None
-        for prefixes, keys, counts in _steps(order, key_dtype):
-            if len(seen) < 1 << n:
-                tally = _merge(*tally, keys, counts)
-                deque(map(seen.setdefault, prefixes.ravel().tolist()), 0)
-                continue
-            if dense is None:   # every coalition seen: no prefix is new, count by slot
-                dense = np.zeros(n << n, dtype=np.int64)
-                dense[tally[0]] = tally[1]
-                del tally       # the table holds its counts now
-            dense[keys] += counts   # keys distinct, so no count is lost
-        if dense is not None:
-            keys = np.flatnonzero(dense)
-            tally = keys, dense[keys]
-            del dense
+        for _, prefixes in _prefixes(order):
+            if len(seen) == 1 << n:
+                break
+            deque(map(seen.setdefault, prefixes.ravel().tolist()), 0)
         masks = list(seen)
         del seen    # the list keeps the order: free the dict before the batch
         utilities = _utilities(game, masks, lambda m: _first_reach(order, m))
         u_full, u_empty = utilities[0], utilities[1]
+    every = len(masks) == 1 << n
     # the utilities in ascending mask order, for a binary search per coalition
     sorted_masks = np.array(masks, dtype=_int_dtype(n))
     rank = np.argsort(sorted_masks)
     sorted_masks, by_mask = sorted_masks[rank], np.array(utilities, dtype=np.float64)[rank]
     del masks, utilities, rank
+    tally = _tally(order, lengths, every)
     values, stderr = [], []
     for player, (marginals, counts) in enumerate(_key_columns(n, *tally, sorted_masks, by_mask)):
         try:
@@ -467,34 +455,38 @@ def _prefixes(order: np.ndarray):
         yield start, np.cumsum(masks, axis=1, out=masks)
 
 
-def _steps(order: np.ndarray, dtype, lengths: Optional[np.ndarray] = None):
-    """Per chunk of the permutation table ``order``: its prefix masks, as
-    ``_prefixes`` gives them, then the sorted distinct keys ``p << n | S``
-    (player p placed right after the set S, of ``dtype``) of the steps its
-    permutations take, the first ``lengths[t]`` of permutation t (all n if
-    None), and how many times each is taken."""
+def _tally(order: np.ndarray, lengths: Optional[np.ndarray], every: bool):
+    """The sorted distinct keys ``p << n | S`` (player p placed right after the
+    set S) of the steps the permutations in ``order`` take, the first
+    ``lengths[t]`` of permutation t (all n if None), and how many times each
+    is taken. Each chunk's steps are counted by ``np.unique``; the counts go
+    into a table of ``n << n`` slots indexed by key when ``every`` coalition
+    was asked for, else merge into one sorted array."""
     n = order.shape[1]
+    dtype = _int_dtype(n + (n - 1).bit_length())
+    slots = np.zeros(n << n, dtype=np.int64) if every else None
+    keys, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
     for start, prefixes in _prefixes(order):
         steps = order[start:start + len(prefixes)].astype(dtype)
         steps <<= n
         steps[:, 1:] |= prefixes[:, :-1].astype(dtype, copy=False)
         if lengths is not None:
             steps = steps[np.arange(n) < lengths[start:start + len(steps), None]]
-        yield prefixes, *np.unique(steps, return_counts=True)
-
-
-def _merge(keys: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray):
-    """The sorted distinct ``keys`` with their ``counts``, after adding the
-    sorted distinct ``more`` with theirs; ``counts`` is updated in place
-    where a key is already there."""
-    at = np.searchsorted(keys, more)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == more[found]
-    counts[at[found]] += more_counts[found]
-    new = ~found
-    if new.any():
-        keys = np.insert(keys, at[new], more[new])
-        counts = np.insert(counts, at[new], more_counts[new])
+        more, more_counts = np.unique(steps, return_counts=True)
+        if every:
+            slots[more] += more_counts     # keys distinct, so no count is lost
+            continue
+        at = np.searchsorted(keys, more)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == more[found]
+        counts[at[found]] += more_counts[found]
+        new = ~found
+        if new.any():
+            keys = np.insert(keys, at[new], more[new])
+            counts = np.insert(counts, at[new], more_counts[new])
+    if every:
+        keys = np.flatnonzero(slots)
+        counts = slots[keys]
     return keys, counts
 
 
@@ -586,15 +578,19 @@ def _exact_sum(values: Sequence[float], weights: Sequence[int], divisor: int = 1
     return (total << shift) / divisor if shift >= 0 else total / (divisor << -shift)
 
 
-def _first_reach(order: np.ndarray, target: int) -> dict:
-    """Where the permutations in ``order`` first reach ``target``: the
-    permutation index and its prefix; none for U(full) and U(empty), which
-    are asked for before any scan."""
+def _first_reach(order: np.ndarray, target: int, lengths: Optional[np.ndarray] = None) -> dict:
+    """Where the scans of the permutations in ``order`` first reach
+    ``target``, among the first ``lengths[t]`` prefixes of permutation t (all
+    n if None): the permutation index and its prefix; none for U(full) and
+    U(empty), which are asked for before any scan."""
     n = order.shape[1]
     if target in (0, (1 << n) - 1):
         return {}
     for start, prefixes in _prefixes(order):
-        hits = np.flatnonzero(prefixes == target)
+        hits = prefixes == target
+        if lengths is not None:
+            hits &= np.arange(n) < lengths[start:start + len(hits), None]
+        hits = np.flatnonzero(hits)
         if len(hits):
             t, pos = divmod(int(hits[0]), n)
             return {"permutation_index": start + t,

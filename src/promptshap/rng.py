@@ -32,7 +32,6 @@ appends to the table at once (on one block of 3,072 ints at n = 12 it took
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from functools import lru_cache
 from operator import length_hint
@@ -161,5 +160,6 @@ def _steps(length: int) -> tuple:
 
 def derive_seed(seed: int, purpose: str) -> int:
     """Stable sub-seed for an independent stream named by ``purpose``."""
+    import hashlib     # here, not at the top: it loads OpenSSL, which only this needs
     h = int.from_bytes(hashlib.sha256(purpose.encode("utf-8")).digest()[:8], "big")
     return (seed + h) & _MASK64

@@ -991,13 +991,14 @@ def test_cli_import_loads_no_third_party_http_stack():
 
 def test_a_matrix_value_loads_no_module_it_does_not_run(matrix_config, tmp_path):
     """``import promptshap``, ``import promptshap.cli`` and a matrix ``value``
-    load neither the live client nor learning, theory or selection."""
+    load neither the live client nor learning, theory or selection, nor
+    OpenSSL through ``hashlib``."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = f"""
 import json, sys
 before = set(sys.modules)
-unused = {{"http.client", "ssl", "promptshap.client", "promptshap.learning",
-          "promptshap.theory", "promptshap.selection"}}
+unused = {{"http.client", "ssl", "hashlib", "_hashlib", "promptshap.client",
+          "promptshap.learning", "promptshap.theory", "promptshap.selection"}}
 steps = []
 import promptshap
 steps.append(sorted(unused & (set(sys.modules) - before)))
