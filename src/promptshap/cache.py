@@ -10,15 +10,16 @@ One reader, ``_read``, gives a file's entries in file order (a repeated key
 keeps its first value), its count of non-blank lines, its malformed lines'
 numbers and whether its last line is torn. A line is malformed when it is
 not UTF-8, is not JSON, lacks a field, or holds a key or value of the wrong
-type. When the file ends in a newline, each line starts with ``{`` and ends
-with ``}``, and no other brace appears (so no line boundary can fall inside
-a row or a string), it parses the lines in 16 KiB blocks, each one
-``json.loads`` of its lines joined into an array, and type-checks all rows
-in one pass; any other file, or a row that fails the checks, is read line by
-line. ``load`` warns about each malformed line. ``inspect_file`` counts with
-the ``_read`` of the kind of the first line either kind reads, so a line
-counts as malformed exactly when ``load`` skips it. A file that exists but
-cannot be read is a ``ConsistencyError`` naming it. A torn last line is
+type (a utility is a finite ``int`` or ``float``: ``game.finite_numbers``).
+When the file ends in a newline, each line starts with ``{`` and ends with
+``}``, and no other brace appears (so no line boundary can fall inside a row
+or a string), it parses the lines in 16 KiB blocks, each one ``json.loads``
+of its lines joined into an array, and type-checks all rows in one pass; any
+other file, or a row that fails the checks, is read line by line. ``load``
+warns about each malformed line. ``inspect_file`` counts with the ``_read``
+of the kind of the first line either kind reads, so a line counts as
+malformed exactly when ``load`` skips it. A file that exists but cannot be
+read is a ``ConsistencyError`` naming it. A torn last line is
 newline-terminated before the next append. ``persist`` writes a temporary
 file in one call and renames it into place, so a failed rewrite leaves the
 old file whole.
@@ -50,7 +51,6 @@ import contextlib
 import json
 import math
 import os
-import sys
 import threading
 import time
 import warnings
@@ -59,8 +59,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coalition import check_masks, hex_keys
 from .errors import ConsistencyError, UtilityOracleError
-from .game import BatchFn, finite_utility
-from .jsonio import _NUMBER_TYPES, FAULTS, _open, all_numbers
+from .game import BatchFn, _finite_real, finite_numbers, finite_utility
+from .jsonio import FAULTS, _open, all_numbers
 
 # seconds after its last store at which ``memoized`` stores the values
 # pending, whatever their number
@@ -73,7 +73,6 @@ _decode = json.JSONDecoder().raw_decode
 # the C string escaper behind json.dumps (ensure_ascii)
 _quote = json.encoder.encode_basestring_ascii
 _STR = frozenset({str})
-_FLOAT_MAX = sys.float_info.max
 # bytes of whole lines per ``json.loads`` in ``load``: a few hundred rows, so
 # the row dicts alive at once stay small however long the file
 _BLOCK = 1 << 14
@@ -286,21 +285,9 @@ class UtilityCache(_JsonlCache):
 
     @staticmethod
     def _valid_value(value) -> bool:
-        # compared, not converted: an int too large for a float is refused
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+        return isinstance(value, (int, float)) and _finite_real(value)
 
-    @staticmethod
-    def _all_valid(values: Sequence) -> bool:
-        # exact types, as the rows of a JSON file hold; a non-finite value makes
-        # the sum non-finite or raise, and ints are compared too, as the sum
-        # rounds one just past the float range to its edge
-        types = {*map(type, values)}
-        try:
-            return (types <= _NUMBER_TYPES and math.isfinite(math.fsum(values)) and (
-                int not in types or -_FLOAT_MAX <= min(values) and max(values) <= _FLOAT_MAX))
-        except (OverflowError, ValueError):     # ValueError: inf + -inf
-            return False
+    _all_valid = staticmethod(finite_numbers)
 
     @staticmethod
     def _texts(values: Iterable) -> Iterable:

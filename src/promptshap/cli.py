@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import math
 import os
 import sys
 from contextlib import ExitStack, contextmanager
@@ -27,8 +26,9 @@ from .cache import ResponseCache, UtilityCache, cached_utility, compact_file, in
 from .config import RegressorKind, RunConfig, UtilityMode, load_config
 from .ensemble import load_matrix, load_validation, matrix_utility
 from .errors import ConfigError, ConsistencyError, PromptShapError, ProtocolError
-from .game import GameSpec, Method, batch_of, loo_values, shapley_exact, shapley_montecarlo
-from .jsonio import all_numbers, dumps, read_json, write_json
+from .game import (GameSpec, Method, batch_of, finite_numbers, loo_values, shapley_exact,
+                   shapley_montecarlo)
+from .jsonio import dumps, read_json, write_json
 from .rng import derive_seed
 
 # client, learning, selection and theory are imported by the commands that
@@ -81,7 +81,7 @@ def _values_from_doc(doc: dict):
         raise ValueError("player ids must be unique")
     # json.load parses NaN and Infinity; a NaN value would rank first and a
     # NaN u_full would pass the curve's full-set check
-    if not all_numbers(numbers) or not all(math.isfinite(x) for x in numbers):
+    if not finite_numbers(numbers):
         raise ValueError("values and u_full must be finite numbers")
     return doc, ids, [float(x) for x in values]
 

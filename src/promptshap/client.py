@@ -52,7 +52,8 @@ an https request goes through its proxy by ``CONNECT``.
 
 ``embed`` only talks HTTP; precomputed embedding files are read with
 ``learning.load_embeddings``. It refuses a reply row that is not an array of
-JSON numbers (a bool or a numeric string is not one), as that loader does.
+finite JSON numbers (a bool, a numeric string, NaN or Infinity is not one,
+nor an int past the float range): the rule of ``game.finite_numbers``.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .game import Oracle, checked_batch
-from .jsonio import FAULTS, all_numbers, read_jsonl, reading
+from .game import Oracle, checked_batch, finite_numbers
+from .jsonio import FAULTS, read_jsonl, reading
 
 API_KEY_ENV = "PROMPTSHAP_API_KEY"
 
@@ -676,8 +677,7 @@ def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:
             if type(index) is not int or not 0 <= index < len(unique):
                 raise ValueError(f"index {index!r} is not an integer in 0..{len(unique) - 1}")
             row = item["embedding"]
-            # the rule learning.load_embeddings applies to a file's rows
-            if type(row) is not list or not all_numbers(row):
+            if type(row) is not list or not finite_numbers(row):
                 raise ValueError(f"the embedding of row {index} is not an array of numbers")
             rows[index] = row
     except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -687,9 +687,6 @@ def embed(texts: Sequence[str], api: ApiConfig) -> np.ndarray:
     dims = {len(r) for r in rows}
     if len(dims) != 1:
         raise ProtocolError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    try:
-        vectors = np.array(rows, dtype=np.float64)
-    except OverflowError as exc:    # an integer too large for a float
-        raise ProtocolError(f"malformed embeddings body: {exc}") from exc
+    vectors = np.array(rows, dtype=np.float64)
     position = {text: i for i, text in enumerate(unique)}
     return vectors[[position[t] for t in texts]]

@@ -33,6 +33,8 @@ scoring or request. Every utility goes through ``finite_utility``, in
 ``run_batch`` and before ``cache.cached_utility`` stores it: a finite real
 number (not a bool), kept if an ``int`` or a ``float`` and made a ``float``
 otherwise; any other fails as a ``UtilityOracleError`` naming its coalition.
+``finite_numbers`` is the rule's one-pass form over a list (``run_batch``,
+the utility cache, and the values, model and embedding-reply readers).
 Exact sums each player's terms as numpy arrays over the masks without it,
 into one ``math.fsum``.
 
@@ -238,7 +240,7 @@ def run_batch(batch: BatchFn, masks: Sequence[int], n: int) -> tuple[list, Optio
         exc = caught
     if exc is not None:
         del values[len(masks) - 1:]
-    if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
+    if not finite_numbers(values):
         for i, value in enumerate(values):
             try:
                 values[i] = finite_utility(value, masks[i], n)
@@ -281,6 +283,16 @@ def _finite_real(value) -> bool:
         return isinstance(value, numbers.Real) and math.isfinite(value)
     except OverflowError:   # a rational past the float range
         return False
+
+
+def finite_numbers(values: Sequence) -> bool:
+    """Every item is an exact ``int`` or ``float`` that ``_finite_real`` takes:
+    ints by one ``min``/``max`` comparison (a NaN is kept only when first, and
+    fails it), then one ``math.isfinite`` pass."""
+    types = {*map(type, values)}
+    return (types <= {int, float}
+            and (int not in types or -_MAX <= min(values) and max(values) <= _MAX)
+            and all(map(math.isfinite, values)))
 
 
 def shapley_weight(n: int, s: int) -> Fraction:

@@ -24,7 +24,7 @@ symmetric matrix fills only its upper triangle, N(N+1)/2 distances, and
 mirrors it. The model file is streamed to disk by ``jsonio.write_json`` one
 row of floats at a time, each row one join of float reprs; for a 200 x 768
 GP those reprs cost more than the fit itself. Loading a model checks every
-array's shape and that every entry is a JSON number.
+array's shape and that every entry is a finite JSON number.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
     UndefinedCorrelationError,
 )
-from .game import _finite_real
+from .game import _finite_real, finite_numbers
 from .jsonio import all_numbers, read_json, read_jsonl, reading, write_json
 from .rng import SplitMix64
 
@@ -388,11 +388,11 @@ def load_model(path) -> TrainedRegressor:
 
 def _parameter(value, name: str, shape: tuple[int, ...]):
     """A stored parameter as a float for the shape (), else as a float64 array
-    of ``shape``; every entry must be a JSON number."""
+    of ``shape``; every entry must be a finite JSON number."""
     what = f"parameter {name!r}"
     if not shape:
-        if not all_numbers([value]):
-            raise TypeError(f"{what} must be a number, got {value!r}")
+        if not finite_numbers([value]):
+            raise TypeError(f"{what} must be a finite number, got {value!r}")
         return float(value)
     rows = value if len(shape) == 2 else [value]
     # x_train sets "n", so only the widths of the rows are left to check
@@ -401,7 +401,10 @@ def _parameter(value, name: str, shape: tuple[int, ...]):
             for row in rows)):
         size = " x ".join(map(str, shape))
         raise ValueError(f"{what} must be an array of {size} numbers")
-    return np.array(value, dtype=np.float64).reshape(shape)
+    array = np.array(value, dtype=np.float64).reshape(shape)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} holds a non-finite number")
+    return array
 
 
 def _model_from_doc(doc: dict) -> TrainedRegressor:

@@ -376,6 +376,8 @@ GOOD_ROW = {load_manifest: '{"id": "p0", "text": "t"}',
     pytest.param(load_model, None, '{"kind": "\udcff"}', id="model-not-utf8"),
     pytest.param(load_model, None, _linear_model([]), id="model-parameters-not-object"),
     pytest.param(load_model, None, _linear_model(kind="svm"), id="model-unknown-kind"),
+    pytest.param(load_model, None, _linear_model().replace('version": 1', 'version": 2'),
+                 id="model-unknown-schema"),
     pytest.param(load_model, None, _linear_model({"weights": ["x"], "intercept": 0.0}),
                  id="model-string-weight"),
     pytest.param(load_model, None, _linear_model({"weights": [0.5], "intercept": None}),
@@ -409,6 +411,11 @@ GOOD_ROW = {load_manifest: '{"id": "p0", "text": "t"}',
                  id="embeddings-duplicate-ids"),
     pytest.param(load_embeddings, None, '{"id": "e", "vector": [NaN, 1.0]}',
                  id="embeddings-nan-entry"),
+    # json writes NaN and Infinity, and json.load reads them back
+    pytest.param(load_model, None, _linear_model({"weights": [0.5], "intercept": math.nan}),
+                 id="model-nan-entry"),
+    pytest.param(load_model, None, _linear_model({"weights": [math.inf], "intercept": 0.0}),
+                 id="model-infinity-entry"),
     pytest.param(load_manifest, None, '{"id": "p", "text": "a"}\n{"id": "p", "text": "b"}',
                  id="manifest-duplicate-ids"),
     pytest.param(load_manifest, None, '{"id": "p", "text": ""}', id="manifest-empty-text"),
@@ -477,6 +484,37 @@ def test_predict_reports_a_bad_manifest_row(learn_inputs, tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ConsistencyError"
     assert f"{manifest}:1" in payload["message"]
+
+
+@pytest.mark.parametrize("name, at, entry", [
+    ("intercept", None, math.nan),
+    ("intercept", None, -math.inf),
+    ("weights", 1, math.nan),
+    ("weights", 0, math.inf),
+])
+def test_predict_refuses_a_model_with_a_non_finite_parameter(name, at, entry, learn_inputs,
+                                                             tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["learn", "--config", learn_inputs["config"],
+                 "--embeddings", learn_inputs["embeddings"], "--values", learn_inputs["values"],
+                 "--model", "linear", "--fraction", "0.34", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    if at is None:
+        doc["parameters"][name] = entry
+    else:
+        doc["parameters"][name][at] = entry
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out, err = run_json(capsys, [
+        "predict", "--config", learn_inputs["config"],
+        "--model", str(model_path), "--manifest", learn_inputs["manifest"],
+    ])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert payload["message"].startswith(f"{model_path}: parameter {name!r}")
+    assert "NaN" not in out + err and "Infinity" not in out + err
 
 
 def test_learn_and_predict_read_unit_norm_features_alike(learn_inputs, tmp_path, capsys):

@@ -592,6 +592,39 @@ def test_https_tunnels_through_the_proxy_and_a_refused_tunnel_is_retried(manifes
     assert b"Proxy-Authorization: Basic " + base64.b64encode(b"u:p") in head
 
 
+def test_an_http_base_url_without_a_port_uses_port_80(proxy_env):
+    api = ApiConfig(base_url="http://host/v1", model="m")
+    assert client._requests_to("/chat", api)(b"{}").address == ("host", 80)
+
+
+def test_a_proxy_setting_without_a_scheme_is_used(manifest, proxy_env):
+    received = []
+    with raw_server(with_length(b"HTTP/1.1 200 OK\r\n"), received) as (proxy, accepted):
+        proxy_env.setenv("http_proxy", proxy.removeprefix("http://"))
+        api = ApiConfig(base_url="http://api.example/base", model="m", attempts=1)
+        req = build_completion_request(manifest, Coalition(0, 5), "Q", api)
+        assert complete(req, ResponseCache(), api) == "The answer is (A)."
+    [message] = received
+    assert message.startswith(b"POST http://api.example/base/v1/chat/completions HTTP/1.1\r\n")
+
+
+def test_a_proxy_user_without_a_password_sends_no_proxy_credentials(proxy_env):
+    proxy_env.setenv("http_proxy", "http://user@127.0.0.1:3128")
+    api = ApiConfig(base_url="http://api.example", model="m")
+    request = client._requests_to("/chat", api)(b"{}")
+    assert request.address == ("127.0.0.1", 3128)
+    assert b"Proxy-Authorization" not in request.message
+
+
+def test_a_tunnel_to_an_ipv6_host_brackets_it(proxy_env):
+    proxy_env.setenv("https_proxy", "http://u:p@127.0.0.1:3128")
+    api = ApiConfig(base_url="https://[::1]:8443", model="m")
+    request = client._requests_to("/chat", api)(b"{}")
+    assert request.tunnel.startswith(b"CONNECT [::1]:8443 HTTP/1.1\r\nHost: [::1]:8443\r\n")
+    assert b"Proxy-Authorization" not in request.message
+    assert request.tls_host == "::1"
+
+
 @pytest.fixture(scope="module")
 def self_signed(tmp_path_factory):
     """(certificate, key) PEM paths of a throwaway certificate for 127.0.0.1."""
@@ -948,7 +981,9 @@ def test_embed_rejects_a_reply_index_that_names_no_input(indices, bad, monkeypat
     {"0": 0.5, "1": 1.0},
     [[0.5], [1.0]],
     None,
-], ids=["bool", "string", "string-of-digits", "dict", "nested-list", "null"])
+    [math.nan, 1.0],    # json writes NaN and Infinity, and json.loads reads them
+    [math.inf, 1.0],
+], ids=["bool", "string", "string-of-digits", "dict", "nested-list", "null", "nan", "infinity"])
 def test_embed_refuses_a_row_that_is_not_an_array_of_numbers(row, monkeypatch):
     monkeypatch.setenv("PROMPTSHAP_API_KEY", "k")
     reply = json.dumps({"data": [{"index": 0, "embedding": [0.5, 1.0]},

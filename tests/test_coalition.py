@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from promptshap.coalition import Coalition, hex_keys
+from promptshap.coalition import Coalition, check_masks, hex_keys
 from promptshap.errors import PreconditionError
 
 
@@ -52,6 +52,13 @@ def test_indices_round_trip(n, data):
     c = Coalition(mask, n)
     assert sum(1 << i for i in c.indices()) == mask
     assert list(c.indices()) == sorted(c.indices())
+
+
+def test_check_masks_names_the_first_mask_outside_the_players():
+    with pytest.raises(PreconditionError, match="coalition mask -0x1 has bits outside"):
+        check_masks([0, -1], 3)
+    with pytest.raises(PreconditionError, match="coalition mask 0x8 has bits outside"):
+        check_masks([7, 8, -1], 3)
 
 
 def test_coalition_is_frozen():

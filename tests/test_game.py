@@ -5,7 +5,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -29,12 +29,14 @@ from promptshap.game import (
     Method,
     ShapleyResult,
     _exact_sum,
+    _finite_real,
     _first_reach,
     _int_dtype,
     _key_columns,
     _prefixes,
     _statistics,
     _utilities,
+    finite_numbers,
     loo_values,
     run_batch,
     shapley_exact,
@@ -756,6 +758,31 @@ def test_a_mean_whose_sum_leaves_the_float_range_is_rounded_once(terms, divisor)
     got, error = _statistics(np.array(values), np.array(weights), count)
     assert got.hex() == want.hex()
     assert math.isfinite(error)   # squared deviations past the float range are scaled
+
+
+# the edges of the finite-number rule: the float range's ends as ints and as
+# floats, the ints just past them, the non-finite floats, a signed zero, and
+# values of other types
+_INT_MAX = int(sys.float_info.max)
+FINITE_EDGES = [_INT_MAX, -_INT_MAX, _INT_MAX + 1, -_INT_MAX - 1, sys.float_info.max,
+                -sys.float_info.max, math.inf, -math.inf, math.nan, -0.0, 0, 0.5, True,
+                np.float64(0.5), "0.5"]
+
+
+def per_value_rule(values):
+    return all(type(x) in (int, float) and _finite_real(x) for x in values)
+
+
+def test_finite_numbers_agrees_with_the_per_value_rule_on_the_edges():
+    lists = [list(values) for size in range(4) for values in product(FINITE_EDGES, repeat=size)]
+    for values in lists:
+        assert finite_numbers(values) == per_value_rule(values), values
+
+
+@given(st.lists(st.one_of(st.sampled_from(FINITE_EDGES), st.floats(),
+                          st.integers(-2 ** 1030, 2 ** 1030))))
+def test_finite_numbers_agrees_with_the_per_value_rule(values):
+    assert finite_numbers(values) == per_value_rule(values)
 
 
 def target_game(n, target, bad):

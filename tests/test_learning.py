@@ -172,6 +172,19 @@ def test_gp_conditioning_failure_is_reported():
             GP, gp_signal_var=1e20, gp_noise_var=0.0, standardize=False))
 
 
+def test_a_set_length_scale_is_used_instead_of_the_median():
+    model = fit_regressor([[0.0], [0.0], [1.0]], [0.0, 1.0, 0.5], replace(GP, gp_length_scale=0.7))
+    assert model.length_scale == 0.7
+
+
+def test_a_gp_fit_escalates_its_jitter_until_the_kernel_factors():
+    # duplicate rows make the unit-variance kernel singular; a jitter of 1e-20
+    # vanishes next to 1, so the fit multiplies it by 10 until it counts
+    spec = replace(GP, gp_signal_var=1.0, gp_noise_var=0.0, gp_jitter=1e-20)
+    model = fit_regressor([[0.0], [0.0], [1.0]], [0.0, 1.0, 0.5], spec)
+    assert 1e-20 < model.jitter_used < 1e-4
+
+
 def test_gp_parameter_validation():
     X, y = [[0.0], [1.0]], [0.0, 1.0]
     with pytest.raises(PreconditionError, match="noise variance must be a finite real >= 0"):
@@ -636,6 +649,11 @@ def test_embedding_entries_must_be_json_numbers(tmp_path, vector):
     with pytest.raises(ConsistencyError, match="must be an array of numbers") as info:
         load_embeddings(path)
     assert str(info.value).startswith(f"{path}:2: ")
+
+
+def test_embedding_vectors_must_be_a_matrix():
+    with pytest.raises(ConsistencyError, match="must be 2-D"):
+        EmbeddingMatrix(("a",), np.array([0.5, 0.5]))
 
 
 def test_integer_embedding_entries_are_read_as_floats(tmp_path):

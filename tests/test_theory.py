@@ -157,6 +157,16 @@ def test_doubling_the_constant_halves_the_ratio():
     assert abs(r2["max_ratio"] - 0.5 * r1["max_ratio"]) < 1e-12 * r1["max_ratio"]
 
 
+@pytest.mark.parametrize("second, ratio", [([1.0, 0.0], 1.0), ([0.0, 1.0], 0.0)],
+                         ids=["along-the-field", "across-the-field"])
+def test_trial_zero_uses_the_embeddings_of_the_callers_game(second, ratio):
+    # two players: v0 - v1 = g(e0) - g(e1), so the ratio is 1 along w and 0 across it
+    field, l = make_affine_field(np.array([1.0, 0.0]))
+    game = LipschitzGame(np.array([[0.0, 0.0], second]), field, l)
+    report = theorem1_experiment(game, trials=1, seed=3)
+    assert report["max_ratio"] == pytest.approx(ratio, abs=1e-12)
+
+
 def test_experiment_rejects_zero_trials():
     emb = np.eye(2)
     field, l = make_affine_field(np.array([1.0, 0.0]))
