@@ -54,15 +54,16 @@ A marginal U(S + p) - U(S) depends only on the player p and the set S of
 players before it, so the engine keeps no marginals but counts the steps
 the scans take, up to where each stopped, by the key ``p << n | S`` (int64
 up to 57 players, Python ints beyond): one pass for both modes
-(``_tally``), one ``np.unique`` per chunk. When all 2^n coalitions were
-asked for, the counts go into a table of ``n << n`` int64 slots indexed by
-key, whose nonzero slots are the ascending keys and counts; otherwise each
-chunk's counts merge into one sorted array of distinct keys. Each key's
-marginal is found once, by binary search in the sorted masks. Each player's
-mean and squared deviations come from (distinct marginal, count) pairs,
-plus one pair of 0 for the permutations that stopped before the player,
-summed exactly in Python integers and rounded once: the bits ``math.fsum``
-gives over all T marginals. Memory is the permutation table, the distinct
+(``_tally``). When all 2^n coalitions were asked for, each chunk's steps
+are counted straight into a table of ``n << n`` int64 slots indexed by key
+(``np.add.at``), whose nonzero slots are the ascending keys and counts;
+otherwise one ``np.unique`` per chunk counts them and the counts merge into
+one sorted array of distinct keys. Each key's marginal is found once, by
+binary search in the sorted masks. Each player's mean and squared
+deviations come from (distinct marginal, count) pairs, plus one pair of 0
+for the permutations that stopped before the player, summed exactly in
+Python integers and rounded once: the bits ``math.fsum`` gives over all T
+marginals. Memory is the permutation table, the distinct
 masks and their utilities, the keys and counts (or the slot table: 393 KB at
 n = 12, about the size of the sorted keys and counts it replaces), and
 chunk temporaries of about ``_CHUNK * n`` items: nothing of size n * T.
@@ -471,9 +472,10 @@ def _tally(order: np.ndarray, lengths: Optional[np.ndarray], every: bool):
     """The sorted distinct keys ``p << n | S`` (player p placed right after the
     set S) of the steps the permutations in ``order`` take, the first
     ``lengths[t]`` of permutation t (all n if None), and how many times each
-    is taken. Each chunk's steps are counted by ``np.unique``; the counts go
-    into a table of ``n << n`` slots indexed by key when ``every`` coalition
-    was asked for, else merge into one sorted array."""
+    is taken. When ``every`` coalition was asked for, each chunk's steps are
+    counted straight into a table of ``n << n`` slots indexed by key
+    (``np.add.at``); otherwise ``np.unique`` counts them and the counts merge
+    into one sorted array."""
     n = order.shape[1]
     dtype = _int_dtype(n + (n - 1).bit_length())
     slots = np.zeros(n << n, dtype=np.int64) if every else None
@@ -484,10 +486,10 @@ def _tally(order: np.ndarray, lengths: Optional[np.ndarray], every: bool):
         steps[:, 1:] |= prefixes[:, :-1].astype(dtype, copy=False)
         if lengths is not None:
             steps = steps[np.arange(n) < lengths[start:start + len(steps), None]]
-        more, more_counts = np.unique(steps, return_counts=True)
         if every:
-            slots[more] += more_counts     # keys distinct, so no count is lost
+            np.add.at(slots, steps.ravel(), 1)     # unbuffered: a repeated key counts each time
             continue
+        more, more_counts = np.unique(steps, return_counts=True)
         at = np.searchsorted(keys, more)
         found = at < len(keys)
         found[found] = keys[at[found]] == more[found]

@@ -25,9 +25,11 @@ position at its start state with exactly the draws used and none undrawn, so
 interleaved calls stay on one stream. ``shuffle`` runs the loop once, so
 each call pays one numpy mix of a few microseconds, and ``shuffles`` runs it
 T times on one list and records each result in a (T, n) table: the rows of a
-block of ``_BLOCK`` shuffles collect in one list, which ``array.fromlist``
-appends to the table at once (on one block of 3,072 ints at n = 12 it took
-65 us, where ``array.extend`` took 144 us).
+block of ``_BLOCK`` shuffles collect in one list, which is appended to the
+table at once: a uint8 table (n <= 256) is a ``bytearray`` that takes the
+list through ``bytearray(rows)`` (on one block of 3,072 ints at n = 12 it
+took 10 us, where ``array.fromlist`` took 52 us), and a wider one an
+``array`` of its type that takes it through ``array.fromlist``.
 """
 
 from __future__ import annotations
@@ -102,14 +104,19 @@ class SplitMix64:
         """``count`` successive ``shuffle`` calls on one list ``range(n)``, as
         a (count, n) table of the smallest unsigned type that holds n - 1: row
         t is the list after call t + 1."""
-        table = array(np.min_scalar_type(max(n - 1, 0)).char)
+        dtype = np.min_scalar_type(max(n - 1, 0))
+        narrow = dtype == np.uint8
+        table = bytearray() if narrow else array(dtype.char)
         players, rows = list(range(n)), []
         for start in range(0, count, _BLOCK):
             # rows reach the table _BLOCK shuffles at a time, one conversion each
             self._shuffle(players, min(_BLOCK, count - start), rows.extend)
-            table.fromlist(rows)
+            if narrow:
+                table += bytearray(rows)
+            else:
+                table.fromlist(rows)
             rows.clear()
-        return np.frombuffer(table, dtype=table.typecode).reshape(count, n)
+        return np.frombuffer(table, dtype=dtype).reshape(count, n)
 
     def _shuffle(self, xs: list, times: int, record=None) -> None:
         """``shuffle(xs)`` ``times`` over, handing ``xs`` to ``record`` after each.

@@ -120,6 +120,16 @@ def test_value_mc_depends_on_seed_only(matrix_config, capsys):
     assert all(p["stderr"] > 0 for p in doc["players"])
 
 
+def test_value_without_a_seed_uses_the_config_seed(matrix_config, tmp_path, capsys):
+    doc = json.loads(Path(matrix_config).read_text())
+    doc["game"].update(method="montecarlo", seed=9)
+    config = write_config(tmp_path, doc, name="seeded.json")
+    runs = [run_json(capsys, ["value", "--config", config, *flags])
+            for flags in ([], ["--seed", "9"], ["--seed", "0"])]
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 3
+    assert runs[0][1] == runs[1][1] != runs[2][1]
+
+
 def test_value_reruns_are_byte_identical(matrix_config, capsys):
     _, out1, _ = run_json(capsys, ["value", "--config", matrix_config])
     _, out2, _ = run_json(capsys, ["value", "--config", matrix_config])
@@ -269,6 +279,19 @@ def test_learn_keeps_an_explicit_standardize_false(kind, learn_inputs, tmp_path,
     assert model["metadata"]["standardize"] is False
     if kind == "gp":    # the embedding columns' standard deviations are not 1
         assert model["parameters"]["x_scale"] == [1.0, 1.0]
+
+
+def test_learn_without_a_model_flag_fits_the_config_kind(learn_inputs, tmp_path, capsys):
+    config = write_config(tmp_path, {"paths": {"embeddings": learn_inputs["embeddings"]},
+                                     "regressor": {"kind": "linear"}}, name="linear.json")
+    runs = [run_json(capsys, [
+        "learn", "--config", config, "--embeddings", learn_inputs["embeddings"],
+        "--values", learn_inputs["values"], "--fraction", "0.34",
+        "--out", str(tmp_path / "model.json"), *flags])
+        for flags in ([], ["--model", "linear"])]
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 2
+    assert json.loads(runs[0][1])["kind"] == "linear"
+    assert runs[0][1] == runs[1][1]
 
 
 @pytest.mark.parametrize("command, field", [
@@ -795,6 +818,14 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["value", "--config", "x", "--method", "banana"]) == 2
     capsys.readouterr()
+
+
+def test_a_parse_that_exits_without_a_code_returns_0(monkeypatch, capsys):
+    def exit_without_a_code(self, args=None, namespace=None):
+        raise SystemExit(None)      # what sys.exit() raises
+
+    monkeypatch.setattr(cli._Parser, "parse_args", exit_without_a_code)
+    assert run_json(capsys, ["value", "--config", "any.json"]) == (0, "", "")
 
 
 def test_help_exits_0_and_documents_exit_codes(capsys):

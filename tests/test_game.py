@@ -35,6 +35,7 @@ from promptshap.game import (
     _key_columns,
     _prefixes,
     _statistics,
+    _tally,
     _utilities,
     finite_numbers,
     loo_values,
@@ -710,6 +711,21 @@ def test_montecarlo_counts_the_same_once_every_coalition_has_appeared(monkeypatc
                 if target != (1 << n) - 1:     # U(full) is asked for before any scan
                     assert got.value.details["permutation_index"] == seen[target]
             assert asked == want_asked
+
+
+@pytest.mark.parametrize("n, permutations", [(4, 300), (8, 5000), (12, 20000)])
+def test_the_slot_count_and_the_sorted_merge_tally_the_same(n, permutations):
+    order = SplitMix64(n).shuffles(n, permutations)
+    reached = np.unique(np.concatenate([p.ravel() for _, p in _prefixes(order)]))
+    assert len(reached) == (1 << n) - 1     # every coalition but the empty one appears
+    cut = np.random.default_rng(n).integers(1, n + 1, size=permutations)
+    for lengths in (None, cut):
+        slots_keys, slots_counts = _tally(order, lengths, True)
+        merged_keys, merged_counts = _tally(order, lengths, False)
+        assert slots_keys.dtype == merged_keys.dtype
+        assert slots_keys.tolist() == merged_keys.tolist()
+        assert slots_counts.tolist() == merged_counts.tolist()
+        assert slots_counts.sum() == (n * permutations if lengths is None else lengths.sum())
 
 
 @pytest.mark.parametrize("weights", [[1, 1, 1], [2**34, 3, 2**35 - 1], [5, 2**26 + 1, 2**27],

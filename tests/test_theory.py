@@ -95,6 +95,13 @@ def test_lipschitz_game_validation():
         LipschitzGame(np.zeros((2, 2)), lambda e: 0.0, 0.0)
 
 
+def test_a_one_player_lipschitz_game_builds():
+    # no pair to spot-check: the one player's value is its field value
+    game = LipschitzGame(np.array([[0.5, -1.0]]), lambda e: 0.25, lipschitz_l=1.0)
+    assert game.n == 1
+    assert shapley_exact(game.game()).values == (0.25,)
+
+
 @pytest.mark.parametrize("constant", [math.nan, math.inf, -1.0, True, "1"],
                          ids=["nan", "inf", "negative", "bool", "string"])
 def test_a_lipschitz_constant_must_be_a_finite_positive_real(constant):
@@ -187,8 +194,9 @@ def test_beta_spec_moments():
 
 
 @pytest.mark.parametrize("alpha, beta", [(math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan),
-                                         (2.0, -math.inf), (True, 2.0)],
-                         ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-minus-inf", "bool"])
+                                         (2.0, -math.inf), (True, 2.0), (0, 2.0), (2.0, 0.0)],
+                         ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-minus-inf", "bool",
+                              "alpha-zero", "beta-zero"])
 def test_beta_shape_parameters_must_be_finite_and_positive(alpha, beta):
     # a NaN or infinite shape once passed, and the interval quadrature never converged
     with pytest.raises(PreconditionError, match="finite and positive"):
@@ -424,6 +432,14 @@ def test_zero_delta_moves_nothing():
     assert report["up_flips"]["max"] == 0.0
     assert report["down_flips"]["max"] == 0.0
     assert report["exceed_count"] == 0
+
+
+def test_one_classifier_carries_the_whole_shift():
+    report = ensemble_perturbation(
+        BetaSpec(2, 2), n_classifiers=1, num_instances=200, k=0, delta=0.3, seed=2, trials=2
+    )
+    assert report["epsilon"] == 0.3
+    assert report["identity_max_abs_err"] == 0.0   # the mean of one classifier is its score
 
 
 def test_a_trial_above_the_flip_bound_is_counted():
