@@ -3,22 +3,9 @@
 Every JSON document the package writes is the text of
 ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, so identical
 runs produce byte-identical output (sorted keys, fixed indentation, ASCII
-escapes, shortest-round-trip float rendering). One encoder, ``_encode``,
-serves ``write_json`` for files and ``dumps`` for stdout and stderr.
-
-Cost model: with indentation, ``json`` runs its pure-Python encoder, which
-takes about twice as long over a list of floats as their ``repr`` alone.
-``_encode`` walks lists, tuples and string-keyed dicts itself and writes each
-list of finite floats as one join of ``float.__repr__``, the text ``json``
-writes for it, at little more than the reprs' cost: the 155k floats of a
-200 x 768 GP model file took 0.29-0.41 s through ``json``, 0.19-0.21 s here
-and 0.16-0.25 s for the reprs alone (2-core Xeon VM). Everything else
-(scalars, empty containers, dicts with keys that are not strings) is handed
-to ``json``, one call per scalar, so a small document costs about 0.1 ms
-more than ``json`` alone would take (0.17-0.20 ms against 0.08 ms for a
-12-player values file). ``write_json`` streams the chunks into
-the file, one innermost list at a time, so it never holds the document's
-text.
+escapes, shortest-round-trip float rendering): ``dumps`` for stdout and
+stderr, and ``write_json`` for files, which streams ``json``'s chunks into
+the file and so never holds the document's text.
 
 Every input file is read through ``read_json``, ``read_jsonl`` or
 ``read_csv``, and a loader's step on the whole file runs inside
@@ -36,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from contextlib import contextmanager
 
 from .errors import ConsistencyError, PromptShapError
@@ -85,50 +71,14 @@ def _parse_object(doc, parse):
     return parse(doc)
 
 
-_INDENT = "  "   # the indent=2 of the canonical form
-
-
-def _encode(doc, pad=""):
-    """Chunks of ``json.dumps(doc, sort_keys=True, indent=2)``, for a ``doc``
-    that starts on a line indented by ``pad``."""
-    inner = pad + _INDENT
-    sep = ",\n" + inner
-    if isinstance(doc, (list, tuple)) and doc:
-        # a float list's sum is finite only when every float is (a sum that
-        # overflows only costs the fast path)
-        if {*map(type, doc)} == {float} and math.isfinite(sum(doc)):
-            yield "[\n" + inner + sep.join(map(float.__repr__, doc)) + "\n" + pad + "]"
-            return
-        head = "[\n" + inner
-        for item in doc:
-            yield head
-            yield from _encode(item, inner)
-            head = sep
-        yield "\n" + pad + "]"
-    elif isinstance(doc, dict) and doc and all(isinstance(key, str) for key in doc):
-        head = "{\n" + inner
-        for key, value in sorted(doc.items()):
-            yield head + json.dumps(key) + ": "
-            yield from _encode(value, inner)
-            head = sep
-        yield "\n" + pad + "}"
-    elif isinstance(doc, dict) and doc:   # keys json converts to strings
-        # json escapes every newline inside a string, so each one is structural
-        yield json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-    else:
-        # a scalar or an empty container reads the same at any indent, and
-        # json's C encoder writes it without building an encoder per call
-        yield json.dumps(doc)
-
-
 def dumps(doc) -> str:
-    return "".join(_encode(doc)) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(path, doc) -> None:
     """Write ``doc`` to ``path``, the same bytes as ``dumps(doc)``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode(doc))
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

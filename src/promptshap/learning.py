@@ -21,14 +21,18 @@ median-heuristic length scale and the kernel, and a prediction one O(N*M)
 matrix against the training rows. Each matrix is filled one row at a time
 through one reused O(M*d) difference, never the O(N*M*d) broadcast; the fit's
 symmetric matrix fills only its upper triangle, N(N+1)/2 distances, and
-mirrors it. The model file is streamed to disk by ``jsonio.write_json`` one
-row of floats at a time, each row one join of float reprs; for a 200 x 768
-GP those reprs cost more than the fit itself. Loading a model checks every
-array's shape and that every entry is a finite JSON number.
+mirrors it. A model file stores each array as the base64 text of its
+little-endian float64 bytes, not as float text: for a 200 x 768 GP, the
+reprs of its 155k floats cost more than the fit itself, and parsing them
+back was half of ``predict``, while base64 is one C pass each way at 4/3 of
+the bytes. Loading a model checks every array's shape before decoding it and
+its byte count before reading it as floats, and that every entry is finite.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -47,7 +51,7 @@ from .game import _finite_real, finite_numbers
 from .jsonio import all_numbers, read_json, read_jsonl, reading, write_json
 from .rng import SplitMix64
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 _MAX_JITTER = 1e-4   # a GP fit gives up on the kernel above this jitter
 
 
@@ -346,7 +350,8 @@ def holdout_eval(X, y, spec: RegressorSpec, split_seed: int = 0, fraction: float
 
 
 # the stored parameters of each model kind: (name, shape), where the shape
-# () is a number, "d" the input dimension and "n" the number of training rows
+# () is a number, "d" the input dimension and "n" the number of training rows,
+# which x_train sets for the alpha after it
 _LINEAR_PARAMETERS = (("weights", ("d",)), ("intercept", ()))
 _PARAMETERS = {
     RegressorKind.LINEAR: _LINEAR_PARAMETERS,
@@ -365,13 +370,19 @@ _PARAMETERS = {
 }
 
 
+def _encoded(array: np.ndarray) -> dict:
+    """An array parameter as its shape and the base64 of its little-endian
+    float64 bytes, read straight from the array's buffer."""
+    data = np.ascontiguousarray(array, "<f8")
+    return {"shape": list(data.shape),
+            "f8le": binascii.b2a_base64(data, newline=False).decode("ascii")}
+
+
 def save_model(model: TrainedRegressor, path) -> None:
     parameters = {}
     for name, shape in _PARAMETERS[model.kind]:
         value = getattr(model, name)
-        if shape and value is not None:
-            value = np.asarray(value, dtype=np.float64).tolist()
-        parameters[name] = value
+        parameters[name] = _encoded(value) if shape else value
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind.value,
@@ -386,30 +397,46 @@ def load_model(path) -> TrainedRegressor:
     return read_json(path, _model_from_doc)
 
 
-def _parameter(value, name: str, shape: tuple[int, ...]):
-    """A stored parameter as a float for the shape (), else as a float64 array
-    of ``shape``; every entry must be a finite JSON number."""
+def _parameter(value, name: str, dims: tuple[str, ...], sizes: dict):
+    """A stored parameter as a float for the dims (), else as a float64 array
+    decoded from ``_encoded``'s form. Its shape must match ``dims`` under
+    ``sizes``; a dimension not yet in ``sizes`` ("n" at ``x_train``) is set
+    by this shape. Every entry must be finite."""
     what = f"parameter {name!r}"
-    if not shape:
+    if not dims:
         if not finite_numbers([value]):
             raise TypeError(f"{what} must be a finite number, got {value!r}")
         return float(value)
-    rows = value if len(shape) == 2 else [value]
-    # x_train sets "n", so only the widths of the rows are left to check
-    if not (isinstance(value, list) and all(
-            isinstance(row, list) and len(row) == shape[-1] and all_numbers(row)
-            for row in rows)):
-        size = " x ".join(map(str, shape))
-        raise ValueError(f"{what} must be an array of {size} numbers")
-    array = np.array(value, dtype=np.float64).reshape(shape)
+    stored = value if isinstance(value, dict) else {}
+    shape, payload = stored.get("shape"), stored.get("f8le")
+    if not (isinstance(shape, list) and isinstance(payload, str)
+            and all(type(size) is int and size >= 0 for size in shape)):
+        raise ValueError(f"{what} must be an object with a 'shape' of non-negative integers "
+                         "and an 'f8le' base64 string")
+    if len(shape) != len(dims) or any(
+            sizes.setdefault(dim, size) != size for dim, size in zip(dims, shape)):
+        expected = ", ".join(str(sizes.get(dim, dim)) for dim in dims)
+        raise ValueError(f"{what} has shape {shape}, expected [{expected}]")
+    try:
+        data = base64.b64decode(payload, validate=True)
+    except ValueError as exc:    # binascii.Error, or a character past ASCII
+        raise ValueError(f"{what} is not base64: {exc}") from None
+    size = 8 * math.prod(shape)
+    if len(data) != size:
+        raise ValueError(f"{what} holds {len(data)} bytes, not the {size} of shape {shape}")
+    array = np.frombuffer(data, "<f8").reshape(shape)
     if not np.isfinite(array).all():
         raise ValueError(f"{what} holds a non-finite number")
     return array
 
 
 def _model_from_doc(doc: dict) -> TrainedRegressor:
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if version == 1:
+        raise ValueError("model schema 1 (arrays as float text) is no longer read; "
+                         "re-run 'promptshap learn' to write the model again")
+    if version != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema {version!r}")
     kind = RegressorKind(doc["kind"])
     d = doc["d"]
     if type(d) is not int or d < 0:
@@ -417,14 +444,11 @@ def _model_from_doc(doc: dict) -> TrainedRegressor:
     params = doc["parameters"]
     if not isinstance(params, dict):
         raise TypeError("'parameters' must be an object")
-    x_train = params.get("x_train")
-    sizes = {"d": d, "n": len(x_train) if isinstance(x_train, list) else 0}
+    sizes = {"d": d}
     return TrainedRegressor(
         kind=kind,
         d=d,
         metadata=doc.get("metadata", {}),
-        **{
-            name: _parameter(params[name], name, tuple(sizes[dim] for dim in shape))
-            for name, shape in _PARAMETERS[kind]
-        },
+        **{name: _parameter(params[name], name, dims, sizes)
+           for name, dims in _PARAMETERS[kind]},
     )

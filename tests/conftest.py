@@ -1,10 +1,12 @@
 """Shared fixtures: deterministic games, the n! permutation reference for exact
 Shapley values, scalar references for SplitMix64 and the Monte Carlo engine,
 the adversarial ensemble fixture, writers for the JSON Lines, embedding,
-validation and prediction matrix input files, and an in-process stub HTTP server so every live-API code path runs offline."""
+validation and prediction matrix input files, model documents with encoded
+arrays, and an in-process stub HTTP server so every live-API code path runs offline."""
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
@@ -284,6 +286,24 @@ def write_matrix(matrix: PredictionMatrix, path) -> None:
                 writer.writerow(
                     [pid, *(json.dumps([float(x) for x in vec]) for vec in matrix.prob[r])]
                 )
+
+
+def encoded_array(values) -> dict:
+    """An array parameter of a model file: its shape and the base64
+    (RFC 4648) of its little-endian float64 bytes."""
+    array = np.asarray(values, "<f8")
+    return {"shape": list(array.shape), "f8le": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def model_doc(kind: str, d, parameters: dict) -> dict:
+    """A model document for ``promptshap.learning.load_model``: each list
+    among ``parameters`` is stored as an encoded array, any other value as
+    it is."""
+    return {
+        "schema_version": 2, "kind": kind, "d": d, "metadata": {},
+        "parameters": {name: encoded_array(value) if isinstance(value, list) else value
+                       for name, value in parameters.items()},
+    }
 
 
 # ---------------------------------------------------------------------------

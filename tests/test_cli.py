@@ -21,7 +21,9 @@ from promptshap.jsonio import read_json
 from promptshap.learning import EmbeddingMatrix, load_embeddings, load_model, predict_sv
 
 from conftest import (
+    encoded_array,
     make_adversarial_fixture,
+    model_doc,
     save_embeddings,
     stub_manifest_rows,
     stub_question_rows,
@@ -278,7 +280,7 @@ def test_learn_keeps_an_explicit_standardize_false(kind, learn_inputs, tmp_path,
     model = json.loads(model_path.read_text())
     assert model["metadata"]["standardize"] is False
     if kind == "gp":    # the embedding columns' standard deviations are not 1
-        assert model["parameters"]["x_scale"] == [1.0, 1.0]
+        assert model["parameters"]["x_scale"] == encoded_array([1.0, 1.0])
 
 
 def test_learn_without_a_model_flag_fits_the_config_kind(learn_inputs, tmp_path, capsys):
@@ -358,7 +360,7 @@ def test_values_file_entries_must_be_json_numbers(command, field, bad, matrix_co
 def _linear_model(parameters=None, kind="linear"):
     if parameters is None:
         parameters = {"weights": [0.5], "intercept": 0.0}
-    return json.dumps({"schema_version": 1, "kind": kind, "d": 1, "parameters": parameters})
+    return json.dumps(model_doc(kind, 1, parameters))
 
 
 def load_values(path):
@@ -397,11 +399,13 @@ GOOD_ROW = {load_manifest: '{"id": "p0", "text": "t"}',
     pytest.param(load_model, None, "[]", id="model-not-object"),
     pytest.param(load_model, None, '{"schema_version": 1, "kind": "linear"', id="model-not-json"),
     pytest.param(load_model, None, '{"kind": "\udcff"}', id="model-not-utf8"),
-    pytest.param(load_model, None, _linear_model([]), id="model-parameters-not-object"),
+    pytest.param(load_model, None, json.dumps({**model_doc("linear", 1, {}), "parameters": []}),
+                 id="model-parameters-not-object"),
     pytest.param(load_model, None, _linear_model(kind="svm"), id="model-unknown-kind"),
-    pytest.param(load_model, None, _linear_model().replace('version": 1', 'version": 2'),
+    pytest.param(load_model, None, _linear_model().replace('version": 2', 'version": 3'),
                  id="model-unknown-schema"),
-    pytest.param(load_model, None, _linear_model({"weights": ["x"], "intercept": 0.0}),
+    pytest.param(load_model, None, _linear_model({"weights": {"shape": [1], "f8le": "x"},
+                                                  "intercept": 0.0}),
                  id="model-string-weight"),
     pytest.param(load_model, None, _linear_model({"weights": [0.5], "intercept": None}),
                  id="model-null-intercept"),
@@ -525,7 +529,9 @@ def test_predict_refuses_a_model_with_a_non_finite_parameter(name, at, entry, le
     if at is None:
         doc["parameters"][name] = entry
     else:
-        doc["parameters"][name][at] = entry
+        array = load_model(str(model_path)).weights.tolist()
+        array[at] = entry
+        doc["parameters"][name] = encoded_array(array)
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     code, out, err = run_json(capsys, [
@@ -538,6 +544,53 @@ def test_predict_refuses_a_model_with_a_non_finite_parameter(name, at, entry, le
     assert payload["error"] == "ConsistencyError"
     assert payload["message"].startswith(f"{model_path}: parameter {name!r}")
     assert "NaN" not in out + err and "Infinity" not in out + err
+
+
+def _gp_model(alpha):
+    return model_doc("gp", 2, {
+        "x_mean": [0.0, 0.0], "x_scale": [1.0, 1.0], "x_train": [[0.0, 1.0], [1.0, 0.0]],
+        "y_mean": 0.0, "alpha": alpha, "length_scale": 1.0, "signal_var": 1.0,
+        "noise_var": 0.0, "jitter_used": 1e-10})
+
+
+def _weights(weights, d=2):
+    return model_doc("linear", d, {"weights": weights, "intercept": 0.0})
+
+
+@pytest.mark.parametrize("doc, named", [
+    # a valid payload with one character outside the alphabet, which a lax
+    # decoder would skip
+    pytest.param(_weights({"shape": [2], "f8le": "-" + encoded_array([0.5, 0.5])["f8le"]}),
+                 "weights", id="bad-base64"),
+    pytest.param(_weights({"shape": [2], "f8le": encoded_array([0.5])["f8le"]}), "weights",
+                 id="byte-count"),
+    pytest.param(_weights([0.5, 0.5, 0.5]), "weights", id="shape-against-d"),
+    pytest.param(_gp_model([0.1, 0.2, 0.3]), "alpha", id="shape-against-rows"),
+    pytest.param(_weights({"shape": [True], "f8le": encoded_array([0.5])["f8le"]}, d=1),
+                 "weights", id="shape-bool"),
+    pytest.param(_weights({"shape": [2.0], "f8le": encoded_array([0.5, 0.5])["f8le"]}),
+                 "weights", id="shape-float"),
+    pytest.param(_weights({"shape": [-2], "f8le": ""}), "weights", id="shape-negative"),
+    pytest.param(_weights({"shape": [2], "f8le": [0.5, 0.5]}), "weights",
+                 id="payload-not-a-string"),
+    pytest.param(_weights([0.5, math.nan]), "weights", id="nan-bits"),
+    pytest.param(_gp_model([0.1, -math.inf]), "alpha", id="infinity-bits"),
+    pytest.param({**_weights([0.5, 0.5]), "schema_version": 1,
+                  "parameters": {"weights": [0.5, 0.5], "intercept": 0.0}}, "schema 1",
+                 id="schema-1"),
+])
+def test_predict_refuses_a_malformed_model_array(doc, named, learn_inputs, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    code, out, err = run_json(capsys, [
+        "predict", "--config", learn_inputs["config"],
+        "--model", str(model_path), "--manifest", learn_inputs["manifest"],
+    ])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConsistencyError"
+    assert payload["message"].startswith(f"{model_path}: ")
+    assert named in payload["message"]
 
 
 def test_learn_and_predict_read_unit_norm_features_alike(learn_inputs, tmp_path, capsys):

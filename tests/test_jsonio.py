@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import promptshap
-from promptshap import jsonio
 from promptshap.cli import main
 from promptshap.jsonio import all_numbers, dumps, write_json
 
-from conftest import make_adversarial_fixture, write_matrix, write_validation
+from conftest import make_adversarial_fixture, model_doc, write_matrix, write_validation
 
 floats = st.floats()   # NaN, infinities and -0.0 included
 scalars = st.one_of(
@@ -20,8 +19,7 @@ scalars = st.one_of(
     floats,
     st.text(),   # non-ASCII included
 )
-# lists the encoder writes in one piece (every float finite) and lists it
-# must hand on item by item (non-finite floats, ints and bools mixed in)
+# float lists: all finite, with non-finite floats, and with ints and bools mixed in
 float_lists = st.one_of(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
     st.lists(floats, max_size=8),
@@ -52,13 +50,6 @@ def test_write_json_writes_the_bytes_of_dumps(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("doc") / "doc.json"
     write_json(path, doc)
     assert path.read_bytes() == expected.encode("utf-8")
-
-
-def test_a_float_list_is_one_chunk():
-    rows = [[float(i + j) for j in range(50)] for i in range(4)]
-    chunks = list(jsonio._encode({"rows": rows}))
-    assert len([c for c in chunks if c.count(",") == 49]) == len(rows)
-    assert max(map(len, chunks)) < len("".join(chunks)) / 2
 
 
 def test_encoder_errors_match_json():
@@ -145,9 +136,8 @@ def _matrix_config(tmp_path, matrix=None, validation=None, mode="matrix-vote") -
 
 
 def _model(tmp_path) -> str:
-    return _write(tmp_path / "model.json", json.dumps({
-        "schema_version": 1, "kind": "linear", "d": 1,
-        "parameters": {"weights": [0.5], "intercept": 0.0}}))
+    return _write(tmp_path / "model.json", json.dumps(
+        model_doc("linear", 1, {"weights": [0.5], "intercept": 0.0})))
 
 
 def _manifest(tmp_path) -> str:
@@ -181,7 +171,7 @@ def deep_embeddings(tmp_path):
 
 
 def deep_model(tmp_path):
-    path = _write(tmp_path / "model.json", '{"schema_version": 1, "kind": "linear", "d": 1, '
+    path = _write(tmp_path / "model.json", '{"schema_version": 2, "kind": "linear", "d": 1, '
                                            '"parameters": %s}' % DEEP)
     argv = ["predict", "--config", _config(tmp_path, {}), "--model", path,
             "--manifest", _manifest(tmp_path)]

@@ -31,7 +31,7 @@ from promptshap.learning import (
 )
 from promptshap.rng import SplitMix64
 
-from conftest import save_embeddings
+from conftest import encoded_array, model_doc, save_embeddings
 
 LINEAR = RegressorSpec(kind=RegressorKind.LINEAR)
 RIDGE = RegressorSpec(kind=RegressorKind.RIDGE)
@@ -512,60 +512,87 @@ def test_gp_model_round_trip(tmp_path):
     assert np.allclose(predict_sv(loaded, probe), predict_sv(model, probe), atol=1e-12)
 
 
-def test_save_model_never_holds_the_document_text(tmp_path):
+def test_save_model_holds_its_array_text_at_most_three_times(tmp_path):
     rng = np.random.default_rng(7)
     X = rng.standard_normal((200, 768))
     model = fit_regressor(X, X[:, 0] - 0.5 * X[:, 1], GP)
     path = tmp_path / "model.json"
-    # what save_model must hold anyway: its arrays as lists of floats
-    tracemalloc.start()
-    try:
-        arrays = [getattr(model, name).tolist()
-                  for name in ("x_mean", "x_scale", "x_train", "alpha")]
-        _, arrays_peak = tracemalloc.get_traced_memory()
-        del arrays
-    finally:
-        tracemalloc.stop()
     tracemalloc.start()
     try:
         save_model(model, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the text is about 4.2 MB; holding it would add all of it to the peak
-    assert peak < arrays_peak + path.stat().st_size / 4
+    # the file is about 1.66 MB, nearly all of it x_train's base64 text; the
+    # writer holds that text, json's quoted copy of it and the file's encoded
+    # bytes of that copy, and any further copy would add a third of the limit
+    assert peak < 3.125 * path.stat().st_size
 
 
-def gp_model_doc():
-    return {
-        "schema_version": 1, "kind": "gp", "d": 2, "metadata": {},
-        "parameters": {
-            "x_mean": [0.0, 0.0], "x_scale": [1.0, 1.0],
-            "x_train": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "y_mean": 0.5,
-            "alpha": [0.1, -0.2, 0.3], "length_scale": 1.0, "signal_var": 1.0,
-            "noise_var": 1e-4, "jitter_used": 1e-10,
-        },
-    }
+GP_PARAMETERS = {
+    "x_mean": [0.0, 0.0], "x_scale": [1.0, 1.0],
+    "x_train": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], "y_mean": 0.5,
+    "alpha": [0.1, -0.2, 0.3], "length_scale": 1.0, "signal_var": 1.0,
+    "noise_var": 1e-4, "jitter_used": 1e-10,
+}
 
 
 def test_a_valid_model_file_loads(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(gp_model_doc()))
+    path.write_text(json.dumps(model_doc("gp", 2, GP_PARAMETERS)))
     model = load_model(path)
     assert model.x_train.shape == (3, 2)
     assert model.alpha.shape == (3,)
     assert predict_sv(model, [[0.5, 0.5]]).shape == (1,)
 
 
+def edge_model(rows: int) -> TrainedRegressor:
+    """A GP model of ``rows`` training rows whose floats sit on float64's
+    edges; fit needs a row, so it is built by hand."""
+    edges = [-0.0, 5e-324, 1e300, -1e-300, math.nextafter(1.0, 2.0), -2.2250738585072014e-308]
+    return TrainedRegressor(
+        kind=RegressorKind.GAUSSIAN_PROCESS, d=3, x_mean=np.array(edges[:3]),
+        x_scale=np.array(edges[3:]), x_train=np.array([edges[:3], edges[3:]])[:rows],
+        y_mean=-0.0, alpha=np.array(edges[1:3])[:rows], length_scale=5e-324,
+        signal_var=1e300, noise_var=0.0, jitter_used=math.nextafter(0.0, 1.0))
+
+
+def fitted_model(spec) -> TrainedRegressor:
+    X = uniform_matrix(12, 4, seed=22)
+    return fit_regressor(X, X[:, 0] * X[:, 1], spec)
+
+
+@pytest.mark.parametrize("model", [
+    edge_model(2), edge_model(0), fitted_model(LINEAR), fitted_model(RIDGE), fitted_model(GP),
+], ids=["edges", "edges-no-rows", "linear", "ridge", "gp"])
+def test_a_model_file_keeps_every_float64_bit(model, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for name in ("weights", "intercept", "x_mean", "x_scale", "x_train", "y_mean", "alpha",
+                 "length_scale", "signal_var", "noise_var", "jitter_used"):
+        value, back = getattr(model, name), getattr(loaded, name)
+        if value is None:
+            assert back is None, name
+        else:
+            assert np.shape(back) == np.shape(value), name
+            assert np.asarray(back, np.float64).tobytes() == np.asarray(value).tobytes(), name
+
+
+ROWS_F8LE = encoded_array(GP_PARAMETERS["x_train"])["f8le"]
+# a payload of 5 numbers where its shape holds 6
+SHORT_ROWS = {"shape": [3, 2], "f8le": encoded_array([0.0, 1.0, 1.0, 0.0, 1.0])["f8le"]}
+
+
 @pytest.mark.parametrize("name, value, named", [
     ("alpha", [0.1, -0.2], "alpha"),                        # one short of x_train's rows
     ("alpha", [0.1, -0.2, 0.3, 0.4], "alpha"),
-    ("x_train", [[0.0, 1.0], [1.0, 0.0], [1.0]], "x_train"),  # a ragged row
-    ("x_train", [[0.0, "2.0"], [1.0, 0.0], [1.0, 1.0]], "x_train"),
+    ("x_train", SHORT_ROWS, "x_train"),                     # a byte count short of the shape
+    ("x_train", {"shape": [3, 2], "f8le": " " + ROWS_F8LE}, "x_train"),  # not base64
     ("x_train", [0.0, 1.0, 1.0], "x_train"),
     ("x_train", "[[0.0, 1.0]]", "x_train"),
     ("x_mean", [0.0], "x_mean"),
-    ("x_scale", [1.0, True], "x_scale"),
+    ("x_scale", {"shape": [2], "f8le": [1.0, True]}, "x_scale"),  # a payload not a string
     ("y_mean", "0.5", "y_mean"),
     ("length_scale", None, "length_scale"),
     ("noise_var", [1e-4], "noise_var"),
@@ -573,13 +600,19 @@ def test_a_valid_model_file_loads(tmp_path):
     ("d", "2", "d"),
     ("d", 2.0, "d"),
     ("d", True, "d"),
+    ("x_train", {"shape": [3, 2.0], "f8le": ROWS_F8LE}, "x_train"),
+    ("x_train", {"shape": [-3, 2], "f8le": ""}, "x_train"),
+    ("x_train", {"shape": [3, True], "f8le": SHORT_ROWS["f8le"]}, "x_train"),
+    ("x_train", {"f8le": SHORT_ROWS["f8le"]}, "x_train"),
+    ("x_train", {"shape": [3, 2], "f8le": SHORT_ROWS["f8le"] + "\u00e9"}, "x_train"),
+    ("alpha", [0.1, math.nan, 0.3], "alpha"),
+    ("x_mean", [-math.inf, 0.0], "x_mean"),
 ])
 def test_malformed_model_file_names_the_file(tmp_path, name, value, named):
-    doc = gp_model_doc()
     if name == "d":
-        doc["d"] = value
+        doc = model_doc("gp", value, GP_PARAMETERS)
     else:
-        doc["parameters"][name] = value
+        doc = model_doc("gp", 2, {**GP_PARAMETERS, name: value})
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConsistencyError) as info:
@@ -588,15 +621,26 @@ def test_malformed_model_file_names_the_file(tmp_path, name, value, named):
     assert repr(named) in str(info.value)
 
 
-@pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0], [1.0, False], ["1.0", 2.0]])
+@pytest.mark.parametrize("weights", [
+    [1.0],
+    [1.0, 2.0, 3.0],
+    {"shape": [2], "f8le": [1.0, False]},                   # the numbers as a list
+    {"shape": ["2"], "f8le": encoded_array([1.0, 2.0])["f8le"]},
+])
 def test_linear_model_weights_must_be_d_numbers(tmp_path, weights):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({
-        "schema_version": 1, "kind": "ridge", "d": 2,
-        "parameters": {"weights": weights, "intercept": 0.0},
-    }))
+    path.write_text(json.dumps(model_doc("ridge", 2, {"weights": weights, "intercept": 0.0})))
     with pytest.raises(ConsistencyError, match="'weights'"):
         load_model(path)
+
+
+def test_a_schema_1_model_is_refused_with_the_way_out(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "ridge", "d": 1, "metadata": {},
+                                "parameters": {"weights": [0.5], "intercept": 0.0}}))
+    with pytest.raises(ConsistencyError, match="re-run 'promptshap learn'") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: model schema 1 ")
 
 
 def test_load_model_rejects_unknown_schema(tmp_path):

@@ -452,6 +452,30 @@ def test_a_trial_above_the_flip_bound_is_counted():
     assert max(report["up_flips"]["max"], report["down_flips"]["max"]) > report["bound"]
 
 
+def test_a_fraction_on_an_interval_edge_counts_as_its_side_says(monkeypatch):
+    # delta = 0.5 over 2 classifiers is eps = 0.25 exactly: 0.75 = 0.5 + eps
+    # closes the down interval (0.5, 0.75], 0.25 = 0.5 - eps lies outside
+    # the up interval (0.25, 0.5], which 0.5 closes
+    default_rng = np.random.default_rng
+
+    class EdgeFractions:
+        def __init__(self, seed):
+            self.generator = default_rng(seed)
+
+        def beta(self, alpha, beta, size):
+            if isinstance(size, int):    # a trial's ensemble means
+                return np.array([0.75, 0.25, 0.5, 0.9])
+            return self.generator.beta(alpha, beta, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", EdgeFractions)
+    report = ensemble_perturbation(
+        BetaSpec(2, 2), n_classifiers=2, num_instances=4, k=0, delta=0.5, seed=0, trials=1
+    )
+    assert report["epsilon"] == 0.25
+    assert report["down_flips"]["max"] == 0.25
+    assert report["up_flips"]["max"] == 0.25
+
+
 def test_perturbation_report_shape_and_prediction():
     report = ensemble_perturbation(
         BetaSpec(50, 50), n_classifiers=100, num_instances=5000, k=0,
