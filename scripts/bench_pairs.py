@@ -2,7 +2,7 @@
 
     python scripts/bench_pairs.py PARENT CHANGE --out BENCH_N.json
         [--pairs 10] [--first-seed S] [--seconds T] [--workload W ...]
-        [--claim WORKLOAD:METRIC] [--smoke]
+        [--claim WORKLOAD:METRIC] [--self-check] [--smoke]
 
 PARENT and CHANGE are two checkouts, for example ``git archive`` copies of
 the parent commit and of the change. Each side runs its own
@@ -24,6 +24,13 @@ nine tenths of the pairs, and the medians differ by more than the parent's
 interquartile range. What the change is, and any notes on the runs, are
 for the report's author to add.
 
+``--self-check`` then runs an A/A round: the same pairs, seeds and seconds
+with CHANGE against a copy of itself. Each workload then also holds
+``self_check``, that round's ``correct`` and ``failed``, and each of its
+metrics ``self_check``, that round's ``change_vs_parent``, ``parent_spread``
+and ``change_wins``: how far two copies of one tree drift apart on this
+machine, beside the A/B result.
+
 ``--smoke`` passes ``--smoke`` to the benchmark (small inputs), for a quick
 check of the protocol; its numbers measure nothing.
 """
@@ -31,9 +38,11 @@ check of the protocol; its numbers measure nothing.
 import argparse
 import filecmp
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -50,6 +59,48 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) 
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr[-2000:]}")
     return {"detail": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def firsts(pairs: int) -> list:
+    """The side that runs first in each pair: the parent in even-numbered pairs."""
+    return ["parent" if i % 2 == 0 else "change" for i in range(pairs)]
+
+
+def run_pairs(trees: dict, workloads: list, seeds: list, seconds: float, smoke: bool,
+              label: str = "") -> dict:
+    """Per workload and side ("parent", "change"), the runs of one round of
+    alternating pairs on ``trees``, pair by pair, one seed a pair."""
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    for seed, first in zip(seeds, firsts(len(seeds))):
+        order = (first, "change" if first == "parent" else "parent")
+        for workload in workloads:
+            for side in order:
+                runs[workload][side].append(run_once(trees[side], workload, seed, seconds, smoke))
+                print(f"{label}seed {seed} {workload} {side} done", file=sys.stderr, flush=True)
+    return runs
+
+
+def summarize(runs: dict, metrics: dict, seeds: list) -> dict:
+    """Per workload of ``run_pairs``' runs: failures, correctness and each
+    end-to-end metric compared."""
+    report = {}
+    for workload, sides in runs.items():
+        results = {side: [run["result"] for run in sides[side]] for side in sides}
+        report[workload] = {
+            "pairs": len(seeds),
+            "seeds": seeds,
+            "first": firsts(len(seeds)),
+            "failed": {side: sum(r["failed"] for r in results[side]) for side in results},
+            "attempted": {side: sum(r["attempted"] for r in results[side]) for side in results},
+            "correct": all(r["correct"] for side in results for r in results[side]),
+            "metrics": {
+                name: compare([r["metrics"][name]["value"] for r in results["parent"]],
+                              [r["metrics"][name]["value"] for r in results["change"]],
+                              metric["bound"], metric["better"])
+                for name, metric in metrics.items()
+            },
+        }
+    return report
 
 
 def compare(parent_runs: list, change_runs: list, bound: float, better: str) -> dict:
@@ -127,6 +178,8 @@ def parse_args(argv):
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable); every workload by default")
     parser.add_argument("--claim", help="WORKLOAD:METRIC to test under the claim rule")
+    parser.add_argument("--self-check", action="store_true",
+                        help="also run CHANGE against a copy of itself (an A/A round)")
     parser.add_argument("--smoke", action="store_true", help="small benchmark inputs")
     return parser.parse_args(argv)
 
@@ -146,34 +199,20 @@ def main(argv=None) -> int:
     if not identical:
         print("warning: the two trees' benchmark files differ", file=sys.stderr)
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    firsts = ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)]
-    trees = {"parent": parent, "change": change}
-    runs = {w: {"parent": [], "change": []} for w in workloads}
-    for seed, first in zip(seeds, firsts):
-        order = (first, "change" if first == "parent" else "parent")
-        for workload in workloads:
-            for side in order:
-                runs[workload][side].append(
-                    run_once(trees[side], workload, seed, seconds, args.smoke))
-                print(f"seed {seed} {workload} {side} done", file=sys.stderr, flush=True)
-
-    report_workloads = {}
-    for workload, sides in runs.items():
-        results = {side: [run["result"] for run in sides[side]] for side in sides}
-        report_workloads[workload] = {
-            "pairs": args.pairs,
-            "seeds": seeds,
-            "first": firsts,
-            "failed": {side: sum(r["failed"] for r in results[side]) for side in results},
-            "attempted": {side: sum(r["attempted"] for r in results[side]) for side in results},
-            "correct": all(r["correct"] for side in results for r in results[side]),
-            "metrics": {
-                name: compare([r["metrics"][name]["value"] for r in results["parent"]],
-                              [r["metrics"][name]["value"] for r in results["change"]],
-                              metric["bound"], metric["better"])
-                for name, metric in metrics.items()
-            },
-        }
+    runs = run_pairs({"parent": parent, "change": change}, workloads, seeds, seconds, args.smoke)
+    report_workloads = summarize(runs, metrics, seeds)
+    if args.self_check:
+        with tempfile.TemporaryDirectory() as scratch:
+            copy = Path(scratch) / "change-copy"
+            shutil.copytree(change, copy, ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".perfbench-work"))
+            twin = summarize(run_pairs({"parent": change, "change": copy}, workloads, seeds,
+                                       seconds, args.smoke, "A/A "), metrics, seeds)
+        for workload, entry in report_workloads.items():
+            entry["self_check"] = {key: twin[workload][key] for key in ("correct", "failed")}
+            for name, metric in entry["metrics"].items():
+                metric["self_check"] = {key: twin[workload]["metrics"][name][key] for key in
+                                        ("change_vs_parent", "parent_spread", "change_wins")}
     env = runs[workloads[0]]["parent"][0]["detail"]["env"]
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
@@ -187,6 +226,7 @@ def main(argv=None) -> int:
             "(q3 - q1) / median of the parent's runs; change_wins counts pairs where the "
             "change reads better"),
         "benchmark_identical": identical,
+        "self_check": args.self_check,
         "claim": None,
         "workloads": report_workloads,
     }

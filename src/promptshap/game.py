@@ -7,10 +7,11 @@ Three estimators share the ``ShapleyResult`` container:
   so the efficiency axiom (values summing to U(full) - U(empty)) holds to
   1e-9 even at the enumeration cap.
 - ``shapley_montecarlo``: uniform random permutations from the portable
-  SplitMix64 generator, scanned left to right; optional truncation zeroes the
-  remaining marginals once a prefix utility is within ``truncation_tol`` of
-  the full-set utility. ``truncation_tol = 0`` disables truncation entirely,
-  keeping the estimator unbiased.
+  SplitMix64 generator, each the order of its own n random keys, scanned
+  left to right; optional truncation zeroes the remaining marginals once a
+  prefix utility is within ``truncation_tol`` of the full-set utility.
+  ``truncation_tol = 0`` disables truncation entirely, keeping the
+  estimator unbiased.
 - ``loo_values``: leave-one-out differences over n+1 coalitions.
 
 Cost model: an engine asks the game's mask-level ``batch`` for every
@@ -39,7 +40,8 @@ Exact sums each player's terms as numpy arrays over the masks without it,
 into one ``math.fsum``.
 
 Monte Carlo draws all T permutations at once as a (T, n) table of small
-unsigned ints (``SplitMix64.shuffles``), asks for every utility it needs,
+unsigned ints (``SplitMix64.shuffles``: row t sorts outputs t*n + 1 to
+t*n + n of the seeded stream), asks for every utility it needs,
 then counts. A cumulative sum of ``1 << player`` (int64 up to 63 players,
 Python ints beyond) turns each chunk of ``_CHUNK`` permutations into prefix
 masks (``_prefixes``). Without truncation, one pass adds each chunk's
@@ -353,8 +355,9 @@ def _integer(name: str, value) -> int:
 def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float = 0.0,
                        seed: int = 0) -> ShapleyResult:
     """The permutation estimator: each player's mean marginal over
-    ``permutations`` orderings, drawn as successive shuffles of one list from
-    ``SplitMix64(seed)``, with the standard error of that mean.
+    ``permutations`` independent orderings, row t the order of outputs
+    t*n + 1 to t*n + n of ``SplitMix64(seed)`` (``SplitMix64.shuffles``), with
+    the standard error of that mean.
 
     The engine asks first, then counts. Evaluation order: U(full),
     U(empty), then every other distinct prefix in the order the permutations

@@ -131,10 +131,14 @@ class ReferenceSplitMix64:
             if r < n:
                 return r
 
+    def permutation(self, n: int) -> list:
+        """The order of n keys, the next n outputs: ``range(n)`` sorted by
+        (key, index)."""
+        keys = [self.next_u64() for _ in range(n)]
+        return sorted(range(n), key=lambda i: (keys[i], i))
+
     def shuffle(self, xs: list) -> None:
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
+        xs[:] = [xs[i] for i in self.permutation(len(xs))]
 
 
 def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float = 0.0,
@@ -156,10 +160,9 @@ def reference_marginals(game: GameSpec, permutations: int, truncation_tol: float
     u_empty = evaluate(Coalition(0, n))
     truncate = truncation_tol > 0
     rng = ReferenceSplitMix64(seed)
-    perm = list(range(n))
     marginals = np.zeros((permutations, n), dtype=np.float64)
     for t in range(permutations):
-        rng.shuffle(perm)
+        perm = rng.permutation(n)
         mask = 0
         prev = u_empty
         done = truncate and abs(prev - u_full) <= truncation_tol

@@ -1119,9 +1119,9 @@ def run_engine(engine, path, inner):
 
 def first_reach(target, permutations=12, seed=3):
     """The permutation index and prefix where the seeded scan first reaches ``target``."""
-    rng, perm = ReferenceSplitMix64(seed), list(range(N))
+    rng = ReferenceSplitMix64(seed)
     for t in range(permutations):
-        rng.shuffle(perm)
+        perm = rng.permutation(N)
         for pos in range(N):
             if sum(1 << p for p in perm[: pos + 1]) == target:
                 return {"permutation_index": t, "prefix": tuple(perm[: pos + 1])}

@@ -159,10 +159,9 @@ def prefix_scan(n, permutations, seed, depth=None):
     """Each prefix mask of the seeded permutations (the first ``depth`` prefixes
     of each) mapped to (permutation index, prefix) where it first appears."""
     rng = ReferenceSplitMix64(seed)
-    perm = list(range(n))
     first = {}
     for t in range(permutations):
-        rng.shuffle(perm)
+        perm = rng.permutation(n)
         mask = 0
         for pos, p in enumerate(perm[:depth]):
             mask |= 1 << p
@@ -200,11 +199,11 @@ def test_montecarlo_failure_names_permutation_and_prefix(error, raised):
 
 def test_a_truncated_failure_names_the_first_scan_still_running():
     # U(S) = 1 when player 0 is in S: a scan stops at the prefix that adds
-    # player 0. Permutation 3 begins (0, 2), so its scan stops at step 1 and
-    # never reaches {0, 2}; permutation 7, which begins (2, 0), does.
+    # player 0. Permutation 5 begins (0, 2), so its scan stops at step 1 and
+    # never reaches {0, 2}; permutation 11, which begins (2, 0), does.
     n, seed, permutations, target = 4, 5, 40, 0b0101
     first = prefix_scan(n, permutations, seed)
-    assert first[target] == (3, (0, 2))
+    assert first[target] == (5, (0, 2))
 
     def batch(masks, n):
         for mask in masks:
@@ -216,7 +215,7 @@ def test_a_truncated_failure_names_the_first_scan_still_running():
         shapley_montecarlo(GameSpec(n=n, batch=batch), permutations, truncation_tol=0.5,
                            seed=seed)
     details = err.value.details
-    assert (details["permutation_index"], details["prefix"]) == (7, (2, 0))
+    assert (details["permutation_index"], details["prefix"]) == (11, (2, 0))
 
 
 def test_efficiency_on_seeded_games():
@@ -473,7 +472,7 @@ def test_montecarlo_matches_the_scalar_reference_at_chunk_edges_and_mask_widths(
 
 def test_montecarlo_squares_deviations_with_pow():
     # seeded so that x * x, numpy's square, would change a standard error bit
-    n, permutations, seed = 8, 4, 33
+    n, permutations, seed = 8, 4, 576
     game = random_table_game(n, seed)
     marginals, _, _ = reference_marginals(game, permutations, seed=seed)
     means = [math.fsum(column) / permutations for column in marginals.T]
@@ -809,7 +808,8 @@ def target_game(n, target, bad):
 @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf, 10 ** 400])
 @pytest.mark.parametrize("engine", ["exact", "loo", "mc", "mc-truncated"])
 def test_a_utility_that_is_not_a_finite_real_fails_naming_its_coalition(engine, bad):
-    n, seed, permutations = 4, 3, 10
+    # permutation 3, (3, 2, 1, 0), is the first to reach the target
+    n, seed, permutations = 4, 7, 10
     full = (1 << n) - 1
     target = full - 1          # the full set minus player 0, which loo asks for
     game = target_game(n, target, bad)
@@ -885,8 +885,9 @@ def assert_near_exact_stderr(column, mean: float, error: float) -> None:
 def test_montecarlo_errors_whose_squares_leave_the_float_range_fit(tol):
     # marginals 1e200 apart: their squared deviations overflow, the errors do not
     game = GameSpec(n=3, utility=lambda c: 1e200 * (c.mask & 1) * (1 + (c.mask >> 1 & 1)))
-    result = shapley_montecarlo(game, 8, truncation_tol=tol, seed=2)
-    marginals, _, _ = reference_marginals(game, 8, tol, seed=2)
+    # seven permutations of the 8 put player 1 before player 0, one after
+    result = shapley_montecarlo(game, 8, truncation_tol=tol, seed=15)
+    marginals, _, _ = reference_marginals(game, 8, tol, seed=15)
     assert result.values == tuple(math.fsum(column) / 8 for column in marginals.T)
     for column, mean, error in zip(marginals.T, result.values, result.stderr):
         assert_near_exact_stderr(column, mean, error)

@@ -27,35 +27,37 @@ from conftest import (
     write_validation,
 )
 
-# generated on the commit before the oracle-protocol refactor, and unchanged by it
+# generated on the commit before the oracle-protocol refactor, and unchanged by it,
+# but for the Monte Carlo values and the cache files, whose lines Monte Carlo asks
+# for in another order: regenerated when permutations came from random keys
 GOLDEN = {
     "matrix-vote": {
         "value-loo": "7c8fb6babef84ff621ae183a78b23f151621e5b8a5e7f469ed53b868ac4414df",
-        "value-mc": "410669c5bb4c48f92290dd1817e8b89f4822579ef77a236ed3cafa0c3f9dcad2",
+        "value-mc": "1596a4ce8678bf9dac57660955d425f87718e53429ae253301c299960178ea0a",
         "value-mc-truncated": "31d5a948161fd3250c529f92ddd6d586d9863778e9b5adb6df185e8722bd5ccd",
         "value-exact": "91b9b25c860373b934aae9816aeb9bea6732f3106cdb5a63601d2a7baa18bc10",
         "curve.csv": "69f33b4908022a2bd500353e70ff96837380520f2702d7b951e186199af9f118",
         "curve.json": "eeba9441632044b657122ada2fbb7cfe23fa3521db567c13684fc0b0469ea31c",
-        "utility.jsonl": "b4488b2c98a2d235448e1ae0a759fc75b34b2c8b6180fcaf20c6774394d5f811",
+        "utility.jsonl": "ca046dd8b810b47bd5f535ba24406c6dae2141c9826031ae9349a4ea6d4da979",
     },
     "matrix-average": {
         "value-loo": "aa0133d8b12996576db186b8d1049d060474e1e36d7192aae3b76ce7fed876e2",
-        "value-mc": "90fb7b21592e3b18032f1d4b3c9a3090659c6f95dfcec95942cfcf674187ebeb",
-        "value-mc-truncated": "6e4dda019a2e833dfb6a41c5e65f429ef546418ce9cad914a0cb56b131c99298",
+        "value-mc": "da08e1983d65d4e68aaa502750c55d6a540c7ba707b8c4e04771aa6b9a6e8b98",
+        "value-mc-truncated": "ddd0b340af7886460a12e71ae91e44c7a2b51348c21ff0614026ca363309d9f9",
         "value-exact": "3bacd62b976ef75b8e4d6265c58533475e4e198c5f59c8dab9362fec5ea7a84d",
         "curve.csv": "46dc795f74ba7bc5172ab65cd4545f0b3bb64b96d7c518a85c128c7e49b51916",
         "curve.json": "2d54a89befdc95df25b75399395b98f2c4a7df6cfa7c03c318e1700378627439",
-        "utility.jsonl": "1c12cf28683df338470639c895d143f700209aef3e2033ce19680ab656c89b00",
+        "utility.jsonl": "e39d0a577665b7a46e0c6cef691ca4e0976332fe5291531e71156a73562c126a",
     },
     "live-stub": {
         "value-loo": "2182cf7e00bcea311237a8439541a6a921de0461f801d5816375b48f8e3e78c8",
-        "value-mc": "17d96f83e2c05a44fe80fbacc28ec56abe73e39a7a9eeb118aede68df2b43e82",
-        "value-mc-truncated": "556f98a993ff861ec5ea20f93f9111f7b3ae661625aab22a85fc765095e927be",
+        "value-mc": "a676a27378af5e71cd4eef6a5c04ac074474b437c19a6cc01a380237513ed5d5",
+        "value-mc-truncated": "d102d8741a75e27c6d4cc3dc3856419e9a800a4abe2c40dc2443c6ec08a890f4",
         "value-exact": "7e1c63dfe2825998cf636c2d24ffc497836ffefb368f52ddcb1418dcadc65783",
         "curve.csv": "a26a370e188a6d112f23cf0acedaea84d0ef2e94982e19d09bfb1604f396c0ca",
         "curve.json": "e06204a730523601bdc6eb886aa0a809c12e46ef314aa873c0a29535625524a2",
-        "utility.jsonl": "820bd5e03fc9da348a3fe4a8e1274697c2ee60cc82a174ced83812d41040b49f",
-        "responses.jsonl": "129ddbfe0fe1f67d3fc5c0f269fc835f753eab46d0b086d17f0bbaf58bbecc40",
+        "utility.jsonl": "39397308273efdc7403c9d0dcb2cb6a296cbdff2c112eb742dd06746e5f88673",
+        "responses.jsonl": "8c144016e5043e0a4516ac92fb2bba9a350f97eda92d2c192f499436c1231286",
     },
 }
 

@@ -94,6 +94,22 @@ def test_bench_pairs_smoke_run_writes_the_report(tmp_path):
         assert len(metric["parent_quartiles"]) == len(metric["change_quartiles"]) == 2
 
 
+def test_bench_pairs_self_check_reports_an_a_a_round_beside_each_metric(tmp_path):
+    out = tmp_path / "BENCH.json"
+    run_python(str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT), "--out", str(out),
+               "--pairs", "2", "--seconds", "0.2", "--workload", "exact-vote", "--smoke",
+               "--self-check")
+    report = json.loads(out.read_text())
+    assert report["self_check"] is True
+    entry = report["workloads"]["exact-vote"]
+    assert entry["self_check"] == {"correct": True, "failed": {"parent": 0, "change": 0}}
+    for metric in entry["metrics"].values():
+        twin = metric["self_check"]
+        assert set(twin) == {"change_vs_parent", "parent_spread", "change_wins"}
+        assert 0 <= twin["change_wins"] <= 2 and twin["parent_spread"] >= 0
+        assert len(metric["parent_runs"]) == len(metric["change_runs"]) == 2
+
+
 def test_bench_pairs_claim_rule():
     module = bench_pairs()
     parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
