@@ -44,9 +44,14 @@ unsigned ints (``SplitMix64.shuffles``: row t sorts outputs t*n + 1 to
 t*n + n of the seeded stream), asks for every utility it needs,
 then counts. A cumulative sum of ``1 << player`` (int64 up to 63 players,
 Python ints beyond) turns each chunk of ``_CHUNK`` permutations into prefix
-masks (``_prefixes``). Without truncation, one pass adds each chunk's
-prefixes to a first-appearance dict and stops once it holds all 2^n
-coalitions, as no later prefix can be new; the dict is the one batch. With
+masks (``_prefixes``). Without truncation, one pass finds the distinct
+prefixes in the order the scans first reach them, and they are the one
+batch. When the 2^n coalitions are no more than the T*n prefixes, each
+chunk lowers a table of every coalition's first scan position t*n + k with
+``np.minimum.at`` (``_first_appearances``), the pass stops once every
+coalition is in, as no later prefix can be new, and the reached masks
+sorted by position are the batch; a larger game, with fewer prefixes than
+coalitions, adds each chunk's prefixes to a first-appearance dict. With
 truncation, whether a prefix is needed depends on the utilities before it,
 so each chunk's scans go forward together, position by position: the
 distinct new k-th prefixes of the scans still running are one batch, in row
@@ -60,15 +65,18 @@ up to 57 players, Python ints beyond): one pass for both modes
 are counted straight into a table of ``n << n`` int64 slots indexed by key
 (``np.add.at``), whose nonzero slots are the ascending keys and counts;
 otherwise one ``np.unique`` per chunk counts them and the counts merge into
-one sorted array of distinct keys. Each key's marginal is found once, by
-binary search in the sorted masks. Each player's mean and squared
-deviations come from (distinct marginal, count) pairs, plus one pair of 0
-for the permutations that stopped before the player, summed exactly in
-Python integers and rounded once: the bits ``math.fsum`` gives over all T
-marginals. Memory is the permutation table, the distinct
+one sorted array of distinct keys. Each key's marginal is found once: by
+mask in a table of 2^n utilities when 2^n <= T*n, in either mode, and
+otherwise by binary search in the sorted masks. Each player's mean and
+squared deviations come from (distinct marginal, count) pairs, plus one
+pair of 0 for the permutations that stopped before the player, summed
+exactly in Python integers and rounded once: the bits ``math.fsum`` gives
+over all T marginals. Memory is the permutation table, the distinct
 masks and their utilities, the keys and counts (or the slot table: 393 KB at
 n = 12, about the size of the sorted keys and counts it replaces), and
 chunk temporaries of about ``_CHUNK * n`` items: nothing of size n * T.
+When 2^n <= T*n, 8 * 2^n bytes of first positions and 8 * 2^n bytes of
+utilities by mask take the place of the sorted masks: 64 KB at n = 12.
 """
 
 from __future__ import annotations
@@ -361,7 +369,11 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
 
     The engine asks first, then counts. Evaluation order: U(full),
     U(empty), then every other distinct prefix in the order the permutations
-    first reach it, row by row, in one batch. With ``truncation_tol > 0`` a
+    first reach it, row by row, in one batch. While 2^n <= T*n, that order
+    comes from a table of each coalition's first scan position
+    (``_first_appearances``, 8 * 2^n bytes) and the utilities are read by
+    mask from 8 * 2^n bytes more; a larger game keeps a first-appearance dict
+    and a binary search in its sorted masks. With ``truncation_tol > 0`` a
     scan stops at the first prefix whose utility is within the tolerance of
     U(full), and the players after it get a marginal of 0; whether a prefix
     is needed then depends on the utilities before it, so each chunk of
@@ -393,6 +405,8 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
         raise PreconditionError(f"truncation_tol must be >= 0, got {truncation_tol}")
     n = game.n
     full = (1 << n) - 1
+    # no more coalitions than prefixes: tables of 2^n slots, indexed by mask
+    dense = 1 << n <= permutations * n
     rng = SplitMix64(seed)
     if truncation_tol > 0:
         u_full, u_empty = _utilities(game, [full, 0])
@@ -417,22 +431,28 @@ def shapley_montecarlo(game: GameSpec, permutations: int, truncation_tol: float 
         masks, utilities = list(seen), list(seen.values())
     else:
         order, lengths = rng.shuffles(n, permutations), None
-        # each distinct prefix in first-appearance order, until every coalition is in
-        seen = dict.fromkeys((full, 0))
-        for _, prefixes in _prefixes(order):
-            if len(seen) == 1 << n:
-                break
-            deque(map(seen.setdefault, prefixes.ravel().tolist()), 0)
-        masks = list(seen)
-        del seen    # the list keeps the order: free the dict before the batch
+        if dense:
+            masks = _first_appearances(order)
+        else:
+            # each distinct prefix in first-appearance order; with fewer
+            # prefixes than coalitions, no chunk but the last can see them all
+            seen = dict.fromkeys((full, 0))
+            for _, prefixes in _prefixes(order):
+                deque(map(seen.setdefault, prefixes.ravel().tolist()), 0)
+            masks = list(seen)
+            del seen    # the list keeps the order: free the dict before the batch
         utilities = _utilities(game, masks, lambda m: _first_reach(order, m))
         u_full, u_empty = utilities[0], utilities[1]
     every = len(masks) == 1 << n
-    # the utilities in ascending mask order, for a binary search per coalition
-    sorted_masks = np.array(masks, dtype=_int_dtype(n))
-    rank = np.argsort(sorted_masks)
-    sorted_masks, by_mask = sorted_masks[rank], np.array(utilities, dtype=np.float64)[rank]
-    del masks, utilities, rank
+    if dense:   # the utilities by mask; the steps read only masks asked for
+        sorted_masks, by_mask = None, np.empty(1 << n)
+        by_mask[masks] = np.array(utilities, dtype=np.float64)
+    else:       # in ascending mask order, for a binary search per coalition
+        sorted_masks = np.array(masks, dtype=_int_dtype(n))
+        rank = np.argsort(sorted_masks)
+        sorted_masks, by_mask = sorted_masks[rank], np.array(utilities, dtype=np.float64)[rank]
+        del rank
+    del masks, utilities
     tally = _tally(order, lengths, every)
     values, stderr = [], []
     for player, (marginals, counts) in enumerate(_key_columns(n, *tally, sorted_masks, by_mask)):
@@ -471,6 +491,25 @@ def _prefixes(order: np.ndarray):
         yield start, np.cumsum(masks, axis=1, out=masks)
 
 
+def _first_appearances(order: np.ndarray) -> list:
+    """U(full), U(empty), then every other prefix mask of the permutations in
+    ``order`` in the order the scans first reach it, row by row: a table of
+    each coalition's first scan position t*n + k (U(full) and U(empty) at -2
+    and -1), lowered chunk by chunk with ``np.minimum.at`` until every
+    coalition is in, and its reached masks sorted by position."""
+    n = order.shape[1]
+    never = order.size
+    first = np.full(1 << n, never, dtype=np.int64)
+    first[[(1 << n) - 1, 0]] = -2, -1
+    for start, prefixes in _prefixes(order):
+        # unbuffered: a mask repeated in the chunk keeps its least position
+        np.minimum.at(first, prefixes.ravel(), np.arange(start * n, start * n + prefixes.size))
+        if first.max() < never:
+            break
+    reached = np.flatnonzero(first < never)
+    return reached[np.argsort(first[reached])].tolist()
+
+
 def _tally(order: np.ndarray, lengths: Optional[np.ndarray], every: bool):
     """The sorted distinct keys ``p << n | S`` (player p placed right after the
     set S) of the steps the permutations in ``order`` take, the first
@@ -507,18 +546,23 @@ def _tally(order: np.ndarray, lengths: Optional[np.ndarray], every: bool):
     return keys, counts
 
 
-def _key_columns(n: int, keys: np.ndarray, counts: np.ndarray, masks: np.ndarray,
+def _key_columns(n: int, keys: np.ndarray, counts: np.ndarray, masks: Optional[np.ndarray],
                  utilities: np.ndarray):
     """Per player p, the marginal U(S + p) - U(S) of each of its sorted keys
     ``p << n | S``, once per key, and the keys' counts; ``utilities[i]`` is
-    U(``masks[i]``), with ``masks`` ascending."""
+    U(``masks[i]``), with ``masks`` ascending, or U(i) when ``masks`` is None."""
     full = (1 << n) - 1
     bounds = np.searchsorted(keys, [p << n for p in range(n + 1)]).tolist()
     for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        before = (keys[lo:hi] & full).astype(masks.dtype)
-        marginals = utilities[np.searchsorted(masks, before | 1 << p)]
+        before = keys[lo:hi] & full
+        if masks is None:
+            after = before | 1 << p
+        else:
+            before = before.astype(masks.dtype)
+            after, before = np.searchsorted(masks, before | 1 << p), np.searchsorted(masks, before)
+        marginals = utilities[after]
         with np.errstate(over="ignore"):    # an inf marginal fails in _statistics
-            marginals -= utilities[np.searchsorted(masks, before)]
+            marginals -= utilities[before]
         yield marginals, counts[lo:hi]
 
 

@@ -174,7 +174,20 @@ def prefix_scan(n, permutations, seed, depth=None):
     (ConsistencyError("boom"), ConsistencyError),
 ])
 def test_montecarlo_failure_names_permutation_and_prefix(error, raised):
-    n, seed, permutations = 5, 3, 10
+    # 32 coalitions, 50 prefixes: the engine finds its ask order in a table by mask
+    assert_failure_names_permutation_and_prefix(5, 3, 10, error, raised)
+
+
+@pytest.mark.parametrize("error, raised", [
+    (ValueError("boom"), UtilityOracleError),
+    (ConsistencyError("boom"), ConsistencyError),
+])
+def test_montecarlo_failure_names_permutation_and_prefix_without_the_mask_table(error, raised):
+    # 256 coalitions, 160 prefixes: the engine finds its ask order in a dict
+    assert_failure_names_permutation_and_prefix(8, 3, 20, error, raised)
+
+
+def assert_failure_names_permutation_and_prefix(n, seed, permutations, error, raised):
     first = prefix_scan(n, permutations, seed)
     # a coalition the third permutation is the first to reach
     target = next(mask for mask, (t, _) in first.items() if t == 2)
@@ -417,6 +430,38 @@ def test_montecarlo_asks_each_distinct_coalition_once_in_first_order(n, seed, pe
         assert engine == position_major(reference, n)
     else:
         assert engine == list(dict.fromkeys(reference))
+
+
+def ask_order_cases():
+    """(n, permutations) just below and just above 2^n = permutations * n,
+    where the engine moves from a first-appearance dict to a table of 2^n
+    first positions, and on that line."""
+    for n in range(1, 11):
+        line = -(-(1 << n) // n)    # the least T with 2^n <= T * n
+        yield n, line - 1
+        yield n, line + 1
+    yield 4, 4
+    yield 8, 32
+
+
+@pytest.mark.parametrize("n, permutations", [*ask_order_cases(), (10, 103)])
+def test_montecarlo_asks_in_first_appearance_order_on_both_sides_of_the_table_rule(
+        n, permutations):
+    seed = 1000 * n + permutations
+    asked = []
+    game = recording_table_game(n, seed, asked)
+    result = shapley_montecarlo(game, permutations, seed=seed)
+    first = prefix_scan(n, permutations, seed)
+    assert asked == list(dict.fromkeys([(1 << n) - 1, 0, *first]))
+    if (n, permutations) == (10, 103):
+        # the table rule holds (1,024 <= 1,030), yet some coalitions are never reached
+        assert 1 << n <= permutations * n and len(asked) < 1 << n
+        marginals, u_full, u_empty = reference_marginals(game, permutations, seed=seed)
+        means = [math.fsum(column) / permutations for column in marginals.T]
+        assert result.values == tuple(means)
+        assert result.stderr == tuple(
+            reference_stderr(column, mean) for column, mean in zip(marginals.T, means))
+        assert (result.u_full, result.u_empty) == (u_full, u_empty)
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.01])
